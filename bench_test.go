@@ -11,6 +11,7 @@ package gsketch_test
 // and the partitioning step itself) follow the figure benches.
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -19,6 +20,7 @@ import (
 
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/experiments"
+	"github.com/graphstream/gsketch/internal/graphgen"
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/obs"
 	"github.com/graphstream/gsketch/internal/query"
@@ -555,6 +557,66 @@ func BenchmarkEstimateBatch(b *testing.B) {
 		}
 		_ = sink
 	})
+}
+
+// BenchmarkBatchByPartitions is the scaling guard of the routed-batch
+// grouping: the cost of one Concurrent.UpdateBatch / EstimateBatch call must
+// follow the batch, not the partition count. It sweeps a 16 MiB sketch over
+// an R-MAT sample (the wire_bulk_large configuration of the repository's
+// benchmark) capped at 16, 1 k and 16 k partitions, against batches of 1,
+// 256, 1024 and 8192, and reports ns/edge and ns/query. At 16 k partitions a
+// one-element batch must stay under 2 µs and ns/edge at 256-edge batches
+// within 1.5× of 8192-edge batches.
+func BenchmarkBatchByPartitions(b *testing.B) {
+	edges, err := graphgen.DefaultRMAT(22, 1<<22, 42).Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := make([]core.EdgeQuery, len(edges))
+	for i, e := range edges {
+		qs[i] = core.EdgeQuery{Src: e.Src, Dst: e.Dst}
+	}
+	for _, maxParts := range []int{16, 1 << 10, 1 << 14} {
+		g, err := core.BuildGSketch(core.Config{
+			TotalBytes: 16 << 20, Seed: 42, MaxPartitions: maxParts,
+		}, edges, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c := core.NewConcurrent(g)
+		core.Populate(c, edges)
+		for _, batch := range []int{1, 256, 1024, 8192} {
+			name := fmt.Sprintf("shards=%d/batch=%d", c.NumShards(), batch)
+			// Walk the stream so consecutive calls touch different
+			// partitions and counters, as serving traffic does.
+			b.Run(name+"/update", func(b *testing.B) {
+				b.ReportAllocs()
+				lo := 0
+				for i := 0; i < b.N; i++ {
+					if lo+batch > len(edges) {
+						lo = 0
+					}
+					c.UpdateBatch(edges[lo : lo+batch])
+					lo += batch
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/edge")
+			})
+			b.Run(name+"/estimate", func(b *testing.B) {
+				b.ReportAllocs()
+				var sink int64
+				lo := 0
+				for i := 0; i < b.N; i++ {
+					if lo+batch > len(qs) {
+						lo = 0
+					}
+					sink += c.EstimateBatch(qs[lo : lo+batch])[0].Estimate
+					lo += batch
+				}
+				_ = sink
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/query")
+			})
+		}
+	}
 }
 
 // --- Ablation benches (DESIGN.md §6) --------------------------------------

@@ -16,11 +16,15 @@ import (
 // partition (plus the outlier sketch) is an independent update domain. The
 // domains are guarded by up to maxLockStripes RWMutexes, with partition p
 // mapped to stripe p mod stripes — a partitioning can produce thousands of
-// tiny leaves, and striping keeps the per-batch lock traffic bounded (one
-// acquisition per touched stripe) while writers on different stripes still
-// proceed in parallel. A batch is routed and grouped lock-free; each
-// stripe's lock is held only while its partitions absorb their groups. The
-// stream-volume total is atomic inside GSketch.
+// tiny leaves, and striping keeps the per-batch lock traffic bounded. A
+// batch in either direction is routed and grouped lock-free by a pooled
+// grouping whose touched-shard list comes ordered by stripe; walking it
+// takes each touched stripe's lock once, held only while that stripe's
+// partitions absorb or answer their groups. A batch therefore costs
+// O(batch + touched partitions) and at most min(batch, stripes) lock
+// acquisitions, independent of the partition count, and batches on
+// different stripes proceed in parallel. The stream-volume total is atomic
+// inside GSketch.
 //
 // Any other estimator falls back to a single RWMutex around the whole
 // structure, the seed behaviour.
@@ -30,8 +34,7 @@ type Concurrent struct {
 	// Sharded fast path (nil g means generic path).
 	g       *GSketch
 	stripes []sync.RWMutex
-	pool    sync.Pool // *scatter, one per in-flight write batch
-	qpool   sync.Pool // *gather, one per in-flight query batch
+	pool    sync.Pool // *grouping, one per in-flight batch of either direction
 
 	// Generic fallback path.
 	mu sync.RWMutex
@@ -52,8 +55,7 @@ func NewConcurrent(est Estimator) *Concurrent {
 			n = maxLockStripes
 		}
 		c.stripes = make([]sync.RWMutex, n)
-		c.pool.New = func() any { return newScatter(g.NumShards()) }
-		c.qpool.New = func() any { return newGather(g.NumShards()) }
+		c.pool.New = func() any { return newGrouping(g.NumShards(), n) }
 	}
 	return c
 }
@@ -75,7 +77,7 @@ func (c *Concurrent) Update(e stream.Edge) {
 		w = 1
 	}
 	shard := c.g.Route(e.Src)
-	addShardHits(c.g.writeHits, shard, 1)
+	c.g.writeHits[shard].Add(1)
 	key := stream.EdgeKey(e.Src, e.Dst)
 	st := c.stripeOf(shard)
 	c.stripes[st].Lock()
@@ -84,10 +86,32 @@ func (c *Concurrent) Update(e stream.Edge) {
 	c.g.addTotal(w)
 }
 
+// eachGroup visits every group of a routed batch under its shard's stripe
+// lock. The touched list is ordered by stripe, so a stripe's lock is taken
+// once and held across the run of touched shards it guards.
+func (c *Concurrent) eachGroup(gr *grouping, lock, unlock func(*sync.RWMutex), visit func(g *GSketch, j int)) {
+	held := -1
+	for j, shard := range gr.touched {
+		if st := c.stripeOf(int(shard)); st != held {
+			if held >= 0 {
+				unlock(&c.stripes[held])
+			}
+			lock(&c.stripes[st])
+			held = st
+		}
+		visit(c.g, j)
+	}
+	if held >= 0 {
+		unlock(&c.stripes[held])
+	}
+}
+
 // UpdateBatch folds a batch of edge arrivals. On the sharded path the batch
 // is routed and grouped by destination shard without any lock (the router
-// is immutable), then each shard's group is applied under that shard's
-// lock — so concurrent batches serialize only where they actually collide.
+// is immutable), then each touched shard's group is applied under its
+// stripe lock, one acquisition per touched stripe — so concurrent batches
+// serialize only where they actually collide, and a batch's cost follows
+// its size and the shards it touches, not the partition count.
 func (c *Concurrent) UpdateBatch(edges []stream.Edge) {
 	if len(edges) == 0 {
 		return
@@ -98,27 +122,10 @@ func (c *Concurrent) UpdateBatch(edges []stream.Edge) {
 		c.mu.Unlock()
 		return
 	}
-	sc := c.pool.Get().(*scatter)
-	total := sc.route(c.g, edges)
-	// Walk stripe by stripe so each lock is acquired at most once per
-	// batch, covering every touched partition it guards.
-	for st := range c.stripes {
-		locked := false
-		for shard := st; shard < len(sc.keys); shard += len(c.stripes) {
-			if len(sc.keys[shard]) == 0 {
-				continue
-			}
-			if !locked {
-				c.stripes[st].Lock()
-				locked = true
-			}
-			c.g.shardSynopsis(shard).UpdateBatch(sc.keys[shard], sc.counts[shard])
-		}
-		if locked {
-			c.stripes[st].Unlock()
-		}
-	}
-	c.pool.Put(sc)
+	gr := c.pool.Get().(*grouping)
+	total := gr.routeEdges(c.g, edges)
+	c.eachGroup(gr, (*sync.RWMutex).Lock, (*sync.RWMutex).Unlock, gr.update)
+	c.pool.Put(gr)
 	c.g.addTotal(total)
 }
 
@@ -131,7 +138,7 @@ func (c *Concurrent) EstimateEdge(src, dst uint64) int64 {
 		return c.est.EstimateEdge(src, dst)
 	}
 	shard := c.g.Route(src)
-	addShardHits(c.g.readHits, shard, 1)
+	c.g.readHits[shard].Add(1)
 	key := stream.EdgeKey(src, dst)
 	st := c.stripeOf(shard)
 	c.stripes[st].RLock()
@@ -158,12 +165,14 @@ func (c *Concurrent) MemoryBytes() int {
 		return c.est.MemoryBytes()
 	}
 	// Shard synopses may size dynamically (e.g. LossyCounting), so read
-	// each one under its stripe lock.
+	// each one under its stripe lock — stripe by stripe, one lock pair per
+	// stripe rather than per shard.
 	total := 0
-	for shard := 0; shard < c.g.NumShards(); shard++ {
-		st := c.stripeOf(shard)
+	for st := range c.stripes {
 		c.stripes[st].RLock()
-		total += c.g.shardSynopsis(shard).MemoryBytes()
+		for shard := st; shard < c.g.NumShards(); shard += len(c.stripes) {
+			total += c.g.shardSynopsis(shard).MemoryBytes()
+		}
 		c.stripes[st].RUnlock()
 	}
 	return total

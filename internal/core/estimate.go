@@ -2,8 +2,8 @@ package core
 
 import (
 	"math"
+	"sync"
 
-	"github.com/graphstream/gsketch/internal/hashutil"
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
@@ -49,171 +49,32 @@ type Result struct {
 // depth-d sketch.
 func confidence(depth int) float64 { return 1 - math.Exp(-float64(depth)) }
 
-// shardMeta is the per-shard slice of Result that is constant across one
-// gathered group: provenance and the ε·N_i bound.
-type shardMeta struct {
-	partition int
-	outlier   bool
-	bound     float64
-}
-
-// gather holds one routed query chunk in group-major flat layout: a
-// counting sort over the per-position shard indices places every shard's
-// edge keys contiguously in grouped, estimates land in vals at the same
-// offsets, and the per-shard Result metadata sits in meta. All buffers are
-// reused across chunks so steady-state batch querying allocates only the
-// caller-visible []Result. Results are assembled by a sequential sweep over
-// shardOf rather than scattered writes through saved positions — streaming
-// 48-byte stores beat read-for-ownership misses on a strided scatter.
-type gather struct {
-	shardOf  []int32  // answering shard per chunk position
-	flatKeys []uint64 // edge key per chunk position (input order)
-	grouped  []uint64 // edge keys regrouped shard-major
-	vals     []int64  // estimates aligned with grouped
-	start    []int32  // per-shard group offset into grouped/vals
-	count    []int32  // per-shard group length
-	cursor   []int32  // per-shard consumption cursor (assemble scratch)
-	meta     []shardMeta
-}
-
-func newGather(shards int) *gather {
-	return &gather{
-		start:  make([]int32, shards),
-		count:  make([]int32, shards),
-		cursor: make([]int32, shards),
-		meta:   make([]shardMeta, shards),
-	}
-}
-
-// route groups a query chunk by answering shard: one routing pass records
-// each position's shard and edge key, a prefix sum lays out the groups, and
-// a placement pass writes the keys group-major. Only the immutable router
-// is read, so route is safe concurrently with shard-local counter writes —
-// the same property the write-side scatter builds on.
-func (gt *gather) route(g *GSketch, qs []EdgeQuery) {
-	n := len(qs)
-	if cap(gt.shardOf) < n {
-		gt.shardOf = make([]int32, n)
-		gt.flatKeys = make([]uint64, n)
-		gt.grouped = make([]uint64, n)
-		gt.vals = make([]int64, n)
-	}
-	gt.shardOf = gt.shardOf[:n]
-	gt.flatKeys = gt.flatKeys[:n]
-	gt.grouped = gt.grouped[:n]
-	gt.vals = gt.vals[:n]
-	for i := range gt.count {
-		gt.count[i] = 0
-	}
-	for i, q := range qs {
-		// One Mix64 of the source serves both the routing probe and the
-		// edge-key derivation.
-		mixed := hashutil.Mix64(q.Src)
-		shard := g.routeMixed(mixed, q.Src)
-		gt.shardOf[i] = int32(shard)
-		gt.flatKeys[i] = hashutil.EdgeKeyMixed(mixed, q.Dst)
-		gt.count[shard]++
-	}
-	off := int32(0)
-	for s, c := range gt.count {
-		gt.start[s] = off
-		gt.cursor[s] = off
-		off += c
-	}
-	for i, k := range gt.flatKeys {
-		sh := gt.shardOf[i]
-		gt.grouped[gt.cursor[sh]] = k
-		gt.cursor[sh]++
-	}
-	for shard := range gt.count {
-		addShardHits(g.readHits, shard, int64(gt.count[shard]))
-	}
-}
-
-// gatherShard answers one shard's group in a single pass over its synopsis
-// and records the group's shared Result metadata — answering partition and
-// ε·N_i bound, read in the same critical section as the counters so the
-// pair is one consistent snapshot. The caller owns synchronization; the
-// assemble pass that fans results back out runs lock-free afterwards.
-func (gt *gather) gatherShard(g *GSketch, shard int) {
-	cnt := gt.count[shard]
-	if cnt == 0 {
-		return
-	}
-	lo := gt.start[shard]
-	syn := g.shardSynopsis(shard)
-	syn.EstimateBatch(gt.grouped[lo:lo+cnt], gt.vals[lo:lo+cnt])
-
-	part, outlier, width := shard, false, 0
-	if g.outlier != nil && shard == len(g.parts) {
-		part, outlier, width = NoPartition, true, g.outlierWidth
-	} else {
-		width = g.leaves[shard].Width
-	}
-	gt.meta[shard] = shardMeta{
-		partition: part,
-		outlier:   outlier,
-		bound:     errorBound(syn.Count(), width),
-	}
-}
-
-// assemble fans the gathered estimates back out to input order with one
-// sequential sweep: position i's shard comes from shardOf, its estimate
-// from that shard's next unconsumed slot in the flat vals layout. out must
-// be the chunk's slice of the caller-visible results.
-func (gt *gather) assemble(out []Result, conf float64, streamTotal int64) {
-	copy(gt.cursor, gt.start)
-	vals := gt.vals
-	for i, sh := range gt.shardOf {
-		k := gt.cursor[sh]
-		gt.cursor[sh] = k + 1
-		m := &gt.meta[sh]
-		out[i] = Result{
-			Estimate:    vals[k],
-			Partition:   m.partition,
-			Outlier:     m.outlier,
-			ErrorBound:  m.bound,
-			Confidence:  conf,
-			StreamTotal: streamTotal,
-		}
-	}
-}
-
-// estimateChunk bounds the slice of a query batch that is routed and
-// gathered at once, so the gather scratch (keys, positions, values) stays
+// estimateChunk bounds the slice of a query batch that is grouped and
+// answered at once, so the grouping's buffers (keys, slots, values) stay
 // cache-resident alongside the counters being probed instead of growing
 // with the caller's batch and evicting them — the read-side analogue of
 // populateChunk.
 const estimateChunk = 2048
 
-// EstimateBatch answers a batch of edge queries via route-then-gather: the
-// batch is grouped by answering partition (one pass over the flat router),
-// then each touched partition's counters are probed once for its whole
-// group. Results are returned in input order and carry the answering
+// EstimateBatch answers a batch of edge queries through the routed-batch
+// grouping: each chunk is grouped by answering partition (one pass over the
+// flat router), then each touched partition's counters are probed once for
+// its whole group — O(chunk + touched partitions), whatever the partition
+// count. Results are returned in input order and carry the answering
 // partition, its ε·N_i error bound at confidence 1-e^{-d}, and a snapshot
 // of the stream total. Estimates are identical to per-edge EstimateEdge.
 func (g *GSketch) EstimateBatch(qs []EdgeQuery) []Result {
 	out := make([]Result, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
-	gt := g.qscratch
-	if gt == nil {
-		gt = newGather(g.NumShards())
-		g.qscratch = gt
-	}
+	gr := g.batchScratch()
 	total := g.total.Load()
 	conf := confidence(g.cfg.Depth)
 	for lo := 0; lo < len(qs); lo += estimateChunk {
-		hi := lo + estimateChunk
-		if hi > len(qs) {
-			hi = len(qs)
+		hi := min(lo+estimateChunk, len(qs))
+		gr.routeQueries(g, qs[lo:hi])
+		for j := range gr.touched {
+			gr.estimate(g, j)
 		}
-		gt.route(g, qs[lo:hi])
-		for shard := range gt.count {
-			gt.gatherShard(g, shard)
-		}
-		gt.assemble(out[lo:hi], conf, total)
+		gr.assemble(g, out[lo:hi], conf, total)
 	}
 	return out
 }
@@ -252,11 +113,15 @@ func (g *GlobalSketch) EstimateBatch(qs []EdgeQuery) []Result {
 }
 
 // EstimateBatch answers a batch of edge queries under the wrapper's
-// synchronization. On the sharded path the batch is routed and grouped
-// lock-free, then the touched partitions are gathered stripe by stripe with
-// one read-lock acquisition per stripe per batch — so a batch observes each
-// partition's counters and local volume N_i in one consistent snapshot, and
-// readers on disjoint stripes proceed in parallel with writers elsewhere.
+// synchronization. On the sharded path each chunk is routed and grouped
+// lock-free, then its touched partitions are answered stripe by stripe: a
+// stripe's read lock is taken at most once per chunk and covers every
+// touched partition it guards, so lock traffic is bounded by
+// stripes × ⌈batch/estimateChunk⌉ and a one-query batch takes one lock.
+// Each group's counters and local volume N_i are read in one critical
+// section — one consistent snapshot per partition — and the fan-out back to
+// input order runs lock-free over the grouping's private buffers. Readers
+// on disjoint stripes proceed in parallel with writers elsewhere.
 func (c *Concurrent) EstimateBatch(qs []EdgeQuery) []Result {
 	if c.g == nil {
 		c.mu.RLock()
@@ -264,43 +129,15 @@ func (c *Concurrent) EstimateBatch(qs []EdgeQuery) []Result {
 		return c.est.EstimateBatch(qs)
 	}
 	out := make([]Result, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
-	gt := c.qpool.Get().(*gather)
+	gr := c.pool.Get().(*grouping)
 	total := c.g.Count()
 	conf := confidence(c.g.cfg.Depth)
 	for lo := 0; lo < len(qs); lo += estimateChunk {
-		hi := lo + estimateChunk
-		if hi > len(qs) {
-			hi = len(qs)
-		}
-		gt.route(c.g, qs[lo:hi])
-		// Walk stripe by stripe, mirroring UpdateBatch: each stripe lock is
-		// acquired at most once per chunk and covers every touched
-		// partition it guards, so lock traffic is bounded by
-		// stripes × ⌈batch/estimateChunk⌉ instead of one acquisition per
-		// query. Each group's counters and local volume N_i are read in one
-		// critical section; the assemble fan-out below runs lock-free over
-		// the gathered private buffers.
-		for st := range c.stripes {
-			locked := false
-			for shard := st; shard < len(gt.count); shard += len(c.stripes) {
-				if gt.count[shard] == 0 {
-					continue
-				}
-				if !locked {
-					c.stripes[st].RLock()
-					locked = true
-				}
-				gt.gatherShard(c.g, shard)
-			}
-			if locked {
-				c.stripes[st].RUnlock()
-			}
-		}
-		gt.assemble(out[lo:hi], conf, total)
+		hi := min(lo+estimateChunk, len(qs))
+		gr.routeQueries(c.g, qs[lo:hi])
+		c.eachGroup(gr, (*sync.RWMutex).RLock, (*sync.RWMutex).RUnlock, gr.estimate)
+		gr.assemble(c.g, out[lo:hi], conf, total)
 	}
-	c.qpool.Put(gt)
+	c.pool.Put(gr)
 	return out
 }

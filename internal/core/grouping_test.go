@@ -1,0 +1,312 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"slices"
+	"sync"
+	"testing"
+
+	"github.com/graphstream/gsketch/internal/hashutil"
+	"github.com/graphstream/gsketch/internal/sketch"
+	"github.com/graphstream/gsketch/internal/stream"
+)
+
+// groupedSketch hand-builds a gSketch with exactly shards update domains
+// (the outlier sketch, if any, is the last), which no sample steers the
+// partitioner to on demand. Vertices 0..3·parts-1 are routed round-robin —
+// vertex 0 included, the router's out-of-line key — and everything above
+// falls through to the outlier shard (or partition 0 without one).
+func groupedSketch(tb testing.TB, shards int, outlier bool) *GSketch {
+	tb.Helper()
+	const width, depth = 8, 2
+	parts := shards
+	if outlier {
+		parts--
+	}
+	cfg := Config{TotalWidth: shards * width, Depth: depth, Seed: 11}.withDefaults()
+	newSynopsis := func(i int) sketch.Synopsis {
+		s, err := cfg.Factory(width, depth, hashutil.Mix64(cfg.Seed+uint64(i)+1))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return s
+	}
+	assign := make(map[uint64]int32, 3*parts)
+	for v := 0; v < 3*parts; v++ {
+		assign[uint64(v)] = int32(v % parts)
+	}
+	g := &GSketch{
+		cfg:        cfg,
+		router:     buildRouter(assign),
+		leaves:     make([]Leaf, parts),
+		parts:      make([]sketch.Synopsis, parts),
+		totalWidth: shards * width,
+	}
+	for i := range g.parts {
+		g.leaves[i] = Leaf{Width: width, Vertices: 3}
+		g.parts[i] = newSynopsis(i)
+	}
+	if outlier {
+		g.outlier = newSynopsis(parts)
+		g.outlierWidth = width
+	}
+	g.initRouteStats()
+	if g.NumShards() != shards {
+		tb.Fatalf("built %d shards, want %d", g.NumShards(), shards)
+	}
+	return g
+}
+
+// groupedStream draws n edges whose sources repeat, a quarter of them
+// unrouted, with weights 0..3 (0 counts as 1).
+func groupedStream(n, shards int, seed uint64) []stream.Edge {
+	rng := hashutil.NewRNG(seed)
+	edges := make([]stream.Edge, n)
+	for i := range edges {
+		edges[i] = stream.Edge{
+			Src:    rng.Uint64() % uint64(4*shards),
+			Dst:    rng.Uint64() % 64,
+			Weight: int64(rng.Uint64() % 4),
+		}
+	}
+	return edges
+}
+
+func routeTotals(t *testing.T, est Estimator) (writes, reads int64) {
+	t.Helper()
+	rs := est.(RouteStatsSource)
+	w, r := rs.WriteRouteCounts(), rs.ReadRouteCounts()
+	var sum int64
+	for _, n := range w.Partitions {
+		sum += n
+	}
+	if sum+w.Outlier != w.Total {
+		t.Fatalf("write route counts do not add up: %d + %d != %d", sum, w.Outlier, w.Total)
+	}
+	return w.Total, r.Total
+}
+
+// TestGroupedBatchesMatchSequential is the grouping's equivalence property,
+// swept over shard counts around the lock-stripe boundary (maxLockStripes =
+// 64), with and without the outlier shard, and batch sizes from one edge to
+// four query chunks. Every batch of size b follows a larger one, so a count
+// the touched-list reset missed would surface as a misplaced or dropped
+// position.
+func TestGroupedBatchesMatchSequential(t *testing.T) {
+	const first = 8192
+	for _, shards := range []int{1, 2, 63, 64, 65, 4097} {
+		for _, outlier := range []bool{true, false} {
+			if outlier && shards == 1 {
+				continue // an outlier shard needs a partition beside it
+			}
+			for _, batch := range []int{1, 7, 1024, 8192} {
+				name := fmt.Sprintf("shards=%d/outlier=%v/batch=%d", shards, outlier, batch)
+				t.Run(name, func(t *testing.T) {
+					edges := groupedStream(first+3*batch, shards, uint64(shards*31+batch))
+					seq := groupedSketch(t, shards, outlier)
+					for _, e := range edges {
+						seq.Update(e)
+					}
+					want := serializeGSketch(t, seq)
+
+					plain := groupedSketch(t, shards, outlier)
+					conc := NewConcurrent(groupedSketch(t, shards, outlier))
+					for _, est := range []Estimator{plain, conc} {
+						est.UpdateBatch(edges[:first])
+						for lo := first; lo < len(edges); lo += batch {
+							est.UpdateBatch(edges[lo : lo+batch])
+						}
+						if est.Count() != seq.Count() {
+							t.Fatalf("%T: Count %d, sequential %d", est, est.Count(), seq.Count())
+						}
+						var buf bytes.Buffer
+						if _, err := est.(io.WriterTo).WriteTo(&buf); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(buf.Bytes(), want) {
+							t.Fatalf("%T: batch state is not byte-identical to sequential Update", est)
+						}
+
+						qs := batchQueries(edges, len(edges))
+						var got []Result
+						got = append(got, est.EstimateBatch(qs[:first])...)
+						for lo := first; lo < len(qs); lo += batch {
+							got = append(got, est.EstimateBatch(qs[lo:lo+batch])...)
+						}
+						conf := confidence(seq.Depth())
+						for i, q := range qs {
+							part, routed := seq.PartitionOf(q.Src)
+							ref := Result{
+								Estimate:    seq.EstimateEdge(q.Src, q.Dst),
+								Partition:   part,
+								ErrorBound:  seq.ErrorBound(q.Src),
+								Confidence:  conf,
+								StreamTotal: seq.Count(),
+							}
+							if !routed && outlier {
+								ref.Partition, ref.Outlier = NoPartition, true
+							}
+							if got[i] != ref {
+								t.Fatalf("%T: query %d (%d,%d): batch %+v, per-edge %+v", est, i, q.Src, q.Dst, got[i], ref)
+							}
+						}
+
+						writes, reads := routeTotals(t, est)
+						if writes != int64(len(edges)) || reads != int64(len(qs)) {
+							t.Fatalf("%T: routed %d writes / %d reads, want %d / %d", est, writes, reads, len(edges), len(qs))
+						}
+					}
+					for shard, c := range plain.scratch.count {
+						if c != 0 {
+							t.Fatalf("count[%d] = %d between batches, want 0", shard, c)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestGroupingLayout checks the grouping's own invariants on one routed
+// batch: the touched list holds exactly the batch's shards, each lock stripe
+// in one run (so a walk takes every stripe lock at most once), and each
+// group holds its shard's keys and weights in stream order.
+func TestGroupingLayout(t *testing.T) {
+	const shards = 200
+	g := groupedSketch(t, shards, true)
+	edges := groupedStream(3000, shards, 5)
+	for _, stripes := range []int{1, maxLockStripes} {
+		gr := newGrouping(shards, stripes)
+		gr.routeEdges(g, edges[:2000]) // a larger batch first
+		batch := edges[2000:]
+		gr.routeEdges(g, batch)
+
+		wantKeys := map[int32][]uint64{}
+		wantWeights := map[int32][]int64{}
+		for _, e := range batch {
+			shard := int32(g.Route(e.Src))
+			w := e.Weight
+			if w == 0 {
+				w = 1
+			}
+			wantKeys[shard] = append(wantKeys[shard], stream.EdgeKey(e.Src, e.Dst))
+			wantWeights[shard] = append(wantWeights[shard], w)
+		}
+		if len(gr.touched) != len(wantKeys) {
+			t.Fatalf("stripes=%d: %d touched shards, want %d", stripes, len(gr.touched), len(wantKeys))
+		}
+		seenStripe := map[int]bool{}
+		last := -1
+		for j, shard := range gr.touched {
+			if st := int(shard) % stripes; st != last {
+				if seenStripe[st] {
+					t.Fatalf("stripes=%d: stripe %d appears in two runs of the touched list", stripes, st)
+				}
+				seenStripe[st] = true
+				last = st
+			}
+			lo, hi := gr.off[j], gr.off[j+1]
+			if !slices.Equal(gr.gkeys[lo:hi], wantKeys[shard]) || !slices.Equal(gr.gvals[lo:hi], wantWeights[shard]) {
+				t.Fatalf("stripes=%d: shard %d group is not its edges in stream order", stripes, shard)
+			}
+			delete(wantKeys, shard)
+		}
+		if len(wantKeys) != 0 {
+			t.Fatalf("stripes=%d: %d shards of the batch missing from the touched list", stripes, len(wantKeys))
+		}
+	}
+}
+
+// TestConcurrentWritersBesideReader runs batch writers of mixed batch sizes
+// beside a batch reader on more shards than lock stripes (so stripes are
+// shared) and checks conservation: stream total, routed-write total and —
+// CountMin adds commute — the very bytes of a sequentially fed sketch.
+// Under -race it is the grouping's pool and stripe-walk check.
+func TestConcurrentWritersBesideReader(t *testing.T) {
+	const shards, writers, perWriter = 4*maxLockStripes + 1, 4, 20_000
+	edges := groupedStream(writers*perWriter, shards, 17)
+	seq := groupedSketch(t, shards, true)
+	for _, e := range edges {
+		seq.Update(e)
+	}
+	c := NewConcurrent(groupedSketch(t, shards, true))
+	qs := batchQueries(edges, 3000)
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i, r := range c.EstimateBatch(qs) {
+				if r.Estimate < 0 || r.ErrorBound < 0 {
+					t.Errorf("query %d: %+v", i, r)
+					return
+				}
+			}
+		}
+	}()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			mine := edges[w*perWriter : (w+1)*perWriter]
+			sizes := []int{1, 7, 256, 1024, 3000}
+			for i := 0; len(mine) > 0; i++ {
+				n := min(sizes[(i+w)%len(sizes)], len(mine))
+				c.UpdateBatch(mine[:n])
+				mine = mine[n:]
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+
+	if c.Count() != seq.Count() {
+		t.Fatalf("stream total %d, want %d", c.Count(), seq.Count())
+	}
+	if got := c.WriteRouteCounts().Total; got != int64(len(edges)) {
+		t.Fatalf("routed writes %d, want %d", got, len(edges))
+	}
+	var buf bytes.Buffer
+	if _, err := c.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), serializeGSketch(t, seq)) {
+		t.Fatal("concurrent batch state differs from the sequentially fed sketch")
+	}
+	if c.MemoryBytes() != seq.MemoryBytes() {
+		t.Fatalf("MemoryBytes %d, want %d", c.MemoryBytes(), seq.MemoryBytes())
+	}
+}
+
+// TestBatchPathsSteadyStateAllocs is the scaling guard's allocation half:
+// once the pooled grouping is warm, a batch allocates nothing on the write
+// side and only the caller-visible []Result on the read side, at few shards
+// and at thousands alike.
+func TestBatchPathsSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	for _, shards := range []int{16, 4097} {
+		c := NewConcurrent(groupedSketch(t, shards, true))
+		edges := groupedStream(1024, shards, 3)
+		qs := batchQueries(edges, len(edges))
+		c.UpdateBatch(edges)
+		c.EstimateBatch(qs)
+		if n := testing.AllocsPerRun(100, func() { c.UpdateBatch(edges) }); n != 0 {
+			t.Errorf("shards=%d: UpdateBatch allocates %v per batch, want 0", shards, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.EstimateBatch(qs) }); n != 1 {
+			t.Errorf("shards=%d: EstimateBatch allocates %v per batch, want 1 (the results)", shards, n)
+		}
+	}
+}

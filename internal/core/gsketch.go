@@ -38,7 +38,7 @@ type Estimator interface {
 }
 
 // populateChunk bounds the batch size Populate hands to UpdateBatch so the
-// scatter scratch stays cache-resident instead of growing with the stream.
+// grouping's buffers stay cache-resident instead of growing with the stream.
 const populateChunk = 8192
 
 // Populate streams every edge of a slice into an estimator in batches.
@@ -67,13 +67,10 @@ type GSketch struct {
 	// from several goroutines without a lock (everything else it touches is
 	// per-shard).
 	total atomic.Int64
-	// scratch holds the route-then-scatter buffers of UpdateBatch; lazily
-	// allocated, reused across batches. Like the rest of GSketch it is not
-	// safe for concurrent mutation — Concurrent keeps its own pool.
-	scratch *scatter
-	// qscratch is the read-side counterpart: the route-then-gather buffers
-	// of EstimateBatch. Same lifecycle and (lack of) thread safety.
-	qscratch *gather
+	// scratch is the routed-batch grouping of UpdateBatch and EstimateBatch;
+	// lazily allocated, reused across batches. Like the rest of GSketch it
+	// is not safe for concurrent use — Concurrent keeps its own pool.
+	scratch *grouping
 
 	// writeHits / readHits count routed traffic per shard (outlier shard
 	// last), split by direction. They are atomic so the batch route passes —
@@ -196,7 +193,7 @@ func (g *GSketch) Route(src uint64) int {
 }
 
 // routeMixed is Route with Mix64(src) precomputed (shared with edge-key
-// derivation on the scatter pass).
+// derivation on the grouping's routing pass).
 func (g *GSketch) routeMixed(mixed, src uint64) int {
 	if i, ok := g.router.getMixed(mixed, src); ok {
 		return int(i)
@@ -205,6 +202,14 @@ func (g *GSketch) routeMixed(mixed, src uint64) int {
 		return len(g.parts)
 	}
 	return 0
+}
+
+// shardWidth returns the column count of the synopsis backing one shard.
+func (g *GSketch) shardWidth(shard int) int {
+	if shard == len(g.parts) {
+		return g.outlierWidth
+	}
+	return g.leaves[shard].Width
 }
 
 // shardSynopsis returns the synopsis backing one shard.
@@ -227,27 +232,35 @@ func (g *GSketch) Update(e stream.Edge) {
 	}
 	g.total.Add(w)
 	shard := g.Route(e.Src)
-	addShardHits(g.writeHits, shard, 1)
+	g.writeHits[shard].Add(1)
 	g.shardSynopsis(shard).Update(stream.EdgeKey(e.Src, e.Dst), w)
 }
 
-// UpdateBatch folds a batch of edge arrivals via route-then-scatter: the
-// batch is first grouped by destination shard (touching only the flat
-// router), then each shard's synopsis absorbs its group in one UpdateBatch
-// call. Within a shard the stream order is preserved, so the resulting
+// batchScratch returns the sketch's own grouping, allocating it on first
+// use.
+func (g *GSketch) batchScratch() *grouping {
+	if g.scratch == nil {
+		g.scratch = newGrouping(g.NumShards(), 1)
+	}
+	return g.scratch
+}
+
+// UpdateBatch folds a batch of edge arrivals through the routed-batch
+// grouping: the batch is first grouped by destination shard (touching only
+// the flat router), then each touched shard's synopsis absorbs its group in
+// one UpdateBatch call — O(batch + touched shards), whatever the partition
+// count. Within a shard the stream order is preserved, so the resulting
 // counters are byte-identical to sequential Update — partitions are
 // independent, so cross-shard reordering is unobservable.
 func (g *GSketch) UpdateBatch(edges []stream.Edge) {
 	if len(edges) == 0 {
 		return
 	}
-	sc := g.scratch
-	if sc == nil {
-		sc = newScatter(g.NumShards())
-		g.scratch = sc
+	gr := g.batchScratch()
+	total := gr.routeEdges(g, edges)
+	for j := range gr.touched {
+		gr.update(g, j)
 	}
-	total := sc.route(g, edges)
-	sc.apply(g)
 	g.total.Add(total)
 }
 
@@ -255,7 +268,7 @@ func (g *GSketch) UpdateBatch(edges []stream.Edge) {
 // source routes to.
 func (g *GSketch) EstimateEdge(src, dst uint64) int64 {
 	shard := g.Route(src)
-	addShardHits(g.readHits, shard, 1)
+	g.readHits[shard].Add(1)
 	return g.shardSynopsis(shard).Estimate(stream.EdgeKey(src, dst))
 }
 
@@ -318,13 +331,8 @@ func (g *GSketch) OutlierWidth() int { return g.outlierWidth }
 // interval discussed in §5 ("the number of edges assigned to each of the
 // partitions is known in advance of query processing").
 func (g *GSketch) ErrorBound(src uint64) float64 {
-	if i, ok := g.router.Get(src); ok {
-		return errorBound(g.parts[i].Count(), g.leaves[i].Width)
-	}
-	if g.outlier != nil {
-		return errorBound(g.outlier.Count(), g.outlierWidth)
-	}
-	return errorBound(g.parts[0].Count(), g.leaves[0].Width)
+	shard := g.Route(src)
+	return errorBound(g.shardSynopsis(shard).Count(), g.shardWidth(shard))
 }
 
 // Depth returns the shared sketch depth d.

@@ -113,8 +113,8 @@ func (r *Router) Get(key uint64) (int32, bool) {
 	return r.getMixed(hashutil.Mix64(key), key)
 }
 
-// getMixed is Get with the Mix64 of the key precomputed, so the scatter
-// pass can share one mixing with edge-key derivation.
+// getMixed is Get with the Mix64 of the key precomputed, so the batch
+// grouping can share one mixing with edge-key derivation.
 func (r *Router) getMixed(mixed, key uint64) (int32, bool) {
 	if key == 0 {
 		return r.zeroVal, r.hasZero

@@ -5,8 +5,8 @@ import "sync/atomic"
 // Routing observability: per-shard traffic counters split by direction.
 // They are the drift signal of the adaptive repartitioning subsystem — a
 // partitioning built for yesterday's workload shows up here as a growing
-// outlier share — and are cheap enough to keep always-on: the batch route
-// passes fold one atomic add per touched shard per batch, and the
+// outlier share — and are cheap enough to keep always-on: a routed batch
+// folds in one atomic add per touched shard (grouping.layout), and the
 // single-edge paths one add per call.
 
 // RouteCounts is a snapshot of routed traffic per shard in one direction
@@ -39,14 +39,6 @@ func (g *GSketch) initRouteStats() {
 	n := g.NumShards()
 	g.writeHits = make([]atomic.Int64, n)
 	g.readHits = make([]atomic.Int64, n)
-}
-
-// addShardHits folds one batch's per-shard group sizes into a direction's
-// counters.
-func addShardHits(hits []atomic.Int64, shard int, n int64) {
-	if n != 0 {
-		hits[shard].Add(n)
-	}
 }
 
 // snapshotHits copies a direction's counters into a RouteCounts.

@@ -1,63 +1,242 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"github.com/graphstream/gsketch/internal/hashutil"
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
-// scatter holds the per-shard (key, count) groups of one routed batch. The
-// buffers are reused across batches so steady-state batch ingestion does
-// not allocate.
-type scatter struct {
-	keys   [][]uint64
-	counts [][]int64
+// grouping is one routed batch in flat shard-major layout, the single
+// mechanism behind both batch directions: UpdateBatch scatters an edge
+// batch's (key, weight) groups into the shard synopses, EstimateBatch
+// gathers a query batch's estimates out of them.
+//
+// A routing pass records every position's shard and edge key and counts the
+// shard's group, noting each shard the first time it is hit in the touched
+// list; a prefix sum over that list lays the groups out; a placement pass —
+// a stable counting sort, so every group keeps stream order — writes the
+// keys group-major. Nothing walks the whole shard range: the per-shard count
+// array is all zero between batches and only the touched entries are
+// counted, summed, hit-counted, applied and cleared again, so a batch costs
+// O(batch + touched shards) however finely the sketch is partitioned — a
+// one-edge batch on 16 k partitions touches one counter, not 16 k. All
+// buffers are reused across batches: steady-state batches allocate nothing
+// beyond EstimateBatch's caller-visible []Result.
+//
+// Only the immutable router is read while grouping, so it runs lock-free
+// beside shard-local counter writes; Concurrent asks for the touched list
+// ordered by lock stripe so that applying the groups takes each stripe lock
+// at most once per batch.
+type grouping struct {
+	// stripes is the lock-stripe count the touched list is ordered by;
+	// 1 or less keeps first-touch order (no locks to amortize).
+	stripes int
+
+	// Per batch position, in input order.
+	shardOf []int32  // shard the position routes to
+	keys    []uint64 // the position's edge key
+	slot    []int32  // its offset into gkeys/gvals (query batches only)
+
+	// Shard-major: group j of touched occupies [off[j], off[j+1]).
+	gkeys []uint64
+	gvals []int64 // weights of an edge batch, estimates of a query batch
+	off   []int32
+
+	// touched lists the shards with a non-empty group; spare is its
+	// second buffer for the stripe ordering.
+	touched, spare []int32
+
+	// Per shard. count is the group size while routing and the placement
+	// cursor afterwards; it is zero between batches. bound is the ε·N_i
+	// bound of a gathered group, valid for the touched shards only.
+	count []int32
+	bound []float64
 }
 
-func newScatter(shards int) *scatter {
-	return &scatter{
-		keys:   make([][]uint64, shards),
-		counts: make([][]int64, shards),
+func newGrouping(shards, stripes int) *grouping {
+	return &grouping{
+		stripes: stripes,
+		count:   make([]int32, shards),
+		bound:   make([]float64, shards),
 	}
 }
 
-// route groups a batch by destination shard, preserving stream order within
-// each shard, and returns the batch's total stream volume. Only the
-// immutable router is read, so route is safe concurrently with shard-local
-// counter writes.
-func (sc *scatter) route(g *GSketch, edges []stream.Edge) int64 {
-	for i := range sc.keys {
-		sc.keys[i] = sc.keys[i][:0]
-		sc.counts[i] = sc.counts[i][:0]
+// begin sizes the per-position and shard-major buffers for an n-element
+// batch.
+func (gr *grouping) begin(n int) {
+	if cap(gr.shardOf) < n {
+		gr.shardOf = make([]int32, n)
+		gr.keys = make([]uint64, n)
+		gr.slot = make([]int32, n)
+		gr.gkeys = make([]uint64, n)
+		gr.gvals = make([]int64, n)
+		gr.off = make([]int32, n+1)
+		gr.touched = make([]int32, n)
+		gr.spare = make([]int32, n)
 	}
+	gr.shardOf = gr.shardOf[:n]
+	gr.keys = gr.keys[:n]
+	gr.slot = gr.slot[:n]
+	gr.gkeys = gr.gkeys[:n]
+	gr.gvals = gr.gvals[:n]
+	gr.touched = gr.touched[:n]
+}
+
+// mark is the routing pass's step for position i: it records the shard and
+// the edge key, counts the position into its shard's group and notes a
+// first-touched shard at touched[nt]. It returns the advanced nt.
+func (gr *grouping) mark(i, nt, shard int, key uint64) int {
+	gr.shardOf[i] = int32(shard)
+	gr.keys[i] = key
+	c := gr.count[shard]
+	gr.count[shard] = c + 1
+	// nt ≤ i, so the store is in range; it is kept only on a first touch.
+	gr.touched[nt] = int32(shard)
+	if c == 0 {
+		nt++
+	}
+	return nt
+}
+
+// layout closes the routing pass: it orders the nt touched shards by lock
+// stripe, turns their counts into group offsets (count becomes the
+// placement cursor) and folds the group sizes into the direction's routing
+// stats (the drift signal of adaptive repartitioning), one atomic add per
+// touched shard.
+func (gr *grouping) layout(nt int, hits []atomic.Int64) {
+	gr.touched = gr.touched[:nt]
+	if gr.stripes > 1 && nt > 1 {
+		gr.orderByStripe()
+	}
+	gr.off = gr.off[:nt+1]
+	var o int32
+	for j, shard := range gr.touched {
+		c := gr.count[shard]
+		gr.count[shard] = o
+		o += c
+		gr.off[j+1] = o
+		hits[shard].Add(int64(c))
+	}
+}
+
+// orderByStripe counting-sorts the touched list by shard mod stripes, so
+// that a walk over it meets each lock stripe in one run.
+func (gr *grouping) orderByStripe() {
+	var next [maxLockStripes + 1]int32
+	for _, shard := range gr.touched {
+		next[int(shard)%gr.stripes+1]++
+	}
+	for st := 1; st < gr.stripes; st++ {
+		next[st] += next[st-1]
+	}
+	sorted := gr.spare[:len(gr.touched)]
+	for _, shard := range gr.touched {
+		st := int(shard) % gr.stripes
+		sorted[next[st]] = shard
+		next[st]++
+	}
+	gr.touched, gr.spare = sorted, gr.touched[:cap(gr.touched)]
+}
+
+// release zeroes the touched shards' counts, restoring the between-batches
+// state the next routing pass relies on.
+func (gr *grouping) release() {
+	for _, shard := range gr.touched {
+		gr.count[shard] = 0
+	}
+}
+
+// routeEdges groups an edge batch by destination shard — gkeys and gvals
+// hold each touched shard's keys and weights, in stream order — and returns
+// the batch's total stream volume.
+func (gr *grouping) routeEdges(g *GSketch, edges []stream.Edge) int64 {
+	gr.begin(len(edges))
+	nt := 0
+	for i, e := range edges {
+		// One Mix64 of the source serves both the routing probe and the
+		// edge-key derivation.
+		mixed := hashutil.Mix64(e.Src)
+		nt = gr.mark(i, nt, g.routeMixed(mixed, e.Src), hashutil.EdgeKeyMixed(mixed, e.Dst))
+	}
+	gr.layout(nt, g.writeHits)
 	var total int64
-	for _, e := range edges {
+	for i, e := range edges {
 		w := e.Weight
 		if w == 0 {
 			w = 1
 		}
 		total += w
-		// One Mix64 of the source serves both the routing probe and the
-		// edge-key derivation.
-		mixed := hashutil.Mix64(e.Src)
-		shard := g.routeMixed(mixed, e.Src)
-		sc.keys[shard] = append(sc.keys[shard], hashutil.EdgeKeyMixed(mixed, e.Dst))
-		sc.counts[shard] = append(sc.counts[shard], w)
+		shard := gr.shardOf[i]
+		k := gr.count[shard]
+		gr.count[shard] = k + 1
+		gr.gkeys[k] = gr.keys[i]
+		gr.gvals[k] = w
 	}
-	// One atomic add per touched shard records the batch in the routing
-	// stats (the drift signal of adaptive repartitioning).
-	for shard := range sc.keys {
-		addShardHits(g.writeHits, shard, int64(len(sc.keys[shard])))
-	}
+	gr.release()
 	return total
 }
 
-// apply folds every non-empty shard group into its synopsis, in ascending
-// shard order for determinism. The caller owns synchronization and the
-// total-volume accounting.
-func (sc *scatter) apply(g *GSketch) {
-	for shard := range sc.keys {
-		if len(sc.keys[shard]) > 0 {
-			g.shardSynopsis(shard).UpdateBatch(sc.keys[shard], sc.counts[shard])
+// routeQueries groups a query batch by answering shard: gkeys holds each
+// touched shard's keys and slot where every position's estimate will land
+// in gvals.
+func (gr *grouping) routeQueries(g *GSketch, qs []EdgeQuery) {
+	gr.begin(len(qs))
+	nt := 0
+	for i, q := range qs {
+		mixed := hashutil.Mix64(q.Src)
+		nt = gr.mark(i, nt, g.routeMixed(mixed, q.Src), hashutil.EdgeKeyMixed(mixed, q.Dst))
+	}
+	gr.layout(nt, g.readHits)
+	for i, shard := range gr.shardOf {
+		k := gr.count[shard]
+		gr.count[shard] = k + 1
+		gr.gkeys[k] = gr.keys[i]
+		gr.slot[i] = k
+	}
+	gr.release()
+}
+
+// update folds group j into its shard's synopsis. The caller owns
+// synchronization and the total-volume accounting.
+func (gr *grouping) update(g *GSketch, j int) {
+	lo, hi := gr.off[j], gr.off[j+1]
+	g.shardSynopsis(int(gr.touched[j])).UpdateBatch(gr.gkeys[lo:hi], gr.gvals[lo:hi])
+}
+
+// estimate answers group j in a single pass over its shard's synopsis and
+// records the shard's ε·N_i bound, read in the same critical section as the
+// counters so the pair is one consistent snapshot. The caller owns
+// synchronization; assemble runs lock-free afterwards.
+func (gr *grouping) estimate(g *GSketch, j int) {
+	lo, hi := gr.off[j], gr.off[j+1]
+	shard := int(gr.touched[j])
+	syn := g.shardSynopsis(shard)
+	syn.EstimateBatch(gr.gkeys[lo:hi], gr.gvals[lo:hi])
+	gr.bound[shard] = errorBound(syn.Count(), g.shardWidth(shard))
+}
+
+// assemble fans the gathered estimates back out to input order. out is
+// written by one sequential sweep — streaming 48-byte stores beat the
+// read-for-ownership misses of a scatter through saved positions — that
+// reads position i's estimate from its slot and its provenance and bound
+// from its shard.
+func (gr *grouping) assemble(g *GSketch, out []Result, conf float64, streamTotal int64) {
+	outlier := int32(-1)
+	if g.outlier != nil {
+		outlier = int32(len(g.parts))
+	}
+	for i, shard := range gr.shardOf {
+		r := Result{
+			Estimate:    gr.gvals[gr.slot[i]],
+			Partition:   int(shard),
+			ErrorBound:  gr.bound[shard],
+			Confidence:  conf,
+			StreamTotal: streamTotal,
 		}
+		if shard == outlier {
+			r.Partition, r.Outlier = NoPartition, true
+		}
+		out[i] = r
 	}
 }

@@ -258,6 +258,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"no_type_header 1\n",
 		"# TYPE x wat\nx 1\n",
 		"# TYPE x counter\nx{le=\"oops} 1\n",
+		"# TYPE x counter\nx{le=\"{ok}\" 1\n",
 		"# TYPE x counter\nx notanumber\n",
 	} {
 		if _, err := ParseFamilies(strings.NewReader(bad)); err == nil {

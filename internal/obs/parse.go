@@ -123,15 +123,11 @@ func parseSample(line string) (Sample, error) {
 		return s, fmt.Errorf("malformed sample %q", line)
 	} else if rest[i] == '{' {
 		s.Name = rest[:i]
-		rest = rest[i+1:]
-		end := strings.Index(rest, "}")
-		if end < 0 {
-			return s, fmt.Errorf("unterminated label set in %q", line)
+		after, err := parseLabels(rest[i+1:], s.Labels)
+		if err != nil {
+			return s, fmt.Errorf("%w in %q", err, line)
 		}
-		if err := parseLabels(rest[:end], s.Labels); err != nil {
-			return s, err
-		}
-		rest = strings.TrimSpace(rest[end+1:])
+		rest = strings.TrimSpace(after)
 	} else {
 		s.Name = rest[:i]
 		rest = strings.TrimSpace(rest[i+1:])
@@ -159,16 +155,26 @@ func parseValue(v string) (float64, error) {
 	return strconv.ParseFloat(v, 64)
 }
 
-func parseLabels(s string, out map[string]string) error {
-	for len(s) > 0 {
+// parseLabels parses a label set from just after its opening brace up to
+// the closing brace and returns what follows it. The closing brace is the
+// first one outside a quoted value: a value may itself hold braces
+// (route="POST /t/{tenant}/ingest").
+func parseLabels(s string, out map[string]string) (string, error) {
+	for {
+		if len(s) == 0 {
+			return "", fmt.Errorf("unterminated label set")
+		}
+		if s[0] == '}' {
+			return s[1:], nil
+		}
 		eq := strings.Index(s, "=")
 		if eq < 0 {
-			return fmt.Errorf("label pair missing '=' in %q", s)
+			return "", fmt.Errorf("label pair missing '=' in %q", s)
 		}
 		key := s[:eq]
 		s = s[eq+1:]
 		if len(s) == 0 || s[0] != '"' {
-			return fmt.Errorf("label %q value not quoted", key)
+			return "", fmt.Errorf("label %q value not quoted", key)
 		}
 		s = s[1:]
 		var b strings.Builder
@@ -183,7 +189,7 @@ func parseLabels(s string, out map[string]string) error {
 				case 'n':
 					b.WriteByte('\n')
 				default:
-					return fmt.Errorf("bad escape \\%c in label %q", s[i+1], key)
+					return "", fmt.Errorf("bad escape \\%c in label %q", s[i+1], key)
 				}
 				i++
 				continue
@@ -194,13 +200,12 @@ func parseLabels(s string, out map[string]string) error {
 			b.WriteByte(s[i])
 		}
 		if i == len(s) {
-			return fmt.Errorf("unterminated label value for %q", key)
+			return "", fmt.Errorf("unterminated label value for %q", key)
 		}
 		out[key] = b.String()
 		s = s[i+1:]
 		s = strings.TrimPrefix(s, ",")
 	}
-	return nil
 }
 
 // HistogramSnapshot is a scraped histogram child: cumulative buckets by

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/graphstream/gsketch/internal/obs"
+	"github.com/graphstream/gsketch/internal/tenant"
 	"github.com/graphstream/gsketch/internal/wire"
 )
 
@@ -216,6 +217,32 @@ func TestReadyzFlipsDuringRestore(t *testing.T) {
 	}
 	if code := getCode("/readyz"); code != http.StatusOK {
 		t.Fatalf("readyz after restore: %d", code)
+	}
+}
+
+// TestTenantMetricsExpositionParses scrapes a live multi-tenant server:
+// its route labels hold braces (route="POST /t/{tenant}/ingest"), which the
+// parser must not take for the end of the label set.
+func TestTenantMetricsExpositionParses(t *testing.T) {
+	_, baseURL, _ := newTenantServer(t, tenant.Config{})
+	createTenant(t, baseURL, "acme", "")
+	resp, err := http.Post(baseURL+"/t/acme/ingest?sync=1", "application/x-ndjson", ndjsonBody(testStream(200, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("tenant ingest: %d", resp.StatusCode)
+	}
+
+	fams := scrapeMetrics(t, baseURL)
+	const route = "POST /t/{tenant}/ingest"
+	h, err := obs.FindHistogram(fams, "gsketch_http_request_duration_seconds", map[string]string{"route": route})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Count != 1 {
+		t.Fatalf("route %q saw %d requests, want 1", route, h.Count)
 	}
 }
 

@@ -160,7 +160,14 @@ func (cm *CountMin) updateConservative(key uint64, count int64) {
 	// New lower bound for the key is min(cells) + count; only cells below
 	// that bound are raised to it.
 	min := int64(maxCell)
-	idx := make([]int, cm.depth)
+	// The usual depths fit a stack buffer; only a deeper sketch pays an
+	// allocation per key.
+	var buf [16]int
+	idx := buf[:]
+	if cm.depth > len(buf) {
+		idx = make([]int, cm.depth)
+	}
+	idx = idx[:cm.depth]
 	for r := 0; r < cm.depth; r++ {
 		i := r*cm.width + cm.hashes[r].Hash(key)
 		idx[r] = i

@@ -112,6 +112,22 @@ func TestCountMinConservativeTighter(t *testing.T) {
 	}
 }
 
+// TestCountMinConservativeUpdateDoesNotAllocate guards the per-key row-index
+// scratch of conservative update: a heap slice there is one allocation per
+// ingested edge.
+func TestCountMinConservativeUpdateDoesNotAllocate(t *testing.T) {
+	cm, _ := NewCountMin(128, 5, 9)
+	cm.SetConservative(true)
+	keys := []uint64{3, 5, 3, 8, 13}
+	counts := []int64{1, 2, 1, 4, 1}
+	if n := testing.AllocsPerRun(200, func() {
+		cm.Update(21, 1)
+		cm.UpdateBatch(keys, counts)
+	}); n != 0 {
+		t.Fatalf("conservative update allocates %v per run, want 0", n)
+	}
+}
+
 func TestCountMinMerge(t *testing.T) {
 	a, _ := NewCountMin(256, 4, 3)
 	b, _ := NewCountMin(256, 4, 3)
