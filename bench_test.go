@@ -21,6 +21,7 @@ import (
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/experiments"
 	"github.com/graphstream/gsketch/internal/graphgen"
+	"github.com/graphstream/gsketch/internal/hashutil"
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/obs"
 	"github.com/graphstream/gsketch/internal/query"
@@ -567,36 +568,68 @@ func BenchmarkEstimateBatch(b *testing.B) {
 // 256, 1024 and 8192, and reports ns/edge and ns/query. At 16 k partitions a
 // one-element batch must stay under 2 µs and ns/edge at 256-edge batches
 // within 1.5× of 8192-edge batches.
+//
+// Batches are consecutive slices of the stream, and R-MAT streams have
+// locality: a 2048-query slice touches a few hundred partitions with
+// several keys each. BenchmarkBatchByPartitionsRandom is the variant
+// without that help.
 func BenchmarkBatchByPartitions(b *testing.B) {
 	edges, err := graphgen.DefaultRMAT(22, 1<<22, 42).Generate()
 	if err != nil {
 		b.Fatal(err)
 	}
-	qs := make([]core.EdgeQuery, len(edges))
-	for i, e := range edges {
+	benchBatchByPartitions(b, edges, edges, edges, []int{1, 256, 1024, 8192})
+}
+
+// BenchmarkBatchByPartitionsRandom feeds the same sweep random-position
+// input, as the repository benchmark's wire_bulk_large query pool does: a
+// 12 M-edge stream, the sketch partitioned from its first third, and 4 M
+// edges and queries drawn uniformly from the whole of it. About half of
+// each batch then lands in the outlier shard and the rest arrives as groups
+// of one or two keys scattered over most partitions — the input on which
+// the cost of reaching a partition's counters, rather than of hashing into
+// them, sets the batch time.
+func BenchmarkBatchByPartitionsRandom(b *testing.B) {
+	edges, err := graphgen.DefaultRMAT(22, 12<<20, 42).Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := hashutil.NewRNG(4242)
+	drawn := make([]stream.Edge, 1<<22)
+	for i := range drawn {
+		drawn[i] = edges[rng.Uint64()%uint64(len(edges))]
+	}
+	benchBatchByPartitions(b, edges[:len(edges)/3], edges, drawn, []int{256, 2048, 8192})
+}
+
+// benchBatchByPartitions builds a 16 MiB sketch from sample at each
+// partition cap, populates it with the stream and times batches cut from
+// input (walking it, so consecutive calls touch different partitions and
+// counters, as serving traffic does).
+func benchBatchByPartitions(b *testing.B, sample, populate, input []stream.Edge, batches []int) {
+	qs := make([]core.EdgeQuery, len(input))
+	for i, e := range input {
 		qs[i] = core.EdgeQuery{Src: e.Src, Dst: e.Dst}
 	}
 	for _, maxParts := range []int{16, 1 << 10, 1 << 14} {
 		g, err := core.BuildGSketch(core.Config{
 			TotalBytes: 16 << 20, Seed: 42, MaxPartitions: maxParts,
-		}, edges, nil)
+		}, sample, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		c := core.NewConcurrent(g)
-		core.Populate(c, edges)
-		for _, batch := range []int{1, 256, 1024, 8192} {
+		core.Populate(c, populate)
+		for _, batch := range batches {
 			name := fmt.Sprintf("shards=%d/batch=%d", c.NumShards(), batch)
-			// Walk the stream so consecutive calls touch different
-			// partitions and counters, as serving traffic does.
 			b.Run(name+"/update", func(b *testing.B) {
 				b.ReportAllocs()
 				lo := 0
 				for i := 0; i < b.N; i++ {
-					if lo+batch > len(edges) {
+					if lo+batch > len(input) {
 						lo = 0
 					}
-					c.UpdateBatch(edges[lo : lo+batch])
+					c.UpdateBatch(input[lo : lo+batch])
 					lo += batch
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/edge")

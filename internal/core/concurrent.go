@@ -18,13 +18,14 @@ import (
 // mapped to stripe p mod stripes — a partitioning can produce thousands of
 // tiny leaves, and striping keeps the per-batch lock traffic bounded. A
 // batch in either direction is routed and grouped lock-free by a pooled
-// grouping whose touched-shard list comes ordered by stripe; walking it
-// takes each touched stripe's lock once, held only while that stripe's
-// partitions absorb or answer their groups. A batch therefore costs
+// grouping whose touched-shard list comes ordered by stripe, so the
+// positions a stripe guards are one contiguous run of the shard-major
+// batch: the stripe's lock is taken once and held for one call of the
+// sketch bank's routed kernel over that run. A batch therefore costs
 // O(batch + touched partitions) and at most min(batch, stripes) lock
-// acquisitions, independent of the partition count, and batches on
-// different stripes proceed in parallel. The stream-volume total is atomic
-// inside GSketch.
+// acquisitions and kernel calls, independent of the partition count, and
+// batches on different stripes proceed in parallel. The stream-volume total
+// is atomic inside GSketch.
 //
 // Any other estimator falls back to a single RWMutex around the whole
 // structure, the seed behaviour.
@@ -86,32 +87,29 @@ func (c *Concurrent) Update(e stream.Edge) {
 	c.g.addTotal(w)
 }
 
-// eachGroup visits every group of a routed batch under its shard's stripe
-// lock. The touched list is ordered by stripe, so a stripe's lock is taken
-// once and held across the run of touched shards it guards.
-func (c *Concurrent) eachGroup(gr *grouping, lock, unlock func(*sync.RWMutex), visit func(g *GSketch, j int)) {
-	held := -1
-	for j, shard := range gr.touched {
-		if st := c.stripeOf(int(shard)); st != held {
-			if held >= 0 {
-				unlock(&c.stripes[held])
-			}
-			lock(&c.stripes[st])
-			held = st
+// eachStripe visits a routed batch stripe by stripe. The touched list is
+// ordered by stripe, so the groups a stripe guards form one run [j0, j1):
+// its lock is taken once and held while visit handles the whole run.
+func (c *Concurrent) eachStripe(gr *grouping, lock, unlock func(*sync.RWMutex), visit func(g *GSketch, j0, j1 int)) {
+	for j0 := 0; j0 < len(gr.touched); {
+		st := c.stripeOf(int(gr.touched[j0]))
+		j1 := j0 + 1
+		for j1 < len(gr.touched) && c.stripeOf(int(gr.touched[j1])) == st {
+			j1++
 		}
-		visit(c.g, j)
-	}
-	if held >= 0 {
-		unlock(&c.stripes[held])
+		lock(&c.stripes[st])
+		visit(c.g, j0, j1)
+		unlock(&c.stripes[st])
+		j0 = j1
 	}
 }
 
 // UpdateBatch folds a batch of edge arrivals. On the sharded path the batch
 // is routed and grouped by destination shard without any lock (the router
-// is immutable), then each touched shard's group is applied under its
-// stripe lock, one acquisition per touched stripe — so concurrent batches
-// serialize only where they actually collide, and a batch's cost follows
-// its size and the shards it touches, not the partition count.
+// is immutable), then each touched stripe's run of groups is applied under
+// its lock in one kernel call — so concurrent batches serialize only where
+// they actually collide, and a batch's cost follows its size and the shards
+// it touches, not the partition count.
 func (c *Concurrent) UpdateBatch(edges []stream.Edge) {
 	if len(edges) == 0 {
 		return
@@ -124,7 +122,7 @@ func (c *Concurrent) UpdateBatch(edges []stream.Edge) {
 	}
 	gr := c.pool.Get().(*grouping)
 	total := gr.routeEdges(c.g, edges)
-	c.eachGroup(gr, (*sync.RWMutex).Lock, (*sync.RWMutex).Unlock, gr.update)
+	c.eachStripe(gr, (*sync.RWMutex).Lock, (*sync.RWMutex).Unlock, gr.update)
 	c.pool.Put(gr)
 	c.g.addTotal(total)
 }
@@ -164,9 +162,11 @@ func (c *Concurrent) MemoryBytes() int {
 		defer c.mu.RUnlock()
 		return c.est.MemoryBytes()
 	}
-	// Shard synopses may size dynamically (e.g. LossyCounting), so read
-	// each one under its stripe lock — stripe by stripe, one lock pair per
-	// stripe rather than per shard.
+	if c.g.bank != nil {
+		return c.g.MemoryBytes() // the arena's size is fixed: nothing to lock
+	}
+	// A caller's factory may build synopses that size dynamically, so read
+	// each under its stripe lock, one lock pair per stripe.
 	total := 0
 	for st := range c.stripes {
 		c.stripes[st].RLock()

@@ -107,7 +107,8 @@ type Config struct {
 	// Redistribute selects the trimmed-width reallocation policy.
 	Redistribute Redistribution
 	// Factory overrides the base synopsis (default: CountMin honoring
-	// Conservative).
+	// Conservative, all partitions in one sketch.Bank). A gSketch built
+	// with a Factory does not serialize.
 	Factory SynopsisFactory
 	// Seed fixes all hash families and makes construction deterministic.
 	Seed uint64
@@ -127,18 +128,20 @@ func (c Config) withDefaults() Config {
 	if c.CollisionC == 0 {
 		c.CollisionC = DefaultCollisionC
 	}
-	if c.Factory == nil {
-		conservative := c.Conservative
-		c.Factory = func(width, depth int, seed uint64) (sketch.Synopsis, error) {
-			cm, err := sketch.NewCountMin(width, depth, seed)
-			if err != nil {
-				return nil, err
-			}
-			cm.SetConservative(conservative)
-			return cm, nil
-		}
-	}
 	return c
+}
+
+// newSynopsis builds a GlobalSketch's base synopsis (default: CountMin).
+func (c Config) newSynopsis(width int) (sketch.Synopsis, error) {
+	if c.Factory != nil {
+		return c.Factory(width, c.Depth, c.Seed)
+	}
+	cm, err := sketch.NewCountMin(width, c.Depth, c.Seed)
+	if err != nil {
+		return nil, err
+	}
+	cm.SetConservative(c.Conservative)
+	return cm, nil
 }
 
 // totalWidth resolves the column budget from the configuration.

@@ -58,11 +58,11 @@ const estimateChunk = 2048
 
 // EstimateBatch answers a batch of edge queries through the routed-batch
 // grouping: each chunk is grouped by answering partition (one pass over the
-// flat router), then each touched partition's counters are probed once for
-// its whole group — O(chunk + touched partitions), whatever the partition
-// count. Results are returned in input order and carry the answering
-// partition, its ε·N_i error bound at confidence 1-e^{-d}, and a snapshot
-// of the stream total. Estimates are identical to per-edge EstimateEdge.
+// flat router), then the sketch bank answers the whole shard-major chunk in
+// one EstimateRouted call and the touched partitions' ε·N_i bounds are read
+// from its volume table. Results are returned in input order and carry the
+// answering partition, its bound at confidence 1-e^{-d}, and a snapshot of
+// the stream total. Estimates are identical to per-edge EstimateEdge.
 func (g *GSketch) EstimateBatch(qs []EdgeQuery) []Result {
 	out := make([]Result, len(qs))
 	gr := g.batchScratch()
@@ -71,9 +71,7 @@ func (g *GSketch) EstimateBatch(qs []EdgeQuery) []Result {
 	for lo := 0; lo < len(qs); lo += estimateChunk {
 		hi := min(lo+estimateChunk, len(qs))
 		gr.routeQueries(g, qs[lo:hi])
-		for j := range gr.touched {
-			gr.estimate(g, j)
-		}
+		gr.estimate(g, 0, len(gr.touched))
 		gr.assemble(g, out[lo:hi], conf, total)
 	}
 	return out
@@ -114,14 +112,13 @@ func (g *GlobalSketch) EstimateBatch(qs []EdgeQuery) []Result {
 
 // EstimateBatch answers a batch of edge queries under the wrapper's
 // synchronization. On the sharded path each chunk is routed and grouped
-// lock-free, then its touched partitions are answered stripe by stripe: a
-// stripe's read lock is taken at most once per chunk and covers every
-// touched partition it guards, so lock traffic is bounded by
+// lock-free, then answered stripe by stripe: a stripe's read lock is taken
+// at most once per chunk and held for one kernel call over the run of
+// positions it guards, so lock traffic and kernel calls are both bounded by
 // stripes × ⌈batch/estimateChunk⌉ and a one-query batch takes one lock.
-// Each group's counters and local volume N_i are read in one critical
-// section — one consistent snapshot per partition — and the fan-out back to
-// input order runs lock-free over the grouping's private buffers. Readers
-// on disjoint stripes proceed in parallel with writers elsewhere.
+// Each run's counters and local volumes N_i are read in one critical
+// section, one consistent snapshot per partition; the fan-out back to input
+// order runs lock-free. Readers proceed beside writers on other stripes.
 func (c *Concurrent) EstimateBatch(qs []EdgeQuery) []Result {
 	if c.g == nil {
 		c.mu.RLock()
@@ -135,7 +132,7 @@ func (c *Concurrent) EstimateBatch(qs []EdgeQuery) []Result {
 	for lo := 0; lo < len(qs); lo += estimateChunk {
 		hi := min(lo+estimateChunk, len(qs))
 		gr.routeQueries(c.g, qs[lo:hi])
-		c.eachGroup(gr, (*sync.RWMutex).RLock, (*sync.RWMutex).RUnlock, gr.estimate)
+		c.eachStripe(gr, (*sync.RWMutex).RLock, (*sync.RWMutex).RUnlock, gr.estimate)
 		gr.assemble(c.g, out[lo:hi], conf, total)
 	}
 	c.pool.Put(gr)

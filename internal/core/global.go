@@ -37,7 +37,7 @@ func BuildGlobalSketch(cfg Config) (*GlobalSketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	syn, err := cfg.Factory(width, cfg.Depth, cfg.Seed)
+	syn, err := cfg.newSynopsis(width)
 	if err != nil {
 		return nil, err
 	}

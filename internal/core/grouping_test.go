@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/graphstream/gsketch/internal/hashutil"
-	"github.com/graphstream/gsketch/internal/sketch"
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
@@ -17,7 +16,10 @@ import (
 // (the outlier sketch, if any, is the last), which no sample steers the
 // partitioner to on demand. Vertices 0..3·parts-1 are routed round-robin —
 // vertex 0 included, the router's out-of-line key — and everything above
-// falls through to the outlier shard (or partition 0 without one).
+// falls through to the outlier shard (or partition 0 without one). Built
+// with the default factory, so the shards are one sketch bank and the tests
+// over it — the 257-shard TestConcurrentWritersBesideReader among them —
+// drive the routed kernels under the stripe locks.
 func groupedSketch(tb testing.TB, shards int, outlier bool) *GSketch {
 	tb.Helper()
 	const width, depth = 8, 2
@@ -25,34 +27,28 @@ func groupedSketch(tb testing.TB, shards int, outlier bool) *GSketch {
 	if outlier {
 		parts--
 	}
-	cfg := Config{TotalWidth: shards * width, Depth: depth, Seed: 11}.withDefaults()
-	newSynopsis := func(i int) sketch.Synopsis {
-		s, err := cfg.Factory(width, depth, hashutil.Mix64(cfg.Seed+uint64(i)+1))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return s
-	}
 	assign := make(map[uint64]int32, 3*parts)
 	for v := 0; v < 3*parts; v++ {
 		assign[uint64(v)] = int32(v % parts)
 	}
 	g := &GSketch{
-		cfg:        cfg,
+		cfg:        Config{TotalWidth: shards * width, Depth: depth, Seed: 11}.withDefaults(),
 		router:     buildRouter(assign),
 		leaves:     make([]Leaf, parts),
-		parts:      make([]sketch.Synopsis, parts),
 		totalWidth: shards * width,
 	}
-	for i := range g.parts {
+	for i := range g.leaves {
 		g.leaves[i] = Leaf{Width: width, Vertices: 3}
-		g.parts[i] = newSynopsis(i)
 	}
 	if outlier {
-		g.outlier = newSynopsis(parts)
 		g.outlierWidth = width
 	}
-	g.initRouteStats()
+	if err := g.allocShards(); err != nil {
+		tb.Fatal(err)
+	}
+	if g.bank == nil {
+		tb.Fatal("no bank behind the default factory")
+	}
 	if g.NumShards() != shards {
 		tb.Fatalf("built %d shards, want %d", g.NumShards(), shards)
 	}

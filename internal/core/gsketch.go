@@ -56,13 +56,19 @@ func Populate(est Estimator, edges []stream.Edge) {
 // per vertex-population partition, a router H : V → S_i, and an outlier
 // sketch for vertices outside the sample. Build it with BuildGSketch; it is
 // not safe for concurrent mutation (see Concurrent for a locking wrapper).
+//
+// The localized sketches — one shard per partition, the outlier shard last
+// — live in one sketch.Bank, which the batch paths drive with one kernel
+// call per run of routed positions. Only a sketch built with a
+// caller-supplied Config.Factory holds separately allocated synopses
+// (syns), and its batches make one Synopsis call per touched shard.
 type GSketch struct {
-	cfg     Config
-	parts   []sketch.Synopsis
-	outlier sketch.Synopsis
-	router  *Router
-	leaves  []Leaf
-	order   vstats.SortOrder
+	cfg    Config
+	bank   *sketch.Bank      // nil exactly when cfg.Factory is set
+	syns   []sketch.Synopsis // per shard, for a caller-supplied Factory
+	router *Router
+	leaves []Leaf
+	order  vstats.SortOrder
 	// total is atomic so the sharded concurrent writer can fold volume in
 	// from several goroutines without a lock (everything else it touches is
 	// per-shard).
@@ -154,35 +160,50 @@ func buildFromStats(cfg Config, stats *vstats.Stats, order vstats.SortOrder) (*G
 		outlierWidth: outlierWidth,
 		totalWidth:   totalWidth,
 	}
-	g.parts = make([]sketch.Synopsis, len(part.Leaves))
-	for i, leaf := range part.Leaves {
-		// Each partition gets an independent hash family derived from the
-		// master seed so cross-partition collisions are uncorrelated.
-		s, err := cfg.Factory(leaf.Width, cfg.Depth, hashutil.Mix64(cfg.Seed+uint64(i)+1))
-		if err != nil {
-			return nil, fmt.Errorf("core: partition %d: %w", i, err)
-		}
-		g.parts[i] = s
+	if err := g.allocShards(); err != nil {
+		return nil, err
 	}
-	if outlierWidth > 0 {
-		s, err := cfg.Factory(outlierWidth, cfg.Depth, hashutil.Mix64(cfg.Seed^0xa11ce5))
-		if err != nil {
-			return nil, fmt.Errorf("core: outlier sketch: %w", err)
-		}
-		g.outlier = s
+	return g, nil
+}
+
+// allocShards allocates the counters and routing stats for the layout in
+// g.leaves and g.outlierWidth. Each shard gets an independent hash family
+// derived from the master seed so cross-partition collisions are
+// uncorrelated.
+func (g *GSketch) allocShards() error {
+	n := g.NumShards()
+	widths, seeds := make([]int, n), make([]uint64, n)
+	for i, leaf := range g.leaves {
+		widths[i], seeds[i] = leaf.Width, hashutil.Mix64(g.cfg.Seed+uint64(i)+1)
+	}
+	if g.outlierWidth > 0 {
+		widths[n-1], seeds[n-1] = g.outlierWidth, hashutil.Mix64(g.cfg.Seed^0xa11ce5)
 	}
 	g.initRouteStats()
-	return g, nil
+	if g.cfg.Factory == nil {
+		var err error
+		g.bank, err = sketch.NewBank(widths, g.cfg.Depth, seeds, g.cfg.Conservative)
+		return err
+	}
+	g.syns = make([]sketch.Synopsis, n)
+	for i := range g.syns {
+		s, err := g.cfg.Factory(widths[i], g.cfg.Depth, seeds[i])
+		if err != nil {
+			return fmt.Errorf("core: shard %d: %w", i, err)
+		}
+		g.syns[i] = s
+	}
+	return nil
 }
 
 // NumShards returns the number of independent update domains: one per
 // partition, plus one for the outlier sketch when enabled. Shard i <
 // NumPartitions() is partition i; the outlier shard (if any) is the last.
 func (g *GSketch) NumShards() int {
-	if g.outlier != nil {
-		return len(g.parts) + 1
+	if g.outlierWidth > 0 {
+		return len(g.leaves) + 1
 	}
-	return len(g.parts)
+	return len(g.leaves)
 }
 
 // Route returns the shard index a source vertex's edges update. The router
@@ -198,26 +219,27 @@ func (g *GSketch) routeMixed(mixed, src uint64) int {
 	if i, ok := g.router.getMixed(mixed, src); ok {
 		return int(i)
 	}
-	if g.outlier != nil {
-		return len(g.parts)
+	if g.outlierWidth > 0 {
+		return len(g.leaves)
 	}
 	return 0
 }
 
 // shardWidth returns the column count of the synopsis backing one shard.
 func (g *GSketch) shardWidth(shard int) int {
-	if shard == len(g.parts) {
+	if shard == len(g.leaves) {
 		return g.outlierWidth
 	}
 	return g.leaves[shard].Width
 }
 
-// shardSynopsis returns the synopsis backing one shard.
+// shardSynopsis returns the synopsis backing one shard (the bank's view of
+// it, or the factory's), for single-edge calls and per-partition work.
 func (g *GSketch) shardSynopsis(shard int) sketch.Synopsis {
-	if shard == len(g.parts) {
-		return g.outlier
+	if g.bank != nil {
+		return g.bank.Sketch(shard)
 	}
-	return g.parts[shard]
+	return g.syns[shard]
 }
 
 // addTotal folds stream volume into the atomic total on behalf of callers
@@ -247,8 +269,8 @@ func (g *GSketch) batchScratch() *grouping {
 
 // UpdateBatch folds a batch of edge arrivals through the routed-batch
 // grouping: the batch is first grouped by destination shard (touching only
-// the flat router), then each touched shard's synopsis absorbs its group in
-// one UpdateBatch call — O(batch + touched shards), whatever the partition
+// the flat router), then the bank absorbs the whole shard-major batch in
+// one UpdateRouted call — O(batch + touched shards), whatever the partition
 // count. Within a shard the stream order is preserved, so the resulting
 // counters are byte-identical to sequential Update — partitions are
 // independent, so cross-shard reordering is unobservable.
@@ -258,9 +280,7 @@ func (g *GSketch) UpdateBatch(edges []stream.Edge) {
 	}
 	gr := g.batchScratch()
 	total := gr.routeEdges(g, edges)
-	for j := range gr.touched {
-		gr.update(g, j)
-	}
+	gr.update(g, 0, len(gr.touched))
 	g.total.Add(total)
 }
 
@@ -278,12 +298,12 @@ func (g *GSketch) Count() int64 { return g.total.Load() }
 // MemoryBytes reports the summed counter footprint of all partitions and
 // the outlier sketch. The router is reported separately by RouterBytes.
 func (g *GSketch) MemoryBytes() int {
-	total := 0
-	for _, p := range g.parts {
-		total += p.MemoryBytes()
+	if g.bank != nil {
+		return g.bank.MemoryBytes()
 	}
-	if g.outlier != nil {
-		total += g.outlier.MemoryBytes()
+	total := 0
+	for _, s := range g.syns {
+		total += s.MemoryBytes()
 	}
 	return total
 }
@@ -295,7 +315,7 @@ func (g *GSketch) RouterBytes() int { return g.router.Bytes() }
 
 // NumPartitions returns the number of localized sketches (excluding the
 // outlier sketch).
-func (g *GSketch) NumPartitions() int { return len(g.parts) }
+func (g *GSketch) NumPartitions() int { return len(g.leaves) }
 
 // Leaves returns the partition layout (copy; safe to retain).
 func (g *GSketch) Leaves() []Leaf {
@@ -316,10 +336,10 @@ func (g *GSketch) PartitionOf(src uint64) (int, bool) {
 
 // OutlierCount returns the stream volume absorbed by the outlier sketch.
 func (g *GSketch) OutlierCount() int64 {
-	if g.outlier == nil {
+	if g.outlierWidth == 0 {
 		return 0
 	}
-	return g.outlier.Count()
+	return g.shardSynopsis(len(g.leaves)).Count()
 }
 
 // OutlierWidth returns the column count of the outlier sketch (0 when

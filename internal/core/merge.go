@@ -29,26 +29,15 @@ func (g *GSketch) CanMerge(other *GSketch) error {
 	if g.cfg.Depth != other.cfg.Depth {
 		return fmt.Errorf("%w: depth %d vs %d", ErrIncompatibleMerge, g.cfg.Depth, other.cfg.Depth)
 	}
-	if len(g.parts) != len(other.parts) {
-		return fmt.Errorf("%w: %d vs %d partitions", ErrIncompatibleMerge, len(g.parts), len(other.parts))
+	if len(g.leaves) != len(other.leaves) {
+		return fmt.Errorf("%w: %d vs %d partitions", ErrIncompatibleMerge, len(g.leaves), len(other.leaves))
 	}
 	if g.outlierWidth != other.outlierWidth {
 		return fmt.Errorf("%w: outlier width %d vs %d", ErrIncompatibleMerge, g.outlierWidth, other.outlierWidth)
 	}
-	for i := range g.parts {
-		if g.leaves[i].Width != other.leaves[i].Width {
-			return fmt.Errorf("%w: partition %d width %d vs %d", ErrIncompatibleMerge, i, g.leaves[i].Width, other.leaves[i].Width)
-		}
-		if _, _, err := mergeablePair(g.parts[i], other.parts[i]); err != nil {
-			return fmt.Errorf("%w: partition %d: %v", ErrIncompatibleMerge, i, err)
-		}
-	}
-	if (g.outlier == nil) != (other.outlier == nil) {
-		return fmt.Errorf("%w: outlier sketch present on one side only", ErrIncompatibleMerge)
-	}
-	if g.outlier != nil {
-		if _, _, err := mergeablePair(g.outlier, other.outlier); err != nil {
-			return fmt.Errorf("%w: outlier: %v", ErrIncompatibleMerge, err)
+	for shard := 0; shard < g.NumShards(); shard++ {
+		if _, _, err := mergeablePair(g.shardSynopsis(shard), other.shardSynopsis(shard)); err != nil {
+			return fmt.Errorf("%w: %s: %v", ErrIncompatibleMerge, g.shardName(shard), err)
 		}
 	}
 	if g.router.Len() != other.router.Len() {
@@ -67,6 +56,14 @@ func (g *GSketch) CanMerge(other *GSketch) error {
 		return fmt.Errorf("%w: routers assign vertices differently", ErrIncompatibleMerge)
 	}
 	return nil
+}
+
+// shardName names a shard in error messages.
+func (g *GSketch) shardName(shard int) string {
+	if shard == len(g.leaves) {
+		return "outlier"
+	}
+	return fmt.Sprintf("partition %d", shard)
 }
 
 // mergeablePair checks one synopsis pair is CountMin-backed with identical
@@ -99,22 +96,13 @@ func (g *GSketch) MergeFrom(other *GSketch) error {
 	if err := g.CanMerge(other); err != nil {
 		return err
 	}
-	for i := range g.parts {
-		ca, cb, err := mergeablePair(g.parts[i], other.parts[i])
+	for shard := 0; shard < g.NumShards(); shard++ {
+		ca, cb, err := mergeablePair(g.shardSynopsis(shard), other.shardSynopsis(shard))
 		if err != nil {
-			return fmt.Errorf("%w: partition %d: %v", ErrIncompatibleMerge, i, err)
+			return fmt.Errorf("%w: %s: %v", ErrIncompatibleMerge, g.shardName(shard), err)
 		}
 		if err := ca.Merge(cb); err != nil {
-			return fmt.Errorf("core: merge partition %d: %w", i, err)
-		}
-	}
-	if g.outlier != nil {
-		ca, cb, err := mergeablePair(g.outlier, other.outlier)
-		if err != nil {
-			return fmt.Errorf("%w: outlier: %v", ErrIncompatibleMerge, err)
-		}
-		if err := ca.Merge(cb); err != nil {
-			return fmt.Errorf("core: merge outlier: %w", err)
+			return fmt.Errorf("core: merge %s: %w", g.shardName(shard), err)
 		}
 	}
 	// Sample statistics add: the merged sketch describes the union sample.

@@ -266,7 +266,10 @@ func redistribute(leaves []Leaf, budget int, policy Redistribution) {
 		}
 		assigned := 0
 		for _, i := range recipients {
-			add := int(float64(pool) * leaves[i].SumF / sumF)
+			// Clamped, so that float rounding can never hand out more
+			// than the pool: Σ widths ≤ budget is what snapshot readers
+			// hold a leaf table to.
+			add := min(int(float64(pool)*leaves[i].SumF/sumF), pool-assigned)
 			leaves[i].Width += add
 			assigned += add
 		}

@@ -43,13 +43,13 @@ func (g *GSketch) initRouteStats() {
 
 // snapshotHits copies a direction's counters into a RouteCounts.
 func (g *GSketch) snapshotHits(hits []atomic.Int64) RouteCounts {
-	rc := RouteCounts{Partitions: make([]int64, len(g.parts))}
+	rc := RouteCounts{Partitions: make([]int64, len(g.leaves))}
 	for shard := range hits {
 		n := hits[shard].Load()
-		if g.outlier != nil && shard == len(g.parts) {
+		if shard == len(g.leaves) {
 			rc.Outlier = n
-		} else if shard < len(g.parts) {
-			rc.Partitions[shard] += n
+		} else {
+			rc.Partitions[shard] = n
 		}
 		rc.Total += n
 	}

@@ -9,20 +9,26 @@ import (
 
 // grouping is one routed batch in flat shard-major layout, the single
 // mechanism behind both batch directions: UpdateBatch scatters an edge
-// batch's (key, weight) groups into the shard synopses, EstimateBatch
-// gathers a query batch's estimates out of them.
+// batch's (key, weight) groups into the shards, EstimateBatch gathers a
+// query batch's estimates out of them.
 //
 // A routing pass records every position's shard and edge key and counts the
 // shard's group, noting each shard the first time it is hit in the touched
 // list; a prefix sum over that list lays the groups out; a placement pass —
-// a stable counting sort, so every group keeps stream order — writes the
-// keys group-major. Nothing walks the whole shard range: the per-shard count
-// array is all zero between batches and only the touched entries are
-// counted, summed, hit-counted, applied and cleared again, so a batch costs
-// O(batch + touched shards) however finely the sketch is partitioned — a
-// one-edge batch on 16 k partitions touches one counter, not 16 k. All
+// a stable counting sort, so every group keeps stream order — writes shard,
+// key and weight group-major. Nothing walks the whole shard range: the
+// per-shard count array is all zero between batches and only the touched
+// entries are counted, summed, hit-counted and cleared again, so a batch
+// costs O(batch + touched shards) however finely the sketch is partitioned
+// — a one-edge batch on 16 k partitions touches one counter, not 16 k. All
 // buffers are reused across batches: steady-state batches allocate nothing
 // beyond EstimateBatch's caller-visible []Result.
+//
+// The shard-major arrays are what the sketch bank's routed kernels take: a
+// run of groups — the whole batch for a bare GSketch, one lock stripe's
+// groups for Concurrent — is one contiguous slice of positions and one
+// kernel call, so a batch makes as many calls as it takes locks, not one
+// per touched shard (sketch.Bank has the per-position cost model).
 //
 // Only the immutable router is read while grouping, so it runs lock-free
 // beside shard-local counter writes; Concurrent asks for the touched list
@@ -39,9 +45,10 @@ type grouping struct {
 	slot    []int32  // its offset into gkeys/gvals (query batches only)
 
 	// Shard-major: group j of touched occupies [off[j], off[j+1]).
-	gkeys []uint64
-	gvals []int64 // weights of an edge batch, estimates of a query batch
-	off   []int32
+	gshard []int32 // the shard again, per position: the bank kernels' input
+	gkeys  []uint64
+	gvals  []int64 // weights of an edge batch, estimates of a query batch
+	off    []int32
 
 	// touched lists the shards with a non-empty group; spare is its
 	// second buffer for the stripe ordering.
@@ -69,6 +76,7 @@ func (gr *grouping) begin(n int) {
 		gr.shardOf = make([]int32, n)
 		gr.keys = make([]uint64, n)
 		gr.slot = make([]int32, n)
+		gr.gshard = make([]int32, n)
 		gr.gkeys = make([]uint64, n)
 		gr.gvals = make([]int64, n)
 		gr.off = make([]int32, n+1)
@@ -78,6 +86,7 @@ func (gr *grouping) begin(n int) {
 	gr.shardOf = gr.shardOf[:n]
 	gr.keys = gr.keys[:n]
 	gr.slot = gr.slot[:n]
+	gr.gshard = gr.gshard[:n]
 	gr.gkeys = gr.gkeys[:n]
 	gr.gvals = gr.gvals[:n]
 	gr.touched = gr.touched[:n]
@@ -170,6 +179,7 @@ func (gr *grouping) routeEdges(g *GSketch, edges []stream.Edge) int64 {
 		shard := gr.shardOf[i]
 		k := gr.count[shard]
 		gr.count[shard] = k + 1
+		gr.gshard[k] = shard
 		gr.gkeys[k] = gr.keys[i]
 		gr.gvals[k] = w
 	}
@@ -191,29 +201,48 @@ func (gr *grouping) routeQueries(g *GSketch, qs []EdgeQuery) {
 	for i, shard := range gr.shardOf {
 		k := gr.count[shard]
 		gr.count[shard] = k + 1
+		gr.gshard[k] = shard
 		gr.gkeys[k] = gr.keys[i]
 		gr.slot[i] = k
 	}
 	gr.release()
 }
 
-// update folds group j into its shard's synopsis. The caller owns
-// synchronization and the total-volume accounting.
-func (gr *grouping) update(g *GSketch, j int) {
-	lo, hi := gr.off[j], gr.off[j+1]
-	g.shardSynopsis(int(gr.touched[j])).UpdateBatch(gr.gkeys[lo:hi], gr.gvals[lo:hi])
+// update folds the run of groups [j0, j1) into their shards: one bank kernel
+// call over the run's positions, or one Synopsis call per group of a
+// factory-built sketch. The caller owns locking and total-volume accounting.
+func (gr *grouping) update(g *GSketch, j0, j1 int) {
+	if g.bank != nil {
+		lo, hi := gr.off[j0], gr.off[j1]
+		g.bank.UpdateRouted(gr.gshard[lo:hi], gr.gkeys[lo:hi], gr.gvals[lo:hi])
+		return
+	}
+	for j := j0; j < j1; j++ {
+		lo, hi := gr.off[j], gr.off[j+1]
+		g.syns[gr.touched[j]].UpdateBatch(gr.gkeys[lo:hi], gr.gvals[lo:hi])
+	}
 }
 
-// estimate answers group j in a single pass over its shard's synopsis and
-// records the shard's ε·N_i bound, read in the same critical section as the
-// counters so the pair is one consistent snapshot. The caller owns
-// synchronization; assemble runs lock-free afterwards.
-func (gr *grouping) estimate(g *GSketch, j int) {
-	lo, hi := gr.off[j], gr.off[j+1]
-	shard := int(gr.touched[j])
-	syn := g.shardSynopsis(shard)
-	syn.EstimateBatch(gr.gkeys[lo:hi], gr.gvals[lo:hi])
-	gr.bound[shard] = errorBound(syn.Count(), g.shardWidth(shard))
+// estimate answers the run of groups [j0, j1) and records each touched
+// shard's ε·N_i bound, read in the same critical section as the counters so
+// the pair is one consistent snapshot. The caller owns synchronization;
+// assemble runs lock-free afterwards.
+func (gr *grouping) estimate(g *GSketch, j0, j1 int) {
+	if g.bank != nil {
+		lo, hi := gr.off[j0], gr.off[j1]
+		g.bank.EstimateRouted(gr.gshard[lo:hi], gr.gkeys[lo:hi], gr.gvals[lo:hi])
+		for _, shard := range gr.touched[j0:j1] {
+			gr.bound[shard] = errorBound(g.bank.Count(int(shard)), g.bank.Width(int(shard)))
+		}
+		return
+	}
+	for j := j0; j < j1; j++ {
+		lo, hi := gr.off[j], gr.off[j+1]
+		shard := int(gr.touched[j])
+		syn := g.syns[shard]
+		syn.EstimateBatch(gr.gkeys[lo:hi], gr.gvals[lo:hi])
+		gr.bound[shard] = errorBound(syn.Count(), g.shardWidth(shard))
+	}
 }
 
 // assemble fans the gathered estimates back out to input order. out is
@@ -223,8 +252,8 @@ func (gr *grouping) estimate(g *GSketch, j int) {
 // from its shard.
 func (gr *grouping) assemble(g *GSketch, out []Result, conf float64, streamTotal int64) {
 	outlier := int32(-1)
-	if g.outlier != nil {
-		outlier = int32(len(g.parts))
+	if g.outlierWidth > 0 {
+		outlier = int32(len(g.leaves))
 	}
 	for i, shard := range gr.shardOf {
 		r := Result{

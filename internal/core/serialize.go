@@ -27,8 +27,8 @@ import (
 //	partitions numLeaves × CountMin (self-delimiting, own checksum)
 //	outlier    CountMin if outlierW > 0
 //
-// Only CountMin-backed estimators serialize; alternative synopses are
-// rejected with an error.
+// Only a gSketch on the default CountMin bank serializes; one built with a
+// Config.Factory is rejected with an error.
 
 const (
 	gskMagic = 0x47534b50 // "GSKP"
@@ -85,22 +85,8 @@ func (g *GSketch) WriteTo(w io.Writer) (int64, error) {
 		return err
 	}
 
-	// Reject non-CountMin synopses up front.
-	cms := make([]*sketch.CountMin, len(g.parts))
-	for i, p := range g.parts {
-		cm, ok := p.(*sketch.CountMin)
-		if !ok {
-			return 0, fmt.Errorf("core: only CountMin-backed gSketch serializes (partition %d is %T)", i, p)
-		}
-		cms[i] = cm
-	}
-	var outlierCM *sketch.CountMin
-	if g.outlier != nil {
-		cm, ok := g.outlier.(*sketch.CountMin)
-		if !ok {
-			return 0, fmt.Errorf("core: only CountMin-backed gSketch serializes (outlier is %T)", g.outlier)
-		}
-		outlierCM = cm
+	if g.bank == nil {
+		return 0, fmt.Errorf("core: a gSketch built with a custom Config.Factory does not serialize")
 	}
 
 	hdr := []any{
@@ -142,21 +128,9 @@ func (g *GSketch) WriteTo(w io.Writer) (int64, error) {
 	if err := bw.Flush(); err != nil {
 		return n, err
 	}
-	for _, cm := range cms {
-		k, err := cm.WriteTo(w)
-		n += k
-		if err != nil {
-			return n, err
-		}
-	}
-	if outlierCM != nil {
-		k, err := outlierCM.WriteTo(w)
-		n += k
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+	// The shards' CountMin records, partitions then outlier.
+	k, err := g.bank.WriteTo(w)
+	return n + k, err
 }
 
 // Save serializes an estimator to w. Estimators with a serialized form —
@@ -356,37 +330,47 @@ func readGSketch(br *bufio.Reader) (*GSketch, error) {
 			return nil, fmt.Errorf("%w: header: %v", sketch.ErrCorrupt, err)
 		}
 	}
-	const maxLeaves = 1 << 24
+	// A forged header must cost what it sends, not what it claims: tables
+	// are pre-sized only up to a cap and grow with the entries delivered
+	// (Insert grows the router to the capacity a full pre-size would pick),
+	// widths must fit the declared budget, and ReadBank allocates cells as
+	// it reads them.
+	const maxLeaves, leafPresize, routePresize = 1 << 24, 1 << 12, 1 << 16
 	if numLeaves == 0 || numLeaves > maxLeaves {
 		return nil, fmt.Errorf("%w: implausible leaf count %d", sketch.ErrCorrupt, numLeaves)
+	}
+	if depth == 0 || totalWidth == 0 || totalWidth > math.MaxInt/sketch.CellSize/depth || outlierW > totalWidth {
+		return nil, fmt.Errorf("%w: implausible dimensions: depth %d, width %d, outlier width %d",
+			sketch.ErrCorrupt, depth, totalWidth, outlierW)
 	}
 	g := &GSketch{
 		cfg:          Config{Depth: int(depth)}.withDefaults(),
 		order:        vstats.SortOrder(order),
 		totalWidth:   int(totalWidth),
 		outlierWidth: int(outlierW),
-		leaves:       make([]Leaf, numLeaves),
+		leaves:       make([]Leaf, 0, min(numLeaves, leafPresize)),
 	}
 	g.total.Store(int64(total))
 	g.cfg.TotalWidth = int(totalWidth)
-	for i := range g.leaves {
-		var width, vertices, fBits, dBits uint64
-		var trimmed uint8
-		for _, p := range []*uint64{&width, &vertices, &fBits, &dBits} {
-			if err := rd(p); err != nil {
-				return nil, fmt.Errorf("%w: leaf %d: %v", sketch.ErrCorrupt, i, err)
-			}
-		}
-		if err := rd(&trimmed); err != nil {
+	room := totalWidth - outlierW // columns the leaves may still claim
+	var rec [33]byte              // one leaf, or (its first 12 bytes) one route
+	le := binary.LittleEndian
+	for i := uint64(0); i < numLeaves; i++ {
+		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("%w: leaf %d: %v", sketch.ErrCorrupt, i, err)
 		}
-		g.leaves[i] = Leaf{
-			Width:    int(width),
-			Vertices: int(vertices),
-			SumF:     math.Float64frombits(fBits),
-			SumD:     math.Float64frombits(dBits),
-			Trimmed:  trimmed != 0,
+		width := le.Uint64(rec[0:])
+		if width == 0 || width > room {
+			return nil, fmt.Errorf("%w: leaf %d width %d does not fit total width %d", sketch.ErrCorrupt, i, width, totalWidth)
 		}
+		room -= width
+		g.leaves = append(g.leaves, Leaf{
+			Width:    int(width),
+			Vertices: int(le.Uint64(rec[8:])),
+			SumF:     math.Float64frombits(le.Uint64(rec[16:])),
+			SumD:     math.Float64frombits(le.Uint64(rec[24:])),
+			Trimmed:  rec[32] != 0,
+		})
 	}
 	var numRoutes uint64
 	if err := rd(&numRoutes); err != nil {
@@ -396,39 +380,31 @@ func readGSketch(br *bufio.Reader) (*GSketch, error) {
 	if numRoutes > maxRoutes {
 		return nil, fmt.Errorf("%w: implausible route count %d", sketch.ErrCorrupt, numRoutes)
 	}
-	g.router = NewRouter(int(numRoutes))
+	g.router = NewRouter(int(min(numRoutes, routePresize)))
 	for i := uint64(0); i < numRoutes; i++ {
-		var vertex uint64
-		var part uint32
-		if err := rd(&vertex); err != nil {
+		if _, err := io.ReadFull(br, rec[:12]); err != nil {
 			return nil, fmt.Errorf("%w: route %d: %v", sketch.ErrCorrupt, i, err)
 		}
-		if err := rd(&part); err != nil {
-			return nil, fmt.Errorf("%w: route %d: %v", sketch.ErrCorrupt, i, err)
-		}
+		part := le.Uint32(rec[8:])
 		if uint64(part) >= numLeaves {
 			return nil, fmt.Errorf("%w: route %d targets nonexistent partition %d", sketch.ErrCorrupt, i, part)
 		}
-		g.router.Insert(vertex, int32(part))
+		g.router.Insert(le.Uint64(rec[0:]), int32(part))
 	}
-	g.parts = make([]sketch.Synopsis, numLeaves)
-	for i := range g.parts {
-		cm, err := sketch.ReadCountMin(br)
-		if err != nil {
-			return nil, fmt.Errorf("partition %d: %w", i, err)
-		}
-		if cm.Width() != g.leaves[i].Width {
-			return nil, fmt.Errorf("%w: partition %d width %d does not match leaf %d", sketch.ErrCorrupt, i, cm.Width(), g.leaves[i].Width)
-		}
-		g.parts[i] = cm
+	// The shards' records, checked against the leaf table as they are read.
+	widths := make([]int, g.NumShards())
+	for i, leaf := range g.leaves {
+		widths[i] = leaf.Width
 	}
 	if outlierW > 0 {
-		cm, err := sketch.ReadCountMin(br)
-		if err != nil {
-			return nil, fmt.Errorf("outlier: %w", err)
-		}
-		g.outlier = cm
+		widths[len(g.leaves)] = int(outlierW)
 	}
+	bank, err := sketch.ReadBank(br, widths, int(depth))
+	if err != nil {
+		return nil, err
+	}
+	g.bank = bank
+	g.cfg.Conservative = bank.Conservative()
 	g.initRouteStats()
 	return g, nil
 }

@@ -91,18 +91,25 @@ func NewPairwiseFamily(d, width int, seed uint64) []PairwiseHash {
 	if d <= 0 {
 		panic("hashutil: family size must be positive")
 	}
+	fam := make([]PairwiseHash, d)
+	FillPairwiseFamily(fam, width, seed)
+	return fam
+}
+
+// FillPairwiseFamily draws the members NewPairwiseFamily(len(fam), width,
+// seed) returns into fam, for callers that build many families and reuse
+// one slice.
+func FillPairwiseFamily(fam []PairwiseHash, width int, seed uint64) {
 	if width <= 0 {
 		panic("hashutil: hash width must be positive")
 	}
 	rng := NewRNG(seed)
-	fam := make([]PairwiseHash, d)
 	for i := range fam {
 		// a must be nonzero for pairwise independence.
 		a := rng.Uint64()%(MersennePrime61-1) + 1
 		b := rng.Uint64() % MersennePrime61
 		fam[i] = PairwiseHash{a: a, b: b, width: uint64(width)}
 	}
-	return fam
 }
 
 // SignHash is a pairwise-independent hash onto {-1,+1}, used by CountSketch.

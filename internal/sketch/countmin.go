@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"fmt"
-	"math/bits"
 
 	"github.com/graphstream/gsketch/internal/hashutil"
 )
@@ -13,18 +12,22 @@ import (
 // non-negative updates) and, with probability at least 1-e^{-d}, at most
 // the true count + e*N/width.
 //
-// The zero value is unusable; construct with NewCountMin or
-// NewCountMinFromMemory. CountMin is not safe for concurrent mutation.
+// A CountMin either owns its storage (NewCountMin and friends) or is a view
+// of one shard of a Bank (Bank.Sketch), whose cells, coefficients and volume
+// alias the bank's arena and tables. Every method works on both, and every
+// kernel derives a key's cells the same way: the key reduced modulo the hash
+// prime once, then the inlined rowCell per row of the flat (a, b) table.
+//
+// The zero value is unusable. CountMin is not safe for concurrent mutation.
 type CountMin struct {
 	width        int
 	depth        int
 	seed         uint64
 	conservative bool
 
-	hashes []hashutil.PairwiseHash
-	rows   []gatherRow // flattened hash coefficients for EstimateBatch (immutable)
-	cells  []uint32    // row-major: cells[row*width + col]
-	total  int64
+	rows  []rowCoef // one (a, b) per row; immutable
+	cells []uint32  // row-major: cells[row*width + col]
+	total *int64    // stream volume N added to this sketch
 }
 
 // NewCountMin builds a CountMin sketch with explicit dimensions. The seed
@@ -35,19 +38,14 @@ func NewCountMin(width, depth int, seed uint64) (*CountMin, error) {
 		return nil, fmt.Errorf("%w: width=%d depth=%d", ErrInvalidParams, width, depth)
 	}
 	cm := &CountMin{
-		width:  width,
-		depth:  depth,
-		seed:   seed,
-		hashes: hashutil.NewPairwiseFamily(depth, width, seed),
-		cells:  make([]uint32, width*depth),
+		width: width,
+		depth: depth,
+		seed:  seed,
+		rows:  make([]rowCoef, depth),
+		cells: make([]uint32, width*depth),
+		total: new(int64),
 	}
-	// Flattened hash coefficients for EstimateBatch, built eagerly: the
-	// gather runs under read locks from multiple goroutines, so it must
-	// not initialize shared state lazily.
-	cm.rows = make([]gatherRow, depth)
-	for r, h := range cm.hashes {
-		cm.rows[r].a, cm.rows[r].b = h.Params()
-	}
+	familyCoefs(cm.rows, make([]hashutil.PairwiseHash, depth), width, seed)
 	return cm, nil
 }
 
@@ -74,7 +72,7 @@ func NewCountMinFromMemory(bytes, depth int, seed uint64) (*CountMin, error) {
 // SetConservative toggles conservative update: each increment raises only
 // the cells that would otherwise fall below the new lower bound, tightening
 // overestimation at no accuracy cost. Must be set before the first Update
-// to keep estimates coherent.
+// to keep estimates coherent, and never on a bank's view (NewBank fixes it).
 func (cm *CountMin) SetConservative(on bool) { cm.conservative = on }
 
 // Conservative reports whether conservative update is enabled. Conservative
@@ -102,34 +100,67 @@ func (cm *CountMin) Update(key uint64, count int64) {
 	if count == 0 {
 		return
 	}
-	cm.total += count
+	*cm.total += count
 	if cm.conservative {
 		cm.updateConservative(key, count)
 		return
 	}
-	for r := 0; r < cm.depth; r++ {
-		i := r*cm.width + cm.hashes[r].Hash(key)
+	xr := hashutil.Mod61(key)
+	width, base := uint64(cm.width), uint64(0)
+	for _, p := range cm.rows {
+		i := base + rowCell(p.a, p.b, xr, width)
 		cm.cells[i] = addSat32(cm.cells[i], count)
+		base += width
 	}
 }
 
+// updateBlock is the number of keys UpdateBatch reduces at a time: their
+// residues wait on the stack while the rows are walked.
+const updateBlock = 256
+
 // UpdateBatch applies the batch in slice order, producing counters
 // byte-identical to the equivalent sequence of Update calls. The plain
-// (non-conservative) path hoists the field loads and the total
-// accumulation out of the per-key loop so interface dispatch and bounds
-// checks amortize across the batch.
+// (non-conservative) path works a block of keys at a time, row-major: the
+// block's keys are reduced once, then each row's coefficients and segment
+// of cells stay hot across the block. Saturating addition commutes, so the
+// final counters equal those of key-major (sequential) order.
 func (cm *CountMin) UpdateBatch(keys []uint64, counts []int64) {
 	if len(keys) != len(counts) {
 		panic("sketch: UpdateBatch slice length mismatch")
 	}
 	if cm.conservative {
-		// Conservative update reads its own cells back per key, so there is
-		// nothing to hoist; order still matches sequential Update exactly.
+		// Conservative update reads its own cells back per key, so order
+		// must match sequential Update exactly.
 		for i, key := range keys {
 			cm.Update(key, counts[i])
 		}
 		return
 	}
+	*cm.total += checkedSum(counts)
+	width, cells := uint64(cm.width), cm.cells
+	var xr [updateBlock]uint64
+	for len(keys) > 0 {
+		n := min(len(keys), updateBlock)
+		for i, key := range keys[:n] {
+			xr[i] = hashutil.Mod61(key)
+		}
+		base := uint64(0)
+		for _, p := range cm.rows {
+			row := cells[base : base+width]
+			for i, count := range counts[:n] {
+				// A zero count adds nothing, as Update's early return.
+				j := rowCell(p.a, p.b, xr[i], width)
+				row[j] = addSat32(row[j], count)
+			}
+			base += width
+		}
+		keys, counts = keys[n:], counts[n:]
+	}
+}
+
+// checkedSum totals a batch's counts, panicking on a negative one before
+// any counter moves.
+func checkedSum(counts []int64) int64 {
 	var total int64
 	for _, count := range counts {
 		if count < 0 {
@@ -137,128 +168,98 @@ func (cm *CountMin) UpdateBatch(keys []uint64, counts []int64) {
 		}
 		total += count
 	}
-	// Row-major application: one hash-family member and one row segment of
-	// cells stay hot across the whole batch. Saturating addition commutes,
-	// so the final counters equal those of key-major (sequential) order.
-	width, cells := cm.width, cm.cells
-	for r := range cm.hashes {
-		h := cm.hashes[r]
-		row := cells[r*width : (r+1)*width]
-		for i, key := range keys {
-			count := counts[i]
-			if count == 0 {
-				continue
-			}
-			j := h.Hash(key)
-			row[j] = addSat32(row[j], count)
-		}
-	}
-	cm.total += total
+	return total
 }
 
-func (cm *CountMin) updateConservative(key uint64, count int64) {
-	// New lower bound for the key is min(cells) + count; only cells below
-	// that bound are raised to it.
-	min := int64(maxCell)
-	// The usual depths fit a stack buffer; only a deeper sketch pays an
-	// allocation per key.
-	var buf [16]int
-	idx := buf[:]
-	if cm.depth > len(buf) {
-		idx = make([]int, cm.depth)
+// keyCells writes into idx the indices of one key's d cells in a sketch
+// whose rows have the coefficients coef, are width wide and start at cell
+// off. xr is the key reduced by hashutil.Mod61.
+func keyCells(idx []uint64, coef []rowCoef, off, width, xr uint64) {
+	for r, p := range coef {
+		idx[r] = off + rowCell(p.a, p.b, xr, width)
+		off += width
 	}
-	idx = idx[:cm.depth]
-	for r := 0; r < cm.depth; r++ {
-		i := r*cm.width + cm.hashes[r].Hash(key)
-		idx[r] = i
-		if v := int64(cm.cells[i]); v < min {
-			min = v
-		}
-	}
-	target := min + count
+}
+
+// raiseCells is one conservative update over a key's cells: the key's new
+// lower bound is min(cells) + count, and only cells below it are raised to
+// it.
+func raiseCells(cells []uint32, idx []uint64, count int64) {
+	low := uint32(maxCell)
 	for _, i := range idx {
-		if int64(cm.cells[i]) < target {
-			if target > maxCell {
-				cm.cells[i] = maxCell
-			} else {
-				cm.cells[i] = uint32(target)
-			}
+		if v := cells[i]; v < low {
+			low = v
 		}
 	}
+	target := addSat32(low, count)
+	for _, i := range idx {
+		if cells[i] < target {
+			cells[i] = target
+		}
+	}
+}
+
+// stackDepth is the depth up to which updateConservative's cell indices
+// fit a stack buffer; only a deeper sketch pays an allocation per key.
+const stackDepth = 16
+
+func (cm *CountMin) updateConservative(key uint64, count int64) {
+	var stack [stackDepth]uint64
+	idx := indexBuffer(stack[:], cm.depth)[:cm.depth]
+	keyCells(idx, cm.rows, 0, uint64(cm.width), hashutil.Mod61(key))
+	raiseCells(cm.cells, idx, count)
 }
 
 // Estimate returns min over rows of the key's cell, the classic CountMin
 // point estimate.
 func (cm *CountMin) Estimate(key uint64) int64 {
-	min := uint32(maxCell)
-	for r := 0; r < cm.depth; r++ {
-		v := cm.cells[r*cm.width+cm.hashes[r].Hash(key)]
-		if v < min {
-			min = v
+	xr := hashutil.Mod61(key)
+	width, base := uint64(cm.width), uint64(0)
+	low := uint32(maxCell)
+	for _, p := range cm.rows {
+		if c := cm.cells[base+rowCell(p.a, p.b, xr, width)]; c < low {
+			low = c
 		}
+		base += width
 	}
-	return int64(min)
+	return int64(low)
 }
 
 // EstimateBatch answers a batch of point queries key-major with the field
 // loads hoisted out of the loop and the running minimum kept in a register
 // — unlike UpdateBatch, the read path gains nothing from row-major order
 // (there is no row-segment write locality to exploit) and loses the
-// register-resident min to per-row out[i] traffic. Each key is reduced
-// modulo the hash prime once and shared across the d row hashes, and the
-// row-hash arithmetic is hand-inlined from the (a, b) coefficients —
-// PairwiseHash.Hash is past the inlining budget, and d calls per key were
-// the largest single cost of the batched read path. The values equal
-// per-key Estimate exactly (min over the same d cells).
+// register-resident min to per-row out[i] traffic. The values equal per-key
+// Estimate exactly (min over the same d cells).
 func (cm *CountMin) EstimateBatch(keys []uint64, out []int64) {
 	if len(keys) != len(out) {
 		panic("sketch: EstimateBatch slice length mismatch")
 	}
-	rows := cm.rows
-	width, cells := cm.width, cm.cells
-	w64 := uint64(width)
+	rows, cells, width := cm.rows, cm.cells, uint64(cm.width)
 	for i, key := range keys {
 		xr := hashutil.Mod61(key)
-		min := uint32(maxCell)
-		base := 0
+		low := uint32(maxCell)
+		base := uint64(0)
 		for _, p := range rows {
-			// (a·xr + b) mod 2^61-1 via 2^64 ≡ 8: hi·8 cannot overflow
-			// (hi < 2^58) and the three reduced terms sum below 2^63, so a
-			// single final Mod61 lands on the same canonical residue as
-			// PairwiseHash.Hash. Spelled out here because the composed
-			// helper is past the inlining budget and a call per row per
-			// key dominates the gather.
-			hi, lo := bits.Mul64(p.a, xr)
-			v := hashutil.Mod61(hashutil.Mod61(hi<<3) + hashutil.Mod61(lo) + p.b)
-			vhi, vlo := bits.Mul64(v, w64)
-			if c := cells[base+int(vhi<<3|vlo>>61)]; c < min {
-				min = c
+			if c := cells[base+rowCell(p.a, p.b, xr, width)]; c < low {
+				low = c
 			}
 			base += width
 		}
-		out[i] = int64(min)
+		out[i] = int64(low)
 	}
 }
 
-// gatherRow is one row's hash coefficients, flattened out of PairwiseHash
-// for the hand-inlined gather loop. Built once in NewCountMin and
-// immutable afterwards, so concurrent readers share it freely.
-type gatherRow struct {
-	a, b uint64
-}
-
 // Count returns the total stream volume added to this sketch.
-func (cm *CountMin) Count() int64 { return cm.total }
+func (cm *CountMin) Count() int64 { return *cm.total }
 
 // MemoryBytes reports the counter storage footprint.
 func (cm *CountMin) MemoryBytes() int { return len(cm.cells) * CellSize }
 
 // Reset zeroes all counters.
 func (cm *CountMin) Reset() {
-	for i := range cm.cells {
-		cm.cells[i] = 0
-	}
-	cm.total = 0
+	clear(cm.cells)
+	*cm.total = 0
 }
 
 // Merge adds other's counters into cm. Both sketches must have identical
@@ -275,17 +276,17 @@ func (cm *CountMin) Merge(other *CountMin) error {
 	for i, v := range other.cells {
 		cm.cells[i] = addSat32(cm.cells[i], int64(v))
 	}
-	cm.total += other.total
+	*cm.total += *other.total
 	return nil
 }
 
-// Clone returns a deep copy of the sketch.
+// Clone returns a deep copy of the sketch that owns its storage, whether or
+// not cm is a bank view.
 func (cm *CountMin) Clone() *CountMin {
 	cp := *cm
-	cp.cells = make([]uint32, len(cm.cells))
-	copy(cp.cells, cm.cells)
-	cp.hashes = make([]hashutil.PairwiseHash, len(cm.hashes))
-	copy(cp.hashes, cm.hashes)
+	cp.cells = append([]uint32(nil), cm.cells...)
+	total := *cm.total
+	cp.total = &total
 	return &cp
 }
 

@@ -8,7 +8,7 @@ import (
 	"io"
 )
 
-// Binary serialization for CountMin sketches. The format is
+// Binary serialization for CountMin sketches. One sketch is one record,
 // little-endian and self-describing:
 //
 //	magic    uint32  'GSCM'
@@ -22,7 +22,8 @@ import (
 //	crc32    uint32  (IEEE, over everything above)
 //
 // The hash family is reconstructed from the seed, so the stored state is
-// complete.
+// complete. A Bank serializes as its shards' records back to back, so the
+// layout in memory is not part of the format.
 
 const (
 	cmMagic = 0x4753434d // "GSCM"
@@ -38,164 +39,166 @@ const (
 // ErrCorrupt reports a malformed or truncated serialized sketch.
 var ErrCorrupt = fmt.Errorf("sketch: corrupt serialized data")
 
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
+// cmHeaderBytes is the size of a record's fixed part, magic through total.
+const cmHeaderBytes = 48
+
+// ioBufferBytes is the size of the one buffer all records move through.
+const ioBufferBytes = 64 << 10
+
+// trustedCells is the largest arena a reader allocates on a header's word
+// (16 MiB), and only once a valid record header is in hand; see readRecord.
+const trustedCells = 1 << 22
+
+// countingWriter counts the bytes its writer accepted.
+type countingWriter struct {
+	w io.Writer
+	n int64
 }
 
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, p)
-	return cw.w.Write(p)
+func (cw *countingWriter) Write(p []byte) (int, error) {
+	k, err := cw.w.Write(p)
+	cw.n += int64(k)
+	return k, err
 }
 
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc = crc32.Update(cr.crc, crc32.IEEETable, p[:n])
-	return n, err
+// writeRecords writes the sketches' records back to back through one buffer
+// (a bank of thousands of small shards costs a handful of writes), encoding
+// cells into its free space; bufio keeps the first write error for Flush.
+func writeRecords(w io.Writer, sketches []CountMin) (int64, error) {
+	cw := &countingWriter{w: w}
+	bw := bufio.NewWriterSize(cw, ioBufferBytes)
+	le := binary.LittleEndian
+	scratch := make([]byte, 0, cmHeaderBytes)
+	for i := range sketches {
+		cm := &sketches[i]
+		var flags uint64
+		if cm.conservative {
+			flags |= flagConservative
+		}
+		hdr := le.AppendUint32(le.AppendUint32(scratch, cmMagic), cmVersion)
+		for _, v := range [...]uint64{uint64(cm.width), uint64(cm.depth), cm.seed, flags, uint64(*cm.total)} {
+			hdr = le.AppendUint64(hdr, v)
+		}
+		crc := crc32.ChecksumIEEE(hdr)
+		bw.Write(hdr)
+		for cells := cm.cells; len(cells) > 0; {
+			if bw.Available() < CellSize {
+				if err := bw.Flush(); err != nil {
+					return cw.n, err
+				}
+			}
+			p := bw.AvailableBuffer()
+			n := min(len(cells), cap(p)/CellSize)
+			for _, c := range cells[:n] {
+				p = le.AppendUint32(p, c)
+			}
+			crc = crc32.Update(crc, crc32.IEEETable, p)
+			bw.Write(p)
+			cells = cells[n:]
+		}
+		bw.Write(le.AppendUint32(scratch, crc)) // trailing CRC, not itself CRC'd
+	}
+	err := bw.Flush()
+	return cw.n, err
 }
 
 // WriteTo serializes the sketch. It implements io.WriterTo.
 func (cm *CountMin) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	var n int64
-
-	writeU32 := func(v uint32) error {
-		var buf [4]byte
-		binary.LittleEndian.PutUint32(buf[:], v)
-		k, err := cw.Write(buf[:])
-		n += int64(k)
-		return err
-	}
-	writeU64 := func(v uint64) error {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		k, err := cw.Write(buf[:])
-		n += int64(k)
-		return err
-	}
-
-	var flags uint64
-	if cm.conservative {
-		flags |= flagConservative
-	}
-	if err := writeU32(cmMagic); err != nil {
-		return n, err
-	}
-	if err := writeU32(cmVersion); err != nil {
-		return n, err
-	}
-	for _, v := range []uint64{uint64(cm.width), uint64(cm.depth), cm.seed, flags, uint64(cm.total)} {
-		if err := writeU64(v); err != nil {
-			return n, err
-		}
-	}
-	// Cells in bulk, 4 bytes each.
-	buf := make([]byte, 4*4096)
-	for off := 0; off < len(cm.cells); {
-		chunk := len(cm.cells) - off
-		if chunk > 4096 {
-			chunk = 4096
-		}
-		for i := 0; i < chunk; i++ {
-			binary.LittleEndian.PutUint32(buf[i*4:], cm.cells[off+i])
-		}
-		k, err := cw.Write(buf[:chunk*4])
-		n += int64(k)
-		if err != nil {
-			return n, err
-		}
-		off += chunk
-	}
-	// Trailing CRC (not itself CRC'd).
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], cw.crc)
-	k, err := bw.Write(crcBuf[:])
-	n += int64(k)
-	if err != nil {
-		return n, err
-	}
-	return n, bw.Flush()
+	return writeRecords(w, []CountMin{*cm})
 }
 
-// ReadCountMin deserializes a sketch written by WriteTo, verifying the
-// checksum and reconstructing the hash family from the stored seed.
-func ReadCountMin(r io.Reader) (*CountMin, error) {
-	cr := &crcReader{r: bufio.NewReader(r)}
+// WriteTo serializes every shard in order, as their own WriteTo calls would.
+func (b *Bank) WriteTo(w io.Writer) (int64, error) { return writeRecords(w, b.views) }
 
-	readU32 := func() (uint32, error) {
-		var buf [4]byte
-		if _, err := io.ReadFull(cr, buf[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(buf[:]), nil
-	}
-	readU64 := func() (uint64, error) {
-		var buf [8]byte
-		if _, err := io.ReadFull(cr, buf[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(buf[:]), nil
-	}
+// record is what a CountMin record says beyond its dimensions.
+type record struct {
+	seed         uint64
+	conservative bool
+	total        int64
+}
 
-	magic, err := readU32()
+// readRecord reads one record that must be width×depth, through buf: it
+// appends the cells to arena, decoding them out of buf, and verifies the
+// checksum. It consumes exactly the record's bytes. Nothing is sized from
+// the record's own header, and arena is allocated or grown only when it is
+// full and cells are due — first to min(limit, trustedCells), then by
+// doubling up to limit — so an arena within the trusted size is one
+// allocation, never copied, and a larger one never holds much more than
+// the stream has delivered.
+func readRecord(r io.Reader, buf []byte, arena []uint32, width, depth, limit uint64) ([]uint32, record, error) {
+	le := binary.LittleEndian
+	corrupt := func(format string, args ...any) ([]uint32, record, error) {
+		return nil, record{}, fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+	}
+	p := buf[:cmHeaderBytes]
+	if _, err := io.ReadFull(r, p); err != nil {
+		return corrupt("%v", err)
+	}
+	if magic, version := le.Uint32(p[0:]), le.Uint32(p[4:]); magic != cmMagic || version != cmVersion {
+		return corrupt("bad magic %#x or unsupported version %d", magic, version)
+	}
+	if w, d := le.Uint64(p[8:]), le.Uint64(p[16:]); w != width || d != depth {
+		return corrupt("record is %dx%d, layout says %dx%d", d, w, depth, width)
+	}
+	rec := record{
+		seed:         le.Uint64(p[24:]),
+		conservative: le.Uint64(p[32:])&flagConservative != 0,
+		total:        int64(le.Uint64(p[40:])),
+	}
+	if rec.total < 0 {
+		return corrupt("negative stream volume")
+	}
+	crc := crc32.ChecksumIEEE(p)
+	for n := width * depth; n > 0; {
+		if len(arena) == cap(arena) {
+			grown := min(limit, max(2*uint64(cap(arena)), trustedCells))
+			arena = append(make([]uint32, 0, grown), arena...)
+		}
+		k := min(n, uint64(cap(arena)-len(arena)), uint64(len(buf)/CellSize))
+		p = buf[:k*CellSize]
+		if _, err := io.ReadFull(r, p); err != nil {
+			return corrupt("%v", err)
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+		for i := uint64(0); i < k; i++ {
+			arena = append(arena, le.Uint32(p[i*CellSize:]))
+		}
+		n -= k
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+		return corrupt("missing checksum: %v", err)
+	}
+	if got := le.Uint32(buf); got != crc {
+		return corrupt("checksum mismatch (stored %#x, computed %#x)", got, crc)
+	}
+	return arena, rec, nil
+}
+
+// ReadBank deserializes the records of a bank whose shape the caller
+// already knows: len(widths) sketches of the given depth, record i exactly
+// widths[i] wide, all agreeing on the conservative-update mode. Anything
+// else is ErrCorrupt.
+func ReadBank(r io.Reader, widths []int, depth int) (*Bank, error) {
+	b, total, err := newBankTables(widths, depth)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if magic != cmMagic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, magic)
-	}
-	version, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if version != cmVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, version)
-	}
-	var hdr [5]uint64
-	for i := range hdr {
-		if hdr[i], err = readU64(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	buf := make([]byte, ioBufferBytes)
+	seeds := make([]uint64, len(widths))
+	var cells []uint32
+	for i, sp := range b.spans {
+		var rec record
+		if cells, rec, err = readRecord(r, buf, cells, sp.width, uint64(depth), total); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-	}
-	width, depth, seed, flags, total := int(hdr[0]), int(hdr[1]), hdr[2], hdr[3], int64(hdr[4])
-	const maxCells = 1 << 31 // 8 GiB of cells; anything larger is corrupt
-	if width <= 0 || depth <= 0 || int64(width)*int64(depth) > maxCells {
-		return nil, fmt.Errorf("%w: implausible dimensions %dx%d", ErrCorrupt, depth, width)
-	}
-	cm, err := NewCountMin(width, depth, seed)
-	if err != nil {
-		return nil, err
-	}
-	cm.conservative = flags&flagConservative != 0
-	cm.total = total
-
-	buf := make([]byte, 4*4096)
-	for off := 0; off < len(cm.cells); {
-		chunk := len(cm.cells) - off
-		if chunk > 4096 {
-			chunk = 4096
+		if i == 0 {
+			b.conservative = rec.conservative
+		} else if rec.conservative != b.conservative {
+			return nil, fmt.Errorf("%w: shard %d disagrees on conservative update", ErrCorrupt, i)
 		}
-		if _, err := io.ReadFull(cr, buf[:chunk*4]); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		for i := 0; i < chunk; i++ {
-			cm.cells[off+i] = binary.LittleEndian.Uint32(buf[i*4:])
-		}
-		off += chunk
+		seeds[i], b.totals[i] = rec.seed, rec.total
 	}
-	want := cr.crc
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(cr.r, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum: %v", ErrCorrupt, err)
-	}
-	if got := binary.LittleEndian.Uint32(crcBuf[:]); got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch (stored %#x, computed %#x)", ErrCorrupt, got, want)
-	}
-	return cm, nil
+	// The coefficient table is as large as the cells just read vouch for.
+	b.bind(cells, seeds)
+	return b, nil
 }

@@ -1,19 +1,23 @@
 // Package sketch implements the frequency synopses that gsketch builds on:
-// the CountMin sketch (Cormode & Muthukrishnan), an optional
-// conservative-update variant, the CountSketch (AMS-style median estimator),
-// Lossy Counting (Manku & Motwani) and an exact map-backed counter used for
-// ground truth in tests and experiments.
+// the CountMin sketch (Cormode & Muthukrishnan) with an optional
+// conservative-update variant, the Bank that lays many CountMin sketches of
+// one depth out in a single cell arena for the partitioned estimator, the
+// CountSketch (median estimator) kept as an ablation base, and an exact
+// map-backed counter used for ground truth in tests.
 //
 // All synopses summarize a stream of (key, count) increments over 64-bit
 // keys and answer point frequency estimates. They share the Synopsis
 // interface so the partitioned estimator in internal/core can run over any
-// of them.
+// of them; its default path skips the interface and drives a Bank.
 package sketch
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+
+	"github.com/graphstream/gsketch/internal/hashutil"
 )
 
 // Synopsis is a frequency summary of a stream of non-negative increments.
@@ -78,6 +82,38 @@ func WidthFromMemory(bytes, depth int) (int, error) {
 		return 0, fmt.Errorf("%w: budget of %d bytes cannot fit depth %d", ErrInvalidParams, bytes, depth)
 	}
 	return w, nil
+}
+
+// rowCoef is one row's pairwise-independent hash coefficients (a, b), the
+// one flat form in which a CountMin or a Bank keeps its hash family.
+type rowCoef struct {
+	a, b uint64
+}
+
+// familyCoefs draws the row hashes of one sketch from its seed into dst —
+// the members hashutil.NewPairwiseFamily returns, so every hash value is
+// the one PairwiseHash.Hash computes. fam is scratch of dst's length.
+func familyCoefs(dst []rowCoef, fam []hashutil.PairwiseHash, width int, seed uint64) {
+	hashutil.FillPairwiseFamily(fam, width, seed)
+	for r, h := range fam {
+		dst[r].a, dst[r].b = h.Params()
+	}
+}
+
+// rowCell maps a key, already reduced by hashutil.Mod61, to its column in
+// a row of the given width: PairwiseHash.Hash on the coefficients passed
+// in, but small enough to inline into every kernel (Hash is past the
+// inlining budget, and d calls per key dominated both batch directions).
+//
+// a·xr = hi·2^64 + lo and 2^64 ≡ 8 (mod 2^61-1). hi < 2^58, so hi·8 needs
+// no reduction and lo folds to (lo>>61) + (lo & p); the four terms sum below
+// 2^63, so one Mod61 lands on the canonical (a·xr + b) mod p, which Lemire's
+// multiply-shift then maps onto [0, width).
+func rowCell(a, b, xr, width uint64) uint64 {
+	hi, lo := bits.Mul64(a, xr)
+	v := hashutil.Mod61(hi<<3 + lo>>61 + lo&hashutil.MersennePrime61 + b)
+	vhi, vlo := bits.Mul64(v, width)
+	return vhi<<3 | vlo>>61
 }
 
 func addSat32(cell uint32, count int64) uint32 {
