@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -13,8 +14,9 @@ import (
 
 // TestIngestAllocsPerEdge is the regression guard for the pooled hot
 // path: a warm server must not allocate parse or batch buffers per
-// request, so the per-edge allocation count stays flat. NDJSON pays
-// encoding/json's per-line cost; the wire path must be near zero.
+// request, so the per-edge allocation count stays flat. Canonical NDJSON
+// lines are recognized without encoding/json and cost no allocation
+// either; on both transports only the request-constant overhead is left.
 func TestIngestAllocsPerEdge(t *testing.T) {
 	const n = 2048
 	edges := testStream(n, 31)
@@ -46,15 +48,64 @@ func TestIngestAllocsPerEdge(t *testing.T) {
 	wirePerEdge := testing.AllocsPerRun(10, func() { post(wire.ContentType, wireBody) }) / n
 	t.Logf("allocs/edge: ndjson=%.3f wire=%.4f", ndjsonPerEdge, wirePerEdge)
 
-	// NDJSON: json.Unmarshal costs ~5 allocs per line with pooled scan and
-	// batch buffers; anything beyond 7 means a buffer stopped being pooled.
-	if ndjsonPerEdge > 7 {
-		t.Errorf("NDJSON ingest allocates %.3f allocs/edge, want <= 7 — a hot-path buffer is no longer pooled", ndjsonPerEdge)
+	// NDJSON: json.Unmarshal would cost ~5 allocs per line; tens of allocs
+	// per request over 2048 lines means every line took the recognizer and
+	// the scan and batch buffers are pooled.
+	if ndjsonPerEdge > 0.05 {
+		t.Errorf("NDJSON ingest allocates %.3f allocs/edge, want <= 0.05 — lines are falling through to encoding/json, or a hot-path buffer is no longer pooled", ndjsonPerEdge)
 	}
 	// Wire: fixed-width decoding into pooled buffers; the request-constant
 	// overhead (~tens of allocs) amortized over 2048 edges must stay well
 	// under one allocation per edge.
 	if wirePerEdge > 0.25 {
 		t.Errorf("wire ingest allocates %.4f allocs/edge, want <= 0.25 — the frame path is allocating per record", wirePerEdge)
+	}
+}
+
+// queryBodyJSON renders qs as a /query body; json.Marshal writes the
+// shape every producer in the repository sends.
+func queryBodyJSON(tb testing.TB, qs []core.EdgeQuery) []byte {
+	tb.Helper()
+	req := queryRequest{Queries: make([]queryJSON, len(qs))}
+	for i, q := range qs {
+		req.Queries[i] = queryJSON{Src: q.Src, Dst: q.Dst}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// TestQueryAllocsPerQuery is the read-side guard: a JSON /query batch is
+// recognized into a pooled query buffer and answered out of a pooled byte
+// buffer, so what a warm server allocates does not grow with the batch
+// (encoding/json both ways cost 47 allocations and 115 KB per 512 queries).
+func TestQueryAllocsPerQuery(t *testing.T) {
+	const n = 512
+	edges := testStream(4096, 37)
+	g := buildTestGSketch(t, edges)
+	g.UpdateBatch(edges)
+	srv, _ := newTestServer(t, Config{Estimator: core.NewConcurrent(g)})
+	h := srv.Handler()
+
+	qs := make([]core.EdgeQuery, n)
+	for i := range qs {
+		qs[i] = core.EdgeQuery{Src: edges[i].Src, Dst: edges[i].Dst}
+	}
+	body := queryBodyJSON(t, qs)
+	post := func() {
+		req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("query status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	post() // warm the buffer pools
+	perQuery := testing.AllocsPerRun(10, post) / n
+	t.Logf("allocs/query: %.3f", perQuery)
+	if perQuery > 0.1 {
+		t.Errorf("JSON query allocates %.3f allocs/query, want <= 0.1 — the body or the reply is back on encoding/json, or a buffer is no longer pooled", perQuery)
 	}
 }

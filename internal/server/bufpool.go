@@ -7,10 +7,10 @@ import (
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
-// Request-scoped parse and frame buffers, pooled so the hot serving paths
-// (NDJSON and wire alike) allocate nothing per request once warm. The
-// pools hand out pointers to slices — pooling the headers directly would
-// re-box them on every Put.
+// Request-scoped parse, frame and reply buffers, pooled so the hot serving
+// paths (NDJSON/JSON and wire alike) allocate nothing per record once
+// warm. The pools hand out pointers to slices — pooling the headers
+// directly would re-box them on every Put.
 //
 // Contract: a pooled buffer is returned as soon as the data has been
 // handed off (TryIngest and UpdateBatch copy; QueryBatch reads
@@ -26,7 +26,9 @@ const (
 	// scanBufCap is the NDJSON scanner buffer: sized to the line bound so
 	// bufio.Scanner never grows (and thereby discards) it.
 	scanBufCap = maxNDJSONLine
-	// frameBufCap starts wire frame encode buffers at 64 KiB.
+	// frameBufCap starts byte buffers at 64 KiB: wire frame encode buffers,
+	// and the one buffer a JSON /query reads its body into and then builds
+	// its reply in.
 	frameBufCap = 64 << 10
 )
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
@@ -222,12 +223,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	edges, err := decodeEdgesNDJSON(body, *buf)
 	*buf = edges[:0]
 	if err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, code, "ingest: %v", err)
+		writeError(w, bodyErrorStatus(err), "ingest: %v", err)
 		return
 	}
 	// TryIngest holds the engine's state read lock across the push, so a
@@ -299,6 +295,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ingestResponse{Accepted: accepted})
 }
 
+// bodyErrorStatus is the status of a request whose body could not be read
+// or parsed: 413 when it ran past MaxBodyBytes, 400 otherwise.
+func bodyErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // drainBounded drains the engine pipeline with a deadline: the drain
 // condition is global, and under sustained ingest traffic it may not
 // quiesce — a handler must not hang on it indefinitely.
@@ -337,7 +343,8 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 
 // handleQuery answers a batch of edge queries with the bound-carrying
 // batched read path; the engine records the batch into the workload
-// reservoir.
+// reservoir. One pooled buffer holds the request body and then, once the
+// queries are out of it, the reply.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.stats.queryRequests.Add(1)
 	be, ok := s.backend(w, r)
@@ -348,46 +355,51 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.handleWireQueryHTTP(w, r, be)
 		return
 	}
-	var req queryRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	buf := getFrameBuf()
+	defer putFrameBuf(buf)
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), *buf)
+	*buf = body
+	if err != nil {
+		writeError(w, bodyErrorStatus(err), "query: %v", err)
+		return
+	}
+	qbuf := getQueryBuf()
+	defer putQueryBuf(qbuf)
+	qs, sync, err := decodeQueryBody(body, *qbuf)
+	*qbuf = qs
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "query: %v", err)
 		return
 	}
-	if len(req.Queries) == 0 {
+	if len(qs) == 0 {
 		writeError(w, http.StatusBadRequest, "query: empty batch")
 		return
 	}
-	if req.Sync {
+	if sync {
 		if err := s.drainBounded(r, be); err != nil {
 			writeError(w, http.StatusServiceUnavailable, "query: flush: %v", err)
 			return
 		}
 	}
-	qbuf := getQueryBuf()
-	defer putQueryBuf(qbuf)
-	qs := appendEdgeQueries(*qbuf, req.Queries)
-	*qbuf = qs[:0]
 	results, err := be.QueryBatch(qs)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
 	}
 	s.stats.queriesAnswered.Add(int64(len(results)))
-	resp := queryResponse{Results: make([]resultJSON, len(results))}
-	for i, res := range results {
-		resp.Results[i] = resultJSON{
-			Src:         req.Queries[i].Src,
-			Dst:         req.Queries[i].Dst,
-			Estimate:    res.Estimate,
-			Partition:   res.Partition,
-			Outlier:     res.Outlier,
-			ErrorBound:  res.ErrorBound,
-			Confidence:  res.Confidence,
-			StreamTotal: res.StreamTotal,
-		}
+	reply, ok := appendQueryReply(body[:0], qs, results)
+	if !ok {
+		// A float that is not finite: encoding/json's answer, as ever.
+		writeJSON(w, http.StatusOK, newQueryResponse(qs, results))
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	*buf = reply
+	// With the length known net/http sends the reply whole; without it, a
+	// reply longer than its 2 KiB buffer goes out chunked.
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(reply)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(reply)
 }
 
 // handleWindowQuery answers a time-range batch against the window store.
@@ -396,7 +408,7 @@ func (s *Server) handleWindowQuery(w http.ResponseWriter, r *http.Request) {
 	var req windowQueryRequest
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "window query: %v", err)
+		writeError(w, bodyErrorStatus(err), "window query: %v", err)
 		return
 	}
 	if len(req.Queries) == 0 {

@@ -49,9 +49,28 @@ type resultJSON struct {
 	StreamTotal int64   `json:"stream_total"`
 }
 
-// queryResponse is the POST /query reply.
+// queryResponse is the POST /query reply. appendQueryReply writes it
+// without reflection; the types remain as the definition of the format.
 type queryResponse struct {
 	Results []resultJSON `json:"results"`
+}
+
+// newQueryResponse pairs results with the queries they answer.
+func newQueryResponse(qs []core.EdgeQuery, results []core.Result) queryResponse {
+	resp := queryResponse{Results: make([]resultJSON, len(results))}
+	for i, res := range results {
+		resp.Results[i] = resultJSON{
+			Src:         qs[i].Src,
+			Dst:         qs[i].Dst,
+			Estimate:    res.Estimate,
+			Partition:   res.Partition,
+			Outlier:     res.Outlier,
+			ErrorBound:  res.ErrorBound,
+			Confidence:  res.Confidence,
+			StreamTotal: res.StreamTotal,
+		}
+	}
+	return resp
 }
 
 // windowQueryRequest is the POST /query/window body: a query batch over
@@ -90,8 +109,10 @@ const maxNDJSONLine = 1 << 16
 // (normally a pooled buffer). Blank lines are skipped. The whole body is
 // parsed before anything is returned, so a syntax error rejects the
 // request without a partial ingest. The scanner runs over a pooled buffer
-// sized to the line bound, so a warm server allocates no parse buffers
-// per request.
+// sized to the line bound, and a line of the canonical shape is read by
+// scanEdgeLine, so a warm server allocates nothing per line; any other
+// line is json.Unmarshal's, which alone defines what is accepted and
+// words every error.
 func decodeEdgesNDJSON(r io.Reader, dst []stream.Edge) ([]stream.Edge, error) {
 	sc := bufio.NewScanner(r)
 	sb := getScanBuf()
@@ -99,9 +120,20 @@ func decodeEdgesNDJSON(r io.Reader, dst []stream.Edge) ([]stream.Edge, error) {
 	sc.Buffer(*sb, maxNDJSONLine)
 	line := 0
 	for sc.Scan() {
+		// After a failed read the scanner hands over what it had, down to
+		// a last line cut short: none of it is parsed, and the failure
+		// reported is the read's (a body past MaxBodyBytes is 413, not a
+		// syntax error).
+		if sc.Err() != nil {
+			break
+		}
 		line++
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
+			continue
+		}
+		if e, ok := scanEdgeLine(raw); ok {
+			dst = append(dst, e)
 			continue
 		}
 		var e edgeJSON
@@ -114,6 +146,39 @@ func decodeEdgesNDJSON(r io.Reader, dst []stream.Edge) ([]stream.Edge, error) {
 		return dst, fmt.Errorf("line %d: %w", line+1, err)
 	}
 	return dst, nil
+}
+
+// decodeQueryBody parses a POST /query body, appending its queries to dst
+// (normally a pooled buffer): scanQueryBody for the canonical shape, the
+// json.Decoder call that defines the format for everything else. Like
+// that call, it reads one JSON value and ignores what follows it.
+func decodeQueryBody(body []byte, dst []core.EdgeQuery) (qs []core.EdgeQuery, sync bool, err error) {
+	if qs, sync, ok := scanQueryBody(body, dst); ok {
+		return qs, sync, nil
+	}
+	var req queryRequest
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		return dst, false, err
+	}
+	return appendEdgeQueries(dst, req.Queries), req.Sync, nil
+}
+
+// readBody reads r to its end, appending to buf (normally a pooled
+// buffer, so a warm server does not allocate to hold a request).
+func readBody(r io.Reader, buf []byte) ([]byte, error) {
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // appendEdgeQueries converts JSON queries to the batched read path's
