@@ -1,0 +1,354 @@
+package gsketch_test
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"math"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	gsketch "github.com/graphstream/gsketch"
+)
+
+// gatedEstimator blocks every fold on a gate, so a test can hold a batch in
+// the admitted-but-unfolded state for as long as it likes.
+type gatedEstimator struct {
+	gate  chan struct{}
+	edges atomic.Int64
+}
+
+func (g *gatedEstimator) Update(e gsketch.Edge)              { g.UpdateBatch([]gsketch.Edge{e}) }
+func (g *gatedEstimator) UpdateBatch(es []gsketch.Edge)      { <-g.gate; g.edges.Add(int64(len(es))) }
+func (g *gatedEstimator) EstimateEdge(src, dst uint64) int64 { return 0 }
+func (g *gatedEstimator) EstimateBatch(qs []gsketch.EdgeQuery) []gsketch.Result {
+	return make([]gsketch.Result, len(qs))
+}
+func (g *gatedEstimator) Count() int64     { return g.edges.Load() }
+func (g *gatedEstimator) MemoryBytes() int { return 0 }
+
+// stillRunning starts fn on its own goroutine and fails the test if it
+// returns within the grace period; done is closed when it finally does.
+func stillRunning(t *testing.T, what string, fn func()) (done <-chan struct{}) {
+	t.Helper()
+	ch := make(chan struct{})
+	go func() {
+		defer close(ch)
+		fn()
+	}()
+	select {
+	case <-ch:
+		t.Fatalf("%s returned over an admitted, unfolded batch", what)
+	case <-time.After(50 * time.Millisecond):
+	}
+	return ch
+}
+
+func waitDone(t *testing.T, what string, done <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s still waiting after the admitted batch was folded", what)
+	}
+}
+
+// TestAdmitMatchesTryIngestByteIdentical: the same stream admitted in 1-,
+// 256- and 8192-edge batches and folded by the caller leaves a snapshot
+// byte-identical to the one TryIngest + Drain leaves, none of it passes
+// through the queue, and AppendQueryBatch into a reused buffer answers what
+// QueryBatch answers.
+func TestAdmitMatchesTryIngestByteIdentical(t *testing.T) {
+	edges := engineTestStream(20_000, 41)
+	open := func() *gsketch.Engine {
+		eng, err := gsketch.Open(engineTestCfg,
+			gsketch.WithSample(edges[:2_000]),
+			gsketch.WithIngest(gsketch.IngestConfig{Workers: 2, BatchSize: 256, QueueDepth: 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		return eng
+	}
+	ctx := context.Background()
+
+	ref := open()
+	for lo := 0; lo < len(edges); {
+		n, err := ref.TryIngest(edges[lo:])
+		if err != nil && !errors.Is(err, gsketch.ErrIngestQueueFull) {
+			t.Fatal(err)
+		}
+		lo += n
+	}
+	if err := ref.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if _, err := ref.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, frame := range []int{1, 256, 8192} {
+		eng := open()
+		batches := int64(0)
+		for lo := 0; lo < len(edges); lo += frame {
+			adm, err := eng.Admit(edges[lo:min(lo+frame, len(edges))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := eng.IngestStats(); st.Inflight != 1 || st.QueueDepth != 0 {
+				t.Fatalf("frame %d: admitted batch shows inflight=%d queue=%d, want 1/0", frame, st.Inflight, st.QueueDepth)
+			}
+			adm.Apply()
+			batches++
+		}
+		if err := eng.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if _, err := eng.Save(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("frame %d: snapshot after Admit/Apply differs from the TryIngest snapshot", frame)
+		}
+		st := eng.IngestStats()
+		if st.EdgesApplied != int64(len(edges)) || st.BatchesApplied != batches || st.Sheds != 0 {
+			t.Fatalf("frame %d: edges=%d batches=%d sheds=%d, want %d/%d/0",
+				frame, st.EdgesApplied, st.BatchesApplied, st.Sheds, len(edges), batches)
+		}
+	}
+
+	qs := engineTestQueries(edges, 700)
+	wantRes := ref.QueryBatch(qs)
+	var buf []gsketch.Result
+	for round := 0; round < 2; round++ { // the second round reuses a dirty buffer
+		buf = ref.AppendQueryBatch(buf[:0], qs)
+		if len(buf) != len(wantRes) {
+			t.Fatalf("AppendQueryBatch answered %d, want %d", len(buf), len(wantRes))
+		}
+		for i := range wantRes {
+			if buf[i] != wantRes[i] {
+				t.Fatalf("round %d result %d = %+v, want %+v", round, i, buf[i], wantRes[i])
+			}
+		}
+	}
+	prefix := []gsketch.Result{{Estimate: -7}}
+	if out := ref.AppendQueryBatch(prefix, qs[:3]); len(out) != 4 || out[0].Estimate != -7 || out[1] != wantRes[0] {
+		t.Fatalf("AppendQueryBatch does not append: %+v", out)
+	}
+}
+
+// TestAdmitHoldsDrainAndClose: an admitted batch is in flight from Admit to
+// Apply. Drain times out over it, Close waits for it, the fold lands before
+// Close returns, and nothing is admitted after.
+func TestAdmitHoldsDrainAndClose(t *testing.T) {
+	dest := &gatedEstimator{gate: make(chan struct{})}
+	eng, err := gsketch.Open(gsketch.Config{},
+		gsketch.WithEstimator(dest), gsketch.WithIngest(gsketch.IngestConfig{Workers: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := engineTestStream(100, 3)
+	adm, err := eng.Admit(edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	if err := eng.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain over an admitted batch = %v, want deadline exceeded", err)
+	}
+	cancel()
+
+	closed := stillRunning(t, "Close", func() { _ = eng.Close() })
+	close(dest.gate)
+	adm.Apply()
+	waitDone(t, "Close", closed)
+	if got := dest.Count(); got != int64(len(edges)) {
+		t.Fatalf("folded %d edges, want %d", got, len(edges))
+	}
+	if _, err := eng.Admit(edges); !errors.Is(err, gsketch.ErrEngineClosed) {
+		t.Fatalf("Admit after Close = %v, want ErrEngineClosed", err)
+	}
+}
+
+// TestAdmitRacingRestore: a Restore that displaces the pipeline an admitted
+// batch is registered in waits for the fold, the fold lands in the
+// displaced estimator — before Restore returns, never after — and not in
+// the restored one; the next admission goes to the restored state.
+func TestAdmitRacingRestore(t *testing.T) {
+	edges := engineTestStream(4_000, 29)
+	donor, err := gsketch.Open(engineTestCfg, gsketch.WithSample(edges[:500]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer donor.Close()
+	if err := donor.Ingest(context.Background(), edges...); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if _, err := donor.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	savedTotal := donor.Estimator().Count()
+
+	dest := &gatedEstimator{gate: make(chan struct{})}
+	eng, err := gsketch.Open(gsketch.Config{},
+		gsketch.WithEstimator(dest), gsketch.WithIngest(gsketch.IngestConfig{Workers: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	adm, err := eng.Admit(edges[:300])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restoreErr error
+	restored := stillRunning(t, "Restore", func() { restoreErr = eng.Restore(bytes.NewReader(snap.Bytes())) })
+	close(dest.gate)
+	adm.Apply()
+	waitDone(t, "Restore", restored)
+	if restoreErr != nil {
+		t.Fatal(restoreErr)
+	}
+	if got := dest.Count(); got != 300 {
+		t.Fatalf("displaced estimator folded %d edges, want 300", got)
+	}
+	if got := eng.Estimator().Count(); got != savedTotal {
+		t.Fatalf("restored Count = %d, want the snapshot's %d: the displaced batch leaked into it", got, savedTotal)
+	}
+	adm, err = eng.Admit(edges[:10])
+	if err != nil {
+		t.Fatal(err)
+	}
+	adm.Apply()
+	if got := eng.Estimator().Count(); got <= savedTotal {
+		t.Fatalf("admission after Restore did not reach the restored estimator: Count = %d", got)
+	}
+	if got := dest.Count(); got != 300 {
+		t.Fatalf("admission after Restore reached the displaced estimator: %d edges", got)
+	}
+}
+
+// TestAdmitWithoutPipelineFoldsBeforeReturn: an engine opened without
+// WithIngest has no in-flight count to register in, so Admit applies the
+// batch itself and owes nothing.
+func TestAdmitWithoutPipelineFoldsBeforeReturn(t *testing.T) {
+	edges := engineTestStream(1_000, 31)
+	eng, err := gsketch.Open(engineTestCfg, gsketch.WithSample(edges[:200]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var want int64
+	for _, e := range edges {
+		want += e.Weight
+	}
+	adm, err := eng.Admit(edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Estimator().Count(); got != want {
+		t.Fatalf("Count right after Admit = %d, want %d", got, want)
+	}
+	adm.Apply() // owes nothing
+	if got := eng.Estimator().Count(); got != want {
+		t.Fatalf("Count after a zero Admission's Apply = %d, want %d", got, want)
+	}
+}
+
+// TestAdmitFeedsWindowStore: the window store sees an admitted batch by the
+// time a Drain returns, as it sees TryIngest's.
+func TestAdmitFeedsWindowStore(t *testing.T) {
+	wcfg := gsketch.WindowConfig{Span: 100, SampleSize: 256, Sketch: engineTestCfg, Seed: 5}
+	edges := engineTestStream(2_000, 19)
+	for i := range edges {
+		edges[i].Time = int64(i)
+	}
+	qs := engineTestQueries(edges, 50)
+	open := func() *gsketch.Engine {
+		eng, err := gsketch.Open(engineTestCfg, gsketch.WithSample(edges[:500]),
+			gsketch.WithWindows(wcfg), gsketch.WithIngest(gsketch.IngestConfig{Workers: 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		return eng
+	}
+	ref, eng := open(), open()
+	if err := ref.Ingest(context.Background(), edges...); err != nil {
+		t.Fatal(err)
+	}
+	adm, err := eng.Admit(edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adm.Apply()
+	for _, e := range []*gsketch.Engine{ref, eng} {
+		if err := e.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := ref.QueryWindow(qs, 500, 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.QueryWindow(qs, 500, 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("window query %d after Admit = %v, after Ingest %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestNegativeWeightRefused: every ingest entry point turns a batch with a
+// negative weight away whole, typed, before anything is queued, applied or
+// registered — the sketch it would reach panics on one.
+func TestNegativeWeightRefused(t *testing.T) {
+	edges := engineTestStream(600, 37)
+	for _, pipeline := range []bool{false, true} {
+		opts := []gsketch.Option{gsketch.WithSample(edges[:200])}
+		if pipeline {
+			opts = append(opts, gsketch.WithIngest(gsketch.IngestConfig{Workers: 1, BatchSize: 64}))
+		}
+		eng, err := gsketch.Open(engineTestCfg, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int64{-1, -5, math.MinInt64} {
+			bad := append([]gsketch.Edge(nil), edges[:300]...)
+			bad[299].Weight = w
+			if err := eng.Ingest(context.Background(), bad...); !errors.Is(err, gsketch.ErrNegativeWeight) {
+				t.Fatalf("Ingest(weight %d) = %v, want ErrNegativeWeight", w, err)
+			}
+			if n, err := eng.TryIngest(bad); n != 0 || !errors.Is(err, gsketch.ErrNegativeWeight) {
+				t.Fatalf("TryIngest(weight %d) = (%d, %v), want (0, ErrNegativeWeight)", w, n, err)
+			}
+			adm, err := eng.Admit(bad)
+			if !errors.Is(err, gsketch.ErrNegativeWeight) {
+				t.Fatalf("Admit(weight %d) = %v, want ErrNegativeWeight", w, err)
+			}
+			adm.Apply() // the zero Admission of a refusal
+		}
+		if err := eng.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.Estimator().Count(); got != 0 {
+			t.Fatalf("pipeline=%v: Count = %d after refused batches, want 0", pipeline, got)
+		}
+		if st := eng.IngestStats(); st != nil && (st.Inflight != 0 || st.PendingEdges != 0 || st.EdgesApplied != 0) {
+			t.Fatalf("refused batches left inflight=%d pending=%d applied=%d", st.Inflight, st.PendingEdges, st.EdgesApplied)
+		}
+		// The engine keeps serving.
+		if err := eng.Ingest(context.Background(), edges...); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -38,7 +38,10 @@
 // batched fixed-width frames with none of the JSON cost, driven by
 // cmd/gsketch-wire or any client speaking the frame format. POST /ingest
 // and /query also accept wire-framed bodies with Content-Type
-// application/x-gsketch-wire.
+// application/x-gsketch-wire. A wire connection folds its own ingest frames
+// behind their acks, on one core per connection: open more connections for
+// more throughput. -workers, -batch and -queue shape the queue that HTTP
+// ingest goes through and do not apply to wire connections.
 //
 // With -adapt the engine serves a generation chain: POST /repartition (or
 // the -adapt-interval auto-trigger, when drift crosses -adapt-drift /
@@ -137,9 +140,9 @@ func main() {
 		seed       = flag.Uint64("seed", 42, "hash-family seed")
 		partitions = flag.Int("partitions", 0, "partition cap (0 = unbounded)")
 
-		workers   = flag.Int("workers", 0, "ingest workers (0 = GOMAXPROCS)")
-		batchSize = flag.Int("batch", 0, "ingest batch size (0 = default 1024)")
-		queue     = flag.Int("queue", 0, "ingest queue depth in batches (0 = 4x workers)")
+		workers   = flag.Int("workers", 0, "HTTP ingest workers (0 = GOMAXPROCS); wire connections fold their own frames")
+		batchSize = flag.Int("batch", 0, "HTTP ingest batch size (0 = default 1024)")
+		queue     = flag.Int("queue", 0, "HTTP ingest queue depth in batches (0 = 4x workers)")
 
 		snapshotPath   = flag.String("snapshot", "gsketch.snap", "default snapshot path for /snapshot/save and -snapshot-on-exit")
 		snapshotOnExit = flag.Bool("snapshot-on-exit", false, "save a final snapshot during graceful shutdown")

@@ -56,10 +56,17 @@
 // WithWindows the §5 time-window store, WithWorkloadRecorder the live
 // query-workload reservoir. With WithIngest, Ingest blocks with
 // backpressure (and honors ctx cancellation while blocked); TryIngest
-// never blocks and returns the typed ErrIngestQueueFull shed signal.
-// Drain waits — bounded by ctx — until accepted edges are applied; Close
-// stops the adaptive loop, drains the pipeline, and (with
-// WithSnapshotOnClose) persists a final snapshot.
+// never blocks and returns the typed ErrIngestQueueFull shed signal. Admit
+// is the arm for a producer that owns a goroutine and a whole batch (the
+// wire server's connections): it registers the batch as in flight without
+// copying it into the queue and hands back an Admission whose Apply folds
+// it on the caller's goroutine, so the caller can acknowledge in between.
+// AppendQueryBatch is QueryBatch into the caller's buffer. A negative edge
+// weight refuses the whole call with ErrNegativeWeight (the sketches count
+// in the cash-register model). Drain waits — bounded by ctx — until
+// accepted and admitted edges are applied; Close stops the adaptive loop,
+// drains the pipeline, and (with WithSnapshotOnClose) persists a final
+// snapshot.
 //
 // The pre-Engine free functions (New, NewConcurrent, NewIngestor, Save,
 // Load, NewChain, ...) remain as thin deprecated shims that answer
@@ -146,6 +153,23 @@
 // batched bound-carrying queries, consistent snapshots (Engine.Save under
 // all lock stripes' read locks, Engine.Restore to swap one back in), and
 // graceful drain-then-stop shutdown via Engine.Close.
+//
+// The same operations are served over a binary wire protocol
+// (internal/wire, gsketch-serve -wire-addr), where the two transports part
+// ways on ingest. An HTTP/1.1 handler cannot reply and keep working, so
+// HTTP ingest goes through the queue: the workers fold while the client
+// turns around, and a full queue is a 429. A wire connection is its own
+// worker: it admits a decoded frame (Engine.Admit), writes the ack, then
+// folds the frame on its own goroutine, whole, out of the buffer it was
+// decoded into — no copy into the queue, no re-batching, no shedding. An
+// ack therefore means "applied by the time any later flush, ?sync=1,
+// snapshot, restore or Close returns", on any connection; rejected > 0 is
+// left for a tenant over its quota and a coordinator's full shard queue;
+// and backpressure is a few decoded frames per connection, then the TCP
+// window. The price is that one connection folds on one core (about
+// 16 M edges/s); a producer scales by opening connections, which the
+// stripe locks serve in parallel, and -workers/-batch/-queue shape the HTTP
+// arm only.
 //
 // The engine also closes the paper's sample-collection loop: §4.2 assumes
 // a query-workload sample is simply "available", and the serving layer is

@@ -127,6 +127,10 @@ type Chain struct {
 	resMu sync.Mutex // guards res; independent of mu so sampling never blocks rotation
 	res   *stream.Reservoir
 
+	// scratch pools the buffer a gather collects each frozen generation's
+	// answers in (*[]core.Result), one per in-flight AppendEstimates.
+	scratch sync.Pool
+
 	// compactMu serializes compactions (manual, policy-driven, and
 	// rotation-pressure) so only one fold mutates the frozen prefix at a
 	// time.
@@ -170,6 +174,7 @@ func NewChainFromMeta(gens []*core.GSketch, metas []core.GenerationMeta, cfg Cha
 		res: stream.NewReservoir(cfg.SampleSize, cfg.Seed),
 		now: time.Now,
 	}
+	c.scratch.New = func() any { return new([]core.Result) }
 	for i, g := range gens {
 		var m core.GenerationMeta
 		if metas != nil {
@@ -293,27 +298,43 @@ func (c *Chain) EstimateEdge(src, dst uint64) int64 {
 	return sum
 }
 
-// EstimateBatch answers a batch of edge queries across all generations: the
-// head answers first (its Results carry the provenance of the partitioning
-// currently serving), then every frozen generation's answers fold in via
-// query.AccumulateResults — estimates sum, ε·N_i bounds add, confidence
+// EstimateBatch answers a batch of edge queries across all generations in a
+// result slice of its own; AppendEstimates is the same answer into a
+// caller's buffer.
+func (c *Chain) EstimateBatch(qs []core.EdgeQuery) []core.Result {
+	return c.AppendEstimates(make([]core.Result, 0, len(qs)), qs)
+}
+
+// AppendEstimates answers a batch of edge queries across all generations,
+// appending one Result per query to dst: the head answers first, straight
+// into dst (its Results carry the provenance of the partitioning currently
+// serving), then every frozen generation's answers — gathered into one
+// pooled scratch slice, not one slice per generation — fold in via
+// query.AccumulateResults: estimates sum, ε·N_i bounds add, confidence
 // combines by union bound, stream totals sum to the chain-wide volume.
 // With decay enabled, a frozen generation's estimates and bounds scale by
 // its age weight before folding (query.AccumulateResultsWeighted).
-func (c *Chain) EstimateBatch(qs []core.EdgeQuery) []core.Result {
+func (c *Chain) AppendEstimates(dst []core.Result, qs []core.EdgeQuery) []core.Result {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	base := len(dst)
+	dst = c.gens[len(c.gens)-1].AppendEstimates(dst, qs)
+	if len(c.gens) == 1 {
+		return dst
+	}
+	out := dst[base:]
 	nowUnix := c.now().Unix()
-	out := c.gens[len(c.gens)-1].EstimateBatch(qs)
+	scratch := c.scratch.Get().(*[]core.Result)
 	for i := len(c.gens) - 2; i >= 0; i-- {
-		gen := c.gens[i].EstimateBatch(qs)
+		*scratch = c.gens[i].AppendEstimates((*scratch)[:0], qs)
 		if w := c.decayWeight(c.gens[i], nowUnix); w < 1 {
-			query.AccumulateResultsWeighted(out, gen, w)
+			query.AccumulateResultsWeighted(out, *scratch, w)
 		} else {
-			query.AccumulateResults(out, gen)
+			query.AccumulateResults(out, *scratch)
 		}
 	}
-	return out
+	c.scratch.Put(scratch)
+	return dst
 }
 
 // Count returns the chain-wide stream volume: the sum over generations

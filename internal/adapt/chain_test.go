@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/hashutil"
@@ -193,6 +194,49 @@ func TestChainSerializationRoundTrip(t *testing.T) {
 		if got[i].Estimate != want[i].Estimate || got[i].ErrorBound != want[i].ErrorBound {
 			t.Fatalf("query %d: restored (%d, %v) != live (%d, %v)",
 				i, got[i].Estimate, got[i].ErrorBound, want[i].Estimate, want[i].ErrorBound)
+		}
+	}
+}
+
+// The append path of a chain answers what EstimateBatch answers — behind
+// the caller's prefix, over a buffer a larger batch left dirty, with the
+// per-generation scratch reused from call to call — across frozen, decayed
+// and spilled generations.
+func TestChainAppendEstimatesMatchesEstimateBatch(t *testing.T) {
+	edges := testStream(12_000, 41)
+	chain := NewChain(buildSketch(t, edges[:1000], 5), ChainConfig{})
+	now := time.Unix(1_000_000, 0)
+	chain.SetClock(func() time.Time { return now })
+	chain.SetDecay(time.Hour)
+	chain.SetTiering(t.TempDir(), 1)
+	for g := 0; g < 3; g++ {
+		chain.UpdateBatch(edges[g*3000 : (g+1)*3000])
+		now = now.Add(30 * time.Minute)
+		if err := chain.Rotate(buildSketch(t, edges[g*3000:g*3000+1000], uint64(6+g))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chain.UpdateBatch(edges[9000:])
+	if st := chain.LifecycleStats(); st.Generations != 4 || st.Tiered == 0 {
+		t.Fatalf("fixture: %+v, want 4 generations, some tiered", st)
+	}
+
+	marker := core.Result{Estimate: -1}
+	buf := []core.Result{marker}
+	for _, n := range []int{500, 3, 0, 700} {
+		qs := make([]core.EdgeQuery, n)
+		for i := range qs {
+			qs[i] = core.EdgeQuery{Src: edges[i*13].Src, Dst: edges[i*13].Dst}
+		}
+		want := chain.EstimateBatch(qs)
+		buf = chain.AppendEstimates(buf[:1], qs)
+		if len(buf) != 1+n || buf[0] != marker {
+			t.Fatalf("n=%d: %d results behind prefix %+v", n, len(buf)-1, buf[0])
+		}
+		for i := range want {
+			if buf[1+i] != want[i] {
+				t.Fatalf("n=%d result %d = %+v, want %+v", n, i, buf[1+i], want[i])
+			}
 		}
 	}
 }

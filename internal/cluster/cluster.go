@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	gsketch "github.com/graphstream/gsketch"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/obs"
@@ -170,6 +171,16 @@ func (c *Coordinator) TryIngest(edges []stream.Edge) (int, error) {
 	return len(edges), nil
 }
 
+// Admit is TryIngest under the name a producer that folds its own batch
+// calls (see gsketch.Engine.Admit): a coordinator's edges belong to the
+// shards' queues, so the accepted prefix is already on its way when Admit
+// returns, the rest is shed with the same typed errors, and the Admission
+// owes nothing.
+func (c *Coordinator) Admit(edges []stream.Edge) (int, gsketch.Admission, error) {
+	accepted, err := c.TryIngest(edges)
+	return accepted, gsketch.Admission{}, err
+}
+
 // QueryBatch scatters qs to every shard and folds the answers in shard
 // order with query.AccumulateResults — estimates and ε·N_i bounds add,
 // confidence union-bounds, stream totals sum — exactly how the adapt
@@ -177,13 +188,20 @@ func (c *Coordinator) TryIngest(edges []stream.Edge) (int, error) {
 // reported in a *PartialError; when at least one shard answered, the
 // partial result is returned alongside it.
 func (c *Coordinator) QueryBatch(qs []core.EdgeQuery) ([]core.Result, error) {
+	return c.AppendQueryBatch(nil, qs)
+}
+
+// AppendQueryBatch is QueryBatch with the combined answers appended to a
+// caller-owned buffer (the per-shard answers still arrive in slices of
+// their own: they are decoded off the shards' connections in parallel).
+func (c *Coordinator) AppendQueryBatch(dst []core.Result, qs []core.EdgeQuery) ([]core.Result, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
-		return nil, ErrClosed
+		return dst, ErrClosed
 	}
 	if len(qs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	type answer struct {
 		res []core.Result
@@ -200,7 +218,7 @@ func (c *Coordinator) QueryBatch(qs []core.EdgeQuery) ([]core.Result, error) {
 	}
 	wg.Wait()
 
-	var acc []core.Result
+	base := len(dst)
 	var failed []*ShardError
 	for i, a := range answers {
 		if a.err != nil {
@@ -211,16 +229,16 @@ func (c *Coordinator) QueryBatch(qs []core.EdgeQuery) ([]core.Result, error) {
 			failed = append(failed, se)
 			continue
 		}
-		if acc == nil {
-			acc = a.res
+		if len(dst) == base {
+			dst = append(dst, a.res...)
 		} else {
-			query.AccumulateResults(acc, a.res)
+			query.AccumulateResults(dst[base:], a.res)
 		}
 	}
 	if len(failed) > 0 {
-		return acc, &PartialError{Failed: failed, Shards: len(c.shards)}
+		return dst, &PartialError{Failed: failed, Shards: len(c.shards)}
 	}
-	return acc, nil
+	return dst, nil
 }
 
 // Drain flushes every healthy shard: partial batch buffers are handed

@@ -32,8 +32,11 @@
 // its shard is degraded — stops the scan. The caller gets the accepted
 // prefix length plus ingest.ErrQueueFull (retry after backoff) or a
 // *ShardError (shard down), so shard backpressure propagates to HTTP 429
-// at the coordinator exactly as engine backpressure does on one node.
-// Senders push batches with the wire shed-retry loop; a send failure
+// — and to a wire ack with rejected > 0: Admit is TryIngest under the name
+// the server's wire connections call, and leaves them nothing to fold — at
+// the coordinator. Senders push batches with the wire retry loop; an
+// engine-backed shard accepts each frame whole and folds it behind the ack
+// on the sender's connection, one core per shard. A send failure
 // marks the shard degraded and counts the batch as lost (at-most-once on
 // shard failure, never reordered, never rerouted — rerouting would break
 // partition-disjointness).

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -126,17 +127,26 @@ func (s *Segment) acquire() (*residentState, error) {
 	return ls, nil
 }
 
-// EstimateBatch answers a query batch from the segment, lazily reloading a
-// spilled segment. A reload failure degrades to zero contributions (with a
-// zero confidence so combined answers advertise the loss) rather than
-// failing the whole chain gather.
+// EstimateBatch answers a query batch from the segment in a result slice of
+// its own; AppendEstimates is the same answer into a caller's buffer.
 func (s *Segment) EstimateBatch(qs []core.EdgeQuery) []core.Result {
+	return s.AppendEstimates(make([]core.Result, 0, len(qs)), qs)
+}
+
+// AppendEstimates answers a query batch from the segment, appending to dst
+// and lazily reloading a spilled segment. A reload failure degrades to zero
+// contributions (with a zero confidence so combined answers advertise the
+// loss) rather than failing the whole chain gather.
+func (s *Segment) AppendEstimates(dst []core.Result, qs []core.EdgeQuery) []core.Result {
 	s.lastAccess.Store(accessClock.Add(1))
 	ls, err := s.acquire()
 	if err != nil {
-		return make([]core.Result, len(qs))
+		base := len(dst)
+		dst = slices.Grow(dst, len(qs))[:base+len(qs)]
+		clear(dst[base:])
+		return dst
 	}
-	return ls.conc.EstimateBatch(qs)
+	return ls.conc.AppendEstimates(dst, qs)
 }
 
 // EstimateEdge answers one edge query, lazily reloading a spilled segment.

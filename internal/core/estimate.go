@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/graphstream/gsketch/internal/stream"
@@ -111,21 +112,39 @@ func (g *GlobalSketch) EstimateBatch(qs []EdgeQuery) []Result {
 }
 
 // EstimateBatch answers a batch of edge queries under the wrapper's
-// synchronization. On the sharded path each chunk is routed and grouped
-// lock-free, then answered stripe by stripe: a stripe's read lock is taken
-// at most once per chunk and held for one kernel call over the run of
-// positions it guards, so lock traffic and kernel calls are both bounded by
-// stripes × ⌈batch/estimateChunk⌉ and a one-query batch takes one lock.
-// Each run's counters and local volumes N_i are read in one critical
-// section, one consistent snapshot per partition; the fan-out back to input
-// order runs lock-free. Readers proceed beside writers on other stripes.
+// synchronization, in a result slice of its own: AppendEstimates for a
+// caller without a buffer to reuse. (The generic path hands over the
+// wrapped estimator's slice as it is rather than copy it into another.)
 func (c *Concurrent) EstimateBatch(qs []EdgeQuery) []Result {
 	if c.g == nil {
 		c.mu.RLock()
 		defer c.mu.RUnlock()
 		return c.est.EstimateBatch(qs)
 	}
-	out := make([]Result, len(qs))
+	return c.AppendEstimates(make([]Result, 0, len(qs)), qs)
+}
+
+// AppendEstimates answers a batch of edge queries under the wrapper's
+// synchronization, appending one Result per query to dst in input order; a
+// caller that hands the same buffer back batch after batch makes the read
+// path allocation-free. On the sharded path each chunk is routed and
+// grouped lock-free, then answered stripe by stripe: a stripe's read lock
+// is taken at most once per chunk and held for one kernel call over the
+// run of positions it guards, so lock traffic and kernel calls are both
+// bounded by stripes × ⌈batch/estimateChunk⌉ and a one-query batch takes
+// one lock. Each run's counters and local volumes N_i are read in one
+// critical section, one consistent snapshot per partition; the fan-out
+// back to input order runs lock-free. Readers proceed beside writers on
+// other stripes.
+func (c *Concurrent) AppendEstimates(dst []Result, qs []EdgeQuery) []Result {
+	if c.g == nil {
+		c.mu.RLock()
+		defer c.mu.RUnlock()
+		return append(dst, c.est.EstimateBatch(qs)...)
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, len(qs))[:base+len(qs)]
+	out := dst[base:]
 	gr := c.pool.Get().(*grouping)
 	total := c.g.Count()
 	conf := confidence(c.g.cfg.Depth)
@@ -136,5 +155,5 @@ func (c *Concurrent) EstimateBatch(qs []EdgeQuery) []Result {
 		gr.assemble(c.g, out[lo:hi], conf, total)
 	}
 	c.pool.Put(gr)
-	return out
+	return dst
 }

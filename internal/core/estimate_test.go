@@ -248,3 +248,43 @@ func TestConcurrentEstimateBatchUnderWriters(t *testing.T) {
 
 	assertBatchMatchesSequential(t, "concurrent-after-writers", c, qs)
 }
+
+// TestConcurrentAppendEstimatesIntoCallerBuffer: the append path answers
+// what EstimateBatch answers, after whatever the caller already has in the
+// buffer, over whatever a previous batch left behind it — on the sharded
+// path across chunk boundaries and on the generic single-mutex path — and,
+// once the buffer has grown to the batch, without allocating.
+func TestConcurrentAppendEstimatesIntoCallerBuffer(t *testing.T) {
+	edges := batchTestStream(50_000, 211)
+	sharded := NewConcurrent(buildBatchTestSketch(t, 211))
+	gl, err := BuildGlobalSketch(Config{TotalWidth: 4096, Seed: 211})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Concurrent{"sharded": sharded, "generic": NewConcurrent(gl)} {
+		Populate(c, edges)
+		marker := Result{Estimate: -1, Partition: 77}
+		buf := []Result{marker}
+		for _, n := range []int{3 * estimateChunk, 1, 0, estimateChunk + 5} { // shrinking, then growing again
+			qs := batchQueries(edges, n)
+			want := c.EstimateBatch(qs)
+			buf = c.AppendEstimates(buf[:1], qs)
+			if len(buf) != 1+n || buf[0] != marker {
+				t.Fatalf("%s n=%d: %d results behind prefix %+v", name, n, len(buf)-1, buf[0])
+			}
+			for i := range want {
+				if buf[1+i] != want[i] {
+					t.Fatalf("%s n=%d result %d = %+v, want %+v", name, n, i, buf[1+i], want[i])
+				}
+			}
+		}
+	}
+	if raceEnabled {
+		return // sync.Pool drops the grouping at random under the race detector
+	}
+	qs := batchQueries(edges, 2048)
+	buf := sharded.AppendEstimates(nil, qs)
+	if allocs := testing.AllocsPerRun(20, func() { buf = sharded.AppendEstimates(buf[:0], qs) }); allocs != 0 {
+		t.Fatalf("AppendEstimates into a grown buffer allocates %v times per batch, want 0", allocs)
+	}
+}

@@ -22,7 +22,8 @@ import (
 // costs O(batch + touched shards) however finely the sketch is partitioned
 // — a one-edge batch on 16 k partitions touches one counter, not 16 k. All
 // buffers are reused across batches: steady-state batches allocate nothing
-// beyond EstimateBatch's caller-visible []Result.
+// beyond EstimateBatch's caller-visible []Result, and not that either when
+// the caller hands Concurrent.AppendEstimates a buffer of its own.
 //
 // The shard-major arrays are what the sketch bank's routed kernels take: a
 // run of groups — the whole batch for a bare GSketch, one lock stripe's

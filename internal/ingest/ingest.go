@@ -5,12 +5,23 @@
 //
 // The pipeline decouples stream arrival from counter mutation:
 //
-//	producers ──Push/PushBatch──▶ bounded channel ──▶ N workers ──▶ Estimator.UpdateBatch
+//	producers ──Push/PushBatch──▶ bounded channel ──▶ N workers ──┐
+//	                                                              ├──▶ Estimator.UpdateBatch
+//	producer  ──Admit ─▶ (ack its client) ─▶ Apply ───────────────┘
 //
-// Backpressure is the channel bound: when the workers fall behind, Push
-// blocks instead of buffering unboundedly. Flush waits for everything
-// accepted so far to be applied; Close flushes, stops the workers and makes
-// further pushes fail with ErrClosed.
+// Backpressure on the queued arm is the channel bound: when the workers
+// fall behind, Push blocks (TryPush sheds) instead of buffering
+// unboundedly. The second arm is for a producer that already owns a
+// goroutine and a whole batch — a wire connection with a decoded frame:
+// gSketch's partitions are independent update domains behind an immutable
+// router, so any goroutine can fold its own batch under the estimator's
+// stripe locks, and copying the batch into the queue for a worker to fold
+// buys nothing. Admit registers the batch in the same in-flight count the
+// queued arm uses, Apply folds it on the caller's goroutine; what bounds
+// that arm is the caller's own (one batch per Admit, one Apply before the
+// next). Flush waits for everything accepted or admitted so far to be
+// applied; Close flushes, stops the workers and makes further pushes and
+// admissions fail with ErrClosed.
 package ingest
 
 import (
@@ -88,9 +99,10 @@ type Ingestor struct {
 	closed  bool
 	done    chan struct{} // closed once the first Close fully drains
 
-	// inflight counts batches enqueued but not yet applied; drained tracks
-	// Flush waiters. A plain counter + cond (rather than a WaitGroup) keeps
-	// concurrent Push/Flush free of the Add-after-Wait caveat.
+	// inflight counts batches enqueued or admitted but not yet applied;
+	// drained tracks Flush waiters. A plain counter + cond (rather than a
+	// WaitGroup) keeps concurrent Push/Flush free of the Add-after-Wait
+	// caveat.
 	inflight   int
 	inflightMu sync.Mutex
 	drained    *sync.Cond
@@ -133,12 +145,7 @@ func (in *Ingestor) worker() {
 		in.edges.Add(int64(len(batch)))
 		in.batches.Add(1)
 		in.bufPool.Put(batch[:0])
-		in.inflightMu.Lock()
-		in.inflight--
-		if in.inflight == 0 {
-			in.drained.Broadcast()
-		}
-		in.inflightMu.Unlock()
+		in.subInflight()
 	}
 }
 
@@ -152,10 +159,11 @@ func (in *Ingestor) addInflight() {
 	in.inflightMu.Unlock()
 }
 
-// subInflight retracts a registration made by addInflight when the
+// subInflight retires a registration made by addInflight: the batch was
+// applied (by a worker, or by the producer that admitted it), or the
 // non-blocking send it covered did not happen. The zero-crossing broadcast
-// mirrors the worker's, so a Flush that started waiting between the add and
-// the retraction still wakes.
+// wakes every Flush waiting on the drain, including one that started
+// waiting between the add and a retraction.
 func (in *Ingestor) subInflight() {
 	in.inflightMu.Lock()
 	in.inflight--
@@ -163,6 +171,31 @@ func (in *Ingestor) subInflight() {
 		in.drained.Broadcast()
 	}
 	in.inflightMu.Unlock()
+}
+
+// Admit registers one batch the caller will fold itself with Apply, without
+// copying it into the queue: from here until that Apply returns, Flush,
+// FlushCtx and Close wait for it exactly as for a queued batch. It fails
+// with ErrClosed after Close, so nothing is admitted into a pipeline that
+// no longer drains. Every successful Admit must be paired with one Apply.
+func (in *Ingestor) Admit() error {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.closed {
+		return ErrClosed
+	}
+	in.addInflight()
+	return nil
+}
+
+// Apply folds an admitted batch into the destination on the caller's
+// goroutine — whole, not re-cut to BatchSize — counts it as a worker would
+// and retires its Admit registration. The caller keeps ownership of batch.
+func (in *Ingestor) Apply(batch []stream.Edge) {
+	in.dest.UpdateBatch(batch)
+	in.edges.Add(int64(len(batch)))
+	in.batches.Add(1)
+	in.subInflight()
 }
 
 // Push buffers one edge, enqueuing a batch every BatchSize edges. It blocks
@@ -410,11 +443,13 @@ func (in *Ingestor) Close() error {
 	return nil
 }
 
-// Edges returns the number of edges applied to the destination so far
-// (buffered and in-flight edges are not yet counted).
+// Edges returns the number of edges applied to the destination so far, by
+// the workers and by producers folding their own admitted batches (buffered
+// and in-flight edges are not yet counted).
 func (in *Ingestor) Edges() int64 { return in.edges.Load() }
 
-// Batches returns the number of batches applied so far.
+// Batches returns the number of batches applied so far; a producer-folded
+// batch counts as one, whatever its size.
 func (in *Ingestor) Batches() int64 { return in.batches.Load() }
 
 // Sheds counts TryPush/TryPushBatch calls that returned ErrQueueFull —
@@ -424,16 +459,16 @@ func (in *Ingestor) Sheds() int64 { return in.sheds.Load() }
 // QueueDepth returns the number of batches currently waiting in the queue
 // (enqueued but not yet picked up by a worker). Together with QueueCap it
 // is the load-shedding signal: TryPush starts failing when the queue is at
-// capacity.
+// capacity. Admitted batches never enter the queue and do not show here.
 func (in *Ingestor) QueueDepth() int { return len(in.ch) }
 
 // QueueCap returns the queue bound (Config.QueueDepth after defaulting).
 func (in *Ingestor) QueueCap() int { return cap(in.ch) }
 
-// Inflight returns the number of batches accepted into the queue but not
-// yet fully applied to the destination — queued batches plus those a worker
-// is currently folding in. It reaches 0 exactly when Flush would return
-// immediately.
+// Inflight returns the number of batches accepted but not yet fully applied
+// to the destination — queued batches, those a worker is currently folding
+// in, and admitted batches their producer has not applied yet. It reaches 0
+// exactly when Flush would return immediately.
 func (in *Ingestor) Inflight() int {
 	in.inflightMu.Lock()
 	n := in.inflight

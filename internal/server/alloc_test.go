@@ -54,11 +54,11 @@ func TestIngestAllocsPerEdge(t *testing.T) {
 	if ndjsonPerEdge > 0.05 {
 		t.Errorf("NDJSON ingest allocates %.3f allocs/edge, want <= 0.05 — lines are falling through to encoding/json, or a hot-path buffer is no longer pooled", ndjsonPerEdge)
 	}
-	// Wire: fixed-width decoding into pooled buffers; the request-constant
-	// overhead (~tens of allocs) amortized over 2048 edges must stay well
-	// under one allocation per edge.
-	if wirePerEdge > 0.25 {
-		t.Errorf("wire ingest allocates %.4f allocs/edge, want <= 0.25 — the frame path is allocating per record", wirePerEdge)
+	// Wire over HTTP: fixed-width decoding into pooled buffers; what is left
+	// is the request-constant overhead (~40 allocs, most of them httptest's)
+	// amortized over 2048 edges.
+	if wirePerEdge > 0.05 {
+		t.Errorf("wire ingest allocates %.4f allocs/edge, want <= 0.05 — the frame path is allocating per record", wirePerEdge)
 	}
 }
 

@@ -17,11 +17,21 @@ import (
 type Backend interface {
 	// TryIngest offers an edge batch without blocking, returning the
 	// accepted prefix length (accepted-prefix semantics on every error).
+	// It is the HTTP handlers' entry: accepted edges are copied into the
+	// backend's bounded queue and applied behind the reply.
 	TryIngest(edges []stream.Edge) (int, error)
-	// QueryBatch answers edge queries with bound-carrying results. A
-	// cluster backend may return partial results alongside a typed
-	// *cluster.PartialError.
-	QueryBatch(qs []core.EdgeQuery) ([]core.Result, error)
+	// Admit is the wire connections' entry: the same checks and the same
+	// accepted-prefix errors as TryIngest, but what an engine accepts is
+	// only registered as in flight (every Drain, snapshot, restore and Close
+	// waits for it) and left in edges for the connection to fold with
+	// adm.Apply once the ack is written — see gsketch.Engine.Admit. A
+	// backend that queues or applies the prefix itself (a coordinator, an
+	// engine without a pipeline) returns the zero Admission.
+	Admit(edges []stream.Edge) (accepted int, adm gsketch.Admission, err error)
+	// AppendQueryBatch answers edge queries with bound-carrying results
+	// appended to dst, the caller's buffer. A cluster backend may return
+	// partial results alongside a typed *cluster.PartialError.
+	AppendQueryBatch(dst []core.Result, qs []core.EdgeQuery) ([]core.Result, error)
 	// Drain waits, bounded by ctx, until every accepted edge is applied.
 	Drain(ctx context.Context) error
 	// SaveSnapshot persists state (path empty = configured default).
@@ -45,8 +55,16 @@ type engineBackend struct {
 
 func (b engineBackend) TryIngest(edges []stream.Edge) (int, error) { return b.eng.TryIngest(edges) }
 
-func (b engineBackend) QueryBatch(qs []core.EdgeQuery) ([]core.Result, error) {
-	return b.eng.QueryBatch(qs), nil
+func (b engineBackend) Admit(edges []stream.Edge) (int, gsketch.Admission, error) {
+	adm, err := b.eng.Admit(edges)
+	if err != nil {
+		return 0, adm, err
+	}
+	return len(edges), adm, nil
+}
+
+func (b engineBackend) AppendQueryBatch(dst []core.Result, qs []core.EdgeQuery) ([]core.Result, error) {
+	return b.eng.AppendQueryBatch(dst, qs), nil
 }
 
 func (b engineBackend) Drain(ctx context.Context) error         { return b.eng.Drain(ctx) }

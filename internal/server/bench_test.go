@@ -2,13 +2,18 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/ingest"
+	"github.com/graphstream/gsketch/internal/stream"
+	"github.com/graphstream/gsketch/internal/wire"
 )
 
 // The HTTP rung without the harness: one request body posted over and over
@@ -87,4 +92,98 @@ func BenchmarkHTTPQueryJSON(b *testing.B) {
 		qs[i] = core.EdgeQuery{Src: edges[i].Src, Dst: edges[i].Dst}
 	}
 	benchPost(b, srv.Handler(), "/query", queryBodyJSON(b, qs), n, "ns/query")
+}
+
+// BenchmarkWireIngestFrame is the wire ingest rung without the harness:
+// closed-loop clients over loopback TCP, each sending b.N frames and reading
+// every ack, against a server whose connections fold their own frames. It
+// sweeps what that design depends on — the frame size (a 256-edge frame is
+// mostly round trip, an 8192-edge one mostly fold), the number of
+// connections (one connection folds on one core; two fold in parallel under
+// the stripe locks) and a third connection flushing all the while, since
+// every fold is registered in the count a flush waits on. ns/edge is wall
+// time over all edges acked, client side included.
+func BenchmarkWireIngestFrame(b *testing.B) {
+	edges := testStream(8192, 31)
+	for _, frame := range []int{256, 8192} {
+		for _, conns := range []int{1, 2} {
+			for _, flusher := range []bool{false, true} {
+				name := fmt.Sprintf("edges=%d/conns=%d/flusher=%v", frame, conns, flusher)
+				b.Run(name, func(b *testing.B) { benchWireIngestFrame(b, edges[:frame], conns, flusher) })
+			}
+		}
+	}
+}
+
+func benchWireIngestFrame(b *testing.B, frame []stream.Edge, conns int, flusher bool) {
+	g, err := core.BuildGSketch(testSketchConfig(), frame, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := New(Config{Estimator: core.NewConcurrent(g), Ingest: ingest.Config{}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.ServeWire(ln) //nolint:errcheck // ErrServerClosed after Close
+	dial := func() *wire.Client {
+		cl, err := wire.Dial(ln.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	send := func(cl *wire.Client, n int) {
+		for i := 0; i < n; i++ {
+			if acc, rej, err := cl.Ingest(frame); acc != len(frame) || rej != 0 || err != nil {
+				b.Errorf("ack (%d, %d, %v), want (%d, 0)", acc, rej, err, len(frame))
+				return
+			}
+		}
+	}
+	clients := make([]*wire.Client, conns)
+	for c := range clients {
+		clients[c] = dial()
+		send(clients[c], 1) // warm the connection's buffers on both sides
+	}
+	stop := make(chan struct{})
+	var flushing sync.WaitGroup
+	if flusher {
+		fl := dial()
+		flushing.Add(1)
+		go func() {
+			defer flushing.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := fl.Flush(); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for _, cl := range clients {
+		wg.Add(1)
+		go func(cl *wire.Client) {
+			defer wg.Done()
+			send(cl, b.N)
+		}(cl)
+	}
+	wg.Wait()
+	b.StopTimer()
+	close(stop)
+	flushing.Wait()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*conns*len(frame)), "ns/edge")
 }

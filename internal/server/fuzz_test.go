@@ -27,6 +27,7 @@ var edgeSeeds = []struct {
 	{`{"src":1,"dst":2}`, true},
 	{`{"src":1,"dst":2,"weight":3}`, true},
 	{`{"src":1,"dst":2,"weight":3,"time":4}`, true},
+	{`{"src":1,"dst":2,"weight":-1}`, true}, // recognized; decodeEdgesNDJSON refuses it
 	{`{"time":-4,"weight":-3,"dst":0,"src":18446744073709551615}`, true},
 	{" \t{ \"src\" : 1 ,\r\"dst\" : 2 } \t", true},
 	{`{"weight":-9223372036854775808}`, true},
@@ -93,8 +94,8 @@ var querySeeds = []struct {
 	{``, false},
 }
 
-// referenceDecodeNDJSON is decodeEdgesNDJSON as it stood before the
-// recognizer: every line is json.Unmarshal's.
+// referenceDecodeNDJSON is decodeEdgesNDJSON without the recognizer: every
+// line is json.Unmarshal's, and a negative weight is refused.
 func referenceDecodeNDJSON(r io.Reader) ([]stream.Edge, error) {
 	var dst []stream.Edge
 	sc := bufio.NewScanner(r)
@@ -109,6 +110,9 @@ func referenceDecodeNDJSON(r io.Reader) ([]stream.Edge, error) {
 		var e edgeJSON
 		if err := json.Unmarshal(raw, &e); err != nil {
 			return dst, fmt.Errorf("line %d: %w", line, err)
+		}
+		if e.Weight < 0 {
+			return dst, fmt.Errorf("line %d: negative weight", line)
 		}
 		dst = append(dst, stream.Edge{Src: e.Src, Dst: e.Dst, Weight: e.Weight, Time: e.Time})
 	}
@@ -175,6 +179,10 @@ func FuzzEdgeLine(f *testing.F) {
 		f.Add([]byte(s.in))
 	}
 	f.Add([]byte("{\"src\":1,\"dst\":2}\n\n{\"src\":3}\r\n  \n{\"dst\":4,\"bad\n"))
+	// Negative weights, on the recognizer's side of the border and on
+	// encoding/json's: line 2 is refused either way, nothing is returned.
+	f.Add([]byte("{\"src\":1,\"dst\":2}\n{\"src\":1,\"dst\":2,\"weight\":-1}\n"))
+	f.Add([]byte("{\"src\":1,\"dst\":2}\n{\"src\":1,\"dst\":2,\"weight\":-9223372036854775808,\"x\":0}\n"))
 	f.Fuzz(func(t *testing.T, in []byte) { checkEdgeLine(t, in) })
 }
 

@@ -381,7 +381,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	results, err := be.QueryBatch(qs)
+	rbuf := getResultBuf()
+	defer putResultBuf(rbuf)
+	results, err := be.AppendQueryBatch(*rbuf, qs)
+	*rbuf = results
 	if err != nil {
 		s.writeQueryError(w, err)
 		return

@@ -21,8 +21,9 @@ type serverMetrics struct {
 	// build time; handlers are wrapped once.
 	httpLatency map[string]*obs.Histogram
 
-	// wireDecode covers dec.Next + record decode per frame; wireApply
-	// is indexed by request frame type (TypeIngest..TypeSnapRestore).
+	// wireDecode covers record decode per frame; wireApply is indexed by
+	// request frame type (TypeIngest..TypeTenantSelect). An ingest frame's
+	// apply time runs through its ack and the connection's fold of it.
 	wireDecode *obs.Histogram
 	wireApply  [16]*obs.Histogram
 
@@ -62,7 +63,7 @@ func (s *Server) newServerMetrics() *serverMetrics {
 	}
 	for typ, name := range wireTypeNames {
 		m.wireApply[typ] = reg.Histogram("gsketch_wire_frame_apply_duration_seconds",
-			"Time applying one decoded wire frame against the backend.", nil,
+			"Time applying one decoded wire frame against the backend; for an ingest frame, from its admission through its ack to the end of the connection's own fold of it.", nil,
 			obs.Label{Key: "type", Value: name})
 	}
 	reg.GaugeFunc("gsketch_uptime_seconds",
@@ -119,14 +120,14 @@ func (s *Server) registerEngineMetrics(eng *gsketch.Engine) {
 			}
 			return 1
 		})
-	gauge("gsketch_ingest_queue_depth", "Batches waiting in the ingest queue.",
+	gauge("gsketch_ingest_queue_depth", "Batches waiting in the ingest queue, which HTTP ingest feeds; a wire connection folds its own frames and never enters it.",
 		func(st *gsketch.EngineStats) float64 {
 			if st.Ingest == nil {
 				return 0
 			}
 			return float64(st.Ingest.QueueDepth)
 		})
-	gauge("gsketch_ingest_queue_cap", "Ingest queue bound (shedding starts at capacity).",
+	gauge("gsketch_ingest_queue_cap", "Ingest queue bound (HTTP ingest starts shedding at capacity).",
 		func(st *gsketch.EngineStats) float64 {
 			if st.Ingest == nil {
 				return 0
@@ -141,7 +142,7 @@ func (s *Server) registerEngineMetrics(eng *gsketch.Engine) {
 			return float64(st.Ingest.PendingEdges)
 		})
 	reg.CounterFunc("gsketch_ingest_sheds_total",
-		"Load-shedding events: non-blocking pushes refused on a full queue.",
+		"Load-shedding events: non-blocking pushes (HTTP ingest) refused on a full queue; an engine never sheds a wire frame.",
 		func() int64 {
 			if st := snap.Load(); st.Ingest != nil {
 				return st.Ingest.Sheds

@@ -14,7 +14,8 @@ import (
 // Wire types of the HTTP/JSON API.
 
 // edgeJSON is one NDJSON ingest line: {"src":1,"dst":2,"weight":3,"time":4}.
-// Weight and time are optional (weight 0 counts as 1, the paper's default).
+// Weight and time are optional (weight 0 counts as 1, the paper's default;
+// a negative weight is refused with the request).
 type edgeJSON struct {
 	Src    uint64 `json:"src"`
 	Dst    uint64 `json:"dst"`
@@ -111,8 +112,8 @@ const maxNDJSONLine = 1 << 16
 // request without a partial ingest. The scanner runs over a pooled buffer
 // sized to the line bound, and a line of the canonical shape is read by
 // scanEdgeLine, so a warm server allocates nothing per line; any other
-// line is json.Unmarshal's, which alone defines what is accepted and
-// words every error.
+// line is json.Unmarshal's, which alone defines the syntax accepted and
+// words every syntax error. Either way a negative weight is refused.
 func decodeEdgesNDJSON(r io.Reader, dst []stream.Edge) ([]stream.Edge, error) {
 	sc := bufio.NewScanner(r)
 	sb := getScanBuf()
@@ -132,15 +133,21 @@ func decodeEdgesNDJSON(r io.Reader, dst []stream.Edge) ([]stream.Edge, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		if e, ok := scanEdgeLine(raw); ok {
-			dst = append(dst, e)
-			continue
+		e, ok := scanEdgeLine(raw)
+		if !ok {
+			var ej edgeJSON
+			if err := json.Unmarshal(raw, &ej); err != nil {
+				return dst, fmt.Errorf("line %d: %w", line, err)
+			}
+			e = stream.Edge{Src: ej.Src, Dst: ej.Dst, Weight: ej.Weight, Time: ej.Time}
 		}
-		var e edgeJSON
-		if err := json.Unmarshal(raw, &e); err != nil {
-			return dst, fmt.Errorf("line %d: %w", line, err)
+		// The one rule on top of the format, for either parse: the sketches
+		// count in the cash-register model, so a weight below zero refuses
+		// the request.
+		if e.Weight < 0 {
+			return dst, fmt.Errorf("line %d: negative weight", line)
 		}
-		dst = append(dst, stream.Edge{Src: e.Src, Dst: e.Dst, Weight: e.Weight, Time: e.Time})
+		dst = append(dst, e)
 	}
 	if err := sc.Err(); err != nil {
 		return dst, fmt.Errorf("line %d: %w", line+1, err)

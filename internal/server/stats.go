@@ -18,8 +18,8 @@ type counters struct {
 	vars *expvar.Map
 
 	ingestRequests      *obs.Counter // POST /ingest requests handled
-	edgesAccepted       *obs.Counter // edges accepted into the pipeline
-	edgesRejected       *obs.Counter // edges shed with 429 (queue full)
+	edgesAccepted       *obs.Counter // edges accepted: queued (HTTP) or admitted for the connection's fold (wire)
+	edgesRejected       *obs.Counter // edges refused with 429 / rejected > 0 (queue full, tenant quota, shard queue)
 	queryRequests       *obs.Counter // POST /query requests handled
 	queriesAnswered     *obs.Counter // individual edge queries answered
 	windowQueries       *obs.Counter // POST /query/window requests handled
@@ -46,7 +46,7 @@ func newCounters(reg *obs.Registry) *counters {
 	c.ingestRequests = mk("ingest_requests",
 		"gsketch_ingest_requests_total", "Ingest requests handled (HTTP and wire).")
 	c.edgesAccepted = mk("edges_accepted",
-		"gsketch_edges_accepted_total", "Edges accepted into the pipeline.")
+		"gsketch_edges_accepted_total", "Edges accepted: queued by HTTP ingest or admitted for a wire connection's own fold.")
 	c.edgesRejected = mk("edges_rejected",
 		"gsketch_edges_rejected_total", "Edges shed under backpressure.")
 	c.queryRequests = mk("query_requests",

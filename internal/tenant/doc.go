@@ -16,8 +16,11 @@
 // Quotas map onto the server's existing backpressure semantics: each
 // tenant has an edge-rate token bucket (ErrRateLimited carries the same
 // accepted-prefix contract as gsketch.ErrIngestQueueFull, so a 429 with
-// the accepted count falls out of the existing handler), a per-tenant
-// ingest queue bound, and a per-tenant sketch memory budget.
+// the accepted count — or, over the wire protocol, an ack with
+// rejected > 0 — falls out of the existing handler), a per-tenant ingest
+// queue bound, and a per-tenant sketch memory budget. The bucket is charged
+// on both ingest arms: TryIngest (HTTP, queued) and Admit (a wire
+// connection, which folds the granted prefix itself once it has acked it).
 //
 // On disk the registry is a directory tree —
 //

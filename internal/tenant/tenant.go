@@ -710,15 +710,44 @@ func (h *Handle) TryIngest(edges []stream.Edge) (int, error) {
 	return accepted, err
 }
 
+// Admit is TryIngest for a producer that folds its own batch (see
+// gsketch.Engine.Admit): the token bucket is charged first, under the same
+// tenant lock, and the granted prefix is admitted whole — the engine never
+// sheds an admission — for the caller to Apply once it has acknowledged it.
+// A bucket cut surfaces as ErrRateLimited with the accepted prefix length;
+// nothing of the suffix is admitted.
+func (h *Handle) Admit(edges []stream.Edge) (accepted int, adm gsketch.Admission, err error) {
+	err = h.withEngine(func(eng *gsketch.Engine) error {
+		granted := h.t.take(h.r, len(edges))
+		var err error
+		if adm, err = eng.Admit(edges[:granted]); err != nil {
+			h.t.refund(h.r, granted)
+			return err
+		}
+		accepted = granted
+		h.t.edges.Add(int64(accepted))
+		if granted < len(edges) {
+			h.t.rateLimited.Add(1)
+			return ErrRateLimited
+		}
+		return nil
+	})
+	return accepted, adm, err
+}
+
 // QueryBatch answers edge queries against the tenant's engine.
 func (h *Handle) QueryBatch(qs []core.EdgeQuery) ([]core.Result, error) {
-	var rs []core.Result
+	return h.AppendQueryBatch(make([]core.Result, 0, len(qs)), qs)
+}
+
+// AppendQueryBatch is QueryBatch into a caller-owned buffer.
+func (h *Handle) AppendQueryBatch(dst []core.Result, qs []core.EdgeQuery) ([]core.Result, error) {
 	err := h.withEngine(func(eng *gsketch.Engine) error {
-		rs = eng.QueryBatch(qs)
+		dst = eng.AppendQueryBatch(dst, qs)
 		h.t.queries.Add(int64(len(qs)))
 		return nil
 	})
-	return rs, err
+	return dst, err
 }
 
 // Drain waits, bounded by ctx, until the tenant's accepted edges are

@@ -77,8 +77,11 @@ func (c *Client) roundTrip() (Frame, error) {
 }
 
 // Ingest offers one edge batch as a single frame and returns the server's
-// ack. rejected > 0 means the pipeline shed that suffix; the caller may
-// retry edges[accepted:] after a backoff.
+// ack. Accepted edges are applied by the time a later Flush returns (the
+// server folds them behind the ack). rejected > 0 means that suffix was
+// refused — a tenant over its quota, a coordinator's full shard queue; an
+// engine-backed server accepts a frame whole — and the caller may retry
+// edges[accepted:] after a backoff.
 func (c *Client) Ingest(edges []stream.Edge) (accepted, rejected int, err error) {
 	c.buf = AppendIngest(c.buf[:0], edges)
 	f, err := c.roundTrip()
@@ -91,9 +94,9 @@ func (c *Client) Ingest(edges []stream.Edge) (accepted, rejected int, err error)
 	return DecodeAck(f.Payload)
 }
 
-// IngestAll streams edges in chunks, retrying every shed suffix until the
-// server has accepted the whole slice. It returns the number of 429-style
-// shed/retry rounds it took.
+// IngestAll streams edges in chunks, retrying every refused suffix until
+// the server has accepted the whole slice. It returns the number of
+// 429-style retry rounds it took (none against an engine-backed server).
 func (c *Client) IngestAll(edges []stream.Edge, chunk int) (retries int64, err error) {
 	if chunk <= 0 {
 		chunk = 8192

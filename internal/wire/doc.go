@@ -19,18 +19,22 @@
 //
 // Payloads are dense arrays of fixed-width little-endian records:
 //
-//	TypeIngest         N × 32 bytes: src u64, dst u64, weight i64, time i64
+//	TypeIngest         N × 32 bytes: src u64, dst u64, weight i64 (>= 0; zero
+//	                   counts as 1), time i64
 //	TypeQuery          N × 16 bytes: src u64, dst u64
 //	TypeResults        N × 40 bytes: estimate i64, stream_total i64,
 //	                   error_bound f64, confidence f64, partition i32,
 //	                   flags u8 (bit 0 = outlier), 3 pad bytes
-//	TypeAck            8 bytes: accepted u32, rejected u32
+//	TypeAck            8 bytes: accepted u32, rejected u32 (accepted edges
+//	                   are applied by the time any later flush returns;
+//	                   rejected > 0: retry that suffix — see below)
 //	TypeError          2 bytes code u16, then a UTF-8 message
 //	TypeFlush          empty (request: drain the ingest pipeline)
 //	TypeFlushAck       empty (reply: the drain completed)
 //	TypePing           empty (request: health probe, no state change)
-//	TypePong           16 bytes: stream_total i64, queue_depth u32,
-//	                   generations u32
+//	TypePong           16 bytes: stream_total i64, queue_depth u32 (batches
+//	                   in the server's HTTP-fed ingest queue; wire frames
+//	                   never enter it), generations u32
 //	TypeSnapSave       empty (request: persist a snapshot to the server's
 //	                   own configured path)
 //	TypeSnapSaveAck    8 bytes: bytes_written i64
@@ -43,11 +47,26 @@
 //	TypeTenantAck      empty (reply: tenant selected)
 //
 // The conversation is strictly request/reply in frame order: TypeIngest is
-// answered by TypeAck (rejected > 0 is the shed-load signal, the wire
-// equivalent of HTTP 429 — retry the rejected suffix), TypeQuery by
-// TypeResults (one record per query, in input order), TypeFlush by
-// TypeFlushAck, TypePing by TypePong and the snapshot requests by their
-// acks. Ping and the snapshot pair exist for the cluster coordinator
+// answered by TypeAck, TypeQuery by TypeResults (one record per query, in
+// input order), TypeFlush by TypeFlushAck, TypePing by TypePong and the
+// snapshot requests by their acks.
+//
+// An ack is a promise, not a receipt for finished work. The server
+// registers the frame's accepted edges as in flight, writes the ack, and
+// only then folds them into the sketch, on the connection's own goroutine
+// and while the client is already preparing its next frame. Accepted means:
+// applied by the time any later TypeFlush (or HTTP ?sync=1, snapshot,
+// restore, shutdown) returns, on this connection or any other. A server
+// backed by an engine accepts every well-formed ingest frame whole — its
+// backpressure is the connection itself: a few decoded frames, then the TCP
+// window. rejected > 0, the wire equivalent of HTTP 429 (retry the rejected
+// suffix after a pause), is left for what really is refused: a tenant over
+// its edge-rate quota, and a cluster coordinator whose queue towards the
+// owning shard is full. Because a connection folds its own frames, one
+// connection uses one core on the server (about 16 M edges/s); a producer
+// with more to send opens more connections, which fold in parallel.
+//
+// Ping and the snapshot pair exist for the cluster coordinator
 // (internal/cluster): Ping is the shard health probe, and the snapshot
 // frames fan persistence out to every shard's local disk without sketch
 // bytes crossing the wire. A server that cannot parse or serve a frame
@@ -64,7 +83,8 @@
 // /t/{tenant}, GET /t), keeping the wire surface purely data-path.
 //
 // Decoding is defensive: unknown versions, unknown types, nonzero reserved
-// bytes, payloads above the decoder bound and lengths that are not a
-// multiple of the record width are all rejected with typed errors, never a
+// bytes, payloads above the decoder bound, lengths that are not a multiple
+// of the record width and edges with a negative weight (the sketches count
+// in the cash-register model) are all rejected with typed errors, never a
 // panic, and a claimed length never allocates more than the decoder bound.
 package wire

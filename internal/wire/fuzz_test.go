@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"io"
+	"math"
 	"testing"
 
 	"github.com/graphstream/gsketch/internal/core"
@@ -19,6 +20,8 @@ func FuzzDecoder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(header(Version, TypeFlush, 0))
 	f.Add(AppendIngest(nil, []stream.Edge{{Src: 1, Dst: 2, Weight: 3, Time: 4}}))
+	f.Add(AppendIngest(nil, []stream.Edge{{Src: 1, Dst: 2, Weight: -1}}))
+	f.Add(AppendIngest(nil, []stream.Edge{{Src: 1, Dst: 2, Weight: 3}, {Src: 1, Dst: 2, Weight: math.MinInt64}}))
 	f.Add(AppendQuery(nil, []core.EdgeQuery{{Src: 5, Dst: 6}}))
 	f.Add(AppendResults(nil, []core.Result{{Estimate: 7, Partition: core.NoPartition, Outlier: true, ErrorBound: 0.5, Confidence: 0.9, StreamTotal: 11}}))
 	f.Add(AppendAck(nil, 3, 1))
@@ -46,6 +49,11 @@ func FuzzDecoder(f *testing.F) {
 					reenc := AppendIngest(nil, edges)
 					if !bytes.Equal(reenc[HeaderSize:], fr.Payload) {
 						t.Fatalf("ingest payload did not round-trip")
+					}
+					for i, e := range edges {
+						if e.Weight < 0 {
+							t.Fatalf("edge %d decoded with negative weight %d", i, e.Weight)
+						}
 					}
 				}
 			case TypeQuery:

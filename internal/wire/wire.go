@@ -223,19 +223,26 @@ func AppendFlush(dst []byte) []byte { return appendHeader(dst, TypeFlush, 0) }
 // AppendFlushAck appends a TypeFlushAck frame.
 func AppendFlushAck(dst []byte) []byte { return appendHeader(dst, TypeFlushAck, 0) }
 
-// DecodeEdges appends the edges of a TypeIngest payload to dst.
+// DecodeEdges appends the edges of a TypeIngest payload to dst. A negative
+// weight refuses the whole frame with ErrBadPayload (the sketches count in
+// the cash-register model: frequencies only grow); dst then holds the edges
+// before it and is to be discarded.
 func DecodeEdges(dst []stream.Edge, payload []byte) ([]stream.Edge, error) {
 	if len(payload)%EdgeSize != 0 {
 		return dst, fmt.Errorf("%w: ingest payload %d bytes is not a multiple of %d", ErrBadPayload, len(payload), EdgeSize)
 	}
 	for off := 0; off < len(payload); off += EdgeSize {
 		rec := payload[off : off+EdgeSize]
-		dst = append(dst, stream.Edge{
+		e := stream.Edge{
 			Src:    binary.LittleEndian.Uint64(rec[0:]),
 			Dst:    binary.LittleEndian.Uint64(rec[8:]),
 			Weight: int64(binary.LittleEndian.Uint64(rec[16:])),
 			Time:   int64(binary.LittleEndian.Uint64(rec[24:])),
-		})
+		}
+		if e.Weight < 0 {
+			return dst, fmt.Errorf("%w: edge %d: negative weight", ErrBadPayload, off/EdgeSize)
+		}
+		dst = append(dst, e)
 	}
 	return dst, nil
 }
@@ -295,7 +302,7 @@ func DecodeError(payload []byte) (code uint16, msg string, err error) {
 // coordinator needs to judge a shard without mutating it.
 type Pong struct {
 	StreamTotal int64  // estimator stream volume
-	QueueDepth  uint32 // pending ingest batches
+	QueueDepth  uint32 // batches in the HTTP-fed ingest queue (wire frames never enter it)
 	Generations uint32 // sketch generations serving
 }
 

@@ -19,7 +19,7 @@ func randEdges(rng *rand.Rand, n int) []stream.Edge {
 		edges[i] = stream.Edge{
 			Src:    rng.Uint64(),
 			Dst:    rng.Uint64(),
-			Weight: rng.Int63() - rng.Int63(),
+			Weight: rng.Int63(), // the format has no negative weights
 			Time:   rng.Int63() - rng.Int63(),
 		}
 	}
@@ -216,6 +216,14 @@ func TestDecoderSizeBound(t *testing.T) {
 func TestPayloadWidthValidation(t *testing.T) {
 	if _, err := DecodeEdges(nil, make([]byte, EdgeSize+1)); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("edges: err = %v, want ErrBadPayload", err)
+	}
+	// A negative weight anywhere refuses the whole frame: it would panic the
+	// cash-register sketch it reached.
+	for _, w := range []int64{-1, -5, math.MinInt64} {
+		frame := AppendIngest(nil, []stream.Edge{{Src: 1, Dst: 2, Weight: 3}, {Src: 1, Dst: 2, Weight: w}})
+		if _, err := DecodeEdges(nil, frame[HeaderSize:]); !errors.Is(err, ErrBadPayload) {
+			t.Fatalf("edges with weight %d: err = %v, want ErrBadPayload", w, err)
+		}
 	}
 	if _, err := DecodeQueries(nil, make([]byte, QuerySize-1)); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("queries: err = %v, want ErrBadPayload", err)
