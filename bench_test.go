@@ -13,11 +13,14 @@ package gsketch_test
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	gsketch "github.com/graphstream/gsketch"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/experiments"
 	"github.com/graphstream/gsketch/internal/graphgen"
@@ -27,6 +30,7 @@ import (
 	"github.com/graphstream/gsketch/internal/query"
 	"github.com/graphstream/gsketch/internal/sketch"
 	"github.com/graphstream/gsketch/internal/stream"
+	"github.com/graphstream/gsketch/internal/vstats"
 )
 
 var (
@@ -180,6 +184,92 @@ func BenchmarkPartitioning(b *testing.B) {
 		if _, err := core.BuildGSketch(core.Config{TotalBytes: 1 << 20, Seed: uint64(i)}, edges[:8192], nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBootstrap measures what a boot, a tenant create or a repartition
+// pays before the first edge: edge file → ready Engine ("open"), and the
+// stages under it one at a time. The sizes are the ones the repository's
+// benchmark boots with: the 8 192-edge rebuild of an adaptive engine, the
+// 65 536-edge default -sample-cap, and wire_bulk_large's 4 Mi-edge sample
+// (scale-22 R-MAT, 16 MiB of counters, about 16 k partitions).
+func BenchmarkBootstrap(b *testing.B) {
+	for _, c := range []struct {
+		name         string
+		edges, scale int
+		bytes        int
+	}{
+		{"8Ki", 8192, 14, 1 << 20},
+		{"64Ki", 1 << 16, 14, 1 << 20},
+		{"4Mi", 4 << 20, 22, 16 << 20},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sample, err := graphgen.DefaultRMAT(c.scale, c.edges, 7).Generate()
+			if err != nil {
+				b.Fatal(err)
+			}
+			path := filepath.Join(b.TempDir(), "sample.bin")
+			f, err := os.Create(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := stream.WriteBinaryEdges(f, sample); err != nil {
+				b.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				b.Fatal(err)
+			}
+			cfg := core.Config{TotalBytes: c.bytes, Seed: 1}
+			stats := vstats.FromSample(sample)
+			// The width a default Config leaves the partitions: all of it
+			// but the outlier sketch's tenth.
+			width := c.bytes / (core.DefaultDepth * sketch.CellSize)
+			params := core.PartitionParams{
+				Width: width - width/10, MinWidth: core.DefaultMinWidth,
+				CollisionC: core.DefaultCollisionC, Order: vstats.ByAvgFreq,
+			}
+			part, err := core.BuildPartitioning(stats, params)
+			if err != nil {
+				b.Fatal(err)
+			}
+			stage := func(name string, fn func()) {
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						fn()
+					}
+				})
+			}
+			stage("open", func() {
+				edges, err := stream.ReadEdgeFile(path, c.edges)
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng, err := gsketch.Open(cfg, gsketch.WithSample(edges), gsketch.WithIngest(gsketch.IngestConfig{}))
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng.Close()
+			})
+			stage("read", func() {
+				if _, err := stream.ReadEdgeFile(path, c.edges); err != nil {
+					b.Fatal(err)
+				}
+			})
+			stage("from_sample", func() { vstats.FromSample(sample) })
+			stage("sorted", func() { stats.Sorted(vstats.ByAvgFreq) })
+			stage("tree", func() { // includes the sort
+				if _, err := core.BuildPartitioning(stats, params); err != nil {
+					b.Fatal(err)
+				}
+			})
+			stage("router", func() { // the fill core does from the tree's assignment
+				r := core.NewRouter(len(part.Vertices))
+				for i, v := range part.Vertices {
+					r.Insert(v, part.LeafOf[i])
+				}
+			})
+		})
 	}
 }
 

@@ -11,8 +11,8 @@
 //	              [-load FILE]
 //
 // The stream file may be text ("src dst [weight [time]]") or the binary
-// format produced by gsketch-gen -format binary (auto-detected by
-// extension .bin).
+// format produced by gsketch-gen -format binary (told apart by the file's
+// first four bytes).
 //
 // Output is one line per query: "src dst estimate", extended by -bounds to
 // "src dst estimate ±bound confidence partition" where partition is a
@@ -145,17 +145,7 @@ func main() {
 }
 
 func readEdges(path string) []gsketch.Edge {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal("open: %v", err)
-	}
-	defer f.Close()
-	var edges []gsketch.Edge
-	if strings.HasSuffix(path, ".bin") {
-		edges, err = stream.ReadBinaryEdges(f)
-	} else {
-		edges, err = stream.ReadTextEdges(f)
-	}
+	edges, err := stream.ReadEdgeFile(path, 0)
 	if err != nil {
 		fatal("read: %v", err)
 	}

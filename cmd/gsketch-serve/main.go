@@ -93,9 +93,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -133,7 +131,7 @@ func main() {
 		samplePath   = flag.String("sample", "", "bootstrap a partitioned gSketch from this edge file (text or binary)")
 		workloadPath = flag.String("workload", "", "optional query-workload sample steering partitioning (§4.2)")
 		global       = flag.Bool("global", false, "bootstrap the unpartitioned GlobalSketch baseline")
-		sampleCap    = flag.Int("sample-cap", 1<<16, "max edges of -sample used for partitioning")
+		sampleCap    = flag.Int("sample-cap", 1<<16, "max edges of -sample read and used for partitioning (0 = all)")
 
 		totalBytes = flag.Int("bytes", 4<<20, "counter memory budget in bytes")
 		depth      = flag.Int("depth", 0, "sketch depth d (0 = default)")
@@ -189,6 +187,10 @@ func main() {
 	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gsketch-serve: %v\n", err)
+		os.Exit(2)
+	}
+	if *sampleCap < 0 {
+		fmt.Fprintf(os.Stderr, "gsketch-serve: -sample-cap %d: must be ≥ 0 (0 reads the whole file)\n", *sampleCap)
 		os.Exit(2)
 	}
 	// root stays untagged: server and cluster attach their own component
@@ -424,11 +426,8 @@ func runTenants(logger, root *slog.Logger, f tenantFlags) {
 	var sample []stream.Edge
 	if f.samplePath != "" {
 		var err error
-		if sample, err = readEdgeFile(f.samplePath); err != nil {
+		if sample, err = stream.ReadEdgeFile(f.samplePath, f.sampleCap); err != nil {
 			fatal(logger, "sample read failed", "path", f.samplePath, "error", err)
-		}
-		if len(sample) > f.sampleCap {
-			sample = sample[:f.sampleCap]
 		}
 	}
 	reg, err := tenant.New(tenant.Config{
@@ -492,16 +491,13 @@ func runCoordinator(logger, root *slog.Logger, f coordinatorFlags) {
 		fatal(logger, "-cluster needs -sample to build the vertex router")
 	}
 
-	sample, err := readEdgeFile(f.samplePath)
+	sample, err := stream.ReadEdgeFile(f.samplePath, f.sampleCap)
 	if err != nil {
 		fatal(logger, "sample read failed", "path", f.samplePath, "error", err)
 	}
-	if len(sample) > f.sampleCap {
-		sample = sample[:f.sampleCap]
-	}
 	var workload []stream.Edge
 	if f.workloadPath != "" {
-		if workload, err = readEdgeFile(f.workloadPath); err != nil {
+		if workload, err = stream.ReadEdgeFile(f.workloadPath, 0); err != nil {
 			fatal(logger, "workload read failed", "path", f.workloadPath, "error", err)
 		}
 	}
@@ -577,15 +573,12 @@ func engineOptions(cfg gsketch.Config, f bootstrapFlags) ([]gsketch.Option, erro
 		}
 		opts = append(opts, gsketch.WithGlobal())
 	default:
-		sample, err := readEdgeFile(f.samplePath)
+		sample, err := stream.ReadEdgeFile(f.samplePath, f.sampleCap)
 		if err != nil {
 			return nil, fmt.Errorf("sample %s: %w", f.samplePath, err)
 		}
-		if len(sample) > f.sampleCap {
-			sample = sample[:f.sampleCap]
-		}
 		if f.workloadPath != "" {
-			workload, err = readEdgeFile(f.workloadPath)
+			workload, err = stream.ReadEdgeFile(f.workloadPath, 0)
 			if err != nil {
 				return nil, fmt.Errorf("workload %s: %w", f.workloadPath, err)
 			}
@@ -612,16 +605,4 @@ func engineOptions(cfg gsketch.Config, f bootstrapFlags) ([]gsketch.Option, erro
 		))
 	}
 	return opts, nil
-}
-
-// readEdgeFile loads a text or binary edge file, sniffing the "GSED" magic.
-func readEdgeFile(path string) ([]stream.Edge, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) >= 4 && binary.LittleEndian.Uint32(raw) == 0x47534544 {
-		return stream.ReadBinaryEdges(bytes.NewReader(raw))
-	}
-	return stream.ReadTextEdges(bytes.NewReader(raw))
 }

@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"github.com/graphstream/gsketch/internal/core"
@@ -39,17 +38,7 @@ func main() {
 		return
 	}
 
-	f, err := os.Open(*streamPath)
-	if err != nil {
-		fatal("open: %v", err)
-	}
-	defer f.Close()
-	var edges []stream.Edge
-	if strings.HasSuffix(*streamPath, ".bin") {
-		edges, err = stream.ReadBinaryEdges(f)
-	} else {
-		edges, err = stream.ReadTextEdges(f)
-	}
+	edges, err := stream.ReadEdgeFile(*streamPath, 0)
 	if err != nil {
 		fatal("read: %v", err)
 	}

@@ -24,11 +24,8 @@
 package main
 
 import (
-	"bytes"
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"strconv"
@@ -111,28 +108,15 @@ func main() {
 }
 
 // readEdges loads the edge stream named by args ("-" or nothing = stdin),
-// sniffing the GSED binary magic against the text format.
+// in either edge-file format.
 func readEdges(args []string) ([]stream.Edge, error) {
-	var src io.Reader = os.Stdin
 	if len(args) > 1 {
 		return nil, fmt.Errorf("ingest takes at most one file argument")
 	}
 	if len(args) == 1 && args[0] != "-" {
-		f, err := os.Open(args[0])
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		src = f
+		return stream.ReadEdgeFile(args[0], 0)
 	}
-	raw, err := io.ReadAll(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) >= 4 && binary.LittleEndian.Uint32(raw) == 0x47534544 {
-		return stream.ReadBinaryEdges(bytes.NewReader(raw))
-	}
-	return stream.ReadTextEdges(bytes.NewReader(raw))
+	return stream.ReadEdges(os.Stdin, 0)
 }
 
 // parseQueries turns "src dst src dst ..." arguments into a query batch.

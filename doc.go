@@ -247,6 +247,29 @@
 // tenant-select frame. See the README's Multi-tenancy section and the
 // internal/tenant package documentation.
 //
+// # Bootstrap cost
+//
+// Partitioning is paid for on every boot, tenant create and adaptive
+// repartition, and the paper reports it as a result of its own: sketch
+// construction time T_c (Figure 13; cmd/gsketch-bench -run fig13 prints
+// it). The path from a sample file to a ready Engine is a few sequential
+// passes over flat slices: the edge file is decoded in 64 KiB chunks and
+// stops at the sample cap (stream.ReadEdgeFile); per-vertex statistics come
+// from interning sources through a flat open-addressing table, scattering
+// destinations into one segment per source and counting distinct values per
+// sorted segment — 12 bytes per sample edge, no per-edge hash set; vertices
+// sort on precomputed keys; the tree hands its assignment to the router as
+// parallel slices in ascending-id order; and Open drops the data sample
+// once the estimator is built. Every build runs on the calling goroutine,
+// the small rebuilds an adaptive engine runs beside live traffic included.
+// At 4 Mi sample edges (435 k sources, 16 k partitions, 2 vCPUs) file →
+// ready engine takes 0.41 s and allocates 306 MB in 80 allocations, against
+// 1.4 s, 669 MB and 19 900 for the map-based construction it replaced, with
+// byte-identical output; the README's Bootstrap cost section has the
+// per-stage table. Peak RSS of a serving process booted from a large sample
+// is set here — the sample at 32 bytes an edge plus 12 bytes an edge of
+// working set — not by the sketch.
+//
 // # Observability
 //
 // Serving processes are first-class scrape targets: internal/obs is a

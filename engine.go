@@ -157,6 +157,11 @@ func Open(cfg Config, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The data sample steered the build and is not read again: drop it from
+	// both copies of the options (the engine's, and the one the loop
+	// closures below capture), or it stays reachable as long as the engine.
+	// The workload sample stays — it is the adaptive manager's baseline.
+	o.dataSample, e.opts.dataSample = nil, nil
 	if o.lifecycleConfigured() && chain == nil {
 		return nil, errors.New("gsketch: WithCompaction/WithTiering/WithDecay need a generation chain (WithAdaptive or an adopted *Chain)")
 	}

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -543,4 +545,51 @@ func TestEngineCloseDuringRepartition(t *testing.T) {
 		t.Fatalf("Ingest after Close = %v, want ErrEngineClosed", err)
 	}
 	eng.QueryBatch(qs[:8])
+}
+
+// TestBootstrapReleasesDataSample: the data sample steers the build and is
+// never read again, so once the caller lets go of it the engine must not be
+// what keeps it alive — on the largest benchmark workload it is 128 MiB
+// beside a 33 MB sketch. An adaptive engine with an auto-repartition loop
+// is the hard case: the loop's closure captures Open's option set.
+func TestBootstrapReleasesDataSample(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1 Mi-edge sample")
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapInuse
+	}
+	const edges, sampleBytes = 1 << 20, 32 << 20
+	base := heap()
+	rng := rand.New(rand.NewSource(3))
+	sample := make([]gsketch.Edge, edges)
+	for i := range sample {
+		sample[i] = gsketch.Edge{Src: uint64(rng.Intn(1 << 14)), Dst: uint64(rng.Intn(1 << 16)), Weight: 1}
+	}
+	if grown := heap() - base; grown < sampleBytes {
+		t.Fatalf("the sample accounts for %d heap bytes, expected at least %d", grown, sampleBytes)
+	}
+	eng, err := gsketch.Open(gsketch.Config{TotalBytes: 1 << 20, Seed: 1},
+		gsketch.WithSample(sample),
+		gsketch.WithWorkloadSample(slices.Clone(sample[:1024])), // a copy: a subslice would pin the whole array
+		gsketch.WithIngest(gsketch.IngestConfig{}),
+		gsketch.WithAdaptive(gsketch.ChainConfig{SampleSize: 1024, Seed: 1}, gsketch.AdaptConfig{}),
+		gsketch.WithAutoRepartition(time.Hour, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	sample = nil
+	// Counters (1 MiB), a router over 16 Ki sources, the chain's reservoir,
+	// the ingest queue: a few MB. The sample would be 32 more.
+	if held := int64(heap()) - int64(base); held > sampleBytes/2 {
+		t.Errorf("%d heap bytes in use after Open and a dropped sample: the engine still holds it", held)
+	}
+	if eng.Stats().Partitions < 2 {
+		t.Fatal("fixture built no partitions")
+	}
 }

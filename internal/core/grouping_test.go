@@ -27,13 +27,13 @@ func groupedSketch(tb testing.TB, shards int, outlier bool) *GSketch {
 	if outlier {
 		parts--
 	}
-	assign := make(map[uint64]int32, 3*parts)
-	for v := 0; v < 3*parts; v++ {
-		assign[uint64(v)] = int32(v % parts)
+	keys, vals := make([]uint64, 3*parts), make([]int32, 3*parts)
+	for v := range keys {
+		keys[v], vals[v] = uint64(v), int32(v%parts)
 	}
 	g := &GSketch{
 		cfg:        Config{TotalWidth: shards * width, Depth: depth, Seed: 11}.withDefaults(),
-		router:     buildRouter(assign),
+		router:     buildRouter(keys, vals),
 		leaves:     make([]Leaf, parts),
 		totalWidth: shards * width,
 	}

@@ -154,7 +154,7 @@ func buildFromStats(cfg Config, stats *vstats.Stats, order vstats.SortOrder) (*G
 
 	g := &GSketch{
 		cfg:          cfg,
-		router:       buildRouter(part.Assign),
+		router:       buildRouter(part.Vertices, part.LeafOf),
 		leaves:       part.Leaves,
 		order:        order,
 		outlierWidth: outlierWidth,

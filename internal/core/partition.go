@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/graphstream/gsketch/internal/vstats"
 )
@@ -26,8 +28,11 @@ type Leaf struct {
 // layout plus the vertex→leaf assignment that becomes the router.
 type Partitioning struct {
 	Leaves []Leaf
-	// Assign maps every sampled source vertex to its leaf index.
-	Assign map[uint64]int32
+	// Vertices and LeafOf are the assignment as parallel slices: every
+	// sampled source vertex, ascending by id, beside its leaf index — the
+	// order the router is filled in.
+	Vertices []uint64
+	LeafOf   []int32
 	// Order records which scenario objective built this partitioning.
 	Order vstats.SortOrder
 	// WidthBudget is the input width; SavedWidth is what trimming freed
@@ -110,10 +115,12 @@ func BuildPartitioning(stats *vstats.Stats, p PartitionParams) (*Partitioning, e
 	}
 
 	part := &Partitioning{
-		Assign:      make(map[uint64]int32, n),
 		Order:       p.Order,
 		WidthBudget: p.Width,
 	}
+	// Leaves are contiguous ranges of the sorted array, so the assignment
+	// is first written by sorted position, sequentially.
+	leafAt := make([]int32, n)
 
 	splittable := func(nd node) bool {
 		if nd.hi-nd.lo < 2 || nd.width < 2 {
@@ -150,7 +157,7 @@ func BuildPartitioning(stats *vstats.Stats, p PartitionParams) (*Partitioning, e
 		}
 		idx := int32(len(part.Leaves))
 		for i := nd.lo; i < nd.hi; i++ {
-			part.Assign[verts[i].ID] = idx
+			leafAt[i] = idx
 		}
 		part.Leaves = append(part.Leaves, leaf)
 	}
@@ -187,6 +194,8 @@ func BuildPartitioning(stats *vstats.Stats, p PartitionParams) (*Partitioning, e
 		}
 	}
 
+	part.Vertices, part.LeafOf = assignmentByID(verts, leafAt)
+
 	redistribute(part.Leaves, p.Width, p.Redistribute)
 	total := 0
 	for _, l := range part.Leaves {
@@ -197,6 +206,26 @@ func BuildPartitioning(stats *vstats.Stats, p PartitionParams) (*Partitioning, e
 		return nil, fmt.Errorf("core: internal error: leaf widths exceed budget (%d > %d)", total, p.Width)
 	}
 	return part, nil
+}
+
+// assignmentByID reorders the assignment from sorted position (verts[i]
+// belongs to leaf leafAt[i]) to ascending vertex id. leafAt is reused for
+// the reordered leaves.
+func assignmentByID(verts []vstats.VertexStat, leafAt []int32) ([]uint64, []int32) {
+	type route struct {
+		id   uint64
+		leaf int32
+	}
+	routes := make([]route, len(verts))
+	for i, v := range verts {
+		routes[i] = route{v.ID, leafAt[i]}
+	}
+	slices.SortFunc(routes, func(a, b route) int { return cmp.Compare(a.id, b.id) })
+	ids := make([]uint64, len(routes))
+	for i, r := range routes {
+		ids[i], leafAt[i] = r.id, r.leaf
+	}
+	return ids, leafAt
 }
 
 // bestPivot scans every split point of nd in sorted order and returns the k

@@ -77,11 +77,18 @@ func TestPartitioningRouterTotality(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every sampled source vertex routes to exactly one existing leaf.
-	if len(p.Assign) != stats.Len() {
-		t.Errorf("router covers %d vertices, sample has %d", len(p.Assign), stats.Len())
+	if len(p.Vertices) != stats.Len() || len(p.LeafOf) != stats.Len() {
+		t.Errorf("router covers %d vertices (%d leaves), sample has %d", len(p.Vertices), len(p.LeafOf), stats.Len())
 	}
 	counts := make([]int, len(p.Leaves))
-	for v, leaf := range p.Assign {
+	for i, leaf := range p.LeafOf {
+		v := p.Vertices[i]
+		if i > 0 && v <= p.Vertices[i-1] {
+			t.Fatalf("vertex %d at %d follows %d: not strictly ascending", v, i, p.Vertices[i-1])
+		}
+		if _, ok := stats.Get(v); !ok {
+			t.Fatalf("assigned vertex %d is not in the sample", v)
+		}
 		if int(leaf) < 0 || int(leaf) >= len(p.Leaves) {
 			t.Fatalf("vertex %d routed to nonexistent leaf %d", v, leaf)
 		}
@@ -303,7 +310,7 @@ func TestPartitioningProperty(t *testing.T) {
 		if total > width {
 			return false
 		}
-		return len(p.Assign) == stats.Len()
+		return len(p.Vertices) == stats.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -323,7 +330,7 @@ func TestPartitioningWorkloadOrder(t *testing.T) {
 	if p.Order != vstats.ByFreqPerWeight {
 		t.Error("order not recorded")
 	}
-	if len(p.Assign) != stats.Len() {
+	if len(p.Vertices) != stats.Len() {
 		t.Error("router incomplete under workload order")
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sort"
 
 	"github.com/graphstream/gsketch/internal/hashutil"
 )
@@ -57,20 +56,15 @@ func newRouterCap(capacity int) *Router {
 	}
 }
 
-// buildRouter converts the partitioner's assignment map into a flat table.
-// Keys are inserted in sorted order: linear-probe placement depends on
-// insertion order, and a deterministic fill keeps slot layout — and thus
-// serialized output — reproducible across runs despite Go's randomized map
-// iteration.
-func buildRouter(assign map[uint64]int32) *Router {
-	keys := make([]uint64, 0, len(assign))
-	for k := range assign {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	r := NewRouter(len(assign))
-	for _, k := range keys {
-		r.Insert(k, assign[k])
+// buildRouter fills a flat table from the partitioner's assignment: keys
+// ascending beside their partition indices. Linear-probe placement depends
+// on insertion order, so filling in ascending key order is what keeps the
+// slot layout — and thus serialized output — the same for the same
+// assignment, however it was computed.
+func buildRouter(keys []uint64, vals []int32) *Router {
+	r := NewRouter(len(keys))
+	for i, k := range keys {
+		r.Insert(k, vals[i])
 	}
 	return r
 }

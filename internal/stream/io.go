@@ -2,10 +2,12 @@ package stream
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -22,6 +24,11 @@ import (
 const (
 	edgeMagic   = 0x47534544 // "GSED"
 	edgeVersion = 1
+
+	edgeHeaderBytes = 16
+	edgeRecordBytes = 32
+	// readChunk is how much of a binary edge file is decoded at a time.
+	readChunk = 64 << 10
 )
 
 // ErrBadFormat reports an unparsable edge file.
@@ -40,12 +47,15 @@ func WriteTextEdges(w io.Writer, edges []Edge) error {
 
 // ReadTextEdges parses a text edge file. Missing weight defaults to 1,
 // missing time to 0.
-func ReadTextEdges(r io.Reader) ([]Edge, error) {
+func ReadTextEdges(r io.Reader) ([]Edge, error) { return readTextEdges(r, 0) }
+
+// readTextEdges is ReadTextEdges stopping after limit edges (0 = all).
+func readTextEdges(r io.Reader, limit int) ([]Edge, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	var edges []Edge
 	lineNo := 0
-	for sc.Scan() {
+	for (limit <= 0 || len(edges) < limit) && sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -107,9 +117,20 @@ func WriteBinaryEdges(w io.Writer, edges []Edge) error {
 
 // ReadBinaryEdges parses the dense binary format.
 func ReadBinaryEdges(r io.Reader) ([]Edge, error) {
-	br := bufio.NewReader(r)
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	size := remaining(r)
+	return readBinaryEdges(bufio.NewReaderSize(r, readChunk), size, 0)
+}
+
+// readBinaryEdges decodes a binary edge stream out of br's own buffer, a
+// chunk of records at a time, stopping after limit edges (0 = all). size is
+// the byte length of the stream when the caller could learn it (-1
+// otherwise): a header whose count does not fit in it is refused before
+// anything is allocated, and without it the slice grows with the records
+// that actually arrive — the header alone never sizes an allocation. br's
+// buffer must hold readChunk bytes.
+func readBinaryEdges(br *bufio.Reader, size int64, limit int) ([]Edge, error) {
+	hdr, err := br.Peek(edgeHeaderBytes)
+	if err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrBadFormat, err)
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != edgeMagic {
@@ -123,20 +144,87 @@ func ReadBinaryEdges(r io.Reader) ([]Edge, error) {
 	if count > maxEdges {
 		return nil, fmt.Errorf("%w: implausible edge count %d", ErrBadFormat, count)
 	}
-	edges := make([]Edge, count)
-	var rec [32]byte
-	for i := range edges {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", ErrBadFormat, i, err)
+	if size >= 0 && count > uint64(max(size-edgeHeaderBytes, 0))/edgeRecordBytes {
+		return nil, fmt.Errorf("%w: header counts %d edges, the %d bytes present hold fewer", ErrBadFormat, count, size)
+	}
+	_, _ = br.Discard(edgeHeaderBytes) // cannot fail: Peek buffered them
+	if limit > 0 && count > uint64(limit) {
+		count = uint64(limit)
+	}
+	n := int(count)
+	presize := n
+	if size < 0 {
+		presize = min(n, readChunk/edgeRecordBytes)
+	}
+	edges := make([]Edge, 0, presize)
+	for len(edges) < n {
+		buf, err := br.Peek(min((n-len(edges))*edgeRecordBytes, readChunk))
+		whole := len(buf) / edgeRecordBytes * edgeRecordBytes
+		for rec := buf[:whole]; len(rec) > 0; rec = rec[edgeRecordBytes:] {
+			edges = append(edges, Edge{
+				Src:    binary.LittleEndian.Uint64(rec[0:]),
+				Dst:    binary.LittleEndian.Uint64(rec[8:]),
+				Weight: int64(binary.LittleEndian.Uint64(rec[16:])),
+				Time:   int64(binary.LittleEndian.Uint64(rec[24:])),
+			})
 		}
-		edges[i] = Edge{
-			Src:    binary.LittleEndian.Uint64(rec[0:]),
-			Dst:    binary.LittleEndian.Uint64(rec[8:]),
-			Weight: int64(binary.LittleEndian.Uint64(rec[16:])),
-			Time:   int64(binary.LittleEndian.Uint64(rec[24:])),
+		if err != nil {
+			if err == io.EOF && whole < len(buf) {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("%w: record %d: %v", ErrBadFormat, len(edges), err)
 		}
+		_, _ = br.Discard(whole) // cannot fail: Peek buffered them
 	}
 	return edges, nil
+}
+
+// remaining returns how many bytes r still holds when that can be known
+// without reading them — an in-memory reader, or a regular file — and -1
+// otherwise.
+func remaining(r io.Reader) int64 {
+	switch v := r.(type) {
+	case *bytes.Reader:
+		return int64(v.Len())
+	case *bytes.Buffer:
+		return int64(v.Len())
+	case *strings.Reader:
+		return int64(v.Len())
+	case *os.File:
+		fi, err := v.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return -1
+		}
+		pos, err := v.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return -1
+		}
+		return fi.Size() - pos
+	}
+	return -1
+}
+
+// ReadEdges reads an edge stream in either format, telling them apart by
+// the binary magic, and stops after limit edges (0 = all) without reading
+// the rest.
+func ReadEdges(r io.Reader, limit int) ([]Edge, error) {
+	size := remaining(r)
+	br := bufio.NewReaderSize(r, readChunk)
+	if magic, _ := br.Peek(4); len(magic) == 4 && binary.LittleEndian.Uint32(magic) == edgeMagic {
+		return readBinaryEdges(br, size, limit)
+	}
+	return readTextEdges(br, limit)
+}
+
+// ReadEdgeFile is ReadEdges over the file at path: the one loader behind
+// every command's -sample, -workload and -stream flag.
+func ReadEdgeFile(path string, limit int) ([]Edge, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ReadEdges(f, limit)
 }
 
 // CountingWriter counts bytes on their way to an io.Writer, so callers

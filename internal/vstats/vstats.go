@@ -16,9 +16,12 @@
 package vstats
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
+	"github.com/graphstream/gsketch/internal/hashutil"
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
@@ -40,39 +43,177 @@ type VertexStat struct {
 func (v VertexStat) AvgEdgeFreq() float64 { return v.F / v.D }
 
 // Stats holds per-vertex statistics for every distinct source vertex of a
-// data sample.
+// data sample, in order of first appearance.
 type Stats struct {
 	vertices []VertexStat
-	index    map[uint64]int
+	index    srcTable // vertex id → position in vertices
 	totalF   float64
 	hasWork  bool
 }
 
 // FromSample computes vertex statistics from a data sample. Zero-weight
 // sample edges count as weight 1, matching the paper's default frequency.
+//
+// It is a few sequential passes over flat slices, 12 bytes per sample edge:
+// sources are interned through an open-addressing table while f̃v is summed
+// (one pass, in sample order, so vertices keep their order of first
+// appearance and every float sum its order of addition), destinations are
+// scattered into one contiguous segment per source (CSR), and d̃ is the
+// number of distinct values in each sorted segment.
 func FromSample(sample []stream.Edge) *Stats {
-	s := &Stats{index: make(map[uint64]int)}
-	seen := make(map[[2]uint64]struct{}, len(sample))
-	for _, e := range sample {
+	if uint64(len(sample)) > math.MaxUint32 {
+		// Vertex positions are held as uint32; a sample has at most as many
+		// sources as edges.
+		panic(fmt.Sprintf("vstats: sample of %d edges exceeds the %d supported", len(sample), uint32(math.MaxUint32)))
+	}
+	// How many sources the sample has is not known yet; an eighth of its
+	// edges is where the table and the per-vertex slices start, and all of
+	// them grow.
+	guess := len(sample) / 8
+	s := &Stats{
+		vertices: make([]VertexStat, 0, guess),
+		index:    newSrcTable(guess),
+	}
+
+	// Pass 1: intern sources, sum f̃v, count each vertex's sample edges.
+	owner := make([]uint32, len(sample)) // sample position → vertex position
+	ends := make([]int, 0, guess)        // edges per vertex; segment ends after the scatter
+	for i, e := range sample {
 		w := e.Weight
 		if w == 0 {
 			w = 1
 		}
-		i, ok := s.index[e.Src]
-		if !ok {
-			i = len(s.vertices)
-			s.index[e.Src] = i
+		v, fresh := s.index.intern(e.Src)
+		if fresh {
 			s.vertices = append(s.vertices, VertexStat{ID: e.Src, W: 1})
+			ends = append(ends, 0)
 		}
-		s.vertices[i].F += float64(w)
+		owner[i] = v
+		ends[v]++
+		s.vertices[v].F += float64(w)
 		s.totalF += float64(w)
-		k := [2]uint64{e.Src, e.Dst}
-		if _, dup := seen[k]; !dup {
-			seen[k] = struct{}{}
-			s.vertices[i].D++
-		}
+	}
+
+	// Pass 2: turn the counts into segment starts, then scatter the
+	// destinations. Advancing a vertex's start as its cursor leaves it at
+	// the segment's end, so one slice serves as both.
+	sum := 0
+	for v, n := range ends {
+		ends[v] = sum
+		sum += n
+	}
+	if sum != len(sample) {
+		panic("vstats: internal error: vertex segments do not cover the sample")
+	}
+	dsts := make([]uint64, len(sample))
+	for i, e := range sample {
+		v := owner[i]
+		dsts[ends[v]] = e.Dst
+		ends[v]++
+	}
+
+	// Pass 3: d̃ per vertex, from its sorted segment.
+	start := 0
+	for v, end := range ends {
+		s.vertices[v].D = float64(distinct(dsts[start:end]))
+		start = end
 	}
 	return s
+}
+
+// distinct sorts seg in place and returns how many different values it
+// holds.
+func distinct(seg []uint64) int {
+	if len(seg) < 2 {
+		return len(seg)
+	}
+	slices.Sort(seg)
+	n := 1
+	for i := 1; i < len(seg); i++ {
+		if seg[i] != seg[i-1] {
+			n++
+		}
+	}
+	return n
+}
+
+// srcTable interns source vertex ids: a flat open-addressing hash table
+// with power-of-two capacity and linear probing, like core.Router, mapping
+// an id to its position in Stats.vertices. ref holds position+1 so that 0
+// marks an empty slot and vertex id 0 needs no side slot.
+type srcTable struct {
+	slots []srcSlot
+	mask  uint64
+	n     int
+}
+
+type srcSlot struct {
+	key uint64
+	ref uint32
+}
+
+// srcTableMaxLoad is the numerator of the maximum load factor (x/16), as in
+// core.Router.
+const srcTableMaxLoad = 13
+
+// newSrcTable returns a table that holds n ids before it first grows.
+func newSrcTable(n int) srcTable {
+	capacity := 8
+	for capacity*srcTableMaxLoad < n*16 {
+		capacity <<= 1
+	}
+	return srcTable{slots: make([]srcSlot, capacity), mask: uint64(capacity - 1)}
+}
+
+// intern returns the position of key, assigning the next free one (the
+// number of ids seen so far) if key is new.
+func (t *srcTable) intern(key uint64) (pos uint32, fresh bool) {
+	i := hashutil.Mix64(key) & t.mask
+	for {
+		switch sl := &t.slots[i]; {
+		case sl.ref == 0:
+			if (t.n+1)*16 > len(t.slots)*srcTableMaxLoad {
+				t.grow()
+				return t.intern(key)
+			}
+			t.n++
+			sl.key, sl.ref = key, uint32(t.n)
+			return sl.ref - 1, true
+		case sl.key == key:
+			return sl.ref - 1, false
+		}
+		i = (i + 1) & t.mask
+	}
+}
+
+// lookup returns the position of key and whether it was interned.
+func (t *srcTable) lookup(key uint64) (int, bool) {
+	i := hashutil.Mix64(key) & t.mask
+	for {
+		switch sl := t.slots[i]; {
+		case sl.ref == 0:
+			return 0, false
+		case sl.key == key:
+			return int(sl.ref - 1), true
+		}
+		i = (i + 1) & t.mask
+	}
+}
+
+func (t *srcTable) grow() {
+	old := t.slots
+	t.slots = make([]srcSlot, 2*len(old))
+	t.mask = uint64(len(t.slots) - 1)
+	for _, sl := range old {
+		if sl.ref == 0 {
+			continue
+		}
+		i := hashutil.Mix64(sl.key) & t.mask
+		for t.slots[i].ref != 0 {
+			i = (i + 1) & t.mask
+		}
+		t.slots[i] = sl
+	}
 }
 
 // ApplyWorkload folds a query-workload sample into the statistics. Each
@@ -85,20 +226,18 @@ func FromSample(sample []stream.Edge) *Stats {
 // Workload sources that never occur in the data sample are ignored here;
 // at query time such vertices route to the outlier sketch anyway.
 func (s *Stats) ApplyWorkload(workload []stream.Edge) {
-	counts := make(map[uint64]int64, len(s.vertices))
-	var total int64
-	for _, q := range workload {
-		if _, ok := s.index[q.Src]; ok {
-			counts[q.Src]++
-		}
-		total++
-	}
-	denom := float64(total) + float64(len(s.vertices))
+	denom := float64(len(workload)) + float64(len(s.vertices))
 	if denom == 0 {
 		return
 	}
+	counts := make([]int64, len(s.vertices)) // by vertex position
+	for _, q := range workload {
+		if i, ok := s.index.lookup(q.Src); ok {
+			counts[i]++
+		}
+	}
 	for i := range s.vertices {
-		s.vertices[i].W = (float64(counts[s.vertices[i].ID]) + 1) / denom
+		s.vertices[i].W = (float64(counts[i]) + 1) / denom
 	}
 	s.hasWork = true
 }
@@ -114,7 +253,7 @@ func (s *Stats) TotalF() float64 { return s.totalF }
 
 // Get returns the statistics of one vertex.
 func (s *Stats) Get(id uint64) (VertexStat, bool) {
-	i, ok := s.index[id]
+	i, ok := s.index.lookup(id)
 	if !ok {
 		return VertexStat{}, false
 	}
@@ -144,26 +283,44 @@ func (o SortOrder) String() string {
 	}
 }
 
-// Sorted returns the vertices ordered for the given scenario. The result is
-// a fresh slice; Stats is unchanged.
+// Sorted returns the vertices ordered for the given scenario: ascending
+// by key, ties broken by vertex id, which makes the order total and the
+// result independent of how it was sorted. The result is a fresh slice;
+// Stats is unchanged.
 func (s *Stats) Sorted(order SortOrder) []VertexStat {
-	out := make([]VertexStat, len(s.vertices))
-	copy(out, s.vertices)
-	var key func(VertexStat) float64
-	switch order {
-	case ByAvgFreq:
-		key = func(v VertexStat) float64 { return v.F / v.D }
-	case ByFreqPerWeight:
-		key = func(v VertexStat) float64 { return v.F / v.W }
-	default:
+	if order != ByAvgFreq && order != ByFreqPerWeight {
 		panic(fmt.Sprintf("vstats: unknown sort order %d", order))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		ki, kj := key(out[i]), key(out[j])
-		if ki != kj {
-			return ki < kj
+	ks := make([]keyedVertex, len(s.vertices))
+	for i, v := range s.vertices {
+		key := v.F / v.D
+		if order == ByFreqPerWeight {
+			key = v.F / v.W
 		}
-		return out[i].ID < out[j].ID // deterministic tiebreak
-	})
+		ks[i] = keyedVertex{key, v.ID, uint32(i)}
+	}
+	slices.SortFunc(ks, compareKeyed)
+	out := make([]VertexStat, len(ks))
+	for i, k := range ks {
+		out[i] = s.vertices[k.pos]
+	}
 	return out
+}
+
+// keyedVertex stands for the vertex at pos while sorting: its precomputed
+// sort key and the id that breaks ties, so a comparison reads nothing else.
+type keyedVertex struct {
+	key float64
+	id  uint64
+	pos uint32
+}
+
+func compareKeyed(a, b keyedVertex) int {
+	if a.key != b.key {
+		if a.key < b.key {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.id, b.id) // deterministic tiebreak
 }
