@@ -305,6 +305,60 @@ func TestAdmitFeedsWindowStore(t *testing.T) {
 	}
 }
 
+// TestHugeWeightsSaturateVolume: two edges of weight 2⁶² in one batch used
+// to wrap the stream volume to −2⁶³ and turn every ε·N bound negative. Every
+// volume now saturates at MaxInt64 — the engine's count, each answer's
+// StreamTotal, the gauges — whether the batch is folded inline, by the
+// pipeline, or into an adaptive chain whose answers sum two generations.
+func TestHugeWeightsSaturateVolume(t *testing.T) {
+	edges := engineTestStream(600, 41)
+	huge := append([]gsketch.Edge(nil), edges[:100]...)
+	huge[10].Weight, huge[50].Weight = 1<<62, 1<<62
+	huge[51] = huge[50] // a run of two: folded into one position
+	qs := engineTestQueries(huge, 64)
+	for _, mode := range []string{"inline", "pipeline", "adaptive"} {
+		opts := []gsketch.Option{gsketch.WithSample(edges[:200])}
+		switch mode {
+		case "pipeline":
+			opts = append(opts, gsketch.WithIngest(gsketch.IngestConfig{Workers: 1, BatchSize: 64}))
+		case "adaptive":
+			opts = append(opts, gsketch.WithAdaptive(gsketch.ChainConfig{SampleSize: 256, Seed: 1}, gsketch.AdaptConfig{}))
+		}
+		eng, err := gsketch.Open(engineTestCfg, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Ingest(context.Background(), huge...); err != nil {
+			t.Fatal(err)
+		}
+		if mode == "adaptive" {
+			if _, err := eng.Repartition(); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Ingest(context.Background(), huge...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.Estimator().Count(); got != math.MaxInt64 {
+			t.Fatalf("%s: Count = %d, want MaxInt64", mode, got)
+		}
+		if got := eng.Stats().StreamTotal; got != math.MaxInt64 {
+			t.Fatalf("%s: Stats().StreamTotal = %d, want MaxInt64", mode, got)
+		}
+		for i, r := range eng.QueryBatch(qs) {
+			if r.StreamTotal != math.MaxInt64 || r.ErrorBound < 0 || r.Estimate < 0 {
+				t.Fatalf("%s: query %d = %+v, want StreamTotal MaxInt64 and non-negative bounds", mode, i, r)
+			}
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestNegativeWeightRefused: every ingest entry point turns a batch with a
 // negative weight away whole, typed, before anything is queued, applied or
 // registered — the sketch it would reach panics on one.

@@ -1,7 +1,8 @@
 package gsketch_test
 
-// One benchmark per reproduced paper artifact (DESIGN.md §5). Each bench
-// runs the corresponding experiment on the Small profile and reports the
+// One benchmark per reproduced paper artifact (the experiment ids of
+// internal/experiments: fig4 … fig14, table1, varratio). Each bench runs
+// the corresponding experiment on the Small profile and reports the
 // headline metrics (average relative error for both methods, effective
 // queries) via b.ReportMetric, so `go test -bench=.` regenerates every
 // table and figure series in miniature. cmd/gsketch-bench runs the full
@@ -659,10 +660,14 @@ func BenchmarkEstimateBatch(b *testing.B) {
 // one-element batch must stay under 2 µs and ns/edge at 256-edge batches
 // within 1.5× of 8192-edge batches.
 //
-// Batches are consecutive slices of the stream, and R-MAT streams have
-// locality: a 2048-query slice touches a few hundred partitions with
-// several keys each. BenchmarkBatchByPartitionsRandom is the variant
-// without that help.
+// Batches are consecutive slices of the stream, which helps twice. R-MAT
+// streams have locality: a 2048-query slice touches a few hundred
+// partitions with several keys each. And the generator emits bursts — the
+// same interaction recurs back to back — so most arrivals of a slice repeat
+// the edge before them and fold into that edge's run, one routed position
+// per run (runs/edge reports the share; the update cells' ns/edge falls
+// with it, the estimate cells' does not, as queries are never folded).
+// BenchmarkBatchByPartitionsRandom is the variant without either help.
 func BenchmarkBatchByPartitions(b *testing.B) {
 	edges, err := graphgen.DefaultRMAT(22, 1<<22, 42).Generate()
 	if err != nil {
@@ -676,9 +681,10 @@ func BenchmarkBatchByPartitions(b *testing.B) {
 // 12 M-edge stream, the sketch partitioned from its first third, and 4 M
 // edges and queries drawn uniformly from the whole of it. About half of
 // each batch then lands in the outlier shard and the rest arrives as groups
-// of one or two keys scattered over most partitions — the input on which
-// the cost of reaching a partition's counters, rather than of hashing into
-// them, sets the batch time.
+// of one or two keys scattered over most partitions, and adjacent draws
+// almost never repeat an edge, so every arrival is a run of its own
+// (runs/edge ≈ 1) — the input on which the cost of reaching a partition's
+// counters, rather than of hashing into them, sets the batch time.
 func BenchmarkBatchByPartitionsRandom(b *testing.B) {
 	edges, err := graphgen.DefaultRMAT(22, 12<<20, 42).Generate()
 	if err != nil {
@@ -712,6 +718,7 @@ func benchBatchByPartitions(b *testing.B, sample, populate, input []stream.Edge,
 		core.Populate(c, populate)
 		for _, batch := range batches {
 			name := fmt.Sprintf("shards=%d/batch=%d", c.NumShards(), batch)
+			runs := runsPerEdge(input, batch)
 			b.Run(name+"/update", func(b *testing.B) {
 				b.ReportAllocs()
 				lo := 0
@@ -723,6 +730,7 @@ func benchBatchByPartitions(b *testing.B, sample, populate, input []stream.Edge,
 					lo += batch
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/edge")
+				b.ReportMetric(runs, "runs/edge")
 			})
 			b.Run(name+"/estimate", func(b *testing.B) {
 				// The append path into the caller's buffer, as a serving
@@ -751,7 +759,23 @@ func benchBatchByPartitions(b *testing.B, sample, populate, input []stream.Edge,
 	}
 }
 
-// --- Ablation benches (DESIGN.md §6) --------------------------------------
+// runsPerEdge is the share of arrivals that start a run of adjacent equal
+// edges when input is cut into consecutive batch-sized slices: the routed
+// positions per edge of an update cell (a run never spans two batches).
+func runsPerEdge(input []stream.Edge, batch int) float64 {
+	runs, n := 0, 0
+	for lo := 0; lo+batch <= len(input); lo += batch {
+		for i, e := range input[lo : lo+batch] {
+			if i == 0 || e.Src != input[lo+i-1].Src || e.Dst != input[lo+i-1].Dst {
+				runs++
+			}
+		}
+		n += batch
+	}
+	return float64(runs) / float64(n)
+}
+
+// --- Ablation benches --------------------------------------------------------
 
 // BenchmarkAblationRedistribution compares the trimmed-width reallocation
 // policies on the RMAT stand-in at fixed memory.

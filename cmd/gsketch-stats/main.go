@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"github.com/graphstream/gsketch/internal/core"
+	"github.com/graphstream/gsketch/internal/sketch"
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
@@ -72,7 +73,7 @@ func snapshotStats(path string) {
 	var total, bytes int64
 	var folded int
 	for i, g := range gens {
-		total += g.Count()
+		total = sketch.AddVolume(total, g.Count())
 		bytes += int64(g.MemoryBytes())
 		folded += metas[i].CompactedFrom
 	}

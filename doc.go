@@ -270,6 +270,27 @@
 // is set here — the sample at 32 bytes an edge plus 12 bytes an edge of
 // working set — not by the sketch.
 //
+// # Ingest cost
+//
+// Graph streams repeat edges back to back — the same interaction recurs,
+// which is what the paper's edge frequencies count — so the one fold behind
+// every ingest path, core's routed batch grouping, folds each maximal run of
+// adjacent arrivals of one (Src, Dst) into one position that carries the
+// run's weight sum (a zero weight counting as 1), and routes, hashes and
+// updates the counters once per run. The fold is exact in both update
+// modes: CountMin adds commute within a key, and a conservative raise by w₁
+// then w₂ leaves max(c, m+w₁+w₂) in each cell, as one raise by w₁+w₂ does.
+// That holds for adjacent arrivals only, so a repeat with another edge
+// between is not folded: it would move a conservative update past the other
+// key's. Every stream-volume sum saturates at MaxInt64, as the 2³²−1 cells
+// do, which keeps the fold exact at the top of the range and the ε·N bounds
+// non-negative for any weights. Stream totals, routed-write counts, the
+// window store and the reservoirs still count every arrival. On the
+// repository benchmark's streams 87.8 % (wire_bulk_small), 88.2 %
+// (wire_bulk_large), about 88 % (http_tenants) and 0 % (wire_mixed_paced, a
+// Zipf carousel) of arrivals repeat the edge before them in their frame;
+// the README's Ingest cost section has what that buys.
+//
 // # Observability
 //
 // Serving processes are first-class scrape targets: internal/obs is a
@@ -289,5 +310,6 @@
 //
 // The package front-loads the most common operations; the full machinery
 // (partitioning internals, synopses, generators, the experiment harness)
-// lives in the internal packages and is documented in DESIGN.md.
+// lives in the internal packages and is documented in their package
+// comments.
 package gsketch

@@ -42,6 +42,7 @@ import (
 	"github.com/graphstream/gsketch/internal/compact"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/query"
+	"github.com/graphstream/gsketch/internal/sketch"
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
@@ -338,13 +339,14 @@ func (c *Chain) AppendEstimates(dst []core.Result, qs []core.EdgeQuery) []core.R
 }
 
 // Count returns the chain-wide stream volume: the sum over generations
-// (spilled generations answer from their freeze-time cache).
+// (spilled generations answer from their freeze-time cache), saturating at
+// MaxInt64.
 func (c *Chain) Count() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var sum int64
 	for _, gen := range c.gens {
-		sum += gen.Count()
+		sum = sketch.AddVolume(sum, gen.Count())
 	}
 	return sum
 }

@@ -15,6 +15,7 @@ import (
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/obs"
 	"github.com/graphstream/gsketch/internal/query"
+	"github.com/graphstream/gsketch/internal/sketch"
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
@@ -458,7 +459,7 @@ func (c *Coordinator) Health() (streamTotal int64, queueDepth, generations int) 
 		sh.gmu.Lock()
 		p := sh.pong
 		sh.gmu.Unlock()
-		streamTotal += p.StreamTotal
+		streamTotal = sketch.AddVolume(streamTotal, p.StreamTotal)
 		queueDepth += int(p.QueueDepth) + len(sh.sendCh)
 		if g := int(p.Generations); g > generations {
 			generations = g
@@ -555,7 +556,7 @@ func (c *Coordinator) Stats() Stats {
 		} else {
 			st.Degraded++
 		}
-		st.StreamTotal += s.StreamTotal
+		st.StreamTotal = sketch.AddVolume(st.StreamTotal, s.StreamTotal)
 		st.EdgesLost += s.EdgesLost
 		st.Shards[i] = s
 	}

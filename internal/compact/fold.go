@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"github.com/graphstream/gsketch/internal/core"
+	"github.com/graphstream/gsketch/internal/sketch"
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
@@ -44,7 +45,7 @@ func Fold(segs []*Segment, cfg core.Config, workload []stream.Edge, sampleCap in
 		if fa := s.FrozenAt(); fa > frozenAt {
 			frozenAt = fa
 		}
-		totalCount += s.Count()
+		totalCount = sketch.AddVolume(totalCount, s.Count())
 	}
 
 	g, exact, err := foldSketch(segs, cfg, workload)

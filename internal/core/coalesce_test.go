@@ -1,0 +1,290 @@
+package core
+
+import (
+	"bytes"
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"github.com/graphstream/gsketch/internal/hashutil"
+	"github.com/graphstream/gsketch/internal/sketch"
+	"github.com/graphstream/gsketch/internal/stream"
+)
+
+// foldModes are the update modes a run is folded under: the bank's plain and
+// conservative kernels, and a caller's factory — sketch.Exact, which counts
+// without collisions, so an arrival folded into the wrong key would show.
+var foldModes = []struct {
+	name string
+	cfg  Config
+}{
+	{"plain", Config{}},
+	{"conservative", Config{Conservative: true}},
+	{"exact", Config{Factory: func(int, int, uint64) (sketch.Synopsis, error) { return sketch.NewExact(), nil }}},
+}
+
+// foldRuns is the reference coalescing: one edge per maximal run of adjacent
+// arrivals of one (Src, Dst), weighing the run's saturating increment sum.
+func foldRuns(edges []stream.Edge) []stream.Edge {
+	var out []stream.Edge
+	for i, e := range edges {
+		if i > 0 && e.Src == edges[i-1].Src && e.Dst == edges[i-1].Dst {
+			last := &out[len(out)-1]
+			last.Weight = sketch.AddVolume(last.Weight, e.Increment())
+			continue
+		}
+		e.Weight = e.Increment()
+		out = append(out, e)
+	}
+	return out
+}
+
+// runStream draws n arrivals in runs of 1 to 8 over a small alphabet — source
+// 0 (the router's out-of-line key), routed sources and unrouted ones (the
+// outlier shard), two destinations — with weights drawn from weights.
+func runStream(n int, seed uint64, weights []int64) []stream.Edge {
+	rng := hashutil.NewRNG(seed)
+	srcs := []uint64{0, 1, 2, 5, 100_000, 100_001}
+	edges := make([]stream.Edge, 0, n)
+	for len(edges) < n {
+		e := stream.Edge{Src: srcs[rng.Uint64()%uint64(len(srcs))], Dst: rng.Uint64() % 2}
+		for run := 1 + rng.Uint64()%8; run > 0 && len(edges) < n; run-- {
+			e.Weight = weights[rng.Uint64()%uint64(len(weights))]
+			edges = append(edges, e)
+		}
+	}
+	return edges
+}
+
+// sketchState is g's counters as bytes: its snapshot, or — a factory-built
+// sketch does not serialize — every shard's exact counts in key order.
+func sketchState(tb testing.TB, g *GSketch) []byte {
+	tb.Helper()
+	if g.bank != nil {
+		var buf bytes.Buffer
+		if _, err := g.WriteTo(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var out []byte
+	for shard, syn := range g.syns {
+		var kv [][2]uint64
+		syn.(*sketch.Exact).Range(func(k uint64, c int64) bool {
+			kv = append(kv, [2]uint64{k, uint64(c)})
+			return true
+		})
+		slices.SortFunc(kv, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
+		out = fmt.Appendf(out, "shard %d N=%d %v\n", shard, syn.Count(), kv)
+	}
+	return out
+}
+
+// assertRunsFoldExactly feeds edges per edge with Update, in stream order, to
+// one sketch, and cut into consecutive batches of the sizes in cuts (cycled)
+// through UpdateBatch to a bare and a Concurrent sketch of the same layout.
+// All three must hold the same counters, stream total and routed-write
+// counts — every arrival counted — and answer one query batch alike.
+func assertRunsFoldExactly(t *testing.T, shards int, outlier bool, cfg Config, edges []stream.Edge, cuts ...int) {
+	t.Helper()
+	seq := groupedSketchWith(t, shards, outlier, cfg)
+	for _, e := range edges {
+		seq.Update(e)
+	}
+	qs := batchQueries(edges, 64)
+	want := seq.EstimateBatch(qs)
+	wantState := sketchState(t, seq)
+
+	bare := groupedSketchWith(t, shards, outlier, cfg)
+	conc := NewConcurrent(groupedSketchWith(t, shards, outlier, cfg))
+	for _, est := range []Estimator{bare, conc} {
+		rest := edges
+		for i := 0; len(rest) > 0; i++ {
+			n := min(cuts[i%len(cuts)], len(rest))
+			est.UpdateBatch(rest[:n])
+			rest = rest[n:]
+		}
+		g := bare
+		if c, ok := est.(*Concurrent); ok {
+			g = c.g
+		}
+		if !bytes.Equal(sketchState(t, g), wantState) {
+			t.Fatalf("%T: batch state differs from sequential Update", est)
+		}
+		if est.Count() != seq.Count() {
+			t.Fatalf("%T: Count %d, sequential %d", est, est.Count(), seq.Count())
+		}
+		got := est.EstimateBatch(qs)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%T: query %d: batch %+v, sequential %+v", est, i, got[i], want[i])
+			}
+		}
+		rs := est.(RouteStatsSource)
+		for _, dir := range []struct {
+			name      string
+			got, want RouteCounts
+		}{
+			{"write", rs.WriteRouteCounts(), seq.WriteRouteCounts()},
+			{"read", rs.ReadRouteCounts(), seq.ReadRouteCounts()},
+		} {
+			if !slices.Equal(dir.got.Partitions, dir.want.Partitions) || dir.got.Outlier != dir.want.Outlier || dir.got.Total != dir.want.Total {
+				t.Fatalf("%T: %s route counts %+v, sequential %+v", est, dir.name, dir.got, dir.want)
+			}
+		}
+		if w := rs.WriteRouteCounts().Total; w != int64(len(edges)) {
+			t.Fatalf("%T: %d routed writes, want one per arrival (%d)", est, w, len(edges))
+		}
+	}
+}
+
+// TestUpdateBatchFoldsRuns is the coalescing equivalence property: folding
+// each run of adjacent equal edges into one position leaves every observable
+// — counters, stream total, routed-write counts, answers — where per-edge
+// Update in stream order leaves them, in every update mode, whether the runs
+// fill a batch, never form, or cross a batch boundary.
+func TestUpdateBatchFoldsRuns(t *testing.T) {
+	const big = int64(1) << 62
+	a := stream.Edge{Src: 1, Dst: 7}
+	b := stream.Edge{Src: 1, Dst: 8} // same source, so the same shard as a
+	c := stream.Edge{Src: 100_000, Dst: 7}
+	repeat := func(n int, es ...stream.Edge) []stream.Edge {
+		var out []stream.Edge
+		for i := 0; i < n; i++ {
+			e := es[i%len(es)]
+			e.Weight = int64(i % 4) // 0 counts as 1
+			out = append(out, e)
+		}
+		return out
+	}
+	inputs := []struct {
+		name  string
+		edges []stream.Edge
+		cuts  []int
+	}{
+		{"one edge, whole batch", repeat(300, a), []int{300}},
+		{"one edge, cut batches", repeat(300, a), []int{7, 1, 64}},
+		{"alternating, no runs", repeat(300, a, b), []int{256}},
+		{"alternating shards", repeat(300, a, c, b), []int{5, 256}},
+		{"runs across cuts", runStream(3000, 1, []int64{0, 1, 2, 3}), []int{1, 7, 33, 256}},
+		{"zero and explicit weights", runStream(3000, 2, []int64{0, 0, 1, 5, 1000}), []int{512}},
+		{"saturating runs", runStream(2000, 3, []int64{0, 1, big, big + 3, math.MaxInt64}), []int{3, 100, 1000}},
+		{"source 0 and outliers", []stream.Edge{{Src: 0, Dst: 0}, {Src: 0, Dst: 0, Weight: 4}, {Src: 100_000}, {Src: 100_000}, {Src: 0}}, []int{2, 3}},
+	}
+	for _, mode := range foldModes {
+		for _, in := range inputs {
+			for _, layout := range []struct {
+				shards  int
+				outlier bool
+			}{{3, false}, {65, true}} {
+				name := fmt.Sprintf("%s/%s/shards=%d", mode.name, in.name, layout.shards)
+				t.Run(name, func(t *testing.T) {
+					assertRunsFoldExactly(t, layout.shards, layout.outlier, mode.cfg, in.edges, in.cuts...)
+				})
+			}
+		}
+	}
+}
+
+// TestSaturatedRunsPinVolume: runs whose weights sum past MaxInt64 pin every
+// volume — the stream total, the shard's N_i, the answer's StreamTotal — at
+// MaxInt64, and the ε·N_i bounds stay non-negative, where a wrapping sum
+// would read them negative.
+func TestSaturatedRunsPinVolume(t *testing.T) {
+	const big = 1 << 62
+	for _, edges := range [][]stream.Edge{
+		// A run past MaxInt64, then one more edge.
+		{{Src: 1, Dst: 2, Weight: big}, {Src: 1, Dst: 2, Weight: big}, {Src: 1, Dst: 3, Weight: big}},
+		// Four runs of one edge each, whose wrapping sum is exactly 0.
+		{{Src: 1, Dst: 2, Weight: big}, {Src: 1, Dst: 3, Weight: big}, {Src: 1, Dst: 2, Weight: big}, {Src: 1, Dst: 3, Weight: big}},
+	} {
+		for _, mode := range foldModes {
+			c := NewConcurrent(groupedSketchWith(t, 3, false, mode.cfg))
+			c.UpdateBatch(edges)
+			if got := c.Count(); got != math.MaxInt64 {
+				t.Fatalf("%s: Count = %d, want MaxInt64", mode.name, got)
+			}
+			for _, r := range c.EstimateBatch([]EdgeQuery{{Src: 1, Dst: 2}, {Src: 1, Dst: 3}, {Src: 2, Dst: 2}}) {
+				if r.StreamTotal != math.MaxInt64 || r.ErrorBound < 0 || r.Estimate < 0 {
+					t.Fatalf("%s: %+v, want StreamTotal MaxInt64 and non-negative bounds", mode.name, r)
+				}
+			}
+			if r := c.EstimateBatch([]EdgeQuery{{Src: 1, Dst: 2}})[0]; r.ErrorBound == 0 {
+				t.Fatalf("%s: the loaded shard reports a zero bound: its N_i wrapped", mode.name)
+			}
+		}
+	}
+}
+
+// TestNegativeWeightStopsRun: a negative weight never joins a run, so the
+// kernel still sees it as it arrived and refuses the batch, where folding it
+// into a positive neighbour (5 + −3) would have hidden it.
+func TestNegativeWeightStopsRun(t *testing.T) {
+	for _, edges := range [][]stream.Edge{
+		{{Src: 1, Dst: 2, Weight: 5}, {Src: 1, Dst: 2, Weight: -3}},
+		{{Src: 1, Dst: 2, Weight: -3}, {Src: 1, Dst: 2, Weight: 5}},
+		{{Src: 1, Dst: 2, Weight: -5}, {Src: 1, Dst: 2, Weight: -5}},
+	} {
+		g := groupedSketch(t, 3, false)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("UpdateBatch(%v) did not panic", edges)
+				}
+			}()
+			g.UpdateBatch(edges)
+		}()
+	}
+}
+
+// FuzzUpdateBatchRuns checks coalescing against per-edge Update on arbitrary
+// short batches. Each input byte is one arrival over a four-edge alphabet —
+// source 0, a routed source and an outlier, so adjacent repeats are common —
+// with a weight from {0, 1, small, ≥ 2⁶²}; the first byte cuts the batch.
+func FuzzUpdateBatchRuns(f *testing.F) {
+	f.Add([]byte{3, 0, 0, 0, 0})
+	f.Add([]byte{1, 0x00, 0x41, 0x00, 0x41, 0xc2, 0xc2, 0xc2})
+	f.Add([]byte{7, 0xff, 0xfe, 0x03, 0x03, 0x83, 0x83, 0x10, 0x10, 0x10})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 512 {
+			return
+		}
+		cut := 1 + int(data[0])%16
+		srcs := [4]uint64{0, 1, 2, 100_000}
+		edges := make([]stream.Edge, len(data)-1)
+		for i, b := range data[1:] {
+			e := stream.Edge{Src: srcs[b&3], Dst: uint64(b>>2) & 1}
+			switch b >> 6 {
+			case 1:
+				e.Weight = 1
+			case 2:
+				e.Weight = 2 + int64(b>>3&7)
+			case 3:
+				e.Weight = 1<<62 + int64(b>>3&7)
+			}
+			edges[i] = e
+		}
+		for _, conservative := range []bool{false, true} {
+			cfg := Config{Conservative: conservative}
+			seq := groupedSketchWith(t, 4, true, cfg)
+			batch := groupedSketchWith(t, 4, true, cfg)
+			for _, e := range edges {
+				seq.Update(e)
+			}
+			for rest := edges; len(rest) > 0; {
+				n := min(cut, len(rest))
+				batch.UpdateBatch(rest[:n])
+				rest = rest[n:]
+			}
+			if !bytes.Equal(sketchState(t, batch), sketchState(t, seq)) {
+				t.Fatalf("conservative=%v: UpdateBatch state differs from sequential Update on %v", conservative, edges)
+			}
+			if batch.Count() != seq.Count() || batch.WriteRouteCounts().Total != int64(len(edges)) {
+				t.Fatalf("conservative=%v: Count %d / writes %d, sequential %d / %d",
+					conservative, batch.Count(), batch.WriteRouteCounts().Total, seq.Count(), len(edges))
+			}
+		}
+	})
+}

@@ -73,10 +73,7 @@ func (c *Concurrent) Update(e stream.Edge) {
 		c.mu.Unlock()
 		return
 	}
-	w := e.Weight
-	if w == 0 {
-		w = 1
-	}
+	w := e.Increment()
 	shard := c.g.Route(e.Src)
 	c.g.writeHits[shard].Add(1)
 	key := stream.EdgeKey(e.Src, e.Dst)
@@ -106,10 +103,13 @@ func (c *Concurrent) eachStripe(gr *grouping, lock, unlock func(*sync.RWMutex), 
 
 // UpdateBatch folds a batch of edge arrivals. On the sharded path the batch
 // is routed and grouped by destination shard without any lock (the router
-// is immutable), then each touched stripe's run of groups is applied under
-// its lock in one kernel call — so concurrent batches serialize only where
-// they actually collide, and a batch's cost follows its size and the shards
-// it touches, not the partition count.
+// is immutable), each run of adjacent equal edges folded into one position
+// carrying the run's weight sum, then each touched stripe's groups are
+// applied under its lock in one kernel call — so concurrent batches
+// serialize only where they actually collide, and a batch's cost follows
+// its runs and the shards it touches, not its arrivals or the partition
+// count. Counters, the stream total and the routed-write counts end up as
+// per-edge Update in stream order leaves them.
 func (c *Concurrent) UpdateBatch(edges []stream.Edge) {
 	if len(edges) == 0 {
 		return

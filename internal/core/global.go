@@ -46,11 +46,8 @@ func BuildGlobalSketch(cfg Config) (*GlobalSketch, error) {
 
 // Update folds one edge arrival into the sketch.
 func (g *GlobalSketch) Update(e stream.Edge) {
-	w := e.Weight
-	if w == 0 {
-		w = 1
-	}
-	g.total += w
+	w := e.Increment()
+	g.total = sketch.AddVolume(g.total, w)
 	g.syn.Update(stream.EdgeKey(e.Src, e.Dst), w)
 }
 
@@ -65,17 +62,14 @@ func (g *GlobalSketch) UpdateBatch(edges []stream.Edge) {
 	keys, counts := g.batchKeys[:0], g.batchCounts[:0]
 	var total int64
 	for _, e := range edges {
-		w := e.Weight
-		if w == 0 {
-			w = 1
-		}
-		total += w
+		w := e.Increment()
+		total = sketch.AddVolume(total, w)
 		keys = append(keys, stream.EdgeKey(e.Src, e.Dst))
 		counts = append(counts, w)
 	}
 	g.syn.UpdateBatch(keys, counts)
 	g.batchKeys, g.batchCounts = keys, counts
-	g.total += total
+	g.total = sketch.AddVolume(g.total, total)
 }
 
 // EstimateEdge answers an edge query.

@@ -22,6 +22,17 @@ import (
 // drive the routed kernels under the stripe locks.
 func groupedSketch(tb testing.TB, shards int, outlier bool) *GSketch {
 	tb.Helper()
+	g := groupedSketchWith(tb, shards, outlier, Config{})
+	if g.bank == nil {
+		tb.Fatal("no bank behind the default factory")
+	}
+	return g
+}
+
+// groupedSketchWith is groupedSketch in cfg's update mode: its Conservative
+// and Factory fields are kept, the dimensions and seed are the fixture's.
+func groupedSketchWith(tb testing.TB, shards int, outlier bool, cfg Config) *GSketch {
+	tb.Helper()
 	const width, depth = 8, 2
 	parts := shards
 	if outlier {
@@ -31,8 +42,9 @@ func groupedSketch(tb testing.TB, shards int, outlier bool) *GSketch {
 	for v := range keys {
 		keys[v], vals[v] = uint64(v), int32(v%parts)
 	}
+	cfg.TotalWidth, cfg.Depth, cfg.Seed = shards*width, depth, 11
 	g := &GSketch{
-		cfg:        Config{TotalWidth: shards * width, Depth: depth, Seed: 11}.withDefaults(),
+		cfg:        cfg.withDefaults(),
 		router:     buildRouter(keys, vals),
 		leaves:     make([]Leaf, parts),
 		totalWidth: shards * width,
@@ -45,9 +57,6 @@ func groupedSketch(tb testing.TB, shards int, outlier bool) *GSketch {
 	}
 	if err := g.allocShards(); err != nil {
 		tb.Fatal(err)
-	}
-	if g.bank == nil {
-		tb.Fatal("no bank behind the default factory")
 	}
 	if g.NumShards() != shards {
 		tb.Fatalf("built %d shards, want %d", g.NumShards(), shards)
@@ -155,8 +164,8 @@ func TestGroupedBatchesMatchSequential(t *testing.T) {
 						}
 					}
 					for shard, c := range plain.scratch.count {
-						if c != 0 {
-							t.Fatalf("count[%d] = %d between batches, want 0", shard, c)
+						if c != 0 || plain.scratch.folded[shard] != 0 {
+							t.Fatalf("count/folded[%d] = %d/%d between batches, want 0", shard, c, plain.scratch.folded[shard])
 						}
 					}
 				})
@@ -168,11 +177,16 @@ func TestGroupedBatchesMatchSequential(t *testing.T) {
 // TestGroupingLayout checks the grouping's own invariants on one routed
 // batch: the touched list holds exactly the batch's shards, each lock stripe
 // in one run (so a walk takes every stripe lock at most once), and each
-// group holds its shard's keys and weights in stream order.
+// group holds its shard's runs — keys and summed weights — in stream order.
 func TestGroupingLayout(t *testing.T) {
 	const shards = 200
 	g := groupedSketch(t, shards, true)
 	edges := groupedStream(3000, shards, 5)
+	// Repeat some arrivals in place, so the batch has runs to fold.
+	for i := 2000; i+3 < len(edges); i += 10 {
+		edges[i+1].Src, edges[i+1].Dst = edges[i].Src, edges[i].Dst
+		edges[i+2].Src, edges[i+2].Dst = edges[i].Src, edges[i].Dst
+	}
 	for _, stripes := range []int{1, maxLockStripes} {
 		gr := newGrouping(shards, stripes)
 		gr.routeEdges(g, edges[:2000]) // a larger batch first
@@ -181,14 +195,10 @@ func TestGroupingLayout(t *testing.T) {
 
 		wantKeys := map[int32][]uint64{}
 		wantWeights := map[int32][]int64{}
-		for _, e := range batch {
+		for _, e := range foldRuns(batch) {
 			shard := int32(g.Route(e.Src))
-			w := e.Weight
-			if w == 0 {
-				w = 1
-			}
 			wantKeys[shard] = append(wantKeys[shard], stream.EdgeKey(e.Src, e.Dst))
-			wantWeights[shard] = append(wantWeights[shard], w)
+			wantWeights[shard] = append(wantWeights[shard], e.Weight)
 		}
 		if len(gr.touched) != len(wantKeys) {
 			t.Fatalf("stripes=%d: %d touched shards, want %d", stripes, len(gr.touched), len(wantKeys))
@@ -295,11 +305,16 @@ func TestBatchPathsSteadyStateAllocs(t *testing.T) {
 	for _, shards := range []int{16, 4097} {
 		c := NewConcurrent(groupedSketch(t, shards, true))
 		edges := groupedStream(1024, shards, 3)
+		runs := runStream(1024, 3, []int64{0, 1, 2})
 		qs := batchQueries(edges, len(edges))
 		c.UpdateBatch(edges)
+		c.UpdateBatch(runs)
 		c.EstimateBatch(qs)
 		if n := testing.AllocsPerRun(100, func() { c.UpdateBatch(edges) }); n != 0 {
 			t.Errorf("shards=%d: UpdateBatch allocates %v per batch, want 0", shards, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.UpdateBatch(runs) }); n != 0 {
+			t.Errorf("shards=%d: UpdateBatch of runs allocates %v per batch, want 0", shards, n)
 		}
 		if n := testing.AllocsPerRun(100, func() { c.EstimateBatch(qs) }); n != 1 {
 			t.Errorf("shards=%d: EstimateBatch allocates %v per batch, want 1 (the results)", shards, n)

@@ -80,8 +80,8 @@ type GSketch struct {
 
 	// writeHits / readHits count routed traffic per shard (outlier shard
 	// last), split by direction. They are atomic so the batch route passes —
-	// which run lock-free under Concurrent — can fold in per-shard group
-	// sizes without synchronization. Runtime observability only: they are
+	// which run lock-free under Concurrent — can fold in per-shard arrival
+	// counts without synchronization. Runtime observability only: they are
 	// not serialized.
 	writeHits []atomic.Int64
 	readHits  []atomic.Int64
@@ -242,17 +242,23 @@ func (g *GSketch) shardSynopsis(shard int) sketch.Synopsis {
 	return g.syns[shard]
 }
 
-// addTotal folds stream volume into the atomic total on behalf of callers
-// (Concurrent) that apply counter updates shard-by-shard.
-func (g *GSketch) addTotal(n int64) { g.total.Add(n) }
+// addTotal folds stream volume into the atomic total, saturating at
+// MaxInt64, for every writer: Concurrent applies counter updates
+// shard-by-shard from several goroutines, so the sum is a CAS loop rather
+// than a load and a store.
+func (g *GSketch) addTotal(n int64) {
+	for {
+		old := g.total.Load()
+		if g.total.CompareAndSwap(old, sketch.AddVolume(old, n)) {
+			return
+		}
+	}
+}
 
 // Update folds one edge arrival into its localized sketch.
 func (g *GSketch) Update(e stream.Edge) {
-	w := e.Weight
-	if w == 0 {
-		w = 1
-	}
-	g.total.Add(w)
+	w := e.Increment()
+	g.addTotal(w)
 	shard := g.Route(e.Src)
 	g.writeHits[shard].Add(1)
 	g.shardSynopsis(shard).Update(stream.EdgeKey(e.Src, e.Dst), w)
@@ -269,8 +275,9 @@ func (g *GSketch) batchScratch() *grouping {
 
 // UpdateBatch folds a batch of edge arrivals through the routed-batch
 // grouping: the batch is first grouped by destination shard (touching only
-// the flat router), then the bank absorbs the whole shard-major batch in
-// one UpdateRouted call — O(batch + touched shards), whatever the partition
+// the flat router), each run of adjacent equal edges folded into one
+// position, then the bank absorbs the whole shard-major batch in one
+// UpdateRouted call — O(batch + touched shards), whatever the partition
 // count. Within a shard the stream order is preserved, so the resulting
 // counters are byte-identical to sequential Update — partitions are
 // independent, so cross-shard reordering is unobservable.
@@ -281,7 +288,7 @@ func (g *GSketch) UpdateBatch(edges []stream.Edge) {
 	gr := g.batchScratch()
 	total := gr.routeEdges(g, edges)
 	gr.update(g, 0, len(gr.touched))
-	g.total.Add(total)
+	g.addTotal(total)
 }
 
 // EstimateEdge answers an edge query from the localized sketch the edge's

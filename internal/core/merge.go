@@ -110,6 +110,6 @@ func (g *GSketch) MergeFrom(other *GSketch) error {
 		g.leaves[i].SumF += other.leaves[i].SumF
 		g.leaves[i].SumD += other.leaves[i].SumD
 	}
-	g.total.Add(other.total.Load())
+	g.addTotal(other.total.Load())
 	return nil
 }

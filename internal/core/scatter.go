@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"github.com/graphstream/gsketch/internal/hashutil"
+	"github.com/graphstream/gsketch/internal/sketch"
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
@@ -12,12 +13,23 @@ import (
 // batch's (key, weight) groups into the shards, EstimateBatch gathers a
 // query batch's estimates out of them.
 //
+// A position is one query of a query batch and one run of an edge batch: a
+// maximal streak of adjacent arrivals of the same (Src, Dst), folded into
+// one position that carries the run's saturating weight sum. Graph streams
+// repeat edges back to back — on the repository benchmark's bulk and
+// tenant streams seven arrivals in eight repeat the one before — so the
+// routing probe, the key hash and the kernel's d cell updates are paid once
+// per run. Folding is exact in both update modes (sketch.Bank.UpdateRouted
+// says why), and only adjacent arrivals fold: merging a key's later
+// arrivals into an earlier position would move them past other keys'
+// conservative updates.
+//
 // A routing pass records every position's shard and edge key and counts the
 // shard's group, noting each shard the first time it is hit in the touched
 // list; a prefix sum over that list lays the groups out; a placement pass —
 // a stable counting sort, so every group keeps stream order — writes shard,
 // key and weight group-major. Nothing walks the whole shard range: the
-// per-shard count array is all zero between batches and only the touched
+// per-shard counts are all zero between batches and only the touched
 // entries are counted, summed, hit-counted and cleared again, so a batch
 // costs O(batch + touched shards) however finely the sketch is partitioned
 // — a one-edge batch on 16 k partitions touches one counter, not 16 k. All
@@ -26,7 +38,7 @@ import (
 // the caller hands Concurrent.AppendEstimates a buffer of its own.
 //
 // The shard-major arrays are what the sketch bank's routed kernels take: a
-// run of groups — the whole batch for a bare GSketch, one lock stripe's
+// span of groups — the whole batch for a bare GSketch, one lock stripe's
 // groups for Concurrent — is one contiguous slice of positions and one
 // kernel call, so a batch makes as many calls as it takes locks, not one
 // per touched shard (sketch.Bank has the per-position cost model).
@@ -43,6 +55,7 @@ type grouping struct {
 	// Per batch position, in input order.
 	shardOf []int32  // shard the position routes to
 	keys    []uint64 // the position's edge key
+	weights []int64  // its run's weight sum (edge batches only)
 	slot    []int32  // its offset into gkeys/gvals (query batches only)
 
 	// Shard-major: group j of touched occupies [off[j], off[j+1]).
@@ -55,17 +68,25 @@ type grouping struct {
 	// second buffer for the stripe ordering.
 	touched, spare []int32
 
-	// Per shard. count is the group size while routing and the placement
-	// cursor afterwards; it is zero between batches. bound is the ε·N_i
-	// bound of a gathered group, valid for the touched shards only.
-	count []int32
-	bound []float64
+	// Per shard. count is the group size in positions while routing and the
+	// placement cursor afterwards. folded counts the arrivals folded into
+	// the first position of their run, so that count+folded, the shard's
+	// routed hits, still counts every arrival. Only a run of two or more
+	// writes folded, so a position without one touches one counter, as
+	// before: at 16 k shards these arrays outgrow the first-level cache, and
+	// a second per-position counter measurably slowed both directions. Both
+	// are zero between batches. bound is the ε·N_i bound of a gathered group,
+	// valid for the touched shards only.
+	count  []int32
+	folded []int32
+	bound  []float64
 }
 
 func newGrouping(shards, stripes int) *grouping {
 	return &grouping{
 		stripes: stripes,
 		count:   make([]int32, shards),
+		folded:  make([]int32, shards),
 		bound:   make([]float64, shards),
 	}
 }
@@ -76,6 +97,7 @@ func (gr *grouping) begin(n int) {
 	if cap(gr.shardOf) < n {
 		gr.shardOf = make([]int32, n)
 		gr.keys = make([]uint64, n)
+		gr.weights = make([]int64, n)
 		gr.slot = make([]int32, n)
 		gr.gshard = make([]int32, n)
 		gr.gkeys = make([]uint64, n)
@@ -111,10 +133,11 @@ func (gr *grouping) mark(i, nt, shard int, key uint64) int {
 
 // layout closes the routing pass: it orders the nt touched shards by lock
 // stripe, turns their counts into group offsets (count becomes the
-// placement cursor) and folds the group sizes into the direction's routing
-// stats (the drift signal of adaptive repartitioning), one atomic add per
-// touched shard.
-func (gr *grouping) layout(nt int, hits []atomic.Int64) {
+// placement cursor) and folds the arrivals each group stands for — its
+// count, plus folded when the batch had runs (folded is nil otherwise) —
+// into the direction's routing stats (the drift signal of adaptive
+// repartitioning), one atomic add per touched shard.
+func (gr *grouping) layout(nt int, hits []atomic.Int64, folded []int32) {
 	gr.touched = gr.touched[:nt]
 	if gr.stripes > 1 && nt > 1 {
 		gr.orderByStripe()
@@ -126,7 +149,12 @@ func (gr *grouping) layout(nt int, hits []atomic.Int64) {
 		gr.count[shard] = o
 		o += c
 		gr.off[j+1] = o
-		hits[shard].Add(int64(c))
+		n := int64(c)
+		if folded != nil {
+			n += int64(folded[shard])
+			folded[shard] = 0
+		}
+		hits[shard].Add(n)
 	}
 }
 
@@ -158,31 +186,43 @@ func (gr *grouping) release() {
 }
 
 // routeEdges groups an edge batch by destination shard — gkeys and gvals
-// hold each touched shard's keys and weights, in stream order — and returns
-// the batch's total stream volume.
+// hold each touched shard's run keys and run weights, in stream order — and
+// returns the batch's total stream volume. A negative weight never joins a
+// run, so it reaches the kernel as it arrived and is refused there.
 func (gr *grouping) routeEdges(g *GSketch, edges []stream.Edge) int64 {
 	gr.begin(len(edges))
-	nt := 0
-	for i, e := range edges {
+	var total int64
+	var folded []int32 // gr.folded once a run of two or more is seen
+	nt, np := 0, 0
+	for i := 0; i < len(edges); np++ {
+		e := edges[i]
+		w, j := e.Increment(), i+1
+		// w|weight ≥ 0: both the run so far and the next arrival are
+		// non-negative.
+		for ; j < len(edges) && edges[j].Src == e.Src && edges[j].Dst == e.Dst && w|edges[j].Weight >= 0; j++ {
+			w = sketch.AddVolume(w, edges[j].Increment())
+		}
 		// One Mix64 of the source serves both the routing probe and the
 		// edge-key derivation.
 		mixed := hashutil.Mix64(e.Src)
-		nt = gr.mark(i, nt, g.routeMixed(mixed, e.Src), hashutil.EdgeKeyMixed(mixed, e.Dst))
-	}
-	gr.layout(nt, g.writeHits)
-	var total int64
-	for i, e := range edges {
-		w := e.Weight
-		if w == 0 {
-			w = 1
+		shard := g.routeMixed(mixed, e.Src)
+		nt = gr.mark(np, nt, shard, hashutil.EdgeKeyMixed(mixed, e.Dst))
+		if j > i+1 {
+			folded = gr.folded
+			folded[shard] += int32(j - i - 1)
 		}
-		total += w
-		shard := gr.shardOf[i]
+		gr.weights[np] = w
+		total = sketch.AddVolume(total, w)
+		i = j
+	}
+	gr.shardOf, gr.gshard, gr.gkeys, gr.gvals = gr.shardOf[:np], gr.gshard[:np], gr.gkeys[:np], gr.gvals[:np]
+	gr.layout(nt, g.writeHits, folded)
+	for p, shard := range gr.shardOf {
 		k := gr.count[shard]
 		gr.count[shard] = k + 1
 		gr.gshard[k] = shard
-		gr.gkeys[k] = gr.keys[i]
-		gr.gvals[k] = w
+		gr.gkeys[k] = gr.keys[p]
+		gr.gvals[k] = gr.weights[p]
 	}
 	gr.release()
 	return total
@@ -198,7 +238,7 @@ func (gr *grouping) routeQueries(g *GSketch, qs []EdgeQuery) {
 		mixed := hashutil.Mix64(q.Src)
 		nt = gr.mark(i, nt, g.routeMixed(mixed, q.Src), hashutil.EdgeKeyMixed(mixed, q.Dst))
 	}
-	gr.layout(nt, g.readHits)
+	gr.layout(nt, g.readHits, nil)
 	for i, shard := range gr.shardOf {
 		k := gr.count[shard]
 		gr.count[shard] = k + 1
@@ -209,7 +249,7 @@ func (gr *grouping) routeQueries(g *GSketch, qs []EdgeQuery) {
 	gr.release()
 }
 
-// update folds the run of groups [j0, j1) into their shards: one bank kernel
+// update folds the span of groups [j0, j1) into their shards: one bank kernel
 // call over the run's positions, or one Synopsis call per group of a
 // factory-built sketch. The caller owns locking and total-volume accounting.
 func (gr *grouping) update(g *GSketch, j0, j1 int) {
@@ -224,7 +264,7 @@ func (gr *grouping) update(g *GSketch, j0, j1 int) {
 	}
 }
 
-// estimate answers the run of groups [j0, j1) and records each touched
+// estimate answers the span of groups [j0, j1) and records each touched
 // shard's ε·N_i bound, read in the same critical section as the counters so
 // the pair is one consistent snapshot. The caller owns synchronization;
 // assemble runs lock-free afterwards.

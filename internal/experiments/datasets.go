@@ -55,7 +55,8 @@ type Profile struct {
 // Repro is the default profile: a downscale of the paper's setup chosen so
 // the collision regimes (stream volume and distinct-edge counts relative
 // to sketch width) match the paper's across each memory grid, which is
-// what preserves every plot's shape (DESIGN.md §4).
+// what preserves every plot's shape (the field comments give the paper's
+// figure beside each of ours).
 var Repro = Profile{
 	Name: "repro",
 

@@ -96,7 +96,7 @@ func (h *Harness) alphaSweep(ds *Dataset, subgraph bool) ([]AlphaPoint, error) {
 }
 
 func (h *Harness) scaleNote() string {
-	return fmt.Sprintf("profile %q: synthetic stand-ins at reduced scale; see DESIGN.md §4", h.Reg.Profile.Name)
+	return fmt.Sprintf("profile %q: synthetic stand-ins at reduced scale; see the Profile docs in internal/experiments", h.Reg.Profile.Name)
 }
 
 // VarianceRatio reproduces the §6.1 in-text statistics σ_G, σ_V and their

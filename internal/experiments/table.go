@@ -1,7 +1,7 @@
 // Package experiments is the reproduction harness: it regenerates every
 // table and figure of the paper's evaluation (§6) as printable tables.
 // Each experiment id (fig4 … fig14, table1, varratio) maps to a runner;
-// DESIGN.md §5 is the index. Dataset scale is controlled by a Profile so
+// FindExperiment is the index. Dataset scale is controlled by a Profile so
 // the same harness drives quick CI runs and full reproductions.
 package experiments
 

@@ -1,8 +1,9 @@
 // Package graphgen generates the synthetic graph streams used by the
 // reproduction: an R-MAT generator standing in for GTGraph, a DBLP-like
-// co-authorship stream, and an IP-attack-network stream (see DESIGN.md §4
-// for the substitution rationale). All generators are deterministic under a
-// seed and emit edges in chronological order.
+// co-authorship stream, and an IP-attack-network stream (the Repro profile
+// in internal/experiments says how each stands in for the paper's dataset
+// and at what scale). All generators are deterministic under a seed and
+// emit edges in chronological order.
 package graphgen
 
 import (

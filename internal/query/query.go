@@ -15,6 +15,7 @@ import (
 	"math"
 
 	"github.com/graphstream/gsketch/internal/core"
+	"github.com/graphstream/gsketch/internal/sketch"
 )
 
 // Query is the sealed sum of the supported query kinds: EdgeQuery,
@@ -172,7 +173,7 @@ func unionConfidence(res []core.Result) float64 {
 //     most the sum of the per-generation overcounts;
 //   - confidence combines by a union bound over the per-generation failure
 //     probabilities: 1 - Σ δ_g, floored at 0;
-//   - stream-total snapshots sum to the chain-wide volume.
+//   - stream-total snapshots sum, saturating, to the chain-wide volume.
 //
 // Provenance (Partition, Outlier) stays acc's — by convention the live
 // head generation answers first, so combined results carry the routing of
@@ -191,7 +192,7 @@ func AccumulateResults(acc, gen []core.Result) {
 		} else {
 			acc[i].Confidence = 1 - deltas
 		}
-		acc[i].StreamTotal += g.StreamTotal
+		acc[i].StreamTotal = sketch.AddVolume(acc[i].StreamTotal, g.StreamTotal)
 	}
 }
 
@@ -226,7 +227,7 @@ func AccumulateResultsWeighted(acc, gen []core.Result, w float64) {
 		} else {
 			acc[i].Confidence = 1 - deltas
 		}
-		acc[i].StreamTotal += g.StreamTotal
+		acc[i].StreamTotal = sketch.AddVolume(acc[i].StreamTotal, g.StreamTotal)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -185,6 +186,33 @@ func TestWireEquivalence(t *testing.T) {
 			j.Outlier != want[i].Outlier || j.ErrorBound != want[i].ErrorBound ||
 			j.Confidence != want[i].Confidence {
 			t.Fatalf("json result %d = %+v, want %+v", i, j, want[i])
+		}
+	}
+}
+
+// TestWireIngestVolumeSaturates: one wire frame carrying two edges of weight
+// 2⁶² used to wrap the stream volume negative, and with it every reply's
+// StreamTotal and ε·N_i bound. The volume now pins at MaxInt64.
+func TestWireIngestVolumeSaturates(t *testing.T) {
+	edges := testStream(600, 23)
+	g := buildTestGSketch(t, edges)
+	srv, _, wireAddr := newWireServer(t, Config{Estimator: core.NewConcurrent(g)})
+	frame := append([]stream.Edge(nil), edges[:200]...)
+	frame[20].Weight, frame[120].Weight = 1<<62, 1<<62
+	frame[121] = frame[120]
+
+	wc := dialWire(t, wireAddr)
+	wc.ingestWire(t, frame) // one frame: under the client's 1024-edge chunk
+	if got := srv.Engine().Estimator().Count(); got != math.MaxInt64 {
+		t.Fatalf("Count = %d after the frame, want MaxInt64", got)
+	}
+	qs := make([]core.EdgeQuery, len(frame))
+	for i, e := range frame {
+		qs[i] = core.EdgeQuery{Src: e.Src, Dst: e.Dst}
+	}
+	for i, r := range wc.queryWire(t, qs) {
+		if r.StreamTotal != math.MaxInt64 || r.ErrorBound < 0 || r.Estimate < 0 {
+			t.Fatalf("query %d = %+v, want StreamTotal MaxInt64 and non-negative bounds", i, r)
 		}
 	}
 }

@@ -160,11 +160,19 @@ func indexBuffer(stack []uint64, depth int) []uint64 {
 // negative count panics before anything is written. The caller owns
 // synchronization for every shard named.
 //
+// A position may stand for several arrivals of its key — core's grouping
+// hands over each streak of adjacent arrivals of one edge as one position
+// with the streak's saturating count sum — because one update by a+b
+// leaves the cells an update by a then b leaves, in either mode: saturating
+// adds compose, and a conservative raise by a lifts the key's minimum m to
+// exactly m+a, so raising again by b gives max(c, m+a+b) per cell, as one
+// raise by a+b does (both saturating at 2³²−1).
+//
 // Plain sketches take the run block by block in two passes (saturating adds
 // commute). Conservative-update sketches read their own cells back, so they
 // go position by position; callers keep each shard's positions in stream
-// order. A volume is written once per streak of equal shards, so a
-// shard-major run touches each N_i once.
+// order. A volume is summed, saturating, once per streak of equal shards,
+// so a shard-major run touches each N_i once.
 func (b *Bank) UpdateRouted(shards []int32, keys []uint64, counts []int64) {
 	if len(shards) != len(keys) || len(keys) != len(counts) {
 		panic("sketch: UpdateRouted slice length mismatch")
@@ -194,12 +202,12 @@ func (b *Bank) UpdateRouted(shards []int32, keys []uint64, counts []int64) {
 	cur, sum := shards[0], int64(0)
 	for i, s := range shards {
 		if s != cur {
-			b.totals[cur] += sum
+			b.totals[cur] = AddVolume(b.totals[cur], sum)
 			cur, sum = s, 0
 		}
-		sum += counts[i]
+		sum = AddVolume(sum, counts[i])
 	}
-	b.totals[cur] += sum
+	b.totals[cur] = AddVolume(b.totals[cur], sum)
 }
 
 // EstimateRouted writes Sketch(shards[i]).Estimate(keys[i]) into out[i] for

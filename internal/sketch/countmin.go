@@ -100,7 +100,7 @@ func (cm *CountMin) Update(key uint64, count int64) {
 	if count == 0 {
 		return
 	}
-	*cm.total += count
+	*cm.total = AddVolume(*cm.total, count)
 	if cm.conservative {
 		cm.updateConservative(key, count)
 		return
@@ -136,7 +136,7 @@ func (cm *CountMin) UpdateBatch(keys []uint64, counts []int64) {
 		}
 		return
 	}
-	*cm.total += checkedSum(counts)
+	*cm.total = AddVolume(*cm.total, checkedSum(counts))
 	width, cells := uint64(cm.width), cm.cells
 	var xr [updateBlock]uint64
 	for len(keys) > 0 {
@@ -158,15 +158,15 @@ func (cm *CountMin) UpdateBatch(keys []uint64, counts []int64) {
 	}
 }
 
-// checkedSum totals a batch's counts, panicking on a negative one before
-// any counter moves.
+// checkedSum totals a batch's counts, saturating, and panics on a negative
+// one before any counter moves.
 func checkedSum(counts []int64) int64 {
 	var total int64
 	for _, count := range counts {
 		if count < 0 {
 			panic("sketch: negative update in cash-register model")
 		}
-		total += count
+		total = AddVolume(total, count)
 	}
 	return total
 }
@@ -276,7 +276,7 @@ func (cm *CountMin) Merge(other *CountMin) error {
 	for i, v := range other.cells {
 		cm.cells[i] = addSat32(cm.cells[i], int64(v))
 	}
-	*cm.total += *other.total
+	*cm.total = AddVolume(*cm.total, *other.total)
 	return nil
 }
 

@@ -21,8 +21,8 @@ func (e *Exact) Update(key uint64, count int64) {
 	if count == 0 {
 		return
 	}
-	e.counts[key] += count
-	e.total += count
+	e.counts[key] = AddVolume(e.counts[key], count)
+	e.total = AddVolume(e.total, count)
 }
 
 // UpdateBatch applies the batch in slice order against a single map load.
@@ -40,10 +40,10 @@ func (e *Exact) UpdateBatch(keys []uint64, counts []int64) {
 		if count == 0 {
 			continue
 		}
-		m[key] += count
-		total += count
+		m[key] = AddVolume(m[key], count)
+		total = AddVolume(total, count)
 	}
-	e.total += total
+	e.total = AddVolume(e.total, total)
 }
 
 // Estimate returns the exact accumulated count of key.

@@ -116,6 +116,18 @@ func rowCell(a, b, xr, width uint64) uint64 {
 	return vhi<<3 | vlo>>61
 }
 
+// AddVolume returns n+m for non-negative stream volumes, saturating at
+// math.MaxInt64 where the int64 sum would wrap negative — the volume
+// counterpart of a cell's saturation at 2³²−1. Every volume sum (a sketch's
+// N, a shard's N_i, a batch or run total, a chain's or cluster's total)
+// goes through it, so no weight, however large, turns an ε·N bound negative.
+func AddVolume(n, m int64) int64 {
+	if s := n + m; s >= 0 {
+		return s
+	}
+	return math.MaxInt64
+}
+
 func addSat32(cell uint32, count int64) uint32 {
 	sum := uint64(cell) + uint64(count)
 	if sum > maxCell {

@@ -25,6 +25,15 @@ type Edge struct {
 	Time int64
 }
 
+// Increment returns the frequency increment the arrival carries: its
+// Weight, with a zero Weight counting as the paper's default of 1.
+func (e Edge) Increment() int64 {
+	if e.Weight == 0 {
+		return 1
+	}
+	return e.Weight
+}
+
 // Key returns the 64-bit sketch key of the directed edge.
 func (e Edge) Key() uint64 { return hashutil.EdgeKey(e.Src, e.Dst) }
 
