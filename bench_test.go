@@ -189,8 +189,9 @@ func BenchmarkPartitioning(b *testing.B) {
 }
 
 // BenchmarkBootstrap measures what a boot, a tenant create or a repartition
-// pays before the first edge: edge file → ready Engine ("open"), and the
-// stages under it one at a time. The sizes are the ones the repository's
+// pays before the first edge: edge file → ready Engine, through a sample
+// read into memory ("open") and through the file source ("file"), and the
+// stages under the former one at a time. The sizes are the ones the repository's
 // benchmark boots with: the 8 192-edge rebuild of an adaptive engine, the
 // 65 536-edge default -sample-cap, and wire_bulk_large's 4 Mi-edge sample
 // (scale-22 R-MAT, 16 MiB of counters, about 16 k partitions).
@@ -247,6 +248,15 @@ func BenchmarkBootstrap(b *testing.B) {
 					b.Fatal(err)
 				}
 				eng, err := gsketch.Open(cfg, gsketch.WithSample(edges), gsketch.WithIngest(gsketch.IngestConfig{}))
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng.Close()
+			})
+			// The same engine from the file source, which reads the file
+			// twice and never holds the sample: compare its B/op with open's.
+			stage("file", func() {
+				eng, err := gsketch.Open(cfg, gsketch.WithSampleFile(path, c.edges), gsketch.WithIngest(gsketch.IngestConfig{}))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -573,17 +573,16 @@ func engineOptions(cfg gsketch.Config, f bootstrapFlags) ([]gsketch.Option, erro
 		}
 		opts = append(opts, gsketch.WithGlobal())
 	default:
-		sample, err := stream.ReadEdgeFile(f.samplePath, f.sampleCap)
-		if err != nil {
-			return nil, fmt.Errorf("sample %s: %w", f.samplePath, err)
-		}
+		// The engine reads the sample file itself, twice, and never holds
+		// it: what peaks at start-up is the statistics, not the sample.
+		opts = append(opts, gsketch.WithSampleFile(f.samplePath, f.sampleCap))
 		if f.workloadPath != "" {
+			var err error
 			workload, err = stream.ReadEdgeFile(f.workloadPath, 0)
 			if err != nil {
 				return nil, fmt.Errorf("workload %s: %w", f.workloadPath, err)
 			}
 		}
-		opts = append(opts, gsketch.WithSample(sample))
 		if workload != nil {
 			opts = append(opts, gsketch.WithWorkloadSample(workload))
 		}

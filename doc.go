@@ -48,8 +48,9 @@
 //	resp := eng.Answer(gsketch.SubgraphQuery{Edges: qs, Agg: gsketch.Sum})
 //	fmt.Printf("%.0f ±%.0f\n", resp.Value, resp.ErrorBound)
 //
-// Exactly one bootstrap option picks the estimator: WithSample (the
-// paper's partitioned gSketch), WithGlobal (the §3.2 baseline),
+// Exactly one bootstrap option picks the estimator: WithSample or
+// WithSampleFile (the paper's partitioned gSketch, from a sample in memory
+// or in an edge file it never holds), WithGlobal (the §3.2 baseline),
 // WithRestore/WithRestoreFile (resume a snapshot) or WithEstimator (adopt
 // one built elsewhere). Everything else composes: WithAdaptive +
 // WithAutoRepartition mount the generation chain and its drift manager,
@@ -253,22 +254,28 @@
 // repartition, and the paper reports it as a result of its own: sketch
 // construction time T_c (Figure 13; cmd/gsketch-bench -run fig13 prints
 // it). The path from a sample file to a ready Engine is a few sequential
-// passes over flat slices: the edge file is decoded in 64 KiB chunks and
-// stops at the sample cap (stream.ReadEdgeFile); per-vertex statistics come
-// from interning sources through a flat open-addressing table, scattering
-// destinations into one segment per source and counting distinct values per
-// sorted segment — 12 bytes per sample edge, no per-edge hash set; vertices
-// sort on precomputed keys; the tree hands its assignment to the router as
-// parallel slices in ascending-id order; and Open drops the data sample
-// once the estimator is built. Every build runs on the calling goroutine,
-// the small rebuilds an adaptive engine runs beside live traffic included.
-// At 4 Mi sample edges (435 k sources, 16 k partitions, 2 vCPUs) file →
-// ready engine takes 0.41 s and allocates 306 MB in 80 allocations, against
-// 1.4 s, 669 MB and 19 900 for the map-based construction it replaced, with
+// passes over flat slices, and with WithSampleFile (what gsketch-serve
+// -sample uses) it never holds the sample: the edge file is decoded in
+// 64 KiB chunks up to the sample cap (stream.EdgeScanner) and read twice.
+// Pass 1 interns sources through a flat open-addressing table, sums f̃v and
+// counts each vertex's edges; pass 2 scatters destinations into one segment
+// per source; d̃ counts distinct values per sorted segment — 12 bytes per
+// sample edge, no per-edge hash set. WithSample runs the same passes over
+// a slice and drops it once the estimator is built. A text sample is parsed
+// twice; a file that changes between the passes fails Open. Vertices sort
+// on precomputed keys, and the tree hands its assignment to the router as
+// parallel slices in ascending-id order. Every build runs on the calling
+// goroutine, the small rebuilds an adaptive engine runs beside live traffic
+// included. At 4 Mi sample edges (435 k sources, 16 k partitions, 2 vCPUs)
+// file → ready engine takes 0.33 s and allocates 172 MB through
+// WithSampleFile (0.36 s and 306 MB reading the sample into memory first;
+// 1.4 s and 669 MB for the map-based construction before), with
 // byte-identical output; the README's Bootstrap cost section has the
 // per-stage table. Peak RSS of a serving process booted from a large sample
-// is set here — the sample at 32 bytes an edge plus 12 bytes an edge of
-// working set — not by the sketch.
+// is set here, not by the sketch: by the 12 bytes per sample edge of the
+// passes plus the collector's pacing, which lets the heap reach twice what
+// is live. On that sample VmHWM at ready fell from 266 MB, with the sample
+// held, to 154.5 MB.
 //
 // # Ingest cost
 //

@@ -127,8 +127,9 @@ type Engine struct {
 }
 
 // Open builds an Engine from a sketch configuration and functional
-// options. Exactly one bootstrap source must be given: WithSample (build a
-// partitioned gSketch, the paper's estimator), WithGlobal (the §3.2
+// options. Exactly one bootstrap source must be given: WithSample or
+// WithSampleFile (build a partitioned gSketch, the paper's estimator, from
+// a sample in memory or in an edge file), WithGlobal (the §3.2
 // baseline), WithRestore / WithRestoreFile (resume from a snapshot), or
 // WithEstimator (adopt an estimator built elsewhere).
 //

@@ -93,23 +93,33 @@ type GSketch struct {
 // BuildGSketch constructs a gSketch from a data sample and, optionally, a
 // query-workload sample (nil selects the scenario-A objective of §4.1;
 // non-nil selects §4.2). The samples steer partitioning only — stream
-// population happens afterwards via Update.
+// population happens afterwards via Update. A negative weight in the data
+// sample fails with vstats.ErrNegativeWeight.
 func BuildGSketch(cfg Config, dataSample, workloadSample []stream.Edge) (*GSketch, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	if len(dataSample) == 0 {
 		return nil, ErrEmptySample
 	}
+	stats, err := vstats.FromEdges(dataSample)
+	if err != nil {
+		return nil, err
+	}
+	return BuildGSketchFromSampleStats(cfg, stats, workloadSample)
+}
 
-	stats := vstats.FromSample(dataSample)
+// BuildGSketchFromSampleStats is BuildGSketch from the statistics of the
+// data sample instead of the sample itself — vstats.FromFile computes them
+// from a file it never holds. A non-empty workload sample is applied to
+// stats and selects the §4.2 objective, as in BuildGSketch.
+func BuildGSketchFromSampleStats(cfg Config, stats *vstats.Stats, workloadSample []stream.Edge) (*GSketch, error) {
 	order := vstats.ByAvgFreq
 	if len(workloadSample) > 0 {
 		stats.ApplyWorkload(workloadSample)
 		order = vstats.ByFreqPerWeight
 	}
-	return buildFromStats(cfg, stats, order)
+	return BuildGSketchFromStats(cfg, stats, order)
 }
 
 // BuildGSketchFromStats constructs a gSketch from precomputed vertex

@@ -23,9 +23,21 @@ import (
 // The binary wire protocol endpoint: the same ingest/query/flush
 // operations as the HTTP/JSON API, framed as fixed-width records (see
 // internal/wire) and served over a raw TCP listener. Each connection runs
-// a two-stage pipeline — a decode goroutine parses frame k+1 while the
-// apply goroutine works on frame k — so parsing and counter updates
-// overlap instead of alternating.
+// two goroutines — a decode goroutine that parses frames and an apply
+// goroutine that works them — joined by a short channel.
+//
+// Overlap is not why: a request/reply client sends no next frame until it
+// has the reply, so there is rarely a frame k+1 to parse beside frame k.
+// The split is kept because it measured faster where it counts, and it is
+// not to be merged into one goroutine without measuring again. A prototype
+// with one goroutine per connection (the repository benchmark, 4
+// alternating pairs per workload, 2 vCPUs) gained on wire_bulk_small —
+// ingest_edges_per_s +20.5 %, server_cpu_s −17.7 % — but lost on
+// wire_bulk_large: query_per_s −17.9 %, with the server's profile falling
+// from 1.16 to 0.89 busy cores. The likely cause is the scheduler: the
+// channel hand-off wakes an idle P, which then polls the network and picks
+// up the other connection's frame, so two connections keep two cores busy
+// where one goroutine each leaves the second core idle between polls.
 //
 // The apply goroutine is also the worker for its own ingest frames. A
 // decoded frame is admitted (the backend's closed and quota checks, and a
@@ -177,8 +189,8 @@ func (v varWriter) Write(p []byte) (int, error) {
 
 // handleWireConn runs one connection's two-stage pipeline. The decode
 // goroutine owns the read half: it parses frames into pooled record
-// buffers and hands them over a bounded channel, so decoding the next
-// frame overlaps applying the current one. The apply loop (this
+// buffers and hands them over a bounded channel (why the connection is
+// split in two is measured at the top of this file). The apply loop (this
 // goroutine) owns the write half: it admits, acks and then folds ingest
 // batches, answers queries out of one result buffer it keeps for the
 // connection's lifetime, and streams replies through a buffered writer

@@ -47,49 +47,8 @@ func WriteTextEdges(w io.Writer, edges []Edge) error {
 
 // ReadTextEdges parses a text edge file. Missing weight defaults to 1,
 // missing time to 0.
-func ReadTextEdges(r io.Reader) ([]Edge, error) { return readTextEdges(r, 0) }
-
-// readTextEdges is ReadTextEdges stopping after limit edges (0 = all).
-func readTextEdges(r io.Reader, limit int) ([]Edge, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	var edges []Edge
-	lineNo := 0
-	for (limit <= 0 || len(edges) < limit) && sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("%w: line %d: need at least src and dst", ErrBadFormat, lineNo)
-		}
-		var e Edge
-		var err error
-		if e.Src, err = strconv.ParseUint(fields[0], 10, 64); err != nil {
-			return nil, fmt.Errorf("%w: line %d: src: %v", ErrBadFormat, lineNo, err)
-		}
-		if e.Dst, err = strconv.ParseUint(fields[1], 10, 64); err != nil {
-			return nil, fmt.Errorf("%w: line %d: dst: %v", ErrBadFormat, lineNo, err)
-		}
-		e.Weight = 1
-		if len(fields) >= 3 {
-			if e.Weight, err = strconv.ParseInt(fields[2], 10, 64); err != nil {
-				return nil, fmt.Errorf("%w: line %d: weight: %v", ErrBadFormat, lineNo, err)
-			}
-		}
-		if len(fields) >= 4 {
-			if e.Time, err = strconv.ParseInt(fields[3], 10, 64); err != nil {
-				return nil, fmt.Errorf("%w: line %d: time: %v", ErrBadFormat, lineNo, err)
-			}
-		}
-		edges = append(edges, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return edges, nil
+func ReadTextEdges(r io.Reader) ([]Edge, error) {
+	return readAll(newTextScanner(r, 0))
 }
 
 // WriteBinaryEdges writes edges in the dense binary format.
@@ -118,17 +77,52 @@ func WriteBinaryEdges(w io.Writer, edges []Edge) error {
 // ReadBinaryEdges parses the dense binary format.
 func ReadBinaryEdges(r io.Reader) ([]Edge, error) {
 	size := remaining(r)
-	return readBinaryEdges(bufio.NewReaderSize(r, readChunk), size, 0)
+	sc, err := newBinaryScanner(bufio.NewReaderSize(r, readChunk), size, 0)
+	if err != nil {
+		return nil, err
+	}
+	return readAll(sc)
 }
 
-// readBinaryEdges decodes a binary edge stream out of br's own buffer, a
-// chunk of records at a time, stopping after limit edges (0 = all). size is
-// the byte length of the stream when the caller could learn it (-1
-// otherwise): a header whose count does not fit in it is refused before
-// anything is allocated, and without it the slice grows with the records
-// that actually arrive — the header alone never sizes an allocation. br's
-// buffer must hold readChunk bytes.
-func readBinaryEdges(br *bufio.Reader, size int64, limit int) ([]Edge, error) {
+// ChunkEdges is the most edges one EdgeScanner.Next call appends: one
+// 64 KiB chunk of binary records.
+const ChunkEdges = readChunk / edgeRecordBytes
+
+// EdgeScanner decodes an edge stream in either format a chunk at a time, so
+// a consumer that folds edges as they come holds one chunk, not the stream.
+// It is the one decoder behind ReadEdges and its binary and text variants.
+type EdgeScanner struct {
+	br *bufio.Reader // binary: buffer of at least readChunk bytes
+	// left is how many edges the scan may still yield: the header's count
+	// (cut to the limit) for a binary stream, the limit or -1 (none) for
+	// text. A binary stream whose length was known has had its count
+	// checked against it, so there left is exactly what the scan yields.
+	left  int
+	known bool
+	read  int // binary: records decoded so far
+
+	text *bufio.Scanner // nil for a binary stream
+	line int            // text lines consumed
+}
+
+// NewEdgeScanner reads r's header, telling the formats apart by the binary
+// magic, and returns a scanner that stops after limit edges (0 = all)
+// without reading the rest. A binary header is refused, before anything is
+// allocated, when its count cannot be right: above 2³³, or — when r is a
+// regular file or an in-memory reader, whose length is known — more records
+// than the bytes present hold.
+func NewEdgeScanner(r io.Reader, limit int) (*EdgeScanner, error) {
+	size := remaining(r)
+	br := bufio.NewReaderSize(r, readChunk)
+	if magic, _ := br.Peek(4); len(magic) == 4 && binary.LittleEndian.Uint32(magic) == edgeMagic {
+		return newBinaryScanner(br, size, limit)
+	}
+	return newTextScanner(br, limit), nil
+}
+
+// newBinaryScanner checks a binary header at the front of br; size is the
+// stream's byte length when the caller could learn it, -1 otherwise.
+func newBinaryScanner(br *bufio.Reader, size int64, limit int) (*EdgeScanner, error) {
 	hdr, err := br.Peek(edgeHeaderBytes)
 	if err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrBadFormat, err)
@@ -151,32 +145,131 @@ func readBinaryEdges(br *bufio.Reader, size int64, limit int) ([]Edge, error) {
 	if limit > 0 && count > uint64(limit) {
 		count = uint64(limit)
 	}
-	n := int(count)
-	presize := n
-	if size < 0 {
-		presize = min(n, readChunk/edgeRecordBytes)
+	return &EdgeScanner{br: br, left: int(count), known: size >= 0}, nil
+}
+
+func newTextScanner(r io.Reader, limit int) *EdgeScanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<16), 1<<20)
+	if limit <= 0 {
+		limit = -1
 	}
-	edges := make([]Edge, 0, presize)
-	for len(edges) < n {
-		buf, err := br.Peek(min((n-len(edges))*edgeRecordBytes, readChunk))
-		whole := len(buf) / edgeRecordBytes * edgeRecordBytes
-		for rec := buf[:whole]; len(rec) > 0; rec = rec[edgeRecordBytes:] {
-			edges = append(edges, Edge{
-				Src:    binary.LittleEndian.Uint64(rec[0:]),
-				Dst:    binary.LittleEndian.Uint64(rec[8:]),
-				Weight: int64(binary.LittleEndian.Uint64(rec[16:])),
-				Time:   int64(binary.LittleEndian.Uint64(rec[24:])),
-			})
+	return &EdgeScanner{left: limit, text: sc}
+}
+
+// Len returns how many edges the scan has yet to yield when that is known
+// before they are read — a binary stream of known length — and -1
+// otherwise.
+func (s *EdgeScanner) Len() int {
+	if s.text != nil || !s.known {
+		return -1
+	}
+	return s.left
+}
+
+// Next appends the next edges of the stream to dst, at most ChunkEdges of
+// them, and returns io.EOF, with nothing appended, once the stream or the
+// limit is exhausted. A malformed record fails with ErrBadFormat; what dst
+// then holds past its old length is to be discarded.
+func (s *EdgeScanner) Next(dst []Edge) ([]Edge, error) {
+	if s.text != nil {
+		return s.nextText(dst)
+	}
+	if s.left == 0 {
+		return dst, io.EOF
+	}
+	buf, err := s.br.Peek(min(s.left*edgeRecordBytes, readChunk))
+	whole := len(buf) / edgeRecordBytes * edgeRecordBytes
+	for rec := buf[:whole]; len(rec) > 0; rec = rec[edgeRecordBytes:] {
+		dst = append(dst, Edge{
+			Src:    binary.LittleEndian.Uint64(rec[0:]),
+			Dst:    binary.LittleEndian.Uint64(rec[8:]),
+			Weight: int64(binary.LittleEndian.Uint64(rec[16:])),
+			Time:   int64(binary.LittleEndian.Uint64(rec[24:])),
+		})
+	}
+	s.read += whole / edgeRecordBytes
+	s.left -= whole / edgeRecordBytes
+	if err != nil {
+		if err == io.EOF && whole < len(buf) {
+			err = io.ErrUnexpectedEOF
 		}
-		if err != nil {
-			if err == io.EOF && whole < len(buf) {
-				err = io.ErrUnexpectedEOF
+		return dst, fmt.Errorf("%w: record %d: %v", ErrBadFormat, s.read, err)
+	}
+	_, _ = s.br.Discard(whole) // cannot fail: Peek buffered them
+	return dst, nil
+}
+
+// nextText parses lines until a chunk of edges is appended, the limit is
+// reached or the lines run out. Missing weight defaults to 1, missing time
+// to 0; '#' comments and blank lines are skipped.
+func (s *EdgeScanner) nextText(dst []Edge) ([]Edge, error) {
+	n := 0
+	for n < ChunkEdges && s.left != 0 {
+		if !s.text.Scan() {
+			if err := s.text.Err(); err != nil {
+				return dst, err
 			}
-			return nil, fmt.Errorf("%w: record %d: %v", ErrBadFormat, len(edges), err)
+			break
 		}
-		_, _ = br.Discard(whole) // cannot fail: Peek buffered them
+		s.line++
+		line := strings.TrimSpace(s.text.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) < 2 {
+			return dst, fmt.Errorf("%w: line %d: need at least src and dst", ErrBadFormat, s.line)
+		}
+		var e Edge
+		var err error
+		if e.Src, err = strconv.ParseUint(fields[0], 10, 64); err != nil {
+			return dst, fmt.Errorf("%w: line %d: src: %v", ErrBadFormat, s.line, err)
+		}
+		if e.Dst, err = strconv.ParseUint(fields[1], 10, 64); err != nil {
+			return dst, fmt.Errorf("%w: line %d: dst: %v", ErrBadFormat, s.line, err)
+		}
+		e.Weight = 1
+		if len(fields) >= 3 {
+			if e.Weight, err = strconv.ParseInt(fields[2], 10, 64); err != nil {
+				return dst, fmt.Errorf("%w: line %d: weight: %v", ErrBadFormat, s.line, err)
+			}
+		}
+		if len(fields) >= 4 {
+			if e.Time, err = strconv.ParseInt(fields[3], 10, 64); err != nil {
+				return dst, fmt.Errorf("%w: line %d: time: %v", ErrBadFormat, s.line, err)
+			}
+		}
+		dst = append(dst, e)
+		n++
+		s.left--
 	}
-	return edges, nil
+	if n == 0 {
+		return dst, io.EOF
+	}
+	return dst, nil
+}
+
+// readAll drains sc into one slice. A binary stream of known length sizes
+// it up front; otherwise it grows with the records that actually arrive, so
+// a header's count alone never sizes an allocation.
+func readAll(sc *EdgeScanner) ([]Edge, error) {
+	n := sc.Len()
+	if n < 0 {
+		n = 0
+		if sc.text == nil {
+			n = min(sc.left, ChunkEdges)
+		}
+	}
+	edges := make([]Edge, 0, n)
+	for {
+		var err error
+		if edges, err = sc.Next(edges); err == io.EOF {
+			return edges, nil
+		} else if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // remaining returns how many bytes r still holds when that can be known
@@ -208,12 +301,11 @@ func remaining(r io.Reader) int64 {
 // the binary magic, and stops after limit edges (0 = all) without reading
 // the rest.
 func ReadEdges(r io.Reader, limit int) ([]Edge, error) {
-	size := remaining(r)
-	br := bufio.NewReaderSize(r, readChunk)
-	if magic, _ := br.Peek(4); len(magic) == 4 && binary.LittleEndian.Uint32(magic) == edgeMagic {
-		return readBinaryEdges(br, size, limit)
+	sc, err := NewEdgeScanner(r, limit)
+	if err != nil {
+		return nil, err
 	}
-	return readTextEdges(br, limit)
+	return readAll(sc)
 }
 
 // ReadEdgeFile is ReadEdges over the file at path: the one loader behind

@@ -17,8 +17,11 @@ package vstats
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
+	"io"
 	"math"
+	"os"
 	"slices"
 
 	"github.com/graphstream/gsketch/internal/hashutil"
@@ -51,74 +54,214 @@ type Stats struct {
 	hasWork  bool
 }
 
-// FromSample computes vertex statistics from a data sample. Zero-weight
-// sample edges count as weight 1, matching the paper's default frequency.
-//
-// It is a few sequential passes over flat slices, 12 bytes per sample edge:
-// sources are interned through an open-addressing table while f̃v is summed
-// (one pass, in sample order, so vertices keep their order of first
-// appearance and every float sum its order of addition), destinations are
-// scattered into one contiguous segment per source (CSR), and d̃ is the
-// number of distinct values in each sorted segment.
-func FromSample(sample []stream.Edge) *Stats {
-	if uint64(len(sample)) > math.MaxUint32 {
-		// Vertex positions are held as uint32; a sample has at most as many
-		// sources as edges.
-		panic(fmt.Sprintf("vstats: sample of %d edges exceeds the %d supported", len(sample), uint32(math.MaxUint32)))
-	}
-	// How many sources the sample has is not known yet; an eighth of its
-	// edges is where the table and the per-vertex slices start, and all of
-	// them grow.
-	guess := len(sample) / 8
-	s := &Stats{
-		vertices: make([]VertexStat, 0, guess),
-		index:    newSrcTable(guess),
-	}
+// Sample errors, matched with errors.Is.
+var (
+	// ErrNegativeWeight reports a sample edge with a negative weight: f̃v
+	// sums weights, and the sketches the statistics size count in the
+	// cash-register model, where frequencies only grow.
+	ErrNegativeWeight = errors.New("vstats: negative edge weight")
+	// ErrSampleChanged reports a sample file that was not the same file on
+	// both passes: its size or modification time moved, or the second pass
+	// read edges the first did not.
+	ErrSampleChanged = errors.New("vstats: sample file changed between passes")
+)
 
-	// Pass 1: intern sources, sum f̃v, count each vertex's sample edges.
-	owner := make([]uint32, len(sample)) // sample position → vertex position
-	ends := make([]int, 0, guess)        // edges per vertex; segment ends after the scatter
-	for i, e := range sample {
+// FromEdges computes vertex statistics from a data sample. Zero-weight
+// sample edges count as weight 1, matching the paper's default frequency; a
+// negative weight fails with ErrNegativeWeight.
+//
+// It is the two passes of builder over the slice, 12 bytes per sample edge
+// beside it.
+func FromEdges(sample []stream.Edge) (*Stats, error) {
+	b := new(builder)
+	b.reserve(len(sample))
+	return b.run(func(visit func([]stream.Edge) error) error { return visit(sample) })
+}
+
+// FromSample is FromEdges for a sample known to hold no negative weight —
+// one already refused at ingest or at Open — and panics on one.
+func FromSample(sample []stream.Edge) *Stats {
+	s, err := FromEdges(sample)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// FromFile computes the statistics FromSample computes from the first limit
+// edges (0 = all) of an edge file in either format, without holding them:
+// the file is read twice, a chunk at a time, and what is kept is the 12
+// bytes per sample edge of the passes. A text file is parsed twice. The
+// path must name a regular file, and one that does not change between the
+// passes (ErrSampleChanged); a malformed file fails with the error
+// stream.ReadEdgeFile gives, a negative weight with ErrNegativeWeight.
+func FromFile(path string, limit int) (*Stats, error) {
+	b := new(builder)
+	return b.run(b.fileReplay(path, limit))
+}
+
+// builder computes Stats in two passes over a sample handed over in chunks,
+// the same edges in the same order both times: sources are interned through
+// an open-addressing table while f̃v is summed (pass 1, in sample order, so
+// vertices keep their order of first appearance and every float sum its
+// order of addition), destinations are scattered into one contiguous
+// segment per source (CSR, pass 2), and d̃ is the number of distinct values
+// in each sorted segment. It keeps 4 bytes per sample edge after pass 1 and
+// 12 after pass 2, nothing that grows with the sample beyond that.
+type builder struct {
+	s     *Stats
+	owner []uint32 // sample position → vertex position
+	ends  []int    // edges per vertex; segment ends after the scatter
+	dsts  []uint64 // destinations, one segment per vertex
+	next  int      // pass 2: sample position of the next edge
+}
+
+// reserve sizes the builder, before pass 1, for a sample of n edges (0 when
+// that is not known). How many sources it has is not known yet; an eighth
+// of its edges is where the table and the per-vertex slices start, and all
+// of them grow.
+func (b *builder) reserve(n int) {
+	guess := n / 8
+	b.s = &Stats{vertices: make([]VertexStat, 0, guess), index: newSrcTable(guess)}
+	b.owner = make([]uint32, 0, n)
+	b.ends = make([]int, 0, guess)
+}
+
+// run makes the passes over the sample replay hands to its visitor, one
+// call per pass.
+func (b *builder) run(replay func(visit func([]stream.Edge) error) error) (*Stats, error) {
+	if err := replay(b.count); err != nil {
+		return nil, err
+	}
+	// Turn the counts into segment starts. Advancing a vertex's start as
+	// its cursor in the scatter leaves it at the segment's end, so one
+	// slice serves as both.
+	sum := 0
+	for v, n := range b.ends {
+		b.ends[v] = sum
+		sum += n
+	}
+	b.dsts = make([]uint64, sum)
+	if err := replay(b.scatter); err != nil {
+		return nil, err
+	}
+	if b.next != len(b.owner) {
+		return nil, fmt.Errorf("%w: %d edges on the second pass, %d on the first", ErrSampleChanged, b.next, len(b.owner))
+	}
+	start := 0
+	for v, end := range b.ends {
+		b.s.vertices[v].D = float64(distinct(b.dsts[start:end]))
+		start = end
+	}
+	return b.s, nil
+}
+
+// count is pass 1 over one chunk: intern sources, sum f̃v, count each
+// vertex's sample edges. A negative weight stops it before the edge is
+// interned.
+func (b *builder) count(chunk []stream.Edge) error {
+	s := b.s
+	for _, e := range chunk {
 		w := e.Weight
-		if w == 0 {
+		if w <= 0 {
+			if w < 0 {
+				return fmt.Errorf("%w: sample edge %d has weight %d", ErrNegativeWeight, len(b.owner), w)
+			}
 			w = 1
+		}
+		if len(b.owner) == math.MaxUint32 {
+			// Vertex positions are held as uint32; a sample has at most as
+			// many sources as edges.
+			return fmt.Errorf("vstats: sample exceeds the %d edges supported", uint32(math.MaxUint32))
 		}
 		v, fresh := s.index.intern(e.Src)
 		if fresh {
 			s.vertices = append(s.vertices, VertexStat{ID: e.Src, W: 1})
-			ends = append(ends, 0)
+			b.ends = append(b.ends, 0)
 		}
-		owner[i] = v
-		ends[v]++
+		b.owner = append(b.owner, v)
+		b.ends[v]++
 		s.vertices[v].F += float64(w)
 		s.totalF += float64(w)
 	}
+	return nil
+}
 
-	// Pass 2: turn the counts into segment starts, then scatter the
-	// destinations. Advancing a vertex's start as its cursor leaves it at
-	// the segment's end, so one slice serves as both.
-	sum := 0
-	for v, n := range ends {
-		ends[v] = sum
-		sum += n
+// scatter is pass 2 over one chunk: each destination goes to the next free
+// slot of its source's segment. A chunk the first pass did not see — more
+// edges, or another source at a position — is refused.
+func (b *builder) scatter(chunk []stream.Edge) error {
+	if len(chunk) > len(b.owner)-b.next {
+		return fmt.Errorf("%w: more than the %d edges of the first pass", ErrSampleChanged, len(b.owner))
 	}
-	if sum != len(sample) {
-		panic("vstats: internal error: vertex segments do not cover the sample")
-	}
-	dsts := make([]uint64, len(sample))
-	for i, e := range sample {
+	owner := b.owner[b.next : b.next+len(chunk)]
+	for i, e := range chunk {
 		v := owner[i]
-		dsts[ends[v]] = e.Dst
-		ends[v]++
+		if b.s.vertices[v].ID != e.Src {
+			return fmt.Errorf("%w: edge %d has another source", ErrSampleChanged, b.next+i)
+		}
+		b.dsts[b.ends[v]] = e.Dst
+		b.ends[v]++
 	}
+	b.next += len(chunk)
+	return nil
+}
 
-	// Pass 3: d̃ per vertex, from its sorted segment.
-	start := 0
-	for v, end := range ends {
-		s.vertices[v].D = float64(distinct(dsts[start:end]))
-		start = end
+// fileReplay returns the replay of an edge file: every call opens the file
+// and hands its edges, up to limit, to visit a chunk at a time out of one
+// buffer. The first call sizes the builder from the header when the format
+// states the count; every call checks, before it opens the file and when it
+// is done with it, that the path names a regular file of the size and
+// modification time the first call found.
+func (b *builder) fileReplay(path string, limit int) func(visit func([]stream.Edge) error) error {
+	var first os.FileInfo
+	same := func() error {
+		// Before opening too: opening a FIFO would block until a writer
+		// came along.
+		fi, err := os.Stat(path)
+		switch {
+		case err != nil:
+			return err
+		case !fi.Mode().IsRegular():
+			return fmt.Errorf("vstats: sample %s is not a regular file", path)
+		case first == nil:
+			first = fi
+		case fi.Size() != first.Size() || !fi.ModTime().Equal(first.ModTime()):
+			return fmt.Errorf("%w: %s", ErrSampleChanged, path)
+		}
+		return nil
 	}
-	return s
+	return func(visit func([]stream.Edge) error) error {
+		firstPass := first == nil
+		if err := same(); err != nil {
+			return err
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		sc, err := stream.NewEdgeScanner(f, limit)
+		if err != nil {
+			return err
+		}
+		if firstPass {
+			b.reserve(max(sc.Len(), 0))
+		}
+		chunk := make([]stream.Edge, 0, stream.ChunkEdges)
+		for {
+			chunk, err = sc.Next(chunk[:0])
+			if err == io.EOF {
+				return same()
+			}
+			if err != nil {
+				return err
+			}
+			if err := visit(chunk); err != nil {
+				return err
+			}
+		}
+	}
 }
 
 // distinct sorts seg in place and returns how many different values it

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/stream"
@@ -143,78 +144,81 @@ func (d *Decoder) Next() (Frame, error) {
 	return Frame{Type: typ, Payload: d.buf}, nil
 }
 
+// appendFrame grows dst once by a frame of n payload bytes, writes the
+// 8-byte header in place, and returns the extended dst with the payload
+// slice inside it, which the caller fills — every byte of it, since the
+// spare capacity of a reused dst still holds old ones. Records are written
+// straight into dst: building each in a stack array and appending it costs
+// a memmove per record, which was 9.5 % of server CPU on 256-edge frames.
+func appendFrame(dst []byte, typ byte, n int) (frame, payload []byte) {
+	dst = appendHeader(slices.Grow(dst, HeaderSize+n), typ, n)
+	off := len(dst)
+	dst = dst[:off+n]
+	return dst, dst[off:]
+}
+
 // appendHeader appends an 8-byte frame header for a payload of length n.
 func appendHeader(dst []byte, typ byte, n int) []byte {
-	var hdr [HeaderSize]byte
-	hdr[0] = Version
-	hdr[1] = typ
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(n))
-	return append(dst, hdr[:]...)
+	return binary.LittleEndian.AppendUint32(append(dst, Version, typ, 0, 0), uint32(n))
 }
 
 // AppendIngest appends a TypeIngest frame carrying edges.
 func AppendIngest(dst []byte, edges []stream.Edge) []byte {
-	dst = appendHeader(dst, TypeIngest, len(edges)*EdgeSize)
-	var rec [EdgeSize]byte
+	dst, p := appendFrame(dst, TypeIngest, len(edges)*EdgeSize)
 	for _, e := range edges {
-		binary.LittleEndian.PutUint64(rec[0:], e.Src)
-		binary.LittleEndian.PutUint64(rec[8:], e.Dst)
-		binary.LittleEndian.PutUint64(rec[16:], uint64(e.Weight))
-		binary.LittleEndian.PutUint64(rec[24:], uint64(e.Time))
-		dst = append(dst, rec[:]...)
+		binary.LittleEndian.PutUint64(p[0:], e.Src)
+		binary.LittleEndian.PutUint64(p[8:], e.Dst)
+		binary.LittleEndian.PutUint64(p[16:], uint64(e.Weight))
+		binary.LittleEndian.PutUint64(p[24:], uint64(e.Time))
+		p = p[EdgeSize:]
 	}
 	return dst
 }
 
 // AppendQuery appends a TypeQuery frame carrying qs.
 func AppendQuery(dst []byte, qs []core.EdgeQuery) []byte {
-	dst = appendHeader(dst, TypeQuery, len(qs)*QuerySize)
-	var rec [QuerySize]byte
+	dst, p := appendFrame(dst, TypeQuery, len(qs)*QuerySize)
 	for _, q := range qs {
-		binary.LittleEndian.PutUint64(rec[0:], q.Src)
-		binary.LittleEndian.PutUint64(rec[8:], q.Dst)
-		dst = append(dst, rec[:]...)
+		binary.LittleEndian.PutUint64(p[0:], q.Src)
+		binary.LittleEndian.PutUint64(p[8:], q.Dst)
+		p = p[QuerySize:]
 	}
 	return dst
 }
 
 // AppendResults appends a TypeResults frame carrying rs.
 func AppendResults(dst []byte, rs []core.Result) []byte {
-	dst = appendHeader(dst, TypeResults, len(rs)*ResultSize)
-	var rec [ResultSize]byte
+	dst, p := appendFrame(dst, TypeResults, len(rs)*ResultSize)
 	for _, r := range rs {
-		binary.LittleEndian.PutUint64(rec[0:], uint64(r.Estimate))
-		binary.LittleEndian.PutUint64(rec[8:], uint64(r.StreamTotal))
-		binary.LittleEndian.PutUint64(rec[16:], math.Float64bits(r.ErrorBound))
-		binary.LittleEndian.PutUint64(rec[24:], math.Float64bits(r.Confidence))
-		binary.LittleEndian.PutUint32(rec[32:], uint32(int32(r.Partition)))
-		var flags byte
+		binary.LittleEndian.PutUint64(p[0:], uint64(r.Estimate))
+		binary.LittleEndian.PutUint64(p[8:], uint64(r.StreamTotal))
+		binary.LittleEndian.PutUint64(p[16:], math.Float64bits(r.ErrorBound))
+		binary.LittleEndian.PutUint64(p[24:], math.Float64bits(r.Confidence))
+		binary.LittleEndian.PutUint32(p[32:], uint32(int32(r.Partition)))
+		var flags uint32
 		if r.Outlier {
-			flags |= 1
+			flags = 1
 		}
-		rec[36] = flags
-		rec[37], rec[38], rec[39] = 0, 0, 0
-		dst = append(dst, rec[:]...)
+		binary.LittleEndian.PutUint32(p[36:], flags) // flags byte, three reserved zeros
+		p = p[ResultSize:]
 	}
 	return dst
 }
 
 // AppendAck appends a TypeAck frame.
 func AppendAck(dst []byte, accepted, rejected int) []byte {
-	dst = appendHeader(dst, TypeAck, AckSize)
-	var rec [AckSize]byte
-	binary.LittleEndian.PutUint32(rec[0:], uint32(accepted))
-	binary.LittleEndian.PutUint32(rec[4:], uint32(rejected))
-	return append(dst, rec[:]...)
+	dst, p := appendFrame(dst, TypeAck, AckSize)
+	binary.LittleEndian.PutUint32(p[0:], uint32(accepted))
+	binary.LittleEndian.PutUint32(p[4:], uint32(rejected))
+	return dst
 }
 
 // AppendError appends a TypeError frame.
 func AppendError(dst []byte, code uint16, msg string) []byte {
-	dst = appendHeader(dst, TypeError, 2+len(msg))
-	var c [2]byte
-	binary.LittleEndian.PutUint16(c[:], code)
-	dst = append(dst, c[:]...)
-	return append(dst, msg...)
+	dst, p := appendFrame(dst, TypeError, 2+len(msg))
+	binary.LittleEndian.PutUint16(p, code)
+	copy(p[2:], msg)
+	return dst
 }
 
 // AppendFlush appends a TypeFlush frame.
@@ -311,12 +315,11 @@ func AppendPing(dst []byte) []byte { return appendHeader(dst, TypePing, 0) }
 
 // AppendPong appends a TypePong frame.
 func AppendPong(dst []byte, p Pong) []byte {
-	dst = appendHeader(dst, TypePong, PongSize)
-	var rec [PongSize]byte
+	dst, rec := appendFrame(dst, TypePong, PongSize)
 	binary.LittleEndian.PutUint64(rec[0:], uint64(p.StreamTotal))
 	binary.LittleEndian.PutUint32(rec[8:], p.QueueDepth)
 	binary.LittleEndian.PutUint32(rec[12:], p.Generations)
-	return append(dst, rec[:]...)
+	return dst
 }
 
 // DecodePong unpacks a TypePong payload.
@@ -336,10 +339,9 @@ func AppendSnapSave(dst []byte) []byte { return appendHeader(dst, TypeSnapSave, 
 
 // AppendSnapSaveAck appends a TypeSnapSaveAck frame.
 func AppendSnapSaveAck(dst []byte, bytes int64) []byte {
-	dst = appendHeader(dst, TypeSnapSaveAck, SnapSaveAckSize)
-	var rec [SnapSaveAckSize]byte
-	binary.LittleEndian.PutUint64(rec[0:], uint64(bytes))
-	return append(dst, rec[:]...)
+	dst, p := appendFrame(dst, TypeSnapSaveAck, SnapSaveAckSize)
+	binary.LittleEndian.PutUint64(p, uint64(bytes))
+	return dst
 }
 
 // DecodeSnapSaveAck unpacks a TypeSnapSaveAck payload.
@@ -355,11 +357,10 @@ func AppendSnapRestore(dst []byte) []byte { return appendHeader(dst, TypeSnapRes
 
 // AppendSnapRestoreAck appends a TypeSnapRestoreAck frame.
 func AppendSnapRestoreAck(dst []byte, streamTotal int64, generations int) []byte {
-	dst = appendHeader(dst, TypeSnapRestoreAck, SnapRestoreAckSize)
-	var rec [SnapRestoreAckSize]byte
-	binary.LittleEndian.PutUint64(rec[0:], uint64(streamTotal))
-	binary.LittleEndian.PutUint32(rec[8:], uint32(generations))
-	return append(dst, rec[:]...)
+	dst, p := appendFrame(dst, TypeSnapRestoreAck, SnapRestoreAckSize)
+	binary.LittleEndian.PutUint64(p[0:], uint64(streamTotal))
+	binary.LittleEndian.PutUint64(p[8:], uint64(uint32(generations))) // a uint32, then four reserved zeros
+	return dst
 }
 
 // DecodeSnapRestoreAck unpacks a TypeSnapRestoreAck payload.

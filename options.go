@@ -12,6 +12,7 @@ import (
 	"github.com/graphstream/gsketch/internal/compact"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/ingest"
+	"github.com/graphstream/gsketch/internal/vstats"
 	"github.com/graphstream/gsketch/internal/window"
 )
 
@@ -23,6 +24,8 @@ type engineOptions struct {
 	// bootstrap sources (exactly one)
 	dataSample  []Edge
 	sampleSet   bool
+	samplePath  string
+	sampleLimit int
 	global      bool
 	estimator   Estimator
 	restore     io.Reader
@@ -60,6 +63,17 @@ type engineOptions struct {
 // partitioning only; stream the full data in afterwards with Ingest.
 func WithSample(data []Edge) Option {
 	return func(o *engineOptions) { o.dataSample, o.sampleSet = data, true }
+}
+
+// WithSampleFile is WithSample over the first limit edges (0 = all) of an
+// edge file in either format — the sample twin of WithRestoreFile. Open
+// reads the file twice, a chunk at a time, and never holds the sample: what
+// the build keeps is 12 bytes per sample edge of statistics, not the 32 of
+// the edge. The partitioning is the one WithSample builds from the same
+// edges. The path must name a regular file that does not change while Open
+// reads it.
+func WithSampleFile(path string, limit int) Option {
+	return func(o *engineOptions) { o.samplePath, o.sampleLimit = path, limit }
 }
 
 // WithWorkloadSample supplies a query-workload sample: partitioning then
@@ -218,16 +232,28 @@ func WithClock(now func() time.Time) Option {
 // validate rejects contradictory option sets before anything is built.
 func (o *engineOptions) validate() error {
 	sources := 0
-	for _, on := range []bool{o.sampleSet, o.global, o.estimator != nil, o.restore != nil || o.restorePath != ""} {
+	for _, on := range []bool{o.sampleSet || o.samplePath != "", o.global, o.estimator != nil, o.restore != nil || o.restorePath != ""} {
 		if on {
 			sources++
 		}
 	}
 	if sources != 1 {
-		return fmt.Errorf("gsketch: Open needs exactly one bootstrap source — WithSample, WithGlobal, WithEstimator or WithRestore (got %d)", sources)
+		return fmt.Errorf("gsketch: Open needs exactly one bootstrap source — WithSample(File), WithGlobal, WithEstimator or WithRestore (got %d)", sources)
 	}
 	if o.restore != nil && o.restorePath != "" {
 		return errors.New("gsketch: WithRestore and WithRestoreFile are mutually exclusive")
+	}
+	if o.sampleSet && o.samplePath != "" {
+		return errors.New("gsketch: WithSample and WithSampleFile are mutually exclusive")
+	}
+	if o.sampleLimit < 0 {
+		return errors.New("gsketch: negative sample file limit")
+	}
+	// Ingest refuses a negative weight; so does Open, in any sample. The
+	// data sample's are refused by the statistics passes, which read it
+	// anyway; the workload sample's here.
+	if err := checkWeights(o.workload); err != nil {
+		return fmt.Errorf("gsketch: WithWorkloadSample: %w", err)
 	}
 	if o.global && o.adaptive {
 		return errors.New("gsketch: WithAdaptive needs a partitioned gSketch; it is incompatible with WithGlobal")
@@ -331,11 +357,40 @@ func (o *engineOptions) buildEstimator(cfg Config) (servingEstimator, *adapt.Cha
 		}
 		return core.NewConcurrent(g), nil, nil
 
+	case o.samplePath != "":
+		// The configuration is checked before the file is read, as
+		// BuildGSketch checks it before it reads the sample.
+		if err := cfg.Validate(); err != nil {
+			return nil, nil, err
+		}
+		stats, err := vstats.FromFile(o.samplePath, o.sampleLimit)
+		if err != nil {
+			return nil, nil, sampleError("WithSampleFile "+o.samplePath, err)
+		}
+		g, err := core.BuildGSketchFromSampleStats(cfg, stats, o.workload)
+		if err != nil {
+			return nil, nil, err
+		}
+		return wrap(g)
+
 	default:
 		g, err := core.BuildGSketch(cfg, o.dataSample, o.workload)
+		if errors.Is(err, vstats.ErrNegativeWeight) {
+			return nil, nil, sampleError("WithSample", err)
+		}
 		if err != nil {
 			return nil, nil, err
 		}
 		return wrap(g)
 	}
+}
+
+// sampleError names the option a data sample came through in an error from
+// reading it, and reports a negative weight in it as ErrNegativeWeight, as
+// ingest does.
+func sampleError(option string, err error) error {
+	if errors.Is(err, vstats.ErrNegativeWeight) {
+		return fmt.Errorf("gsketch: %s: %w (%w)", option, ErrNegativeWeight, err)
+	}
+	return fmt.Errorf("gsketch: %s: %w", option, err)
 }
