@@ -5,49 +5,15 @@
 // Usage:
 //
 //	gsketch-bench [-profile repro|small] [-run id[,id...]] [-list] [-csv dir]
-//	gsketch-bench -ingest [-ingest-edges n] [-ingest-batch n] [-ingest-workers n] [-ingest-json path]
-//	gsketch-bench -query [-query-count n] [-query-batch n] [-query-readers n] [-query-partitions n] [-query-json path]
-//	gsketch-bench -serve [-serve-proto json|wire|both] [-serve-json path]
-//	gsketch-bench -scaling [-cores 1,4,16] [-scaling-json path]
-//	gsketch-bench -cluster [-nodes 1,2,4] [-cluster-json path]
-//	gsketch-bench -tenants 1,8,64 [-tenant-edges n] [-tenant-queries n] [-tenant-json path]
-//	gsketch-bench -compact [-compact-pivots n] [-compact-edges n] [-compact-json path]
 //
 // Examples:
 //
 //	gsketch-bench -list
 //	gsketch-bench -run fig4,fig5
 //	gsketch-bench -profile small -run all
-//	gsketch-bench -ingest -ingest-edges 1000000
-//	gsketch-bench -query -query-count 4000000
 //
-// The -ingest mode compares single-edge, batched and sharded-parallel
-// ingestion throughput (edges/sec, allocs/edge) and writes a
-// machine-readable BENCH_ingest.json so the perf trajectory is tracked
-// across PRs. The -query mode is its read-side mirror: it compares the
-// seed-era per-edge bound-carrying query loop against the batched and
-// concurrent-reader EstimateBatch paths (queries/sec, allocs/query) and
-// writes BENCH_query.json. The -serve mode drives the serving subsystem
-// over loopback — the HTTP/JSON endpoints, the binary wire protocol, or
-// both for a head-to-head with p50/p99 request latencies — and writes
-// BENCH_serve.json. The -scaling mode re-runs the ingest and wire-serving
-// measurements at each GOMAXPROCS value of -cores and writes
-// BENCH_scaling.json (num_cpu records the host's real core count, so a
-// sweep past it is readable as scheduler pressure rather than speedup).
-// The -cluster mode stands a scatter-gather coordinator over 1, 2 and 4
-// in-process shard engines (see internal/cluster), drives the same wire
-// phases through it against a direct single-engine baseline, and writes
-// BENCH_cluster.json. The -tenants mode sweeps the multi-tenant registry
-// (see internal/tenant) over the listed tenant counts: every tenant
-// drives its own /t/{name}/... HTTP client concurrently (aggregate
-// throughput plus per-tenant p50/p99 spread), and a resident-capped
-// churn pass measures the snapshot-evict and reopen-from-snapshot
-// latencies; the report lands in BENCH_tenant.json. The -compact mode
-// replays a popularity carousel (the zipf hot set rotates at every phase
-// boundary), repartitioning after each of its ≥8 pivots, and compares a
-// chain running a MaxGenerations fold policy against one that keeps every
-// generation — bounded memory and stable query tail latency versus linear
-// growth — writing BENCH_compact.json.
+// Serving throughput, latency and accuracy are measured by the repository
+// benchmark under benchmark/, not here.
 package main
 
 import (
@@ -67,130 +33,8 @@ func main() {
 		run         = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
 		list        = flag.Bool("list", false, "list experiment ids and exit")
 		csvDir      = flag.String("csv", "", "also write each table as CSV into this directory")
-
-		ingestMode    = flag.Bool("ingest", false, "run the ingest throughput benchmark instead of experiments")
-		ingestEdges   = flag.Int("ingest-edges", 1_000_000, "synthetic stream length for -ingest")
-		ingestBatch   = flag.Int("ingest-batch", 8192, "batch size for the batched and parallel ingest modes")
-		ingestWorkers = flag.Int("ingest-workers", 0, "worker count for the parallel ingest mode (0 = GOMAXPROCS)")
-		ingestJSON    = flag.String("ingest-json", "BENCH_ingest.json", "machine-readable ingest report path")
-
-		serveMode    = flag.Bool("serve", false, "run the HTTP serving benchmark instead of experiments")
-		serveEdges   = flag.Int("serve-edges", 2_000_000, "stream length ingested over loopback for -serve")
-		serveQueries = flag.Int("serve-queries", 1_000_000, "queries issued over loopback for -serve")
-		serveConns   = flag.Int("serve-conns", 0, "concurrent HTTP clients for -serve (0 = GOMAXPROCS)")
-		serveChunk   = flag.Int("serve-chunk", 8192, "edges per NDJSON ingest request for -serve")
-		serveBatch   = flag.Int("serve-batch", 2048, "queries per /query request for -serve")
-		serveProto   = flag.String("serve-proto", "both", "serving protocol(s) to measure: json, wire or both")
-		serveJSON    = flag.String("serve-json", "BENCH_serve.json", "machine-readable serving report path")
-
-		clusterMode    = flag.Bool("cluster", false, "run the scatter-gather cluster benchmark instead of experiments")
-		clusterNodes   = flag.String("nodes", "1,2,4", "comma-separated shard counts for -cluster")
-		clusterEdges   = flag.Int("cluster-edges", 500_000, "stream length per topology for -cluster")
-		clusterQueries = flag.Int("cluster-queries", 200_000, "queries per topology for -cluster")
-		clusterChunk   = flag.Int("cluster-chunk", 8192, "edges per wire ingest frame for -cluster")
-		clusterBatch   = flag.Int("cluster-batch", 2048, "queries per wire frame for -cluster")
-		clusterJSON    = flag.String("cluster-json", "BENCH_cluster.json", "machine-readable cluster report path")
-
-		scalingMode    = flag.Bool("scaling", false, "sweep GOMAXPROCS over -cores and re-run the ingest/serve benches")
-		coresSpec      = flag.String("cores", "1,4,16", "comma-separated GOMAXPROCS values for -scaling")
-		scalingEdges   = flag.Int("scaling-edges", 500_000, "stream length per sweep point for -scaling")
-		scalingQueries = flag.Int("scaling-queries", 200_000, "queries per sweep point for -scaling")
-		scalingJSON    = flag.String("scaling-json", "BENCH_scaling.json", "machine-readable scaling report path")
-
-		compactMode     = flag.Bool("compact", false, "run the generation-lifecycle compaction benchmark instead of experiments")
-		compactEdges    = flag.Int("compact-edges", 360_000, "total carousel stream length for -compact")
-		compactVertices = flag.Int("compact-vertices", 4096, "source population for -compact")
-		compactQueries  = flag.Int("compact-queries", 2000, "final-phase evaluation queries for -compact")
-		compactPivots   = flag.Int("compact-pivots", 8, "workload pivots (phase boundaries) for -compact")
-		compactAlpha    = flag.Float64("compact-alpha", 1.1, "zipf skew of the carousel stream for -compact")
-		compactJSON     = flag.String("compact-json", "BENCH_compact.json", "machine-readable compact report path")
-
-		adaptMode     = flag.Bool("adapt", false, "run the adaptive repartitioning benchmark instead of experiments")
-		adaptEdges    = flag.Int("adapt-edges", 400_000, "two-phase pivot stream length for -adapt")
-		adaptVertices = flag.Int("adapt-vertices", 4096, "source population for -adapt")
-		adaptQueries  = flag.Int("adapt-queries", 2000, "post-pivot evaluation queries for -adapt")
-		adaptAlpha    = flag.Float64("adapt-alpha", 1.1, "zipf skew of the pivot stream for -adapt")
-		adaptJSON     = flag.String("adapt-json", "BENCH_adapt.json", "machine-readable adapt report path")
-
-		tenantsSpec   = flag.String("tenants", "", "comma-separated tenant counts (e.g. 1,8,64): run the multi-tenant serving bench")
-		tenantEdges   = flag.Int("tenant-edges", 512_000, "total edges split across all tenants per sweep point for -tenants")
-		tenantQueries = flag.Int("tenant-queries", 256_000, "total queries split across all tenants per sweep point for -tenants")
-		tenantChunk   = flag.Int("tenant-chunk", 2048, "edges per NDJSON ingest request for -tenants")
-		tenantBatch   = flag.Int("tenant-batch", 512, "queries per /query request for -tenants")
-		tenantJSON    = flag.String("tenant-json", "BENCH_tenant.json", "machine-readable tenant report path")
-
-		queryMode       = flag.Bool("query", false, "run the query throughput benchmark instead of experiments")
-		queryCount      = flag.Int("query-count", 4_000_000, "number of queries per mode for -query")
-		queryBatch      = flag.Int("query-batch", 8192, "batch size for the batched query modes")
-		queryReaders    = flag.Int("query-readers", 0, "reader goroutines for the parallel query mode (0 = GOMAXPROCS)")
-		queryPartitions = flag.Int("query-partitions", 16, "partition cap for the benchmark sketch")
-		queryJSON       = flag.String("query-json", "BENCH_query.json", "machine-readable query report path")
 	)
 	flag.Parse()
-
-	if *ingestMode {
-		if err := runIngestBench(*ingestEdges, *ingestBatch, *ingestWorkers, *ingestJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "gsketch-bench: ingest: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serveMode {
-		if err := runServeBench(*serveEdges, *serveQueries, *serveConns, *serveChunk, *serveBatch, *serveProto, *serveJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "gsketch-bench: serve: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *clusterMode {
-		if err := runClusterBench(*clusterNodes, *clusterEdges, *clusterQueries, *clusterChunk, *clusterBatch, *clusterJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "gsketch-bench: cluster: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *tenantsSpec != "" {
-		if err := runTenantBench(*tenantsSpec, *tenantEdges, *tenantQueries, *tenantChunk, *tenantBatch, *tenantJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "gsketch-bench: tenants: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *scalingMode {
-		if err := runScalingBench(*coresSpec, *scalingEdges, *scalingQueries, *scalingJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "gsketch-bench: scaling: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *queryMode {
-		if err := runQueryBench(*queryCount, *queryBatch, *queryReaders, *queryPartitions, *queryJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "gsketch-bench: query: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *compactMode {
-		if err := runCompactBench(*compactEdges, *compactVertices, *compactQueries, *compactPivots, *compactAlpha, *compactJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "gsketch-bench: compact: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *adaptMode {
-		if err := runAdaptBench(*adaptEdges, *adaptVertices, *adaptQueries, *adaptAlpha, *adaptJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "gsketch-bench: adapt: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, e := range experiments.AllExperiments() {

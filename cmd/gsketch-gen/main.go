@@ -34,6 +34,8 @@ func main() {
 	)
 	flag.Parse()
 
+	// Every flag value is checked before the dataset is generated or the
+	// output file is created.
 	var profile experiments.Profile
 	switch *scale {
 	case "small":
@@ -41,7 +43,16 @@ func main() {
 	case "repro":
 		profile = experiments.Repro
 	default:
-		fatal("unknown scale %q", *scale)
+		usage("unknown scale %q (want small or repro)", *scale)
+	}
+	var write func(io.Writer, []stream.Edge) error
+	switch *format {
+	case "text":
+		write = stream.WriteTextEdges
+	case "binary":
+		write = stream.WriteBinaryEdges
+	default:
+		usage("unknown format %q (want text or binary)", *format)
 	}
 
 	var edges []stream.Edge
@@ -57,33 +68,42 @@ func main() {
 		cfg := graphgen.DefaultRMAT(profile.RMATScale, profile.RMATEdges, *seed)
 		edges, err = cfg.Generate()
 	default:
-		fatal("unknown dataset %q", *dataset)
+		usage("unknown dataset %q (want dblp, ipattack or rmat)", *dataset)
 	}
 	if err != nil {
 		fatal("generate: %v", err)
 	}
 
-	var w io.Writer = os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal("create: %v", err)
-		}
-		defer f.Close()
-		w = f
-	}
-	switch *format {
-	case "text":
-		err = stream.WriteTextEdges(w, edges)
-	case "binary":
-		err = stream.WriteBinaryEdges(w, edges)
-	default:
-		fatal("unknown format %q", *format)
+	if *out == "-" {
+		err = write(os.Stdout, edges)
+	} else {
+		err = writeFile(*out, write, edges)
 	}
 	if err != nil {
 		fatal("write: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "gsketch-gen: wrote %d edges (%s, %s scale)\n", len(edges), *dataset, *scale)
+}
+
+// writeFile writes edges to path and reports a failed close, which is where
+// a buffered write to a full disk shows.
+func writeFile(path string, write func(io.Writer, []stream.Edge) error, edges []stream.Edge) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f, edges); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// usage reports a bad flag value or combination and exits 2, as the flag
+// package does for a flag it cannot parse.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "gsketch-gen: "+format+" (see -h)\n", args...)
+	os.Exit(2)
 }
 
 func fatal(format string, args ...any) {

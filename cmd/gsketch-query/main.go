@@ -52,20 +52,30 @@ func main() {
 	)
 	flag.Parse()
 
+	// Flag combinations are checked before any file is read or written, so
+	// none is silently ignored.
+	switch {
+	case *load == "" && *streamPath == "":
+		usage("need -stream or -load")
+	case *load != "" && (*streamPath != "" || *global || *save != ""):
+		usage("-load restores a saved gSketch; it takes none of -stream, -global or -save")
+	case *global && *save != "":
+		usage("-save writes a gSketch; the -global baseline has no saved form")
+	}
+
 	// Everything constructs through the one-handle engine: the bootstrap
 	// source (snapshot, partitioned build or global baseline) is an Open
 	// option, and ingest/query/save all go through the same handle.
 	cfg := gsketch.Config{TotalBytes: *memory, Seed: *seed}
 	var eng *gsketch.Engine
 	var edges []gsketch.Edge
-	switch {
-	case *load != "":
+	if *load != "" {
 		var err error
 		eng, err = gsketch.Open(cfg, gsketch.WithRestoreFile(*load))
 		if err != nil {
 			fatal("load: %v", err)
 		}
-	case *streamPath != "":
+	} else {
 		edges = readEdges(*streamPath)
 		var err error
 		if *global {
@@ -91,14 +101,12 @@ func main() {
 			st := eng.Stats()
 			fmt.Fprintf(os.Stderr, "gsketch-query: %d shards, %d bytes\n",
 				st.Partitions, st.MemoryBytes)
-			if *save != "" {
-				if _, err := eng.SaveSnapshot(*save); err != nil {
-					fatal("save: %v", err)
-				}
+		}
+		if *save != "" {
+			if _, err := eng.SaveSnapshot(*save); err != nil {
+				fatal("save: %v", err)
 			}
 		}
-	default:
-		fatal("need -stream or -load (see -h)")
 	}
 	defer eng.Close()
 
@@ -163,4 +171,11 @@ func parsePair(s string) (uint64, uint64) {
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "gsketch-query: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// usage reports a bad flag combination and exits 2, as the flag package
+// does for a flag it cannot parse.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "gsketch-query: "+format+" (see -h)\n", args...)
+	os.Exit(2)
 }

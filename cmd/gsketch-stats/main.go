@@ -32,7 +32,8 @@ func main() {
 	snapshotPath := flag.String("snapshot", "", "sketch or chain snapshot to inspect")
 	flag.Parse()
 	if (*streamPath == "") == (*snapshotPath == "") {
-		fatal("need exactly one of -stream or -snapshot (see -h)")
+		fmt.Fprintln(os.Stderr, "gsketch-stats: need exactly one of -stream or -snapshot (see -h)")
+		os.Exit(2)
 	}
 	if *snapshotPath != "" {
 		snapshotStats(*snapshotPath)
@@ -52,7 +53,11 @@ func main() {
 	fmt.Printf("stream volume:   %d\n", exact.Total())
 	fmt.Printf("distinct edges:  %d\n", st.DistinctEdges)
 	fmt.Printf("source vertices: %d\n", st.Sources)
-	fmt.Printf("multiplicity:    %.2f\n", float64(exact.Total())/float64(st.DistinctEdges))
+	multiplicity := 0.0 // an empty stream has no distinct edges to divide by
+	if st.DistinctEdges > 0 {
+		multiplicity = float64(exact.Total()) / float64(st.DistinctEdges)
+	}
+	fmt.Printf("multiplicity:    %.2f\n", multiplicity)
 	fmt.Printf("sigma_G:         %.4f\n", st.GlobalVariance)
 	fmt.Printf("sigma_V:         %.4f\n", st.LocalVariance)
 	fmt.Printf("variance ratio:  %.3f\n", st.Ratio)

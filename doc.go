@@ -69,10 +69,6 @@
 // drains the pipeline, and (with WithSnapshotOnClose) persists a final
 // snapshot.
 //
-// The pre-Engine free functions (New, NewConcurrent, NewIngestor, Save,
-// Load, NewChain, ...) remain as thin deprecated shims that answer
-// byte-identically; see the migration table in README.md.
-//
 // # Querying
 //
 // The read path is batched and bound-carrying, mirroring the sharded
@@ -108,13 +104,11 @@
 // Windowed range queries batch the same way via EstimateWindowBatch (one
 // pass per overlapping window for the whole batch).
 //
-// Migration note: EstimateEdge(src, dst) remains on every estimator and is
-// unchanged — one call, one bare point estimate, one lock round-trip under
-// Concurrent. New code (and any loop over more than a handful of queries)
-// should call EstimateBatch or Answer instead: same estimates, byte for
-// byte, at better than 1.5× the throughput on a 16-partition sketch, plus
-// the per-answer guarantees. EstimateSubgraph is deprecated; it now
-// forwards to Answer and returns only the value.
+// EstimateEdge(src, dst) remains on every estimator: one call, one bare
+// point estimate, one lock round-trip under Concurrent. Any loop over more
+// than a handful of queries should call EstimateBatch or Answer instead:
+// same estimates, byte for byte, at better than 1.5× the throughput on a
+// 16-partition sketch, plus the per-answer guarantees.
 //
 // # Batched and parallel ingestion
 //
@@ -123,28 +117,30 @@
 // router groups the batch by destination partition, then each partition's
 // synopsis absorbs its group in a single call. Within a partition the
 // stream order is preserved, so batched counters are byte-identical to
-// per-edge Update. Populate uses this path automatically.
+// per-edge Update. Engine.Ingest and Populate use this path.
 //
-// For concurrent writers, wrap the sketch in NewConcurrent: because the
-// router is immutable after construction, each partition (plus the outlier
-// sketch) is an independent update domain, and the wrapper shards its
-// locks by partition instead of serializing every writer behind one mutex.
-// NewIngestor adds a full pipeline on top — a bounded multi-producer queue
-// drained by N workers:
+// Every engine serves its estimator through a Concurrent wrapper: because
+// the router is immutable after construction, each partition (plus the
+// outlier sketch) is an independent update domain, and the wrapper shards
+// its locks by partition instead of serializing every writer behind one
+// mutex. WithIngest adds a full pipeline on top — a bounded multi-producer
+// queue drained by N workers:
 //
-//	shared := gsketch.NewConcurrent(g)
-//	ing, err := gsketch.NewIngestor(shared, gsketch.IngestConfig{})
+//	eng, err := gsketch.Open(cfg, gsketch.WithSample(sample),
+//		gsketch.WithIngest(gsketch.IngestConfig{}))
 //	if err != nil { ... }
-//	_ = ing.PushBatch(edges) // from any number of goroutines; blocks when full
-//	_ = ing.Close()          // flush, drain, stop workers
+//	_ = eng.Ingest(ctx, edges...) // from any number of goroutines; blocks when full
+//	_ = eng.Close()               // drain, stop workers
 //
 // Throughput note: on a single core the batched sharded path sustains
 // roughly twice the edges/sec of per-edge updates behind a single mutex
 // (lock amortization plus partition-local cache residency); with multiple
 // cores the sharded writers scale further because batches touching
-// disjoint partitions never contend. `gsketch-bench -ingest` measures all
-// three paths and writes a machine-readable BENCH_ingest.json;
-// `gsketch-bench -query` is its read-side mirror, writing BENCH_query.json.
+// disjoint partitions never contend. The repository benchmark (benchmark/)
+// measures each layer: core.gsketch_update_ns_per_edge and
+// core.concurrent_update_ns_per_edge for the write path,
+// ingest.push_ns_per_edge for the queue, and core.gsketch_estimate_ns_per_query
+// and engine.query_ns_per_query for the read side.
 //
 // # Serving and the workload-capture loop
 //

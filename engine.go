@@ -139,7 +139,7 @@ type Engine struct {
 // WithWorkloadRecorder samples query traffic into the §4.2 workload
 // format, WithWindows mounts a time-windowed store, and WithSnapshotDir
 // gives Save/Restore a home. The zero-option Open(cfg, WithSample(s)) is
-// byte-identical to the classic New + NewConcurrent wiring.
+// byte-identical to core.BuildGSketch wrapped in core.NewConcurrent.
 func Open(cfg Config, opts ...Option) (*Engine, error) {
 	o := engineOptions{now: time.Now}
 	for _, opt := range opts {
@@ -657,7 +657,7 @@ func (e *Engine) WriteWorkloadTo(w io.Writer) (int64, error) {
 // container for an adaptive engine (every generation, oldest first), the
 // single-sketch format otherwise. The snapshot is taken under the striped
 // read locks, so a save racing live writers is still internally
-// consistent. Restore (or Load/LoadChain) reads it back.
+// consistent. Restore (or Open with WithRestore) reads it back.
 func (e *Engine) Save(w io.Writer) (int64, error) {
 	st := e.state()
 	if st.chain != nil {

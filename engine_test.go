@@ -14,6 +14,9 @@ import (
 	"time"
 
 	gsketch "github.com/graphstream/gsketch"
+	"github.com/graphstream/gsketch/internal/adapt"
+	"github.com/graphstream/gsketch/internal/core"
+	"github.com/graphstream/gsketch/internal/ingest"
 )
 
 // engineTestStream builds a deterministic skewed stream.
@@ -41,27 +44,28 @@ func engineTestQueries(edges []gsketch.Edge, n int) []gsketch.EdgeQuery {
 
 var engineTestCfg = gsketch.Config{TotalBytes: 64 << 10, Seed: 21}
 
-// TestOpenMatchesShimsByteIdentical is the shim-equivalence guard for the
-// partitioned path: the classic New + NewConcurrent + Populate + Save
-// wiring and the one-handle Open + Ingest + Save path must produce
-// byte-identical snapshots and byte-identical batched answers.
+// TestOpenMatchesShimsByteIdentical is the equivalence guard for the
+// partitioned path: the core wiring Open assembles — core.BuildGSketch +
+// core.NewConcurrent + Populate + core.Save — and the one-handle Open +
+// Ingest + Save path must produce byte-identical snapshots and
+// byte-identical batched answers.
 func TestOpenMatchesShimsByteIdentical(t *testing.T) {
 	edges := engineTestStream(20_000, 5)
 	sample := edges[:2_000]
 	qs := engineTestQueries(edges, 500)
 
-	// Classic shims (PR 1-4 surface).
-	g, err := gsketch.New(engineTestCfg, sample, nil)
+	// The core calls, wired by hand.
+	g, err := core.BuildGSketch(engineTestCfg, sample, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shim := gsketch.NewConcurrent(g)
-	gsketch.Populate(shim, edges)
-	var shimSnap bytes.Buffer
-	if _, err := gsketch.Save(shim, &shimSnap); err != nil {
+	ref := core.NewConcurrent(g)
+	gsketch.Populate(ref, edges)
+	var refSnap bytes.Buffer
+	if _, err := core.Save(ref, &refSnap); err != nil {
 		t.Fatal(err)
 	}
-	shimRes := gsketch.EstimateBatch(shim, qs)
+	refRes := gsketch.EstimateBatch(ref, qs)
 
 	// One-handle engine.
 	eng, err := gsketch.Open(engineTestCfg, gsketch.WithSample(sample))
@@ -76,24 +80,24 @@ func TestOpenMatchesShimsByteIdentical(t *testing.T) {
 	if _, err := eng.Save(&engSnap); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(shimSnap.Bytes(), engSnap.Bytes()) {
-		t.Fatalf("snapshot mismatch: shim %d bytes, engine %d bytes", shimSnap.Len(), engSnap.Len())
+	if !bytes.Equal(refSnap.Bytes(), engSnap.Bytes()) {
+		t.Fatalf("snapshot mismatch: core %d bytes, engine %d bytes", refSnap.Len(), engSnap.Len())
 	}
 	engRes := eng.QueryBatch(qs)
 	for i := range qs {
-		if shimRes[i] != engRes[i] {
-			t.Fatalf("query %d: shim %+v, engine %+v", i, shimRes[i], engRes[i])
+		if refRes[i] != engRes[i] {
+			t.Fatalf("query %d: core %+v, engine %+v", i, refRes[i], engRes[i])
 		}
 	}
 
-	// The deprecated Load shim reads the engine's snapshot.
-	loaded, err := gsketch.Load(bytes.NewReader(engSnap.Bytes()))
+	// The core reader loads the engine's snapshot.
+	loaded, err := core.ReadGSketch(bytes.NewReader(engSnap.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range gsketch.EstimateBatch(loaded, qs) {
-		if r != shimRes[i] {
-			t.Fatalf("loaded query %d: %+v want %+v", i, r, shimRes[i])
+		if r != refRes[i] {
+			t.Fatalf("loaded query %d: %+v want %+v", i, r, refRes[i])
 		}
 	}
 }
@@ -103,7 +107,7 @@ func TestOpenGlobalMatchesShim(t *testing.T) {
 	edges := engineTestStream(10_000, 7)
 	qs := engineTestQueries(edges, 200)
 
-	gl, err := gsketch.NewGlobal(engineTestCfg)
+	gl, err := core.BuildGlobalSketch(engineTestCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,26 +125,26 @@ func TestOpenGlobalMatchesShim(t *testing.T) {
 	got := eng.QueryBatch(qs)
 	for i := range qs {
 		if want[i] != got[i] {
-			t.Fatalf("query %d: shim %+v, engine %+v", i, want[i], got[i])
+			t.Fatalf("query %d: core %+v, engine %+v", i, want[i], got[i])
 		}
 	}
 }
 
 // TestOpenWithIngestMatchesShimPipeline: the engine's mounted pipeline
-// (WithIngest) lands exactly the same counters as the deprecated
-// NewIngestor wiring over the same stream.
+// (WithIngest) lands exactly the same counters as an ingest.New pipeline
+// wired by hand over the same stream.
 func TestOpenWithIngestMatchesShimPipeline(t *testing.T) {
 	edges := engineTestStream(30_000, 9)
 	sample := edges[:2_000]
 	qs := engineTestQueries(edges, 300)
 	icfg := gsketch.IngestConfig{Workers: 4, BatchSize: 512, QueueDepth: 8}
 
-	g, err := gsketch.New(engineTestCfg, sample, nil)
+	g, err := core.BuildGSketch(engineTestCfg, sample, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shim := gsketch.NewConcurrent(g)
-	ing, err := gsketch.NewIngestor(shim, icfg)
+	ref := core.NewConcurrent(g)
+	ing, err := ingest.New(ref, icfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +154,7 @@ func TestOpenWithIngestMatchesShimPipeline(t *testing.T) {
 	if err := ing.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := gsketch.EstimateBatch(shim, qs)
+	want := gsketch.EstimateBatch(ref, qs)
 
 	eng, err := gsketch.Open(engineTestCfg, gsketch.WithSample(sample), gsketch.WithIngest(icfg))
 	if err != nil {
@@ -165,7 +169,7 @@ func TestOpenWithIngestMatchesShimPipeline(t *testing.T) {
 	got := eng.QueryBatch(qs)
 	for i := range qs {
 		if want[i] != got[i] {
-			t.Fatalf("query %d: shim pipeline %+v, engine pipeline %+v", i, want[i], got[i])
+			t.Fatalf("query %d: core pipeline %+v, engine pipeline %+v", i, want[i], got[i])
 		}
 	}
 	if err := eng.Close(); err != nil {
@@ -174,8 +178,8 @@ func TestOpenWithIngestMatchesShimPipeline(t *testing.T) {
 }
 
 // TestEngineChainMatchesShimChain drives the adaptive path both ways with
-// identical inputs: the deprecated NewChain + Repartition shims and the
-// engine's recorder-fed Repartition must produce byte-identical chain
+// identical inputs: adapt.NewChain + adapt.Repartition wired by hand and
+// the engine's recorder-fed Repartition must produce byte-identical chain
 // snapshots and answers.
 func TestEngineChainMatchesShimChain(t *testing.T) {
 	edges := engineTestStream(20_000, 11)
@@ -184,12 +188,12 @@ func TestEngineChainMatchesShimChain(t *testing.T) {
 	ccfg := gsketch.ChainConfig{SampleSize: 1024, Seed: 3, MaxGenerations: 4}
 	clock := func() time.Time { return time.Unix(0, 0) }
 
-	// Shim path: explicit chain, explicit workload slice.
-	g0, err := gsketch.New(engineTestCfg, sample, nil)
+	// Core path: explicit chain, explicit workload slice.
+	g0, err := core.BuildGSketch(engineTestCfg, sample, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := gsketch.NewChain(g0, ccfg)
+	chain := adapt.NewChain(g0, ccfg)
 	chain.SetClock(clock) // v4 snapshots carry build times; match the engine's
 	gsketch.Populate(chain, edges[:10_000])
 	// The workload the engine will record: the served queries, weight 1,
@@ -199,7 +203,7 @@ func TestEngineChainMatchesShimChain(t *testing.T) {
 		workload[i] = gsketch.Edge{Src: q.Src, Dst: q.Dst, Weight: 1}
 	}
 	gsketch.EstimateBatch(chain, qs) // parity: routing counters see the reads
-	if _, err := gsketch.Repartition(chain, engineTestCfg, workload); err != nil {
+	if _, err := adapt.Repartition(chain, engineTestCfg, workload); err != nil {
 		t.Fatal(err)
 	}
 	gsketch.Populate(chain, edges[10_000:])
@@ -233,7 +237,7 @@ func TestEngineChainMatchesShimChain(t *testing.T) {
 	got := eng.QueryBatch(qs)
 	for i := range qs {
 		if want[i] != got[i] {
-			t.Fatalf("query %d: shim chain %+v, engine chain %+v", i, want[i], got[i])
+			t.Fatalf("query %d: core chain %+v, engine chain %+v", i, want[i], got[i])
 		}
 	}
 	var gotSnap bytes.Buffer
@@ -241,7 +245,7 @@ func TestEngineChainMatchesShimChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(wantSnap.Bytes(), gotSnap.Bytes()) {
-		t.Fatalf("chain snapshot mismatch: shim %d bytes, engine %d bytes", wantSnap.Len(), gotSnap.Len())
+		t.Fatalf("chain snapshot mismatch: core %d bytes, engine %d bytes", wantSnap.Len(), gotSnap.Len())
 	}
 	if eng.Generations() != 2 {
 		t.Fatalf("generations = %d, want 2", eng.Generations())
@@ -249,7 +253,8 @@ func TestEngineChainMatchesShimChain(t *testing.T) {
 }
 
 // TestEngineSnapshotRoundTrip: SaveSnapshot → Open(WithRestoreFile) →
-// byte-identical answers, and the LoadChain shim reads the same file.
+// byte-identical answers, and the same file loads as a one-generation
+// chain through Open(WithRestoreFile, WithAdaptive).
 func TestEngineSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	edges := engineTestStream(10_000, 13)
@@ -289,21 +294,21 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The deprecated LoadChain shim reads the same snapshot.
-	f, err := os.Open(path)
+	// The same snapshot restores as a single-generation chain.
+	chained, err := gsketch.Open(engineTestCfg, gsketch.WithRestoreFile(path),
+		gsketch.WithAdaptive(gsketch.ChainConfig{}, gsketch.AdaptConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	c, err := gsketch.LoadChain(f, gsketch.ChainConfig{})
-	if err != nil {
-		t.Fatal(err)
+	defer chained.Close()
+	if n := chained.Generations(); n != 1 {
+		t.Fatalf("restored chain has %d generations, want 1", n)
 	}
-	for i, r := range gsketch.EstimateBatch(c, qs) {
+	for i, r := range chained.QueryBatch(qs) {
 		// A restored single-generation chain answers with the same
 		// estimates and bounds (stream totals included).
 		if r != want[i] {
-			t.Fatalf("LoadChain query %d: %+v want %+v", i, r, want[i])
+			t.Fatalf("chain query %d: %+v want %+v", i, r, want[i])
 		}
 	}
 }
@@ -373,14 +378,14 @@ func TestEngineWindowMatchesShim(t *testing.T) {
 	}
 	qs := engineTestQueries(edges, 100)
 
-	shimStore, err := gsketch.NewWindowStore(wcfg)
+	refStore, err := gsketch.NewWindowStore(wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := shimStore.ObserveBatch(edges); err != nil {
+	if err := refStore.ObserveBatch(edges); err != nil {
 		t.Fatal(err)
 	}
-	want := gsketch.EstimateWindowBatch(shimStore, qs, 1000, 4000)
+	want := gsketch.EstimateWindowBatch(refStore, qs, 1000, 4000)
 
 	eng, err := gsketch.Open(engineTestCfg,
 		gsketch.WithSample(edges[:500]),
@@ -399,7 +404,7 @@ func TestEngineWindowMatchesShim(t *testing.T) {
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("window query %d: shim %v, engine %v", i, want[i], got[i])
+			t.Fatalf("window query %d: store %v, engine %v", i, want[i], got[i])
 		}
 	}
 	// Restore is refused while the window store is mounted.
@@ -537,7 +542,7 @@ func TestEngineCloseDuringRepartition(t *testing.T) {
 		t.Fatalf("final snapshot missing: %v", err)
 	}
 	defer f.Close()
-	if _, err := gsketch.LoadChain(f, gsketch.ChainConfig{}); err != nil {
+	if _, err := core.ReadChain(f); err != nil {
 		t.Fatalf("final snapshot unreadable: %v", err)
 	}
 	// Post-close ingest fails typed; reads stay usable.

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,26 +37,31 @@ func main() {
 	workload := query.ZipfWorkloadSample(exact, 20000, alpha, 77, 78)
 	queries := query.ZipfEdgeQueries(exact, 5000, alpha, 77, 79)
 
+	ctx := context.Background()
 	const budget = 16 << 10
 	base := gsketch.Config{TotalBytes: budget, Seed: 3}
 
-	global, _ := gsketch.NewGlobal(base)
-	dataOnly, err := gsketch.New(base, dataSample, nil)
-	if err != nil {
-		log.Fatal(err)
+	open := func(opts ...gsketch.Option) *gsketch.Engine {
+		eng, err := gsketch.Open(base, opts...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := eng.Ingest(ctx, edges...); err != nil {
+			log.Fatal(err)
+		}
+		return eng
 	}
-	workloadAware, err := gsketch.New(base, dataSample, workload)
-	if err != nil {
-		log.Fatal(err)
-	}
-	gsketch.Populate(global, edges)
-	gsketch.Populate(dataOnly, edges)
-	gsketch.Populate(workloadAware, edges)
+	global := open(gsketch.WithGlobal())
+	defer global.Close()
+	dataOnly := open(gsketch.WithSample(dataSample))
+	defer dataOnly.Close()
+	workloadAware := open(gsketch.WithSample(dataSample), gsketch.WithWorkloadSample(workload))
+	defer workloadAware.Close()
 
 	fmt.Printf("\naccuracy on %d analyst queries (Zipf α=%.1f, %d-byte budget):\n",
 		len(queries), alpha, budget)
-	report := func(name string, est gsketch.Estimator) {
-		acc := query.EvaluateEdgeQueries(est, exact, queries, query.DefaultG0)
+	report := func(name string, eng *gsketch.Engine) {
+		acc := query.EvaluateEdgeQueries(eng.Estimator(), exact, queries, query.DefaultG0)
 		fmt.Printf("  %-22s avg relative error %8.3f   effective queries %5d/%d\n",
 			name, acc.AvgRelErr, acc.Effective, acc.Total)
 	}
@@ -72,6 +78,7 @@ func main() {
 		}
 		return true
 	})
+	res := workloadAware.Query(src, dst)
 	fmt.Printf("\nheaviest attack pair (%d -> %d): true %d, gSketch %d, within bound e·N_i/w_i = %.0f\n",
-		src, dst, f, workloadAware.EstimateEdge(src, dst), workloadAware.ErrorBound(src))
+		src, dst, f, res.Estimate, res.ErrorBound)
 }

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,34 +27,33 @@ func main() {
 		res.Observe(e)
 	}
 
-	// 2. Build the estimator with a deliberately tight 32 KiB budget (a
+	// 2. Open the engine with a deliberately tight 32 KiB budget (a
 	//    generous budget would terminate partitioning at a single
-	//    near-exact sketch via Theorem 1).
-	g, err := gsketch.New(gsketch.Config{TotalBytes: 32 << 10, Seed: 42}, res.Sample(), nil)
+	//    near-exact sketch via Theorem 1). WithIngest mounts the parallel
+	//    pipeline: the partition-sharded locks let its workers apply batches
+	//    in parallel (single pass, constant memory).
+	eng, err := gsketch.Open(gsketch.Config{TotalBytes: 32 << 10, Seed: 42},
+		gsketch.WithSample(res.Sample()),
+		gsketch.WithIngest(gsketch.IngestConfig{}))
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer eng.Close()
+	g := eng.Sketch()
 	fmt.Printf("gsketch: %d localized partitions, %d bytes of counters\n",
 		g.NumPartitions(), g.MemoryBytes())
 
-	// 3. Stream the edges through the parallel ingest pipeline: the
-	//    Concurrent wrapper shards the locks by partition, and the
-	//    Ingestor's workers apply batches in parallel (single pass,
-	//    constant memory). For single-threaded use, gsketch.Populate(g,
-	//    edges) does the same work inline.
-	shared := gsketch.NewConcurrent(g)
-	ing, err := gsketch.NewIngestor(shared, gsketch.IngestConfig{})
-	if err != nil {
+	// 3. Stream the edges in. Ingest blocks while the pipeline is full;
+	//    Drain waits until every accepted edge is applied.
+	ctx := context.Background()
+	if err := eng.Ingest(ctx, edges...); err != nil {
 		log.Fatal(err)
 	}
-	if err := ing.PushBatch(edges); err != nil {
+	if err := eng.Drain(ctx); err != nil {
 		log.Fatal(err)
 	}
-	if err := ing.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("ingested %d edges in %d batches across %d workers\n",
-		ing.Edges(), ing.Batches(), ing.Workers())
+	ing := eng.IngestStats()
+	fmt.Printf("ingested %d edges in %d batches\n", ing.EdgesApplied, ing.BatchesApplied)
 
 	// 4. Edge query with guarantees: how often did the most frequent pair
 	//    collaborate, and how much should we trust the answer? Answer
@@ -68,7 +68,7 @@ func main() {
 		}
 	}
 	truth := counts[[2]uint64{top.Src, top.Dst}]
-	resp := gsketch.Answer(shared, gsketch.EdgeQuery{Src: top.Src, Dst: top.Dst})
+	resp := eng.Answer(gsketch.EdgeQuery{Src: top.Src, Dst: top.Dst})
 	fmt.Printf("edge (%d,%d): true %d, estimated %.0f ±%.1f at %.1f%% confidence\n",
 		top.Src, top.Dst, truth, resp.Value, resp.ErrorBound, 100*resp.Confidence)
 
@@ -82,13 +82,13 @@ func main() {
 		},
 		Agg: gsketch.Sum,
 	}
-	sub := gsketch.Answer(shared, q)
+	sub := eng.Answer(q)
 	fmt.Printf("subgraph SUM estimate: %.0f ±%.1f\n", sub.Value, sub.ErrorBound)
 
 	// 6. Node query: this author's aggregate volume toward three named
 	//    co-authors — all constituents share the source vertex, so one
 	//    localized sketch answers the whole query.
-	node := gsketch.Answer(shared, gsketch.NodeQuery{
+	node := eng.Answer(gsketch.NodeQuery{
 		Node: top.Src,
 		Out:  []uint64{top.Dst, top.Dst + 1, top.Dst + 2},
 		Agg:  gsketch.Max,

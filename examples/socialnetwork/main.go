@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,16 +31,11 @@ func main() {
 	const budget = 16 << 10 // deliberately tight: 16 KiB
 	sample := reservoirSample(edges, 0.2, 7)
 
-	g, err := gsketch.New(gsketch.Config{TotalBytes: budget, Seed: 1}, sample, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	global, err := gsketch.NewGlobal(gsketch.Config{TotalBytes: budget, Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	gsketch.Populate(g, edges)
-	gsketch.Populate(global, edges)
+	sketchCfg := gsketch.Config{TotalBytes: budget, Seed: 1}
+	g := open(sketchCfg, edges, gsketch.WithSample(sample))
+	defer g.Close()
+	global := open(sketchCfg, edges, gsketch.WithGlobal())
+	defer global.Close()
 
 	// "How often do these two friends interact?" — collect a spread of
 	// true frequencies, then answer the whole set with one batched pass
@@ -57,8 +53,8 @@ func main() {
 		truths = append(truths, f)
 		return true
 	})
-	gRes := gsketch.EstimateBatch(g, probes)
-	globalRes := gsketch.EstimateBatch(global, probes)
+	gRes := g.QueryBatch(probes)
+	globalRes := global.QueryBatch(probes)
 	fmt.Println("\npair-frequency estimates (16 KiB budget):")
 	fmt.Println("true   gSketch  ±bound  GlobalSketch  ±bound")
 	for i := range probes {
@@ -88,8 +84,8 @@ func main() {
 		}
 		return true
 	})
-	gAns := gsketch.Answer(g, community)
-	globalAns := gsketch.Answer(global, community)
+	gAns := g.Answer(community)
+	globalAns := global.Answer(community)
 	fmt.Printf("\ncommunity of member %d (%d edges): true volume %.0f\n", hub, len(community.Edges), truth)
 	fmt.Printf("  gSketch estimate:      %.0f ±%.0f\n", gAns.Value, gAns.ErrorBound)
 	fmt.Printf("  GlobalSketch estimate: %.0f ±%.0f\n", globalAns.Value, globalAns.ErrorBound)
@@ -103,4 +99,16 @@ func reservoirSample(edges []gsketch.Edge, frac float64, seed uint64) []gsketch.
 	out := make([]gsketch.Edge, len(res.Sample()))
 	copy(out, res.Sample())
 	return out
+}
+
+// open builds an engine over one bootstrap option and streams edges in.
+func open(cfg gsketch.Config, edges []gsketch.Edge, bootstrap gsketch.Option) *gsketch.Engine {
+	eng, err := gsketch.Open(cfg, bootstrap)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := eng.Ingest(context.Background(), edges...); err != nil {
+		log.Fatal(err)
+	}
+	return eng
 }

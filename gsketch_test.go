@@ -2,6 +2,7 @@ package gsketch_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -26,6 +27,21 @@ func synthetic(n int) []gsketch.Edge {
 	return edges
 }
 
+// openPopulated opens an engine over a sample of edges and ingests all of
+// them.
+func openPopulated(t *testing.T, cfg gsketch.Config, sample, edges []gsketch.Edge) *gsketch.Engine {
+	t.Helper()
+	eng, err := gsketch.Open(cfg, gsketch.WithSample(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	if err := eng.Ingest(context.Background(), edges...); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 func TestPublicAPIEndToEnd(t *testing.T) {
 	edges := synthetic(20000)
 
@@ -33,15 +49,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	for _, e := range edges {
 		res.Observe(e)
 	}
-	g, err := gsketch.New(gsketch.Config{TotalBytes: 64 << 10, Seed: 42}, res.Sample(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gsketch.Populate(g, edges)
+	eng := openPopulated(t, gsketch.Config{TotalBytes: 64 << 10, Seed: 42}, res.Sample(), edges)
 
 	// Hub pair (1, 101): i%8 == 1 implies i%4 != 0, so it recurs
 	// n/8 = 2500 times.
-	est := g.EstimateEdge(1, 101)
+	est := eng.Query(1, 101).Estimate
 	if est < 2500 {
 		t.Errorf("hub estimate = %d, want ≥ 2500", est)
 	}
@@ -51,51 +63,59 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		Edges: []gsketch.EdgeQuery{{Src: 1, Dst: 101}, {Src: 2, Dst: 102}, {Src: 3, Dst: 103}},
 		Agg:   gsketch.Sum,
 	}
-	if got := gsketch.EstimateSubgraph(g, q); got < 7000 {
+	if got := eng.Answer(q).Value; got < 7000 {
 		t.Errorf("subgraph SUM = %v, want ≥ 7000", got)
 	}
 
-	// Serialization round-trip through the facade.
+	// Serialization round-trip through the engine.
 	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
+	if _, err := eng.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := gsketch.Load(&buf)
+	loaded, err := gsketch.Open(gsketch.Config{}, gsketch.WithRestore(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.EstimateEdge(1, 101) != est {
+	defer loaded.Close()
+	if loaded.Query(1, 101).Estimate != est {
 		t.Error("loaded sketch disagrees")
 	}
 }
 
 func TestPublicGlobalBaseline(t *testing.T) {
 	edges := synthetic(5000)
-	g, err := gsketch.NewGlobal(gsketch.Config{TotalBytes: 32 << 10, Seed: 1})
+	eng, err := gsketch.Open(gsketch.Config{TotalBytes: 32 << 10, Seed: 1}, gsketch.WithGlobal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsketch.Populate(g, edges)
-	if g.Count() != int64(len(edges)) {
-		t.Errorf("count = %d", g.Count())
+	defer eng.Close()
+	if err := eng.Ingest(context.Background(), edges...); err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.Estimator().Count(); n != int64(len(edges)) {
+		t.Errorf("count = %d", n)
 	}
 }
 
 func TestPublicConcurrent(t *testing.T) {
 	edges := synthetic(5000)
-	g, err := gsketch.New(gsketch.Config{TotalBytes: 32 << 10, Seed: 1}, edges[:500], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := gsketch.NewConcurrent(g)
+	eng := openPopulated(t, gsketch.Config{TotalBytes: 32 << 10, Seed: 1}, edges[:500], nil)
 	done := make(chan struct{})
-	go func() { defer close(done); gsketch.Populate(c, edges) }()
+	go func() {
+		defer close(done)
+		for lo := 0; lo < len(edges); lo += 512 {
+			if err := eng.Ingest(context.Background(), edges[lo:min(lo+512, len(edges))]...); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	for i := 0; i < 100; i++ {
-		_ = c.EstimateEdge(1, 101)
+		_ = eng.Query(1, 101)
 	}
 	<-done
-	if c.Count() != int64(len(edges)) {
-		t.Errorf("count = %d", c.Count())
+	if n := eng.Estimator().Count(); n != int64(len(edges)) {
+		t.Errorf("count = %d", n)
 	}
 }
 
@@ -121,11 +141,7 @@ func TestPublicWindowStore(t *testing.T) {
 
 func TestPublicBatchedQueryAPI(t *testing.T) {
 	edges := synthetic(20000)
-	g, err := gsketch.New(gsketch.Config{TotalBytes: 64 << 10, Seed: 5}, edges[:2000], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gsketch.Populate(g, edges)
+	g := openPopulated(t, gsketch.Config{TotalBytes: 64 << 10, Seed: 5}, edges[:2000], edges).Estimator()
 
 	// EstimateBatch matches per-edge EstimateEdge and carries guarantees.
 	qs := []gsketch.EdgeQuery{{Src: 1, Dst: 101}, {Src: 2, Dst: 102}, {Src: 987654, Dst: 1}}
@@ -178,14 +194,6 @@ func TestPublicBatchedQueryAPI(t *testing.T) {
 	if len(batch) != 2 || batch[0].Value != edge.Value {
 		t.Fatalf("AnswerBatch = %+v", batch)
 	}
-
-	// The deprecated shim still answers through the batched path.
-	if got := gsketch.EstimateSubgraph(g, gsketch.SubgraphQuery{
-		Edges: []gsketch.EdgeQuery{{Src: 1, Dst: 101}, {Src: 2, Dst: 102}},
-		Agg:   gsketch.Sum,
-	}); got != wantSum {
-		t.Fatalf("EstimateSubgraph shim = %v, want %v", got, wantSum)
-	}
 }
 
 func TestPublicWindowBatch(t *testing.T) {
@@ -217,50 +225,53 @@ func TestPublicInterner(t *testing.T) {
 	in := gsketch.NewInterner()
 	alice := in.Intern("10.0.0.1")
 	bob := in.Intern("10.0.0.2")
-	g, err := gsketch.New(gsketch.Config{TotalBytes: 16 << 10, Seed: 1},
-		[]gsketch.Edge{{Src: alice, Dst: bob, Weight: 1}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Update(gsketch.Edge{Src: alice, Dst: bob, Weight: 7})
-	if est := g.EstimateEdge(alice, bob); est < 7 {
+	eng := openPopulated(t, gsketch.Config{TotalBytes: 16 << 10, Seed: 1},
+		[]gsketch.Edge{{Src: alice, Dst: bob, Weight: 1}},
+		[]gsketch.Edge{{Src: alice, Dst: bob, Weight: 7}})
+	if est := eng.Query(alice, bob).Estimate; est < 7 {
 		t.Errorf("estimate = %d", est)
 	}
 }
 
-// ExampleNew demonstrates the quickstart flow: sample, build, stream,
+// ExampleOpen demonstrates the quickstart flow: sample, open, stream,
 // query.
-func ExampleNew() {
+func ExampleOpen() {
 	// A toy stream: the pair (1, 2) appears 6 times, (3, 4) once.
 	stream := []gsketch.Edge{
 		{Src: 1, Dst: 2}, {Src: 1, Dst: 2}, {Src: 1, Dst: 2},
 		{Src: 1, Dst: 2}, {Src: 1, Dst: 2}, {Src: 1, Dst: 2},
 		{Src: 3, Dst: 4},
 	}
-	g, err := gsketch.New(gsketch.Config{TotalBytes: 1 << 16, Seed: 7}, stream, nil)
+	eng, err := gsketch.Open(gsketch.Config{TotalBytes: 1 << 16, Seed: 7}, gsketch.WithSample(stream))
 	if err != nil {
 		panic(err)
 	}
-	gsketch.Populate(g, stream)
-	fmt.Println(g.EstimateEdge(1, 2))
+	defer eng.Close()
+	if err := eng.Ingest(context.Background(), stream...); err != nil {
+		panic(err)
+	}
+	fmt.Println(eng.Query(1, 2).Estimate)
 	// Output: 6
 }
 
-// ExampleEstimateSubgraph demonstrates an aggregate subgraph query.
-func ExampleEstimateSubgraph() {
+// ExampleEngine_Answer demonstrates an aggregate subgraph query.
+func ExampleEngine_Answer() {
 	stream := []gsketch.Edge{
 		{Src: 1, Dst: 2, Weight: 5},
 		{Src: 2, Dst: 3, Weight: 7},
 	}
-	g, err := gsketch.New(gsketch.Config{TotalBytes: 1 << 16, Seed: 7}, stream, nil)
+	eng, err := gsketch.Open(gsketch.Config{TotalBytes: 1 << 16, Seed: 7}, gsketch.WithSample(stream))
 	if err != nil {
 		panic(err)
 	}
-	gsketch.Populate(g, stream)
-	total := gsketch.EstimateSubgraph(g, gsketch.SubgraphQuery{
+	defer eng.Close()
+	if err := eng.Ingest(context.Background(), stream...); err != nil {
+		panic(err)
+	}
+	total := eng.Answer(gsketch.SubgraphQuery{
 		Edges: []gsketch.EdgeQuery{{Src: 1, Dst: 2}, {Src: 2, Dst: 3}},
 		Agg:   gsketch.Sum,
 	})
-	fmt.Println(total)
+	fmt.Println(total.Value)
 	// Output: 12
 }

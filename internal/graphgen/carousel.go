@@ -10,9 +10,8 @@ import (
 // CarouselConfig parameterizes ZipfCarouselStream: a stream of many equal
 // phases whose source popularity rotates at every phase boundary. Each
 // boundary is a workload pivot, which makes the carousel the natural
-// driver for long-horizon scenarios — repeated repartitioning, generation
-// accumulation, and compaction pressure — where ZipfPivotStream's single
-// flip is not enough.
+// driver for long-horizon scenarios: repeated repartitioning, generation
+// accumulation, and compaction pressure.
 type CarouselConfig struct {
 	// Vertices is the source-vertex population size.
 	Vertices int
@@ -47,9 +46,6 @@ func (c CarouselConfig) Validate() error {
 // Edges returns the total stream length.
 func (c CarouselConfig) Edges() int { return c.Phases * c.EdgesPerPhase }
 
-// PhaseAt returns the index of the first edge of the given phase.
-func (c CarouselConfig) PhaseAt(phase int) int { return phase * c.EdgesPerPhase }
-
 // SourceAt maps a popularity rank to its vertex id in the given phase.
 // Rank 0 is the hottest source. The mapping rotates by Vertices/Phases
 // per phase, so consecutive phases promote disjoint hot heads (as long as
@@ -80,20 +76,4 @@ func ZipfCarouselStream(c CarouselConfig) ([]stream.Edge, error) {
 		}
 	}
 	return edges, nil
-}
-
-// PhaseQueries draws a query workload over one phase's popularity
-// distribution, mirroring PivotConfig.PivotQueries.
-func (c CarouselConfig) PhaseQueries(phase, n int, seed uint64) []stream.Edge {
-	rng := hashutil.NewRNG(seed)
-	z := NewZipf(c.Vertices, c.Alpha, rng)
-	out := make([]stream.Edge, n)
-	for i := range out {
-		out[i] = stream.Edge{
-			Src:    c.SourceAt(phase, z.Draw()),
-			Dst:    uint64(uniform(rng, c.Destinations)),
-			Weight: 1,
-		}
-	}
-	return out
 }

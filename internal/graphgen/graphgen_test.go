@@ -324,51 +324,3 @@ func distinctCount(edges []stream.Edge) int {
 	}
 	return len(seen)
 }
-
-func TestZipfPivotStream(t *testing.T) {
-	cfg := PivotConfig{Vertices: 256, Destinations: 32, Edges: 40000, Alpha: 1.2, PivotFraction: 0.5, Seed: 9}
-	edges, err := ZipfPivotStream(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(edges) != cfg.Edges {
-		t.Fatalf("len = %d, want %d", len(edges), cfg.Edges)
-	}
-	pivot := cfg.PivotAt()
-	count := func(part []stream.Edge, src uint64) int {
-		n := 0
-		for _, e := range part {
-			if e.Src == src {
-				n++
-			}
-		}
-		return n
-	}
-	// The hottest pre-pivot source (rank 0 → vertex 0) must dominate phase 1
-	// and collapse in phase 2; the post-pivot hot vertex is the mirror.
-	hotA, hotB := cfg.SourceAt(0, 0), cfg.SourceAt(1, 0)
-	if hotA == hotB {
-		t.Fatal("pivot mapping did not move the hot head")
-	}
-	if a, b := count(edges[:pivot], hotA), count(edges[pivot:], hotA); a < 4*b {
-		t.Fatalf("pre-pivot hot source did not collapse: %d -> %d", a, b)
-	}
-	if a, b := count(edges[:pivot], hotB), count(edges[pivot:], hotB); b < 4*a {
-		t.Fatalf("post-pivot hot source did not rise: %d -> %d", a, b)
-	}
-	// Deterministic under the seed.
-	again, _ := ZipfPivotStream(cfg)
-	for i := range edges {
-		if edges[i] != again[i] {
-			t.Fatalf("nondeterministic at %d", i)
-		}
-	}
-	// Query workloads follow the same mapping.
-	qs := cfg.PivotQueries(1, 2000, 7)
-	if count(qs, hotB) < count(qs, hotA) {
-		t.Fatal("phase-2 queries do not favor the shifted hot head")
-	}
-	if _, err := ZipfPivotStream(PivotConfig{Vertices: 1, Destinations: 1, Edges: 10, Alpha: 1, PivotFraction: 0.5}); err == nil {
-		t.Fatal("invalid config accepted")
-	}
-}

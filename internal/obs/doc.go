@@ -17,7 +17,7 @@
 // client-side and server-side latency views are comparable.
 //
 // ParseFamilies is the inverse of Registry.WriteTo — a small exposition
-// parser used by tests to assert format validity (HELP/TYPE pairing,
-// bucket monotonicity, le="+Inf" terminals) and by gsketch-bench to
-// scrape server-side histograms into its reports.
+// parser the tests use to assert format validity (HELP/TYPE pairing,
+// bucket monotonicity, le="+Inf" terminals) and to read scraped
+// histograms back.
 package obs

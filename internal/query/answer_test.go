@@ -57,7 +57,7 @@ func TestAnswerEdgeQuery(t *testing.T) {
 
 // TestAnswerSubgraphMatchesSequentialDecomposition proves the one-call
 // batched decomposition returns exactly what N sequential EstimateEdge
-// calls folded with Γ would (the old EstimateSubgraph semantics).
+// calls folded with Γ would.
 func TestAnswerSubgraphMatchesSequentialDecomposition(t *testing.T) {
 	g, _, edges := answerTestSketch(t)
 	for _, agg := range []Aggregate{Sum, Min, Max, Average, Count} {
@@ -72,10 +72,6 @@ func TestAnswerSubgraphMatchesSequentialDecomposition(t *testing.T) {
 		want := agg.Apply(vals)
 		if got := Answer(g, q).Value; got != want {
 			t.Fatalf("%v: Answer = %v, sequential fold = %v", agg, got, want)
-		}
-		// The deprecated shim must agree too.
-		if got := EstimateSubgraph(g, q); got != want {
-			t.Fatalf("%v: EstimateSubgraph = %v, want %v", agg, got, want)
 		}
 	}
 }

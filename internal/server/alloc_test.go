@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	gsketch "github.com/graphstream/gsketch"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/wire"
@@ -22,8 +23,8 @@ func TestIngestAllocsPerEdge(t *testing.T) {
 	edges := testStream(n, 31)
 	g := buildTestGSketch(t, edges)
 	srv, _ := newTestServer(t, Config{
-		Estimator: core.NewConcurrent(g),
-		Ingest:    ingest.Config{Workers: 1, BatchSize: 1024, QueueDepth: 16},
+		Engine: testEngine(t, core.NewConcurrent(g),
+			gsketch.WithIngest(ingest.Config{Workers: 1, BatchSize: 1024, QueueDepth: 16})),
 	})
 	h := srv.Handler()
 
@@ -86,7 +87,7 @@ func TestQueryAllocsPerQuery(t *testing.T) {
 	edges := testStream(4096, 37)
 	g := buildTestGSketch(t, edges)
 	g.UpdateBatch(edges)
-	srv, _ := newTestServer(t, Config{Estimator: core.NewConcurrent(g)})
+	srv, _ := newTestServer(t, Config{Engine: testEngine(t, core.NewConcurrent(g))})
 	h := srv.Handler()
 
 	qs := make([]core.EdgeQuery, n)

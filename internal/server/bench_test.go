@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	gsketch "github.com/graphstream/gsketch"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/stream"
@@ -63,8 +64,8 @@ func BenchmarkHTTPIngestNDJSON(b *testing.B) {
 		b.Fatal(err)
 	}
 	srv, err := New(Config{
-		Estimator: core.NewConcurrent(g),
-		Ingest:    ingest.Config{Workers: 1, BatchSize: 1024, QueueDepth: 16},
+		Engine: testEngine(b, core.NewConcurrent(g),
+			gsketch.WithIngest(ingest.Config{Workers: 1, BatchSize: 1024, QueueDepth: 16})),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -82,7 +83,7 @@ func BenchmarkHTTPQueryJSON(b *testing.B) {
 		b.Fatal(err)
 	}
 	g.UpdateBatch(edges)
-	srv, err := New(Config{Estimator: core.NewConcurrent(g)})
+	srv, err := New(Config{Engine: testEngine(b, core.NewConcurrent(g))})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func benchWireIngestFrame(b *testing.B, frame []stream.Edge, conns int, flusher 
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := New(Config{Estimator: core.NewConcurrent(g), Ingest: ingest.Config{}})
+	srv, err := New(Config{Engine: testEngine(b, core.NewConcurrent(g))})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	gsketch "github.com/graphstream/gsketch"
+	"github.com/graphstream/gsketch/internal/adapt"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/hashutil"
 	"github.com/graphstream/gsketch/internal/ingest"
@@ -43,6 +45,28 @@ func buildTestGSketch(t *testing.T, sample []stream.Edge) *core.GSketch {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// testEngine opens the engine a server test serves est through, with what
+// gsketch-serve gives one by default: an ingest pipeline and a 4096-query
+// workload recorder; rebuilds use testSketchConfig, and an *adapt.Chain gets
+// an adaptive manager. opts go last, so a test overrides any of these. The
+// server that is given the engine closes it.
+func testEngine(tb testing.TB, est core.Estimator, opts ...gsketch.Option) *gsketch.Engine {
+	tb.Helper()
+	base := []gsketch.Option{
+		gsketch.WithEstimator(est),
+		gsketch.WithIngest(ingest.Config{}),
+		gsketch.WithWorkloadRecorder(4096, 0),
+	}
+	if chain, ok := est.(*adapt.Chain); ok {
+		base = append(base, gsketch.WithAdaptive(chain.Config(), adapt.ManagerConfig{}))
+	}
+	eng, err := gsketch.Open(testSketchConfig(), append(base, opts...)...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return eng
 }
 
 // newTestServer starts a Server over httptest and arranges cleanup.
@@ -162,12 +186,12 @@ func TestServeEquivalenceEndToEnd(t *testing.T) {
 	core.Populate(direct, edges)
 
 	// Served twin, fed over loopback HTTP. Request-supplied snapshot
-	// paths are confined to SnapshotPath's directory, so configure one.
+	// paths are confined to the snapshot file's directory, so configure one.
 	snapDir := t.TempDir()
 	srv, ts := newTestServer(t, Config{
-		Estimator:    buildTestGSketch(t, sample),
-		Ingest:       ingest.Config{Workers: 4, BatchSize: 512, QueueDepth: 4},
-		SnapshotPath: snapDir + "/default.gsk",
+		Engine: testEngine(t, buildTestGSketch(t, sample),
+			gsketch.WithIngest(ingest.Config{Workers: 4, BatchSize: 512, QueueDepth: 4}),
+			gsketch.WithSnapshotFile(snapDir+"/default.gsk")),
 	})
 	ingestAll(t, ts.URL, edges)
 
@@ -194,8 +218,8 @@ func TestServeEquivalenceEndToEnd(t *testing.T) {
 	}
 
 	_, ts2 := newTestServer(t, Config{
-		Estimator: buildTestGSketch(t, sample),
-		Ingest:    ingest.Config{Workers: 2, BatchSize: 512, QueueDepth: 4},
+		Engine: testEngine(t, buildTestGSketch(t, sample),
+			gsketch.WithIngest(ingest.Config{Workers: 2, BatchSize: 512, QueueDepth: 4})),
 	})
 	restoreResp, err := http.Post(ts2.URL+"/snapshot/restore", "application/octet-stream", bytes.NewReader(blob))
 	if err != nil {

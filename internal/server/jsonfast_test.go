@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	gsketch "github.com/graphstream/gsketch"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/hashutil"
 	"github.com/graphstream/gsketch/internal/tenant"
@@ -83,8 +84,8 @@ func TestBodyTooLargeIs413(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts := newTestServer(t, Config{
-		Estimator:    buildTestGSketch(t, testStream(1000, 17)),
-		Window:       store,
+		Engine: testEngine(t, buildTestGSketch(t, testStream(1000, 17)),
+			gsketch.WithWindowStore(store)),
 		MaxBodyBytes: 256,
 	})
 	one := `{"src":1,"dst":2}`

@@ -52,27 +52,20 @@ import (
 	"time"
 
 	gsketch "github.com/graphstream/gsketch"
-	"github.com/graphstream/gsketch/internal/adapt"
 	"github.com/graphstream/gsketch/internal/cluster"
-	"github.com/graphstream/gsketch/internal/core"
-	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/obs"
 	"github.com/graphstream/gsketch/internal/tenant"
-	"github.com/graphstream/gsketch/internal/window"
 )
 
-// Config parameterizes a Server.
+// Config parameterizes a Server. Exactly one of Engine, Cluster and
+// Tenants names the backend.
 type Config struct {
-	// Engine is the serving engine, constructed with gsketch.Open. When
-	// nil (and Cluster is nil), the deprecated wiring fields below are
-	// assembled into one — the pre-Engine construction path, kept so
-	// embedders keep compiling.
+	// Engine is the serving engine, constructed with gsketch.Open.
 	Engine *gsketch.Engine
 
 	// Cluster serves a shard topology instead of a local engine: the
 	// coordinator fronts N remote engines behind the same HTTP+wire
-	// surface, so clients cannot tell one node from a cluster. Mutually
-	// exclusive with Engine and the deprecated estimator wiring.
+	// surface, so clients cannot tell one node from a cluster.
 	// Engine-only endpoints (/workload, /query/window, /repartition,
 	// GET /snapshot streaming) are not mounted.
 	Cluster *cluster.Coordinator
@@ -80,52 +73,14 @@ type Config struct {
 	// Tenants serves a multi-tenant registry instead of a single backend:
 	// the data path moves under /t/{tenant}/... (plus the wire protocol's
 	// tenant-select frame) and the admin API (PUT|DELETE|GET /t/{tenant},
-	// GET /t) mounts beside it. Mutually exclusive with Engine, Cluster
-	// and the deprecated estimator wiring. The server owns the registry
-	// lifecycle: Shutdown snapshots every resident tenant and closes it.
+	// GET /t) mounts beside it. The server owns the registry lifecycle:
+	// Shutdown snapshots every resident tenant and closes it.
 	Tenants *tenant.Registry
 
-	// Estimator is the estimator to serve. A *core.Concurrent or
-	// *adapt.Chain is used as-is; anything else is wrapped so handlers
-	// always go through the striped locks.
-	//
-	// Deprecated: build an Engine with gsketch.Open(cfg,
-	// gsketch.WithEstimator(est), ...) and set Engine instead.
-	Estimator core.Estimator
-	// Ingest parameterizes the batch pipeline between POST /ingest and the
-	// estimator. The zero value selects the ingest package defaults.
-	//
-	// Deprecated: gsketch.WithIngest.
-	Ingest ingest.Config
-	// SnapshotPath is the default target of POST /snapshot/save and the
-	// default source of POST /snapshot/restore.
-	//
-	// Deprecated: gsketch.WithSnapshotFile / gsketch.WithSnapshotDir.
-	SnapshotPath string
-	// SnapshotOnShutdown saves a final snapshot to the snapshot path
-	// during Shutdown, after the adaptive loop stops and the ingest queue
-	// drains.
+	// SnapshotOnShutdown saves a final snapshot to the backend's snapshot
+	// path during Shutdown, after the adaptive loop stops and the ingest
+	// queue drains.
 	SnapshotOnShutdown bool
-	// WorkloadSampleSize is the reservoir capacity of the live workload
-	// recorder (default 4096; negative disables recording).
-	//
-	// Deprecated: gsketch.WithWorkloadRecorder.
-	WorkloadSampleSize int
-	// WorkloadSeed makes the workload reservoir deterministic.
-	WorkloadSeed uint64
-	// Window optionally mounts POST /query/window over a windowed store.
-	//
-	// Deprecated: gsketch.WithWindows / gsketch.WithWindowStore.
-	Window *window.Store
-	// Adapt configures the adaptive repartitioning manager, applied when
-	// Estimator is an *adapt.Chain.
-	//
-	// Deprecated: gsketch.WithAdaptive.
-	Adapt adapt.ManagerConfig
-	// AdaptInterval enables the drift auto-trigger loop.
-	//
-	// Deprecated: gsketch.WithAutoRepartition.
-	AdaptInterval time.Duration
 
 	// Logger receives the server's structured lifecycle events (slog).
 	// Nil discards them; gsketch-serve passes its -log-level/-log-format
@@ -143,9 +98,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.WorkloadSampleSize == 0 {
-		c.WorkloadSampleSize = 4096
-	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
@@ -159,39 +111,6 @@ func (c Config) withDefaults() Config {
 		c.Logger = obs.NopLogger()
 	}
 	return c
-}
-
-// buildEngine assembles an Engine from the deprecated wiring fields — the
-// legacy construction path, expressed as one gsketch.Open call.
-func (c Config) buildEngine() (*gsketch.Engine, error) {
-	if c.Estimator == nil {
-		return nil, errors.New("server: nil estimator (set Config.Engine or Config.Estimator)")
-	}
-	opts := []gsketch.Option{
-		gsketch.WithEstimator(c.Estimator),
-		gsketch.WithIngest(c.Ingest),
-		gsketch.WithClock(c.Now),
-	}
-	if c.WorkloadSampleSize > 0 {
-		opts = append(opts, gsketch.WithWorkloadRecorder(c.WorkloadSampleSize, c.WorkloadSeed))
-	}
-	if c.Window != nil {
-		opts = append(opts, gsketch.WithWindowStore(c.Window))
-	}
-	if chain, ok := c.Estimator.(*adapt.Chain); ok {
-		opts = append(opts, gsketch.WithAdaptive(chain.Config(), c.Adapt))
-		if c.AdaptInterval > 0 {
-			opts = append(opts, gsketch.WithAutoRepartition(c.AdaptInterval, nil))
-		}
-	}
-	if c.SnapshotPath != "" {
-		opts = append(opts, gsketch.WithSnapshotFile(c.SnapshotPath))
-	}
-	// The sketch config only steers estimator construction, which
-	// WithEstimator bypasses — adaptive rebuild configs come in through
-	// Config.Adapt.Sketch (a zero value keeps rebuilds impossible, as the
-	// pre-Engine server documented).
-	return gsketch.Open(gsketch.Config{}, opts...)
 }
 
 // Server is the serving runtime. Create with New; all exported methods are
@@ -233,12 +152,21 @@ type Server struct {
 	closeErr  error
 }
 
-// New builds a server around an engine (or, on the deprecated path, an
-// estimator). The server owns the engine lifecycle: Shutdown stops the
-// adaptive loop, drains the pipeline and optionally persists a final
-// snapshot. Callers must not push to the estimator directly while the
-// server runs.
+// New builds a server around its one backend: an engine, a cluster
+// coordinator or a tenant registry. The server owns the backend's
+// lifecycle: Shutdown stops the adaptive loop, drains the pipeline and
+// optionally persists a final snapshot. Callers must not push to the
+// estimator directly while the server runs.
 func New(cfg Config) (*Server, error) {
+	backends := 0
+	for _, set := range []bool{cfg.Engine != nil, cfg.Cluster != nil, cfg.Tenants != nil} {
+		if set {
+			backends++
+		}
+	}
+	if backends != 1 {
+		return nil, fmt.Errorf("server: set exactly one of Config.Engine, Config.Cluster or Config.Tenants (got %d)", backends)
+	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:       cfg,
@@ -249,33 +177,20 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.metrics = s.newServerMetrics()
 	s.stats = newCounters(s.metrics.reg)
-	if cfg.Tenants != nil {
-		if cfg.Engine != nil || cfg.Cluster != nil || cfg.Estimator != nil {
-			return nil, errors.New("server: Config.Tenants is mutually exclusive with Engine/Cluster/Estimator")
-		}
+	switch {
+	case cfg.Tenants != nil:
 		// No process-wide backend: every request resolves its tenant's
 		// handle (s.backend), and wire connections bind one per session.
 		s.tenants = cfg.Tenants
 		s.registerTenantMetrics(cfg.Tenants)
-	} else if cfg.Cluster != nil {
-		if cfg.Engine != nil || cfg.Estimator != nil {
-			return nil, errors.New("server: Config.Cluster is mutually exclusive with Engine/Estimator")
-		}
+	case cfg.Cluster != nil:
 		s.coord = cfg.Cluster
 		s.be = cfg.Cluster
 		s.registerClusterMetrics(cfg.Cluster)
-	} else {
-		eng := cfg.Engine
-		if eng == nil {
-			var err error
-			eng, err = cfg.buildEngine()
-			if err != nil {
-				return nil, err
-			}
-		}
-		s.eng = eng
-		s.be = engineBackend{eng: eng}
-		s.registerEngineMetrics(eng)
+	default:
+		s.eng = cfg.Engine
+		s.be = engineBackend{eng: cfg.Engine}
+		s.registerEngineMetrics(cfg.Engine)
 	}
 	s.mux = s.routes()
 	s.httpSrv = &http.Server{
@@ -467,17 +382,4 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // route-level "not_found", say).
 func writeErrorCode(w http.ResponseWriter, status int, code, format string, args ...any) {
 	writeJSON(w, status, errorJSON{Error: fmt.Sprintf(format, args...), Code: code})
-}
-
-// Recorder re-exports the live workload recorder.
-//
-// Deprecated: use adapt.Recorder (or gsketch.WithWorkloadRecorder, which
-// mounts one inside the engine).
-type Recorder = adapt.Recorder
-
-// NewRecorder builds a standalone workload recorder.
-//
-// Deprecated: use adapt.NewRecorder.
-func NewRecorder(capacity int, seed uint64, now func() int64) *Recorder {
-	return adapt.NewRecorder(capacity, seed, now)
 }

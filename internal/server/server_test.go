@@ -12,9 +12,11 @@ import (
 	"time"
 
 	gsketch "github.com/graphstream/gsketch"
+	"github.com/graphstream/gsketch/internal/cluster"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/stream"
+	"github.com/graphstream/gsketch/internal/tenant"
 	"github.com/graphstream/gsketch/internal/window"
 )
 
@@ -83,8 +85,8 @@ func postIngest(t *testing.T, baseURL string, edges []stream.Edge, sync bool) (i
 func TestIngestBackpressure429(t *testing.T) {
 	dest := &gateEstimator{gate: make(chan struct{})}
 	srv, ts := newTestServer(t, Config{
-		Estimator: dest,
-		Ingest:    ingest.Config{Workers: 1, BatchSize: 4, QueueDepth: 1},
+		Engine: testEngine(t, dest,
+			gsketch.WithIngest(ingest.Config{Workers: 1, BatchSize: 4, QueueDepth: 1})),
 	})
 	// While the gate is closed the generic-fallback worker holds the
 	// estimator's write lock, so state polling goes straight to the
@@ -144,9 +146,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	snap := t.TempDir() + "/final.gsk"
 	edges := testStream(10_000, 5)
 	srv, ts := newTestServer(t, Config{
-		Estimator:          buildTestGSketch(t, edges[:2000]),
-		Ingest:             ingest.Config{Workers: 2, BatchSize: 256, QueueDepth: 4},
-		SnapshotPath:       snap,
+		Engine: testEngine(t, buildTestGSketch(t, edges[:2000]),
+			gsketch.WithIngest(ingest.Config{Workers: 2, BatchSize: 256, QueueDepth: 4}),
+			gsketch.WithSnapshotFile(snap)),
 		SnapshotOnShutdown: true,
 	})
 	ingestAll(t, ts.URL, edges)
@@ -219,8 +221,7 @@ func TestWindowQueryEndpoint(t *testing.T) {
 	}
 
 	_, ts := newTestServer(t, Config{
-		Estimator: buildTestGSketch(t, edges[:1000]),
-		Window:    served,
+		Engine: testEngine(t, buildTestGSketch(t, edges[:1000]), gsketch.WithWindowStore(served)),
 	})
 	for lo := 0; lo < len(edges); lo += 1000 {
 		if code, _ := postIngest(t, ts.URL, edges[lo:lo+1000], true); code != http.StatusOK {
@@ -273,7 +274,7 @@ func TestWindowQueryEndpoint(t *testing.T) {
 
 // TestBadRequests covers the defensive error paths.
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{Estimator: buildTestGSketch(t, testStream(1000, 17))})
+	_, ts := newTestServer(t, Config{Engine: testEngine(t, buildTestGSketch(t, testStream(1000, 17)))})
 
 	post := func(path, ctype, body string) int {
 		resp, err := http.Post(ts.URL+path, ctype, strings.NewReader(body))
@@ -295,7 +296,7 @@ func TestBadRequests(t *testing.T) {
 	if code := post("/snapshot/save", "application/json", "{}"); code != http.StatusBadRequest {
 		t.Fatalf("save without path: %d", code)
 	}
-	// Without a configured SnapshotPath, request paths are refused
+	// Without a configured snapshot path, request paths are refused
 	// outright — no arbitrary-path writes or existence probes.
 	if code := post("/snapshot/save", "application/json", `{"path":"/tmp/evil.gsk"}`); code != http.StatusForbidden {
 		t.Fatalf("save to unconfined path: %d", code)
@@ -326,7 +327,7 @@ func TestBadRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts2 := newTestServer(t, Config{Estimator: gl})
+	_, ts2 := newTestServer(t, Config{Engine: testEngine(t, gl)})
 	snapResp, err := http.Get(ts2.URL + "/snapshot")
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +342,7 @@ func TestBadRequests(t *testing.T) {
 // counters and the live gauges.
 func TestStatsShape(t *testing.T) {
 	edges := testStream(5000, 19)
-	_, ts := newTestServer(t, Config{Estimator: buildTestGSketch(t, edges[:1000])})
+	_, ts := newTestServer(t, Config{Engine: testEngine(t, buildTestGSketch(t, edges[:1000]))})
 	if code, _ := postIngest(t, ts.URL, edges, true); code != http.StatusOK {
 		t.Fatalf("ingest: %d", code)
 	}
@@ -372,5 +373,51 @@ func TestStatsShape(t *testing.T) {
 	defer resp.Body.Close()
 	if err := json.NewDecoder(resp.Body).Decode(&healthy); err != nil || healthy.Status != "ok" {
 		t.Fatalf("healthz: %v %v", healthy, err)
+	}
+}
+
+// TestNewNeedsExactlyOneBackend: a server serves exactly one of an engine, a
+// cluster coordinator or a tenant registry. None, or two at once, is refused
+// with an error naming all three fields.
+func TestNewNeedsExactlyOneBackend(t *testing.T) {
+	sample := testStream(500, 3)
+	eng := testEngine(t, buildTestGSketch(t, sample))
+	t.Cleanup(func() { eng.Close() })
+	_, _, shardAddr := newWireServer(t, Config{Engine: testEngine(t, buildTestGSketch(t, sample))})
+	coord, err := cluster.New(cluster.Config{Addrs: []string{shardAddr}, Router: buildTestGSketch(t, sample), PingInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	reg, err := tenant.New(tenant.Config{Dir: t.TempDir(), Sketch: testSketchConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reg.Close() })
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"none", Config{}},
+		{"engine+cluster", Config{Engine: eng, Cluster: coord}},
+		{"engine+tenants", Config{Engine: eng, Tenants: reg}},
+		{"cluster+tenants", Config{Cluster: coord, Tenants: reg}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := New(tc.cfg)
+			if err == nil {
+				srv.Close()
+				t.Fatal("New accepted the configuration")
+			}
+			for _, field := range []string{"Engine", "Cluster", "Tenants"} {
+				if !strings.Contains(err.Error(), field) {
+					t.Errorf("error %q does not name Config.%s", err, field)
+				}
+			}
+			if strings.Contains(err.Error(), "Estimator") {
+				t.Errorf("error %q names a field Config does not have", err)
+			}
+		})
 	}
 }

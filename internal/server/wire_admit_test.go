@@ -120,7 +120,7 @@ func released(t *testing.T, what string, done <-chan struct{}) {
 // flight here; a fold before the ack would show the edges applied.
 func TestWireRegistersThenAcksThenFolds(t *testing.T) {
 	edges := testStream(2048, 59)
-	srv, _ := newTestServer(t, Config{Estimator: buildTestGSketch(t, edges), Ingest: ingest.Config{}})
+	srv, _ := newTestServer(t, Config{Engine: testEngine(t, buildTestGSketch(t, edges))})
 	client, server := net.Pipe()
 	handled := make(chan struct{})
 	go func() {
@@ -167,8 +167,7 @@ func TestWireAckedEdgesVisibleAfterFlushOnOtherConn(t *testing.T) {
 	const rounds, frame = 200, 2048
 	edges := testStream(rounds*frame, 61)
 	srv, _, wireAddr := newWireServer(t, Config{
-		Estimator: buildTestGSketch(t, edges[:2000]),
-		Ingest:    ingest.Config{},
+		Engine: testEngine(t, buildTestGSketch(t, edges[:2000])),
 	})
 	a, b := dialWire(t, wireAddr), dialWire(t, wireAddr)
 	var want int64
@@ -209,8 +208,8 @@ func TestWireFramesSnapshotIdenticalToTryIngest(t *testing.T) {
 	}
 	cfg := func() Config {
 		return Config{
-			Estimator: buildTestGSketch(t, edges[:1500]),
-			Ingest:    ingest.Config{Workers: 2, BatchSize: 512, QueueDepth: 2},
+			Engine: testEngine(t, buildTestGSketch(t, edges[:1500]),
+				gsketch.WithIngest(ingest.Config{Workers: 2, BatchSize: 512, QueueDepth: 2})),
 		}
 	}
 
@@ -257,8 +256,8 @@ func TestWireFramesSnapshotIdenticalToTryIngest(t *testing.T) {
 func TestWireAdmittedFrameAgainstShutdown(t *testing.T) {
 	dest := newGated()
 	srv, httpURL, wireAddr := newWireServer(t, Config{
-		Estimator: dest,
-		Ingest:    ingest.Config{Workers: 1, BatchSize: 4, QueueDepth: 2},
+		Engine: testEngine(t, dest,
+			gsketch.WithIngest(ingest.Config{Workers: 1, BatchSize: 4, QueueDepth: 2})),
 	})
 	t.Cleanup(dest.open)
 	edges := testStream(64, 3)
@@ -311,7 +310,8 @@ func TestWireAdmittedFrameAgainstCloseAndRestore(t *testing.T) {
 
 	t.Run("restore", func(t *testing.T) {
 		dest := newGated()
-		srv, httpURL, wireAddr := newWireServer(t, Config{Estimator: dest, Ingest: ingest.Config{Workers: 1}})
+		srv, httpURL, wireAddr := newWireServer(t, Config{Engine: testEngine(t, dest,
+			gsketch.WithIngest(ingest.Config{Workers: 1}))})
 		t.Cleanup(dest.open)
 		wc := dialWire(t, wireAddr)
 		if acc, rej := wc.ingestFrame(t, edges[:100]); acc != 100 || rej != 0 {
@@ -353,7 +353,8 @@ func TestWireAdmittedFrameAgainstCloseAndRestore(t *testing.T) {
 
 	t.Run("close", func(t *testing.T) {
 		dest := newGated()
-		srv, _, wireAddr := newWireServer(t, Config{Estimator: dest, Ingest: ingest.Config{Workers: 1}})
+		srv, _, wireAddr := newWireServer(t, Config{Engine: testEngine(t, dest,
+			gsketch.WithIngest(ingest.Config{Workers: 1}))})
 		t.Cleanup(dest.open)
 		wc := dialWire(t, wireAddr)
 		if acc, rej := wc.ingestFrame(t, edges[:100]); acc != 100 || rej != 0 {
@@ -505,7 +506,8 @@ func TestWireCoordinatorStillSheds(t *testing.T) {
 	// The shard: a wire server whose estimator is gated, so after one frame
 	// its connection sits in a fold and acks nothing further.
 	dest := newGated()
-	_, _, shardAddr := newWireServer(t, Config{Estimator: dest, Ingest: ingest.Config{Workers: 1}})
+	_, _, shardAddr := newWireServer(t, Config{Engine: testEngine(t, dest,
+		gsketch.WithIngest(ingest.Config{Workers: 1}))})
 	sample := testStream(500, 83)
 	coord, err := cluster.New(cluster.Config{
 		Addrs:        []string{shardAddr},
@@ -547,7 +549,7 @@ func TestWireCoordinatorStillSheds(t *testing.T) {
 // the request away typed, ingests nothing, and the server keeps serving.
 func TestWireNegativeWeightRefusedEverywhere(t *testing.T) {
 	edges := testStream(500, 97)
-	_, httpURL, wireAddr := newWireServer(t, Config{Estimator: buildTestGSketch(t, edges)})
+	_, httpURL, wireAddr := newWireServer(t, Config{Engine: testEngine(t, buildTestGSketch(t, edges))})
 	if code, ir := postIngest(t, httpURL, edges, true); code != http.StatusOK || ir.Accepted != len(edges) {
 		t.Fatalf("seed ingest: %d %+v", code, ir)
 	}
@@ -628,7 +630,7 @@ func TestWireQueryAllocsPerQuery(t *testing.T) {
 	edges := testStream(4096, 37)
 	g := buildTestGSketch(t, edges)
 	g.UpdateBatch(edges)
-	_, _, wireAddr := newWireServer(t, Config{Estimator: core.NewConcurrent(g)})
+	_, _, wireAddr := newWireServer(t, Config{Engine: testEngine(t, core.NewConcurrent(g))})
 	conn, err := net.Dial("tcp", wireAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -663,8 +665,7 @@ func TestWireIngestAllocsPerEdge(t *testing.T) {
 	const n = 2048
 	edges := testStream(n, 31)
 	_, _, wireAddr := newWireServer(t, Config{
-		Estimator: buildTestGSketch(t, edges),
-		Ingest:    ingest.Config{},
+		Engine: testEngine(t, buildTestGSketch(t, edges)),
 	})
 	cl, err := wire.Dial(wireAddr)
 	if err != nil {
@@ -692,8 +693,8 @@ func TestWireIngestFlushAcrossConnectionsRace(t *testing.T) {
 	const conns, rounds, frame = 3, 40, 512
 	edges := testStream(conns*rounds*frame, 101)
 	srv, _, wireAddr := newWireServer(t, Config{
-		Estimator: buildTestGSketch(t, edges[:2000]),
-		Ingest:    ingest.Config{Workers: 2, BatchSize: 128, QueueDepth: 2},
+		Engine: testEngine(t, buildTestGSketch(t, edges[:2000]),
+			gsketch.WithIngest(ingest.Config{Workers: 2, BatchSize: 128, QueueDepth: 2})),
 	})
 	stop := make(chan struct{})
 	var side sync.WaitGroup
