@@ -253,25 +253,30 @@
 // passes over flat slices, and with WithSampleFile (what gsketch-serve
 // -sample uses) it never holds the sample: the edge file is decoded in
 // 64 KiB chunks up to the sample cap (stream.EdgeScanner) and read twice.
-// Pass 1 interns sources through a flat open-addressing table, sums f̃v and
-// counts each vertex's edges; pass 2 scatters destinations into one segment
-// per source; d̃ counts distinct values per sorted segment — 12 bytes per
-// sample edge, no per-edge hash set. WithSample runs the same passes over
-// a slice and drops it once the estimator is built. A text sample is parsed
-// twice; a file that changes between the passes fails Open. Vertices sort
-// on precomputed keys, and the tree hands its assignment to the router as
-// parallel slices in ascending-id order. Every build runs on the calling
-// goroutine, the small rebuilds an adaptive engine runs beside live traffic
-// included. At 4 Mi sample edges (435 k sources, 16 k partitions, 2 vCPUs)
-// file → ready engine takes 0.33 s and allocates 172 MB through
-// WithSampleFile (0.36 s and 306 MB reading the sample into memory first;
-// 1.4 s and 669 MB for the map-based construction before), with
+// The passes work on runs — maximal streaks of consecutive sample edges with
+// the same (src, dst), which add to f̃v but hold one destination. Pass 1
+// sums f̃v edge by edge, interns each run's source through a flat
+// open-addressing table and records its vertex; pass 2 scatters each run's
+// destination into one segment per source; d̃ counts distinct values per
+// sorted segment — 12 bytes per run, no per-edge hash set. The saving is
+// proportional to adjacent repetition and nothing on a run-free sample.
+// WithSample runs the same passes over a slice and drops it once the
+// estimator is built. A text sample is parsed twice; a file that changes
+// between the passes fails Open. Vertices sort on precomputed keys, and the
+// tree hands its assignment to the router as parallel slices in
+// ascending-id order. Every build runs on the calling goroutine, the small
+// rebuilds an adaptive engine runs beside live traffic included. At 4 Mi
+// sample edges (492 k runs, 435 k sources, 16 k partitions, 2 vCPUs) file →
+// ready engine takes about 0.33 s and allocates 142 MB through
+// WithSampleFile (about 0.35 s and 276 MB reading the sample into memory
+// first; 1.4 s and 669 MB for the map-based construction before), with
 // byte-identical output; the README's Bootstrap cost section has the
 // per-stage table. Peak RSS of a serving process booted from a large sample
-// is set here, not by the sketch: by the 12 bytes per sample edge of the
-// passes plus the collector's pacing, which lets the heap reach twice what
-// is live. On that sample VmHWM at ready fell from 266 MB, with the sample
-// held, to 154.5 MB.
+// is set here, not by the sketch: by the passes, the per-vertex copies of
+// the sort and the assignment, and the collector's pacing, which lets the
+// heap reach twice what is live. On that sample VmHWM at ready fell from
+// 266 MB, with the sample held, to 154.5 MB, and to about 97 MB once the
+// passes kept 12 bytes per run instead of per edge.
 //
 // # Ingest cost
 //

@@ -208,7 +208,11 @@ func Open(cfg Config, opts ...Option) (*Engine, error) {
 		if mc.Baseline == nil {
 			mc.Baseline = o.workload
 		}
-		e.mgr = adapt.NewManager(chain, e.recordedWorkload, mc)
+		var live adapt.Workload // none without a recorder
+		if e.rec != nil {
+			live = e.rec
+		}
+		e.mgr = adapt.NewManager(chain, live, mc)
 		if o.compactPolicy != nil {
 			// Cap-pressure hook: the manager compacts instead of refusing a
 			// rotation at the generation cap.
@@ -317,8 +321,8 @@ func (e *Engine) compactChain(k int) (compact.Result, error) {
 	return res, nil
 }
 
-// recordedWorkload is the repartition manager's live workload source: the
-// recorder's current reservoir sample, or nil when recording is disabled.
+// recordedWorkload is a copy of the recorder's current reservoir sample, or
+// nil when recording is disabled.
 func (e *Engine) recordedWorkload() []Edge {
 	if e.rec == nil {
 		return nil

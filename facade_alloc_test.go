@@ -1,6 +1,8 @@
 package gsketch_test
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	gsketch "github.com/graphstream/gsketch"
@@ -53,5 +55,75 @@ func BenchmarkFacadeEstimateBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = gsketch.EstimateBatch(g, qs)
+	}
+}
+
+// TestStatsAllocBudget: Stats on an adaptive engine reports workload drift
+// without copying the recorder's sample or building a map for it — a
+// /stats poll every 50 ms must not allocate the recorder's size each time
+// (279 KB and 26 allocations per call when it did, with 4 096 queries
+// recorded). The divergence it reports is the one the two source
+// distributions, built as maps, give.
+func TestStatsAllocBudget(t *testing.T) {
+	const maxBytesPerCall = 16 << 10
+	var sample, baseline []gsketch.Edge
+	for i := 0; i < 1<<14; i++ {
+		sample = append(sample, gsketch.Edge{Src: uint64(i % 2000), Dst: uint64(i), Weight: 1})
+	}
+	for i := 0; i < 1000; i++ {
+		baseline = append(baseline, gsketch.Edge{Src: uint64(i % 500), Dst: 1, Weight: 1})
+	}
+	eng, err := gsketch.Open(gsketch.Config{TotalBytes: 1 << 20, Seed: 1},
+		gsketch.WithSample(sample), gsketch.WithWorkloadSample(baseline),
+		gsketch.WithAdaptive(gsketch.ChainConfig{}, gsketch.AdaptConfig{}),
+		gsketch.WithWorkloadRecorder(4096, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	qs := make([]gsketch.EdgeQuery, 1<<14)
+	for i := range qs {
+		qs[i] = gsketch.EdgeQuery{Src: uint64(i*7) % 3000, Dst: uint64(i)}
+	}
+	eng.QueryBatch(qs)
+	if n := len(eng.Workload()); n != 4096 {
+		t.Fatalf("recorder holds %d queries, want a full 4096", n)
+	}
+
+	eng.Stats() // the first call sizes what later ones reuse
+	const calls = 50
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		eng.Stats()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("%d bytes per Stats call", perCall)
+	if perCall > maxBytesPerCall {
+		t.Errorf("Stats allocated %d bytes per call, budget %d", perCall, maxBytesPerCall)
+	}
+
+	distribution := func(w []gsketch.Edge) map[uint64]float64 {
+		m := make(map[uint64]float64)
+		for _, q := range w {
+			m[q.Src] += 1 / float64(len(w))
+		}
+		return m
+	}
+	base, live := distribution(baseline), distribution(eng.Workload())
+	var sum float64
+	for v, p := range base {
+		sum += math.Abs(p - live[v])
+	}
+	for v, q := range live {
+		if _, ok := base[v]; !ok {
+			sum += q
+		}
+	}
+	got := eng.Stats().Adapt.Drift.WorkloadDivergence
+	if want := sum / 2; math.Abs(got-want) > 1e-12 || got == 0 {
+		t.Errorf("workload divergence %v, the map-based value is %v", got, want)
 	}
 }

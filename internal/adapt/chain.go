@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -125,7 +126,10 @@ type Chain struct {
 	mu   sync.RWMutex // guards gens; held shared across estimator calls
 	gens []*compact.Segment
 
-	resMu sync.Mutex // guards res; independent of mu so sampling never blocks rotation
+	// resMu guards res. Writers take it inside their shared hold of mu, and
+	// Rotate inside its exclusive one (lock order mu → resMu), so the
+	// reservoir a rotation freezes holds every edge the displaced head does.
+	resMu sync.Mutex
 	res   *stream.Reservoir
 
 	// scratch pools the buffer a gather collects each frozen generation's
@@ -236,30 +240,32 @@ func (c *Chain) head() *compact.Segment {
 }
 
 // Update folds one edge arrival into the head and offers it to the data
-// reservoir. The shared lock is held across the head update so a rotation
-// or compaction install (exclusive lock) observes fully landed writes —
-// the invariant that makes frozen generations immutable.
+// reservoir. The shared lock is held across both so a rotation or
+// compaction install (exclusive lock) observes fully landed writes — the
+// invariant that makes frozen generations immutable — and freezes the head
+// with a reservoir that has seen them.
 func (c *Chain) Update(e stream.Edge) {
 	c.mu.RLock()
 	c.gens[len(c.gens)-1].Update(e)
-	c.mu.RUnlock()
 	c.resMu.Lock()
 	c.res.Observe(e)
 	c.resMu.Unlock()
+	c.mu.RUnlock()
 }
 
 // UpdateBatch folds a batch into the head (sharded route-then-scatter under
-// the head's striped locks) and offers every edge to the data reservoir.
+// the head's striped locks) and offers every edge to the data reservoir,
+// under the shared lock as Update does.
 func (c *Chain) UpdateBatch(edges []stream.Edge) {
 	if len(edges) == 0 {
 		return
 	}
 	c.mu.RLock()
 	c.gens[len(c.gens)-1].UpdateBatch(edges)
-	c.mu.RUnlock()
 	c.resMu.Lock()
 	c.res.ObserveAll(edges)
 	c.resMu.Unlock()
+	c.mu.RUnlock()
 }
 
 // decayWeight returns the gather weight of a frozen segment: 1 without
@@ -414,9 +420,10 @@ func (c *Chain) SampleSize() int {
 // generation, then resets the data reservoir so the next rebuild samples
 // only the stream after this swap. The displaced head keeps the reservoir
 // it was built over as its retained sample — the re-ingest source if a
-// later compaction cannot merge it cell-wise. Updates racing the swap land
-// in one generation or the other, never nowhere; queries racing the swap
-// see either chain state, both of which cover the full stream.
+// later compaction cannot merge it cell-wise. Updates racing the swap land,
+// with their reservoir offers, in one generation or the other, never
+// nowhere; queries racing the swap see either chain state, both of which
+// cover the full stream.
 func (c *Chain) Rotate(g *core.GSketch) error {
 	nowUnix := c.now().Unix()
 	seg := compact.NewSegment(g, core.GenerationMeta{BuiltAt: nowUnix, CompactedFrom: 1})
@@ -428,14 +435,12 @@ func (c *Chain) Rotate(g *core.GSketch) error {
 	}
 	old := c.gens[len(c.gens)-1]
 	c.gens = append(c.gens, seg)
-	c.mu.Unlock()
 	c.resMu.Lock()
-	s := c.res.Sample()
-	sample := make([]stream.Edge, len(s))
-	copy(sample, s)
+	sample := slices.Clone(c.res.Sample())
 	seen := c.res.Seen()
 	c.res.Reset()
 	c.resMu.Unlock()
+	c.mu.Unlock()
 	old.Freeze(nowUnix, sample, seen)
 	if _, err := c.EnforceResidency(); err != nil {
 		// Tiering is best-effort on the rotation path: a spill failure

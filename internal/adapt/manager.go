@@ -82,6 +82,17 @@ type RepartitionResult struct {
 	BuildDuration time.Duration `json:"-"`
 }
 
+// Workload is the live recorded query workload a Manager watches: the
+// serving layer's reservoir over /query traffic. Recorder is one.
+type Workload interface {
+	// Sample returns a copy of the current sample: what a rebuild
+	// partitions for.
+	Sample() []stream.Edge
+	// SourceShares adds each source's share of the current sample's queries
+	// to dist and returns the sample's size, without copying the sample.
+	SourceShares(dist map[uint64]float64) int
+}
+
 // Manager watches drift between the workload the current partitioning was
 // built from and the live recorded workload, and rebuilds + hot-swaps a new
 // generation on threshold (via Check, typically driven by a ticker) or on
@@ -91,10 +102,9 @@ type RepartitionResult struct {
 // responsive during the swap it is watching.
 type Manager struct {
 	cfg ManagerConfig
-	// workload returns the live recorded query-workload sample (the serving
-	// layer's reservoir over /query traffic). Nil or empty disables the
-	// divergence signal; the outlier-share signal still works.
-	workload func() []stream.Edge
+	// workload is the live recorded query workload. Nil or empty disables
+	// the divergence signal; the outlier-share signal still works.
+	workload Workload
 
 	// rebuildMu serializes rebuilds and rebinds — the only lock held
 	// across a (potentially long) partitioning build.
@@ -116,15 +126,22 @@ type Manager struct {
 	// configured. With it in place ErrMaxGenerations is unreachable from
 	// the manager's rebuild paths.
 	compactor func() error
+
+	// liveMu guards live, the distribution Drift reads the live sample into:
+	// kept from call to call, so that a gauge polled every few milliseconds
+	// copies no sample and builds no map.
+	liveMu sync.Mutex
+	live   map[uint64]float64
 }
 
 // NewManager builds a manager over chain. workload supplies the live
 // recorded query sample and may be nil.
-func NewManager(chain *Chain, workload func() []stream.Edge, cfg ManagerConfig) *Manager {
+func NewManager(chain *Chain, workload Workload, cfg ManagerConfig) *Manager {
 	m := &Manager{
 		cfg:      cfg.withDefaults(),
 		chain:    chain,
 		workload: workload,
+		live:     make(map[uint64]float64),
 	}
 	m.baseline = sourceDistribution(m.cfg.Baseline)
 	m.readsBase = chain.ReadRouteCounts()
@@ -214,38 +231,53 @@ func (m *Manager) LastResult() *RepartitionResult {
 }
 
 // Drift evaluates the current drift signals without acting on them. It
-// never waits behind an in-flight rebuild.
+// never waits behind an in-flight rebuild, and it reads the live sample in
+// place into a distribution it reuses: no copy, no map per call.
 func (m *Manager) Drift() Drift {
-	d, _ := m.drift()
-	return d
+	m.liveMu.Lock()
+	defer m.liveMu.Unlock()
+	clear(m.live)
+	n := 0
+	if m.workload != nil {
+		n = m.workload.SourceShares(m.live)
+	}
+	if n == 0 {
+		return m.evaluate(0, nil)
+	}
+	return m.evaluate(n, m.live)
 }
 
-// drift evaluates the signals under the light state lock only, and also
-// returns the live workload sample it evaluated — so a rebuild triggered
-// by this evaluation partitions for exactly the workload the reported
-// drift describes, with a single reservoir copy.
+// drift is Drift for a rebuild: it also returns a copy of the live workload
+// sample it evaluated — so a rebuild triggered by this evaluation
+// partitions for exactly the workload the reported drift describes.
 func (m *Manager) drift() (Drift, []stream.Edge) {
 	var live []stream.Edge
 	if m.workload != nil {
-		live = m.workload()
+		live = m.workload.Sample()
 	}
+	return m.evaluate(len(live), sourceDistribution(live)), live
+}
+
+// evaluate computes the drift signals, under the light state lock only, for
+// a live sample of n queries whose source distribution is live.
+func (m *Manager) evaluate(n int, live map[uint64]float64) Drift {
 	m.mu.Lock()
 	chain := m.chain
 	baseline := m.baseline
 	readsBase := m.readsBase
 	m.mu.Unlock()
 	d := Drift{
-		LiveWorkload: len(live),
+		LiveWorkload: n,
 		DataSample:   chain.SampleSize(),
 	}
-	if len(live) >= m.cfg.MinWorkload {
-		d.WorkloadDivergence = divergence(baseline, sourceDistribution(live))
+	if n >= m.cfg.MinWorkload {
+		d.WorkloadDivergence = divergence(baseline, live)
 	}
 	now := chain.ReadRouteCounts()
 	if dt := now.Total - readsBase.Total; dt > 0 {
 		d.OutlierShare = float64(now.Outlier-readsBase.Outlier) / float64(dt)
 	}
-	return d, live
+	return d
 }
 
 // ShouldRepartition reports whether a drift evaluation crosses the
@@ -351,11 +383,17 @@ func sourceDistribution(workload []stream.Edge) map[uint64]float64 {
 		return nil
 	}
 	dist := make(map[uint64]float64, len(workload))
+	addSources(dist, workload)
+	return dist
+}
+
+// addSources adds each source's share of a workload sample's queries to
+// dist.
+func addSources(dist map[uint64]float64, workload []stream.Edge) {
 	inc := 1 / float64(len(workload))
 	for _, q := range workload {
 		dist[q.Src] += inc
 	}
-	return dist
 }
 
 // divergence is the total-variation distance ½·Σ|p(v)-q(v)| between two

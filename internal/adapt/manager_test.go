@@ -2,11 +2,22 @@ package adapt
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/stream"
 )
+
+// sliceWorkload is a Workload over a sample the test swaps.
+type sliceWorkload struct{ edges []stream.Edge }
+
+func (w *sliceWorkload) Sample() []stream.Edge { return slices.Clone(w.edges) }
+
+func (w *sliceWorkload) SourceShares(dist map[uint64]float64) int {
+	addSources(dist, w.edges)
+	return len(w.edges)
+}
 
 // workloadOf builds a query-workload sample concentrated on the given
 // source vertices.
@@ -47,8 +58,8 @@ func TestManagerDriftAndThresholds(t *testing.T) {
 	chain.UpdateBatch(edges)
 
 	baseline := workloadOf(1, 2, 3, 4)
-	live := baseline
-	m := NewManager(chain, func() []stream.Edge { return live }, ManagerConfig{
+	live := &sliceWorkload{baseline}
+	m := NewManager(chain, live, ManagerConfig{
 		Sketch:      core.Config{TotalBytes: 32 << 10, Seed: 5},
 		Baseline:    baseline,
 		MinWorkload: 10,
@@ -65,7 +76,7 @@ func TestManagerDriftAndThresholds(t *testing.T) {
 
 	// Shift the live workload wholesale: divergence 1 crosses the default
 	// 0.5 threshold.
-	live = workloadOf(200, 201, 202)
+	live.edges = workloadOf(200, 201, 202)
 	d = m.Drift()
 	if d.WorkloadDivergence != 1 {
 		t.Fatalf("disjoint live workload: divergence %v, want 1", d.WorkloadDivergence)

@@ -1,9 +1,11 @@
 package adapt
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/stream"
@@ -129,4 +131,68 @@ func TestChainSwapDuringQuery(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// A rotation racing one batch must not freeze the displaced head without the
+// batch in its retained sample: a generation frozen with volume and no
+// sample cannot be compacted. The batch's fold and its reservoir offer share
+// one hold of the shared lock, so a rotation comes before both or after
+// both. The test parks the batch between the two by holding the reservoir
+// lock, starts a rotation, and checks that the rotation waits for the batch
+// instead of installing its head — then that the head it freezes holds the
+// batch in its counters and its sample alike.
+func TestChainRotateWaitsForReservoirOffer(t *testing.T) {
+	edges := testStream(2256, 41)
+	chain := NewChain(buildSketch(t, edges[:2000], 3), ChainConfig{SampleSize: 1024})
+	next := buildSketch(t, edges[:2000], 4)
+	batch := edges[2000:]
+
+	chain.resMu.Lock()
+	updated := make(chan struct{})
+	go func() {
+		chain.UpdateBatch(batch)
+		close(updated)
+	}()
+	for chain.Count() < int64(len(batch)) { // folded; the offer waits
+		runtime.Gosched()
+	}
+	rotated := make(chan error, 1)
+	go func() { rotated <- chain.Rotate(next) }()
+
+	// A rotation parked behind the batch keeps every reader out; one that
+	// got past it lets them in and shows its new head.
+	var parked time.Time
+	for parked.IsZero() || time.Since(parked) < 10*time.Millisecond {
+		if !chain.mu.TryRLock() {
+			if parked.IsZero() {
+				parked = time.Now()
+			}
+		} else {
+			installed := len(chain.gens) > 1
+			chain.mu.RUnlock()
+			if installed {
+				chain.resMu.Unlock()
+				t.Fatal("the rotation installed its head while the batch's reservoir offer was pending")
+			}
+			parked = time.Time{}
+		}
+		runtime.Gosched()
+	}
+	chain.resMu.Unlock()
+	<-updated
+	if err := <-rotated; err != nil {
+		t.Fatal(err)
+	}
+
+	chain.mu.RLock()
+	frozen := chain.gens[0]
+	chain.mu.RUnlock()
+	sample, seen := frozen.Sample()
+	if frozen.Count() != int64(len(batch)) || len(sample) != len(batch) || seen != int64(len(batch)) {
+		t.Fatalf("frozen generation: count %d, sample of %d edges out of %d seen; want the %d-edge batch in each",
+			frozen.Count(), len(sample), seen, len(batch))
+	}
+	if n := chain.SampleSize(); n != 0 {
+		t.Fatalf("the reservoir holds %d edges after the swap, want it reset", n)
+	}
 }

@@ -59,6 +59,16 @@ func (r *Recorder) Sample() []stream.Edge {
 	return out
 }
 
+// SourceShares adds each source's share of the current sample's queries to
+// dist, reading the sample in place, and returns the sample's size.
+func (r *Recorder) SourceShares(dist map[uint64]float64) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.res.Sample()
+	addSources(dist, s)
+	return len(s)
+}
+
 // Len returns the current sample size without copying the sample.
 func (r *Recorder) Len() int {
 	r.mu.Lock()

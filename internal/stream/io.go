@@ -148,9 +148,12 @@ func newBinaryScanner(br *bufio.Reader, size int64, limit int) (*EdgeScanner, er
 	return &EdgeScanner{br: br, left: int(count), known: size >= 0}, nil
 }
 
+// maxTextLine is the longest line a text edge stream may hold.
+const maxTextLine = 1 << 20
+
 func newTextScanner(r io.Reader, limit int) *EdgeScanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
+	sc.Buffer(make([]byte, 1<<16), maxTextLine)
 	if limit <= 0 {
 		limit = -1
 	}
@@ -207,7 +210,11 @@ func (s *EdgeScanner) nextText(dst []Edge) ([]Edge, error) {
 	n := 0
 	for n < ChunkEdges && s.left != 0 {
 		if !s.text.Scan() {
-			if err := s.text.Err(); err != nil {
+			err := s.text.Err()
+			if errors.Is(err, bufio.ErrTooLong) {
+				return dst, fmt.Errorf("%w: line %d: too long, lines are limited to %d bytes", ErrBadFormat, s.line+1, maxTextLine)
+			}
+			if err != nil {
 				return dst, err
 			}
 			break

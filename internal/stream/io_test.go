@@ -84,6 +84,21 @@ func TestTextMalformed(t *testing.T) {
 	}
 }
 
+// TestTextLineTooLong: a line longer than a text stream may hold fails like
+// any other malformed line — ErrBadFormat, naming the line — not with the
+// line scanner's bare error.
+func TestTextLineTooLong(t *testing.T) {
+	in := "1 2\n3 4 " + strings.Repeat("5", maxTextLine) + "\n6 7\n"
+	for name, read := range map[string]func() ([]Edge, error){
+		"ReadTextEdges": func() ([]Edge, error) { return ReadTextEdges(strings.NewReader(in)) },
+		"ReadEdges":     func() ([]Edge, error) { return ReadEdges(strings.NewReader(in), 0) },
+	} {
+		if _, err := read(); !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "line 2:") {
+			t.Errorf("%s: error %v, want ErrBadFormat naming line 2", name, err)
+		}
+	}
+}
+
 func TestBinaryRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteBinaryEdges(&buf, sampleEdges()); err != nil {

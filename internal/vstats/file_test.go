@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -87,6 +88,80 @@ func TestFromFileMatchesFromSample(t *testing.T) {
 	}
 }
 
+// repeated returns n copies of e.
+func repeated(e stream.Edge, n int) []stream.Edge {
+	out := make([]stream.Edge, n)
+	for i := range out {
+		out[i] = e
+	}
+	return out
+}
+
+// runCrossingChunk is a run-free prefix that stops three edges short of a
+// chunk boundary, then a run of eight equal edges across it, then two edges
+// that each differ from the run in one endpoint.
+func runCrossingChunk() []stream.Edge {
+	s := make([]stream.Edge, stream.ChunkEdges-3)
+	for i := range s {
+		s[i] = stream.Edge{Src: uint64(i % 97), Dst: uint64(i), Weight: 1}
+	}
+	s = append(s, repeated(stream.Edge{Src: 5, Dst: 7, Weight: 2}, 8)...)
+	return append(s, stream.Edge{Src: 5, Dst: 8}, stream.Edge{Src: 6, Dst: 7})
+}
+
+// runSamples are shaped around the builder's unit, the run of equal
+// consecutive edges.
+func runSamples() map[string][]stream.Edge {
+	a, b, c := stream.Edge{Src: 1, Dst: 2, Weight: 1}, stream.Edge{Src: 1, Dst: 3, Weight: 1}, stream.Edge{Src: 4, Dst: 2, Weight: 1}
+	runFree := make([]stream.Edge, 3*stream.ChunkEdges)
+	for i := range runFree {
+		runFree[i] = stream.Edge{Src: uint64(i % 13), Dst: uint64(i / 13), Weight: int64(i % 3)}
+	}
+	return map[string][]stream.Edge{
+		"crossing a chunk": runCrossingChunk(),
+		"weights 0, 1 and 2^62": {
+			{Src: 1, Dst: 2}, {Src: 1, Dst: 2, Weight: 1}, {Src: 1, Dst: 2, Weight: 1 << 62},
+			{Src: 1, Dst: 2, Weight: math.MaxInt64}, {Src: 1, Dst: 2}, {Src: 1, Dst: 3, Weight: 1 << 62},
+		},
+		"A-A-B-A-A same source":  {a, a, b, a, a},
+		"A-A-B-A-A other source": {a, a, c, a, a},
+		"source zero": {
+			{Src: 0, Dst: 0}, {Src: 0, Dst: 0, Weight: 3}, {Src: 0, Dst: 1}, {Src: 0, Dst: 1},
+			{Src: 1, Dst: 0}, {Src: 0, Dst: 0}, {Src: 0, Dst: 0},
+		},
+		"one run":  repeated(stream.Edge{Src: 3, Dst: 4, Weight: 2}, 3*stream.ChunkEdges+5),
+		"run-free": runFree,
+	}
+}
+
+// TestRunsMatchReference: on samples built around runs — one crossing a
+// chunk boundary, one mixing weights 0, 1 and ≥ 2⁶², equal edges that are
+// not adjacent and so must not fold (A-A-B-A-A), runs on source id 0, one
+// run holding the whole sample, and no run longer than one edge — FromEdges
+// and FromFile, binary and text, compute what the map-based reference
+// computes, which folds nothing.
+func TestRunsMatchReference(t *testing.T) {
+	dir := t.TempDir()
+	for name, sample := range runSamples() {
+		t.Run(name, func(t *testing.T) {
+			s, err := FromEdges(sample)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstReference(t, s, sample)
+			for _, text := range []bool{false, true} {
+				path := filepath.Join(dir, fmt.Sprintf("%s-%v", name, text))
+				writeEdgeFile(t, path, sample, text)
+				s, err := FromFile(path, 0)
+				if err != nil {
+					t.Fatalf("text %v: %v", text, err)
+				}
+				checkAgainstReference(t, s, sample)
+			}
+		})
+	}
+}
+
 // TestFromFileHub: one source holding more than half the edges of a sample
 // many chunks long, so its segment spans chunks on both passes.
 func TestFromFileHub(t *testing.T) {
@@ -129,7 +204,9 @@ func TestFromFileErrors(t *testing.T) {
 		binary.LittleEndian.PutUint64(data[8:], count)
 		return data
 	}
-	negative := []stream.Edge{{Src: 1, Dst: 2, Weight: 1}, {Src: 3, Dst: 4, Weight: -(1 << 40)}}
+	// The negative weight continues a run: the error names its edge, not its
+	// run.
+	negative := []stream.Edge{{Src: 3, Dst: 4, Weight: 1}, {Src: 1, Dst: 2, Weight: 1}, {Src: 1, Dst: 2, Weight: 1}, {Src: 1, Dst: 2, Weight: -(1 << 40)}}
 	negBin := filepath.Join(dir, "neg.bin")
 	writeEdgeFile(t, negBin, negative, false)
 	negText := filepath.Join(dir, "neg.txt")
@@ -147,6 +224,7 @@ func TestFromFileErrors(t *testing.T) {
 		"forged count":    {path: write("d.bin", forged(1<<32)), same: true, want: stream.ErrBadFormat},
 		"implausible":     {path: write("e.bin", forged(1<<40)), same: true, want: stream.ErrBadFormat},
 		"bad text":        {path: write("f.txt", []byte("1 2 3\nnot an edge\n")), same: true, want: stream.ErrBadFormat},
+		"long line":       {path: write("h.txt", []byte("1 2\n3 4 "+strings.Repeat("5", 1<<20)+"\n")), same: true, want: stream.ErrBadFormat},
 		"negative binary": {path: negBin, want: ErrNegativeWeight},
 		"negative text":   {path: negText, want: ErrNegativeWeight},
 		"directory":       {path: dir},
@@ -167,19 +245,24 @@ func TestFromFileErrors(t *testing.T) {
 			}
 		}
 	}
-	if _, err := FromFile(negBin, 0); err == nil || !strings.Contains(err.Error(), "sample edge 1 has weight -1099511627776") {
-		t.Errorf("negative weight error %v does not name the edge and its weight", err)
+	_, ferr := FromFile(negBin, 0)
+	_, serr := FromEdges(negative)
+	for _, err := range []error{ferr, serr} {
+		if err == nil || !strings.Contains(err.Error(), "sample edge 3 has weight -1099511627776") {
+			t.Errorf("negative weight error %v does not name the edge and its weight", err)
+		}
 	}
 	// A limit that stops before the negative edge never reads it.
-	if _, err := FromFile(negBin, 1); err != nil {
-		t.Errorf("limit 1 before the negative edge: %v", err)
+	if _, err := FromFile(negBin, 3); err != nil {
+		t.Errorf("limit 3 before the negative edge: %v", err)
 	}
 }
 
 // TestFromFileRewrittenBetweenPasses: a sample file replaced between the
 // two passes — by a longer file, a shorter one, one of the same length and
-// other sources, or the same bytes under a new modification time — fails
-// with ErrSampleChanged instead of yielding statistics of neither.
+// other sources, the same bytes under a new modification time, or, under the
+// old size and modification time, other runs — fails with ErrSampleChanged
+// instead of yielding statistics of neither.
 func TestFromFileRewrittenBetweenPasses(t *testing.T) {
 	base := rmatSample(t, 12, 3*stream.ChunkEdges, 1)
 	other := make([]stream.Edge, len(base))
@@ -232,6 +315,49 @@ func TestFromFileRewrittenBetweenPasses(t *testing.T) {
 			t.Errorf("second pass over %s: %v, want ErrSampleChanged", name, err)
 		}
 	}
+
+	// Rewrites of the runs that keep the file's size and modification time,
+	// on a tail that straddles a chunk boundary. The first pass sees runs of
+	// sources 1, 2, 2. The second sees a run boundary moved so that the
+	// second run starts on source 1, or a fourth run, or only two.
+	prefix := runCrossingChunk()[:stream.ChunkEdges-2]
+	tail := func(pairs ...[2]uint64) []stream.Edge {
+		s := slices.Clone(prefix)
+		for _, p := range pairs {
+			s = append(s, stream.Edge{Src: p[0], Dst: p[1], Weight: 1})
+		}
+		return s
+	}
+	first := tail([2]uint64{1, 1}, [2]uint64{1, 1}, [2]uint64{2, 1}, [2]uint64{2, 2})
+	for name, second := range map[string][]stream.Edge{
+		"boundary onto another source": tail([2]uint64{1, 1}, [2]uint64{1, 2}, [2]uint64{2, 1}, [2]uint64{2, 1}),
+		"more runs":                    tail([2]uint64{1, 1}, [2]uint64{2, 1}, [2]uint64{2, 2}, [2]uint64{2, 3}),
+		"fewer runs":                   tail([2]uint64{1, 1}, [2]uint64{1, 1}, [2]uint64{2, 1}, [2]uint64{2, 1}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "sample.bin")
+			writeEdgeFile(t, path, first, false)
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := new(builder)
+			replay := b.fileReplay(path, 0)
+			passes := 0
+			s, err := b.run(func(visit func([]stream.Edge) error) error {
+				if passes++; passes == 2 {
+					writeEdgeFile(t, path, second, false)
+					if err := os.Chtimes(path, fi.ModTime(), fi.ModTime()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return replay(visit)
+			})
+			if !errors.Is(err, ErrSampleChanged) || s != nil {
+				t.Fatalf("stats %v, error %v; want ErrSampleChanged", s, err)
+			}
+		})
+	}
 }
 
 // errorClass names what kind of failure err is, for comparing two readers
@@ -261,19 +387,25 @@ func negativeAt(t *testing.T, err error) int {
 }
 
 // FuzzSampleFileStats: whatever bytes the sample file holds, and whatever
-// the limit, the file source returns the statistics FromSample computes
-// from what ReadEdges reads, or fails as it does. The one difference is
-// where the file source stops first: it refuses the first negative weight
-// it folds, where ReadEdges, which folds nothing, may still find a malformed
-// record further on — so a refused weight must end a prefix ReadEdges reads.
+// the limit, the file source returns the statistics the map-based reference
+// computes from what ReadEdges reads, or fails as it does. The one
+// difference is where the file source stops first: it refuses the first
+// negative weight it folds, where ReadEdges, which folds nothing, may still
+// find a malformed record further on — so a refused weight must end a prefix
+// ReadEdges reads.
 func FuzzSampleFileStats(f *testing.F) {
-	var bin bytes.Buffer
+	var bin, crossing bytes.Buffer
 	if err := stream.WriteBinaryEdges(&bin, sample()); err != nil {
+		f.Fatal(err)
+	}
+	if err := stream.WriteBinaryEdges(&crossing, runCrossingChunk()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(bin.Bytes(), uint16(0))
 	f.Add(bin.Bytes(), uint16(2))
 	f.Add(bin.Bytes()[:16+40], uint16(0))
+	f.Add(crossing.Bytes(), uint16(0))
+	f.Add(crossing.Bytes(), uint16(stream.ChunkEdges))
 	f.Add([]byte("# c\n1 2 3\n0 0\n1 5 0 9\n1 2\n"), uint16(0))
 	f.Add([]byte("1 2 -5\n3 4\n"), uint16(1))
 	f.Add([]byte("1 2 -5\nx\n"), uint16(0))
@@ -305,7 +437,7 @@ func FuzzSampleFileStats(f *testing.F) {
 			t.Fatalf("file source: %v; ReadEdges: %d edges, %v", err, len(edges), rerr)
 		}
 		if err == nil {
-			sameStats(t, got, FromSample(edges))
+			checkAgainstReference(t, got, edges)
 		}
 	})
 }

@@ -62,7 +62,8 @@ var (
 	ErrNegativeWeight = errors.New("vstats: negative edge weight")
 	// ErrSampleChanged reports a sample file that was not the same file on
 	// both passes: its size or modification time moved, or the second pass
-	// read edges the first did not.
+	// read more or fewer edges or runs than the first, or a run on another
+	// source.
 	ErrSampleChanged = errors.New("vstats: sample file changed between passes")
 )
 
@@ -70,8 +71,8 @@ var (
 // sample edges count as weight 1, matching the paper's default frequency; a
 // negative weight fails with ErrNegativeWeight.
 //
-// It is the two passes of builder over the slice, 12 bytes per sample edge
-// beside it.
+// It is the two passes of builder over the slice, 12 bytes per run of equal
+// consecutive edges beside it.
 func FromEdges(sample []stream.Edge) (*Stats, error) {
 	b := new(builder)
 	b.reserve(len(sample))
@@ -91,35 +92,45 @@ func FromSample(sample []stream.Edge) *Stats {
 // FromFile computes the statistics FromSample computes from the first limit
 // edges (0 = all) of an edge file in either format, without holding them:
 // the file is read twice, a chunk at a time, and what is kept is the 12
-// bytes per sample edge of the passes. A text file is parsed twice. The
-// path must name a regular file, and one that does not change between the
-// passes (ErrSampleChanged); a malformed file fails with the error
-// stream.ReadEdgeFile gives, a negative weight with ErrNegativeWeight.
+// bytes per run of equal consecutive edges of the passes. A text file is
+// parsed twice. The path must name a regular file, and one that does not
+// change between the passes (ErrSampleChanged); a malformed file fails with
+// the error stream.ReadEdgeFile gives, a negative weight with
+// ErrNegativeWeight.
 func FromFile(path string, limit int) (*Stats, error) {
 	b := new(builder)
 	return b.run(b.fileReplay(path, limit))
 }
 
 // builder computes Stats in two passes over a sample handed over in chunks,
-// the same edges in the same order both times: sources are interned through
-// an open-addressing table while f̃v is summed (pass 1, in sample order, so
-// vertices keep their order of first appearance and every float sum its
-// order of addition), destinations are scattered into one contiguous
-// segment per source (CSR, pass 2), and d̃ is the number of distinct values
-// in each sorted segment. It keeps 4 bytes per sample edge after pass 1 and
-// 12 after pass 2, nothing that grows with the sample beyond that.
+// the same edges in the same order both times. Its unit is the run: a
+// maximal streak of consecutive sample edges with the same (src, dst), which
+// adds to f̃v but holds one destination. Pass 1 sums f̃v edge by edge, in
+// sample order, so vertices keep their order of first appearance and every
+// float sum its order of addition; it interns each run's source through an
+// open-addressing table and records which vertex owns the run. Pass 2
+// scatters each run's destination into one contiguous segment per source
+// (CSR), and d̃ is the number of distinct values in each sorted segment. It
+// keeps 4 bytes per run after pass 1 and 12 after pass 2, nothing that grows
+// with the sample beyond that.
 type builder struct {
 	s     *Stats
-	owner []uint32 // sample position → vertex position
-	ends  []int    // edges per vertex; segment ends after the scatter
-	dsts  []uint64 // destinations, one segment per vertex
-	next  int      // pass 2: sample position of the next edge
+	owner []uint32 // run → vertex position
+	ends  []int    // runs per vertex; segment ends after the scatter
+	dsts  []uint64 // destinations, one per run, one segment per vertex
+	edges int      // pass 1: sample edges counted
+	seen  int      // pass 2: sample edges scattered
+	next  int      // pass 2: the next run
+	// src and dst are the last edge of the pass under way: an edge equal to
+	// it continues its run.
+	src, dst uint64
 }
 
 // reserve sizes the builder, before pass 1, for a sample of n edges (0 when
-// that is not known). How many sources it has is not known yet; an eighth
-// of its edges is where the table and the per-vertex slices start, and all
-// of them grow.
+// that is not known). How many runs and sources it has is not known yet.
+// owner gets room for one run per edge: only the prefix the runs use is
+// written, so only those pages become resident. An eighth of the edges is
+// where the table and the per-vertex slices start, and all of them grow.
 func (b *builder) reserve(n int) {
 	guess := n / 8
 	b.s = &Stats{vertices: make([]VertexStat, 0, guess), index: newSrcTable(guess)}
@@ -145,8 +156,9 @@ func (b *builder) run(replay func(visit func([]stream.Edge) error) error) (*Stat
 	if err := replay(b.scatter); err != nil {
 		return nil, err
 	}
-	if b.next != len(b.owner) {
-		return nil, fmt.Errorf("%w: %d edges on the second pass, %d on the first", ErrSampleChanged, b.next, len(b.owner))
+	if b.seen != b.edges || b.next != len(b.owner) {
+		return nil, fmt.Errorf("%w: %d edges in %d runs on the second pass, %d in %d on the first",
+			ErrSampleChanged, b.seen, b.next, b.edges, len(b.owner))
 	}
 	start := 0
 	for v, end := range b.ends {
@@ -156,54 +168,65 @@ func (b *builder) run(replay func(visit func([]stream.Edge) error) error) (*Stat
 	return b.s, nil
 }
 
-// count is pass 1 over one chunk: intern sources, sum f̃v, count each
-// vertex's sample edges. A negative weight stops it before the edge is
-// interned.
+// count is pass 1 over one chunk: sum f̃v per edge; at the start of each run
+// intern its source and count a run for it. A negative weight stops it
+// before the edge is folded.
 func (b *builder) count(chunk []stream.Edge) error {
 	s := b.s
 	for _, e := range chunk {
 		w := e.Weight
 		if w <= 0 {
 			if w < 0 {
-				return fmt.Errorf("%w: sample edge %d has weight %d", ErrNegativeWeight, len(b.owner), w)
+				return fmt.Errorf("%w: sample edge %d has weight %d", ErrNegativeWeight, b.edges, w)
 			}
 			w = 1
 		}
-		if len(b.owner) == math.MaxUint32 {
-			// Vertex positions are held as uint32; a sample has at most as
-			// many sources as edges.
-			return fmt.Errorf("vstats: sample exceeds the %d edges supported", uint32(math.MaxUint32))
+		if b.edges == 0 || e.Src != b.src || e.Dst != b.dst {
+			if len(b.owner) == math.MaxUint32 {
+				// Vertex positions are held as uint32; a sample has at most
+				// as many sources as runs.
+				return fmt.Errorf("vstats: sample exceeds the %d runs supported", uint32(math.MaxUint32))
+			}
+			v, fresh := s.index.intern(e.Src)
+			if fresh {
+				s.vertices = append(s.vertices, VertexStat{ID: e.Src, W: 1})
+				b.ends = append(b.ends, 0)
+			}
+			b.owner = append(b.owner, v)
+			b.ends[v]++
+			b.src, b.dst = e.Src, e.Dst
 		}
-		v, fresh := s.index.intern(e.Src)
-		if fresh {
-			s.vertices = append(s.vertices, VertexStat{ID: e.Src, W: 1})
-			b.ends = append(b.ends, 0)
-		}
-		b.owner = append(b.owner, v)
-		b.ends[v]++
-		s.vertices[v].F += float64(w)
+		s.vertices[b.owner[len(b.owner)-1]].F += float64(w)
 		s.totalF += float64(w)
+		b.edges++
 	}
 	return nil
 }
 
-// scatter is pass 2 over one chunk: each destination goes to the next free
-// slot of its source's segment. A chunk the first pass did not see — more
-// edges, or another source at a position — is refused.
+// scatter is pass 2 over one chunk: each run's destination goes to the next
+// free slot of its source's segment. A chunk the first pass did not see —
+// more edges, more runs, or another source at a run — is refused.
 func (b *builder) scatter(chunk []stream.Edge) error {
-	if len(chunk) > len(b.owner)-b.next {
-		return fmt.Errorf("%w: more than the %d edges of the first pass", ErrSampleChanged, len(b.owner))
+	if len(chunk) > b.edges-b.seen {
+		return fmt.Errorf("%w: more than the %d edges of the first pass", ErrSampleChanged, b.edges)
 	}
-	owner := b.owner[b.next : b.next+len(chunk)]
 	for i, e := range chunk {
-		v := owner[i]
+		if b.seen+i > 0 && e.Src == b.src && e.Dst == b.dst {
+			continue
+		}
+		if b.next == len(b.owner) {
+			return fmt.Errorf("%w: more than the %d runs of the first pass", ErrSampleChanged, len(b.owner))
+		}
+		v := b.owner[b.next]
 		if b.s.vertices[v].ID != e.Src {
-			return fmt.Errorf("%w: edge %d has another source", ErrSampleChanged, b.next+i)
+			return fmt.Errorf("%w: run %d, at edge %d, has another source", ErrSampleChanged, b.next, b.seen+i)
 		}
 		b.dsts[b.ends[v]] = e.Dst
 		b.ends[v]++
+		b.next++
+		b.src, b.dst = e.Src, e.Dst
 	}
-	b.next += len(chunk)
+	b.seen += len(chunk)
 	return nil
 }
 

@@ -68,10 +68,10 @@ func WithSample(data []Edge) Option {
 // WithSampleFile is WithSample over the first limit edges (0 = all) of an
 // edge file in either format — the sample twin of WithRestoreFile. Open
 // reads the file twice, a chunk at a time, and never holds the sample: what
-// the build keeps is 12 bytes per sample edge of statistics, not the 32 of
-// the edge. The partitioning is the one WithSample builds from the same
-// edges. The path must name a regular file that does not change while Open
-// reads it.
+// the build keeps is at most 12 bytes of statistics per sample edge, not the
+// 32 of the edge, and 12 per run where consecutive edges repeat. The
+// partitioning is the one WithSample builds from the same edges. The path
+// must name a regular file that does not change while Open reads it.
 func WithSampleFile(path string, limit int) Option {
 	return func(o *engineOptions) { o.samplePath, o.sampleLimit = path, limit }
 }
