@@ -440,8 +440,10 @@ func (c *Chain) Rotate(g *core.GSketch) error {
 	seen := c.res.Seen()
 	c.res.Reset()
 	c.resMu.Unlock()
-	c.mu.Unlock()
+	// Freeze inside the hold: a fold or a spill takes any generation but
+	// the last as frozen, so none may see the old head without its sample.
 	old.Freeze(nowUnix, sample, seen)
+	c.mu.Unlock()
 	if _, err := c.EnforceResidency(); err != nil {
 		// Tiering is best-effort on the rotation path: a spill failure
 		// leaves the generation resident, costing memory, not correctness.
@@ -454,8 +456,9 @@ func (c *Chain) Rotate(g *core.GSketch) error {
 // compact.Fold): cell-wise when the layouts match, else by re-partitioning
 // from their retained reservoirs under cfg and workload. k is clamped to
 // the available frozen generations; fewer than two returns
-// ErrNothingToCompact with a zero Result. The fold runs off-lock against
-// immutable snapshots; only the final install takes the exclusive lock.
+// ErrNothingToCompact with a zero Result. The fold runs off-lock, reading
+// the frozen generations in place; only the final install takes the
+// exclusive lock.
 func (c *Chain) Compact(k int, cfg core.Config, workload []stream.Edge) (compact.Result, error) {
 	start := time.Now()
 	c.compactMu.Lock()

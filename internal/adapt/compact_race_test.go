@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -147,4 +148,98 @@ func TestChainCompactDuringQuery(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// Folds read frozen generations in place while queries reload the same
+// generations from their spill files, residency enforcement spills them
+// again, and writers ingest and rotate. Run under -race this checks that a
+// fold's unlocked reads of a resident source race no writer; at the end no
+// volume is lost and, every reservoir holding its whole slice so that each
+// fold is lossless, no answer fell below the truth of the prefix ingested
+// before the race began.
+func TestChainCompactDuringSpillAndReload(t *testing.T) {
+	const prefix, rotations, chunk = 4000, 8, 512
+	edges := testStream(prefix+2*rotations*chunk, 73)
+	cfg := core.Config{TotalBytes: 16 << 10, Seed: 4}
+	build := func() *core.GSketch {
+		g, err := core.BuildGSketch(cfg, edges[:1000], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	chain := NewChain(build(), ChainConfig{SampleSize: 16384, MaxGenerations: 6})
+	chain.SetTiering(t.TempDir(), 1)
+	chain.UpdateBatch(edges[:prefix])
+
+	exact := stream.NewExactCounter()
+	exact.ObserveAll(edges[:prefix])
+	qs := chainQueries(edges[:prefix], 256)
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	rotating, streaming := edges[prefix:prefix+rotations*chunk], edges[prefix+rotations*chunk:]
+	wg.Add(2)
+	go func() { // writer that rotates: same-layout rotations fold exactly, repartitions by re-ingest
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < rotations; i++ {
+			chain.UpdateBatch(rotating[i*chunk : (i+1)*chunk])
+			var err error
+			if i%4 == 3 {
+				_, err = Repartition(chain, core.Config{TotalBytes: 16 << 10, Seed: uint64(50 + i)}, nil)
+			} else {
+				err = chain.Rotate(build())
+			}
+			if err != nil && !errors.Is(err, ErrMaxGenerations) {
+				t.Errorf("rotation %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	go func() { // writer racing the rotations
+		defer wg.Done()
+		for lo := 0; lo < len(streaming); lo += 64 {
+			chain.UpdateBatch(streaming[lo : lo+64])
+		}
+	}()
+	loop := func(step func() error) {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := step(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+	wg.Add(3)
+	go loop(func() error { // compactor
+		if _, err := chain.Compact(2, cfg, nil); err != nil && !errors.Is(err, ErrNothingToCompact) {
+			return err
+		}
+		return nil
+	})
+	go loop(func() error { _, err := chain.EnforceResidency(); return err })
+	go loop(func() error { // reader: reloads whatever is spilled
+		for i, r := range chain.EstimateBatch(qs) {
+			if truth := exact.EdgeFrequency(qs[i].Src, qs[i].Dst); r.Estimate < truth {
+				return fmt.Errorf("edge (%d,%d): estimate %d < truth %d", qs[i].Src, qs[i].Dst, r.Estimate, truth)
+			}
+		}
+		return nil
+	})
+	wg.Wait()
+
+	var want int64
+	for _, e := range edges {
+		want += e.Weight
+	}
+	if got := chain.Count(); got != want {
+		t.Fatalf("chain lost volume: Count=%d, want %d (generations=%d)", got, want, chain.Generations())
+	}
 }

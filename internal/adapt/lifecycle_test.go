@@ -3,6 +3,7 @@ package adapt
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -162,6 +163,45 @@ func TestChainCompactReingestWithinBounds(t *testing.T) {
 	// One frozen generation left: nothing further to fold.
 	if _, err := chain.Compact(2, cfg, nil); !errors.Is(err, ErrNothingToCompact) {
 		t.Fatalf("compact on a 2-generation chain: %v, want ErrNothingToCompact", err)
+	}
+}
+
+// A generation whose stream volume saturated at MaxInt64 must still fold by
+// re-ingest: its reservoir's weights sum past MaxInt64 too, and the replay
+// has to saturate with them rather than wrap. Under a compaction policy at
+// the generation cap a failed fold here would refuse every later rotation.
+func TestChainCompactSaturatedVolume(t *testing.T) {
+	edges := testStream(6000, 59)
+	heavy := []stream.Edge{{Src: 7, Dst: 9, Weight: 1 << 62}, {Src: 8, Dst: 3, Weight: 1 << 62}}
+	chain := NewChain(buildSketch(t, edges[:1000], 5), ChainConfig{SampleSize: 8192, Seed: 3})
+	chain.UpdateBatch(edges[:3000])
+	chain.UpdateBatch(heavy)
+	if _, err := Repartition(chain, core.Config{TotalBytes: 32 << 10, Seed: 77}, nil); err != nil {
+		t.Fatal(err)
+	}
+	chain.UpdateBatch(edges[3000:])
+	if _, err := Repartition(chain, core.Config{TotalBytes: 48 << 10, Seed: 99}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := chain.Count(); got != math.MaxInt64 {
+		t.Fatalf("count = %d before the fold, want saturated", got)
+	}
+
+	res, err := chain.Compact(2, core.Config{TotalBytes: 64 << 10, Seed: 5}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Exact || res.Folded != 2 {
+		t.Fatalf("compaction = %+v, want a 2-generation re-ingest fold", res)
+	}
+	if got := chain.Count(); got != math.MaxInt64 {
+		t.Fatalf("count = %d after the fold, want saturated", got)
+	}
+	// Counter cells saturate at 2³²−1, so that is what a heavy edge reads.
+	for _, e := range heavy {
+		if got := chain.EstimateEdge(e.Src, e.Dst); got < math.MaxUint32 {
+			t.Fatalf("edge (%d,%d): estimate %d below a saturated cell", e.Src, e.Dst, got)
+		}
 	}
 }
 

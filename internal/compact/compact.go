@@ -107,7 +107,7 @@ type Result struct {
 	Generations int `json:"generations"`
 	// FreedBytes is the counter footprint removed (sources minus merged).
 	FreedBytes int64 `json:"freed_bytes"`
-	// Duration is the wall time of the fold (snapshot + merge + install).
+	// Duration is the wall time of the fold (read + merge + install).
 	Duration time.Duration `json:"-"`
 }
 

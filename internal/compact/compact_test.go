@@ -2,12 +2,14 @@ package compact
 
 import (
 	"errors"
+	"math"
 	"os"
 	"testing"
 	"time"
 
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/hashutil"
+	"github.com/graphstream/gsketch/internal/sketch"
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
@@ -99,6 +101,30 @@ func TestScaledReplayConservesVolume(t *testing.T) {
 	}
 	if out := scaledReplay(nil, 100); out != nil {
 		t.Fatal("empty sample must replay nothing")
+	}
+	// Weights and targets at the saturation point: the replay's saturating
+	// sum reaches the target, however far apart the magnitudes are.
+	for _, tc := range []struct {
+		weights []int64
+		target  int64
+	}{
+		{[]int64{1 << 62, 1 << 62, 5}, math.MaxInt64},
+		{[]int64{1 << 62, 1 << 62}, math.MaxInt64},
+		{[]int64{1, 1, 1}, math.MaxInt64},
+		{[]int64{3, 1 << 61, 7, 1}, math.MaxInt64 - 12345},
+		{[]int64{math.MaxInt64, math.MaxInt64, 2}, 1000},
+	} {
+		sample := make([]stream.Edge, len(tc.weights))
+		for i, w := range tc.weights {
+			sample[i] = stream.Edge{Src: uint64(i), Dst: 1, Weight: w}
+		}
+		var sum int64
+		for _, e := range scaledReplay(sample, tc.target) {
+			sum = sketch.AddVolume(sum, e.Weight)
+		}
+		if sum != tc.target {
+			t.Fatalf("weights %v: replayed volume %d, want %d", tc.weights, sum, tc.target)
+		}
 	}
 	// A reservoir that retained its whole segment replays losslessly.
 	out := scaledReplay(sample, int64(len(sample)))

@@ -2,7 +2,7 @@ package compact
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/sketch"
@@ -62,35 +62,13 @@ func Fold(segs []*Segment, cfg core.Config, workload []stream.Edge, sampleCap in
 	return merged, exact, nil
 }
 
-// foldSketch produces the merged sketch, preferring the exact path.
+// foldSketch produces the merged sketch, preferring the exact path. It
+// reads the sources where they lie (see Segment.frozenSketch) and copies
+// none of them.
 func foldSketch(segs []*Segment, cfg core.Config, workload []stream.Edge) (*core.GSketch, bool, error) {
-	// Exact path: clone the oldest segment and fold the rest in cell-wise.
-	// The clone keeps the sources untouched until the chain installs the
-	// result; the other segments are only read.
-	base, err := segs[0].Snapshot()
-	if err != nil {
-		return nil, false, err
-	}
-	exact := true
-	rest := make([]*core.GSketch, 0, len(segs)-1)
-	for _, s := range segs[1:] {
-		g, err := s.Snapshot()
-		if err != nil {
-			return nil, false, err
-		}
-		if base.CanMerge(g) != nil {
-			exact = false
-			break
-		}
-		rest = append(rest, g)
-	}
-	if exact {
-		for i, g := range rest {
-			if err := base.MergeFrom(g); err != nil {
-				return nil, false, fmt.Errorf("compact: exact merge of segment %d: %w", i+1, err)
-			}
-		}
-		return base, true, nil
+	g, err := foldExact(segs)
+	if g != nil || err != nil {
+		return g, g != nil, err
 	}
 
 	// Re-ingest path: rebuild from the combined retained reservoirs, then
@@ -106,7 +84,7 @@ func foldSketch(segs []*Segment, cfg core.Config, workload []stream.Edge) (*core
 	if len(combined) == 0 {
 		return nil, false, fmt.Errorf("compact: no retained samples to rebuild from")
 	}
-	g, err := core.BuildGSketch(cfg, combined, workload)
+	g, err = core.BuildGSketch(cfg, combined, workload)
 	if err != nil {
 		return nil, false, fmt.Errorf("compact: rebuild for re-ingest: %w", err)
 	}
@@ -117,37 +95,67 @@ func foldSketch(segs []*Segment, cfg core.Config, workload []stream.Edge) (*core
 	return g, false, nil
 }
 
+// foldExact adds every segment's counters into one sketch of the oldest
+// segment's layout, or returns nil when a segment's layout differs. The
+// result is the oldest segment's private copy: the one read from its spill
+// file, or a clone of the resident sketch, made once the first merge
+// partner is known.
+func foldExact(segs []*Segment) (*core.GSketch, error) {
+	base, private, err := segs[0].frozenSketch()
+	if err != nil {
+		return nil, err
+	}
+	for i, s := range segs[1:] {
+		g, _, err := s.frozenSketch()
+		if err != nil {
+			return nil, err
+		}
+		if base.CanMerge(g) != nil {
+			return nil, nil
+		}
+		if !private {
+			if base, err = base.Clone(); err != nil {
+				return nil, err
+			}
+			private = true
+		}
+		if err := base.MergeFrom(g); err != nil {
+			return nil, fmt.Errorf("compact: exact merge of segment %d: %w", i+1, err)
+		}
+	}
+	return base, nil
+}
+
 // scaledReplay returns sample rescaled so its total weight is exactly
-// target: each edge's weight scales by target/Σw with the rounding
-// remainder distributed one unit at a time, so no volume is created or
-// lost. A reservoir that retained its entire segment scales by 1 — a
-// lossless replay.
+// target: each edge's weight w becomes ⌊w·target/Σw⌋, computed exactly, and
+// the rounding remainder — less than one unit per edge — goes one unit at a
+// time to the leading edges, so no volume is created or lost. Σw and the
+// replayed total saturate at MaxInt64 as every stream volume does, so a
+// saturated segment replays its sample to a saturated total. A reservoir
+// that retained its entire segment scales by 1 — a lossless replay.
 func scaledReplay(sample []stream.Edge, target int64) []stream.Edge {
 	if target <= 0 || len(sample) == 0 {
 		return nil
 	}
 	var sw int64
 	for _, e := range sample {
-		w := e.Weight
-		if w <= 0 {
-			w = 1
-		}
-		sw += w
+		sw = sketch.AddVolume(sw, max(e.Weight, 1))
 	}
 	out := make([]stream.Edge, len(sample))
 	var acc int64
-	f := float64(target) / float64(sw)
 	for i, e := range sample {
-		w := e.Weight
-		if w <= 0 {
-			w = 1
-		}
-		scaled := int64(math.Floor(float64(w) * f))
+		// w ≤ sw, so the quotient ⌊w·target/sw⌋ ≤ target fits.
+		hi, lo := bits.Mul64(uint64(max(e.Weight, 1)), uint64(target))
+		q, _ := bits.Div64(hi, lo, uint64(sw))
+		scaled := min(int64(q), target-acc)
 		out[i] = e
 		out[i].Weight = scaled
 		acc += scaled
 	}
-	for i := 0; acc < target; i = (i + 1) % len(out) {
+	for i := range out {
+		if acc == target {
+			break
+		}
 		out[i].Weight++
 		acc++
 	}

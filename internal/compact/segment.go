@@ -1,7 +1,6 @@
 package compact
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -23,11 +22,12 @@ import (
 // it immutable: the chain guarantees no writer touches a generation after
 // its displacing rotation completes (updates run under the chain's shared
 // lock, so a rotation's exclusive lock drains them), which is what lets a
-// frozen segment be snapshotted, spilled to disk and reloaded without
-// counter races. Spilled segments answer queries by lazy reload; reloads
-// and evictions race-protect each other with loadMu while readers go
-// through the atomic live pointer, so a query that grabbed the wrapper just
-// before an eviction finishes harmlessly on the still-valid memory.
+// frozen segment be serialized, spilled to disk and reloaded without
+// counter races, and what lets a fold read its counters in place. Spilled
+// segments answer queries by lazy reload; reloads and evictions
+// race-protect each other with loadMu while readers go through the atomic
+// live pointer, so a query that grabbed the wrapper just before an
+// eviction finishes harmlessly on the still-valid memory.
 type Segment struct {
 	// live is the resident state, nil while spilled-and-evicted. Readers
 	// load it lock-free; transitions (spill, reload) serialize on loadMu.
@@ -213,9 +213,9 @@ func (s *Segment) Sample() ([]stream.Edge, int64) {
 	return s.sample, s.sampleSeen
 }
 
-// Sketch returns the live sketch for layout/routing reads. It is nil while
-// the segment is spilled; the chain head — the only caller — is never
-// spilled.
+// Sketch returns the resident sketch, nil while the segment is spilled.
+// The chain reads its head's layout and routing through it, and a fold
+// reads its resident sources' counters; neither writes through it.
 func (s *Segment) Sketch() *core.GSketch {
 	if ls := s.live.Load(); ls != nil {
 		return ls.g
@@ -276,26 +276,27 @@ func (s *Segment) Discard() {
 	}
 }
 
-// Snapshot returns a deep, private copy of the segment's sketch: from the
-// spill file when evicted (no locking needed — the file is immutable),
-// otherwise through the wrapper's consistent striped-lock serialization.
-func (s *Segment) Snapshot() (*core.GSketch, error) {
-	if ls := s.live.Load(); ls != nil {
-		var buf bytes.Buffer
-		if _, err := ls.conc.WriteTo(&buf); err != nil {
-			return nil, err
-		}
-		return core.ReadGSketch(&buf)
+// frozenSketch returns the frozen segment's sketch for a fold to read: the
+// resident one in place — no writer touches a frozen generation — or, when
+// the segment is spilled, a private copy read from its immutable file,
+// leaving the segment spilled. private reports the latter.
+func (s *Segment) frozenSketch() (g *core.GSketch, private bool, err error) {
+	if g := s.Sketch(); g != nil {
+		return g, false, nil
 	}
 	s.loadMu.Lock()
 	path := s.spillPath
 	s.loadMu.Unlock()
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("compact: snapshot spilled generation: %w", err)
+		return nil, false, fmt.Errorf("compact: read spilled generation: %w", err)
 	}
 	defer f.Close()
-	return core.ReadGSketch(f)
+	g, err = core.ReadGSketch(f)
+	if err != nil {
+		return nil, false, fmt.Errorf("compact: read spilled generation %s: %w", path, err)
+	}
+	return g, true, nil
 }
 
 // WriteTo streams the segment's version-2 stream: straight from the spill

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"github.com/graphstream/gsketch/internal/sketch"
 	"github.com/graphstream/gsketch/internal/vstats"
@@ -335,7 +336,7 @@ func readGSketch(br *bufio.Reader) (*GSketch, error) {
 	// (Insert grows the router to the capacity a full pre-size would pick),
 	// widths must fit the declared budget, and ReadBank allocates cells as
 	// it reads them.
-	const maxLeaves, leafPresize, routePresize = 1 << 24, 1 << 12, 1 << 16
+	const maxLeaves, leafPresize = 1 << 24, 1 << 12
 	if numLeaves == 0 || numLeaves > maxLeaves {
 		return nil, fmt.Errorf("%w: implausible leaf count %d", sketch.ErrCorrupt, numLeaves)
 	}
@@ -344,14 +345,12 @@ func readGSketch(br *bufio.Reader) (*GSketch, error) {
 			sketch.ErrCorrupt, depth, totalWidth, outlierW)
 	}
 	g := &GSketch{
-		cfg:          Config{Depth: int(depth)}.withDefaults(),
 		order:        vstats.SortOrder(order),
 		totalWidth:   int(totalWidth),
 		outlierWidth: int(outlierW),
 		leaves:       make([]Leaf, 0, min(numLeaves, leafPresize)),
 	}
 	g.total.Store(int64(total))
-	g.cfg.TotalWidth = int(totalWidth)
 	room := totalWidth - outlierW // columns the leaves may still claim
 	var rec [33]byte              // one leaf, or (its first 12 bytes) one route
 	le := binary.LittleEndian
@@ -404,7 +403,49 @@ func readGSketch(br *bufio.Reader) (*GSketch, error) {
 		return nil, err
 	}
 	g.bank = bank
-	g.cfg.Conservative = bank.Conservative()
+	g.cfg = loadedConfig(int(depth), int(totalWidth), bank.Conservative())
 	g.initRouteStats()
 	return g, nil
+}
+
+// routePresize caps the router pre-size of a loaded sketch: a forged route
+// count must not reserve the table it claims.
+const routePresize = 1 << 16
+
+// loadedConfig is the configuration a loaded sketch carries: what the
+// stream records, the rest defaulted.
+func loadedConfig(depth, totalWidth int, conservative bool) Config {
+	cfg := Config{Depth: depth}.withDefaults()
+	cfg.TotalWidth = totalWidth
+	cfg.Conservative = conservative
+	return cfg
+}
+
+// Clone returns the sketch ReadGSketch(WriteTo(g)) would, without the byte
+// round trip: its own counters, leaf table and router, which answer, merge
+// and serialize exactly as the loaded copy's do. The router is refilled in
+// g's serialized order, as the loader fills it, because the slot order of a
+// linear-probe table — and so the route section WriteTo writes — follows
+// the order of insertion. Only a sketch that serializes clones; the caller
+// keeps writers off g.
+func (g *GSketch) Clone() (*GSketch, error) {
+	if g.bank == nil {
+		return nil, fmt.Errorf("core: a gSketch built with a custom Config.Factory does not clone")
+	}
+	c := &GSketch{
+		cfg:          loadedConfig(g.cfg.Depth, g.totalWidth, g.bank.Conservative()),
+		bank:         g.bank.Clone(),
+		router:       NewRouter(min(g.router.Len(), routePresize)),
+		leaves:       slices.Clone(g.leaves),
+		order:        g.order,
+		outlierWidth: g.outlierWidth,
+		totalWidth:   g.totalWidth,
+	}
+	c.total.Store(g.total.Load())
+	g.router.Range(func(vertex uint64, part int32) bool {
+		c.router.Insert(vertex, part)
+		return true
+	})
+	c.initRouteStats()
+	return c, nil
 }

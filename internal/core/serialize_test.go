@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"github.com/graphstream/gsketch/internal/hashutil"
 	"github.com/graphstream/gsketch/internal/sketch"
 	"github.com/graphstream/gsketch/internal/stream"
 )
@@ -99,6 +101,71 @@ func TestGSketchSerializeRejectsNonCountMin(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := g.WriteTo(&buf); err == nil {
 		t.Error("CountSketch-backed gSketch serialized; only CountMin is supported")
+	}
+	if _, err := g.Clone(); err == nil {
+		t.Error("CountSketch-backed gSketch cloned; only one that serializes may")
+	}
+}
+
+// Clone must be the sketch a serialize → parse round trip gives, byte for
+// byte, for a built sketch and a loaded one, with the router both pre-sized
+// and grown past the loader's pre-size cap; and it must own its state.
+func TestCloneMatchesRoundTrip(t *testing.T) {
+	rng := hashutil.NewRNG(41)
+	wide := make([]stream.Edge, 3*routePresize/2)
+	for i := range wide {
+		wide[i] = stream.Edge{Src: uint64(i), Dst: rng.Uint64() % 4096, Weight: 1}
+	}
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		sample   []stream.Edge
+		reorders bool // the router's slot order changes on load
+	}{
+		{"small", Config{TotalBytes: 16 << 10, Seed: 3}, testStream(1000, 31), true},
+		{"conservative", Config{TotalBytes: 16 << 10, Seed: 4, Conservative: true}, testStream(1000, 32), true},
+		{"grown_router", Config{TotalBytes: 1 << 20, Seed: 5}, wide, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := BuildGSketch(tc.cfg, tc.sample, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.UpdateBatch(testStream(5000, 33))
+			built := serializeGSketch(t, g)
+			loaded, err := ReadGSketch(bytes.NewReader(built))
+			if err != nil {
+				t.Fatal(err)
+			}
+			roundTrip := serializeGSketch(t, loaded)
+			if tc.reorders && bytes.Equal(built, roundTrip) {
+				t.Fatal("fixture router keeps its slot order on load; it cannot tell a refilled router from a shared one")
+			}
+			for name, src := range map[string]*GSketch{"built": g, "loaded": loaded} {
+				want := serializeGSketch(t, src)
+				c, err := src.Clone()
+				if err != nil {
+					t.Fatal(err)
+				}
+				viaBytes, err := ReadGSketch(bytes.NewReader(want))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := serializeGSketch(t, c), serializeGSketch(t, viaBytes); !bytes.Equal(got, want) {
+					t.Fatalf("%s: clone serializes unlike the round trip", name)
+				}
+				if !reflect.DeepEqual(c.cfg, viaBytes.cfg) {
+					t.Fatalf("%s: clone config %+v, round trip %+v", name, c.cfg, viaBytes.cfg)
+				}
+				c.Update(stream.Edge{Src: 1, Dst: 2, Weight: 7})
+				if !bytes.Equal(serializeGSketch(t, src), want) {
+					t.Fatalf("%s: writing the clone changed its source", name)
+				}
+				if c.Count() != src.Count()+7 {
+					t.Fatalf("%s: clone volume %d, want %d", name, c.Count(), src.Count()+7)
+				}
+			}
+		})
 	}
 }
 

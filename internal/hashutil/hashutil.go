@@ -60,29 +60,16 @@ func (h PairwiseHash) Hash(x uint64) int {
 }
 
 // Mod61 reduces an arbitrary 64-bit key modulo 2^61-1. It is the
-// per-key half of Hash: batch gathers hoist it so d row hashes of the same
-// key reduce the key once instead of d times (see HashReduced).
+// per-key half of Hash: batch kernels hoist it so d row hashes of the same
+// key reduce the key once instead of d times.
 func Mod61(x uint64) uint64 { return mod61(x) }
 
-// MulMod61 is the exported, inlinable (a*b) mod 2^61-1 for batch gather
-// loops that hand-inline the row hash. Both operands must be < 2^61-1.
-func MulMod61(a, b uint64) uint64 { return mulMod61(a, b) }
-
-// Params exposes the member's (a, b) coefficients so batch gather loops
-// can hand-inline the hash arithmetic (Hash itself is past the compiler's
-// inlining budget, and a call per row per key is measurable on the query
-// hot path). Mod61(MulMod61(a, Mod61(x)) + b) followed by the Lemire
-// reduction onto Width() reproduces Hash(x) exactly.
+// Params exposes the member's (a, b) coefficients so batch kernels can
+// hand-inline the hash arithmetic (Hash itself is past the compiler's
+// inlining budget, and a call per row per key is measurable on the hot
+// paths). With xr = Mod61(x), the value v = (a·xr + b) mod 2^61-1 followed
+// by the Lemire reduction (v·Width())>>61 reproduces Hash(x) exactly.
 func (h PairwiseHash) Params() (a, b uint64) { return h.a, h.b }
-
-// HashReduced is Hash with Mod61(x) precomputed by the caller. Exposed
-// alongside Mod61 so batch loops over one key's d rows can share the key
-// reduction; HashReduced(Mod61(x)) == Hash(x) for every x.
-func (h PairwiseHash) HashReduced(xr uint64) int {
-	v := mod61(mulMod61(h.a, xr) + h.b)
-	hi, lo := bits.Mul64(v, h.width)
-	return int(hi<<3 | lo>>61)
-}
 
 // NewPairwiseFamily draws d independent members of the pairwise-independent
 // family with output range [0, width), deterministically from seed.

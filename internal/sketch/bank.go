@@ -3,6 +3,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/graphstream/gsketch/internal/hashutil"
 )
@@ -108,6 +109,26 @@ func (b *Bank) bind(cells []uint32, seeds []uint64) {
 			total:        &b.totals[i],
 		}
 	}
+}
+
+// Clone returns a bank with its own copy of b's cells and shard volumes.
+// The layout and coefficient tables are immutable, so the copy shares them.
+func (b *Bank) Clone() *Bank {
+	c := &Bank{
+		depth:        b.depth,
+		conservative: b.conservative,
+		cells:        slices.Clone(b.cells),
+		spans:        b.spans,
+		coef:         b.coef,
+		totals:       slices.Clone(b.totals),
+		views:        slices.Clone(b.views),
+	}
+	for i, sp := range c.spans {
+		end := sp.off + sp.width*uint64(c.depth)
+		c.views[i].cells = c.cells[sp.off:end:end]
+		c.views[i].total = &c.totals[i]
+	}
+	return c
 }
 
 // Conservative reports whether the shards use conservative update.
