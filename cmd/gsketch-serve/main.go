@@ -98,6 +98,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // handlers mounted on the -pprof-addr listener only
 	"os"
@@ -358,13 +359,25 @@ func serveUntilSignal(logger *slog.Logger, srv *server.Server, addr, wireAddr st
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// Both addresses are bound before either is served, so that a /readyz
+	// answered over HTTP means the wire listener accepts too.
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fatal(logger, "listen failed", "addr", addr, "error", err)
+	}
+	var wln net.Listener
+	if wireAddr != "" {
+		if wln, err = net.Listen("tcp", wireAddr); err != nil {
+			fatal(logger, "listen failed", "addr", wireAddr, "error", err)
+		}
+	}
 	errc := make(chan error, 2)
 	listeners := 1
-	go func() { errc <- srv.ListenAndServe(addr) }()
+	go func() { errc <- srv.Serve(ln) }()
 	logger.Info("listening", "addr", addr)
-	if wireAddr != "" {
+	if wln != nil {
 		listeners++
-		go func() { errc <- srv.ListenAndServeWire(wireAddr) }()
+		go func() { errc <- srv.ServeWire(wln) }()
 		logger.Info("wire protocol listening", "addr", wireAddr)
 	}
 

@@ -95,6 +95,43 @@ func BenchmarkHTTPQueryJSON(b *testing.B) {
 	benchPost(b, srv.Handler(), "/query", queryBodyJSON(b, qs), n, "ns/query")
 }
 
+// BenchmarkEdgeLine reads 2048 ingest lines through scanEdgeLine per
+// iteration, in the benchmark client's shape (benchmark/inputs.go) and in
+// two shapes only the second tier takes: spaced as Python's json.dumps
+// writes them, and with the keys reordered.
+func BenchmarkEdgeLine(b *testing.B) {
+	edges := testStream(2048, 31)
+	for _, c := range []struct {
+		name, format string
+		tier         tier
+	}{
+		{"canonical", `{"src":%d,"dst":%d,"weight":%d}`, tierFused},
+		{"spaced", `{"src": %d, "dst": %d, "weight": %d}`, tierObject},
+		{"reordered", `{"dst":%[2]d,"src":%[1]d,"weight":%[3]d}`, tierObject},
+	} {
+		lines := make([][]byte, len(edges))
+		for i, e := range edges {
+			lines[i] = fmt.Appendf(nil, c.format, e.Src, e.Dst, e.Weight)
+			if got := edgeTier(lines[i]); got != c.tier {
+				b.Fatalf("%s line %q is taken by %s, want %s", c.name, lines[i], got, c.tier)
+			}
+		}
+		b.Run(c.name, func(b *testing.B) {
+			var sum uint64
+			for i := 0; i < b.N; i++ {
+				for _, line := range lines {
+					e, _ := scanEdgeLine(line)
+					sum += e.Src
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lines)), "ns/line")
+			if sum == 0 {
+				b.Fatal("no line read")
+			}
+		})
+	}
+}
+
 // BenchmarkWireIngestFrame is the wire ingest rung without the harness:
 // closed-loop clients over loopback TCP, each sending b.N frames and reading
 // every ack, against a server whose connections fold their own frames. It

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"expvar"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -217,6 +218,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.handleWireIngestHTTP(w, r, be)
 		return
 	}
+	drain, err := syncParam(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "ingest: %v", err)
+		return
+	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	buf := getEdgeBuf()
 	defer putEdgeBuf(buf)
@@ -286,13 +292,29 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "ingest: %v", err)
 		return
 	}
-	if r.URL.Query().Get("sync") != "" {
+	if drain {
 		if err := s.drainBounded(r, be); err != nil {
 			writeError(w, http.StatusServiceUnavailable, "ingest: flush: %v", err)
 			return
 		}
 	}
 	writeJSON(w, http.StatusOK, ingestResponse{Accepted: accepted})
+}
+
+// syncParam reads a data-plane request's ?sync= parameter: whether to
+// drain the ingest pipeline before replying. Absent or empty is false;
+// otherwise the value is strconv.ParseBool's, and one it cannot read is
+// an error naming the parameter, for a 400.
+func syncParam(r *http.Request) (bool, error) {
+	v := r.URL.Query().Get("sync")
+	if v == "" {
+		return false, nil
+	}
+	drain, err := strconv.ParseBool(v)
+	if err != nil {
+		return false, fmt.Errorf("sync=%q is not a boolean", v)
+	}
+	return drain, nil
 }
 
 // bodyErrorStatus is the status of a request whose body could not be read

@@ -8,7 +8,7 @@ import (
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
-// The data plane's text handling without reflection: a recognizer for the
+// The data plane's text handling without reflection: recognizers for the
 // one NDJSON edge shape and the one JSON query shape every producer sends,
 // and an appender for the query reply.
 //
@@ -23,6 +23,13 @@ import (
 // cased keys, null, "-0", and (in a query body) any key order other than
 // queries-then-sync. FuzzEdgeLine and FuzzQueryBody hold the two sides
 // together.
+//
+// An edge object is tried by two tiers in turn. scanCanonical takes the
+// text every producer we know of writes, {"src":N,"dst":N[,"weight":N]
+// [,"time":N]} without whitespace and in that order, as a few fused
+// literal compares (≈ 45 ns a line); scanObject takes keys in any order
+// and JSON whitespace between tokens, as Python's json.dumps writes them,
+// token by token (≈ 100 ns).
 
 // The fields of an edge object, as bits of the set scanObject may accept
 // and of the set it has seen.
@@ -141,10 +148,48 @@ func scanObject(b []byte, i int, allowed uint) (e stream.Edge, next int, ok bool
 	}
 }
 
-// scanEdgeLine recognizes one canonical NDJSON ingest line: a single edge
-// object and nothing after it but JSON whitespace.
+// scanCanonical reads one {"src":N,"dst":N[,"weight":N][,"time":N]}
+// object at b[i:], with no whitespace, the keys in that order, src and
+// dst always and weight and time only when in allowed, and returns the
+// index after its closing brace. Whatever it declines is scanObject's.
+func scanCanonical(b []byte, i int, allowed uint) (e stream.Edge, next int, ok bool) {
+	// Literal comparisons of at most 16 bytes, so that the compiler makes
+	// them a load or two each and not calls.
+	if len(b)-i < 7 || string(b[i:i+7]) != `{"src":` {
+		return e, 0, false
+	}
+	if e.Src, i, ok = scanUint(b, i+7); !ok || len(b)-i < 7 || string(b[i:i+7]) != `,"dst":` {
+		return e, 0, false
+	}
+	if e.Dst, i, ok = scanUint(b, i+7); !ok {
+		return e, 0, false
+	}
+	if allowed&fieldWeight != 0 && len(b)-i >= 10 && string(b[i:i+10]) == `,"weight":` {
+		if e.Weight, i, ok = scanInt(b, i+10); !ok {
+			return e, 0, false
+		}
+	}
+	if allowed&fieldTime != 0 && len(b)-i >= 8 && string(b[i:i+8]) == `,"time":` {
+		if e.Time, i, ok = scanInt(b, i+8); !ok {
+			return e, 0, false
+		}
+	}
+	if i >= len(b) || b[i] != '}' {
+		return e, 0, false
+	}
+	return e, i + 1, true
+}
+
+// allFields is the set of keys an ingest line may carry.
+const allFields = fieldSrc | fieldDst | fieldWeight | fieldTime
+
+// scanEdgeLine recognizes one NDJSON ingest line: a single edge object and
+// nothing before or after it but JSON whitespace.
 func scanEdgeLine(raw []byte) (stream.Edge, bool) {
-	e, i, ok := scanObject(raw, skipSpace(raw, 0), fieldSrc|fieldDst|fieldWeight|fieldTime)
+	if e, i, ok := scanCanonical(raw, 0, allFields); ok && i == len(raw) {
+		return e, true
+	}
+	e, i, ok := scanObject(raw, skipSpace(raw, 0), allFields)
 	return e, ok && skipSpace(raw, i) == len(raw)
 }
 
@@ -180,9 +225,12 @@ func scanQueryBody(body []byte, dst []core.EdgeQuery) (qs []core.EdgeQuery, sync
 		i = j
 	} else {
 		for {
-			e, next, ok := scanObject(body, skipSpace(body, i), fieldSrc|fieldDst)
+			i = skipSpace(body, i)
+			e, next, ok := scanCanonical(body, i, fieldSrc|fieldDst)
 			if !ok {
-				return dst, false, false
+				if e, next, ok = scanObject(body, i, fieldSrc|fieldDst); !ok {
+					return dst, false, false
+				}
 			}
 			dst = append(dst, core.EdgeQuery{Src: e.Src, Dst: e.Dst})
 			i = skipSpace(body, next)

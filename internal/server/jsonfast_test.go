@@ -159,8 +159,8 @@ func TestHarnessContract(t *testing.T) {
 	}
 	canonical := string(queryBodyJSON(t, qs))
 	declined := `{"sync":true,` + canonical[1:]
-	if _, _, ok := scanQueryBody([]byte(canonical), nil); !ok {
-		t.Fatal("the harness's query shape is not recognized")
+	if got := queryTier(t, []byte(canonical)); got != tierFused {
+		t.Fatalf("the harness's query shape is taken by %s, want %s", got, tierFused)
 	}
 	if _, _, ok := scanQueryBody([]byte(declined), nil); ok {
 		t.Fatal("sync-first body was meant to take the encoding/json path")

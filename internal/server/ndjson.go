@@ -110,10 +110,12 @@ const maxNDJSONLine = 1 << 16
 // (normally a pooled buffer). Blank lines are skipped. The whole body is
 // parsed before anything is returned, so a syntax error rejects the
 // request without a partial ingest. The scanner runs over a pooled buffer
-// sized to the line bound, and a line of the canonical shape is read by
-// scanEdgeLine, so a warm server allocates nothing per line; any other
-// line is json.Unmarshal's, which alone defines the syntax accepted and
-// words every syntax error. Either way a negative weight is refused.
+// sized to the line bound, and scanEdgeLine reads each line as it stands,
+// so a warm server allocates nothing per line and a line of the canonical
+// shape is not even trimmed; a line it declines is trimmed, skipped when
+// blank and otherwise json.Unmarshal's, which alone defines the syntax
+// accepted and words every syntax error. Either way a negative weight is
+// refused.
 func decodeEdgesNDJSON(r io.Reader, dst []stream.Edge) ([]stream.Edge, error) {
 	sc := bufio.NewScanner(r)
 	sb := getScanBuf()
@@ -129,12 +131,12 @@ func decodeEdgesNDJSON(r io.Reader, dst []stream.Edge) ([]stream.Edge, error) {
 			break
 		}
 		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		e, ok := scanEdgeLine(raw)
+		e, ok := scanEdgeLine(sc.Bytes())
 		if !ok {
+			raw := bytes.TrimSpace(sc.Bytes())
+			if len(raw) == 0 {
+				continue
+			}
 			var ej edgeJSON
 			if err := json.Unmarshal(raw, &ej); err != nil {
 				return dst, fmt.Errorf("line %d: %w", line, err)

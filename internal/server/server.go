@@ -35,7 +35,7 @@
 //	                       registry /metrics renders)
 //
 // The server is embeddable: New + Handler slot into any http.Server or
-// test harness; ListenAndServe/Serve + Shutdown run it standalone.
+// test harness; Serve/ServeWire + Shutdown run it standalone.
 package server
 
 import (
@@ -253,15 +253,6 @@ func (s *Server) beginSwap() func() {
 // http.ErrServerClosed after a graceful shutdown, like net/http.
 func (s *Server) Serve(ln net.Listener) error {
 	return s.httpSrv.Serve(ln)
-}
-
-// ListenAndServe binds addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Shutdown drains and stops the server gracefully: mark unhealthy, stop

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -18,6 +19,7 @@ import (
 	"github.com/graphstream/gsketch/internal/stream"
 	"github.com/graphstream/gsketch/internal/tenant"
 	"github.com/graphstream/gsketch/internal/window"
+	"github.com/graphstream/gsketch/internal/wire"
 )
 
 // gateEstimator blocks UpdateBatch on a gate so queue-full states are
@@ -419,5 +421,102 @@ func TestNewNeedsExactlyOneBackend(t *testing.T) {
 				t.Errorf("error %q names a field Config does not have", err)
 			}
 		})
+	}
+}
+
+// TestSyncParamDrainsOnlyWhenTrue is the ?sync= table over the three
+// routes that read it: a value strconv.ParseBool reads as true drains the
+// pipeline before the reply, an absent or false one does not, and any
+// other is a 400 naming the parameter that ingests nothing. The pipeline
+// holds a partial batch until something flushes it, so the edges the
+// estimator has applied after the request say whether it drained.
+func TestSyncParamDrainsOnlyWhenTrue(t *testing.T) {
+	edges := testStream(8, 5)
+	ndjson := ndjsonBody(edges).Bytes()
+	wireIngest := wire.AppendIngest(nil, edges)
+	routes := []struct {
+		name, path, ctype string
+		body              []byte
+		// preload is ingested without sync before the request, for a route
+		// that does not ingest itself.
+		preload bool
+	}{
+		{"ndjson ingest", "/ingest", "application/x-ndjson", ndjson, false},
+		{"wire ingest", "/ingest", wire.ContentType, wireIngest, false},
+		{"wire query", "/query", wire.ContentType, wire.AppendQuery(nil, []core.EdgeQuery{{Src: 1, Dst: 2}}), true},
+	}
+	values := []struct {
+		query string
+		drain bool
+		bad   bool
+	}{
+		{"", false, false},
+		{"?sync=", false, false},
+		{"?sync=0", false, false},
+		{"?sync=false", false, false},
+		{"?sync=F", false, false},
+		{"?sync=1", true, false},
+		{"?sync=true", true, false},
+		{"?sync=TRUE", true, false},
+		{"?sync=yes", false, true},
+		{"?sync=2", false, true},
+		{"?sync=on", false, true},
+	}
+	post := func(h http.Handler, target, ctype string, body []byte) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, target, bytes.NewReader(body))
+		req.Header.Set("Content-Type", ctype)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	for _, rt := range routes {
+		for _, v := range values {
+			t.Run(rt.name+"/"+v.query, func(t *testing.T) {
+				dest := &gateEstimator{gate: make(chan struct{})}
+				close(dest.gate)
+				srv, err := New(Config{Engine: testEngine(t, dest,
+					gsketch.WithIngest(ingest.Config{Workers: 1, BatchSize: 1024}))})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Close() })
+				h := srv.Handler()
+				if rt.preload {
+					if rec := post(h, "/ingest", "application/x-ndjson", ndjson); rec.Code != http.StatusOK {
+						t.Fatalf("preload: %d %s", rec.Code, rec.Body)
+					}
+				}
+				rec := post(h, rt.path+v.query, rt.ctype, rt.body)
+				if v.bad {
+					if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "sync") {
+						t.Fatalf("%d %q, want 400 naming sync", rec.Code, rec.Body)
+					}
+					if rt.ctype == wire.ContentType {
+						f, err := wire.NewDecoder(rec.Body).Next()
+						if err != nil || f.Type != wire.TypeError {
+							t.Fatalf("reply frame type 0x%02x err %v, want an error frame", f.Type, err)
+						}
+					}
+				} else if rec.Code != http.StatusOK {
+					t.Fatalf("%d %q, want 200", rec.Code, rec.Body)
+				}
+				want := int64(0)
+				if v.drain {
+					want = int64(len(edges))
+				}
+				if got := dest.Count(); got != want {
+					t.Fatalf("%d edges applied after the request, want %d", got, want)
+				}
+				if v.bad && !rt.preload {
+					// Nothing pending either: the refused request took no edge.
+					if rec := post(h, "/ingest?sync=1", "application/x-ndjson", nil); rec.Code != http.StatusOK {
+						t.Fatalf("flush: %d %s", rec.Code, rec.Body)
+					}
+					if got := dest.Count(); got != 0 {
+						t.Fatalf("%d edges applied after a flush, want 0", got)
+					}
+				}
+			})
+		}
 	}
 }

@@ -136,16 +136,6 @@ func (s *Server) ServeWire(ln net.Listener) error {
 	}
 }
 
-// ListenAndServeWire binds addr and serves the wire protocol until
-// Shutdown.
-func (s *Server) ListenAndServeWire(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.ServeWire(ln)
-}
-
 // closeWire stops the wire listeners and connections during Shutdown.
 func (s *Server) closeWire() {
 	s.wireMu.Lock()
@@ -503,6 +493,19 @@ func isWireRequest(r *http.Request) bool {
 	return strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType)
 }
 
+// wireSyncParam is syncParam for a wire-framed request, answering a value
+// it cannot read with a 400 error frame; ok is false when it has.
+func (s *Server) wireSyncParam(w http.ResponseWriter, r *http.Request) (drain, ok bool) {
+	drain, err := syncParam(r)
+	if err != nil {
+		out := getFrameBuf()
+		s.writeWireFrame(w, http.StatusBadRequest, wire.AppendError((*out)[:0], wire.CodeBadFrame, err.Error()))
+		putFrameBuf(out)
+		return false, false
+	}
+	return drain, true
+}
+
 // writeWireFrame writes one reply frame as an HTTP response body.
 func (s *Server) writeWireFrame(w http.ResponseWriter, code int, frame []byte) {
 	w.Header().Set("Content-Type", wire.ContentType)
@@ -519,6 +522,10 @@ func (s *Server) writeWireFrame(w http.ResponseWriter, code int, frame []byte) {
 // the NDJSON path). Unlike a wire connection, the handler queues: it
 // cannot reply and then fold.
 func (s *Server) handleWireIngestHTTP(w http.ResponseWriter, r *http.Request, be Backend) {
+	drain, ok := s.wireSyncParam(w, r)
+	if !ok {
+		return
+	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	buf := getEdgeBuf()
 	defer putEdgeBuf(buf)
@@ -553,7 +560,7 @@ func (s *Server) handleWireIngestHTTP(w http.ResponseWriter, r *http.Request, be
 		s.writeWireFrame(w, http.StatusInternalServerError, wire.AppendError((*out)[:0], wire.CodeInternal, err.Error()))
 		return
 	}
-	if r.URL.Query().Get("sync") != "" {
+	if drain {
 		if err := s.drainBounded(r, be); err != nil {
 			s.writeWireFrame(w, http.StatusServiceUnavailable, wire.AppendError((*out)[:0], wire.CodeInternal, err.Error()))
 			return
@@ -567,6 +574,10 @@ func (s *Server) handleWireIngestHTTP(w http.ResponseWriter, r *http.Request, be
 // batched pass and returned as a single TypeResults frame. ?sync=1 drains
 // the pipeline first, like the JSON body's "sync" field.
 func (s *Server) handleWireQueryHTTP(w http.ResponseWriter, r *http.Request, be Backend) {
+	drain, ok := s.wireSyncParam(w, r)
+	if !ok {
+		return
+	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	buf := getQueryBuf()
 	defer putQueryBuf(buf)
@@ -582,7 +593,7 @@ func (s *Server) handleWireQueryHTTP(w http.ResponseWriter, r *http.Request, be 
 		s.writeWireFrame(w, http.StatusBadRequest, wire.AppendError((*out)[:0], wire.CodeBadFrame, "query: empty batch"))
 		return
 	}
-	if r.URL.Query().Get("sync") != "" {
+	if drain {
 		if err := s.drainBounded(r, be); err != nil {
 			s.writeWireFrame(w, http.StatusServiceUnavailable, wire.AppendError((*out)[:0], wire.CodeInternal, err.Error()))
 			return
