@@ -349,17 +349,17 @@ func ingestBenchSketch(b *testing.B, edges []stream.Edge) *core.GSketch {
 	return g
 }
 
-// seedSketch replicates the seed's per-edge ingest structure exactly: a
-// map[uint64]int32 vertex router in front of per-partition CountMin
-// sketches, one interface dispatch per edge. Wrapped in NewConcurrent it
-// takes the generic single-RWMutex path (it is not a *GSketch), so the
-// pair reproduces the pre-refactor Concurrent.Update hot path that the
-// acceptance speedup is measured against.
+// seedSketch replicates the seed's per-edge ingest structure: a
+// map[uint64]int32 vertex router in front of separately allocated
+// per-partition CountMin sketches, one map probe per edge. Wrapped in
+// NewConcurrent it takes the generic single-RWMutex path (it is not a
+// *GSketch), so the pair reproduces the pre-refactor Concurrent.Update hot
+// path that the acceptance speedup is measured against.
 type seedSketch struct {
 	router       map[uint64]int32
-	parts        []sketch.Synopsis
+	parts        []*sketch.CountMin
 	widths       []int
-	outlier      sketch.Synopsis
+	outlier      *sketch.CountMin
 	outlierWidth int
 	total        int64
 }
@@ -857,8 +857,8 @@ func BenchmarkAblationOutlierFraction(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBaseSynopsis runs gSketch over CountMin (plain and
-// conservative) and CountSketch.
+// BenchmarkAblationBaseSynopsis runs gSketch over plain and
+// conservative-update CountMin.
 func BenchmarkAblationBaseSynopsis(b *testing.B) {
 	reg := harness().Reg
 	ds, err := reg.RMAT()
@@ -872,10 +872,6 @@ func BenchmarkAblationBaseSynopsis(b *testing.B) {
 	}{
 		{"countmin", core.Config{TotalBytes: ds.FixedMemory, Seed: ds.Seed}},
 		{"countmin-conservative", core.Config{TotalBytes: ds.FixedMemory, Seed: ds.Seed, Conservative: true}},
-		{"countsketch", core.Config{TotalBytes: ds.FixedMemory, Seed: ds.Seed,
-			Factory: func(w, d int, seed uint64) (sketch.Synopsis, error) {
-				return sketch.NewCountSketch(w, d, seed)
-			}}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

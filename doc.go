@@ -114,10 +114,11 @@
 //
 // The ingest hot path is batched end to end. Estimator.UpdateBatch routes
 // a whole slice of edges at once — one pass over the flat vertex→partition
-// router groups the batch by destination partition, then each partition's
-// synopsis absorbs its group in a single call. Within a partition the
-// stream order is preserved, so batched counters are byte-identical to
-// per-edge Update. Engine.Ingest and Populate use this path.
+// router groups the batch by destination partition, then the bank holding
+// every partition's CountMin absorbs the grouped batch in one kernel call.
+// Within a partition the stream order is preserved, so batched counters are
+// byte-identical to per-edge Update. Engine.Ingest and Populate use this
+// path.
 //
 // Every engine serves its estimator through a Concurrent wrapper: because
 // the router is immutable after construction, each partition (plus the
@@ -317,7 +318,7 @@
 // wire ingest path's allocs-per-edge guard.
 //
 // The package front-loads the most common operations; the full machinery
-// (partitioning internals, synopses, generators, the experiment harness)
+// (partitioning internals, sketches, generators, the experiment harness)
 // lives in the internal packages and is documented in their package
 // comments.
 package gsketch

@@ -114,10 +114,7 @@ func foldExact(segs []*Segment) (*core.GSketch, error) {
 			return nil, nil
 		}
 		if !private {
-			if base, err = base.Clone(); err != nil {
-				return nil, err
-			}
-			private = true
+			base, private = base.Clone(), true
 		}
 		if err := base.MergeFrom(g); err != nil {
 			return nil, fmt.Errorf("compact: exact merge of segment %d: %w", i+1, err)

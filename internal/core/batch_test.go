@@ -207,32 +207,55 @@ func TestSerializeRoundTripBatchPopulated(t *testing.T) {
 	}
 }
 
-// TestUpdateBatchWithExactFactory runs the batch paths over the Exact
-// synopsis, giving a zero-error cross-check of routing and totals.
-func TestUpdateBatchWithExactFactory(t *testing.T) {
-	edges := batchTestStream(30_000, 29)
-	sample := batchTestStream(4000, 129)
-	cfg := Config{
-		TotalWidth: 4096,
-		Seed:       29,
-		Factory: func(w, d int, seed uint64) (sketch.Synopsis, error) {
-			return sketch.NewExact(), nil
-		},
-	}
-	g, err := BuildGSketch(cfg, sample, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	Populate(g, edges)
-
+// assertCountedLike cross-checks g, which absorbed edges through any mix of
+// batch paths and writer goroutines, against the truth and against ref, a
+// sketch of g's layout fed the same edges by per-edge Update on one
+// goroutine:
+//   - Count is the truth total;
+//   - every shard's volume N_i is the truth volume of the edges whose source
+//     routes to it, so no arrival is lost, doubled or misrouted;
+//   - every estimate is at least the edge's true frequency;
+//   - the snapshot bytes equal ref's. Plain saturating adds commute, so no
+//     batching, run folding or writer interleaving can change a cell.
+func assertCountedLike(t *testing.T, g, ref *GSketch, edges []stream.Edge) {
+	t.Helper()
 	truth := stream.NewExactCounter()
 	truth.ObserveAll(edges)
 	if g.Count() != truth.Total() {
 		t.Fatalf("Count %d, want %d", g.Count(), truth.Total())
 	}
-	for _, e := range edges[:3000] {
-		if got, want := g.EstimateEdge(e.Src, e.Dst), truth.EdgeFrequency(e.Src, e.Dst); got != want {
-			t.Fatalf("exact-factory estimate (%d,%d) = %d, want %d", e.Src, e.Dst, got, want)
+	vol := make([]int64, g.NumShards())
+	for _, e := range edges {
+		shard := g.Route(e.Src)
+		vol[shard] = sketch.AddVolume(vol[shard], e.Increment())
+	}
+	for shard, want := range vol {
+		if got := g.bank.Count(shard); got != want {
+			t.Fatalf("%s: volume %d, want %d", g.shardName(shard), got, want)
 		}
 	}
+	truth.RangeEdges(func(src, dst uint64, f int64) bool {
+		if got := g.EstimateEdge(src, dst); got < f {
+			t.Fatalf("estimate (%d,%d) = %d, below the true %d", src, dst, got, f)
+		}
+		return true
+	})
+	for _, e := range edges {
+		ref.Update(e)
+	}
+	if !bytes.Equal(serializeGSketch(t, g), serializeGSketch(t, ref)) {
+		t.Fatal("counters differ from one-goroutine per-edge Update of the same edges")
+	}
+}
+
+// TestUpdateBatchCrossCheck runs the batch path over a partitioned sketch
+// with an outlier shard and cross-checks every arrival's routing and count.
+func TestUpdateBatchCrossCheck(t *testing.T) {
+	edges := batchTestStream(30_000, 29)
+	g, ref := buildBatchTestSketch(t, 29), buildBatchTestSketch(t, 29)
+	if g.NumPartitions() < 2 || g.OutlierWidth() == 0 {
+		t.Fatalf("%d partitions, outlier width %d: want several and an outlier", g.NumPartitions(), g.OutlierWidth())
+	}
+	Populate(g, edges)
+	assertCountedLike(t, g, ref, edges)
 }

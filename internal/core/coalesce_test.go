@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -14,15 +13,41 @@ import (
 )
 
 // foldModes are the update modes a run is folded under: the bank's plain and
-// conservative kernels, and a caller's factory — sketch.Exact, which counts
-// without collisions, so an arrival folded into the wrong key would show.
+// conservative kernels at the fixture's 8 columns a shard, and the plain
+// kernel at wideShard columns, where the fixtures' few keys per shard do not
+// collide — so every estimate is the key's exact count, and an arrival
+// folded into the wrong key would show in the answers as well as the cells.
 var foldModes = []struct {
-	name string
-	cfg  Config
+	name  string
+	cfg   Config
+	width int
 }{
-	{"plain", Config{}},
-	{"conservative", Config{Conservative: true}},
-	{"exact", Config{Factory: func(int, int, uint64) (sketch.Synopsis, error) { return sketch.NewExact(), nil }}},
+	{"plain", Config{}, 8},
+	{"conservative", Config{Conservative: true}, 8},
+	{"wide", Config{}, wideShard},
+}
+
+// wideShard is the "wide" fold mode's shard width.
+const wideShard = 1024
+
+// assertExactCounts checks the "wide" mode's precondition on a sketch fed
+// edges: every edge's estimate, read straight from its shard's CountMin (no
+// routed-read hit), is its exact count — the saturating sum of its
+// increments, capped at a cell's 2³²−1. A fixture whose keys start to
+// collide fails here rather than pass the comparisons weakly.
+func assertExactCounts(tb testing.TB, g *GSketch, edges []stream.Edge) {
+	tb.Helper()
+	truth := make(map[[2]uint64]int64)
+	for _, e := range edges {
+		k := [2]uint64{e.Src, e.Dst}
+		truth[k] = sketch.AddVolume(truth[k], e.Increment())
+	}
+	for k, n := range truth {
+		got := g.bank.Sketch(g.Route(k[0])).Estimate(stream.EdgeKey(k[0], k[1]))
+		if want := min(n, math.MaxUint32); got != want {
+			tb.Fatalf("edge %v: estimate %d, exact count %d: the fixture's keys collide", k, got, want)
+		}
+	}
 }
 
 // foldRuns is the reference coalescing: one edge per maximal run of adjacent
@@ -58,47 +83,38 @@ func runStream(n int, seed uint64, weights []int64) []stream.Edge {
 	return edges
 }
 
-// sketchState is g's counters as bytes: its snapshot, or — a factory-built
-// sketch does not serialize — every shard's exact counts in key order.
+// sketchState is g's counters as bytes: its snapshot.
 func sketchState(tb testing.TB, g *GSketch) []byte {
 	tb.Helper()
-	if g.bank != nil {
-		var buf bytes.Buffer
-		if _, err := g.WriteTo(&buf); err != nil {
-			tb.Fatal(err)
-		}
-		return buf.Bytes()
+	var buf bytes.Buffer
+	if _, err := g.WriteTo(&buf); err != nil {
+		tb.Fatal(err)
 	}
-	var out []byte
-	for shard, syn := range g.syns {
-		var kv [][2]uint64
-		syn.(*sketch.Exact).Range(func(k uint64, c int64) bool {
-			kv = append(kv, [2]uint64{k, uint64(c)})
-			return true
-		})
-		slices.SortFunc(kv, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
-		out = fmt.Appendf(out, "shard %d N=%d %v\n", shard, syn.Count(), kv)
-	}
-	return out
+	return buf.Bytes()
 }
 
 // assertRunsFoldExactly feeds edges per edge with Update, in stream order, to
 // one sketch, and cut into consecutive batches of the sizes in cuts (cycled)
-// through UpdateBatch to a bare and a Concurrent sketch of the same layout.
-// All three must hold the same counters, stream total and routed-write
-// counts — every arrival counted — and answer one query batch alike.
-func assertRunsFoldExactly(t *testing.T, shards int, outlier bool, cfg Config, edges []stream.Edge, cuts ...int) {
+// through UpdateBatch to a bare and a Concurrent sketch of the same layout,
+// shards width columns wide. All three must hold the same counters, stream
+// total and routed-write counts — every arrival counted — and answer one
+// query batch alike. At wideShard the per-edge reference must count every
+// edge exactly.
+func assertRunsFoldExactly(t *testing.T, shards int, outlier bool, cfg Config, width int, edges []stream.Edge, cuts ...int) {
 	t.Helper()
-	seq := groupedSketchWith(t, shards, outlier, cfg)
+	seq := groupedSketchWith(t, shards, outlier, cfg, width)
 	for _, e := range edges {
 		seq.Update(e)
+	}
+	if width >= wideShard {
+		assertExactCounts(t, seq, edges)
 	}
 	qs := batchQueries(edges, 64)
 	want := seq.EstimateBatch(qs)
 	wantState := sketchState(t, seq)
 
-	bare := groupedSketchWith(t, shards, outlier, cfg)
-	conc := NewConcurrent(groupedSketchWith(t, shards, outlier, cfg))
+	bare := groupedSketchWith(t, shards, outlier, cfg, width)
+	conc := NewConcurrent(groupedSketchWith(t, shards, outlier, cfg, width))
 	for _, est := range []Estimator{bare, conc} {
 		rest := edges
 		for i := 0; len(rest) > 0; i++ {
@@ -181,7 +197,7 @@ func TestUpdateBatchFoldsRuns(t *testing.T) {
 			}{{3, false}, {65, true}} {
 				name := fmt.Sprintf("%s/%s/shards=%d", mode.name, in.name, layout.shards)
 				t.Run(name, func(t *testing.T) {
-					assertRunsFoldExactly(t, layout.shards, layout.outlier, mode.cfg, in.edges, in.cuts...)
+					assertRunsFoldExactly(t, layout.shards, layout.outlier, mode.cfg, mode.width, in.edges, in.cuts...)
 				})
 			}
 		}
@@ -201,7 +217,7 @@ func TestSaturatedRunsPinVolume(t *testing.T) {
 		{{Src: 1, Dst: 2, Weight: big}, {Src: 1, Dst: 3, Weight: big}, {Src: 1, Dst: 2, Weight: big}, {Src: 1, Dst: 3, Weight: big}},
 	} {
 		for _, mode := range foldModes {
-			c := NewConcurrent(groupedSketchWith(t, 3, false, mode.cfg))
+			c := NewConcurrent(groupedSketchWith(t, 3, false, mode.cfg, mode.width))
 			c.UpdateBatch(edges)
 			if got := c.Count(); got != math.MaxInt64 {
 				t.Fatalf("%s: Count = %d, want MaxInt64", mode.name, got)
@@ -268,8 +284,8 @@ func FuzzUpdateBatchRuns(f *testing.F) {
 		}
 		for _, conservative := range []bool{false, true} {
 			cfg := Config{Conservative: conservative}
-			seq := groupedSketchWith(t, 4, true, cfg)
-			batch := groupedSketchWith(t, 4, true, cfg)
+			seq := groupedSketchWith(t, 4, true, cfg, 8)
+			batch := groupedSketchWith(t, 4, true, cfg, 8)
 			for _, e := range edges {
 				seq.Update(e)
 			}

@@ -79,7 +79,7 @@ func (c *Concurrent) Update(e stream.Edge) {
 	key := stream.EdgeKey(e.Src, e.Dst)
 	st := c.stripeOf(shard)
 	c.stripes[st].Lock()
-	c.g.shardSynopsis(shard).Update(key, w)
+	c.g.bank.Sketch(shard).Update(key, w)
 	c.stripes[st].Unlock()
 	c.g.addTotal(w)
 }
@@ -140,7 +140,7 @@ func (c *Concurrent) EstimateEdge(src, dst uint64) int64 {
 	key := stream.EdgeKey(src, dst)
 	st := c.stripeOf(shard)
 	c.stripes[st].RLock()
-	v := c.g.shardSynopsis(shard).Estimate(key)
+	v := c.g.bank.Sketch(shard).Estimate(key)
 	c.stripes[st].RUnlock()
 	return v
 }
@@ -162,20 +162,7 @@ func (c *Concurrent) MemoryBytes() int {
 		defer c.mu.RUnlock()
 		return c.est.MemoryBytes()
 	}
-	if c.g.bank != nil {
-		return c.g.MemoryBytes() // the arena's size is fixed: nothing to lock
-	}
-	// A caller's factory may build synopses that size dynamically, so read
-	// each under its stripe lock, one lock pair per stripe.
-	total := 0
-	for st := range c.stripes {
-		c.stripes[st].RLock()
-		for shard := st; shard < c.g.NumShards(); shard += len(c.stripes) {
-			total += c.g.shardSynopsis(shard).MemoryBytes()
-		}
-		c.stripes[st].RUnlock()
-	}
-	return total
+	return c.g.MemoryBytes() // the arena's size is fixed: nothing to lock
 }
 
 // NumShards reports the number of independent writer domains (1 on the

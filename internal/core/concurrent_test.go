@@ -5,42 +5,30 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/graphstream/gsketch/internal/sketch"
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
-// TestConcurrentManyWritersExactCrossCheck drives many writer goroutines
-// (mixing per-edge and batched pushes) plus concurrent readers through the
-// sharded Concurrent, with Exact-synopsis partitions so final estimates
-// must equal ground truth exactly. Run under -race this is the primary
-// data-race test for the sharded ingest path.
-func TestConcurrentManyWritersExactCrossCheck(t *testing.T) {
+// TestConcurrentManyWritersCrossCheck drives many writer goroutines (mixing
+// per-edge and batched pushes) plus concurrent readers through the sharded
+// Concurrent, then cross-checks the final state against the truth and a
+// one-goroutine per-edge reference (assertCountedLike). Run under -race
+// this is the primary data-race test for the sharded ingest path.
+func TestConcurrentManyWritersCrossCheck(t *testing.T) {
 	const (
 		writers       = 8
 		edgesPerWrite = 20_000
 	)
-	sample := batchTestStream(4000, 41)
-	cfg := Config{
-		TotalWidth: 4096,
-		Seed:       41,
-		Factory: func(w, d int, seed uint64) (sketch.Synopsis, error) {
-			return sketch.NewExact(), nil
-		},
-	}
-	g, err := BuildGSketch(cfg, sample, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, ref := buildBatchTestSketch(t, 41), buildBatchTestSketch(t, 41)
 	c := NewConcurrent(g)
 	if c.NumShards() < 2 {
 		t.Fatalf("sharded path not selected (%d shards)", c.NumShards())
 	}
 
 	streams := make([][]stream.Edge, writers)
-	truth := stream.NewExactCounter()
+	var all []stream.Edge
 	for w := range streams {
 		streams[w] = batchTestStream(edgesPerWrite, uint64(1000+w))
-		truth.ObserveAll(streams[w])
+		all = append(all, streams[w]...)
 	}
 
 	stop := make(chan struct{})
@@ -87,23 +75,7 @@ func TestConcurrentManyWritersExactCrossCheck(t *testing.T) {
 	writerWG.Wait()
 	close(stop)
 	readers.Wait()
-	if got, want := c.Count(), truth.Total(); got != want {
-		t.Fatalf("Count = %d, want %d", got, want)
-	}
-
-	// Exact partitions ⇒ estimates equal ground truth.
-	checked := 0
-	truth.RangeEdges(func(src, dst uint64, f int64) bool {
-		if got := c.EstimateEdge(src, dst); got != f {
-			t.Errorf("estimate (%d,%d) = %d, want %d", src, dst, got, f)
-			return false
-		}
-		checked++
-		return checked < 20_000
-	})
-	if checked == 0 {
-		t.Fatal("no edges cross-checked")
-	}
+	assertCountedLike(t, g, ref, all)
 }
 
 // TestConcurrentGenericFallback checks the single-lock path still guards

@@ -72,13 +72,11 @@ func (r Redistribution) String() string {
 	}
 }
 
-// SynopsisFactory constructs the base synopsis for one partition. It
-// exists so gSketch can run over CountMin (default), conservative-update
-// CountMin, or CountSketch — the paper notes any sketch method can serve
-// as the base (§3.2).
-type SynopsisFactory func(width, depth int, seed uint64) (sketch.Synopsis, error)
-
-// Config parameterizes construction of both GSketch and GlobalSketch.
+// Config parameterizes construction of both GSketch and GlobalSketch. Both
+// count in CountMin sketches — plain, or conservative-update with
+// Conservative — so every answer carries CountMin's one-sided guarantee:
+// never below the true frequency, and above it by at most e·N_i/w_i with
+// probability 1-e^-d (§3.2, Theorem 1).
 type Config struct {
 	// TotalBytes is the memory budget for counter cells. Exactly one of
 	// TotalBytes and TotalWidth must be positive.
@@ -102,14 +100,10 @@ type Config struct {
 	// MaxPartitions caps the number of localized sketches; 0 means
 	// unbounded (the tree then stops only via w0 / Theorem 1).
 	MaxPartitions int
-	// Conservative enables conservative update on CountMin partitions.
+	// Conservative enables conservative update on every CountMin sketch.
 	Conservative bool
 	// Redistribute selects the trimmed-width reallocation policy.
 	Redistribute Redistribution
-	// Factory overrides the base synopsis (default: CountMin honoring
-	// Conservative, all partitions in one sketch.Bank). A gSketch built
-	// with a Factory does not serialize.
-	Factory SynopsisFactory
 	// Seed fixes all hash families and makes construction deterministic.
 	Seed uint64
 }
@@ -131,11 +125,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// newSynopsis builds a GlobalSketch's base synopsis (default: CountMin).
-func (c Config) newSynopsis(width int) (sketch.Synopsis, error) {
-	if c.Factory != nil {
-		return c.Factory(width, c.Depth, c.Seed)
-	}
+// newSynopsis builds a GlobalSketch's CountMin.
+func (c Config) newSynopsis(width int) (*sketch.CountMin, error) {
 	cm, err := sketch.NewCountMin(width, c.Depth, c.Seed)
 	if err != nil {
 		return nil, err

@@ -79,7 +79,7 @@ func (g *GSketch) EstimateBatch(qs []EdgeQuery) []Result {
 }
 
 // EstimateBatch answers a batch of edge queries against the single global
-// sketch: edge keys are materialized once and the base synopsis is probed
+// sketch: edge keys are materialized once and the CountMin is probed
 // in one pass. Every Result carries the global e·N/w bound of Equation (1)
 // and NoPartition provenance. Unlike the write path, the key and value
 // buffers are per call, not reused fields: Concurrent's generic fallback

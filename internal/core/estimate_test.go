@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/graphstream/gsketch/internal/sketch"
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
@@ -73,24 +72,6 @@ func TestConcurrentEstimateBatchMatchesEstimateEdge(t *testing.T) {
 	cg := NewConcurrent(gl)
 	Populate(cg, edges)
 	assertBatchMatchesSequential(t, "concurrent-generic", cg, batchQueries(edges, 5_000))
-}
-
-func TestEstimateBatchWithCountSketchFactory(t *testing.T) {
-	edges := batchTestStream(30_000, 83)
-	sample := batchTestStream(4000, 183)
-	cfg := Config{
-		TotalWidth: 4096,
-		Seed:       83,
-		Factory: func(w, d int, seed uint64) (sketch.Synopsis, error) {
-			return sketch.NewCountSketch(w, d, seed)
-		},
-	}
-	g, err := BuildGSketch(cfg, sample, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	Populate(g, edges)
-	assertBatchMatchesSequential(t, "countsketch-base", g, batchQueries(edges, 5_000))
 }
 
 func TestEstimateBatchEmptyAndSingleton(t *testing.T) {

@@ -5,13 +5,12 @@ import (
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
-// GlobalSketch is the baseline of §3.2: a single CountMin sketch (or any
-// Synopsis via Config.Factory) over the entire graph stream, blind to
-// structure. Every edge hashes by its edge key l(x)⊕l(y); the relative
-// error of a frequency-f edge is proportional to N/(w·f), which is what
-// gSketch's partitioning attacks.
+// GlobalSketch is the baseline of §3.2: a single CountMin sketch over the
+// entire graph stream, blind to structure. Every edge hashes by its edge key
+// l(x)⊕l(y); the relative error of a frequency-f edge is proportional to
+// N/(w·f), which is what gSketch's partitioning attacks.
 type GlobalSketch struct {
-	syn   sketch.Synopsis
+	syn   *sketch.CountMin
 	depth int
 	width int
 	total int64
@@ -52,7 +51,7 @@ func (g *GlobalSketch) Update(e stream.Edge) {
 }
 
 // UpdateBatch folds a batch of edge arrivals: edge keys and weights are
-// materialized once into reusable buffers, then the base synopsis absorbs
+// materialized once into reusable buffers, then the CountMin absorbs
 // them in a single UpdateBatch call. State is identical to sequential
 // Update in slice order.
 func (g *GlobalSketch) UpdateBatch(edges []stream.Edge) {

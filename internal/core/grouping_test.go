@@ -16,24 +16,21 @@ import (
 // (the outlier sketch, if any, is the last), which no sample steers the
 // partitioner to on demand. Vertices 0..3·parts-1 are routed round-robin —
 // vertex 0 included, the router's out-of-line key — and everything above
-// falls through to the outlier shard (or partition 0 without one). Built
-// with the default factory, so the shards are one sketch bank and the tests
-// over it — the 257-shard TestConcurrentWritersBesideReader among them —
-// drive the routed kernels under the stripe locks.
+// falls through to the outlier shard (or partition 0 without one). Every
+// shard is 8 columns wide, so the tests over it — the 257-shard
+// TestConcurrentWritersBesideReader among them — drive the bank's routed
+// kernels under the stripe locks on colliding cells.
 func groupedSketch(tb testing.TB, shards int, outlier bool) *GSketch {
 	tb.Helper()
-	g := groupedSketchWith(tb, shards, outlier, Config{})
-	if g.bank == nil {
-		tb.Fatal("no bank behind the default factory")
-	}
-	return g
+	return groupedSketchWith(tb, shards, outlier, Config{}, 8)
 }
 
-// groupedSketchWith is groupedSketch in cfg's update mode: its Conservative
-// and Factory fields are kept, the dimensions and seed are the fixture's.
-func groupedSketchWith(tb testing.TB, shards int, outlier bool, cfg Config) *GSketch {
+// groupedSketchWith is groupedSketch in cfg's update mode with shards width
+// columns wide: cfg's Conservative field is kept, the other dimensions and
+// the seed are the fixture's.
+func groupedSketchWith(tb testing.TB, shards int, outlier bool, cfg Config, width int) *GSketch {
 	tb.Helper()
-	const width, depth = 8, 2
+	const depth = 2
 	parts := shards
 	if outlier {
 		parts--

@@ -57,15 +57,13 @@ func Populate(est Estimator, edges []stream.Edge) {
 // sketch for vertices outside the sample. Build it with BuildGSketch; it is
 // not safe for concurrent mutation (see Concurrent for a locking wrapper).
 //
-// The localized sketches — one shard per partition, the outlier shard last
-// — live in one sketch.Bank, which the batch paths drive with one kernel
-// call per run of routed positions. Only a sketch built with a
-// caller-supplied Config.Factory holds separately allocated synopses
-// (syns), and its batches make one Synopsis call per touched shard.
+// The localized sketches — one CountMin shard per partition, the outlier
+// shard last — live in one sketch.Bank, the sketch's only counter store:
+// the batch paths drive it with one kernel call per run of routed
+// positions, and single-edge calls go to its per-shard CountMin view.
 type GSketch struct {
 	cfg    Config
-	bank   *sketch.Bank      // nil exactly when cfg.Factory is set
-	syns   []sketch.Synopsis // per shard, for a caller-supplied Factory
+	bank   *sketch.Bank
 	router *Router
 	leaves []Leaf
 	order  vstats.SortOrder
@@ -190,20 +188,9 @@ func (g *GSketch) allocShards() error {
 		widths[n-1], seeds[n-1] = g.outlierWidth, hashutil.Mix64(g.cfg.Seed^0xa11ce5)
 	}
 	g.initRouteStats()
-	if g.cfg.Factory == nil {
-		var err error
-		g.bank, err = sketch.NewBank(widths, g.cfg.Depth, seeds, g.cfg.Conservative)
-		return err
-	}
-	g.syns = make([]sketch.Synopsis, n)
-	for i := range g.syns {
-		s, err := g.cfg.Factory(widths[i], g.cfg.Depth, seeds[i])
-		if err != nil {
-			return fmt.Errorf("core: shard %d: %w", i, err)
-		}
-		g.syns[i] = s
-	}
-	return nil
+	var err error
+	g.bank, err = sketch.NewBank(widths, g.cfg.Depth, seeds, g.cfg.Conservative)
+	return err
 }
 
 // NumShards returns the number of independent update domains: one per
@@ -235,23 +222,6 @@ func (g *GSketch) routeMixed(mixed, src uint64) int {
 	return 0
 }
 
-// shardWidth returns the column count of the synopsis backing one shard.
-func (g *GSketch) shardWidth(shard int) int {
-	if shard == len(g.leaves) {
-		return g.outlierWidth
-	}
-	return g.leaves[shard].Width
-}
-
-// shardSynopsis returns the synopsis backing one shard (the bank's view of
-// it, or the factory's), for single-edge calls and per-partition work.
-func (g *GSketch) shardSynopsis(shard int) sketch.Synopsis {
-	if g.bank != nil {
-		return g.bank.Sketch(shard)
-	}
-	return g.syns[shard]
-}
-
 // addTotal folds stream volume into the atomic total, saturating at
 // MaxInt64, for every writer: Concurrent applies counter updates
 // shard-by-shard from several goroutines, so the sum is a CAS loop rather
@@ -271,7 +241,7 @@ func (g *GSketch) Update(e stream.Edge) {
 	g.addTotal(w)
 	shard := g.Route(e.Src)
 	g.writeHits[shard].Add(1)
-	g.shardSynopsis(shard).Update(stream.EdgeKey(e.Src, e.Dst), w)
+	g.bank.Sketch(shard).Update(stream.EdgeKey(e.Src, e.Dst), w)
 }
 
 // batchScratch returns the sketch's own grouping, allocating it on first
@@ -306,7 +276,7 @@ func (g *GSketch) UpdateBatch(edges []stream.Edge) {
 func (g *GSketch) EstimateEdge(src, dst uint64) int64 {
 	shard := g.Route(src)
 	g.readHits[shard].Add(1)
-	return g.shardSynopsis(shard).Estimate(stream.EdgeKey(src, dst))
+	return g.bank.Sketch(shard).Estimate(stream.EdgeKey(src, dst))
 }
 
 // Count returns the total stream volume folded in.
@@ -314,16 +284,7 @@ func (g *GSketch) Count() int64 { return g.total.Load() }
 
 // MemoryBytes reports the summed counter footprint of all partitions and
 // the outlier sketch. The router is reported separately by RouterBytes.
-func (g *GSketch) MemoryBytes() int {
-	if g.bank != nil {
-		return g.bank.MemoryBytes()
-	}
-	total := 0
-	for _, s := range g.syns {
-		total += s.MemoryBytes()
-	}
-	return total
-}
+func (g *GSketch) MemoryBytes() int { return g.bank.MemoryBytes() }
 
 // RouterBytes reports the exact footprint of the vertex→partition table H:
 // allocated capacity × 12-byte slot (8-byte key + 4-byte value). The paper
@@ -356,7 +317,7 @@ func (g *GSketch) OutlierCount() int64 {
 	if g.outlierWidth == 0 {
 		return 0
 	}
-	return g.shardSynopsis(len(g.leaves)).Count()
+	return g.bank.Count(len(g.leaves))
 }
 
 // OutlierWidth returns the column count of the outlier sketch (0 when
@@ -369,7 +330,7 @@ func (g *GSketch) OutlierWidth() int { return g.outlierWidth }
 // partitions is known in advance of query processing").
 func (g *GSketch) ErrorBound(src uint64) float64 {
 	shard := g.Route(src)
-	return errorBound(g.shardSynopsis(shard).Count(), g.shardWidth(shard))
+	return errorBound(g.bank.Count(shard), g.bank.Width(shard))
 }
 
 // Depth returns the shared sketch depth d.

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"github.com/graphstream/gsketch/internal/hashutil"
-	"github.com/graphstream/gsketch/internal/sketch"
 	"github.com/graphstream/gsketch/internal/stream"
 	"github.com/graphstream/gsketch/internal/vstats"
 )
@@ -179,38 +178,6 @@ func TestGSketchConfigValidation(t *testing.T) {
 	// Budget too small to fit outlier + partitions.
 	if _, err := BuildGSketch(Config{TotalWidth: 1}, sample, nil); err == nil {
 		t.Error("width 1 with outlier accepted")
-	}
-}
-
-func TestGSketchCountSketchFactory(t *testing.T) {
-	cfg := Config{
-		TotalBytes: 64 << 10,
-		Seed:       5,
-		Factory: func(w, d int, seed uint64) (sketch.Synopsis, error) {
-			return sketch.NewCountSketch(w, d, seed)
-		},
-	}
-	edges := testStream(5000, 9)
-	g, err := BuildGSketch(cfg, edges[:500], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	Populate(g, edges)
-	exact := stream.NewExactCounter()
-	exact.ObserveAll(edges)
-	// CountSketch is two-sided; just check the estimator is in the right
-	// ballpark on a heavy edge.
-	var heavySrc, heavyDst uint64
-	var heavyF int64
-	exact.RangeEdges(func(s, d uint64, f int64) bool {
-		if f > heavyF {
-			heavySrc, heavyDst, heavyF = s, d, f
-		}
-		return true
-	})
-	est := g.EstimateEdge(heavySrc, heavyDst)
-	if est < heavyF/2 || est > heavyF*2 {
-		t.Errorf("CountSketch-backed estimate %d far from truth %d", est, heavyF)
 	}
 }
 

@@ -23,8 +23,8 @@ var ErrIncompatibleMerge = fmt.Errorf("core: gSketch layouts are not counter-mer
 
 // CanMerge reports whether other's counters can be folded into g cell-wise:
 // same depth, same partition layout (leaf widths and router contents), same
-// outlier width, and CountMin synopses with identical hash seeds on both
-// sides. A nil error means MergeFrom will succeed.
+// outlier width, and plain CountMin shards with identical hash seeds on
+// both sides. A nil error means MergeFrom will succeed.
 func (g *GSketch) CanMerge(other *GSketch) error {
 	if g.cfg.Depth != other.cfg.Depth {
 		return fmt.Errorf("%w: depth %d vs %d", ErrIncompatibleMerge, g.cfg.Depth, other.cfg.Depth)
@@ -36,7 +36,7 @@ func (g *GSketch) CanMerge(other *GSketch) error {
 		return fmt.Errorf("%w: outlier width %d vs %d", ErrIncompatibleMerge, g.outlierWidth, other.outlierWidth)
 	}
 	for shard := 0; shard < g.NumShards(); shard++ {
-		if _, _, err := mergeablePair(g.shardSynopsis(shard), other.shardSynopsis(shard)); err != nil {
+		if err := mergeablePair(g.bank.Sketch(shard), other.bank.Sketch(shard)); err != nil {
 			return fmt.Errorf("%w: %s: %v", ErrIncompatibleMerge, g.shardName(shard), err)
 		}
 	}
@@ -66,25 +66,17 @@ func (g *GSketch) shardName(shard int) string {
 	return fmt.Sprintf("partition %d", shard)
 }
 
-// mergeablePair checks one synopsis pair is CountMin-backed with identical
-// dimensions and seed — the preconditions of sketch.CountMin.Merge.
-func mergeablePair(a, b sketch.Synopsis) (*sketch.CountMin, *sketch.CountMin, error) {
-	ca, ok := a.(*sketch.CountMin)
-	if !ok {
-		return nil, nil, fmt.Errorf("synopsis %T is not CountMin", a)
+// mergeablePair checks one shard pair has identical dimensions and seed
+// and plain updates — the preconditions of sketch.CountMin.Merge.
+func mergeablePair(a, b *sketch.CountMin) error {
+	if a.Width() != b.Width() || a.Depth() != b.Depth() || a.Seed() != b.Seed() {
+		return fmt.Errorf("hash families differ (%dx%d seed %d vs %dx%d seed %d)",
+			a.Depth(), a.Width(), a.Seed(), b.Depth(), b.Width(), b.Seed())
 	}
-	cb, ok := b.(*sketch.CountMin)
-	if !ok {
-		return nil, nil, fmt.Errorf("synopsis %T is not CountMin", b)
+	if a.Conservative() || b.Conservative() {
+		return fmt.Errorf("conservative-update sketches are not mergeable")
 	}
-	if ca.Width() != cb.Width() || ca.Depth() != cb.Depth() || ca.Seed() != cb.Seed() {
-		return nil, nil, fmt.Errorf("hash families differ (%dx%d seed %d vs %dx%d seed %d)",
-			ca.Depth(), ca.Width(), ca.Seed(), cb.Depth(), cb.Width(), cb.Seed())
-	}
-	if ca.Conservative() || cb.Conservative() {
-		return nil, nil, fmt.Errorf("conservative-update sketches are not mergeable")
-	}
-	return ca, cb, nil
+	return nil
 }
 
 // MergeFrom folds other's counters into g cell-wise. On success g answers
@@ -97,11 +89,7 @@ func (g *GSketch) MergeFrom(other *GSketch) error {
 		return err
 	}
 	for shard := 0; shard < g.NumShards(); shard++ {
-		ca, cb, err := mergeablePair(g.shardSynopsis(shard), other.shardSynopsis(shard))
-		if err != nil {
-			return fmt.Errorf("%w: %s: %v", ErrIncompatibleMerge, g.shardName(shard), err)
-		}
-		if err := ca.Merge(cb); err != nil {
+		if err := g.bank.Sketch(shard).Merge(other.bank.Sketch(shard)); err != nil {
 			return fmt.Errorf("core: merge %s: %w", g.shardName(shard), err)
 		}
 	}

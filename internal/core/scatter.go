@@ -249,19 +249,12 @@ func (gr *grouping) routeQueries(g *GSketch, qs []EdgeQuery) {
 	gr.release()
 }
 
-// update folds the span of groups [j0, j1) into their shards: one bank kernel
-// call over the run's positions, or one Synopsis call per group of a
-// factory-built sketch. The caller owns locking and total-volume accounting.
+// update folds the span of groups [j0, j1) into their shards in one bank
+// kernel call over the span's positions. The caller owns locking and
+// total-volume accounting.
 func (gr *grouping) update(g *GSketch, j0, j1 int) {
-	if g.bank != nil {
-		lo, hi := gr.off[j0], gr.off[j1]
-		g.bank.UpdateRouted(gr.gshard[lo:hi], gr.gkeys[lo:hi], gr.gvals[lo:hi])
-		return
-	}
-	for j := j0; j < j1; j++ {
-		lo, hi := gr.off[j], gr.off[j+1]
-		g.syns[gr.touched[j]].UpdateBatch(gr.gkeys[lo:hi], gr.gvals[lo:hi])
-	}
+	lo, hi := gr.off[j0], gr.off[j1]
+	g.bank.UpdateRouted(gr.gshard[lo:hi], gr.gkeys[lo:hi], gr.gvals[lo:hi])
 }
 
 // estimate answers the span of groups [j0, j1) and records each touched
@@ -269,20 +262,10 @@ func (gr *grouping) update(g *GSketch, j0, j1 int) {
 // the pair is one consistent snapshot. The caller owns synchronization;
 // assemble runs lock-free afterwards.
 func (gr *grouping) estimate(g *GSketch, j0, j1 int) {
-	if g.bank != nil {
-		lo, hi := gr.off[j0], gr.off[j1]
-		g.bank.EstimateRouted(gr.gshard[lo:hi], gr.gkeys[lo:hi], gr.gvals[lo:hi])
-		for _, shard := range gr.touched[j0:j1] {
-			gr.bound[shard] = errorBound(g.bank.Count(int(shard)), g.bank.Width(int(shard)))
-		}
-		return
-	}
-	for j := j0; j < j1; j++ {
-		lo, hi := gr.off[j], gr.off[j+1]
-		shard := int(gr.touched[j])
-		syn := g.syns[shard]
-		syn.EstimateBatch(gr.gkeys[lo:hi], gr.gvals[lo:hi])
-		gr.bound[shard] = errorBound(syn.Count(), g.shardWidth(shard))
+	lo, hi := gr.off[j0], gr.off[j1]
+	g.bank.EstimateRouted(gr.gshard[lo:hi], gr.gkeys[lo:hi], gr.gvals[lo:hi])
+	for _, shard := range gr.touched[j0:j1] {
+		gr.bound[shard] = errorBound(g.bank.Count(int(shard)), g.bank.Width(int(shard)))
 	}
 }
 

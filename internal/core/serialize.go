@@ -27,9 +27,6 @@ import (
 //	routes     numRoutes × {vertex u64, partition u32}
 //	partitions numLeaves × CountMin (self-delimiting, own checksum)
 //	outlier    CountMin if outlierW > 0
-//
-// Only a gSketch on the default CountMin bank serializes; one built with a
-// Config.Factory is rejected with an error.
 
 const (
 	gskMagic = 0x47534b50 // "GSKP"
@@ -84,10 +81,6 @@ func (g *GSketch) WriteTo(w io.Writer) (int64, error) {
 			n += int64(binary.Size(v))
 		}
 		return err
-	}
-
-	if g.bank == nil {
-		return 0, fmt.Errorf("core: a gSketch built with a custom Config.Factory does not serialize")
 	}
 
 	hdr := []any{
@@ -426,12 +419,8 @@ func loadedConfig(depth, totalWidth int, conservative bool) Config {
 // and serialize exactly as the loaded copy's do. The router is refilled in
 // g's serialized order, as the loader fills it, because the slot order of a
 // linear-probe table — and so the route section WriteTo writes — follows
-// the order of insertion. Only a sketch that serializes clones; the caller
-// keeps writers off g.
-func (g *GSketch) Clone() (*GSketch, error) {
-	if g.bank == nil {
-		return nil, fmt.Errorf("core: a gSketch built with a custom Config.Factory does not clone")
-	}
+// the order of insertion. The caller keeps writers off g.
+func (g *GSketch) Clone() *GSketch {
 	c := &GSketch{
 		cfg:          loadedConfig(g.cfg.Depth, g.totalWidth, g.bank.Conservative()),
 		bank:         g.bank.Clone(),
@@ -447,5 +436,5 @@ func (g *GSketch) Clone() (*GSketch, error) {
 		return true
 	})
 	c.initRouteStats()
-	return c, nil
+	return c
 }

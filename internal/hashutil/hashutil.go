@@ -99,35 +99,6 @@ func FillPairwiseFamily(fam []PairwiseHash, width int, seed uint64) {
 	}
 }
 
-// SignHash is a pairwise-independent hash onto {-1,+1}, used by CountSketch.
-type SignHash struct {
-	a, b uint64
-}
-
-// NewSignFamily draws d independent sign hashes deterministically from seed.
-func NewSignFamily(d int, seed uint64) []SignHash {
-	if d <= 0 {
-		panic("hashutil: family size must be positive")
-	}
-	rng := NewRNG(seed ^ 0x5ca1ab1e5ca1ab1e)
-	fam := make([]SignHash, d)
-	for i := range fam {
-		a := rng.Uint64()%(MersennePrime61-1) + 1
-		b := rng.Uint64() % MersennePrime61
-		fam[i] = SignHash{a: a, b: b}
-	}
-	return fam
-}
-
-// Sign maps a key to -1 or +1.
-func (h SignHash) Sign(x uint64) int64 {
-	v := mod61(mulMod61(h.a, mod61(x)) + h.b)
-	if v&1 == 0 {
-		return 1
-	}
-	return -1
-}
-
 // Mix64 is the SplitMix64 finalizer: a fast, high-quality 64-bit mixing
 // permutation. It is used to derive edge keys and to decorrelate seeds.
 func Mix64(x uint64) uint64 {

@@ -109,29 +109,6 @@ func TestPairwiseUniformity(t *testing.T) {
 	}
 }
 
-func TestSignHashBalanced(t *testing.T) {
-	fam := NewSignFamily(1, 3)
-	sum := int64(0)
-	for i := 0; i < 100000; i++ {
-		sum += fam[0].Sign(Mix64(uint64(i)))
-	}
-	if sum < -2000 || sum > 2000 {
-		t.Errorf("sign sum = %d over 100000 draws; expected near 0", sum)
-	}
-}
-
-func TestSignHashValues(t *testing.T) {
-	fam := NewSignFamily(3, 11)
-	for i := 0; i < 1000; i++ {
-		for _, h := range fam {
-			s := h.Sign(uint64(i))
-			if s != 1 && s != -1 {
-				t.Fatalf("sign = %d, want ±1", s)
-			}
-		}
-	}
-}
-
 func TestEdgeKeyAsymmetric(t *testing.T) {
 	if EdgeKey(1, 2) == EdgeKey(2, 1) {
 		t.Error("EdgeKey(1,2) == EdgeKey(2,1): directed edges must not collide structurally")
@@ -198,7 +175,6 @@ func TestMix64Bijective(t *testing.T) {
 func TestPanics(t *testing.T) {
 	assertPanics(t, "zero family", func() { NewPairwiseFamily(0, 10, 1) })
 	assertPanics(t, "zero width", func() { NewPairwiseFamily(1, 0, 1) })
-	assertPanics(t, "zero sign family", func() { NewSignFamily(0, 1) })
 }
 
 func assertPanics(t *testing.T, name string, fn func()) {

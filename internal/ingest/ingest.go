@@ -62,7 +62,9 @@ type Config struct {
 	QueueDepth int
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every zero field set to its default: the
+// configuration New runs.
+func (c Config) WithDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -122,7 +124,7 @@ func New(dest core.Estimator, cfg Config) (*Ingestor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	in := &Ingestor{
 		dest: dest,
 		cfg:  cfg,

@@ -116,7 +116,7 @@ func (s *Server) writeTenantError(w http.ResponseWriter, name string, err error)
 	switch {
 	case errors.Is(err, tenant.ErrNotFound):
 		writeErrorCode(w, http.StatusNotFound, "tenant_not_found", "tenant %q not found", name)
-	case errors.Is(err, tenant.ErrBadName):
+	case errors.Is(err, tenant.ErrBadName), errors.Is(err, tenant.ErrBadOverrides):
 		writeError(w, http.StatusBadRequest, "tenant: %v", err)
 	case errors.Is(err, tenant.ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, "tenant: %v", err)

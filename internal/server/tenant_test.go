@@ -3,8 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -101,6 +104,51 @@ func TestTenantEquivalenceHTTP(t *testing.T) {
 				t.Fatalf("tenant %s query %d: estimate %d, standalone %d", name, i, got[i].Estimate, want[i].Estimate)
 			}
 		}
+	}
+}
+
+// TestTenantOverridesOutOfRange: a PUT whose sketch_bytes or queue_depth
+// exceeds what the registry budgets answers 400 bad_request and leaves the
+// tenant set, the tenant's overrides and the manifest as they were.
+func TestTenantOverridesOutOfRange(t *testing.T) {
+	dir := t.TempDir()
+	_, baseURL, _ := newTenantServer(t, tenant.Config{Dir: dir})
+	manifest := func() string {
+		data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	refused := func(name, body string) {
+		t.Helper()
+		before := manifest()
+		resp, data := doReq(t, http.MethodPut, baseURL+"/t/"+name, body)
+		var e errorJSON
+		if err := json.Unmarshal(data, &e); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || e.Code != "bad_request" {
+			t.Fatalf("PUT /t/%s %s: %d %s, want 400 bad_request", name, body, resp.StatusCode, data)
+		}
+		if manifest() != before {
+			t.Fatalf("PUT /t/%s %s rewrote the manifest", name, body)
+		}
+	}
+	refused("x", `{"sketch_bytes":1099511627776}`)
+	if resp, data := doReq(t, http.MethodGet, baseURL+"/t/x", ""); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /t/x after a refused create: %d %s, want 404", resp.StatusCode, data)
+	}
+	createTenant(t, baseURL, "x", `{"sketch_bytes":32768}`) // the registry's whole budget
+	refused("x", `{"queue_depth":1099511627776}`)
+	refused("x", `{"sketch_bytes":-1}`)
+	var info tenant.Info
+	_, data := doReq(t, http.MethodGet, baseURL+"/t/x", "")
+	if err := json.Unmarshal(data, &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Overrides != (tenant.Overrides{SketchBytes: 32 << 10}) {
+		t.Fatalf("overrides after refused updates: %+v", info.Overrides)
 	}
 }
 

@@ -257,10 +257,6 @@ func TestBankViewsAliasTheArena(t *testing.T) {
 	if f.bank.Count(3) != 18 {
 		t.Fatalf("merge into a view left the bank's volume at %d, want 18", f.bank.Count(3))
 	}
-	view.Reset()
-	if f.bank.Count(3) != 0 || view.Estimate(42) != 0 {
-		t.Fatal("reset of a view did not clear the bank's shard")
-	}
 	columns := 0
 	for _, w := range f.widths {
 		columns += w

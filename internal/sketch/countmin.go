@@ -12,7 +12,7 @@ import (
 // non-negative updates) and, with probability at least 1-e^{-d}, at most
 // the true count + e*N/width.
 //
-// A CountMin either owns its storage (NewCountMin and friends) or is a view
+// A CountMin either owns its storage (NewCountMin) or is a view
 // of one shard of a Bank (Bank.Sketch), whose cells, coefficients and volume
 // alias the bank's arena and tables. Every method works on both, and every
 // kernel derives a key's cells the same way: the key reduced modulo the hash
@@ -47,26 +47,6 @@ func NewCountMin(width, depth int, seed uint64) (*CountMin, error) {
 	}
 	familyCoefs(cm.rows, make([]hashutil.PairwiseHash, depth), width, seed)
 	return cm, nil
-}
-
-// NewCountMinWithError builds a sketch from accuracy targets via
-// DimsFromError.
-func NewCountMinWithError(epsilon, delta float64, seed uint64) (*CountMin, error) {
-	w, d, err := DimsFromError(epsilon, delta)
-	if err != nil {
-		return nil, err
-	}
-	return NewCountMin(w, d, seed)
-}
-
-// NewCountMinFromMemory builds the widest sketch of the given depth that
-// fits in a byte budget.
-func NewCountMinFromMemory(bytes, depth int, seed uint64) (*CountMin, error) {
-	w, err := WidthFromMemory(bytes, depth)
-	if err != nil {
-		return nil, err
-	}
-	return NewCountMin(w, depth, seed)
 }
 
 // SetConservative toggles conservative update: each increment raises only
@@ -256,12 +236,6 @@ func (cm *CountMin) Count() int64 { return *cm.total }
 // MemoryBytes reports the counter storage footprint.
 func (cm *CountMin) MemoryBytes() int { return len(cm.cells) * CellSize }
 
-// Reset zeroes all counters.
-func (cm *CountMin) Reset() {
-	clear(cm.cells)
-	*cm.total = 0
-}
-
 // Merge adds other's counters into cm. Both sketches must have identical
 // dimensions and seed (hence identical hash families); conservative-update
 // sketches cannot be merged because per-key lower bounds are not additive.
@@ -289,5 +263,3 @@ func (cm *CountMin) Clone() *CountMin {
 	cp.total = &total
 	return &cp
 }
-
-var _ Synopsis = (*CountMin)(nil)

@@ -58,7 +58,11 @@ func TestCountMinErrorBound(t *testing.T) {
 	// probability ≥ 1-δ per query; check the bound holds for the vast
 	// majority of a large batch.
 	const eps, delta = 0.01, 0.01
-	cm, err := NewCountMinWithError(eps, delta, 77)
+	w, d, err := DimsFromError(eps, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := NewCountMin(w, d, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,15 +189,6 @@ func TestCountMinClone(t *testing.T) {
 	}
 }
 
-func TestCountMinReset(t *testing.T) {
-	cm, _ := NewCountMin(64, 3, 1)
-	cm.Update(5, 10)
-	cm.Reset()
-	if cm.Estimate(5) != 0 || cm.Count() != 0 {
-		t.Error("reset did not clear state")
-	}
-}
-
 func TestCountMinSaturation(t *testing.T) {
 	cm, _ := NewCountMin(4, 1, 1)
 	cm.Update(1, math.MaxUint32)
@@ -219,10 +214,10 @@ func TestCountMinInvalidParams(t *testing.T) {
 	if _, err := NewCountMin(10, 0, 1); err == nil {
 		t.Error("zero depth accepted")
 	}
-	if _, err := NewCountMinWithError(0, 0.5, 1); err == nil {
+	if _, _, err := DimsFromError(0, 0.5); err == nil {
 		t.Error("zero epsilon accepted")
 	}
-	if _, err := NewCountMinFromMemory(2, 5, 1); err == nil {
+	if _, err := WidthFromMemory(2, 5); err == nil {
 		t.Error("budget below one cell accepted")
 	}
 }

@@ -1,14 +1,11 @@
-// Package sketch implements the frequency synopses that gsketch builds on:
-// the CountMin sketch (Cormode & Muthukrishnan) with an optional
-// conservative-update variant, the Bank that lays many CountMin sketches of
-// one depth out in a single cell arena for the partitioned estimator, the
-// CountSketch (median estimator) kept as an ablation base, and an exact
-// map-backed counter used for ground truth in tests.
-//
-// All synopses summarize a stream of (key, count) increments over 64-bit
-// keys and answer point frequency estimates. They share the Synopsis
-// interface so the partitioned estimator in internal/core can run over any
-// of them; its default path skips the interface and drives a Bank.
+// Package sketch implements the frequency synopsis gsketch builds on: the
+// CountMin sketch of Cormode & Muthukrishnan, with an optional
+// conservative-update mode, and the Bank that lays the many CountMin
+// sketches of one gSketch out in a single cell arena. A CountMin summarizes
+// a stream of non-negative (key, count) increments over 64-bit keys and
+// answers point estimates that never fall below the true count and exceed
+// it by at most e·N/w with probability 1-e^-d — the one-sided interval
+// every answer of this module reports.
 package sketch
 
 import (
@@ -19,31 +16,6 @@ import (
 
 	"github.com/graphstream/gsketch/internal/hashutil"
 )
-
-// Synopsis is a frequency summary of a stream of non-negative increments.
-type Synopsis interface {
-	// Update adds count occurrences of key. count must be non-negative.
-	Update(key uint64, count int64)
-	// UpdateBatch applies counts[i] occurrences of keys[i] for every i, in
-	// slice order, exactly as the equivalent sequence of Update calls would.
-	// The two slices must have equal length. Implementations amortize
-	// per-call dispatch and bounds checks across the batch.
-	UpdateBatch(keys []uint64, counts []int64)
-	// Estimate returns the estimated accumulated count of key.
-	Estimate(key uint64) int64
-	// EstimateBatch writes Estimate(keys[i]) into out[i] for every i. The
-	// two slices must have equal length. Implementations amortize dispatch,
-	// scratch allocation and (where the layout allows) row traversal across
-	// the batch; results are identical to per-key Estimate calls.
-	EstimateBatch(keys []uint64, out []int64)
-	// Count returns the total of all increments applied (the stream volume
-	// N routed to this synopsis).
-	Count() int64
-	// MemoryBytes reports the memory footprint of the counter storage.
-	MemoryBytes() int
-	// Reset clears the synopsis to its empty state.
-	Reset()
-}
 
 // CellSize is the size in bytes of one sketch counter cell. All byte-budget
 // arithmetic in this module uses this constant, mirroring the 32-bit

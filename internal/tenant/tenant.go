@@ -30,6 +30,9 @@ var (
 	// token bucket. Like gsketch.ErrIngestQueueFull it carries
 	// accepted-prefix semantics: the edges before the cut were taken.
 	ErrRateLimited = errors.New("tenant: edge rate limit exceeded")
+	// ErrBadOverrides reports a sketch_bytes or queue_depth override
+	// outside the bounds checkOverrides sets.
+	ErrBadOverrides = errors.New("tenant: override out of range")
 )
 
 var nameRE = regexp.MustCompile(`^[A-Za-z0-9_-]{1,64}$`)
@@ -42,16 +45,21 @@ func ValidName(name string) bool { return nameRE.MatchString(name) }
 // Overrides are the per-tenant knobs an admin can set at create time
 // (PUT /t/{tenant} body) — each zero value inherits the registry-wide
 // default. Rate and burst apply immediately; queue depth, sketch bytes
-// and seed shape the engine and take effect at the next (re)open.
+// and seed shape the engine and take effect at the next (re)open. The two
+// that size memory are bounded by the registry's own configuration (see
+// checkOverrides), so no tenant can ask for more than the registry
+// budgets.
 type Overrides struct {
 	// MaxEdgesPerSec caps the tenant's ingest rate via a token bucket
 	// (negative = unlimited, overriding a registry-wide default).
 	MaxEdgesPerSec float64 `json:"max_edges_per_sec,omitempty"`
 	// Burst is the token bucket capacity (default: one second of rate).
 	Burst int `json:"burst,omitempty"`
-	// QueueDepth overrides the ingest pipeline queue bound.
+	// QueueDepth overrides the ingest pipeline queue bound, up to the
+	// registry's own queue depth (Config.Ingest after defaulting).
 	QueueDepth int `json:"queue_depth,omitempty"`
-	// SketchBytes overrides the sketch memory budget.
+	// SketchBytes overrides the sketch memory budget, up to the registry's
+	// Config.Sketch.TotalBytes.
 	SketchBytes int `json:"sketch_bytes,omitempty"`
 	// Seed overrides the sketch hash seed.
 	Seed uint64 `json:"seed,omitempty"`
@@ -269,12 +277,34 @@ func (r *Registry) writeManifestLocked() error {
 	return os.Rename(tmp.Name(), r.manifestPath())
 }
 
+// checkOverrides refuses, with ErrBadOverrides, the overrides that would
+// size a tenant's engine past what the registry budgets: a negative
+// sketch_bytes or queue_depth, sketch_bytes above Config.Sketch.TotalBytes,
+// or queue_depth above the queue depth Config.Ingest resolves to. Both
+// allocate up front when the engine opens, and an allocation the runtime
+// cannot satisfy is a fatal error, not a panic — it would end every
+// tenant's process, not one tenant's request.
+func (r *Registry) checkOverrides(ov Overrides) error {
+	if budget := r.cfg.Sketch.TotalBytes; ov.SketchBytes < 0 || ov.SketchBytes > budget {
+		return fmt.Errorf("%w: sketch_bytes %d outside [0, %d]", ErrBadOverrides, ov.SketchBytes, budget)
+	}
+	if depth := r.cfg.Ingest.WithDefaults().QueueDepth; ov.QueueDepth < 0 || ov.QueueDepth > depth {
+		return fmt.Errorf("%w: queue_depth %d outside [0, %d]", ErrBadOverrides, ov.QueueDepth, depth)
+	}
+	return nil
+}
+
 // Create registers a tenant (idempotently: re-creating an existing one
-// updates its overrides instead) and persists the manifest. The engine
-// is not built here — tenants open lazily on first access.
+// updates its overrides instead) and persists the manifest. Overrides out
+// of checkOverrides' range fail with ErrBadOverrides and leave the tenant
+// and the manifest unchanged. The engine is not built here — tenants open
+// lazily on first access.
 func (r *Registry) Create(name string, ov Overrides) (created bool, err error) {
 	if !ValidName(name) {
 		return false, ErrBadName
+	}
+	if err := r.checkOverrides(ov); err != nil {
+		return false, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -479,8 +509,12 @@ func (r *Registry) Close() error {
 
 // openEngine builds the named tenant's engine: restored from its
 // snapshot when one exists (the evict→reopen path), bootstrapped fresh
-// otherwise. Caller holds r.mu.
+// otherwise. Overrides are checked again first, for a manifest written
+// before checkOverrides bounded them. Caller holds r.mu.
 func (r *Registry) openEngine(t *tenant) (*gsketch.Engine, error) {
+	if err := r.checkOverrides(t.ov); err != nil {
+		return nil, fmt.Errorf("tenant %s: %w", t.name, err)
+	}
 	cfg := r.cfg.Sketch
 	if t.ov.SketchBytes > 0 {
 		cfg.TotalBytes = t.ov.SketchBytes

@@ -337,3 +337,94 @@ func TestCreateValidation(t *testing.T) {
 		t.Fatalf("Tenant(missing): %v, want ErrNotFound", err)
 	}
 }
+
+// TestOverridesBounded: sketch_bytes and queue_depth outside [0, the
+// registry's own budget] fail Create with ErrBadOverrides — for a new tenant
+// and as an update — and leave the manifest and the tenant's overrides as
+// they were; the bounds themselves are accepted. A manifest already holding
+// an out-of-range override fails that tenant's open with the same error
+// instead of allocating it.
+func TestOverridesBounded(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Ingest = gsketch.IngestConfig{Workers: 2, QueueDepth: 8}
+	budget := cfg.Sketch.TotalBytes
+	r := newTestRegistry(t, cfg)
+	mustCreate(t, r, "held", Overrides{SketchBytes: budget / 2, QueueDepth: 4})
+	manifest := func() string {
+		data, err := os.ReadFile(r.manifestPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	for _, tc := range []struct {
+		name string
+		ov   Overrides
+		ok   bool
+	}{
+		{"zero inherits", Overrides{}, true},
+		{"sketch at budget", Overrides{SketchBytes: budget}, true},
+		{"queue at resolved depth", Overrides{QueueDepth: 8}, true},
+		{"sketch negative", Overrides{SketchBytes: -1}, false},
+		{"sketch over budget", Overrides{SketchBytes: budget + 1}, false},
+		{"sketch 1 TiB", Overrides{SketchBytes: 1 << 40}, false},
+		{"queue negative", Overrides{QueueDepth: -1}, false},
+		{"queue over resolved depth", Overrides{QueueDepth: 9}, false},
+		{"queue 2^40", Overrides{QueueDepth: 1 << 40}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, name := range []string{"fresh", "held"} {
+				before := manifest()
+				prev, _ := r.Get(name)
+				_, err := r.Create(name, tc.ov)
+				if tc.ok {
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					continue
+				}
+				if !errors.Is(err, ErrBadOverrides) {
+					t.Fatalf("%s: Create(%+v) = %v, want ErrBadOverrides", name, tc.ov, err)
+				}
+				if manifest() != before {
+					t.Fatalf("%s: a refused Create rewrote the manifest", name)
+				}
+				if now, _ := r.Get(name); now.Overrides != prev.Overrides {
+					t.Fatalf("%s: overrides %+v after a refused Create, want %+v", name, now.Overrides, prev.Overrides)
+				}
+			}
+			if tc.ok {
+				if err := r.Delete("fresh"); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.Create("held", Overrides{SketchBytes: budget / 2, QueueDepth: 4}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+
+	// A manifest written before the bound existed.
+	dir := t.TempDir()
+	forged := `{"schema":1,"tenants":{"big":{"sketch_bytes":1099511627776},"deep":{"queue_depth":1099511627776},"fine":{}}}`
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(forged), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Dir = dir
+	r2 := newTestRegistry(t, cfg)
+	edges := testStream(100, 3)
+	for _, name := range []string{"big", "deep"} {
+		h, err := r2.Tenant(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.TryIngest(edges); !errors.Is(err, ErrBadOverrides) {
+			t.Fatalf("%s: first ingest = %v, want ErrBadOverrides", name, err)
+		}
+	}
+	h, err := r2.Tenant("fine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, h, edges)
+}

@@ -5,32 +5,21 @@ import (
 	"testing"
 
 	"github.com/graphstream/gsketch/internal/core"
-	"github.com/graphstream/gsketch/internal/sketch"
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
-// exactWindowConfig backs every window with the Exact synopsis so
-// fractional-overlap arithmetic can be asserted precisely.
-func exactWindowConfig(span int64) StoreConfig {
-	return StoreConfig{
-		Span:       span,
-		SampleSize: 100,
-		Sketch: core.Config{
-			TotalWidth: 256,
-			Seed:       5,
-			Factory: func(w, d int, seed uint64) (sketch.Synopsis, error) {
-				return sketch.NewExact(), nil
-			},
-		},
-		Seed: 6,
-	}
-}
-
 // fractionalStore holds edge (1,2) exactly 10 times in window 0 ([0,99])
-// and 40 times in window 1 ([100,199]).
+// and 40 times in window 1 ([100,199]). Each window's CountMin holds that one
+// key, so it counts it exactly — asserted here — and the fractional-overlap
+// arithmetic can be asserted precisely.
 func fractionalStore(t *testing.T) *Store {
 	t.Helper()
-	s, err := NewStore(exactWindowConfig(100))
+	s, err := NewStore(StoreConfig{
+		Span:       100,
+		SampleSize: 100,
+		Sketch:     core.Config{TotalWidth: 256, Seed: 5},
+		Seed:       6,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,6 +28,11 @@ func fractionalStore(t *testing.T) *Store {
 	}
 	for i := 0; i < 40; i++ {
 		mustObserve(t, s, stream.Edge{Src: 1, Dst: 2, Weight: 1, Time: 100 + int64(i%100)})
+	}
+	for i, want := range []int64{10, 40} {
+		if got := s.Windows()[i].Estimator.EstimateEdge(1, 2); got != want {
+			t.Fatalf("window %d estimates %d, want its exact count %d", i, got, want)
+		}
 	}
 	return s
 }
