@@ -61,19 +61,6 @@
 // contributions by 2^(-age/halfLife) at query time. POST /compact folds on
 // demand.
 //
-// With -cluster the process runs as a scatter-gather coordinator instead
-// of an engine: each listed address is one shard — a plain gsketch-serve
-// -wire-addr process — and this frontend routes ingest by the gSketch
-// partitioning (built from -sample, so every partition's substream lands
-// wholly on one shard), fans queries out over persistent wire connections,
-// and folds the per-shard answers into combined estimates and bounds.
-// Coordinator mode serves the same /ingest, /query, /snapshot/save,
-// /snapshot/restore, /healthz and /stats surface; engine-only endpoints
-// (streaming GET /snapshot, /workload, /repartition, /query/window) are
-// not mounted, so -restore, -global, -adapt and -window-span are refused.
-// -snapshot names the local topology manifest; each shard persists to its
-// own -snapshot path.
-//
 // With -tenants the process serves many isolated sketches from one
 // registry (see internal/tenant): the data path moves under
 // /t/{tenant}/... and an admin API (PUT|DELETE|GET /t/{tenant}, GET /t)
@@ -83,9 +70,8 @@
 // many engines stay live — cold tenants are snapshotted into -tenant-dir
 // and transparently reopened on access. On the wire listener, clients
 // bind a connection to a tenant with a tenant-select frame (gsketch-wire
-// -tenant). Engine-only flags (-restore, -global, -adapt, -window-span,
-// -cluster) are refused; -sample optionally seeds every tenant's
-// partitioning.
+// -tenant). Engine-only flags (-restore, -global, -adapt, -window-span)
+// are refused; -sample optionally seeds every tenant's partitioning.
 //
 // SIGINT/SIGTERM shut down gracefully: the listener stops, the ingest
 // queue drains, and (with -snapshot-on-exit) a final snapshot lands at
@@ -103,13 +89,10 @@ import (
 	_ "net/http/pprof" // handlers mounted on the -pprof-addr listener only
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	gsketch "github.com/graphstream/gsketch"
-	"github.com/graphstream/gsketch/internal/cluster"
-	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/obs"
 	"github.com/graphstream/gsketch/internal/server"
 	"github.com/graphstream/gsketch/internal/stream"
@@ -172,11 +155,6 @@ func main() {
 		tenantMaxRate = flag.Float64("tenant-max-edges-per-sec", 0, "default per-tenant ingest rate cap (0 = unlimited)")
 		tenantBurst   = flag.Int("tenant-burst", 0, "default per-tenant token-bucket burst (0 = one second of rate)")
 
-		clusterAddrs = flag.String("cluster", "", "comma-separated shard wire addresses; run as a scatter-gather coordinator (needs -sample)")
-		clusterBatch = flag.Int("cluster-batch", 0, "coordinator per-shard ingest batch in edges (0 = default)")
-		clusterQueue = flag.Int("cluster-queue", 0, "coordinator per-shard queue depth in batches (0 = default)")
-		clusterPing  = flag.Duration("cluster-ping", 0, "shard health-probe interval (0 = default, negative disables)")
-
 		shutdownTimeout = flag.Duration("shutdown-timeout", 30*time.Second, "graceful shutdown deadline")
 
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")
@@ -194,8 +172,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gsketch-serve: -sample-cap %d: must be ≥ 0 (0 reads the whole file)\n", *sampleCap)
 		os.Exit(2)
 	}
-	// root stays untagged: server and cluster attach their own component
-	// attrs; main's own lines carry component=serve.
+	// root stays untagged: the server attaches its own component attrs;
+	// main's own lines carry component=serve.
 	root := logger
 	logger = logger.With("component", "serve")
 	if *pprofAddr != "" {
@@ -229,30 +207,6 @@ func main() {
 			sampleCap:   *sampleCap,
 			ingest:      gsketch.IngestConfig{Workers: *workers, BatchSize: *batchSize, QueueDepth: *queue},
 			shutdown:    *shutdownTimeout,
-
-			restore:    *restorePath != "",
-			global:     *global,
-			adapt:      *adaptOn,
-			windowSpan: *windowSpan,
-			cluster:    *clusterAddrs != "",
-		})
-		return
-	}
-	if *clusterAddrs != "" {
-		runCoordinator(logger, root, coordinatorFlags{
-			addr:           *addr,
-			wireAddr:       *wireAddr,
-			shards:         strings.Split(*clusterAddrs, ","),
-			sketch:         cfg,
-			samplePath:     *samplePath,
-			workloadPath:   *workloadPath,
-			sampleCap:      *sampleCap,
-			batchEdges:     *clusterBatch,
-			queueBatches:   *clusterQueue,
-			pingInterval:   *clusterPing,
-			snapshotPath:   *snapshotPath,
-			snapshotOnExit: *snapshotOnExit,
-			shutdown:       *shutdownTimeout,
 
 			restore:    *restorePath != "",
 			global:     *global,
@@ -354,7 +308,7 @@ func main() {
 
 // serveUntilSignal runs the HTTP (and optional wire) listeners until
 // SIGINT/SIGTERM, then drains through srv.Shutdown. Shared by the engine
-// and coordinator paths.
+// and tenant paths.
 func serveUntilSignal(logger *slog.Logger, srv *server.Server, addr, wireAddr string, shutdownTimeout time.Duration) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -418,15 +372,12 @@ type tenantFlags struct {
 	global     bool
 	adapt      bool
 	windowSpan int64
-	cluster    bool
 }
 
 // runTenants opens (or resumes) the tenant registry and serves the
 // tenant-scoped surface until a signal.
 func runTenants(logger, root *slog.Logger, f tenantFlags) {
 	switch {
-	case f.cluster:
-		fatal(logger, "-tenants and -cluster are mutually exclusive; shard tenants behind a coordinator per tenant set instead")
 	case f.restore:
 		fatal(logger, "-tenants restores each tenant from its own snapshot directory; -restore is engine-only")
 	case f.global:
@@ -460,90 +411,6 @@ func runTenants(logger, root *slog.Logger, f tenantFlags) {
 		"max_resident", f.maxResident)
 
 	srv, err := server.New(server.Config{Tenants: reg, Logger: root})
-	if err != nil {
-		fatal(logger, "server init failed", "error", err)
-	}
-	serveUntilSignal(logger, srv, f.addr, f.wireAddr, f.shutdown)
-}
-
-// coordinatorFlags is the -cluster slice of the flag set, plus the
-// engine-only flags coordinator mode must refuse.
-type coordinatorFlags struct {
-	addr, wireAddr string
-	shards         []string
-	sketch         gsketch.Config
-	samplePath     string
-	workloadPath   string
-	sampleCap      int
-	batchEdges     int
-	queueBatches   int
-	pingInterval   time.Duration
-	snapshotPath   string
-	snapshotOnExit bool
-	shutdown       time.Duration
-
-	restore    bool
-	global     bool
-	adapt      bool
-	windowSpan int64
-}
-
-// runCoordinator builds the routing gSketch from the sample, connects the
-// scatter-gather coordinator to every shard and serves until a signal.
-func runCoordinator(logger, root *slog.Logger, f coordinatorFlags) {
-	switch {
-	case f.restore:
-		fatal(logger, "-cluster routes to shards that restore their own snapshots; -restore is engine-only")
-	case f.global:
-		fatal(logger, "-cluster needs the partitioned router; -global is engine-only")
-	case f.adapt:
-		fatal(logger, "-adapt is engine-only (shards repartition, the coordinator's routing is static)")
-	case f.windowSpan != 0:
-		fatal(logger, "-window-span is engine-only")
-	case f.samplePath == "":
-		fatal(logger, "-cluster needs -sample to build the vertex router")
-	}
-
-	sample, err := stream.ReadEdgeFile(f.samplePath, f.sampleCap)
-	if err != nil {
-		fatal(logger, "sample read failed", "path", f.samplePath, "error", err)
-	}
-	var workload []stream.Edge
-	if f.workloadPath != "" {
-		if workload, err = stream.ReadEdgeFile(f.workloadPath, 0); err != nil {
-			fatal(logger, "workload read failed", "path", f.workloadPath, "error", err)
-		}
-	}
-	// The router is a zero-traffic gSketch: only its partitioning (the
-	// vertex → partition map) is used, so every shard must be built from
-	// the same sample, config and seed to agree with it.
-	router, err := core.BuildGSketch(f.sketch, sample, workload)
-	if err != nil {
-		fatal(logger, "router build failed", "error", err)
-	}
-
-	coord, err := cluster.New(cluster.Config{
-		Addrs:        f.shards,
-		Router:       router,
-		BatchEdges:   f.batchEdges,
-		QueueBatches: f.queueBatches,
-		PingInterval: f.pingInterval,
-		SnapshotPath: f.snapshotPath,
-		Logger:       root,
-	})
-	if err != nil {
-		fatal(logger, "cluster connect failed", "error", err)
-	}
-	logger.Info("coordinator up",
-		"shards", coord.NumShards(),
-		"partitions", router.NumPartitions(),
-		"order", fmt.Sprint(router.Order()))
-
-	srv, err := server.New(server.Config{
-		Cluster:            coord,
-		SnapshotOnShutdown: f.snapshotOnExit,
-		Logger:             root,
-	})
 	if err != nil {
 		fatal(logger, "server init failed", "error", err)
 	}

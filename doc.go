@@ -162,8 +162,7 @@
 // decoded into — no copy into the queue, no re-batching, no shedding. An
 // ack therefore means "applied by the time any later flush, ?sync=1,
 // snapshot, restore or Close returns", on any connection; rejected > 0 is
-// left for a tenant over its quota and a coordinator's full shard queue;
-// and backpressure is a few decoded frames per connection, then the TCP
+// left for a tenant over its quota; and backpressure is a few decoded frames per connection, then the TCP
 // window. The price is that one connection folds on one core (about
 // 16 M edges/s); a producer scales by opening connections, which the
 // stripe locks serve in parallel, and -workers/-batch/-queue shape the HTTP
@@ -221,23 +220,18 @@
 // load. See the README's Generation lifecycle section and the
 // internal/compact package documentation.
 //
-// # Scaling past one machine
+// # One process
 //
-// One engine is bounded by one process; internal/cluster shards the
-// stream across N full engines behind a scatter-gather coordinator on
-// the binary wire protocol (cmd/gsketch-serve -cluster). Routing is
-// partition-disjoint — each partition's whole substream lands on one
-// shard — so gathered estimates and error bounds are byte-identical to a
-// single engine over the same stream, with the confidence paying a union
-// bound across shards. See the README's Cluster section and the
-// internal/cluster package documentation.
+// gSketch is a single-node estimator, and so is the serving system: one
+// process serves one engine or one tenant registry. A scatter-gather
+// coordinator over N engines (internal/cluster) survives only as a rung
+// of the benchmark ladder; no server mode runs it.
 //
 // # Multi-tenant serving
 //
-// The inverse consolidation: internal/tenant packs many isolated
-// sketches into one process (cmd/gsketch-serve -tenants). A registry of
-// named engines scopes the whole serving surface under /t/{tenant}/...
-// with an admin API for the tenant set, per-tenant token-bucket ingest
+// internal/tenant packs many isolated sketches into one process
+// (cmd/gsketch-serve -tenants). A registry of named engines scopes the
+// whole serving surface under /t/{tenant}/... with an admin API for the tenant set, per-tenant token-bucket ingest
 // quotas shedding with the same accepted-prefix 429 semantics as a full
 // pipeline, and a lazy lifecycle: an LRU resident cap snapshots cold
 // tenants to disk and transparently reopens them on next access with
@@ -307,11 +301,10 @@
 // latency histograms rendered as Prometheus text exposition) that
 // internal/server threads through every layer — per-route HTTP latency,
 // wire frame decode/apply latency, ingest queue depth and shed counts,
-// engine and per-shard cluster gauges — on GET /metrics, with GET /stats
+// engine and per-tenant gauges — on GET /metrics, with GET /stats
 // deriving its JSON counters from the same registry. GET /healthz
 // (liveness) is split from GET /readyz (readiness): a server mid-restore
-// or mid-swap, or a coordinator with zero healthy shards, reports 503 on
-// /readyz while staying alive on /healthz. Logging is structured
+// or mid-swap reports 503 on /readyz while staying alive on /healthz. Logging is structured
 // log/slog throughout (gsketch-serve -log-level, -log-format json), and
 // -pprof-addr mounts net/http/pprof on a private listener. The hot-path
 // instruments are allocation-free, so instrumentation does not tax the

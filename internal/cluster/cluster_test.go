@@ -3,18 +3,12 @@
 package cluster_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"io"
 	"math"
 	"net"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +16,7 @@ import (
 	"github.com/graphstream/gsketch/internal/cluster"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/hashutil"
-	"github.com/graphstream/gsketch/internal/obs"
+	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/server"
 	"github.com/graphstream/gsketch/internal/stream"
 	"github.com/graphstream/gsketch/internal/wire"
@@ -55,15 +49,16 @@ type testShard struct {
 
 // startShard boots an engine (same config/sample/seed as every other
 // shard, so routing agrees) and serves it on a loopback wire listener.
-func startShard(t *testing.T, sample []stream.Edge, snapPath string) *testShard {
+func startShard(t *testing.T, sample []stream.Edge) *testShard {
 	t.Helper()
-	opts := []gsketch.Option{
-		gsketch.WithSample(sample),
-		gsketch.WithIngest(gsketch.IngestConfig{Workers: 2, BatchSize: 256}),
-	}
-	if snapPath != "" {
-		opts = append(opts, gsketch.WithSnapshotFile(snapPath))
-	}
+	return serveShard(t, "127.0.0.1:0", gsketch.WithSample(sample))
+}
+
+// serveShard opens an engine with opts and serves it on a wire listener
+// bound to addr.
+func serveShard(t *testing.T, addr string, opts ...gsketch.Option) *testShard {
+	t.Helper()
+	opts = append(opts, gsketch.WithIngest(gsketch.IngestConfig{Workers: 2, BatchSize: 256}))
 	eng, err := gsketch.Open(testSketchConfig(), opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -72,8 +67,9 @@ func startShard(t *testing.T, sample []stream.Edge, snapPath string) *testShard 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
+		srv.Close()
 		t.Fatal(err)
 	}
 	go srv.ServeWire(ln) //nolint:errcheck // ErrServerClosed after shutdown
@@ -86,7 +82,7 @@ func startCluster(t *testing.T, n int, sample []stream.Edge, cfg cluster.Config)
 	t.Helper()
 	shards := make([]*testShard, n)
 	for i := range shards {
-		shards[i] = startShard(t, sample, "")
+		shards[i] = startShard(t, sample)
 		cfg.Addrs = append(cfg.Addrs, shards[i].addr)
 	}
 	if cfg.Router == nil {
@@ -241,7 +237,7 @@ func TestClusterEquivalence(t *testing.T) {
 // identifying it.
 func TestClusterDialFailure(t *testing.T) {
 	sample := testStream(500, 3)
-	sh := startShard(t, sample, "")
+	sh := startShard(t, sample)
 	router, err := core.BuildGSketch(testSketchConfig(), sample, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -271,8 +267,9 @@ func TestClusterDialFailure(t *testing.T) {
 
 // TestClusterShardDeath kills one shard mid-run and checks the typed
 // partial-failure surface: queries return the surviving shards' partial
-// fold alongside a *PartialError, stats mark the shard degraded, and
-// ingest routed at it sheds with a *ShardError wrapping ErrShardDown.
+// fold alongside a *PartialError, the shard stays degraded for later
+// queries, and ingest routed at it sheds with a *ShardError wrapping
+// ErrShardDown.
 func TestClusterShardDeath(t *testing.T) {
 	edges := testStream(4000, 7)
 	sample := edges[:1000]
@@ -305,12 +302,9 @@ func TestClusterShardDeath(t *testing.T) {
 		t.Fatalf("partial fold answered %d results, want %d from the surviving shard", len(res), len(qs))
 	}
 
-	st := coord.Stats()
-	if st.Healthy != 1 || st.Degraded != 1 {
-		t.Fatalf("Stats healthy/degraded = %d/%d, want 1/1", st.Healthy, st.Degraded)
-	}
-	if st.Shards[1].Healthy || st.Shards[1].LastError == "" {
-		t.Fatalf("shard 1 stats = %+v, want unhealthy with a recorded error", st.Shards[1])
+	// Degraded now: the next gather fails shard 1 fast, without a dial.
+	if _, err := coord.QueryBatch(qs); !errors.As(err, &pe) || !errors.Is(err, cluster.ErrShardDown) {
+		t.Fatalf("QueryBatch on a degraded shard = %v, want *PartialError wrapping ErrShardDown", err)
 	}
 
 	// Ingest: edges owned by the dead shard shed at their exact prefix.
@@ -329,8 +323,8 @@ func TestClusterShardDeath(t *testing.T) {
 }
 
 // findRoutedEdges picks one edge owned by shard 1 (down in the test) and
-// one owned by shard 0, by probing TryIngest-visible routing through the
-// per-shard stats deltas — avoiding any dependence on router internals.
+// one owned by shard 0, by probing TryIngest-visible routing — avoiding
+// any dependence on router internals.
 func findRoutedEdges(t *testing.T, coord *cluster.Coordinator, edges []stream.Edge) (down, up stream.Edge) {
 	t.Helper()
 	var haveDown, haveUp bool
@@ -405,239 +399,104 @@ func TestClusterCloseDrainsGathers(t *testing.T) {
 	}
 }
 
-// TestClusterSnapshotFanOut saves through the coordinator (each shard to
-// its own disk, topology manifest locally), mutates the cluster, restores,
-// and checks the pre-snapshot answers come back. A coordinator with a
-// different ordered topology must refuse the manifest.
-func TestClusterSnapshotFanOut(t *testing.T) {
-	dir := t.TempDir()
-	edges := testStream(6000, 23)
-	sample := edges[:1500]
+// TestClusterProbeRevives checks the health loop end to end: a shard
+// marked degraded by a failed query sheds ingest and fails gathers until
+// a probe finds it answering again, after which both go through.
+func TestClusterProbeRevives(t *testing.T) {
+	edges := testStream(2000, 31)
+	sample := edges[:500]
+	coord, shards := startCluster(t, 2, sample, cluster.Config{
+		BatchEdges:   256,
+		PingInterval: -1, // drive probes by hand for determinism
+		OpTimeout:    2 * time.Second,
+	})
+	clusterIngest(t, coord, edges)
+	drain(t, coord)
+	qs := testQueries(edges)[:50]
 
-	shards := []*testShard{
-		startShard(t, sample, filepath.Join(dir, "shard0.snap")),
-		startShard(t, sample, filepath.Join(dir, "shard1.snap")),
+	addr := shards[1].addr
+	shards[1].srv.Close()
+	var pe *cluster.PartialError
+	if _, err := coord.QueryBatch(qs); !errors.As(err, &pe) {
+		t.Fatalf("QueryBatch with shard 1 dead = %v, want *PartialError", err)
 	}
-	router, err := core.BuildGSketch(testSketchConfig(), sample, nil)
+	coord.Probe() // still dead: stays degraded
+	downEdge, _ := findRoutedEdges(t, coord, edges)
+
+	// The shard comes back on the same address, empty.
+	serveShard(t, addr, gsketch.WithSample(sample))
+	coord.Probe()
+	if n, err := coord.TryIngest([]stream.Edge{downEdge}); err != nil || n != 1 {
+		t.Fatalf("TryIngest at the revived shard = (%d, %v), want (1, nil)", n, err)
+	}
+	drain(t, coord)
+	if _, err := coord.QueryBatch(qs); err != nil {
+		t.Fatalf("QueryBatch after revival: %v", err)
+	}
+}
+
+// gateEstimator blocks UpdateBatch on a gate, so a shard's wire
+// connection sits in a fold and acks nothing further until it opens.
+type gateEstimator struct {
+	gate  chan struct{}
+	once  sync.Once
+	edges atomic.Int64
+}
+
+func (g *gateEstimator) Update(e stream.Edge)               { g.UpdateBatch([]stream.Edge{e}) }
+func (g *gateEstimator) UpdateBatch(es []stream.Edge)       { <-g.gate; g.edges.Add(int64(len(es))) }
+func (g *gateEstimator) EstimateEdge(src, dst uint64) int64 { return 0 }
+func (g *gateEstimator) EstimateBatch(qs []core.EdgeQuery) []core.Result {
+	return make([]core.Result, len(qs))
+}
+func (g *gateEstimator) Count() int64     { return g.edges.Load() }
+func (g *gateEstimator) MemoryBytes() int { return 0 }
+func (g *gateEstimator) open()            { g.once.Do(func() { close(g.gate) }) }
+
+// TestCoordinatorShedsOnStalledShard: a coordinator's edges belong to
+// the shard queues, so over a stalled shard a one-batch queue fills and
+// TryIngest returns the accepted prefix with ingest.ErrQueueFull — and
+// once the shard moves again, Drain lands every accepted edge. The
+// benchmark ladder's retry loop relies on both halves.
+func TestCoordinatorShedsOnStalledShard(t *testing.T) {
+	dest := &gateEstimator{gate: make(chan struct{})}
+	shard := serveShard(t, "127.0.0.1:0", gsketch.WithEstimator(dest))
+	router, err := core.BuildGSketch(testSketchConfig(), testStream(500, 83), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest := filepath.Join(dir, "cluster.manifest")
 	coord, err := cluster.New(cluster.Config{
-		Addrs:        []string{shards[0].addr, shards[1].addr},
+		Addrs:        []string{shard.addr},
 		Router:       router,
-		BatchEdges:   256,
+		BatchEdges:   4,
+		QueueBatches: 1,
 		PingInterval: -1,
-		SnapshotPath: manifest,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
+	t.Cleanup(dest.open) // runs first: neither Close waits on a shut gate
 
-	clusterIngest(t, coord, edges[:4000])
+	edges := testStream(400, 89)
+	sent, shed := 0, false
+	for sent < len(edges)-4 && !shed {
+		n, err := coord.TryIngest(edges[sent : sent+4])
+		switch {
+		case err == nil && n == 4:
+		case errors.Is(err, ingest.ErrQueueFull) && n < 4:
+			shed = true
+		default:
+			t.Fatalf("TryIngest = (%d, %v), want 4 accepted or a prefix with ErrQueueFull", n, err)
+		}
+		sent += n
+	}
+	if !shed {
+		t.Fatalf("%d edges accepted into a one-batch queue over a stalled shard, none shed", sent)
+	}
+	dest.open()
 	drain(t, coord)
-	qs := testQueries(edges)[:50]
-	before, err := coord.QueryBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	n, err := coord.SaveSnapshot("")
-	if err != nil {
-		t.Fatalf("SaveSnapshot: %v", err)
-	}
-	if n <= 0 {
-		t.Fatalf("SaveSnapshot bytes = %d, want > 0", n)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := os.Stat(filepath.Join(dir, "shard"+string(rune('0'+i))+".snap")); err != nil {
-			t.Fatalf("shard %d snapshot missing: %v", i, err)
-		}
-	}
-
-	// Mutate past the snapshot, then restore it.
-	clusterIngest(t, coord, edges[4000:])
-	drain(t, coord)
-	after, err := coord.QueryBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	changed := false
-	for i := range after {
-		if after[i].Estimate != before[i].Estimate {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		t.Fatal("post-snapshot ingest changed nothing; restore check would be vacuous")
-	}
-
-	if err := coord.RestoreSnapshot(""); err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
-	}
-	restored, err := coord.QueryBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range restored {
-		if restored[i].Estimate != before[i].Estimate || restored[i].ErrorBound != before[i].ErrorBound {
-			t.Fatalf("query %d after restore = (%d, %g), want pre-mutation (%d, %g)",
-				i, restored[i].Estimate, restored[i].ErrorBound, before[i].Estimate, before[i].ErrorBound)
-		}
-	}
-
-	// A reordered topology is a different cluster: restoring must refuse.
-	reversed, err := cluster.New(cluster.Config{
-		Addrs:        []string{shards[1].addr, shards[0].addr},
-		Router:       router,
-		PingInterval: -1,
-		SnapshotPath: manifest,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reversed.Close()
-	if err := reversed.RestoreSnapshot(""); !errors.Is(err, cluster.ErrTopologyMismatch) {
-		t.Fatalf("reordered RestoreSnapshot = %v, want ErrTopologyMismatch", err)
-	}
-}
-
-// TestClusterProbeRevives checks the health loop end to end: a shard
-// marked degraded by a failed query is revived by a probe once it answers
-// pings again, and its gauges refresh.
-func TestClusterProbeRevives(t *testing.T) {
-	edges := testStream(2000, 31)
-	sample := edges[:500]
-	coord, _ := startCluster(t, 2, sample, cluster.Config{
-		BatchEdges:   256,
-		PingInterval: -1, // drive probes by hand for determinism
-	})
-	clusterIngest(t, coord, edges)
-	drain(t, coord)
-
-	coord.Probe()
-	total, _, gens := coord.Health()
-	var wantTotal int64
-	for _, e := range edges {
-		wantTotal += e.Weight
-	}
-	if total != wantTotal {
-		t.Fatalf("Health stream total = %d, want %d", total, wantTotal)
-	}
-	if gens != 1 {
-		t.Fatalf("Health generations = %d, want 1", gens)
-	}
-}
-
-// TestCoordinatorMetricsAndReadiness stands a coordinator HTTP server
-// over a live 2-shard cluster and asserts the /metrics exposition
-// parses, carries per-shard labeled series that agree with the
-// coordinator's Stats, and that /readyz tracks shard health: 200 while
-// any shard answers, 503 once every shard is gone.
-func TestCoordinatorMetricsAndReadiness(t *testing.T) {
-	sample := testStream(400, 17)
-	coord, shards := startCluster(t, 2, sample, cluster.Config{
-		PingInterval: 20 * time.Millisecond,
-		DialTimeout:  200 * time.Millisecond,
-		OpTimeout:    time.Second,
-	})
-	srv, err := server.New(server.Config{Cluster: coord})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	edges := testStream(4000, 23)
-	clusterIngest(t, coord, edges)
-	drain(t, coord)
-
-	get := func(path string) (int, []byte) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, raw
-	}
-
-	if code, _ := get("/readyz"); code != http.StatusOK {
-		t.Fatalf("readyz with healthy shards: %d", code)
-	}
-	code, raw := get("/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("GET /metrics: %d", code)
-	}
-	fams, err := obs.ParseFamilies(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("coordinator exposition does not parse: %v\n%s", err, raw)
-	}
-	find := func(name string, labels map[string]string) float64 {
-		t.Helper()
-		for _, f := range fams {
-			if f.Name != name {
-				continue
-			}
-		next:
-			for _, s := range f.Samples {
-				for k, v := range labels {
-					if s.Labels[k] != v {
-						continue next
-					}
-				}
-				return s.Value
-			}
-		}
-		t.Fatalf("series %s%v not found", name, labels)
-		return 0
-	}
-	if got := find("gsketch_cluster_shards", nil); got != 2 {
-		t.Errorf("cluster_shards = %v, want 2", got)
-	}
-	if got := find("gsketch_cluster_healthy", nil); got != 2 {
-		t.Errorf("cluster_healthy = %v, want 2", got)
-	}
-	st := coord.Stats()
-	var sent float64
-	for i, addr := range []string{shards[0].addr, shards[1].addr} {
-		labels := map[string]string{"shard": strconv.Itoa(i), "addr": addr}
-		if got := find("gsketch_shard_up", labels); got != 1 {
-			t.Errorf("shard %d up = %v, want 1", i, got)
-		}
-		got := find("gsketch_shard_edges_sent_total", labels)
-		if want := float64(st.Shards[i].EdgesSent); got != want {
-			t.Errorf("shard %d edges_sent = %v, want %v", i, got, want)
-		}
-		sent += got
-	}
-	if sent != float64(len(edges)) {
-		t.Errorf("summed shard edges_sent = %v, want %d", sent, len(edges))
-	}
-
-	// Kill every shard: readiness must go dark even though the
-	// coordinator process itself is still alive.
-	for _, sh := range shards {
-		sh.srv.Close()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if code, _ := get("/readyz"); code == http.StatusServiceUnavailable {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("readyz never flipped to 503 after all shards died")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if code, _ := get("/healthz"); code != http.StatusOK {
-		t.Fatalf("healthz after shard deaths: %d, want 200 (coordinator itself is alive)", code)
+	if got := dest.edges.Load(); got != int64(sent) {
+		t.Fatalf("shard folded %d edges, want the %d TryIngest accepted", got, sent)
 	}
 }

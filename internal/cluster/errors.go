@@ -13,15 +13,6 @@ var (
 	// ErrShardDown marks a shard the coordinator cannot reach; it is
 	// always wrapped in a *ShardError naming the shard.
 	ErrShardDown = errors.New("cluster: shard unreachable")
-	// ErrTopologyMismatch refuses a snapshot manifest recorded by a
-	// different topology (shard count or ordered address list differ).
-	ErrTopologyMismatch = errors.New("cluster: snapshot topology mismatch")
-	// ErrNoStream rejects streaming snapshot bytes through the
-	// coordinator; state lives on the shards' own disks.
-	ErrNoStream = errors.New("cluster: streaming snapshots unsupported (snapshots fan out to per-shard disks)")
-	// ErrNoSnapshotPath is returned by the snapshot fan-out when no
-	// manifest path is configured or supplied.
-	ErrNoSnapshotPath = errors.New("cluster: no snapshot manifest path")
 )
 
 // ShardError attributes a failure to one shard.

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -32,16 +31,18 @@ type sendJob struct {
 
 // shard is the coordinator's view of one cluster node: a batch buffer
 // feeding a sender goroutine that owns the write connection, a pooled set
-// of query connections, a degraded flag, and counters/gauges for /stats.
+// of query connections and a degraded flag.
 type shard struct {
 	id   int
 	addr string
 	cfg  *Config
-	log  *slog.Logger // scoped with shard/addr attributes
 
 	// down marks the shard degraded: ingest sheds to it, queries fail
 	// fast, and only a successful probe revives it.
 	down atomic.Bool
+	// downs counts markDown calls, so the sender can tell that its
+	// connection predates a failure.
+	downs atomic.Uint64
 
 	// Batch buffer between TryIngest and the sender.
 	bmu sync.Mutex
@@ -53,21 +54,6 @@ type shard struct {
 	// Query-connection free list, dropped wholesale on markDown.
 	pmu  sync.Mutex
 	pool []*wire.Client
-
-	// Monotonic counters.
-	pendingEdges atomic.Int64 // edges queued but not yet acked by the shard
-	edgesSent    atomic.Int64 // edges acked by the shard
-	edgesLost    atomic.Int64 // edges dropped because the shard died
-	sheds        atomic.Int64 // shard 429 rounds absorbed by the sender
-	batchesSent  atomic.Int64 // batches fully delivered
-	queries      atomic.Int64 // successful query round trips
-	queryErrs    atomic.Int64 // failed query round trips
-
-	// Gauges refreshed by the prober (and the initial dial check).
-	gmu     sync.Mutex
-	pong    wire.Pong
-	rtt     time.Duration
-	lastErr string
 }
 
 func newShard(id int, addr string, cfg *Config) *shard {
@@ -75,7 +61,6 @@ func newShard(id int, addr string, cfg *Config) *shard {
 		id:         id,
 		addr:       addr,
 		cfg:        cfg,
-		log:        cfg.Logger.With("component", "cluster", "shard", id, "addr", addr),
 		buf:        make([]stream.Edge, 0, cfg.BatchEdges),
 		sendCh:     make(chan sendJob, cfg.QueueBatches),
 		senderDone: make(chan struct{}),
@@ -92,20 +77,10 @@ func (sh *shard) dial() (*wire.Client, error) {
 
 // markDown degrades the shard and drops its pooled connections (they
 // share the peer's fate).
-func (sh *shard) markDown(err error) {
-	if !sh.down.Swap(true) {
-		sh.log.Warn("shard degraded", "error", err)
-	}
-	sh.gmu.Lock()
-	sh.lastErr = err.Error()
-	sh.gmu.Unlock()
-	sh.pmu.Lock()
-	pool := sh.pool
-	sh.pool = nil
-	sh.pmu.Unlock()
-	for _, c := range pool {
-		c.Close()
-	}
+func (sh *shard) markDown() {
+	sh.downs.Add(1)
+	sh.down.Store(true)
+	sh.closeConns()
 }
 
 func (sh *shard) getConn() (*wire.Client, error) {
@@ -167,7 +142,6 @@ func (sh *shard) handoffLocked() bool {
 	}
 	select {
 	case sh.sendCh <- sendJob{edges: sh.buf}:
-		sh.pendingEdges.Add(int64(len(sh.buf)))
 		sh.buf = make([]stream.Edge, 0, sh.cfg.BatchEdges)
 		return true
 	default:
@@ -188,82 +162,100 @@ func (sh *shard) kick() {
 // exits when sendCh closes.
 func (sh *shard) sender() {
 	defer close(sh.senderDone)
-	var cl *wire.Client
-	defer func() {
-		if cl != nil {
-			cl.Close()
-		}
-	}()
+	w := writeConn{sh: sh}
+	defer w.drop()
 	for job := range sh.sendCh {
 		if job.flush != nil {
-			job.flush <- sh.doFlush(&cl)
+			job.flush <- w.flush()
 			continue
 		}
-		sh.pendingEdges.Add(-int64(len(job.edges)))
-		sh.sendEdges(&cl, job.edges)
+		w.send(job.edges)
 	}
 }
 
-// sendEdges delivers one batch, absorbing shard 429s with the retry loop
-// and degrading the shard on connection failure (the undelivered suffix
-// is counted lost — rerouting would break partition-disjointness).
-func (sh *shard) sendEdges(cl **wire.Client, edges []stream.Edge) {
-	if sh.down.Load() {
-		sh.edgesLost.Add(int64(len(edges)))
+// writeConn is the sender's connection. It is redialed once the shard has
+// been marked down since it was opened: a shard the prober revived is a
+// new server, and the old connection died with the old one.
+type writeConn struct {
+	sh    *shard
+	cl    *wire.Client
+	downs uint64 // sh.downs when cl was dialed
+}
+
+// get returns a live connection, or marks the shard down when it cannot
+// dial one.
+func (w *writeConn) get() (*wire.Client, error) {
+	if w.cl != nil && w.downs == w.sh.downs.Load() {
+		return w.cl, nil
+	}
+	w.drop()
+	w.downs = w.sh.downs.Load()
+	cl, err := w.sh.dial()
+	if err != nil {
+		w.sh.markDown()
+		return nil, err
+	}
+	w.cl = cl
+	return cl, nil
+}
+
+// fail drops the connection after a failed round trip and degrades the
+// shard.
+func (w *writeConn) fail() {
+	w.drop()
+	w.sh.markDown()
+}
+
+func (w *writeConn) drop() {
+	if w.cl != nil {
+		w.cl.Close()
+		w.cl = nil
+	}
+}
+
+// send delivers one batch, absorbing shard 429s with the retry loop and
+// degrading the shard on connection failure (the undelivered suffix is
+// lost — rerouting would break partition-disjointness).
+func (w *writeConn) send(edges []stream.Edge) {
+	if w.sh.down.Load() {
 		return
 	}
-	if *cl == nil {
-		c, err := sh.dial()
-		if err != nil {
-			sh.markDown(err)
-			sh.edgesLost.Add(int64(len(edges)))
-			return
-		}
-		*cl = c
+	cl, err := w.get()
+	if err != nil {
+		return
 	}
 	for lo := 0; lo < len(edges); {
-		(*cl).SetDeadline(time.Now().Add(sh.cfg.OpTimeout))
-		accepted, rejected, err := (*cl).Ingest(edges[lo:])
-		sh.edgesSent.Add(int64(accepted))
+		cl.SetDeadline(time.Now().Add(w.sh.cfg.OpTimeout))
+		accepted, rejected, err := cl.Ingest(edges[lo:])
 		lo += accepted
 		if err != nil {
-			(*cl).Close()
-			*cl = nil
-			sh.markDown(err)
-			sh.edgesLost.Add(int64(len(edges) - lo))
+			w.fail()
 			return
 		}
 		if rejected > 0 {
-			sh.sheds.Add(1)
 			time.Sleep(shedBackoff)
 		}
 	}
-	sh.batchesSent.Add(1)
 }
 
-// doFlush delivers a flush barrier: every batch queued before it has
+// flush delivers a flush barrier: every batch queued before it has
 // already been acked (channel order), so one wire Flush drains the shard
 // engine's own pipeline.
-func (sh *shard) doFlush(cl **wire.Client) error {
+func (w *writeConn) flush() error {
+	sh := w.sh
 	if sh.down.Load() {
 		return &ShardError{ID: sh.id, Addr: sh.addr, Err: ErrShardDown}
 	}
-	if *cl == nil {
-		c, err := sh.dial()
-		if err != nil {
-			sh.markDown(err)
-			return &ShardError{ID: sh.id, Addr: sh.addr, Err: err}
-		}
-		*cl = c
-	}
-	(*cl).SetDeadline(time.Now().Add(sh.cfg.OpTimeout))
-	if err := (*cl).Flush(); err != nil {
-		(*cl).Close()
-		*cl = nil
-		sh.markDown(err)
+	cl, err := w.get()
+	if err != nil {
 		return &ShardError{ID: sh.id, Addr: sh.addr, Err: err}
 	}
-	(*cl).SetDeadline(time.Time{})
+	cl.SetDeadline(time.Now().Add(sh.cfg.OpTimeout))
+	if err := cl.Flush(); err != nil {
+		w.fail()
+		return &ShardError{ID: sh.id, Addr: sh.addr, Err: err}
+	}
+	cl.SetDeadline(time.Time{})
 	return nil
 }
 
@@ -276,14 +268,12 @@ func (sh *shard) drain(ctx context.Context) error {
 	sh.buf = make([]stream.Edge, 0, sh.cfg.BatchEdges)
 	sh.bmu.Unlock()
 	if len(buf) > 0 {
-		sh.pendingEdges.Add(int64(len(buf)))
 		select {
 		case sh.sendCh <- sendJob{edges: buf}:
 		case <-ctx.Done():
 			// Put the batch back in front so accepted edges are not
 			// dropped and order is kept (anything offered meanwhile came
 			// after it).
-			sh.pendingEdges.Add(-int64(len(buf)))
 			sh.bmu.Lock()
 			sh.buf = append(buf, sh.buf...)
 			sh.bmu.Unlock()
@@ -307,53 +297,41 @@ func (sh *shard) drain(ctx context.Context) error {
 // query scatters one batch to this shard over a pooled connection.
 func (sh *shard) query(qs []core.EdgeQuery) ([]core.Result, error) {
 	if sh.down.Load() {
-		sh.queryErrs.Add(1)
 		return nil, ErrShardDown
 	}
 	cl, err := sh.getConn()
 	if err != nil {
-		sh.markDown(err)
-		sh.queryErrs.Add(1)
+		sh.markDown()
 		return nil, err
 	}
 	cl.SetDeadline(time.Now().Add(sh.cfg.OpTimeout))
 	res, err := cl.Query(nil, qs)
 	if err != nil {
 		cl.Close()
-		sh.markDown(err)
-		sh.queryErrs.Add(1)
+		sh.markDown()
 		return nil, err
 	}
 	if len(res) != len(qs) {
 		cl.Close()
-		sh.queryErrs.Add(1)
 		return nil, fmt.Errorf("cluster: shard answered %d results, want %d", len(res), len(qs))
 	}
 	sh.putConn(cl)
-	sh.queries.Add(1)
 	return res, nil
 }
 
-// probe pings the shard, refreshing gauges and reviving a degraded shard
-// that answers again.
+// probe pings the shard, reviving a degraded shard that answers again.
 func (sh *shard) probe() {
 	cl, err := sh.getConn()
 	if err != nil {
-		sh.markDown(err)
+		sh.markDown()
 		return
 	}
 	cl.SetDeadline(time.Now().Add(sh.cfg.OpTimeout))
-	p, rtt, err := cl.Ping()
-	if err != nil {
+	if _, _, err := cl.Ping(); err != nil {
 		cl.Close()
-		sh.markDown(err)
+		sh.markDown()
 		return
 	}
-	sh.gmu.Lock()
-	sh.pong, sh.rtt, sh.lastErr = p, rtt, ""
-	sh.gmu.Unlock()
-	if sh.down.Swap(false) {
-		sh.log.Info("shard revived", "rtt_ms", float64(rtt.Microseconds())/1e3)
-	}
+	sh.down.Store(false)
 	sh.putConn(cl)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"reflect"
 	"runtime"
 	"slices"
@@ -337,6 +338,73 @@ func FuzzReadGSketch(f *testing.F) {
 		for i, r := range g.EstimateBatch(qs) {
 			if r.Estimate != g.EstimateEdge(qs[i].Src, qs[i].Dst) {
 				t.Fatalf("query %d: batch estimate %d, single %d", i, r.Estimate, g.EstimateEdge(qs[i].Src, qs[i].Dst))
+			}
+		}
+	})
+}
+
+// FuzzReadChainMeta feeds the chain reader — the one behind every restore
+// path — arbitrary bytes, seeded with the forged headers bare and wrapped
+// as one-generation version-4 chains, and a real three-generation chain in
+// both container versions. No input may panic, and a chain that loads has
+// one lifecycle record per generation. Re-serialized through
+// WriteChainMeta it must load back with equal records and, generation by
+// generation, the same snapshot up to route order.
+func FuzzReadChainMeta(f *testing.F) {
+	for _, data := range forgedHeaders() {
+		f.Add(data)
+		chain := binary.LittleEndian.AppendUint32(nil, gskMagic)
+		chain = binary.LittleEndian.AppendUint32(chain, gskChainMetaVersion)
+		chain = binary.LittleEndian.AppendUint64(chain, 1)
+		chain = binary.LittleEndian.AppendUint64(chain, 0) // BuiltAt
+		chain = binary.LittleEndian.AppendUint64(chain, 1) // CompactedFrom
+		chain = binary.LittleEndian.AppendUint64(chain, 0) // reserved
+		f.Add(append(chain, data...))
+	}
+	var gens []io.WriterTo
+	for i := uint64(0); i < 3; i++ {
+		g, err := BuildGSketch(Config{TotalBytes: 2 << 10, Seed: 3 + i}, testStream(200, 5+i), nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		g.UpdateBatch(testStream(300, 8+i))
+		gens = append(gens, g)
+	}
+	var v4, v3 bytes.Buffer
+	if _, err := WriteChainMeta(&v4, gens, []GenerationMeta{{BuiltAt: 100, CompactedFrom: 1}, {BuiltAt: 200, CompactedFrom: 3}, {BuiltAt: 300, CompactedFrom: 1}}); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := WriteChain(&v3, gens); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v4.Bytes())
+	f.Add(v3.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		gens, metas, err := ReadChainMeta(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(gens) != len(metas) {
+			t.Fatalf("%d generations but %d lifecycle records", len(gens), len(metas))
+		}
+		writers := make([]io.WriterTo, len(gens))
+		for i, g := range gens {
+			writers[i] = g
+		}
+		var again bytes.Buffer
+		if _, err := WriteChainMeta(&again, writers, metas); err != nil {
+			t.Fatalf("a loaded chain does not re-serialize: %v", err)
+		}
+		back, backMetas, err := ReadChainMeta(&again)
+		if err != nil {
+			t.Fatalf("a loaded chain's snapshot does not read back: %v", err)
+		}
+		if !slices.Equal(backMetas, metas) {
+			t.Fatalf("lifecycle records %v read back as %v", metas, backMetas)
+		}
+		for i := range gens {
+			if !bytes.Equal(sortedRoutes(t, serializeGSketch(t, back[i])), sortedRoutes(t, serializeGSketch(t, gens[i]))) {
+				t.Fatalf("generation %d reads back to a different sketch", i)
 			}
 		}
 	})

@@ -36,8 +36,8 @@ func (p *pickupEstimator) MemoryBytes() int { return 0 }
 // offer of precisely QueueDepth full batches must land entirely (nil
 // error) with the queue exactly full, a follow-up of precisely BatchSize
 // edges must park as an exactly-full pending batch (still nil error), and
-// only the first edge past that point sheds. The cluster coordinator's
-// accepted-prefix accounting leans on this exact-fit-accepts contract.
+// only the first edge past that point sheds. HTTP ingest's accepted-prefix
+// accounting leans on this exact-fit-accepts contract.
 func TestTryPushBatchExactFill(t *testing.T) {
 	const batch, depth = 4, 2
 	dest := &pickupEstimator{started: make(chan struct{}, 16), gate: make(chan struct{})}

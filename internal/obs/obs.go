@@ -48,8 +48,8 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // DefBuckets are the default latency bucket upper bounds in seconds,
-// ~100µs to 10s: wide enough for a loopback wire frame and a cold
-// cluster scatter alike.
+// ~100µs to 10s: wide enough for a loopback wire frame and a snapshot
+// restore alike.
 var DefBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,

@@ -9,11 +9,10 @@ import (
 )
 
 // Backend is the serving surface the Server fronts — the operations every
-// endpoint and wire frame shares, implemented by a single-node
-// gsketch.Engine (via engineBackend) and by cluster.Coordinator. Engine-
-// only concerns (workload capture, window queries, repartitioning,
-// streaming snapshots) stay off the interface: their routes mount only
-// when the backend is an engine.
+// endpoint and wire frame shares, implemented by a gsketch.Engine (via
+// engineBackend) and by a tenant's handle. Engine-only concerns (workload
+// capture, window queries, repartitioning, streaming snapshots) stay off
+// the interface: their routes mount only when the backend is an engine.
 type Backend interface {
 	// TryIngest offers an edge batch without blocking, returning the
 	// accepted prefix length (accepted-prefix semantics on every error).
@@ -25,12 +24,11 @@ type Backend interface {
 	// only registered as in flight (every Drain, snapshot, restore and Close
 	// waits for it) and left in edges for the connection to fold with
 	// adm.Apply once the ack is written — see gsketch.Engine.Admit. A
-	// backend that queues or applies the prefix itself (a coordinator, an
-	// engine without a pipeline) returns the zero Admission.
+	// backend that applies the prefix itself (an engine without a
+	// pipeline) returns the zero Admission.
 	Admit(edges []stream.Edge) (accepted int, adm gsketch.Admission, err error)
 	// AppendQueryBatch answers edge queries with bound-carrying results
-	// appended to dst, the caller's buffer. A cluster backend may return
-	// partial results alongside a typed *cluster.PartialError.
+	// appended to dst, the caller's buffer.
 	AppendQueryBatch(dst []core.Result, qs []core.EdgeQuery) ([]core.Result, error)
 	// Drain waits, bounded by ctx, until every accepted edge is applied.
 	Drain(ctx context.Context) error
@@ -40,12 +38,8 @@ type Backend interface {
 	RestoreSnapshot(path string) error
 	// SnapshotPath is the configured default snapshot location.
 	SnapshotPath() string
-	// Generations counts sketch generations serving reads.
-	Generations() int
 	// Health reports the non-blocking liveness gauges a Pong carries.
 	Health() (streamTotal int64, queueDepth, generations int)
-	// Close shuts the backend down, draining accepted work.
-	Close() error
 }
 
 // engineBackend adapts gsketch.Engine to Backend.
@@ -71,8 +65,6 @@ func (b engineBackend) Drain(ctx context.Context) error         { return b.eng.D
 func (b engineBackend) SaveSnapshot(path string) (int64, error) { return b.eng.SaveSnapshot(path) }
 func (b engineBackend) RestoreSnapshot(path string) error       { return b.eng.RestoreSnapshot(path) }
 func (b engineBackend) SnapshotPath() string                    { return b.eng.SnapshotPath() }
-func (b engineBackend) Generations() int                        { return b.eng.Generations() }
-func (b engineBackend) Close() error                            { return b.eng.Close() }
 
 func (b engineBackend) Health() (int64, int, int) {
 	depth := 0

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	gsketch "github.com/graphstream/gsketch"
-	"github.com/graphstream/gsketch/internal/cluster"
 	"github.com/graphstream/gsketch/internal/stream"
 	"github.com/graphstream/gsketch/internal/tenant"
 )
@@ -57,8 +56,8 @@ func (s *Server) routes() *http.ServeMux {
 		handle("POST /snapshot/save", s.handleSnapshotSave)
 		handle("POST /snapshot/restore", s.handleSnapshotRestore)
 	}
-	// Engine-only surfaces; cluster and tenant backends (s.eng == nil)
-	// serve the shared endpoints above, unchanged.
+	// Engine-only surfaces; a tenant registry (s.eng == nil) serves the
+	// shared endpoints above, tenant-scoped.
 	if s.eng != nil && s.eng.RecordsWorkload() {
 		handle("GET /workload", s.handleWorkload)
 	}
@@ -193,7 +192,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz is the readiness half of the health split: alive is not
 // the same as able to take traffic. 503s here tell a load balancer to
-// route around a state swap in progress or a shardless cluster, while
+// route around a state swap in progress, while
 // /healthz keeps reporting the process alive (no restart needed).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if err := s.ready(); err != nil {
@@ -244,25 +243,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// The tenant was deleted between route resolution and the push.
 		writeErrorCode(w, http.StatusNotFound, "tenant_not_found", "ingest: %v", err)
 		return
-	case errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, cluster.ErrClosed), errors.Is(err, tenant.ErrClosed):
+	case errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, tenant.ErrClosed):
 		// The accepted prefix (if any) was still taken by the pipeline;
 		// report it so a retrying client does not double-send it.
 		writeJSON(w, http.StatusServiceUnavailable, ingestResponse{
 			Accepted: accepted,
 			Rejected: rejected,
 			Error:    "ingest pipeline closed",
-			Code:     "unavailable",
-		})
-		return
-	case errors.Is(err, cluster.ErrShardDown):
-		// A degraded shard owns the next edge's partition: 503 (not 429 —
-		// an immediate retry hits the same wall) with the accepted prefix
-		// and the typed shard attribution.
-		s.stats.edgesRejected.Add(int64(rejected))
-		writeJSON(w, http.StatusServiceUnavailable, ingestResponse{
-			Accepted: accepted,
-			Rejected: rejected,
-			Error:    err.Error(),
 			Code:     "unavailable",
 		})
 		return
@@ -337,27 +324,22 @@ func (s *Server) drainBounded(r *http.Request, be Backend) error {
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		return errors.New("drain did not quiesce: " + err.Error())
 	}
-	if errors.Is(err, gsketch.ErrEngineClosed) || errors.Is(err, cluster.ErrClosed) || errors.Is(err, tenant.ErrClosed) {
+	if errors.Is(err, gsketch.ErrEngineClosed) || errors.Is(err, tenant.ErrClosed) {
 		return nil
 	}
 	return err
 }
 
-// writeQueryError maps backend query failures: a cluster gather that lost
-// shards is 502 Bad Gateway with the typed per-shard attribution (the
-// cluster is degraded, not the request), a closed backend 503, anything
-// else 500.
+// writeQueryError maps backend query failures: a deleted tenant 404, a
+// closed backend 503, anything else 500.
 func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
-	var pe *cluster.PartialError
 	switch {
-	case errors.As(err, &pe):
-		code = http.StatusBadGateway
 	case errors.Is(err, tenant.ErrNotFound):
 		// Tenant deleted between route resolution and the read.
 		writeErrorCode(w, http.StatusNotFound, "tenant_not_found", "query: %v", err)
 		return
-	case errors.Is(err, cluster.ErrClosed), errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, tenant.ErrClosed):
+	case errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, tenant.ErrClosed):
 		code = http.StatusServiceUnavailable
 	}
 	writeError(w, code, "query: %v", err)
@@ -455,12 +437,6 @@ func (s *Server) handleWindowQuery(w http.ResponseWriter, r *http.Request) {
 // handleSnapshotGet streams the serialized sketch, snapshotted under the
 // striped read locks, directly to the client.
 func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
-	if s.eng == nil {
-		// Cluster state lives on the shards' own disks; streaming it
-		// through the coordinator is deliberately unsupported.
-		writeError(w, http.StatusNotImplemented, "snapshot: %v", cluster.ErrNoStream)
-		return
-	}
 	// Write through a counter so an error before the first byte (an
 	// estimator without a serial form, say) can still become a clean 500
 	// instead of a 200 with an empty body the client mistakes for a
@@ -495,9 +471,6 @@ func (s *Server) handleSnapshotSave(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		code := http.StatusInternalServerError
 		switch {
-		// A shard the coordinator cannot reach is an upstream fault.
-		case errors.Is(err, cluster.ErrShardDown), isShardFailure(err):
-			code = http.StatusBadGateway
 		case errors.Is(err, tenant.ErrNotFound):
 			writeErrorCode(w, http.StatusNotFound, "tenant_not_found", "snapshot save: %v", err)
 			return
@@ -511,14 +484,6 @@ func (s *Server) handleSnapshotSave(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"path": path, "bytes": n})
 }
 
-// isShardFailure reports whether err carries per-shard attribution — a
-// *cluster.ShardError or a *cluster.PartialError wrapping them.
-func isShardFailure(err error) bool {
-	var se *cluster.ShardError
-	var pe *cluster.PartialError
-	return errors.As(err, &se) || errors.As(err, &pe)
-}
-
 // handleSnapshotRestore swaps the serving state for a snapshot, read from
 // the raw request body (Content-Type: application/octet-stream) or from a
 // path on disk. The engine owns the swap semantics: an adaptive engine
@@ -528,10 +493,6 @@ func isShardFailure(err error) bool {
 func (s *Server) handleSnapshotRestore(w http.ResponseWriter, r *http.Request) {
 	if s.tenants != nil {
 		s.handleTenantRestore(w, r)
-		return
-	}
-	if s.eng == nil {
-		s.handleClusterRestore(w, r)
 		return
 	}
 	var src io.Reader
@@ -589,7 +550,7 @@ func (s *Server) handleSnapshotRestore(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTenantRestore swaps one tenant's state in from a snapshot path.
-// Like the cluster path, raw octet-stream bodies are refused — tenant
+// Raw octet-stream bodies are refused — tenant
 // snapshots live under the registry tree, and the path restriction in
 // snapshotPath confines requests to the tenant's own directory.
 func (s *Server) handleTenantRestore(w http.ResponseWriter, r *http.Request) {
@@ -628,48 +589,6 @@ func (s *Server) handleTenantRestore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"restored":     path,
 		"generations":  gens,
-		"stream_total": total,
-	})
-}
-
-// handleClusterRestore fans a snapshot restore out to every shard. Only
-// manifest paths are restorable — a raw snapshot body has no home on the
-// coordinator (state lives on shard disks), so octet-stream bodies are
-// refused outright.
-func (s *Server) handleClusterRestore(w http.ResponseWriter, r *http.Request) {
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream") {
-		writeError(w, http.StatusNotImplemented, "snapshot restore: %v", cluster.ErrNoStream)
-		return
-	}
-	path, ok := s.snapshotPath(w, r, s.be)
-	if !ok {
-		return
-	}
-	done := s.beginSwap()
-	err := s.coord.RestoreSnapshot(path)
-	done()
-	if err != nil {
-		code := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, cluster.ErrTopologyMismatch):
-			// The manifest may be fine; this topology cannot serve it.
-			code = http.StatusConflict
-		case errors.Is(err, os.ErrNotExist):
-			code = http.StatusNotFound
-		case errors.Is(err, cluster.ErrClosed):
-			code = http.StatusServiceUnavailable
-		case isShardFailure(err):
-			code = http.StatusBadGateway
-		}
-		writeError(w, code, "snapshot restore from %s: %v", path, err)
-		return
-	}
-	s.stats.snapshotsRestored.Add(1)
-	total, _, gens := s.coord.Health()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"restored":     path,
-		"generations":  gens,
-		"shards":       s.coord.NumShards(),
 		"stream_total": total,
 	})
 }
@@ -720,8 +639,8 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStats reports the expvar counters plus the backend's live gauges:
-// engine pipeline/workload/routing gauges for a single node, per-shard
-// depth/latency/health gauges for a cluster.
+// registry gauges for a tenant registry, pipeline/workload/routing gauges
+// for an engine.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	now := s.cfg.Now()
 	if s.tenants != nil {
@@ -732,26 +651,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"tenants_resident": ts.Resident,
 			"tenant_evictions": ts.Evictions,
 			"tenant_reopens":   ts.Reopens,
-		}
-		s.stats.vars.Do(func(kv expvar.KeyValue) {
-			stats[kv.Key] = json.RawMessage(kv.Value.String())
-		})
-		writeJSON(w, http.StatusOK, stats)
-		return
-	}
-	if s.coord != nil {
-		cs := s.coord.Stats()
-		_, depth, gens := s.coord.Health()
-		stats := map[string]any{
-			"uptime_seconds":     now.Sub(s.start).Seconds(),
-			"stream_total":       cs.StreamTotal,
-			"generations":        gens,
-			"queue_depth":        depth,
-			"cluster_shards":     len(cs.Shards),
-			"cluster_healthy":    cs.Healthy,
-			"cluster_degraded":   cs.Degraded,
-			"cluster_edges_lost": cs.EdgesLost,
-			"shards":             cs.Shards,
 		}
 		s.stats.vars.Do(func(kv expvar.KeyValue) {
 			stats[kv.Key] = json.RawMessage(kv.Value.String())

@@ -1,11 +1,9 @@
 package server
 
 import (
-	"strconv"
 	"sync/atomic"
 
 	gsketch "github.com/graphstream/gsketch"
-	"github.com/graphstream/gsketch/internal/cluster"
 	"github.com/graphstream/gsketch/internal/obs"
 	"github.com/graphstream/gsketch/internal/tenant"
 	"github.com/graphstream/gsketch/internal/wire"
@@ -40,15 +38,13 @@ var wireTypeNames = map[byte]string{
 	wire.TypeQuery:        "query",
 	wire.TypeFlush:        "flush",
 	wire.TypePing:         "ping",
-	wire.TypeSnapSave:     "snap_save",
-	wire.TypeSnapRestore:  "snap_restore",
 	wire.TypeTenantSelect: "tenant_select",
 }
 
 // newServerMetrics builds the registry skeleton shared by both
 // backends: request counters (also exported through /stats), latency
 // histograms and the uptime/readiness gauges. Backend-specific gauges
-// are attached by registerEngineMetrics / registerClusterMetrics.
+// are attached by registerEngineMetrics / registerTenantMetrics.
 func (s *Server) newServerMetrics() *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{
@@ -271,81 +267,4 @@ func (s *Server) registerTenantMetrics(tr *tenant.Registry) {
 	evictHist := reg.Histogram("gsketch_tenant_evict_duration_seconds",
 		"Snapshot-to-disk eviction latency.", nil)
 	tr.AddObservers(reopenHist.ObserveDuration, evictHist.ObserveDuration)
-}
-
-// registerClusterMetrics attaches the coordinator gauges: cluster
-// aggregates plus one labeled series set per shard (the topology is
-// static, so the series are too). One Stats() snapshot per scrape
-// feeds every series.
-func (s *Server) registerClusterMetrics(coord *cluster.Coordinator) {
-	reg := s.metrics.reg
-	var snap atomic.Pointer[cluster.Stats]
-	snap.Store(&cluster.Stats{})
-	reg.AddPrepare(func() {
-		st := coord.Stats()
-		snap.Store(&st)
-	})
-	reg.GaugeFunc("gsketch_cluster_shards", "Configured shard count.",
-		func() float64 { return float64(coord.NumShards()) })
-	reg.GaugeFunc("gsketch_cluster_healthy", "Shards currently healthy.",
-		func() float64 { return float64(snap.Load().Healthy) })
-	reg.GaugeFunc("gsketch_cluster_degraded", "Shards currently degraded.",
-		func() float64 { return float64(snap.Load().Degraded) })
-	reg.GaugeFunc("gsketch_engine_stream_total", "Cluster-wide stream volume (summed shard pings).",
-		func() float64 { return float64(snap.Load().StreamTotal) })
-	reg.CounterFunc("gsketch_cluster_edges_lost_total",
-		"Edges dropped because their owning shard died.",
-		func() int64 { return snap.Load().EdgesLost })
-
-	shardStat := func(i int, f func(*cluster.ShardStats) float64) func() float64 {
-		return func() float64 {
-			st := snap.Load()
-			if i >= len(st.Shards) {
-				return 0
-			}
-			return f(&st.Shards[i])
-		}
-	}
-	for i, addr := range coord.Addrs() {
-		labels := []obs.Label{
-			{Key: "shard", Value: strconv.Itoa(i)},
-			{Key: "addr", Value: addr},
-		}
-		reg.GaugeFunc("gsketch_shard_up", "1 when the shard is healthy.",
-			shardStat(i, func(ss *cluster.ShardStats) float64 {
-				if ss.Healthy {
-					return 1
-				}
-				return 0
-			}), labels...)
-		reg.GaugeFunc("gsketch_shard_rtt_seconds", "Last probe round-trip time.",
-			shardStat(i, func(ss *cluster.ShardStats) float64 { return ss.RTTMillis / 1e3 }), labels...)
-		reg.GaugeFunc("gsketch_shard_stream_total", "Shard stream volume at last ping.",
-			shardStat(i, func(ss *cluster.ShardStats) float64 { return float64(ss.StreamTotal) }), labels...)
-		reg.GaugeFunc("gsketch_shard_queue_depth", "Shard ingest queue depth at last ping.",
-			shardStat(i, func(ss *cluster.ShardStats) float64 { return float64(ss.QueueDepth) }), labels...)
-		reg.GaugeFunc("gsketch_shard_pending_edges", "Edges queued coordinator-side, unacked.",
-			shardStat(i, func(ss *cluster.ShardStats) float64 { return float64(ss.PendingEdges) }), labels...)
-		counter := func(name, help string, f func(*cluster.ShardStats) int64) {
-			reg.CounterFunc(name, help, func() int64 {
-				st := snap.Load()
-				if i >= len(st.Shards) {
-					return 0
-				}
-				return f(&st.Shards[i])
-			}, labels...)
-		}
-		counter("gsketch_shard_edges_sent_total", "Edges acked by the shard.",
-			func(ss *cluster.ShardStats) int64 { return ss.EdgesSent })
-		counter("gsketch_shard_edges_lost_total", "Edges dropped because the shard died.",
-			func(ss *cluster.ShardStats) int64 { return ss.EdgesLost })
-		counter("gsketch_shard_sheds_total", "Shard 429 rounds absorbed by the sender.",
-			func(ss *cluster.ShardStats) int64 { return ss.Sheds })
-		counter("gsketch_shard_batches_sent_total", "Batches fully delivered to the shard.",
-			func(ss *cluster.ShardStats) int64 { return ss.BatchesSent })
-		counter("gsketch_shard_queries_total", "Successful query round trips.",
-			func(ss *cluster.ShardStats) int64 { return ss.Queries })
-		counter("gsketch_shard_query_errors_total", "Failed query round trips.",
-			func(ss *cluster.ShardStats) int64 { return ss.QueryErrors })
-	}
 }

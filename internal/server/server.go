@@ -26,11 +26,10 @@
 //	                       the engine is adaptive)
 //	GET  /healthz          liveness (alive and not shutting down)
 //	GET  /readyz           readiness: 503 during snapshot restores and
-//	                       repartition swaps, and when a cluster
-//	                       coordinator has zero healthy shards
+//	                       repartition swaps
 //	GET  /metrics          Prometheus text exposition: request counters,
 //	                       per-route and wire-frame latency histograms,
-//	                       engine/cluster gauges
+//	                       engine/tenant gauges
 //	GET  /stats            JSON counters + live engine gauges (the same
 //	                       registry /metrics renders)
 //
@@ -52,23 +51,15 @@ import (
 	"time"
 
 	gsketch "github.com/graphstream/gsketch"
-	"github.com/graphstream/gsketch/internal/cluster"
 	"github.com/graphstream/gsketch/internal/obs"
 	"github.com/graphstream/gsketch/internal/tenant"
 )
 
-// Config parameterizes a Server. Exactly one of Engine, Cluster and
-// Tenants names the backend.
+// Config parameterizes a Server. Exactly one of Engine and Tenants names
+// the backend.
 type Config struct {
 	// Engine is the serving engine, constructed with gsketch.Open.
 	Engine *gsketch.Engine
-
-	// Cluster serves a shard topology instead of a local engine: the
-	// coordinator fronts N remote engines behind the same HTTP+wire
-	// surface, so clients cannot tell one node from a cluster.
-	// Engine-only endpoints (/workload, /query/window, /repartition,
-	// GET /snapshot streaming) are not mounted.
-	Cluster *cluster.Coordinator
 
 	// Tenants serves a multi-tenant registry instead of a single backend:
 	// the data path moves under /t/{tenant}/... (plus the wire protocol's
@@ -117,12 +108,11 @@ func (c Config) withDefaults() Config {
 // safe for concurrent use.
 type Server struct {
 	cfg Config
-	// be is the serving surface shared by every endpoint. eng is non-nil
-	// only for engine backends (engine-only routes key off it); coord is
-	// non-nil only in cluster mode.
+	// be is the serving surface shared by every endpoint, and eng the
+	// engine behind it; both are nil in tenant mode, where each request
+	// resolves its tenant's handle.
 	be      Backend
 	eng     *gsketch.Engine
-	coord   *cluster.Coordinator
 	tenants *tenant.Registry
 	mux     *http.ServeMux
 	stats   *counters
@@ -152,20 +142,14 @@ type Server struct {
 	closeErr  error
 }
 
-// New builds a server around its one backend: an engine, a cluster
-// coordinator or a tenant registry. The server owns the backend's
+// New builds a server around its one backend: an engine or a tenant
+// registry. The server owns the backend's
 // lifecycle: Shutdown stops the adaptive loop, drains the pipeline and
 // optionally persists a final snapshot. Callers must not push to the
 // estimator directly while the server runs.
 func New(cfg Config) (*Server, error) {
-	backends := 0
-	for _, set := range []bool{cfg.Engine != nil, cfg.Cluster != nil, cfg.Tenants != nil} {
-		if set {
-			backends++
-		}
-	}
-	if backends != 1 {
-		return nil, fmt.Errorf("server: set exactly one of Config.Engine, Config.Cluster or Config.Tenants (got %d)", backends)
+	if (cfg.Engine == nil) == (cfg.Tenants == nil) {
+		return nil, errors.New("server: set exactly one of Config.Engine or Config.Tenants")
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -183,10 +167,6 @@ func New(cfg Config) (*Server, error) {
 		// handle (s.backend), and wire connections bind one per session.
 		s.tenants = cfg.Tenants
 		s.registerTenantMetrics(cfg.Tenants)
-	case cfg.Cluster != nil:
-		s.coord = cfg.Cluster
-		s.be = cfg.Cluster
-		s.registerClusterMetrics(cfg.Cluster)
 	default:
 		s.eng = cfg.Engine
 		s.be = engineBackend{eng: cfg.Engine}
@@ -203,11 +183,8 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Engine returns the serving engine, for embedders that want the
-// programmatic surface next to the HTTP one. It is nil in cluster mode.
+// programmatic surface next to the HTTP one. It is nil in tenant mode.
 func (s *Server) Engine() *gsketch.Engine { return s.eng }
-
-// Cluster returns the cluster coordinator, or nil for an engine backend.
-func (s *Server) Cluster() *cluster.Coordinator { return s.coord }
 
 // Handler returns the server's HTTP handler, for embedding in an existing
 // http.Server or test harness.
@@ -225,19 +202,13 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 // ready reports why the server cannot take traffic right now, or nil
 // when it can — the /readyz condition. Liveness (/healthz) only checks
 // the process is up and not shutting down; readiness additionally
-// fails during state swaps and when a cluster has no healthy shard
-// left to answer from.
+// fails during state swaps.
 func (s *Server) ready() error {
 	if s.closing.Load() {
 		return errors.New("shutting down")
 	}
 	if s.notReady.Load() > 0 {
 		return errors.New("state swap in progress")
-	}
-	if s.coord != nil {
-		if st := s.coord.Stats(); st.Healthy == 0 {
-			return fmt.Errorf("no healthy shards (%d configured)", len(st.Shards))
-		}
 	}
 	return nil
 }
@@ -274,10 +245,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// connections. Edges already accepted by the pipeline drain in
 		// the backend Close below.
 		s.closeWire()
-		// A cluster snapshot must fan out before Close severs the shard
-		// connections; an engine saves after Close (the closed engine's
-		// read path still serializes, and the close drain guarantees the
-		// snapshot covers every accepted edge).
 		if s.tenants != nil {
 			// Registry close snapshots every resident tenant to its own
 			// directory; SnapshotOnShutdown adds nothing on top.
@@ -285,26 +252,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				s.closeErr = err
 			}
 		} else {
-			saveFinal := func() {
-				if !s.cfg.SnapshotOnShutdown || s.be.SnapshotPath() == "" {
-					return
-				}
-				if _, err := s.be.SaveSnapshot(""); err != nil {
+			if err := s.eng.Close(); err != nil && s.closeErr == nil {
+				s.closeErr = err
+			}
+			// The snapshot comes after Close: the closed engine's read
+			// path still serializes, and the close drain guarantees the
+			// snapshot covers every accepted edge.
+			if s.cfg.SnapshotOnShutdown && s.eng.SnapshotPath() != "" {
+				if _, err := s.eng.SaveSnapshot(""); err != nil {
 					if s.closeErr == nil {
 						s.closeErr = err
 					}
 				} else {
 					s.stats.snapshotsSaved.Add(1)
 				}
-			}
-			if s.coord != nil {
-				saveFinal()
-			}
-			if err := s.be.Close(); err != nil && s.closeErr == nil {
-				s.closeErr = err
-			}
-			if s.coord == nil {
-				saveFinal()
 			}
 		}
 		if s.closeErr != nil {
@@ -355,8 +316,6 @@ func codeSlug(status int) string {
 		return "too_many_requests"
 	case http.StatusNotImplemented:
 		return "not_implemented"
-	case http.StatusBadGateway:
-		return "bad_gateway"
 	case http.StatusServiceUnavailable:
 		return "unavailable"
 	default:

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	gsketch "github.com/graphstream/gsketch"
-	"github.com/graphstream/gsketch/internal/cluster"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/stream"
@@ -274,6 +273,52 @@ func TestWindowQueryEndpoint(t *testing.T) {
 	}
 }
 
+// TestWindowFarFutureEdge: one edge a million spans past the current
+// window — one NDJSON "time" field away for any client — is a 200 that
+// opens one more window, not a million of them.
+func TestWindowFarFutureEdge(t *testing.T) {
+	const span, gap = 60, 1_000_000
+	store, err := window.NewStore(window.StoreConfig{
+		Span:       span,
+		SampleSize: 1024,
+		Sketch:     core.Config{TotalBytes: 4 << 20, Seed: 5},
+		Seed:       5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := testStream(200, 41)
+	_, ts := newTestServer(t, Config{
+		Engine: testEngine(t, buildTestGSketch(t, edges), gsketch.WithWindowStore(store)),
+	})
+	far := edges[0]
+	far.Time = span * gap
+	for _, e := range []stream.Edge{edges[0], far} {
+		if code, ir := postIngest(t, ts.URL, []stream.Edge{e}, true); code != http.StatusOK || ir.Accepted != 1 {
+			t.Fatalf("ingest at t=%d: %d %+v", e.Time, code, ir)
+		}
+	}
+	if ws := store.Windows(); len(ws) != 2 || ws[1].Index != gap {
+		t.Fatalf("store holds %d windows, want 2 (indices 0 and %d)", len(ws), gap)
+	}
+	body, _ := json.Marshal(windowQueryRequest{
+		Queries: []queryJSON{{Src: far.Src, Dst: far.Dst}},
+		T1:      far.Time, T2: far.Time + span - 1,
+	})
+	resp, err := http.Post(ts.URL+"/query/window", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var wr windowQueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("window query: %d, %v", resp.StatusCode, err)
+	}
+	if len(wr.Values) != 1 || wr.Values[0] < float64(far.Weight) {
+		t.Fatalf("far window answers %v, below truth %d", wr.Values, far.Weight)
+	}
+}
+
 // TestBadRequests covers the defensive error paths.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Engine: testEngine(t, buildTestGSketch(t, testStream(1000, 17)))})
@@ -378,19 +423,13 @@ func TestStatsShape(t *testing.T) {
 	}
 }
 
-// TestNewNeedsExactlyOneBackend: a server serves exactly one of an engine, a
-// cluster coordinator or a tenant registry. None, or two at once, is refused
-// with an error naming all three fields.
+// TestNewNeedsExactlyOneBackend: a server serves exactly one of an engine
+// or a tenant registry. None, or both at once, is refused with an error
+// naming both fields.
 func TestNewNeedsExactlyOneBackend(t *testing.T) {
 	sample := testStream(500, 3)
 	eng := testEngine(t, buildTestGSketch(t, sample))
 	t.Cleanup(func() { eng.Close() })
-	_, _, shardAddr := newWireServer(t, Config{Engine: testEngine(t, buildTestGSketch(t, sample))})
-	coord, err := cluster.New(cluster.Config{Addrs: []string{shardAddr}, Router: buildTestGSketch(t, sample), PingInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { coord.Close() })
 	reg, err := tenant.New(tenant.Config{Dir: t.TempDir(), Sketch: testSketchConfig()})
 	if err != nil {
 		t.Fatal(err)
@@ -402,9 +441,7 @@ func TestNewNeedsExactlyOneBackend(t *testing.T) {
 		cfg  Config
 	}{
 		{"none", Config{}},
-		{"engine+cluster", Config{Engine: eng, Cluster: coord}},
 		{"engine+tenants", Config{Engine: eng, Tenants: reg}},
-		{"cluster+tenants", Config{Cluster: coord, Tenants: reg}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, err := New(tc.cfg)
@@ -412,7 +449,7 @@ func TestNewNeedsExactlyOneBackend(t *testing.T) {
 				srv.Close()
 				t.Fatal("New accepted the configuration")
 			}
-			for _, field := range []string{"Engine", "Cluster", "Tenants"} {
+			for _, field := range []string{"Engine", "Tenants"} {
 				if !strings.Contains(err.Error(), field) {
 					t.Errorf("error %q does not name Config.%s", err, field)
 				}

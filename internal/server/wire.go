@@ -12,7 +12,6 @@ import (
 	"time"
 
 	gsketch "github.com/graphstream/gsketch"
-	"github.com/graphstream/gsketch/internal/cluster"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/obs"
 	"github.com/graphstream/gsketch/internal/stream"
@@ -56,7 +55,7 @@ import (
 // or Close returns, on this connection or any other — the registration
 // precedes the ack, and all of those wait on the in-flight count.
 // rejected > 0 is left for what really is refused: a tenant over its edge
-// rate, a cluster coordinator whose shard queue is full. An engine backend
+// rate. An engine backend
 // never sheds a wire frame; its backpressure is wirePipelineDepth decoded
 // frames per connection, then the TCP window — never an unbounded buffer,
 // never a retry loop.
@@ -239,10 +238,6 @@ func (s *Server) handleWireConn(conn net.Conn) {
 				*out = s.applyWireFlush(*out, be)
 			case wire.TypePing:
 				*out = s.applyWirePing(*out, be)
-			case wire.TypeSnapSave:
-				*out = s.applyWireSnapSave(*out, be)
-			case wire.TypeSnapRestore:
-				*out = s.applyWireSnapRestore(*out, be)
 			}
 		}
 		// The apply histogram child was resolved at registration; the
@@ -319,7 +314,7 @@ func (s *Server) wireDecodeLoop(r io.Reader, jobs chan<- wireJob) {
 				return
 			}
 			jobs <- wireJob{typ: f.Type, tenant: name}
-		case wire.TypeFlush, wire.TypePing, wire.TypeSnapSave, wire.TypeSnapRestore:
+		case wire.TypeFlush, wire.TypePing:
 			jobs <- wireJob{typ: f.Type}
 		default:
 			jobs <- wireJob{err: fmt.Errorf("%w: client sent reply type 0x%02x", wire.ErrUnknownType, f.Type)}
@@ -360,9 +355,8 @@ func (s *Server) applyWireTenantSelect(out []byte, name string, prev Backend) (B
 // admitWireIngest admits one decoded edge batch to the backend and appends
 // the ack (or error) reply frame; the caller folds the returned Admission
 // once the reply is written. rejected > 0 tells the client to retry that
-// suffix — a tenant's token-bucket cut and a coordinator's full shard queue
-// share the ack shape; an engine backend admits the whole frame or, closed,
-// none of it.
+// suffix after a tenant's token-bucket cut; an engine backend admits the
+// whole frame or, closed, none of it.
 func (s *Server) admitWireIngest(out []byte, be Backend, edges []stream.Edge) ([]byte, gsketch.Admission) {
 	s.stats.ingestRequests.Add(1)
 	accepted, adm, err := be.Admit(edges)
@@ -371,14 +365,8 @@ func (s *Server) admitWireIngest(out []byte, be Backend, edges []stream.Edge) ([
 	switch {
 	case errors.Is(err, tenant.ErrNotFound):
 		out = wire.AppendError(out, wire.CodeNotFound, "ingest: "+err.Error())
-	case errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, cluster.ErrClosed), errors.Is(err, tenant.ErrClosed):
+	case errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, tenant.ErrClosed):
 		out = wire.AppendError(out, wire.CodeClosed, "ingest pipeline closed")
-	case errors.Is(err, cluster.ErrShardDown):
-		// Not an ack: an acked rejection invites an immediate retry, but
-		// the owning shard is down. The typed error closes the
-		// conversation instead.
-		s.stats.edgesRejected.Add(int64(rejected))
-		out = wire.AppendError(out, wire.CodeDegraded, err.Error())
 	case errors.Is(err, gsketch.ErrIngestQueueFull), errors.Is(err, tenant.ErrRateLimited):
 		s.stats.edgesRejected.Add(int64(rejected))
 		out = wire.AppendAck(out, accepted, rejected)
@@ -400,15 +388,11 @@ func (s *Server) applyWireQuery(out []byte, be Backend, qs []core.EdgeQuery, res
 	}
 	results, err := be.AppendQueryBatch(results[:0], qs)
 	if err != nil {
-		// Partial cluster answers are refused on the wire: the frame
-		// format has no partial-result channel, so degraded is an error.
 		code := uint16(wire.CodeInternal)
 		switch {
-		case isShardFailure(err):
-			code = wire.CodeDegraded
 		case errors.Is(err, tenant.ErrNotFound):
 			code = wire.CodeNotFound
-		case errors.Is(err, cluster.ErrClosed), errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, tenant.ErrClosed):
+		case errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, tenant.ErrClosed):
 			code = wire.CodeClosed
 		}
 		return wire.AppendError(out, code, err.Error()), results
@@ -424,7 +408,7 @@ func (s *Server) applyWireFlush(out []byte, be Backend) []byte {
 	defer cancel()
 	err := be.Drain(ctx)
 	switch {
-	case err == nil, errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, cluster.ErrClosed), errors.Is(err, tenant.ErrClosed):
+	case err == nil, errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, tenant.ErrClosed):
 		return wire.AppendFlushAck(out)
 	case errors.Is(err, tenant.ErrNotFound):
 		return wire.AppendError(out, wire.CodeNotFound, "flush: "+err.Error())
@@ -436,8 +420,7 @@ func (s *Server) applyWireFlush(out []byte, be Backend) []byte {
 }
 
 // applyWirePing answers a health probe from the backend's non-blocking
-// gauges — the frame a cluster coordinator sends each shard every
-// PingInterval.
+// gauges.
 func (s *Server) applyWirePing(out []byte, be Backend) []byte {
 	total, depth, gens := be.Health()
 	return wire.AppendPong(out, wire.Pong{
@@ -445,46 +428,6 @@ func (s *Server) applyWirePing(out []byte, be Backend) []byte {
 		QueueDepth:  uint32(depth),
 		Generations: uint32(gens),
 	})
-}
-
-// applyWireSnapSave persists a snapshot to the backend's own configured
-// path — the receiving end of the coordinator's snapshot fan-out.
-func (s *Server) applyWireSnapSave(out []byte, be Backend) []byte {
-	n, err := be.SaveSnapshot("")
-	switch {
-	case errors.Is(err, gsketch.ErrNoSnapshotPath), errors.Is(err, cluster.ErrNoSnapshotPath):
-		return wire.AppendError(out, wire.CodeUnsupported, "snapshot save: "+err.Error())
-	case errors.Is(err, tenant.ErrNotFound):
-		return wire.AppendError(out, wire.CodeNotFound, "snapshot save: "+err.Error())
-	case errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, cluster.ErrClosed), errors.Is(err, tenant.ErrClosed):
-		return wire.AppendError(out, wire.CodeClosed, "snapshot save: "+err.Error())
-	case err != nil:
-		return wire.AppendError(out, wire.CodeInternal, "snapshot save: "+err.Error())
-	}
-	s.stats.snapshotsSaved.Add(1)
-	return wire.AppendSnapSaveAck(out, n)
-}
-
-// applyWireSnapRestore swaps in the snapshot at the backend's own
-// configured path and acks with the post-swap gauges.
-func (s *Server) applyWireSnapRestore(out []byte, be Backend) []byte {
-	done := s.beginSwap()
-	err := be.RestoreSnapshot("")
-	done()
-	switch {
-	case errors.Is(err, gsketch.ErrNoSnapshotPath), errors.Is(err, cluster.ErrNoSnapshotPath),
-		errors.Is(err, gsketch.ErrNotAdaptive), errors.Is(err, gsketch.ErrWindowMounted):
-		return wire.AppendError(out, wire.CodeUnsupported, "snapshot restore: "+err.Error())
-	case errors.Is(err, tenant.ErrNotFound):
-		return wire.AppendError(out, wire.CodeNotFound, "snapshot restore: "+err.Error())
-	case errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, cluster.ErrClosed), errors.Is(err, tenant.ErrClosed):
-		return wire.AppendError(out, wire.CodeClosed, "snapshot restore: "+err.Error())
-	case err != nil:
-		return wire.AppendError(out, wire.CodeInternal, "snapshot restore: "+err.Error())
-	}
-	s.stats.snapshotsRestored.Add(1)
-	total, _, gens := be.Health()
-	return wire.AppendSnapRestoreAck(out, total, gens)
 }
 
 // isWireRequest reports whether an HTTP request carries a wire-framed
@@ -544,12 +487,8 @@ func (s *Server) handleWireIngestHTTP(w http.ResponseWriter, r *http.Request, be
 	case errors.Is(err, tenant.ErrNotFound):
 		s.writeWireFrame(w, http.StatusNotFound, wire.AppendError((*out)[:0], wire.CodeNotFound, err.Error()))
 		return
-	case errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, cluster.ErrClosed), errors.Is(err, tenant.ErrClosed):
+	case errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, tenant.ErrClosed):
 		s.writeWireFrame(w, http.StatusServiceUnavailable, wire.AppendError((*out)[:0], wire.CodeClosed, "ingest pipeline closed"))
-		return
-	case errors.Is(err, cluster.ErrShardDown):
-		s.stats.edgesRejected.Add(int64(rejected))
-		s.writeWireFrame(w, http.StatusServiceUnavailable, wire.AppendError((*out)[:0], wire.CodeDegraded, err.Error()))
 		return
 	case errors.Is(err, gsketch.ErrIngestQueueFull), errors.Is(err, tenant.ErrRateLimited):
 		s.stats.edgesRejected.Add(int64(rejected))
@@ -607,11 +546,9 @@ func (s *Server) handleWireQueryHTTP(w http.ResponseWriter, r *http.Request, be 
 		status := http.StatusInternalServerError
 		code := uint16(wire.CodeInternal)
 		switch {
-		case isShardFailure(err):
-			status, code = http.StatusBadGateway, wire.CodeDegraded
 		case errors.Is(err, tenant.ErrNotFound):
 			status, code = http.StatusNotFound, wire.CodeNotFound
-		case errors.Is(err, cluster.ErrClosed), errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, tenant.ErrClosed):
+		case errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, tenant.ErrClosed):
 			status, code = http.StatusServiceUnavailable, wire.CodeClosed
 		}
 		s.writeWireFrame(w, status, wire.AppendError((*out)[:0], code, err.Error()))

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	gsketch "github.com/graphstream/gsketch"
-	"github.com/graphstream/gsketch/internal/cluster"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/stream"
@@ -495,51 +494,6 @@ func TestWireTenantEvictRacesFolds(t *testing.T) {
 	}
 	if ev := srv.tenants.RegistryStats().Evictions; ev == 0 {
 		t.Fatal("no eviction raced the frames; the test exercised nothing")
-	}
-}
-
-// TestWireCoordinatorStillSheds: behind a cluster coordinator an ingest
-// frame's edges belong to the shard queues, so a full queue still cuts the
-// frame and acks the accepted prefix with rejected > 0 — and whatever was
-// accepted reaches the shard once it moves again.
-func TestWireCoordinatorStillSheds(t *testing.T) {
-	// The shard: a wire server whose estimator is gated, so after one frame
-	// its connection sits in a fold and acks nothing further.
-	dest := newGated()
-	_, _, shardAddr := newWireServer(t, Config{Engine: testEngine(t, dest,
-		gsketch.WithIngest(ingest.Config{Workers: 1}))})
-	sample := testStream(500, 83)
-	coord, err := cluster.New(cluster.Config{
-		Addrs:        []string{shardAddr},
-		Router:       buildTestGSketch(t, sample),
-		BatchEdges:   4,
-		QueueBatches: 1,
-		PingInterval: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, frontAddr := newWireServer(t, Config{Cluster: coord})
-	t.Cleanup(dest.open)
-
-	wc := dialWire(t, frontAddr)
-	edges := testStream(400, 89)
-	sent, shed := 0, false
-	for sent < len(edges)-4 && !shed {
-		acc, rej := wc.ingestFrame(t, edges[sent:sent+4])
-		if acc+rej != 4 {
-			t.Fatalf("ack (%d, %d) does not cover the 4-edge frame", acc, rej)
-		}
-		sent += acc
-		shed = rej > 0
-	}
-	if !shed {
-		t.Fatalf("%d edges accepted into a one-batch queue over a stalled shard, none shed", sent)
-	}
-	dest.open()
-	wc.flush(t)
-	if got := dest.edges.Load(); got != int64(sent) {
-		t.Fatalf("shard folded %d edges, want the %d the acks accepted", got, sent)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"os"
 	"syscall"
 	"testing"
 	"time"
@@ -408,18 +407,15 @@ func TestWireShutdown(t *testing.T) {
 	}
 }
 
-// TestWireClusterFrames exercises the coordinator-facing frames —
-// ping/pong, snapshot save and snapshot restore — against an engine-backed
-// wire server, plus the unsupported-save error when no snapshot path is
-// configured.
+// TestWireClusterFrames exercises the ping/pong pair against an
+// engine-backed wire server, and checks that a frame of the retired
+// snapshot range (0x0A–0x0D) is refused as an unparseable frame.
 func TestWireClusterFrames(t *testing.T) {
 	edges := testStream(800, 29)
 	g := buildTestGSketch(t, edges[:300])
-	snap := t.TempDir() + "/wire.snap"
 	_, _, wireAddr := newWireServer(t, Config{
 		Engine: testEngine(t, core.NewConcurrent(g),
-			gsketch.WithIngest(ingest.Config{Workers: 1, BatchSize: 128}),
-			gsketch.WithSnapshotFile(snap)),
+			gsketch.WithIngest(ingest.Config{Workers: 1, BatchSize: 128})),
 	})
 
 	wc := dialWire(t, wireAddr)
@@ -443,50 +439,13 @@ func TestWireClusterFrames(t *testing.T) {
 		t.Fatalf("pong = %+v, want stream total %d, 1 generation", pong, total)
 	}
 
-	// Save persists to the server's own configured path.
-	wc.send(t, wire.AppendSnapSave(nil))
+	// What was a snapshot-save request is now an unknown type.
+	wc.send(t, []byte{wire.Version, 0x0A, 0, 0, 0, 0, 0, 0})
 	f = wc.next(t)
-	if f.Type != wire.TypeSnapSaveAck {
-		t.Fatalf("save reply type 0x%02x, want save ack", f.Type)
-	}
-	n, err := wire.DecodeSnapSaveAck(f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := os.Stat(snap); err != nil || fi.Size() != n {
-		t.Fatalf("snapshot on disk = (%v, %v), want %d bytes", fi, err, n)
-	}
-
-	// Mutate, restore, and check the ack carries the pre-mutation totals.
-	wc.ingestWire(t, edges)
-	wc.send(t, wire.AppendSnapRestore(nil))
-	f = wc.next(t)
-	if f.Type != wire.TypeSnapRestoreAck {
-		t.Fatalf("restore reply type 0x%02x, want restore ack", f.Type)
-	}
-	restoredTotal, gens, err := wire.DecodeSnapRestoreAck(f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restoredTotal != total || gens != 1 {
-		t.Fatalf("restore ack = (%d, %d), want (%d, 1)", restoredTotal, gens, total)
-	}
-
-	// No snapshot path configured: save answers unsupported, connection
-	// stays usable afterwards for non-snapshot frames.
-	g2 := buildTestGSketch(t, edges[:300])
-	_, _, wireAddr2 := newWireServer(t, Config{Engine: testEngine(t, core.NewConcurrent(g2))})
-	wc2 := dialWire(t, wireAddr2)
-	wc2.send(t, wire.AppendSnapSave(nil))
-	f = wc2.next(t)
 	if f.Type != wire.TypeError {
-		t.Fatalf("pathless save reply type 0x%02x, want error", f.Type)
+		t.Fatalf("reserved-type reply 0x%02x, want error", f.Type)
 	}
-	code, _, err := wire.DecodeError(f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != wire.CodeUnsupported {
-		t.Fatalf("pathless save code = %d, want CodeUnsupported", code)
+	if code, _, _ := wire.DecodeError(f.Payload); code != wire.CodeBadFrame {
+		t.Fatalf("reserved-type code = %d, want CodeBadFrame", code)
 	}
 }

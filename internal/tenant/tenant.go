@@ -810,17 +810,6 @@ func (h *Handle) RestoreSnapshot(path string) error {
 // SnapshotPath is the tenant's snapshot file under the registry tree.
 func (h *Handle) SnapshotPath() string { return h.r.SnapshotFile(h.t.name) }
 
-// Generations counts the tenant's sketch generations (reopening it if
-// evicted).
-func (h *Handle) Generations() int {
-	gens := 1
-	_ = h.withEngine(func(eng *gsketch.Engine) error {
-		gens = eng.Generations()
-		return nil
-	})
-	return gens
-}
-
 // Health reports the tenant's liveness gauges (reopening it if
 // evicted — a health probe is an access like any other).
 func (h *Handle) Health() (streamTotal int64, queueDepth, generations int) {
@@ -835,7 +824,3 @@ func (h *Handle) Health() (streamTotal int64, queueDepth, generations int) {
 	})
 	return streamTotal, queueDepth, generations
 }
-
-// Close is a no-op: tenant lifecycle belongs to the Registry (the
-// server shuts the registry down, not individual handles).
-func (h *Handle) Close() error { return nil }

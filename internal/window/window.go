@@ -93,19 +93,8 @@ func (s *Store) Observe(e stream.Edge) error {
 	if e.Time < 0 {
 		return fmt.Errorf("window: negative timestamp %d", e.Time)
 	}
-	if !s.started {
-		if err := s.open(idx); err != nil {
-			return err
-		}
-		s.started = true
-	}
-	for idx > s.curIndex {
-		if err := s.open(s.curIndex + 1); err != nil {
-			return err
-		}
-	}
-	if idx < s.curIndex {
-		return fmt.Errorf("%w: edge at window %d, current %d", ErrTimeOrder, idx, s.curIndex)
+	if err := s.advance(idx); err != nil {
+		return err
 	}
 	w := &s.windows[len(s.windows)-1]
 	w.Estimator.Update(e)
@@ -126,19 +115,8 @@ func (s *Store) ObserveBatch(edges []stream.Edge) error {
 			return fmt.Errorf("window: negative timestamp %d", e.Time)
 		}
 		idx := e.Time / s.cfg.Span
-		if !s.started {
-			if err := s.open(idx); err != nil {
-				return err
-			}
-			s.started = true
-		}
-		for idx > s.curIndex {
-			if err := s.open(s.curIndex + 1); err != nil {
-				return err
-			}
-		}
-		if idx < s.curIndex {
-			return fmt.Errorf("%w: edge at window %d, current %d", ErrTimeOrder, idx, s.curIndex)
+		if err := s.advance(idx); err != nil {
+			return err
 		}
 		// Extend the run while edges stay in the current window.
 		end := start + 1
@@ -157,15 +135,38 @@ func (s *Store) ObserveBatch(edges []stream.Edge) error {
 	return nil
 }
 
+// advance makes window idx the current one. A gap in time opens only the
+// window the edge falls in: the skipped windows would have held nothing,
+// and a full sketch for each of them let one far-future timestamp exhaust
+// memory. Only an adjacent window is partitioned from the previous
+// window's reservoir; after a gap the window starts as a GlobalSketch,
+// exactly as it would have after an empty window.
+func (s *Store) advance(idx int64) error {
+	switch {
+	case !s.started:
+		if err := s.open(idx, false); err != nil {
+			return err
+		}
+		s.started = true
+		return nil
+	case idx < s.curIndex:
+		return fmt.Errorf("%w: edge at window %d, current %d", ErrTimeOrder, idx, s.curIndex)
+	case idx > s.curIndex:
+		return s.open(idx, idx == s.curIndex+1)
+	}
+	return nil
+}
+
 // open seals the current window (if any) and starts window idx, building
-// its estimator from the previous window's reservoir sample.
-func (s *Store) open(idx int64) error {
+// its estimator from the previous window's reservoir sample when
+// fromSample is set and that sample is not empty.
+func (s *Store) open(idx int64, fromSample bool) error {
 	cfg := s.cfg.Sketch
 	cfg.Seed = s.rng.Uint64()
 
 	var est core.Estimator
 	partitioned := false
-	if s.sampler != nil && len(s.sampler.Sample()) > 0 {
+	if fromSample && len(s.sampler.Sample()) > 0 {
 		g, err := core.BuildGSketch(cfg, s.sampler.Sample(), nil)
 		if err != nil {
 			return fmt.Errorf("window %d: %w", idx, err)

@@ -104,11 +104,66 @@ func TestStoreSkippedWindows(t *testing.T) {
 	mustObserve(t, s, stream.Edge{Src: 1, Dst: 2, Time: 10})
 	mustObserve(t, s, stream.Edge{Src: 1, Dst: 2, Time: 510}) // jumps 4 windows
 	ws := s.Windows()
-	if len(ws) != 6 {
-		t.Fatalf("got %d windows, want 6 (0..5)", len(ws))
+	if len(ws) != 2 || ws[0].Index != 0 || ws[1].Index != 5 {
+		t.Fatalf("got %d windows, want 2 (indices 0 and 5): %+v", len(ws), ws)
 	}
-	if ws[5].Arrivals != 1 {
-		t.Errorf("window 5 arrivals = %d", ws[5].Arrivals)
+	if ws[1].Arrivals != 1 {
+		t.Errorf("window 5 arrivals = %d", ws[1].Arrivals)
+	}
+	// After a gap there is no previous-window sample to partition from.
+	if ws[1].Partitioned {
+		t.Error("window 5 follows a gap and should not be partitioned")
+	}
+}
+
+// TestStoreFarFutureGap: one edge a million spans past the current window
+// opens one window, not a million, for Observe and ObserveBatch alike; the
+// gap answers 0 and the new window never undercounts.
+func TestStoreFarFutureGap(t *testing.T) {
+	const gap = 1_000_000
+	cfg := storeConfig()
+	cfg.Span = 60
+	far := int64(gap)*cfg.Span + 7
+	late := []stream.Edge{
+		{Src: 3, Dst: 4, Weight: 2, Time: far},
+		{Src: 3, Dst: 4, Weight: 1, Time: far + 1},
+		{Src: 5, Dst: 6, Weight: 1, Time: far + 2},
+	}
+	for name, observe := range map[string]func(*Store) error{
+		"Observe": func(s *Store) error {
+			for _, e := range late {
+				if err := s.Observe(e); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		"ObserveBatch": func(s *Store) error { return s.ObserveBatch(late) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := NewStore(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustObserve(t, s, stream.Edge{Src: 3, Dst: 4, Weight: 1, Time: 0})
+			one := s.MemoryBytes()
+			if err := observe(s); err != nil {
+				t.Fatal(err)
+			}
+			ws := s.Windows()
+			if len(ws) != 2 || ws[1].Index != gap {
+				t.Fatalf("got %d windows, want 2 (indices 0 and %d)", len(ws), gap)
+			}
+			if got := s.MemoryBytes(); got != 2*one {
+				t.Fatalf("MemoryBytes = %d, want two sketches' %d", got, 2*one)
+			}
+			if got := s.EstimateEdge(3, 4, cfg.Span, int64(gap)*cfg.Span-1); got != 0 {
+				t.Fatalf("estimate over the gap = %v, want 0", got)
+			}
+			if got := s.EstimateEdge(3, 4, int64(gap)*cfg.Span, int64(gap+1)*cfg.Span-1); got < 3 {
+				t.Fatalf("estimate on the far window = %v, below truth 3", got)
+			}
+		})
 	}
 }
 

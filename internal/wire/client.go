@@ -79,8 +79,8 @@ func (c *Client) roundTrip() (Frame, error) {
 // Ingest offers one edge batch as a single frame and returns the server's
 // ack. Accepted edges are applied by the time a later Flush returns (the
 // server folds them behind the ack). rejected > 0 means that suffix was
-// refused — a tenant over its quota, a coordinator's full shard queue; an
-// engine-backed server accepts a frame whole — and the caller may retry
+// refused — a tenant over its quota; an engine-backed server accepts a
+// frame whole — and the caller may retry
 // edges[accepted:] after a backoff.
 func (c *Client) Ingest(edges []stream.Edge) (accepted, rejected int, err error) {
 	c.buf = AppendIngest(c.buf[:0], edges)
@@ -148,8 +148,7 @@ func (c *Client) Flush() error {
 }
 
 // Ping probes the server without mutating it, returning the server's live
-// gauges and the round-trip time. It is the health check a cluster
-// coordinator runs against its shards.
+// gauges and the round-trip time.
 func (c *Client) Ping() (Pong, time.Duration, error) {
 	c.buf = AppendPing(c.buf[:0])
 	start := time.Now()
@@ -163,37 +162,6 @@ func (c *Client) Ping() (Pong, time.Duration, error) {
 	}
 	p, err := DecodePong(f.Payload)
 	return p, rtt, err
-}
-
-// SaveSnapshot asks the server to persist a snapshot to its own configured
-// snapshot path, returning the byte count written. The sketch state never
-// crosses the wire — the frame is the fan-out signal a coordinator sends
-// to every shard.
-func (c *Client) SaveSnapshot() (int64, error) {
-	c.buf = AppendSnapSave(c.buf[:0])
-	f, err := c.roundTrip()
-	if err != nil {
-		return 0, err
-	}
-	if f.Type != TypeSnapSaveAck {
-		return 0, fmt.Errorf("wire: snapshot-save reply type 0x%02x, want ack", f.Type)
-	}
-	return DecodeSnapSaveAck(f.Payload)
-}
-
-// RestoreSnapshot asks the server to swap in the snapshot at its own
-// configured snapshot path, returning the post-swap stream total and
-// generation count.
-func (c *Client) RestoreSnapshot() (streamTotal int64, generations int, err error) {
-	c.buf = AppendSnapRestore(c.buf[:0])
-	f, err := c.roundTrip()
-	if err != nil {
-		return 0, 0, err
-	}
-	if f.Type != TypeSnapRestoreAck {
-		return 0, 0, fmt.Errorf("wire: snapshot-restore reply type 0x%02x, want ack", f.Type)
-	}
-	return DecodeSnapRestoreAck(f.Payload)
 }
 
 // SelectTenant binds the connection to the named tenant on a
@@ -211,7 +179,6 @@ func (c *Client) SelectTenant(name string) error {
 	return nil
 }
 
-// SetDeadline bounds the next round trip(s); the zero time clears it. A
-// coordinator uses it so a dead shard surfaces as a timeout instead of a
-// hung gather.
+// SetDeadline bounds the next round trip(s); the zero time clears it, so
+// a dead server surfaces as a timeout instead of a hung call.
 func (c *Client) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }

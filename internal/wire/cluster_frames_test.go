@@ -7,17 +7,12 @@ import (
 	"testing"
 )
 
-// TestClusterFrameRoundTrips covers the coordinator frames added for
-// cluster mode: ping/pong and the snapshot save/restore fan-out pair.
+// TestClusterFrameRoundTrips covers the ping/pong pair.
 func TestClusterFrameRoundTrips(t *testing.T) {
 	var buf []byte
 	buf = AppendPing(buf)
 	buf = AppendPong(buf, Pong{StreamTotal: -7, QueueDepth: 3, Generations: 2})
 	buf = AppendPong(buf, Pong{StreamTotal: 1 << 60, QueueDepth: 0, Generations: 1})
-	buf = AppendSnapSave(buf)
-	buf = AppendSnapSaveAck(buf, 123456789)
-	buf = AppendSnapRestore(buf)
-	buf = AppendSnapRestoreAck(buf, 42, 5)
 
 	dec := NewDecoder(bytes.NewReader(buf))
 	next := func(wantType byte, wantLen int) Frame {
@@ -50,51 +45,34 @@ func TestClusterFrameRoundTrips(t *testing.T) {
 		t.Fatalf("pong stream total: %d", p.StreamTotal)
 	}
 
-	next(TypeSnapSave, 0)
-
-	f = next(TypeSnapSaveAck, SnapSaveAckSize)
-	n, err := DecodeSnapSaveAck(f.Payload)
-	if err != nil || n != 123456789 {
-		t.Fatalf("snap-save ack: %d, %v", n, err)
-	}
-
-	next(TypeSnapRestore, 0)
-
-	f = next(TypeSnapRestoreAck, SnapRestoreAckSize)
-	total, gens, err := DecodeSnapRestoreAck(f.Payload)
-	if err != nil || total != 42 || gens != 5 {
-		t.Fatalf("snap-restore ack: %d/%d, %v", total, gens, err)
-	}
-
 	if _, err := dec.Next(); err != io.EOF {
 		t.Fatalf("trailing frame: %v", err)
 	}
 }
 
-// TestClusterFramePayloadValidation rejects truncated cluster-frame
-// payloads with the typed payload error.
+// TestClusterFramePayloadValidation rejects a truncated pong payload with
+// the typed payload error.
 func TestClusterFramePayloadValidation(t *testing.T) {
 	if _, err := DecodePong(make([]byte, PongSize-1)); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("short pong: %v", err)
 	}
-	if _, err := DecodeSnapSaveAck(make([]byte, SnapSaveAckSize+1)); !errors.Is(err, ErrBadPayload) {
-		t.Fatalf("long snap-save ack: %v", err)
-	}
-	if _, _, err := DecodeSnapRestoreAck(nil); !errors.Is(err, ErrBadPayload) {
-		t.Fatalf("empty snap-restore ack: %v", err)
-	}
 }
 
 // TestDecoderAcceptsNewTypes makes sure the decoder's type range covers
-// the highest registered frame and still rejects the next value.
+// the highest registered frame and still rejects the next value and the
+// reserved snapshot range 0x0A–0x0D.
 func TestDecoderAcceptsNewTypes(t *testing.T) {
-	frame := appendHeader(nil, TypeTenantAck, 0)
-	if _, err := NewDecoder(bytes.NewReader(frame)).Next(); err != nil {
-		t.Fatalf("TypeTenantAck rejected: %v", err)
+	for _, typ := range []byte{TypePong, TypeTenantSelect, TypeTenantAck} {
+		frame := appendHeader(nil, typ, 0)
+		if _, err := NewDecoder(bytes.NewReader(frame)).Next(); err != nil {
+			t.Fatalf("type 0x%02x rejected: %v", typ, err)
+		}
 	}
-	frame = appendHeader(nil, TypeTenantAck+1, 0)
-	if _, err := NewDecoder(bytes.NewReader(frame)).Next(); !errors.Is(err, ErrUnknownType) {
-		t.Fatalf("unknown type accepted: %v", err)
+	for _, typ := range []byte{0x0A, 0x0B, 0x0C, 0x0D, TypeTenantAck + 1} {
+		frame := appendHeader(nil, typ, 0)
+		if _, err := NewDecoder(bytes.NewReader(frame)).Next(); !errors.Is(err, ErrUnknownType) {
+			t.Fatalf("type 0x%02x accepted: %v", typ, err)
+		}
 	}
 }
 

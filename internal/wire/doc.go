@@ -35,21 +35,16 @@
 //	TypePong           16 bytes: stream_total i64, queue_depth u32 (batches
 //	                   in the server's HTTP-fed ingest queue; wire frames
 //	                   never enter it), generations u32
-//	TypeSnapSave       empty (request: persist a snapshot to the server's
-//	                   own configured path)
-//	TypeSnapSaveAck    8 bytes: bytes_written i64
-//	TypeSnapRestore    empty (request: swap in the snapshot at the
-//	                   server's own configured path)
-//	TypeSnapRestoreAck 16 bytes: stream_total i64, generations u32,
-//	                   4 pad bytes
 //	TypeTenantSelect   1..64 bytes: tenant name, UTF-8 (request: bind the
 //	                   connection to a tenant on a multi-tenant server)
 //	TypeTenantAck      empty (reply: tenant selected)
 //
 // The conversation is strictly request/reply in frame order: TypeIngest is
 // answered by TypeAck, TypeQuery by TypeResults (one record per query, in
-// input order), TypeFlush by TypeFlushAck, TypePing by TypePong and the
-// snapshot requests by their acks.
+// input order), TypeFlush by TypeFlushAck and TypePing by TypePong. Types
+// 0x0A–0x0D are reserved: they carried a snapshot save/restore pair whose
+// only sender, a cluster coordinator's fan-out, is gone, and the decoder
+// rejects them as ErrUnknownType. Error code 5 is reserved with them.
 //
 // An ack is a promise, not a receipt for finished work. The server
 // registers the frame's accepted edges as in flight, writes the ack, and
@@ -61,15 +56,12 @@
 // backpressure is the connection itself: a few decoded frames, then the TCP
 // window. rejected > 0, the wire equivalent of HTTP 429 (retry the rejected
 // suffix after a pause), is left for what really is refused: a tenant over
-// its edge-rate quota, and a cluster coordinator whose queue towards the
-// owning shard is full. Because a connection folds its own frames, one
+// its edge-rate quota. Because a connection folds its own frames, one
 // connection uses one core on the server (about 16 M edges/s); a producer
 // with more to send opens more connections, which fold in parallel.
 //
-// Ping and the snapshot pair exist for the cluster coordinator
-// (internal/cluster): Ping is the shard health probe, and the snapshot
-// frames fan persistence out to every shard's local disk without sketch
-// bytes crossing the wire. A server that cannot parse or serve a frame
+// Ping is a health probe that reads the server's gauges without changing
+// them. A server that cannot parse or serve a frame
 // answers TypeError and closes the connection: framing errors are not
 // recoverable mid-stream.
 //

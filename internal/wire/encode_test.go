@@ -131,9 +131,7 @@ func TestEncodersMatchReference(t *testing.T) {
 		}{
 			{"ack", AppendAck(buf(), 7, 1<<31), refFixed(buf(), TypeAck, 7|1<<63)},
 			{"pong", AppendPong(buf(), Pong{StreamTotal: -3, QueueDepth: 9, Generations: 4}), refFixed(buf(), TypePong, uint64(1<<64-3), 9|4<<32)},
-			{"snapshot save ack", AppendSnapSaveAck(buf(), 1<<40), refFixed(buf(), TypeSnapSaveAck, 1<<40)},
-			{"snapshot restore ack", AppendSnapRestoreAck(buf(), 5, 3), refFixed(buf(), TypeSnapRestoreAck, 5, 3)},
-			{"error", AppendError(buf(), CodeDegraded, "shard down"), append(refHeader(buf(), TypeError, 12), 5, 0, 's', 'h', 'a', 'r', 'd', ' ', 'd', 'o', 'w', 'n')},
+			{"error", AppendError(buf(), CodeInternal, "drain slow"), append(refHeader(buf(), TypeError, 12), 4, 0, 'd', 'r', 'a', 'i', 'n', ' ', 's', 'l', 'o', 'w')},
 			{"flush", AppendFlush(buf()), refHeader(buf(), TypeFlush, 0)},
 		} {
 			if !bytes.Equal(c.got, c.ref) {

@@ -28,16 +28,12 @@ const (
 	TypeFlush    = 0x06 // drain request → TypeFlushAck
 	TypeFlushAck = 0x07 // drain completed
 
-	// Cluster-coordination frames (PR 7). Ping is a state-free health
-	// probe; the snapshot pair asks a shard to persist/restore its own
-	// configured snapshot path, so a coordinator can fan snapshots out
-	// without streaming sketch bytes through itself.
-	TypePing           = 0x08 // health probe → TypePong
-	TypePong           = 0x09 // probe reply: live shard gauges
-	TypeSnapSave       = 0x0A // persist a snapshot → TypeSnapSaveAck
-	TypeSnapSaveAck    = 0x0B // snapshot persisted: byte count
-	TypeSnapRestore    = 0x0C // swap in the snapshot → TypeSnapRestoreAck
-	TypeSnapRestoreAck = 0x0D // snapshot restored: post-swap gauges
+	// Ping is a state-free health probe.
+	TypePing = 0x08 // health probe → TypePong
+	TypePong = 0x09 // probe reply: live server gauges
+
+	// 0x0A–0x0D are reserved: they carried a snapshot save/restore pair
+	// that no client sends any more. The decoder rejects them.
 
 	// Multi-tenant extension (PR 9). A connection to a tenant-mode server
 	// starts unbound; TenantSelect scopes every later frame on the
@@ -46,16 +42,17 @@ const (
 	TypeTenantAck    = 0x0F // tenant selected
 )
 
+// reservedLo..reservedHi is the retired frame-type range.
+const reservedLo, reservedHi = 0x0A, 0x0D
+
 // Record widths and header size, in bytes.
 const (
-	HeaderSize         = 8
-	EdgeSize           = 32
-	QuerySize          = 16
-	ResultSize         = 40
-	AckSize            = 8
-	PongSize           = 16
-	SnapSaveAckSize    = 8
-	SnapRestoreAckSize = 16
+	HeaderSize = 8
+	EdgeSize   = 32
+	QuerySize  = 16
+	ResultSize = 40
+	AckSize    = 8
+	PongSize   = 16
 )
 
 // MaxFrameBytes is the default payload bound: frames claiming more are
@@ -68,8 +65,8 @@ const (
 	CodeUnsupported = 2 // frame type the server does not serve
 	CodeClosed      = 3 // server is shutting down
 	CodeInternal    = 4 // serving failure (drain timeout, ...)
-	CodeDegraded    = 5 // cluster shard(s) unreachable: partial answer refused
 	CodeNotFound    = 6 // named tenant does not exist
+	// 5 is reserved: it reported an unreachable cluster shard.
 )
 
 // Typed decode errors, matched with errors.Is. Truncated frames surface as
@@ -124,7 +121,7 @@ func (d *Decoder) Next() (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: %d", ErrBadVersion, d.hdr[0])
 	}
 	typ := d.hdr[1]
-	if typ < TypeIngest || typ > TypeTenantAck {
+	if typ < TypeIngest || typ > TypeTenantAck || (typ >= reservedLo && typ <= reservedHi) {
 		return Frame{}, fmt.Errorf("%w: 0x%02x", ErrUnknownType, typ)
 	}
 	if d.hdr[2] != 0 || d.hdr[3] != 0 {
@@ -302,8 +299,8 @@ func DecodeError(payload []byte) (code uint16, msg string, err error) {
 	return binary.LittleEndian.Uint16(payload), string(payload[2:]), nil
 }
 
-// Pong is the decoded payload of a TypePong health reply: the gauges a
-// coordinator needs to judge a shard without mutating it.
+// Pong is the decoded payload of a TypePong health reply: the server's
+// live gauges, read without mutating it.
 type Pong struct {
 	StreamTotal int64  // estimator stream volume
 	QueueDepth  uint32 // batches in the HTTP-fed ingest queue (wire frames never enter it)
@@ -332,44 +329,6 @@ func DecodePong(payload []byte) (Pong, error) {
 		QueueDepth:  binary.LittleEndian.Uint32(payload[8:]),
 		Generations: binary.LittleEndian.Uint32(payload[12:]),
 	}, nil
-}
-
-// AppendSnapSave appends a TypeSnapSave frame.
-func AppendSnapSave(dst []byte) []byte { return appendHeader(dst, TypeSnapSave, 0) }
-
-// AppendSnapSaveAck appends a TypeSnapSaveAck frame.
-func AppendSnapSaveAck(dst []byte, bytes int64) []byte {
-	dst, p := appendFrame(dst, TypeSnapSaveAck, SnapSaveAckSize)
-	binary.LittleEndian.PutUint64(p, uint64(bytes))
-	return dst
-}
-
-// DecodeSnapSaveAck unpacks a TypeSnapSaveAck payload.
-func DecodeSnapSaveAck(payload []byte) (bytes int64, err error) {
-	if len(payload) != SnapSaveAckSize {
-		return 0, fmt.Errorf("%w: snapshot-save ack payload %d bytes, want %d", ErrBadPayload, len(payload), SnapSaveAckSize)
-	}
-	return int64(binary.LittleEndian.Uint64(payload)), nil
-}
-
-// AppendSnapRestore appends a TypeSnapRestore frame.
-func AppendSnapRestore(dst []byte) []byte { return appendHeader(dst, TypeSnapRestore, 0) }
-
-// AppendSnapRestoreAck appends a TypeSnapRestoreAck frame.
-func AppendSnapRestoreAck(dst []byte, streamTotal int64, generations int) []byte {
-	dst, p := appendFrame(dst, TypeSnapRestoreAck, SnapRestoreAckSize)
-	binary.LittleEndian.PutUint64(p[0:], uint64(streamTotal))
-	binary.LittleEndian.PutUint64(p[8:], uint64(uint32(generations))) // a uint32, then four reserved zeros
-	return dst
-}
-
-// DecodeSnapRestoreAck unpacks a TypeSnapRestoreAck payload.
-func DecodeSnapRestoreAck(payload []byte) (streamTotal int64, generations int, err error) {
-	if len(payload) != SnapRestoreAckSize {
-		return 0, 0, fmt.Errorf("%w: snapshot-restore ack payload %d bytes, want %d", ErrBadPayload, len(payload), SnapRestoreAckSize)
-	}
-	return int64(binary.LittleEndian.Uint64(payload[0:])),
-		int(binary.LittleEndian.Uint32(payload[8:])), nil
 }
 
 // MaxTenantNameLen bounds TenantSelect payloads; servers validate the

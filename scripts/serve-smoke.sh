@@ -11,17 +11,9 @@ ADDR=${SMOKE_ADDR:-127.0.0.1:7171}
 WADDR=${SMOKE_WIRE_ADDR:-127.0.0.1:7172}
 BASE="http://$ADDR"
 TMP=$(mktemp -d)
-PID=""
-
-cleanup() {
-  if [[ -n "$PID" ]] && kill -0 "$PID" 2>/dev/null; then
-    kill -9 "$PID" 2>/dev/null || true
-  fi
-  rm -rf "$TMP"
-}
-trap cleanup EXIT
-
-fail() { echo "serve-smoke: FAIL: $*" >&2; exit 1; }
+SMOKE=serve-smoke
+# shellcheck source=scripts/smoke-lib.sh
+source "$(dirname "$0")/smoke-lib.sh"
 
 # A small partitioning sample: hub sources with repeated edges.
 for i in $(seq 0 199); do
@@ -32,13 +24,7 @@ done > "$TMP/sample.txt"
   -snapshot "$TMP/state.gsk" -workers 2 -batch 64 &
 PID=$!
 
-# Wait for liveness.
-for _ in $(seq 1 100); do
-  if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
-  kill -0 "$PID" 2>/dev/null || fail "server exited during startup"
-  sleep 0.1
-done
-curl -sf "$BASE/healthz" >/dev/null || fail "server never became healthy"
+wait_healthy
 
 # NDJSON-ingest: edge (1,101) five times, (2,102) three times.
 {
@@ -154,12 +140,7 @@ PID=""
 "$BIN" -addr "$ADDR" -adapt -sample "$TMP/sample.txt" -snapshot "$TMP/chain.gsk" \
   -workers 2 -batch 64 &
 PID=$!
-for _ in $(seq 1 100); do
-  if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
-  kill -0 "$PID" 2>/dev/null || fail "adaptive server exited during startup"
-  sleep 0.1
-done
-curl -sf "$BASE/healthz" >/dev/null || fail "adaptive server never became healthy"
+wait_healthy "adaptive server"
 
 # Ingest known-source traffic, then a burst from sources the partitioning
 # sample never saw — the drifted stream the next generation must cover.
@@ -221,12 +202,7 @@ PID=""
   -compact-max-gens 8 -compact-interval 1h -tier-dir "$TMP/tiers" -tier-resident 1 \
   -workers 2 -batch 64 &
 PID=$!
-for _ in $(seq 1 100); do
-  if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
-  kill -0 "$PID" 2>/dev/null || fail "lifecycle server exited during startup"
-  sleep 0.1
-done
-curl -sf "$BASE/healthz" >/dev/null || fail "lifecycle server never became healthy"
+wait_healthy "lifecycle server"
 
 # Three phases split by two pivots; the same edge keeps arriving so the
 # folded chain must still sum every phase's contribution.

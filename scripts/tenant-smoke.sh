@@ -13,26 +13,9 @@ ADDR=${SMOKE_ADDR:-127.0.0.1:7271}
 WADDR=${SMOKE_WIRE_ADDR:-127.0.0.1:7272}
 BASE="http://$ADDR"
 TMP=$(mktemp -d)
-PID=""
-
-cleanup() {
-  if [[ -n "$PID" ]] && kill -0 "$PID" 2>/dev/null; then
-    kill -9 "$PID" 2>/dev/null || true
-  fi
-  rm -rf "$TMP"
-}
-trap cleanup EXIT
-
-fail() { echo "tenant-smoke: FAIL: $*" >&2; exit 1; }
-
-wait_healthy() {
-  for _ in $(seq 1 100); do
-    if curl -sf "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
-    kill -0 "$PID" 2>/dev/null || fail "server exited during startup"
-    sleep 0.1
-  done
-  fail "server never became healthy"
-}
+SMOKE=tenant-smoke
+# shellcheck source=scripts/smoke-lib.sh
+source "$(dirname "$0")/smoke-lib.sh"
 
 # ---------------------------------------------------------------------------
 # Phase 1: uncapped registry — admin API, isolation, quotas, wire select.
