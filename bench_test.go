@@ -802,35 +802,6 @@ func runsPerEdge(input []stream.Edge, batch int) float64 {
 
 // --- Ablation benches --------------------------------------------------------
 
-// BenchmarkAblationRedistribution compares the trimmed-width reallocation
-// policies on the RMAT stand-in at fixed memory.
-func BenchmarkAblationRedistribution(b *testing.B) {
-	reg := harness().Reg
-	ds, err := reg.RMAT()
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := query.UniformEdgeQueries(ds.Exact, 2000, ds.Seed+12)
-	for _, policy := range []core.Redistribution{
-		core.RedistributeProportional, core.RedistributeEven, core.RedistributeNone,
-	} {
-		b.Run(policy.String(), func(b *testing.B) {
-			var are float64
-			for i := 0; i < b.N; i++ {
-				g, err := core.BuildGSketch(core.Config{
-					TotalBytes: ds.FixedMemory, Seed: ds.Seed, Redistribute: policy,
-				}, ds.DataSample, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				core.Populate(g, ds.Edges)
-				are = query.EvaluateEdgeQueries(g, ds.Exact, queries, query.DefaultG0).AvgRelErr
-			}
-			b.ReportMetric(are, "ARE")
-		})
-	}
-}
-
 // BenchmarkAblationOutlierFraction sweeps the outlier width reservation.
 func BenchmarkAblationOutlierFraction(b *testing.B) {
 	reg := harness().Reg

@@ -34,17 +34,6 @@ const (
 	DefaultCollisionC = core.DefaultCollisionC
 )
 
-// Redistribution selects the policy for reallocating width freed by
-// Theorem-1 leaf trimming.
-type Redistribution = core.Redistribution
-
-// Redistribution policies.
-const (
-	RedistributeProportional = core.RedistributeProportional
-	RedistributeEven         = core.RedistributeEven
-	RedistributeNone         = core.RedistributeNone
-)
-
 // Estimator is the common query surface of GSketch and GlobalSketch.
 type Estimator = core.Estimator
 

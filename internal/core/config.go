@@ -40,38 +40,6 @@ var ErrConfig = errors.New("core: invalid configuration")
 // any usable data sample.
 var ErrEmptySample = errors.New("core: data sample is empty")
 
-// Redistribution selects what happens to the width saved when Theorem-1
-// trimming shrinks a leaf sketch ("It helps save extra space which can be
-// allocated to other sketches", §4.1). The paper does not prescribe a
-// policy; ProportionalLoad is the default and the alternatives exist for
-// the ablation benches.
-type Redistribution int
-
-const (
-	// RedistributeProportional gives saved width to untrimmed leaves in
-	// proportion to their estimated load F̃(S_i).
-	RedistributeProportional Redistribution = iota
-	// RedistributeEven splits saved width equally among untrimmed leaves.
-	RedistributeEven
-	// RedistributeNone leaves the saved width unused (pure paper-text
-	// baseline for ablation).
-	RedistributeNone
-)
-
-// String implements fmt.Stringer.
-func (r Redistribution) String() string {
-	switch r {
-	case RedistributeProportional:
-		return "proportional"
-	case RedistributeEven:
-		return "even"
-	case RedistributeNone:
-		return "none"
-	default:
-		return fmt.Sprintf("Redistribution(%d)", int(r))
-	}
-}
-
 // Config parameterizes construction of both GSketch and GlobalSketch. Both
 // count in CountMin sketches — plain, or conservative-update with
 // Conservative — so every answer carries CountMin's one-sided guarantee:
@@ -93,17 +61,19 @@ type Config struct {
 	// only sensible for closed vertex universes).
 	OutlierFraction float64
 	// MinWidth is the w0 termination threshold (default DefaultMinWidth).
+	// Half of it is also the least width of a localized sketch: the tree
+	// divides the partition width over its leaves in proportion to
+	// √(F̃(S_i)·G(S_i)) above that floor.
 	MinWidth int
 	// CollisionC is the Theorem-1 constant C in (0,1) (default
-	// DefaultCollisionC).
+	// DefaultCollisionC): a node whose distinct-edge load fits C times its
+	// width is not split further.
 	CollisionC float64
 	// MaxPartitions caps the number of localized sketches; 0 means
 	// unbounded (the tree then stops only via w0 / Theorem 1).
 	MaxPartitions int
 	// Conservative enables conservative update on every CountMin sketch.
 	Conservative bool
-	// Redistribute selects the trimmed-width reallocation policy.
-	Redistribute Redistribution
 	// Seed fixes all hash families and makes construction deterministic.
 	Seed uint64
 }

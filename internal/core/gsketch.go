@@ -154,7 +154,6 @@ func buildFromStats(cfg Config, stats *vstats.Stats, order vstats.SortOrder) (*G
 		CollisionC:    cfg.CollisionC,
 		MaxPartitions: cfg.MaxPartitions,
 		Order:         order,
-		Redistribute:  cfg.Redistribute,
 	})
 	if err != nil {
 		return nil, err

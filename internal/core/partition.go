@@ -11,7 +11,8 @@ import (
 
 // Leaf describes one materialized localized sketch of the partitioning.
 type Leaf struct {
-	// Width is the final column count after trimming and redistribution.
+	// Width is the leaf's column count: a floor plus its share of the rest
+	// of the budget in proportion to √(F̃(S_i)·G(S_i)) (see leafWidths).
 	Width int
 	// Vertices is the number of sampled source vertices routed here.
 	Vertices int
@@ -19,9 +20,9 @@ type Leaf struct {
 	SumF float64
 	// SumD is Σ d̃(m): the estimated number of distinct edges counted here.
 	SumD float64
-	// Trimmed records that the leaf met the Theorem-1 criterion and its
-	// width was cut to Σ d̃(m).
-	Trimmed bool
+	// sumG is G(S_i), the leaf's Σg objective weight; it is set only while
+	// BuildPartitioning assigns widths.
+	sumG float64
 }
 
 // Partitioning is the output of the partitioning tree: the leaf sketch
@@ -35,11 +36,8 @@ type Partitioning struct {
 	LeafOf   []int32
 	// Order records which scenario objective built this partitioning.
 	Order vstats.SortOrder
-	// WidthBudget is the input width; SavedWidth is what trimming freed
-	// and redistribution could not place (nonzero only under
-	// RedistributeNone or when every leaf was trimmed).
+	// WidthBudget is the input width; the leaf widths sum to it exactly.
 	WidthBudget int
-	SavedWidth  int
 }
 
 // PartitionParams are the tree-construction inputs.
@@ -47,17 +45,16 @@ type PartitionParams struct {
 	// Width is the total column budget to divide (excludes the outlier
 	// sketch; the caller carves that out first).
 	Width int
-	// MinWidth is w0: nodes narrower than this materialize (criterion 1).
+	// MinWidth is w0: nodes narrower than this materialize (criterion 1),
+	// and w0/2 is the floor of every leaf's final width.
 	MinWidth int
 	// CollisionC is C: nodes with Σd̃ ≤ C·width materialize (criterion 2,
-	// Theorem 1) and are trimmed to Σd̃.
+	// Theorem 1).
 	CollisionC float64
 	// MaxPartitions caps the leaf count (0 = unbounded).
 	MaxPartitions int
 	// Order selects the scenario objective (Eq. 9 vs Eq. 11).
 	Order vstats.SortOrder
-	// Redistribute selects the trimmed-width reallocation policy.
-	Redistribute Redistribution
 }
 
 // node is a contiguous range [lo, hi) of the sorted vertex array with its
@@ -70,7 +67,10 @@ type node struct {
 // BuildPartitioning runs the partitioning tree of Figures 2 and 3 over the
 // sample statistics. The vertex array is sorted once by the scenario key;
 // every tree node is then a contiguous range, and the optimal pivot of the
-// Eq. 9 / Eq. 11 objective is found in O(range) with prefix sums.
+// Eq. 9 / Eq. 11 objective is found in O(range) with prefix sums. The tree
+// halves a node's width at each split only to decide where to stop
+// (criteria 1 and 2); once it is built, leafWidths divides the budget over
+// the leaves in one pass.
 func BuildPartitioning(stats *vstats.Stats, p PartitionParams) (*Partitioning, error) {
 	if stats.Len() == 0 {
 		return nil, ErrEmptySample
@@ -136,30 +136,17 @@ func BuildPartitioning(stats *vstats.Stats, p PartitionParams) (*Partitioning, e
 	}
 
 	materialize := func(nd node) {
-		leaf := Leaf{
-			Width:    nd.width,
-			Vertices: nd.hi - nd.lo,
-			SumF:     prefF[nd.hi] - prefF[nd.lo],
-			SumD:     prefD[nd.hi] - prefD[nd.lo],
-		}
-		// Theorem-1 trimming: a leaf whose distinct-edge load fits within
-		// C·width is shrunk to Σd̃; the freed width is pooled for
-		// redistribution.
-		if leaf.SumD <= p.CollisionC*float64(nd.width) {
-			tw := int(math.Ceil(leaf.SumD))
-			if tw < 1 {
-				tw = 1
-			}
-			if tw < leaf.Width {
-				leaf.Width = tw
-				leaf.Trimmed = true
-			}
-		}
 		idx := int32(len(part.Leaves))
 		for i := nd.lo; i < nd.hi; i++ {
 			leafAt[i] = idx
 		}
-		part.Leaves = append(part.Leaves, leaf)
+		part.Leaves = append(part.Leaves, Leaf{
+			Width:    nd.width,
+			Vertices: nd.hi - nd.lo,
+			SumF:     prefF[nd.hi] - prefF[nd.lo],
+			SumD:     prefD[nd.hi] - prefD[nd.lo],
+			sumG:     prefG[nd.hi] - prefG[nd.lo],
+		})
 	}
 
 	active := []node{{0, n, p.Width}}
@@ -196,15 +183,7 @@ func BuildPartitioning(stats *vstats.Stats, p PartitionParams) (*Partitioning, e
 
 	part.Vertices, part.LeafOf = assignmentByID(verts, leafAt)
 
-	redistribute(part.Leaves, p.Width, p.Redistribute)
-	total := 0
-	for _, l := range part.Leaves {
-		total += l.Width
-	}
-	part.SavedWidth = p.Width - total
-	if part.SavedWidth < 0 {
-		return nil, fmt.Errorf("core: internal error: leaf widths exceed budget (%d > %d)", total, p.Width)
-	}
+	leafWidths(part.Leaves, p.Width, min(p.MinWidth/2, p.Width/len(part.Leaves)))
 	return part, nil
 }
 
@@ -250,62 +229,34 @@ func bestPivot(nd node, prefF, prefG []float64) int {
 	return bestK
 }
 
-// redistribute reallocates the pooled trimmed width in place according to
-// the policy. Untrimmed leaves are the preferred recipients; if every leaf
-// was trimmed the pool is spread over all of them.
-func redistribute(leaves []Leaf, budget int, policy Redistribution) {
-	total := 0
+// leafWidths sets every leaf's width to floor + a share of the rest of the
+// budget proportional to √(F̃ᵢ·Gᵢ): the widths that minimize the §4.1
+// objective Σᵢ F̃ᵢ·Gᵢ/wᵢ under Σᵢ wᵢ = budget. The floor keeps a leaf whose
+// sample weight is near zero countable. Shares are rounded down, clamped so
+// that the running sum cannot pass the budget, and the integer remainder
+// is handed out round-robin, so the widths sum to budget exactly. floor·n
+// must not exceed budget. The square roots are taken separately so that
+// weights near the float range's top cannot overflow into Inf or NaN.
+func leafWidths(leaves []Leaf, budget, floor int) {
+	weight := func(l Leaf) float64 { return math.Sqrt(l.SumF) * math.Sqrt(l.sumG) }
+	var total float64
 	for _, l := range leaves {
-		total += l.Width
+		total += weight(l)
 	}
-	pool := budget - total
-	if pool <= 0 || policy == RedistributeNone || len(leaves) == 0 {
-		return
+	proportional := total > 0 && !math.IsInf(total, 1)
+	rest := budget - floor*len(leaves)
+	assigned := 0
+	for i := range leaves {
+		add := 0
+		if proportional {
+			add = min(int(float64(rest)*(weight(leaves[i])/total)), rest-assigned)
+		}
+		leaves[i].Width = floor + add
+		leaves[i].sumG = 0
+		assigned += add
 	}
-	recipients := make([]int, 0, len(leaves))
-	for i, l := range leaves {
-		if !l.Trimmed {
-			recipients = append(recipients, i)
-		}
-	}
-	if len(recipients) == 0 {
-		for i := range leaves {
-			recipients = append(recipients, i)
-		}
-	}
-	switch policy {
-	case RedistributeEven:
-		each := pool / len(recipients)
-		rem := pool % len(recipients)
-		for j, i := range recipients {
-			leaves[i].Width += each
-			if j < rem {
-				leaves[i].Width++
-			}
-		}
-	case RedistributeProportional:
-		var sumF float64
-		for _, i := range recipients {
-			sumF += leaves[i].SumF
-		}
-		if sumF <= 0 {
-			// Degenerate: fall back to even.
-			redistribute(leaves, budget, RedistributeEven)
-			return
-		}
-		assigned := 0
-		for _, i := range recipients {
-			// Clamped, so that float rounding can never hand out more
-			// than the pool: Σ widths ≤ budget is what snapshot readers
-			// hold a leaf table to.
-			add := min(int(float64(pool)*leaves[i].SumF/sumF), pool-assigned)
-			leaves[i].Width += add
-			assigned += add
-		}
-		// Hand out the integer remainder round-robin.
-		for j := 0; assigned < pool; j++ {
-			leaves[recipients[j%len(recipients)]].Width++
-			assigned++
-		}
+	for i := 0; assigned < rest; i++ {
+		leaves[i%len(leaves)].Width++
+		assigned++
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -47,24 +48,8 @@ func TestPartitioningWidthConservation(t *testing.T) {
 			}
 			total += l.Width
 		}
-		if total+p.SavedWidth != width {
-			t.Errorf("width %d: Σleaves(%d) + saved(%d) != budget", width, total, p.SavedWidth)
-		}
-		if total > width {
-			t.Errorf("width %d: leaves exceed budget", width)
-		}
-		// Default redistribution is proportional: nothing left unplaced
-		// unless there was only trimmed leaves.
-		if p.SavedWidth != 0 {
-			allTrimmed := true
-			for _, l := range p.Leaves {
-				if !l.Trimmed {
-					allTrimmed = false
-				}
-			}
-			if !allTrimmed {
-				t.Errorf("width %d: saved width %d with untrimmed leaves present", width, p.SavedWidth)
-			}
+		if total != width {
+			t.Errorf("width %d: Σleaves = %d, want the budget", width, total)
 		}
 	}
 }
@@ -147,20 +132,21 @@ func TestPartitioningMinWidthTermination(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Per Figure 2 a child splits further while its width ≥ w0, so the
-	// narrowest leaves are w0/2 wide: 1024 → 512 → 256 → 128(<w0 stops):
-	// at most 8 leaves, none narrower than 128 (untrimmed).
+	// tree stops at 1024 → 512 → 256 → 128 (< w0): at most 8 leaves, and
+	// the width floor w0/2 = 128 keeps every one at least that wide.
 	if len(p.Leaves) > 8 {
 		t.Errorf("%d leaves with w0=256 from width 1024, want ≤ 8", len(p.Leaves))
 	}
 	for i, l := range p.Leaves {
-		if !l.Trimmed && l.Width < 128 {
-			t.Errorf("leaf %d: untrimmed width %d < w0/2", i, l.Width)
+		if l.Width < 128 {
+			t.Errorf("leaf %d: width %d < w0/2", i, l.Width)
 		}
 	}
 }
 
 func TestPartitioningCollisionTermination(t *testing.T) {
-	// A tiny sample (Σd̃ small) must terminate by Theorem 1 and trim.
+	// A tiny sample (Σd̃ = 10 ≤ C·4096) terminates at the root by Theorem 1:
+	// one leaf, which gets the whole budget.
 	var sample []stream.Edge
 	for i := 0; i < 10; i++ {
 		sample = append(sample, stream.Edge{Src: uint64(i), Dst: 1, Weight: 1})
@@ -168,23 +154,12 @@ func TestPartitioningCollisionTermination(t *testing.T) {
 	stats := vstats.FromSample(sample)
 	p, err := BuildPartitioning(stats, PartitionParams{
 		Width: 4096, MinWidth: 64, CollisionC: 0.5, Order: vstats.ByAvgFreq,
-		Redistribute: RedistributeNone,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Leaves) != 1 {
-		t.Fatalf("expected a single trimmed leaf, got %d", len(p.Leaves))
-	}
-	l := p.Leaves[0]
-	if !l.Trimmed {
-		t.Error("leaf not trimmed despite Σd̃ ≤ C·width")
-	}
-	if l.Width != 10 { // ceil(Σd̃) = 10 distinct edges
-		t.Errorf("trimmed width = %d, want 10", l.Width)
-	}
-	if p.SavedWidth != 4096-10 {
-		t.Errorf("saved = %d, want %d", p.SavedWidth, 4096-10)
+	if len(p.Leaves) != 1 || p.Leaves[0].Width != 4096 {
+		t.Fatalf("leaves = %+v, want one leaf of 4096 columns", p.Leaves)
 	}
 }
 
@@ -237,57 +212,73 @@ func TestPartitioningInvalidParams(t *testing.T) {
 	}
 }
 
-func TestRedistributionPolicies(t *testing.T) {
-	// Craft leaves with one trimmed leaf and two untrimmed.
-	mk := func() []Leaf {
-		return []Leaf{
-			{Width: 10, Trimmed: true, SumF: 100},
-			{Width: 50, SumF: 300},
-			{Width: 40, SumF: 100},
-		}
-	}
-	budget := 200 // pool = 100
-
-	l := mk()
-	redistribute(l, budget, RedistributeNone)
-	if l[0].Width != 10 || l[1].Width != 50 || l[2].Width != 40 {
-		t.Error("RedistributeNone mutated widths")
-	}
-
-	l = mk()
-	redistribute(l, budget, RedistributeEven)
-	if l[0].Width != 10 {
-		t.Error("even policy gave width to the trimmed leaf")
-	}
-	if l[1].Width+l[2].Width != 190 {
-		t.Errorf("even policy total = %d, want 190", l[1].Width+l[2].Width)
-	}
-	if diff := l[1].Width - l[2].Width; diff < 9 || diff > 11 {
-		t.Errorf("even split unbalanced: %d vs %d", l[1].Width, l[2].Width)
-	}
-
-	l = mk()
-	redistribute(l, budget, RedistributeProportional)
-	if l[0].Width != 10 {
-		t.Error("proportional policy gave width to the trimmed leaf")
-	}
-	if l[1].Width+l[2].Width != 190 {
-		t.Errorf("proportional total = %d, want 190", l[1].Width+l[2].Width)
-	}
-	// Leaf 1 has 3x the load of leaf 2: it should get ~75 of the 100.
-	if l[1].Width < 120 || l[1].Width > 130 {
-		t.Errorf("proportional gave leaf 1 width %d, want ≈ 125", l[1].Width)
+func TestLeafWidths(t *testing.T) {
+	leaf := func(f, g float64) Leaf { return Leaf{SumF: f, sumG: g} }
+	for _, tc := range []struct {
+		name          string
+		leaves        []Leaf
+		budget, floor int
+		want          []int // nil: only the invariants are checked
+	}{
+		{"one leaf takes the budget", []Leaf{leaf(3, 5)}, 4096, 32, []int{4096}},
+		// √(F̃G) = 1, 2, 3: the 600 columns above the floor split 100/200/300.
+		{"proportional to √(F̃G)", []Leaf{leaf(1, 1), leaf(1, 4), leaf(9, 1)}, 630, 10, []int{110, 210, 310}},
+		{"zero weight keeps the floor", []Leaf{leaf(0, 7), leaf(4, 4)}, 100, 32, []int{32, 68}},
+		{"all weights zero split evenly", []Leaf{leaf(0, 0), leaf(0, 0), leaf(0, 0)}, 100, 10, []int{34, 33, 33}},
+		{"remainder round-robin", []Leaf{leaf(1, 1), leaf(1, 1), leaf(1, 1)}, 101, 1, []int{34, 34, 33}},
+		{"weights near 2⁶²", []Leaf{leaf(1<<62, 1<<62), leaf(1<<62, 1), leaf(1, 1<<62)}, 1 << 20, 32, nil},
+		{"weights near the float range's top", []Leaf{leaf(1e300, 1e300), leaf(1e300, 1e300), leaf(1, 1)}, 1000, 32, []int{484, 484, 32}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leafWidths(tc.leaves, tc.budget, tc.floor)
+			total := 0
+			got := make([]int, len(tc.leaves))
+			for i, l := range tc.leaves {
+				got[i] = l.Width
+				total += l.Width
+				if l.Width < tc.floor {
+					t.Errorf("leaf %d: width %d below the floor %d", i, l.Width, tc.floor)
+				}
+			}
+			if total != tc.budget {
+				t.Errorf("Σw = %d, want %d (widths %v)", total, tc.budget, got)
+			}
+			if tc.want != nil && !slices.Equal(got, tc.want) {
+				t.Errorf("widths %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 
-func TestRedistributionAllTrimmed(t *testing.T) {
-	l := []Leaf{
-		{Width: 10, Trimmed: true, SumF: 1},
-		{Width: 20, Trimmed: true, SumF: 1},
-	}
-	redistribute(l, 100, RedistributeEven)
-	if l[0].Width+l[1].Width != 100 {
-		t.Errorf("all-trimmed redistribution total = %d, want 100", l[0].Width+l[1].Width)
+// TestPartitioningWidthFloor holds the floor to min(w0/2, ⌊W/n⌋): w0/2
+// when the leaves fit it, and the even share when n·w0/2 would pass the
+// budget. Every tree leaf is at least ⌊w0/2⌋ wide, so the even share takes
+// over only for a root narrower than w0/2.
+func TestPartitioningWidthFloor(t *testing.T) {
+	stats := vstats.FromSample(randomSample(3000, 10))
+	for _, tc := range []struct {
+		width, wantFloor int
+	}{
+		{1 << 14, 32},
+		{20, 20},
+	} {
+		p, err := BuildPartitioning(stats, defaultParams(tc.width))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if floor := min(DefaultMinWidth/2, tc.width/len(p.Leaves)); floor != tc.wantFloor {
+			t.Errorf("width %d: floor %d over %d leaves, want %d", tc.width, floor, len(p.Leaves), tc.wantFloor)
+		}
+		total := 0
+		for i, l := range p.Leaves {
+			total += l.Width
+			if l.Width < tc.wantFloor {
+				t.Errorf("width %d: leaf %d has %d columns, floor %d", tc.width, i, l.Width, tc.wantFloor)
+			}
+		}
+		if total != tc.width {
+			t.Errorf("width %d: Σw = %d", tc.width, total)
+		}
 	}
 }
 
@@ -307,10 +298,7 @@ func TestPartitioningProperty(t *testing.T) {
 			}
 			total += l.Width
 		}
-		if total > width {
-			return false
-		}
-		return len(p.Vertices) == stats.Len()
+		return total == width && len(p.Vertices) == stats.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

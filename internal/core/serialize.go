@@ -23,6 +23,7 @@ import (
 //	outlierW   uint64 (0 = no outlier sketch)
 //	numLeaves  uint64
 //	leaves     numLeaves × {width u64, vertices u64, sumF f64, sumD f64, trimmed u8}
+//	           (trimmed is a retired flag: written 0, ignored on read)
 //	numRoutes  uint64
 //	routes     numRoutes × {vertex u64, partition u32}
 //	partitions numLeaves × CountMin (self-delimiting, own checksum)
@@ -94,12 +95,8 @@ func (g *GSketch) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	for _, l := range g.leaves {
-		t := uint8(0)
-		if l.Trimmed {
-			t = 1
-		}
 		for _, v := range []any{uint64(l.Width), uint64(l.Vertices),
-			math.Float64bits(l.SumF), math.Float64bits(l.SumD), t} {
+			math.Float64bits(l.SumF), math.Float64bits(l.SumD), uint8(0)} {
 			if err := wr(v); err != nil {
 				return n, err
 			}
@@ -361,7 +358,6 @@ func readGSketch(br *bufio.Reader) (*GSketch, error) {
 			Vertices: int(le.Uint64(rec[8:])),
 			SumF:     math.Float64frombits(le.Uint64(rec[16:])),
 			SumD:     math.Float64frombits(le.Uint64(rec[24:])),
-			Trimmed:  rec[32] != 0,
 		})
 	}
 	var numRoutes uint64

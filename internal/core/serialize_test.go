@@ -266,6 +266,28 @@ func TestReadGSketchChecksRecordsAgainstLeaves(t *testing.T) {
 	}
 }
 
+// TestReadGSketchIgnoresTrimmedFlag reads a snapshot whose leaves carry the
+// retired trimmed flag set, as earlier builds wrote it: the sketch loads,
+// and writes back the same bytes with the flag cleared.
+func TestReadGSketchIgnoresTrimmedFlag(t *testing.T) {
+	g, err := BuildGSketch(Config{TotalBytes: 16 << 10, Seed: 9}, testStream(500, 21), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := serializeGSketch(t, g)
+	flagged := append([]byte(nil), data...)
+	for i := range g.Leaves() {
+		flagged[56+33*i+32] = 1 // past the header, 32 bytes into leaf i
+	}
+	back, err := ReadGSketch(bytes.NewReader(flagged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := serializeGSketch(t, back); !bytes.Equal(sortedRoutes(t, got), sortedRoutes(t, data)) {
+		t.Error("a snapshot with trimmed flags set does not re-serialize to the unflagged one")
+	}
+}
+
 // sortedRoutes returns a copy of a snapshot with its route records sorted:
 // the route section follows the router's slot order, which a linear-probe
 // table refilled in that order can still permute where a probe run wraps

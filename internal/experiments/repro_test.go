@@ -328,59 +328,45 @@ func sortedKeys[V any](ms ...map[string]V) []string {
 // measured cause. TestReproduction fails when a cell fails that is not
 // listed here, and when a listed cell holds.
 var knownFail = map[string]string{
-	"alpha/fig10b":         "gSketch ARE 4.661, 3.1, 2.472, 1.664, 1.278 at α 1.2–2.0 (ratios 1.89, 2.35, 2.33, 2.75, 3.01); leaves 74, 58, 48, 55, 41",
-	"alpha/fig10c":         "gSketch ARE 2.436, 1.86, 1.903, 0.9115, 1.366 at α 1.2–2.0 (ratios 1.77, 2.13, 1.92, 3.57, 2.12); leaves 1025, 1025, 1025, 1025, 1025",
-	"alpha/fig12a":         "gSketch ARE 20.58, 19.64, 24.15, 21.43, 22.08 at α 1.2–2.0 (ratios 1.18, 1.16, 0.91, 0.97, 0.89); leaves 57, 57, 49, 49, 49",
-	"are/fig12a/1.6":       "sampled sources 26.1 vs Global 23.8 over 7356, outlier 18.7 vs 16.5 over 2644; 49 leaves, 46–162 columns",
-	"are/fig12a/1.8":       "sampled sources 22.3 vs Global 22.1 over 7647, outlier 18.5 vs 16.2 over 2353; 49 leaves, 46–180 columns",
-	"are/fig12a/2.0":       "sampled sources 23.7 vs Global 20.9 over 7810, outlier 16.4 vs 15.2 over 2190; 49 leaves, 46–182 columns",
-	"are/fig4a/128K":       "sampled sources 26.1 vs Global 23.7 over 8964, outlier 13.1 vs 32.2 over 1036; 128 leaves, 46–47 columns",
-	"are/fig4a/256K":       "sampled sources 11 vs Global 7.47 over 8964, outlier 5.26 vs 10.1 over 1036; 256 leaves, 46–47 columns",
-	"are/fig4a/512K":       "sampled sources 4.25 vs Global 2.02 over 8964, outlier 1.8 vs 2.67 over 1036; 505 leaves, 23–176 columns",
-	"are/fig4b/512K":       "sampled sources 0.616 vs Global 0.447 over 9144, outlier 0.191 vs 1.87 over 856; 238 leaves, 6–2867 columns",
-	"are/fig4c/4M":         "sampled sources 1.52 vs Global 0.806 over 8217, outlier 1.85 vs 1.65 over 1783; 4096 leaves, 21–48 columns",
+	"alpha/fig10b":         "gSketch ARE 3.834, 2.271, 1.948, 0.8429, 0.637 at α 1.2–2.0 (ratios 2.29, 3.21, 2.95, 5.43, 6.05); leaves 74, 58, 48, 55, 41",
+	"alpha/fig12a":         "gSketch ARE 18.63, 17.85, 19.86, 17.39, 17.51 at α 1.2–2.0 (ratios 1.30, 1.28, 1.10, 1.19, 1.12); leaves 57, 57, 49, 49, 49",
+	"are/fig4a/256K":       "sampled sources 9.47 vs Global 7.47 over 8964, outlier 5.26 vs 10.1 over 1036; 256 leaves, 36–52 columns",
+	"are/fig4a/512K":       "sampled sources 3.53 vs Global 2.02 over 8964, outlier 1.8 vs 2.67 over 1036; 505 leaves, 37–67 columns",
+	"are/fig4b/512K":       "sampled sources 0.649 vs Global 0.447 over 9144, outlier 0.191 vs 1.87 over 856; 238 leaves, 37–2484 columns",
+	"are/fig4c/4M":         "sampled sources 1.57 vs Global 0.806 over 8217, outlier 1.85 vs 1.65 over 1783; 4096 leaves, 39–54 columns",
 	"are/fig4c/8M":         "sampled sources 0.0963 vs Global 0.112 over 8217, outlier 0.557 vs 0.228 over 1783; 1 leaves, 377487–377487 columns",
-	"are/fig6a/128K":       "sampled sources 10.6 vs Global 9.66 over 5531, outlier 6.39 vs 6.6 over 4469; 128 leaves, 46–47 columns",
-	"are/fig6a/256K":       "sampled sources 4.36 vs Global 3.05 over 5531, outlier 2.51 vs 2.08 over 4469; 256 leaves, 46–47 columns",
-	"are/fig6a/512K":       "sampled sources 1.64 vs Global 0.832 over 5531, outlier 0.894 vs 0.577 over 4469; 505 leaves, 23–176 columns",
-	"are/fig7b/512K":       "sampled sources 0.296 vs Global 0.124 over 9678, outlier 0.0281 vs 2.99 over 322; 93 leaves, 7–5321 columns",
-	"are/fig7c/4M":         "sampled sources 1.49 vs Global 0.854 over 9359, outlier 0.96 vs 1.19 over 641; 2035 leaves, 15–4373 columns",
+	"are/fig6a/256K":       "sampled sources 3.86 vs Global 3.05 over 5531, outlier 2.33 vs 2.08 over 4469; 256 leaves, 36–52 columns",
+	"are/fig6a/512K":       "sampled sources 1.4 vs Global 0.832 over 5531, outlier 0.813 vs 0.577 over 4469; 505 leaves, 37–67 columns",
 	"are/fig7c/8M":         "sampled sources 1.02 vs Global 0.0335 over 9359, outlier 0.239 vs 0.115 over 641; 1 leaves, 377487–377487 columns",
-	"are/fig9a/128K":       "sampled sources 9.74 vs Global 8.72 over 7189, outlier 6.84 vs 5.86 over 2811; 97 leaves, 46–225 columns",
-	"are/fig9a/256K":       "sampled sources 3.79 vs Global 2.69 over 7189, outlier 2.62 vs 1.86 over 2811; 192 leaves, 45–225 columns",
-	"are/fig9a/512K":       "sampled sources 1.31 vs Global 0.706 over 7189, outlier 0.937 vs 0.454 over 2811; 354 leaves, 13–614 columns",
-	"are/fig9a/64K":        "sampled sources 24.6 vs Global 24.8 over 7189, outlier 17.1 vs 16.4 over 2811; 49 leaves, 46–225 columns",
+	"are/fig9a/256K":       "sampled sources 2.96 vs Global 2.69 over 7189, outlier 2.34 vs 1.86 over 2811; 192 leaves, 41–969 columns",
+	"are/fig9a/512K":       "sampled sources 1.02 vs Global 0.706 over 7189, outlier 0.835 vs 0.454 over 2811; 354 leaves, 41–2064 columns",
 	"b-vs-a/fig7c/8M":      "B vs A: sampled sources 1.02 vs 0.0963 over 9359 vs 8217, outlier 0.239 vs 0.557 over 641 vs 1783; 1 vs 1 leaves",
-	"b-vs-a/fig9a/128K":    "B vs A: sampled sources 9.74 vs 10.6 over 7189 vs 5531, outlier 6.84 vs 6.39 over 2811 vs 4469; 97 vs 128 leaves",
-	"b-vs-a/fig9a/32K":     "B vs A: sampled sources 54.9 vs 52.7 over 7189 vs 5531, outlier 38.6 vs 33.1 over 2811 vs 4469; 29 vs 32 leaves",
-	"b-vs-a/fig9a/64K":     "B vs A: sampled sources 24.6 vs 24.2 over 7189 vs 5531, outlier 17.1 vs 15 over 2811 vs 4469; 49 vs 64 leaves",
-	"effective/fig12b/1.2": "sampled sources 1150 vs Global 1467 of 6518, outlier 1151 vs 1356 of 3482; 57 leaves, 46–108 columns",
-	"effective/fig12b/1.4": "sampled sources 1226 vs Global 1363 of 6912, outlier 1006 vs 1131 of 3088; 57 leaves, 22–116 columns",
-	"effective/fig12b/1.6": "sampled sources 1036 vs Global 1195 of 7356, outlier 913 vs 945 of 2644; 49 leaves, 46–162 columns",
-	"effective/fig12b/1.8": "sampled sources 1054 vs Global 1084 of 7647, outlier 723 vs 762 of 2353; 49 leaves, 46–180 columns",
-	"effective/fig12b/2.0": "sampled sources 919 vs Global 993 of 7810, outlier 639 vs 664 of 2190; 49 leaves, 46–182 columns",
-	"effective/fig5a/128K": "sampled sources 1526 vs Global 1932 of 8964, outlier 110 vs 46 of 1036; 128 leaves, 46–47 columns",
-	"effective/fig5a/256K": "sampled sources 2657 vs Global 4528 of 8964, outlier 577 vs 336 of 1036; 256 leaves, 46–47 columns",
-	"effective/fig5a/32K":  "sampled sources 60 vs Global 354 of 8964, outlier 2 vs 0 of 1036; 32 leaves, 46–47 columns",
-	"effective/fig5a/512K": "sampled sources 5898 vs Global 8242 of 8964, outlier 1017 vs 914 of 1036; 505 leaves, 23–176 columns",
-	"effective/fig5a/64K":  "sampled sources 642 vs Global 873 of 8964, outlier 40 vs 3 of 1036; 64 leaves, 46–47 columns",
-	"effective/fig5b/128K": "sampled sources 5024 vs Global 6229 of 9144, outlier 601 vs 167 of 856; 93 leaves, 6–459 columns",
-	"effective/fig5b/256K": "sampled sources 7843 vs Global 8267 of 9144, outlier 807 vs 484 of 856; 166 leaves, 6–1029 columns",
-	"effective/fig5b/32K":  "sampled sources 357 vs Global 472 of 9144, outlier 110 vs 0 of 856; 30 leaves, 46–92 columns",
-	"effective/fig5b/64K":  "sampled sources 1895 vs Global 2686 of 9144, outlier 301 vs 15 of 856; 55 leaves, 6–195 columns",
-	"effective/fig5c/1M":   "sampled sources 3403 vs Global 3869 of 8217, outlier 51 vs 119 of 1783; 1024 leaves, 46–47 columns",
-	"effective/fig5c/2M":   "sampled sources 5253 vs Global 6431 of 8217, outlier 1125 vs 975 of 1783; 2048 leaves, 46–47 columns",
-	"effective/fig5c/4M":   "sampled sources 7747 vs Global 7943 of 8217, outlier 1779 vs 1642 of 1783; 4096 leaves, 21–48 columns",
-	"effective/fig5c/512K": "sampled sources 1530 vs Global 1930 of 8217, outlier 20 vs 7 of 1783; 512 leaves, 46–47 columns",
-	"effective/fig6b/128K": "sampled sources 2866 vs Global 3042 of 5531, outlier 2799 vs 2827 of 4469; 128 leaves, 46–47 columns",
-	"effective/fig6b/256K": "sampled sources 3733 vs Global 4145 of 5531, outlier 3703 vs 3868 of 4469; 256 leaves, 46–47 columns",
-	"effective/fig6b/32K":  "sampled sources 89 vs Global 1149 of 5531, outlier 133 vs 1068 of 4469; 32 leaves, 46–47 columns",
-	"effective/fig6b/512K": "sampled sources 4994 vs Global 5514 of 5531, outlier 4411 vs 4458 of 4469; 505 leaves, 23–176 columns",
-	"effective/fig6b/64K":  "sampled sources 1602 vs Global 1969 of 5531, outlier 1581 vs 1760 of 4469; 64 leaves, 46–47 columns",
+	"b-vs-a/fig9a/32K":     "B vs A: sampled sources 48 vs 47.9 over 7189 vs 5531, outlier 36.8 vs 31.4 over 2811 vs 4469; 29 vs 32 leaves",
+	"effective/fig12b/1.2": "sampled sources 272 vs Global 1467 of 6518, outlier 202 vs 1356 of 3482; 57 leaves, 39–104 columns",
+	"effective/fig12b/1.4": "sampled sources 929 vs Global 1363 of 6912, outlier 478 vs 1131 of 3088; 57 leaves, 39–102 columns",
+	"effective/fig12b/1.6": "sampled sources 883 vs Global 1195 of 7356, outlier 475 vs 945 of 2644; 49 leaves, 41–240 columns",
+	"effective/fig12b/1.8": "sampled sources 968 vs Global 1084 of 7647, outlier 643 vs 762 of 2353; 49 leaves, 42–208 columns",
+	"effective/fig12b/2.0": "sampled sources 866 vs Global 993 of 7810, outlier 590 vs 664 of 2190; 49 leaves, 41–209 columns",
+	"effective/fig5a/128K": "sampled sources 1624 vs Global 1932 of 8964, outlier 110 vs 46 of 1036; 128 leaves, 36–52 columns",
+	"effective/fig5a/256K": "sampled sources 2895 vs Global 4528 of 8964, outlier 577 vs 336 of 1036; 256 leaves, 36–52 columns",
+	"effective/fig5a/32K":  "sampled sources 26 vs Global 354 of 8964, outlier 2 vs 0 of 1036; 32 leaves, 37–52 columns",
+	"effective/fig5a/512K": "sampled sources 6788 vs Global 8242 of 8964, outlier 1017 vs 914 of 1036; 505 leaves, 37–67 columns",
+	"effective/fig5a/64K":  "sampled sources 534 vs Global 873 of 8964, outlier 40 vs 3 of 1036; 64 leaves, 37–52 columns",
+	"effective/fig5b/128K": "sampled sources 5324 vs Global 6229 of 9144, outlier 601 vs 167 of 856; 93 leaves, 33–481 columns",
+	"effective/fig5b/256K": "sampled sources 7910 vs Global 8267 of 9144, outlier 807 vs 484 of 856; 166 leaves, 34–1029 columns",
+	"effective/fig5b/32K":  "sampled sources 279 vs Global 472 of 9144, outlier 110 vs 0 of 856; 30 leaves, 34–111 columns",
+	"effective/fig5b/64K":  "sampled sources 1937 vs Global 2686 of 9144, outlier 301 vs 15 of 856; 55 leaves, 33–215 columns",
+	"effective/fig5c/1M":   "sampled sources 3414 vs Global 3869 of 8217, outlier 51 vs 119 of 1783; 1024 leaves, 44–49 columns",
+	"effective/fig5c/2M":   "sampled sources 5213 vs Global 6431 of 8217, outlier 1125 vs 975 of 1783; 2048 leaves, 43–51 columns",
+	"effective/fig5c/4M":   "sampled sources 7701 vs Global 7943 of 8217, outlier 1779 vs 1642 of 1783; 4096 leaves, 39–54 columns",
+	"effective/fig5c/512K": "sampled sources 1527 vs Global 1930 of 8217, outlier 20 vs 7 of 1783; 512 leaves, 44–48 columns",
+	"effective/fig6b/128K": "sampled sources 2920 vs Global 3042 of 5531, outlier 2859 vs 2827 of 4469; 128 leaves, 36–52 columns",
+	"effective/fig6b/256K": "sampled sources 3859 vs Global 4145 of 5531, outlier 3800 vs 3868 of 4469; 256 leaves, 36–52 columns",
+	"effective/fig6b/32K":  "sampled sources 30 vs Global 1149 of 5531, outlier 48 vs 1068 of 4469; 32 leaves, 37–52 columns",
+	"effective/fig6b/512K": "sampled sources 5313 vs Global 5514 of 5531, outlier 4455 vs 4458 of 4469; 505 leaves, 37–67 columns",
+	"effective/fig6b/64K":  "sampled sources 1367 vs Global 1969 of 5531, outlier 1331 vs 1760 of 4469; 64 leaves, 37–52 columns",
 	"effective/fig8c/8M":   "sampled sources 8019 vs Global 9357 of 9359, outlier 641 vs 641 of 641; 1 leaves, 377487–377487 columns",
-	"effective/fig9b/128K": "sampled sources 2433 vs Global 3068 of 7189, outlier 1526 vs 1768 of 2811; 97 leaves, 46–225 columns",
-	"effective/fig9b/256K": "sampled sources 5961 vs Global 6113 of 7189, outlier 2478 vs 2545 of 2811; 192 leaves, 45–225 columns",
-	"effective/fig9b/32K":  "sampled sources 156 vs Global 957 of 7189, outlier 584 vs 841 of 2811; 29 leaves, 21–110 columns",
-	"effective/fig9b/512K": "sampled sources 6856 vs Global 7187 of 7189, outlier 2733 vs 2811 of 2811; 354 leaves, 13–614 columns",
-	"effective/fig9b/64K":  "sampled sources 1042 vs Global 1236 of 7189, outlier 976 vs 1058 of 2811; 49 leaves, 46–225 columns",
+	"effective/fig9b/32K":  "sampled sources 3 vs Global 957 of 7189, outlier 0 vs 841 of 2811; 29 leaves, 39–61 columns",
+	"effective/fig9b/512K": "sampled sources 7062 vs Global 7187 of 7189, outlier 2798 vs 2811 of 2811; 354 leaves, 41–2064 columns",
+	"effective/fig9b/64K":  "sampled sources 802 vs Global 1236 of 7189, outlier 454 vs 1058 of 2811; 49 leaves, 42–260 columns",
 }
