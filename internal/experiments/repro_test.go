@@ -329,7 +329,6 @@ func sortedKeys[V any](ms ...map[string]V) []string {
 // listed here, and when a listed cell holds.
 var knownFail = map[string]string{
 	"alpha/fig10b":         "gSketch ARE 3.834, 2.271, 1.948, 0.8429, 0.637 at α 1.2–2.0 (ratios 2.29, 3.21, 2.95, 5.43, 6.05); leaves 74, 58, 48, 55, 41",
-	"alpha/fig12a":         "gSketch ARE 18.63, 17.85, 19.86, 17.39, 17.51 at α 1.2–2.0 (ratios 1.30, 1.28, 1.10, 1.19, 1.12); leaves 57, 57, 49, 49, 49",
 	"are/fig4a/256K":       "sampled sources 9.47 vs Global 7.47 over 8964, outlier 5.26 vs 10.1 over 1036; 256 leaves, 36–52 columns",
 	"are/fig4a/512K":       "sampled sources 3.53 vs Global 2.02 over 8964, outlier 1.8 vs 2.67 over 1036; 505 leaves, 37–67 columns",
 	"are/fig4b/512K":       "sampled sources 0.649 vs Global 0.447 over 9144, outlier 0.191 vs 1.87 over 856; 238 leaves, 37–2484 columns",
@@ -338,15 +337,7 @@ var knownFail = map[string]string{
 	"are/fig6a/256K":       "sampled sources 3.86 vs Global 3.05 over 5531, outlier 2.33 vs 2.08 over 4469; 256 leaves, 36–52 columns",
 	"are/fig6a/512K":       "sampled sources 1.4 vs Global 0.832 over 5531, outlier 0.813 vs 0.577 over 4469; 505 leaves, 37–67 columns",
 	"are/fig7c/8M":         "sampled sources 1.02 vs Global 0.0335 over 9359, outlier 0.239 vs 0.115 over 641; 1 leaves, 377487–377487 columns",
-	"are/fig9a/256K":       "sampled sources 2.96 vs Global 2.69 over 7189, outlier 2.34 vs 1.86 over 2811; 192 leaves, 41–969 columns",
-	"are/fig9a/512K":       "sampled sources 1.02 vs Global 0.706 over 7189, outlier 0.835 vs 0.454 over 2811; 354 leaves, 41–2064 columns",
 	"b-vs-a/fig7c/8M":      "B vs A: sampled sources 1.02 vs 0.0963 over 9359 vs 8217, outlier 0.239 vs 0.557 over 641 vs 1783; 1 vs 1 leaves",
-	"b-vs-a/fig9a/32K":     "B vs A: sampled sources 48 vs 47.9 over 7189 vs 5531, outlier 36.8 vs 31.4 over 2811 vs 4469; 29 vs 32 leaves",
-	"effective/fig12b/1.2": "sampled sources 272 vs Global 1467 of 6518, outlier 202 vs 1356 of 3482; 57 leaves, 39–104 columns",
-	"effective/fig12b/1.4": "sampled sources 929 vs Global 1363 of 6912, outlier 478 vs 1131 of 3088; 57 leaves, 39–102 columns",
-	"effective/fig12b/1.6": "sampled sources 883 vs Global 1195 of 7356, outlier 475 vs 945 of 2644; 49 leaves, 41–240 columns",
-	"effective/fig12b/1.8": "sampled sources 968 vs Global 1084 of 7647, outlier 643 vs 762 of 2353; 49 leaves, 42–208 columns",
-	"effective/fig12b/2.0": "sampled sources 866 vs Global 993 of 7810, outlier 590 vs 664 of 2190; 49 leaves, 41–209 columns",
 	"effective/fig5a/128K": "sampled sources 1624 vs Global 1932 of 8964, outlier 110 vs 46 of 1036; 128 leaves, 36–52 columns",
 	"effective/fig5a/256K": "sampled sources 2895 vs Global 4528 of 8964, outlier 577 vs 336 of 1036; 256 leaves, 36–52 columns",
 	"effective/fig5a/32K":  "sampled sources 26 vs Global 354 of 8964, outlier 2 vs 0 of 1036; 32 leaves, 37–52 columns",
@@ -366,7 +357,5 @@ var knownFail = map[string]string{
 	"effective/fig6b/512K": "sampled sources 5313 vs Global 5514 of 5531, outlier 4455 vs 4458 of 4469; 505 leaves, 37–67 columns",
 	"effective/fig6b/64K":  "sampled sources 1367 vs Global 1969 of 5531, outlier 1331 vs 1760 of 4469; 64 leaves, 37–52 columns",
 	"effective/fig8c/8M":   "sampled sources 8019 vs Global 9357 of 9359, outlier 641 vs 641 of 641; 1 leaves, 377487–377487 columns",
-	"effective/fig9b/32K":  "sampled sources 3 vs Global 957 of 7189, outlier 0 vs 841 of 2811; 29 leaves, 39–61 columns",
-	"effective/fig9b/512K": "sampled sources 7062 vs Global 7187 of 7189, outlier 2798 vs 2811 of 2811; 354 leaves, 41–2064 columns",
-	"effective/fig9b/64K":  "sampled sources 802 vs Global 1236 of 7189, outlier 454 vs 1058 of 2811; 49 leaves, 42–260 columns",
+	"effective/fig9b/512K": "sampled sources 7180 vs Global 7187 of 7189, outlier 2808 vs 2811 of 2811; 322 leaves, 43–1956 columns",
 }

@@ -144,9 +144,9 @@ type SubgraphSweepPoint struct {
 	Partitions int
 }
 
-// RunSubgraphSweep measures both estimators on aggregate subgraph queries
-// (Γ = SUM, BFS-grown, fixed edges per subgraph).
-func RunSubgraphSweep(ds *Dataset, o EdgeSweepOptions) ([]SubgraphSweepPoint, error) {
+// subgraphConfig is the subgraph query process of a scenario: BFS-grown,
+// fixed edges per subgraph, Γ = SUM, seeds Zipf-skewed in scenario B.
+func subgraphConfig(ds *Dataset, o EdgeSweepOptions) query.SubgraphConfig {
 	scfg := query.SubgraphConfig{
 		Count:    ds.QuerySize,
 		EdgesPer: ds.SubgraphEdges,
@@ -156,8 +156,24 @@ func RunSubgraphSweep(ds *Dataset, o EdgeSweepOptions) ([]SubgraphSweepPoint, er
 	if o.WithWorkload {
 		scfg.ZipfAlpha = o.Alpha
 	}
-	queries := query.BFSSubgraphQueries(ds.Exact, scfg)
-	workload := workloadSample(ds, o)
+	return scfg
+}
+
+// subgraphWorkloadSample builds the scenario-B workload sample of the
+// subgraph figures from their own query process (§6.4 samples the query
+// log): the queries' seed permutation, independent draws.
+func subgraphWorkloadSample(ds *Dataset, o EdgeSweepOptions) []stream.Edge {
+	if !o.WithWorkload {
+		return nil
+	}
+	return query.SubgraphWorkloadSample(ds.Exact, ds.WorkloadSize, subgraphConfig(ds, o), ds.Seed+23)
+}
+
+// RunSubgraphSweep measures both estimators on aggregate subgraph queries
+// (Γ = SUM, BFS-grown, fixed edges per subgraph).
+func RunSubgraphSweep(ds *Dataset, o EdgeSweepOptions) ([]SubgraphSweepPoint, error) {
+	queries := query.BFSSubgraphQueries(ds.Exact, subgraphConfig(ds, o))
+	workload := subgraphWorkloadSample(ds, o)
 	grid := ds.MemoryGrid
 	if o.MemoryGrid != nil {
 		grid = o.MemoryGrid
@@ -216,6 +232,9 @@ func RunAlphaSweep(ds *Dataset, alphas []float64, g0 float64, subgraph bool) ([]
 	for _, alpha := range alphas {
 		o := EdgeSweepOptions{WithWorkload: true, Alpha: alpha, G0: g0}
 		workload := workloadSample(ds, o)
+		if subgraph {
+			workload = subgraphWorkloadSample(ds, o)
+		}
 
 		global, err := core.BuildGlobalSketch(cfg)
 		if err != nil {
@@ -230,14 +249,7 @@ func RunAlphaSweep(ds *Dataset, alphas []float64, g0 float64, subgraph bool) ([]
 
 		pt := AlphaPoint{Alpha: alpha}
 		if subgraph {
-			scfg := query.SubgraphConfig{
-				Count:     ds.QuerySize,
-				EdgesPer:  ds.SubgraphEdges,
-				Agg:       query.Sum,
-				Seed:      ds.Seed + 20,
-				ZipfAlpha: alpha,
-			}
-			queries := query.BFSSubgraphQueries(ds.Exact, scfg)
+			queries := query.BFSSubgraphQueries(ds.Exact, subgraphConfig(ds, o))
 			pt.Global = query.EvaluateSubgraphQueries(global, ds.Exact, queries, g0)
 			pt.GSketch = query.EvaluateSubgraphQueries(gsk, ds.Exact, queries, g0)
 		} else {

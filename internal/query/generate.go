@@ -94,7 +94,51 @@ func BFSSubgraphQueries(exact *stream.ExactCounter, cfg SubgraphConfig) []Subgra
 	if cfg.Count <= 0 || cfg.EdgesPer <= 0 {
 		return nil
 	}
-	// Build adjacency over distinct edges.
+	grow := subgraphGrower(exact, cfg, cfg.Seed)
+	if grow == nil {
+		return nil
+	}
+	queries := make([]SubgraphQuery, 0, cfg.Count)
+	for len(queries) < cfg.Count {
+		if q := grow(); len(q) == cfg.EdgesPer {
+			queries = append(queries, SubgraphQuery{Edges: q, Agg: cfg.Agg})
+		}
+	}
+	return queries
+}
+
+// SubgraphWorkloadSample draws a §6.4 workload sample of n edges from the
+// subgraph query process that BFSSubgraphQueries(exact, cfg) samples: the
+// same seed-vertex permutation (cfg.Seed), independent draws from
+// drawSeed, and the grown subgraphs' edges flattened in order, the last
+// subgraph cut at n. Count is ignored.
+func SubgraphWorkloadSample(exact *stream.ExactCounter, n int, cfg SubgraphConfig, drawSeed uint64) []stream.Edge {
+	if n <= 0 || cfg.EdgesPer <= 0 {
+		return nil
+	}
+	grow := subgraphGrower(exact, cfg, drawSeed)
+	if grow == nil {
+		return nil
+	}
+	out := make([]stream.Edge, 0, n)
+	for len(out) < n {
+		q := grow()
+		if len(q) != cfg.EdgesPer {
+			continue
+		}
+		for _, e := range q[:min(len(q), n-len(out))] {
+			out = append(out, stream.Edge{Src: e.Src, Dst: e.Dst, Weight: 1})
+		}
+	}
+	return out
+}
+
+// subgraphGrower builds the distinct-edge adjacency of the stream and
+// returns a function growing one subgraph of up to cfg.EdgesPer edges per
+// call, drawing from rngSeed; seed vertices are uniform, or Zipf over the
+// permutation fixed by cfg.Seed when cfg.ZipfAlpha > 0. It returns nil for
+// an empty stream.
+func subgraphGrower(exact *stream.ExactCounter, cfg SubgraphConfig, rngSeed uint64) func() []EdgeQuery {
 	adj := make(map[uint64][]uint64)
 	var vertices []uint64
 	exact.RangeEdges(func(src, dst uint64, _ int64) bool {
@@ -113,7 +157,7 @@ func BFSSubgraphQueries(exact *stream.ExactCounter, cfg SubgraphConfig) []Subgra
 		sort.Slice(n, func(i, j int) bool { return n[i] < n[j] })
 	}
 
-	rng := hashutil.NewRNG(cfg.Seed)
+	rng := hashutil.NewRNG(rngSeed)
 	var seedZipf *graphgen.Zipf
 	if cfg.ZipfAlpha > 0 {
 		permuteU64(vertices, cfg.Seed^0x5eed)
@@ -125,15 +169,7 @@ func BFSSubgraphQueries(exact *stream.ExactCounter, cfg SubgraphConfig) []Subgra
 		}
 		return vertices[int(rng.Uint64()%uint64(len(vertices)))]
 	}
-
-	queries := make([]SubgraphQuery, 0, cfg.Count)
-	for len(queries) < cfg.Count {
-		q := growSubgraph(adj, drawSeed, cfg.EdgesPer, rng)
-		if len(q) == cfg.EdgesPer {
-			queries = append(queries, SubgraphQuery{Edges: q, Agg: cfg.Agg})
-		}
-	}
-	return queries
+	return func() []EdgeQuery { return growSubgraph(adj, drawSeed, cfg.EdgesPer, rng) }
 }
 
 // growSubgraph runs a randomized BFS from seed vertices until target edges

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/graphstream/gsketch/internal/stream"
@@ -140,5 +141,54 @@ func TestBFSSubgraphZipfSeeds(t *testing.T) {
 func TestBFSSubgraphEmptyGraph(t *testing.T) {
 	if qs := BFSSubgraphQueries(stream.NewExactCounter(), SubgraphConfig{Count: 5, EdgesPer: 3, Seed: 1}); qs != nil {
 		t.Error("empty graph should yield nil")
+	}
+}
+
+func TestSubgraphWorkloadSample(t *testing.T) {
+	c := populatedCounter()
+	cfg := SubgraphConfig{EdgesPer: 5, Agg: Sum, Seed: 2, ZipfAlpha: 1.5}
+	sample := SubgraphWorkloadSample(c, 2003, cfg, 99)
+	if len(sample) != 2003 {
+		t.Fatalf("got %d edges, want 2003 (the last subgraph cut)", len(sample))
+	}
+	for _, e := range sample {
+		if e.Weight != 1 || c.EdgeFrequency(e.Src, e.Dst) == 0 {
+			t.Fatalf("sample edge %+v is not a unit-weight stream edge", e)
+		}
+	}
+	if again := SubgraphWorkloadSample(c, 2003, cfg, 99); !slices.Equal(again, sample) {
+		t.Error("same seeds drew a different sample")
+	}
+
+	// Drawn from cfg.Seed, the sample is the query set flattened: one
+	// process. From another seed the draws differ.
+	cfg.Count = 400
+	var flat []stream.Edge
+	for _, q := range BFSSubgraphQueries(c, cfg) {
+		for _, e := range q.Edges {
+			flat = append(flat, stream.Edge{Src: e.Src, Dst: e.Dst, Weight: 1})
+		}
+	}
+	if !slices.Equal(SubgraphWorkloadSample(c, len(flat), cfg, cfg.Seed), flat) {
+		t.Error("drawn from the query seed, the sample is not the flattened query set")
+	}
+	if slices.Equal(sample[:len(flat)/2], flat[:len(flat)/2]) {
+		t.Error("an independent draw seed repeated the queries' draws")
+	}
+
+	// Same seed permutation: the most popular source agrees.
+	top := func(edges []stream.Edge) uint64 {
+		count := make(map[uint64]int)
+		best := edges[0].Src
+		for _, e := range edges {
+			count[e.Src]++
+			if count[e.Src] > count[best] {
+				best = e.Src
+			}
+		}
+		return best
+	}
+	if a, b := top(sample), top(flat); a != b {
+		t.Errorf("most popular workload source %d, query source %d: permutations differ", a, b)
 	}
 }
