@@ -11,15 +11,17 @@
 // -snapshot accepts any snapshot the engine writes: a single sketch, or a
 // generation-chain container (version 2, 3 or 4). For a chain it prints one
 // line per generation — stream volume, counter bytes, partition count, the
-// build timestamp and how many source generations compaction folded into it
-// (version-4 snapshots carry these lifecycle records; older versions print
-// blanks).
+// localized sketches' width range (min/median/max columns) and the outlier
+// sketch's width, the build timestamp and how many source generations
+// compaction folded into it (version-4 snapshots carry these lifecycle
+// records; older versions print blanks).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"github.com/graphstream/gsketch/internal/core"
@@ -87,8 +89,8 @@ func snapshotStats(path string) {
 	fmt.Printf("stream volume:   %d\n", total)
 	fmt.Printf("counter bytes:   %d\n", bytes)
 	fmt.Println()
-	fmt.Printf("%-4s %14s %14s %11s %8s %s\n",
-		"gen", "stream", "bytes", "partitions", "folded", "built")
+	fmt.Printf("%-4s %14s %14s %11s %20s %8s %8s %s\n",
+		"gen", "stream", "bytes", "partitions", "widths min/med/max", "outlier", "folded", "built")
 	for i, g := range gens {
 		built := "-"
 		if metas[i].BuiltAt != 0 {
@@ -98,10 +100,20 @@ func snapshotStats(path string) {
 		if i == len(gens)-1 {
 			role = "  (head)"
 		}
-		fmt.Printf("%-4d %14d %14d %11d %8d %s%s\n",
-			i, g.Count(), g.MemoryBytes(), g.NumPartitions(),
-			metas[i].CompactedFrom, built, role)
+		fmt.Printf("%-4d %14d %14d %11d %20s %8d %8d %s%s\n",
+			i, g.Count(), g.MemoryBytes(), g.NumPartitions(), widthRange(g.Leaves()),
+			g.OutlierWidth(), metas[i].CompactedFrom, built, role)
 	}
+}
+
+// widthRange formats the smallest, median and largest leaf width.
+func widthRange(leaves []core.Leaf) string {
+	w := make([]int, len(leaves))
+	for i, l := range leaves {
+		w[i] = l.Width
+	}
+	slices.Sort(w)
+	return fmt.Sprintf("%d/%d/%d", w[0], w[len(w)/2], w[len(w)-1])
 }
 
 func fatal(format string, args ...any) {

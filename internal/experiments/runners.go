@@ -228,19 +228,18 @@ func RunAlphaSweep(ds *Dataset, alphas []float64, g0 float64, subgraph bool) ([]
 		g0 = query.DefaultG0
 	}
 	cfg := core.Config{TotalBytes: ds.FixedMemory, Seed: ds.Seed}
+	workload := workloadSample
+	if subgraph {
+		workload = subgraphWorkloadSample
+	}
 	points := make([]AlphaPoint, 0, len(alphas))
 	for _, alpha := range alphas {
 		o := EdgeSweepOptions{WithWorkload: true, Alpha: alpha, G0: g0}
-		workload := workloadSample(ds, o)
-		if subgraph {
-			workload = subgraphWorkloadSample(ds, o)
-		}
-
 		global, err := core.BuildGlobalSketch(cfg)
 		if err != nil {
 			return nil, err
 		}
-		gsk, err := core.BuildGSketch(cfg, ds.DataSample, workload)
+		gsk, err := core.BuildGSketch(cfg, ds.DataSample, workload(ds, o))
 		if err != nil {
 			return nil, err
 		}
