@@ -394,8 +394,8 @@ func TestNegativeWeightRefused(t *testing.T) {
 		if got := eng.Estimator().Count(); got != 0 {
 			t.Fatalf("pipeline=%v: Count = %d after refused batches, want 0", pipeline, got)
 		}
-		if st := eng.IngestStats(); st != nil && (st.Inflight != 0 || st.PendingEdges != 0 || st.EdgesApplied != 0) {
-			t.Fatalf("refused batches left inflight=%d pending=%d applied=%d", st.Inflight, st.PendingEdges, st.EdgesApplied)
+		if st := eng.IngestStats(); st != nil && (st.Inflight != 0 || st.QueueDepth != 0 || st.EdgesApplied != 0) {
+			t.Fatalf("refused batches left inflight=%d queued=%d applied=%d", st.Inflight, st.QueueDepth, st.EdgesApplied)
 		}
 		// The engine keeps serving.
 		if err := eng.Ingest(context.Background(), edges...); err != nil {

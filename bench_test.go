@@ -512,7 +512,7 @@ func BenchmarkUpdateBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkIngestorPipeline drives the full Push→channel→worker pipeline.
+// BenchmarkIngestorPipeline drives the full PushBatch→channel→worker pipeline.
 func BenchmarkIngestorPipeline(b *testing.B) {
 	edges := ingestBenchEdges()
 	c := core.NewConcurrent(ingestBenchSketch(b, edges))

@@ -123,7 +123,7 @@ func main() {
 		partitions = flag.Int("partitions", 0, "partition cap (0 = unbounded)")
 
 		workers   = flag.Int("workers", 0, "HTTP ingest workers (0 = GOMAXPROCS); wire connections fold their own frames")
-		batchSize = flag.Int("batch", 0, "HTTP ingest batch size (0 = default 1024)")
+		batchSize = flag.Int("batch", 0, "max edges per queued HTTP batch (0 = default 1024)")
 		queue     = flag.Int("queue", 0, "HTTP ingest queue depth in batches (0 = 4x workers)")
 
 		snapshotPath   = flag.String("snapshot", "gsketch.snap", "default snapshot path for /snapshot/save and -snapshot-on-exit")

@@ -387,9 +387,11 @@ func (e *Engine) RecordsWorkload() bool { return e.rec != nil }
 func (e *Engine) SnapshotPath() string { return e.snapPath }
 
 // Ingest folds edges into the engine. With a pipeline (WithIngest) it is
-// the blocking, context-aware producer entry point: edges are batched into
-// the bounded queue, and a producer blocked on a full queue unblocks when
-// ctx is cancelled (accepted edges are never lost — they drain later).
+// the blocking, context-aware producer entry point: edges are cut into
+// batches of at most the pipeline's BatchSize, each queued as it is cut,
+// and a producer blocked on a full queue unblocks when ctx is cancelled.
+// The batches queued before the cancellation drain; the one it was blocked
+// on and the rest of edges are dropped, and the error is the context's.
 // Without a pipeline the edges are applied synchronously. After Close it
 // returns ErrEngineClosed; a negative weight anywhere in edges refuses the
 // whole call with ErrNegativeWeight.
@@ -448,9 +450,12 @@ func (e *Engine) Ingest(ctx context.Context, edges ...Edge) error {
 // TryIngest offers edges without ever blocking on a full queue. It returns
 // the number of edges accepted (always a prefix, applied in order) and
 // ErrIngestQueueFull when the pipeline shed the rest — the typed
-// backpressure signal a serving frontend maps to 429/retry-later. Without
-// a pipeline it applies synchronously and accepts everything. A negative
-// weight anywhere in edges refuses the whole call with ErrNegativeWeight.
+// backpressure signal a serving frontend maps to 429/retry-later. Edges are
+// queued in batches of at most the pipeline's BatchSize, so the accepted
+// prefix is a whole number of batches, or all of edges, and the workers
+// apply all of it with no Drain needed. Without a pipeline it applies
+// synchronously and accepts everything. A negative weight anywhere in edges
+// refuses the whole call with ErrNegativeWeight.
 func (e *Engine) TryIngest(edges []Edge) (int, error) {
 	if len(edges) == 0 {
 		return 0, nil
@@ -891,13 +896,13 @@ type IngestStats struct {
 	// estimator, by the queue's workers and by producers applying their own
 	// admitted batches (Admit; one batch each, whatever its size).
 	EdgesApplied, BatchesApplied int64
-	// QueueDepth/QueueCap/PendingEdges are the queue's live backpressure
-	// gauges: TryIngest starts shedding when the queue is at capacity.
-	// Admitted batches never enter the queue. Inflight counts everything
-	// accepted and not yet applied — queued, being folded by a worker, or
-	// admitted and awaiting its producer's Apply — and is what Drain waits
-	// on.
-	QueueDepth, QueueCap, Inflight, PendingEdges int
+	// QueueDepth/QueueCap are the queue's live backpressure gauges:
+	// TryIngest sheds when the queue is at capacity. Admitted batches never
+	// enter the queue. Inflight counts everything accepted and not yet
+	// applied — queued, being folded by a worker, or admitted and awaiting
+	// its producer's Apply — and is what Drain waits on. Nothing is held
+	// outside these counts: every accepted edge is in an in-flight batch.
+	QueueDepth, QueueCap, Inflight int
 	// Sheds counts load-shedding events: non-blocking pushes refused
 	// with a full queue (the pipeline-side view of HTTP 429s). Admit never
 	// sheds.
@@ -975,7 +980,6 @@ func (e *Engine) IngestStats() *IngestStats {
 		QueueDepth:     st.ing.QueueDepth(),
 		QueueCap:       st.ing.QueueCap(),
 		Inflight:       st.ing.Inflight(),
-		PendingEdges:   st.ing.Pending(),
 		Sheds:          st.ing.Sheds(),
 	}
 }
@@ -1022,11 +1026,11 @@ func (e *Engine) Stats() EngineStats {
 	return s
 }
 
-// Drain flushes the ingest pipeline and waits — bounded by ctx — until
-// every edge accepted or admitted before the call is applied to the
-// estimator (read-your-writes). Without a pipeline it is a no-op. The drain
-// condition is global: under sustained concurrent ingest the pipeline may
-// not quiesce, so pass a ctx with a deadline when a bounded wait matters.
+// Drain waits — bounded by ctx — until every edge accepted or admitted
+// before the call is applied to the estimator (read-your-writes). Without a
+// pipeline it is a no-op. The drain condition is global: under sustained
+// concurrent ingest the pipeline may not quiesce, so pass a ctx with a
+// deadline when a bounded wait matters.
 func (e *Engine) Drain(ctx context.Context) error {
 	st := e.state()
 	if st.ing == nil {

@@ -646,38 +646,4 @@ var (
 	_ core.Estimator        = (*Chain)(nil)
 	_ core.RouteStatsSource = (*Chain)(nil)
 	_ io.WriterTo           = (*Chain)(nil)
-	_ compact.Target        = (*chainTarget)(nil)
 )
-
-// chainTarget adapts a Chain plus its build inputs to compact.Target, for
-// wiring a compact.Manager directly over a chain (the engine uses its own
-// adapter carrying live workload samples).
-type chainTarget struct {
-	c        *Chain
-	fold     int
-	cfg      core.Config
-	workload func() []stream.Edge
-}
-
-// NewCompactTarget adapts the chain to compact.Target: Compact folds with
-// the build config cfg and the live workload sampled from workload (nil ⇒
-// data-only rebuilds on the re-ingest path).
-func NewCompactTarget(c *Chain, cfg core.Config, workload func() []stream.Edge) compact.Target {
-	return &chainTarget{c: c, cfg: cfg, workload: workload}
-}
-
-func (t *chainTarget) LifecycleState(now time.Time) compact.State { return t.c.LifecycleState(now) }
-
-func (t *chainTarget) Compact(k int) (compact.Result, error) {
-	var wl []stream.Edge
-	if t.workload != nil {
-		wl = t.workload()
-	}
-	res, err := t.c.Compact(k, t.cfg, wl)
-	if errors.Is(err, ErrNothingToCompact) {
-		return res, nil
-	}
-	return res, err
-}
-
-func (t *chainTarget) EnforceResidency() (int, error) { return t.c.EnforceResidency() }

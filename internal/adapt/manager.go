@@ -97,9 +97,9 @@ type Workload interface {
 // built from and the live recorded workload, and rebuilds + hot-swaps a new
 // generation on threshold (via Check, typically driven by a ticker) or on
 // demand (Repartition). All methods are safe for concurrent use; rebuilds
-// are serialized, and the drift gauges (Drift, Repartitions, LastResult)
-// never wait behind an in-flight rebuild — a monitoring endpoint stays
-// responsive during the swap it is watching.
+// are serialized, and the drift gauges (Drift, Repartitions) never wait
+// behind an in-flight rebuild — a monitoring endpoint stays responsive
+// during the swap it is watching.
 type Manager struct {
 	cfg ManagerConfig
 	// workload is the live recorded query workload. Nil or empty disables
@@ -110,11 +110,10 @@ type Manager struct {
 	// across a (potentially long) partitioning build.
 	rebuildMu sync.Mutex
 	// mu guards the fields below and is never held across a build.
-	mu         sync.Mutex
-	chain      *Chain
-	baseline   map[uint64]float64
-	readsBase  core.RouteCounts // head read counts at last swap (or creation)
-	lastResult *RepartitionResult
+	mu        sync.Mutex
+	chain     *Chain
+	baseline  map[uint64]float64
+	readsBase core.RouteCounts // head read counts at last swap (or creation)
 
 	repartitions int64
 	// swapObs, when set, observes every completed swap's build+rotate
@@ -220,14 +219,6 @@ func (m *Manager) Repartitions() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.repartitions
-}
-
-// LastResult returns the most recent swap's result, or nil before the
-// first.
-func (m *Manager) LastResult() *RepartitionResult {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastResult
 }
 
 // Drift evaluates the current drift signals without acting on them. It
@@ -348,7 +339,6 @@ func (m *Manager) repartition(before Drift, live []stream.Edge) (*RepartitionRes
 	m.mu.Lock()
 	m.baseline = sourceDistribution(live)
 	m.readsBase = chain.ReadRouteCounts()
-	m.lastResult = res
 	m.repartitions++
 	swapObs := m.swapObs
 	m.mu.Unlock()

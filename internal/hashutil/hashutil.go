@@ -123,20 +123,6 @@ func EdgeKeyMixed(mixedSrc, dst uint64) uint64 {
 	return Mix64(mixedSrc*0x9e3779b97f4a7c15 + dst + 0x7f4a7c159e3779b9)
 }
 
-// StringKey hashes a vertex label to a 64-bit key using FNV-1a.
-func StringKey(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}
-
 // RNG is a small deterministic pseudo-random generator (SplitMix64 stream).
 // It is intentionally independent of math/rand so that hashing seeds remain
 // stable across Go releases. Not safe for concurrent use.

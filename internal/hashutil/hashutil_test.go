@@ -128,18 +128,6 @@ func TestEdgeKeyCollisions(t *testing.T) {
 	}
 }
 
-func TestStringKeyDistinct(t *testing.T) {
-	if StringKey("alice") == StringKey("bob") {
-		t.Error("distinct labels hash equal")
-	}
-	if StringKey("") == StringKey("a") {
-		t.Error("empty and non-empty labels hash equal")
-	}
-	if StringKey("ab") == StringKey("ba") {
-		t.Error("StringKey ignores order")
-	}
-}
-
 func TestRNGDeterministicAndSplit(t *testing.T) {
 	a, b := NewRNG(11), NewRNG(11)
 	for i := 0; i < 100; i++ {

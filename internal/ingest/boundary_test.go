@@ -32,12 +32,11 @@ func (p *pickupEstimator) EstimateBatch(qs []core.EdgeQuery) []core.Result {
 func (p *pickupEstimator) Count() int64     { return p.edges.Load() }
 func (p *pickupEstimator) MemoryBytes() int { return 0 }
 
-// TestTryPushBatchExactFill drives every buffer to its exact boundary: an
+// TestTryPushBatchExactFill drives the queue to its exact boundary: an
 // offer of precisely QueueDepth full batches must land entirely (nil
-// error) with the queue exactly full, a follow-up of precisely BatchSize
-// edges must park as an exactly-full pending batch (still nil error), and
-// only the first edge past that point sheds. HTTP ingest's accepted-prefix
-// accounting leans on this exact-fit-accepts contract.
+// error) with the queue exactly full, and the first edge past that point
+// sheds. HTTP ingest's accepted-prefix accounting leans on this
+// exact-fit-accepts contract.
 func TestTryPushBatchExactFill(t *testing.T) {
 	const batch, depth = 4, 2
 	dest := &pickupEstimator{started: make(chan struct{}, 16), gate: make(chan struct{})}
@@ -64,21 +63,8 @@ func TestTryPushBatchExactFill(t *testing.T) {
 	if d := ing.QueueDepth(); d != depth {
 		t.Fatalf("QueueDepth = %d, want %d (exactly full)", d, depth)
 	}
-	if p := ing.Pending(); p != 0 {
-		t.Fatalf("Pending = %d, want 0 after exact fill", p)
-	}
 
-	// Boundary 2: exactly one more full batch parks in pending — accepted,
-	// nil error, even though the queue itself has no room.
-	park := testStream(batch, 3)
-	if n, err := ing.TryPushBatch(park); err != nil || n != batch {
-		t.Fatalf("exact pending fill = (%d, %v), want (%d, nil)", n, err, batch)
-	}
-	if p := ing.Pending(); p != batch {
-		t.Fatalf("Pending = %d, want %d (exactly full)", p, batch)
-	}
-
-	// Boundary 3: the first edge past the exactly-full pipeline sheds, and
+	// Boundary 2: the first edge past the exactly-full queue sheds, and
 	// sheds completely.
 	extra := testStream(1, 4)
 	if n, err := ing.TryPushBatch(extra); !errors.Is(err, ErrQueueFull) || n != 0 {
@@ -100,7 +86,7 @@ func TestTryPushBatchExactFill(t *testing.T) {
 	if err := ing.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := int64(batch + batch*depth + batch + 1)
+	want := int64(batch + batch*depth + 1)
 	if got := dest.Count(); got != want {
 		t.Fatalf("edges applied = %d, want %d", got, want)
 	}

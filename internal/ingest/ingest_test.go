@@ -3,11 +3,13 @@ package ingest
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/hashutil"
@@ -102,7 +104,8 @@ func assertCounted(t *testing.T, c *core.Concurrent, edges []stream.Edge) {
 }
 
 // TestIngestorManyProducersCrossCheck is the end-to-end pipeline test:
-// several producers mixing Push and PushBatch, drained by several workers
+// several producers, half pushing their stream whole and half in ragged
+// pieces that are not multiples of BatchSize, drained by several workers
 // into the sharded estimator, cross-checked by assertCounted. Run with
 // -race this is the primary concurrency test of the package.
 func TestIngestorManyProducersCrossCheck(t *testing.T) {
@@ -123,19 +126,21 @@ func TestIngestorManyProducersCrossCheck(t *testing.T) {
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
-		go func(edges []stream.Edge, viaBatch bool) {
+		go func(edges []stream.Edge, whole bool) {
 			defer wg.Done()
-			if viaBatch {
+			if whole {
 				if err := ing.PushBatch(edges); err != nil {
 					t.Errorf("PushBatch: %v", err)
 				}
 				return
 			}
-			for _, e := range edges {
-				if err := ing.Push(e); err != nil {
-					t.Errorf("Push: %v", err)
+			for piece := 1; len(edges) > 0; piece = piece*7%601 + 1 {
+				n := min(piece, len(edges))
+				if err := ing.PushBatch(edges[:n]); err != nil {
+					t.Errorf("PushBatch: %v", err)
 					return
 				}
+				edges = edges[n:]
 			}
 		}(streams[p], p%2 == 0)
 	}
@@ -160,12 +165,10 @@ func TestIngestorFlushMakesVisible(t *testing.T) {
 	defer ing.Close()
 
 	e := stream.Edge{Src: 1, Dst: 2, Weight: 7}
-	for i := 0; i < 5; i++ {
-		if err := ing.Push(e); err != nil {
-			t.Fatal(err)
-		}
+	if err := ing.PushBatch([]stream.Edge{e, e, e, e, e}); err != nil {
+		t.Fatal(err)
 	}
-	// Batch (1000) not full: nothing guaranteed visible yet. Flush forces it.
+	// The short batch is queued but not necessarily applied; Flush waits.
 	if err := ing.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +178,7 @@ func TestIngestorFlushMakesVisible(t *testing.T) {
 	if ing.Edges() != 5 {
 		t.Fatalf("Edges = %d, want 5", ing.Edges())
 	}
-	// Flush with nothing pending is a no-op.
+	// Flush with nothing in flight is a no-op.
 	if err := ing.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +200,6 @@ func TestIngestorCloseLifecycle(t *testing.T) {
 	// Idempotent.
 	if err := ing.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if err := ing.Push(edges[0]); err != ErrClosed {
-		t.Fatalf("Push after Close = %v, want ErrClosed", err)
 	}
 	if err := ing.PushBatch(edges); err != ErrClosed {
 		t.Fatalf("PushBatch after Close = %v, want ErrClosed", err)
@@ -266,14 +266,17 @@ func TestIngestorBackpressure(t *testing.T) {
 }
 
 func TestIngestorConfigDefaults(t *testing.T) {
-	c := target(t)
-	ing, err := New(c, Config{})
+	cfg := Config{}.WithDefaults()
+	if cfg.Workers < 1 || cfg.BatchSize != 1024 || cfg.QueueDepth != 4*cfg.Workers {
+		t.Fatalf("defaults not applied: %+v", cfg)
+	}
+	ing, err := New(target(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ing.Close()
-	if ing.Workers() < 1 || ing.BatchSize() != 1024 {
-		t.Fatalf("defaults not applied: workers=%d batch=%d", ing.Workers(), ing.BatchSize())
+	if ing.QueueCap() != cfg.QueueDepth {
+		t.Fatalf("QueueCap = %d, want the default %d", ing.QueueCap(), cfg.QueueDepth)
 	}
 }
 
@@ -304,9 +307,9 @@ func (g *gateEstimator) Count() int64     { return g.edges.Load() }
 func (g *gateEstimator) MemoryBytes() int { return 0 }
 
 // TestTryPushBatchShedsLoad drives the pipeline into a deterministic
-// queue-full state and checks that TryPushBatch accepts exactly the prefix
-// it can buffer, reports ErrQueueFull for the rest, and that the counters
-// expose the state the server's 429 mapping needs.
+// queue-full state and checks that TryPushBatch sheds at once — nothing is
+// parked beside a full queue — and that the counters expose the state the
+// server's 429 mapping needs.
 func TestTryPushBatchShedsLoad(t *testing.T) {
 	dest := &gateEstimator{gate: make(chan struct{})}
 	ing, err := New(dest, Config{Workers: 1, BatchSize: 4, QueueDepth: 1})
@@ -326,33 +329,22 @@ func TestTryPushBatchShedsLoad(t *testing.T) {
 		t.Fatalf("Inflight = %d, want 2", n)
 	}
 
-	// Non-blocking path: exactly one batch still fits in the pending
-	// buffer. Fully-buffered offers are not a shed, even though the
-	// opportunistic enqueue failed...
+	// Non-blocking path: the queue is full, so every offer sheds whole,
+	// a full batch and a short one alike, and each counts as one shed.
 	more := testStream(8, 8)
-	if n, err := ing.TryPushBatch(more[:4]); err != nil || n != 4 {
-		t.Fatalf("boundary TryPushBatch = (%d, %v), want (4, nil)", n, err)
+	for i, offer := range [][]stream.Edge{more[:4], more[4:7]} {
+		if n, err := ing.TryPushBatch(offer); !errors.Is(err, ErrQueueFull) || n != 0 {
+			t.Fatalf("offer %d on a full queue = (%d, %v), want (0, ErrQueueFull)", i, n, err)
+		}
 	}
-	// ...but the next offer has nowhere to go and must shed everything.
-	accepted, err := ing.TryPushBatch(more[4:])
-	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("TryPushBatch err = %v, want ErrQueueFull", err)
-	}
-	if accepted != 0 {
-		t.Fatalf("accepted = %d, want 0", accepted)
-	}
-	accepted = 4 + accepted // prefix of `more` buffered so far
-	if n := ing.Pending(); n != 4 {
-		t.Fatalf("Pending = %d, want 4", n)
-	}
-	if err := ing.TryPush(more[4]); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("TryPush err = %v, want ErrQueueFull", err)
+	if s, n := ing.Sheds(), ing.Inflight(); s != 2 || n != 2 {
+		t.Fatalf("Sheds/Inflight = %d/%d, want 2/2: a shed batch must not stay registered", s, n)
 	}
 
-	// Release the workers; the rejected suffix can now be retried and the
+	// Release the workers; the rejected offer can now be retried and the
 	// pipeline drains completely.
 	close(dest.gate)
-	for rest := more[accepted:]; len(rest) > 0; {
+	for rest := more; len(rest) > 0; {
 		n, err := ing.TryPushBatch(rest)
 		rest = rest[n:]
 		if err != nil && !errors.Is(err, ErrQueueFull) {
@@ -373,6 +365,48 @@ func TestTryPushBatchShedsLoad(t *testing.T) {
 	}
 	if _, err := ing.TryPushBatch(more); !errors.Is(err, ErrClosed) {
 		t.Fatalf("TryPushBatch after Close err = %v, want ErrClosed", err)
+	}
+}
+
+// TestPushTailAppliesWithoutFlush pins that a push holds nothing back: a
+// push of BatchSize+1 edges, through either entry point, is applied in full
+// once the pipeline idles, with no Flush or later push to carry its last
+// edge through.
+func TestPushTailAppliesWithoutFlush(t *testing.T) {
+	const batch = 16
+	for _, tc := range []struct {
+		name string
+		push func(*Ingestor, []stream.Edge) error
+	}{
+		{"PushBatch", (*Ingestor).PushBatch},
+		{"TryPushBatch", func(ing *Ingestor, edges []stream.Edge) error {
+			n, err := ing.TryPushBatch(edges)
+			if err == nil && n != len(edges) {
+				err = fmt.Errorf("accepted %d of %d", n, len(edges))
+			}
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ing, err := New(target(t), Config{Workers: 1, BatchSize: batch, QueueDepth: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ing.Close()
+			if err := tc.push(ing, testStream(batch+1, 9)); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for ing.Inflight() != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("Inflight still %d", ing.Inflight())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if got := ing.Edges(); got != batch+1 {
+				t.Fatalf("Edges = %d once idle, want %d: the push's tail was held back", got, batch+1)
+			}
+		})
 	}
 }
 

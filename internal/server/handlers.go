@@ -671,7 +671,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		stats["queue_depth"] = es.Ingest.QueueDepth
 		stats["queue_cap"] = es.Ingest.QueueCap
 		stats["inflight"] = es.Ingest.Inflight
-		stats["pending_edges"] = es.Ingest.PendingEdges
 		stats["sheds"] = es.Ingest.Sheds
 	}
 	if es.Workload != nil {

@@ -130,13 +130,6 @@ func (s *Server) registerEngineMetrics(eng *gsketch.Engine) {
 			}
 			return float64(st.Ingest.QueueCap)
 		})
-	gauge("gsketch_ingest_pending_edges", "Edges buffered toward the next batch.",
-		func(st *gsketch.EngineStats) float64 {
-			if st.Ingest == nil {
-				return 0
-			}
-			return float64(st.Ingest.PendingEdges)
-		})
 	reg.CounterFunc("gsketch_ingest_sheds_total",
 		"Load-shedding events: non-blocking pushes (HTTP ingest) refused on a full queue; an engine never sheds a wire frame.",
 		func() int64 {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -108,19 +109,20 @@ func TestIngestBackpressure429(t *testing.T) {
 	if code, ir := postIngest(t, ts.URL, edges[4:8], false); code != http.StatusOK || ir.Accepted != 4 {
 		t.Fatalf("second batch: code %d, %+v", code, ir)
 	}
-	// Batch 3+4 → one batch buffers, the second must be shed with 429.
+	// Batch 3+4 → the queue is full, so the whole body is shed with 429:
+	// nothing is parked beside a full queue.
 	code, ir := postIngest(t, ts.URL, edges[8:16], false)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("code %d, want 429 (%+v)", code, ir)
 	}
-	if ir.Accepted != 4 || ir.Rejected != 4 {
-		t.Fatalf("accepted/rejected = %d/%d, want 4/4", ir.Accepted, ir.Rejected)
+	if ir.Accepted != 0 || ir.Rejected != 8 {
+		t.Fatalf("accepted/rejected = %d/%d, want 0/8", ir.Accepted, ir.Rejected)
 	}
 
 	// Open the gate: retrying the shed suffix (honoring each reply's
 	// accepted prefix) drains, and every accepted edge lands.
 	close(dest.gate)
-	for rest := edges[12:16]; len(rest) > 0; {
+	for rest := edges[8:16]; len(rest) > 0; {
 		code, ir := postIngest(t, ts.URL, rest, true)
 		rest = rest[ir.Accepted:]
 		if code == http.StatusOK {
@@ -135,7 +137,7 @@ func TestIngestBackpressure429(t *testing.T) {
 		t.Fatalf("edges applied = %d, want 16", got)
 	}
 	m := getStats(t, ts.URL)
-	if m["edges_rejected"].(float64) != 4 || m["edges_accepted"].(float64) != 16 {
+	if m["edges_rejected"].(float64) != 8 || m["edges_accepted"].(float64) != 16 {
 		t.Fatalf("counter mismatch: %v", m)
 	}
 }
@@ -464,9 +466,10 @@ func TestNewNeedsExactlyOneBackend(t *testing.T) {
 // TestSyncParamDrainsOnlyWhenTrue is the ?sync= table over the three
 // routes that read it: a value strconv.ParseBool reads as true drains the
 // pipeline before the reply, an absent or false one does not, and any
-// other is a 400 naming the parameter that ingests nothing. The pipeline
-// holds a partial batch until something flushes it, so the edges the
-// estimator has applied after the request say whether it drained.
+// other is a 400 naming the parameter that ingests nothing. The estimator
+// blocks every fold until the test opens its gate, so a reply that comes
+// back with the gate closed did not drain, and a draining reply comes back
+// only once the gate opens, with every edge applied.
 func TestSyncParamDrainsOnlyWhenTrue(t *testing.T) {
 	edges := testStream(8, 5)
 	ndjson := ndjsonBody(edges).Bytes()
@@ -474,8 +477,10 @@ func TestSyncParamDrainsOnlyWhenTrue(t *testing.T) {
 	routes := []struct {
 		name, path, ctype string
 		body              []byte
-		// preload is ingested without sync before the request, for a route
-		// that does not ingest itself.
+		// preload is admitted before the request and applied only when
+		// the gate opens, for a route that does not ingest itself: it
+		// holds the drain open without holding the estimator's lock, which
+		// a query takes.
 		preload bool
 	}{
 		{"ndjson ingest", "/ingest", "application/x-ndjson", ndjson, false},
@@ -510,20 +515,43 @@ func TestSyncParamDrainsOnlyWhenTrue(t *testing.T) {
 		for _, v := range values {
 			t.Run(rt.name+"/"+v.query, func(t *testing.T) {
 				dest := &gateEstimator{gate: make(chan struct{})}
-				close(dest.gate)
 				srv, err := New(Config{Engine: testEngine(t, dest,
 					gsketch.WithIngest(ingest.Config{Workers: 1, BatchSize: 1024}))})
 				if err != nil {
 					t.Fatal(err)
 				}
-				t.Cleanup(func() { srv.Close() })
-				h := srv.Handler()
+				var held gsketch.Admission
 				if rt.preload {
-					if rec := post(h, "/ingest", "application/x-ndjson", ndjson); rec.Code != http.StatusOK {
-						t.Fatalf("preload: %d %s", rec.Code, rec.Body)
+					if held, err = srv.Engine().Admit(edges); err != nil {
+						t.Fatal(err)
 					}
 				}
-				rec := post(h, rt.path+v.query, rt.ctype, rt.body)
+				var once sync.Once
+				open := func() { once.Do(func() { close(dest.gate); held.Apply() }) }
+				t.Cleanup(func() { open(); srv.Close() })
+				h := srv.Handler()
+				replied := make(chan *httptest.ResponseRecorder, 1)
+				go func() { replied <- post(h, rt.path+v.query, rt.ctype, rt.body) }()
+				var rec *httptest.ResponseRecorder
+				if v.drain {
+					select {
+					case rec = <-replied:
+						t.Fatalf("replied %d before the fold: a draining request must wait for it", rec.Code)
+					case <-time.After(50 * time.Millisecond):
+					}
+					open()
+					rec = <-replied
+					if got := dest.Count(); got != int64(len(edges)) {
+						t.Fatalf("%d edges applied when the draining reply came, want %d", got, len(edges))
+					}
+				} else {
+					select {
+					case rec = <-replied:
+					case <-time.After(5 * time.Second):
+						t.Fatal("no reply with the fold blocked: only a true ?sync= may wait for it")
+					}
+					open()
+				}
 				if v.bad {
 					if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "sync") {
 						t.Fatalf("%d %q, want 400 naming sync", rec.Code, rec.Body)
@@ -537,21 +565,17 @@ func TestSyncParamDrainsOnlyWhenTrue(t *testing.T) {
 				} else if rec.Code != http.StatusOK {
 					t.Fatalf("%d %q, want 200", rec.Code, rec.Body)
 				}
-				want := int64(0)
-				if v.drain {
-					want = int64(len(edges))
+				// Whatever the request accepted is applied by the next drain;
+				// a refused request took no edge.
+				if rec := post(h, "/ingest?sync=1", "application/x-ndjson", nil); rec.Code != http.StatusOK {
+					t.Fatalf("flush: %d %s", rec.Code, rec.Body)
+				}
+				want := int64(len(edges))
+				if v.bad && !rt.preload {
+					want = 0
 				}
 				if got := dest.Count(); got != want {
-					t.Fatalf("%d edges applied after the request, want %d", got, want)
-				}
-				if v.bad && !rt.preload {
-					// Nothing pending either: the refused request took no edge.
-					if rec := post(h, "/ingest?sync=1", "application/x-ndjson", nil); rec.Code != http.StatusOK {
-						t.Fatalf("flush: %d %s", rec.Code, rec.Body)
-					}
-					if got := dest.Count(); got != 0 {
-						t.Fatalf("%d edges applied after a flush, want 0", got)
-					}
+					t.Fatalf("%d edges applied after a flush, want %d", got, want)
 				}
 			})
 		}

@@ -107,6 +107,39 @@ func TestTenantEquivalenceHTTP(t *testing.T) {
 	}
 }
 
+// TestHugeRateTenantSurvivesWireIngest: a tenant whose rate or burst
+// override is at or past 2^63 takes a wire ingest frame whole, and the
+// server keeps serving it and its peers. A panic in the token bucket on a
+// wire connection's goroutine used to end the process.
+func TestHugeRateTenantSurvivesWireIngest(t *testing.T) {
+	_, baseURL, wireAddr := newTenantServer(t, tenant.Config{})
+	edges := testStream(256, 41)
+	for name, body := range map[string]string{
+		"rate":  `{"max_edges_per_sec":1e19}`,
+		"burst": `{"max_edges_per_sec":1,"burst":9223372036854775807}`,
+	} {
+		createTenant(t, baseURL, name, body)
+		wc := dialWire(t, wireAddr)
+		wc.send(t, wire.AppendTenantSelect(nil, name))
+		if f := wc.next(t); f.Type != wire.TypeTenantAck {
+			t.Fatalf("%s: select type 0x%02x, want tenant ack", name, f.Type)
+		}
+		if acc, rej := wc.ingestFrame(t, edges); acc != len(edges) || rej != 0 {
+			t.Fatalf("%s: ack (%d, %d), want (%d, 0)", name, acc, rej, len(edges))
+		}
+		wc.flush(t)
+		if code, ir := postIngest(t, baseURL+"/t/"+name, edges, true); code != http.StatusOK || ir.Accepted != len(edges) {
+			t.Fatalf("%s: HTTP ingest after the frame: %d %+v", name, code, ir)
+		}
+		if est := wc.queryOne(t, edges[0].Src, edges[0].Dst); est < 2*edges[0].Weight {
+			t.Fatalf("%s: estimate %d, want >= %d (both ingests applied)", name, est, 2*edges[0].Weight)
+		}
+		if resp, data := doReq(t, http.MethodDelete, baseURL+"/t/"+name, ""); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: delete: %d %s", name, resp.StatusCode, data)
+		}
+	}
+}
+
 // TestTenantOverridesOutOfRange: a PUT whose sketch_bytes or queue_depth
 // exceeds what the registry budgets answers 400 bad_request and leaves the
 // tenant set, the tenant's overrides and the manifest as they were.

@@ -40,48 +40,3 @@ func (e Edge) Key() uint64 { return hashutil.EdgeKey(e.Src, e.Dst) }
 // EdgeKey returns the sketch key for the directed pair (src, dst) without
 // materializing an Edge.
 func EdgeKey(src, dst uint64) uint64 { return hashutil.EdgeKey(src, dst) }
-
-// Source is a pull-based stream of edges. Next returns false when the
-// stream is exhausted; Err reports a terminal error, if any.
-type Source interface {
-	Next() (Edge, bool)
-	Err() error
-}
-
-// SliceSource adapts an in-memory edge slice to Source.
-type SliceSource struct {
-	edges []Edge
-	pos   int
-}
-
-// NewSliceSource returns a Source over edges. The slice is not copied.
-func NewSliceSource(edges []Edge) *SliceSource { return &SliceSource{edges: edges} }
-
-// Next returns the next edge.
-func (s *SliceSource) Next() (Edge, bool) {
-	if s.pos >= len(s.edges) {
-		return Edge{}, false
-	}
-	e := s.edges[s.pos]
-	s.pos++
-	return e, true
-}
-
-// Err always returns nil for a slice source.
-func (s *SliceSource) Err() error { return nil }
-
-// Reset rewinds the source to the beginning.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
-// Drain reads a source to exhaustion and returns the collected edges.
-func Drain(src Source) ([]Edge, error) {
-	var out []Edge
-	for {
-		e, ok := src.Next()
-		if !ok {
-			break
-		}
-		out = append(out, e)
-	}
-	return out, src.Err()
-}

@@ -4,25 +4,6 @@ import (
 	"testing"
 )
 
-func TestSliceSource(t *testing.T) {
-	edges := []Edge{{Src: 1, Dst: 2, Weight: 1}, {Src: 3, Dst: 4, Weight: 2}}
-	src := NewSliceSource(edges)
-	got, err := Drain(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != edges[0] || got[1] != edges[1] {
-		t.Errorf("drain = %v", got)
-	}
-	if _, ok := src.Next(); ok {
-		t.Error("exhausted source yielded an edge")
-	}
-	src.Reset()
-	if e, ok := src.Next(); !ok || e != edges[0] {
-		t.Error("reset did not rewind")
-	}
-}
-
 func TestEdgeKeyConsistent(t *testing.T) {
 	e := Edge{Src: 10, Dst: 20}
 	if e.Key() != EdgeKey(10, 20) {

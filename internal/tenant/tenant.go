@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -162,6 +163,9 @@ func New(cfg Config) (*Registry, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("tenant: Config.Dir is required")
 	}
+	if q := cfg.Quotas.MaxEdgesPerSec; math.IsNaN(q) || math.IsInf(q, 0) {
+		return nil, fmt.Errorf("tenant: Quotas.MaxEdgesPerSec %v is not a finite rate", q)
+	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -184,7 +188,7 @@ func New(cfg Config) (*Registry, error) {
 
 func (r *Registry) newTenant(name string, ov Overrides) *tenant {
 	t := &tenant{name: name, ov: ov, lastRefill: r.now()}
-	t.tokens = float64(r.burst(ov))
+	t.tokens = r.burst(ov)
 	t.lastUse.Store(r.now().UnixNano())
 	return t
 }
@@ -198,16 +202,18 @@ func (r *Registry) rate(ov Overrides) float64 {
 	return r.cfg.Quotas.MaxEdgesPerSec
 }
 
-func (r *Registry) burst(ov Overrides) int {
+// burst resolves a tenant's bucket capacity in tokens. It stays a float64,
+// as the bucket does: a rate or burst near 2^63 has no int conversion.
+func (r *Registry) burst(ov Overrides) float64 {
 	if ov.Burst > 0 {
-		return ov.Burst
+		return float64(ov.Burst)
 	}
 	if r.cfg.Quotas.Burst > 0 {
-		return r.cfg.Quotas.Burst
+		return float64(r.cfg.Quotas.Burst)
 	}
 	// Default: one second of the effective rate.
 	if rate := r.rate(ov); rate > 0 {
-		return int(rate)
+		return math.Floor(rate)
 	}
 	return 0
 }
@@ -644,17 +650,18 @@ func (t *tenant) take(r *Registry, n int) int {
 	if rate <= 0 {
 		return n
 	}
-	burst := float64(r.burst(t.ov))
+	burst := r.burst(t.ov)
 	now := r.now()
 	t.tbMu.Lock()
 	defer t.tbMu.Unlock()
 	if elapsed := now.Sub(t.lastRefill).Seconds(); elapsed > 0 {
-		t.tokens = minF(burst, t.tokens+elapsed*rate)
+		t.tokens = min(burst, t.tokens+elapsed*rate)
 	}
 	t.lastRefill = now
+	// Compare in float64: the bucket may hold more tokens than an int can.
 	grant := n
-	if g := int(t.tokens); g < grant {
-		grant = g
+	if t.tokens < float64(n) {
+		grant = max(int(t.tokens), 0)
 	}
 	t.tokens -= float64(grant)
 	return grant
@@ -666,17 +673,10 @@ func (t *tenant) refund(r *Registry, n int) {
 	if n <= 0 {
 		return
 	}
-	burst := float64(r.burst(t.ov))
+	burst := r.burst(t.ov)
 	t.tbMu.Lock()
-	t.tokens = minF(burst, t.tokens+float64(n))
+	t.tokens = min(burst, t.tokens+float64(n))
 	t.tbMu.Unlock()
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Handle is one tenant's serving surface — it implements the server's

@@ -3,6 +3,7 @@ package tenant
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -177,6 +178,54 @@ func TestQuotaAcceptedPrefix(t *testing.T) {
 	}
 	if info.RateLimited != 3 {
 		t.Fatalf("rate-limited count %d, want 3", info.RateLimited)
+	}
+}
+
+// TestHugeRateOverrides pins the token bucket at the top of its range: a
+// rate or burst at or past 2^63 has no int conversion, and converting one
+// made the grant negative and both ingest paths panic on edges[:grant].
+// Each such tenant must take whole batches, through TryIngest and Admit,
+// and stay deletable (a panic there leaked the tenant's read lock).
+func TestHugeRateOverrides(t *testing.T) {
+	edges := testStream(64, 5)
+	for _, tc := range []struct {
+		name string
+		ov   Overrides
+	}{
+		{"rate 1e19", Overrides{MaxEdgesPerSec: 1e19}},
+		{"burst MaxInt64", Overrides{MaxEdgesPerSec: 1, Burst: math.MaxInt64}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newTestRegistry(t, testConfig(t))
+			h := mustCreate(t, r, "huge", tc.ov)
+			if n, err := h.TryIngest(edges[:32]); n != 32 || err != nil {
+				t.Fatalf("TryIngest = (%d, %v), want (32, nil)", n, err)
+			}
+			n, adm, err := h.Admit(edges[32:])
+			if n != 32 || err != nil {
+				t.Fatalf("Admit = (%d, %v), want (32, nil)", n, err)
+			}
+			adm.Apply()
+			if err := h.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Delete("huge"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestNonFiniteQuotaRefused: a NaN or infinite registry-wide rate (a
+// command-line flag parses both) is refused when the registry opens.
+func TestNonFiniteQuotaRefused(t *testing.T) {
+	for _, q := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := testConfig(t)
+		cfg.Quotas.MaxEdgesPerSec = q
+		if r, err := New(cfg); err == nil {
+			r.Close()
+			t.Fatalf("New with Quotas.MaxEdgesPerSec %v succeeded", q)
+		}
 	}
 }
 
