@@ -204,6 +204,58 @@ func TestUpdateBatchFoldsRuns(t *testing.T) {
 	}
 }
 
+// TestGroupedRunsStraddleBlock: the routing pass takes a batch in blocks of
+// routeBlock runs, and a run is never split — a run that starts at the last
+// position of a block spans arrivals past it, and the next run opens the
+// next block. Runs ending a block, opening one and covering arrival
+// routeBlock mid-block must still leave counters, stream total and route
+// counts where per-edge Update leaves them, whole or cut at block sizes.
+func TestGroupedRunsStraddleBlock(t *testing.T) {
+	// straddle puts a run of n arrivals after lead single arrivals — so the
+	// run is position lead — and follows it with a second run and 100 more
+	// single arrivals over routed, outlier and zero sources.
+	straddle := func(lead, n int) []stream.Edge {
+		var edges []stream.Edge
+		single := func(i int) stream.Edge {
+			src := uint64(i % 7)
+			if i%5 == 0 {
+				src = 100_000 + uint64(i)
+			}
+			return stream.Edge{Src: src, Dst: uint64(i), Weight: int64(i % 3)}
+		}
+		for i := range lead {
+			edges = append(edges, single(i))
+		}
+		for i := range n {
+			edges = append(edges, stream.Edge{Src: 1, Dst: 1 << 20, Weight: int64(i % 4)})
+		}
+		for i := range 3 {
+			edges = append(edges, stream.Edge{Src: 100_000, Dst: 1 << 21, Weight: int64(i)})
+		}
+		for i := range 100 {
+			edges = append(edges, single(lead+i))
+		}
+		return edges
+	}
+	for _, in := range []struct {
+		name      string
+		lead, run int
+	}{
+		{"run ends block", routeBlock - 1, 5},
+		{"run opens block", routeBlock, 5},
+		{"run covers arrival 64 mid-block", routeBlock - 4, 10},
+		{"run ends second block", 2*routeBlock - 1, 3},
+	} {
+		edges := straddle(in.lead, in.run)
+		for _, mode := range foldModes {
+			t.Run(mode.name+"/"+in.name, func(t *testing.T) {
+				assertRunsFoldExactly(t, 65, true, mode.cfg, mode.width, edges, len(edges))
+				assertRunsFoldExactly(t, 65, true, mode.cfg, mode.width, edges, routeBlock, routeBlock+1, 2*routeBlock+1)
+			})
+		}
+	}
+}
+
 // TestSaturatedRunsPinVolume: runs whose weights sum past MaxInt64 pin every
 // volume — the stream total, the shard's N_i, the answer's StreamTotal — at
 // MaxInt64, and the ε·N_i bounds stay non-negative, where a wrapping sum
@@ -256,18 +308,25 @@ func TestNegativeWeightStopsRun(t *testing.T) {
 }
 
 // FuzzUpdateBatchRuns checks coalescing against per-edge Update on arbitrary
-// short batches. Each input byte is one arrival over a four-edge alphabet —
+// batches. Each input byte is one arrival over a four-edge alphabet —
 // source 0, a routed source and an outlier, so adjacent repeats are common —
-// with a weight from {0, 1, small, ≥ 2⁶²}; the first byte cuts the batch.
+// with a weight from {0, 1, small, ≥ 2⁶²}; the first byte cuts the batch at
+// 1 to 256 arrivals, so a batch can hold more runs than one routing block
+// (routeBlock) and its runs can end a block or start the next.
 func FuzzUpdateBatchRuns(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, 0})
 	f.Add([]byte{1, 0x00, 0x41, 0x00, 0x41, 0xc2, 0xc2, 0xc2})
 	f.Add([]byte{7, 0xff, 0xfe, 0x03, 0x03, 0x83, 0x83, 0x10, 0x10, 0x10})
+	long := []byte{200}
+	for i := range 300 {
+		long = append(long, byte(i*37)^byte(i>>3))
+	}
+	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 || len(data) > 512 {
 			return
 		}
-		cut := 1 + int(data[0])%16
+		cut := 1 + int(data[0])
 		srcs := [4]uint64{0, 1, 2, 100_000}
 		edges := make([]stream.Edge, len(data)-1)
 		for i, b := range data[1:] {

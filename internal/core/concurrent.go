@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 
 	"github.com/graphstream/gsketch/internal/stream"
@@ -17,15 +18,23 @@ import (
 // domains are guarded by up to maxLockStripes RWMutexes, with partition p
 // mapped to stripe p mod stripes — a partitioning can produce thousands of
 // tiny leaves, and striping keeps the per-batch lock traffic bounded. A
-// batch in either direction is routed and grouped lock-free by a pooled
-// grouping whose touched-shard list comes ordered by stripe, so the
+// batch in either direction is routed lock-free, in blocks, by a pooled
+// grouping.
+//
+// An edge batch's touched-shard list comes ordered by stripe, so the
 // positions a stripe guards are one contiguous run of the shard-major
-// batch: the stripe's lock is taken once and held for one call of the
-// sketch bank's routed kernel over that run. A batch therefore costs
-// O(batch + touched partitions) and at most min(batch, stripes) lock
-// acquisitions and kernel calls, independent of the partition count, and
-// batches on different stripes proceed in parallel. The stream-volume total
-// is atomic inside GSketch.
+// batch: the stripe's write lock is taken once and held for one call of the
+// sketch bank's routed kernel over that run. A writer holds one stripe at a
+// time. A query chunk stays in input order: each stripe it touches is
+// read-locked once, in ascending stripe order, for one kernel call over the
+// whole chunk and the touched shards' bounds. Readers holding several
+// stripes always take them in the same order and writers never hold two,
+// so there is no lock-order cycle; a writer on a touched stripe waits for
+// at most one chunk's kernel call (estimateChunk positions). A batch
+// therefore costs O(batch + touched partitions) and at most
+// min(batch, stripes) lock acquisitions per chunk, independent of the
+// partition count, and batches on different stripes proceed in parallel.
+// The stream-volume total is atomic inside GSketch.
 //
 // Any other estimator falls back to a single RWMutex around the whole
 // structure, the seed behaviour.
@@ -84,20 +93,25 @@ func (c *Concurrent) Update(e stream.Edge) {
 	c.g.addTotal(w)
 }
 
-// eachStripe visits a routed batch stripe by stripe. The touched list is
-// ordered by stripe, so the groups a stripe guards form one run [j0, j1):
-// its lock is taken once and held while visit handles the whole run.
-func (c *Concurrent) eachStripe(gr *grouping, lock, unlock func(*sync.RWMutex), visit func(g *GSketch, j0, j1 int)) {
-	for j0 := 0; j0 < len(gr.touched); {
-		st := c.stripeOf(int(gr.touched[j0]))
-		j1 := j0 + 1
-		for j1 < len(gr.touched) && c.stripeOf(int(gr.touched[j1])) == st {
-			j1++
-		}
-		lock(&c.stripes[st])
-		visit(c.g, j0, j1)
-		unlock(&c.stripes[st])
-		j0 = j1
+// rlock read-locks the stripes guarding the touched shards, each once and
+// in ascending stripe order — the order every reader that holds several
+// takes them in — and returns the set it locked, one bit per stripe
+// (maxLockStripes is 64).
+func (c *Concurrent) rlock(touched []int32) uint64 {
+	var set uint64
+	for _, shard := range touched {
+		set |= 1 << c.stripeOf(int(shard))
+	}
+	for s := set; s != 0; s &= s - 1 {
+		c.stripes[bits.TrailingZeros64(s)].RLock()
+	}
+	return set
+}
+
+// runlock releases the read locks rlock took.
+func (c *Concurrent) runlock(set uint64) {
+	for ; set != 0; set &= set - 1 {
+		c.stripes[bits.TrailingZeros64(set)].RUnlock()
 	}
 }
 
@@ -122,7 +136,19 @@ func (c *Concurrent) UpdateBatch(edges []stream.Edge) {
 	}
 	gr := c.pool.Get().(*grouping)
 	total := gr.routeEdges(c.g, edges)
-	c.eachStripe(gr, (*sync.RWMutex).Lock, (*sync.RWMutex).Unlock, gr.update)
+	// The touched list is ordered by stripe, so the groups a stripe guards
+	// form one run [j0, j1).
+	for j0 := 0; j0 < len(gr.touched); {
+		st := c.stripeOf(int(gr.touched[j0]))
+		j1 := j0 + 1
+		for j1 < len(gr.touched) && c.stripeOf(int(gr.touched[j1])) == st {
+			j1++
+		}
+		c.stripes[st].Lock()
+		gr.update(c.g, j0, j1)
+		c.stripes[st].Unlock()
+		j0 = j1
+	}
 	c.pool.Put(gr)
 	c.g.addTotal(total)
 }

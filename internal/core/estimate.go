@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"github.com/graphstream/gsketch/internal/stream"
 )
@@ -50,17 +49,17 @@ type Result struct {
 // depth-d sketch.
 func confidence(depth int) float64 { return 1 - math.Exp(-float64(depth)) }
 
-// estimateChunk bounds the slice of a query batch that is grouped and
-// answered at once, so the grouping's buffers (keys, slots, values) stay
+// estimateChunk bounds the slice of a query batch that is routed and
+// answered at once, so the grouping's buffers (shards, keys, values) stay
 // cache-resident alongside the counters being probed instead of growing
 // with the caller's batch and evicting them — the read-side analogue of
 // populateChunk.
 const estimateChunk = 2048
 
 // EstimateBatch answers a batch of edge queries through the routed-batch
-// grouping: each chunk is grouped by answering partition (one pass over the
-// flat router), then the sketch bank answers the whole shard-major chunk in
-// one EstimateRouted call and the touched partitions' ε·N_i bounds are read
+// grouping: each chunk is routed in input order (one blocked pass over the
+// flat router), then the sketch bank answers the whole chunk in one
+// EstimateRouted call and the touched partitions' ε·N_i bounds are read
 // from its volume table. Results are returned in input order and carry the
 // answering partition, its bound at confidence 1-e^{-d}, and a snapshot of
 // the stream total. Estimates are identical to per-edge EstimateEdge.
@@ -72,7 +71,7 @@ func (g *GSketch) EstimateBatch(qs []EdgeQuery) []Result {
 	for lo := 0; lo < len(qs); lo += estimateChunk {
 		hi := min(lo+estimateChunk, len(qs))
 		gr.routeQueries(g, qs[lo:hi])
-		gr.estimate(g, 0, len(gr.touched))
+		gr.estimate(g)
 		gr.assemble(g, out[lo:hi], conf, total)
 	}
 	return out
@@ -127,14 +126,13 @@ func (c *Concurrent) EstimateBatch(qs []EdgeQuery) []Result {
 // AppendEstimates answers a batch of edge queries under the wrapper's
 // synchronization, appending one Result per query to dst in input order; a
 // caller that hands the same buffer back batch after batch makes the read
-// path allocation-free. On the sharded path each chunk is routed and
-// grouped lock-free, then answered stripe by stripe: a stripe's read lock
-// is taken at most once per chunk and held for one kernel call over the
-// run of positions it guards, so lock traffic and kernel calls are both
-// bounded by stripes × ⌈batch/estimateChunk⌉ and a one-query batch takes
-// one lock. Each run's counters and local volumes N_i are read in one
-// critical section, one consistent snapshot per partition; the fan-out
-// back to input order runs lock-free. Readers proceed beside writers on
+// path allocation-free. On the sharded path each chunk is routed lock-free
+// in input order, then every stripe it touches is read-locked once, in
+// ascending stripe order, around one kernel call over the whole chunk and
+// the read of the touched partitions' local volumes N_i — one consistent
+// snapshot per partition. Lock traffic is bounded by
+// stripes × ⌈batch/estimateChunk⌉, a one-query batch takes one lock, and
+// the sweep into dst runs lock-free. Readers proceed beside writers on
 // other stripes.
 func (c *Concurrent) AppendEstimates(dst []Result, qs []EdgeQuery) []Result {
 	if c.g == nil {
@@ -151,7 +149,9 @@ func (c *Concurrent) AppendEstimates(dst []Result, qs []EdgeQuery) []Result {
 	for lo := 0; lo < len(qs); lo += estimateChunk {
 		hi := min(lo+estimateChunk, len(qs))
 		gr.routeQueries(c.g, qs[lo:hi])
-		c.eachStripe(gr, (*sync.RWMutex).RLock, (*sync.RWMutex).RUnlock, gr.estimate)
+		set := c.rlock(gr.touched)
+		gr.estimate(c.g)
+		c.runlock(set)
 		gr.assemble(c.g, out[lo:hi], conf, total)
 	}
 	c.pool.Put(gr)

@@ -90,12 +90,31 @@ func routeTotals(t *testing.T, est Estimator) (writes, reads int64) {
 	return w.Total, r.Total
 }
 
+// perQuery is the Result the per-query calls give for q on g: EstimateEdge's
+// estimate, PartitionOf's partition (NoPartition and the outlier flag for
+// an unrouted source when g has an outlier shard), ErrorBound's bound.
+func perQuery(g *GSketch, q EdgeQuery) Result {
+	part, routed := g.PartitionOf(q.Src)
+	r := Result{
+		Estimate:    g.EstimateEdge(q.Src, q.Dst),
+		Partition:   part,
+		ErrorBound:  g.ErrorBound(q.Src),
+		Confidence:  confidence(g.Depth()),
+		StreamTotal: g.Count(),
+	}
+	if !routed && g.outlierWidth > 0 {
+		r.Partition, r.Outlier = NoPartition, true
+	}
+	return r
+}
+
 // TestGroupedBatchesMatchSequential is the grouping's equivalence property,
 // swept over shard counts around the lock-stripe boundary (maxLockStripes =
 // 64), with and without the outlier shard, and batch sizes from one edge to
-// four query chunks. Every batch of size b follows a larger one, so a count
-// the touched-list reset missed would surface as a misplaced or dropped
-// position.
+// four query chunks, including sizes either side of one and two routing
+// blocks (routeBlock = 64). Every batch of size b follows a larger one, so a
+// count the touched-list reset missed would surface as a misplaced or
+// dropped position.
 func TestGroupedBatchesMatchSequential(t *testing.T) {
 	const first = 8192
 	for _, shards := range []int{1, 2, 63, 64, 65, 4097} {
@@ -103,7 +122,7 @@ func TestGroupedBatchesMatchSequential(t *testing.T) {
 			if outlier && shards == 1 {
 				continue // an outlier shard needs a partition beside it
 			}
-			for _, batch := range []int{1, 7, 1024, 8192} {
+			for _, batch := range []int{1, 7, 63, 64, 65, 129, 1024, 8192} {
 				name := fmt.Sprintf("shards=%d/outlier=%v/batch=%d", shards, outlier, batch)
 				t.Run(name, func(t *testing.T) {
 					edges := groupedStream(first+3*batch, shards, uint64(shards*31+batch))
@@ -137,20 +156,8 @@ func TestGroupedBatchesMatchSequential(t *testing.T) {
 						for lo := first; lo < len(qs); lo += batch {
 							got = append(got, est.EstimateBatch(qs[lo:lo+batch])...)
 						}
-						conf := confidence(seq.Depth())
 						for i, q := range qs {
-							part, routed := seq.PartitionOf(q.Src)
-							ref := Result{
-								Estimate:    seq.EstimateEdge(q.Src, q.Dst),
-								Partition:   part,
-								ErrorBound:  seq.ErrorBound(q.Src),
-								Confidence:  conf,
-								StreamTotal: seq.Count(),
-							}
-							if !routed && outlier {
-								ref.Partition, ref.Outlier = NoPartition, true
-							}
-							if got[i] != ref {
+							if ref := perQuery(seq, q); got[i] != ref {
 								t.Fatalf("%T: query %d (%d,%d): batch %+v, per-edge %+v", est, i, q.Src, q.Dst, got[i], ref)
 							}
 						}
@@ -169,6 +176,124 @@ func TestGroupedBatchesMatchSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConcurrentEstimateChunkBoundaries: a query batch is answered chunk by
+// chunk (estimateChunk positions), each chunk in input order under one read
+// lock per touched stripe. Batches one short of a chunk, exactly one and one
+// past it — after a larger batch, so stale per-chunk state would show —
+// must match per-query EstimateEdge in estimate, partition, outlier flag and
+// bound, through a bare sketch, Concurrent.EstimateBatch and AppendEstimates
+// onto a non-empty buffer, and count one routed read per query.
+func TestConcurrentEstimateChunkBoundaries(t *testing.T) {
+	for _, shards := range []int{63, 64, 65} {
+		edges := groupedStream(3*estimateChunk, shards, uint64(shards))
+		qs := batchQueries(edges, 3*estimateChunk)
+		seq := groupedSketch(t, shards, true)
+		bare := groupedSketch(t, shards, true)
+		conc := NewConcurrent(groupedSketch(t, shards, true))
+		for _, est := range []Estimator{seq, bare, conc} {
+			est.UpdateBatch(edges)
+		}
+		bare.EstimateBatch(qs)
+		conc.EstimateBatch(qs)
+		prefix := Result{Estimate: -7}
+		for _, n := range []int{estimateChunk - 1, estimateChunk, estimateChunk + 1} {
+			batch := qs[len(qs)-n:]
+			_, readsBefore := routeTotals(t, conc)
+			for _, path := range []struct {
+				name string
+				got  []Result
+			}{
+				{"bare", bare.EstimateBatch(batch)},
+				{"conc", conc.EstimateBatch(batch)},
+				{"append", conc.AppendEstimates([]Result{prefix}, batch)[1:]},
+			} {
+				if len(path.got) != n {
+					t.Fatalf("shards=%d n=%d %s: %d results", shards, n, path.name, len(path.got))
+				}
+				for i, q := range batch {
+					if ref := perQuery(seq, q); path.got[i] != ref {
+						t.Fatalf("shards=%d n=%d %s: query %d (%d,%d): batch %+v, per-query %+v", shards, n, path.name, i, q.Src, q.Dst, path.got[i], ref)
+					}
+				}
+			}
+			if _, reads := routeTotals(t, conc); reads-readsBefore != int64(2*n) {
+				t.Fatalf("shards=%d n=%d: %d routed reads, want %d", shards, n, reads-readsBefore, 2*n)
+			}
+			if got := conc.AppendEstimates([]Result{prefix}, batch[:1]); got[0] != prefix {
+				t.Fatalf("AppendEstimates overwrote the buffer's prefix: %+v", got[0])
+			}
+		}
+	}
+}
+
+// FuzzEstimateBatchInputOrder checks the read path against per-query calls
+// on any query batch. The first byte picks one of eight fixtures — 63, 64,
+// 65 or 129 shards, with or without the outlier shard, around the
+// lock-stripe boundary — and how often the rest repeats, so that a short
+// input can still cross estimateChunk. Each further byte is a query: a
+// routed source (vertex 0 included) or an unrouted one, and a destination
+// the fixture's stream drew. Concurrent.AppendEstimates onto a non-empty
+// buffer and GSketch.EstimateBatch must both give what EstimateEdge,
+// PartitionOf and ErrorBound give, in input order.
+func FuzzEstimateBatchInputOrder(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3})
+	f.Add([]byte{0x17, 0x80, 0x00, 0xff, 0x41, 0x41, 0x41})
+	f.Add([]byte{0xff, 9, 0x90, 0x10, 0xa5})
+	across := []byte{0xfb} // 32 repetitions of 100 queries: two chunks and a part
+	for i := range 100 {
+		across = append(across, byte(i*29))
+	}
+	f.Add(across)
+	type fixture struct {
+		ref, bare *GSketch
+		conc      *Concurrent
+	}
+	var fixtures [8]*fixture
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 1024 {
+			return
+		}
+		pick := int(data[0] & 7)
+		fx := fixtures[pick]
+		if fx == nil {
+			shards, outlier := []int{63, 64, 65, 129}[pick>>1], pick&1 == 0
+			edges := groupedStream(4096, shards, uint64(pick))
+			fx = &fixture{
+				ref:  groupedSketch(t, shards, outlier),
+				bare: groupedSketch(t, shards, outlier),
+				conc: NewConcurrent(groupedSketch(t, shards, outlier)),
+			}
+			for _, est := range []Estimator{fx.ref, fx.bare, fx.conc} {
+				est.UpdateBatch(edges)
+			}
+			fixtures[pick] = fx
+		}
+		reps := 1 + int(data[0]>>3)
+		var qs []EdgeQuery
+		for range reps {
+			for _, b := range data[1:] {
+				q := EdgeQuery{Src: uint64(b & 0x7f), Dst: uint64(b>>1) % 64}
+				if b&0x80 != 0 {
+					q.Src = 1_000_000 + uint64(b)
+				}
+				qs = append(qs, q)
+			}
+		}
+		prefix := Result{Estimate: -1, Partition: -2}
+		got := fx.conc.AppendEstimates([]Result{prefix}, qs)
+		if len(got) != 1+len(qs) || got[0] != prefix {
+			t.Fatalf("AppendEstimates returned %d results after prefix %+v, want %d after %+v", len(got)-1, got[0], len(qs), prefix)
+		}
+		bare := fx.bare.EstimateBatch(qs)
+		for i, q := range qs {
+			ref := perQuery(fx.ref, q)
+			if got[1+i] != ref || bare[i] != ref {
+				t.Fatalf("query %d of %d (%d,%d): AppendEstimates %+v, EstimateBatch %+v, per-query %+v", i, len(qs), q.Src, q.Dst, got[1+i], bare[i], ref)
+			}
+		}
+	})
 }
 
 // TestGroupingLayout checks the grouping's own invariants on one routed

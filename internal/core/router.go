@@ -125,6 +125,15 @@ func (r *Router) getMixed(mixed, key uint64) (int32, bool) {
 	}
 }
 
+// home loads the key and the value of the slot a probe for a key of Mix64
+// mixed starts at, and returns a sum of them for the caller to keep. It
+// makes no branch on what it loads: the batch routing pass calls it for a
+// block of keys before probing them, so their cache misses overlap.
+func (r *Router) home(mixed uint64) uint64 {
+	i := mixed & r.mask
+	return r.keys[i] + uint64(r.vals[i])
+}
+
 func (r *Router) grow() {
 	oldKeys, oldVals := r.keys, r.vals
 	next := newRouterCap(len(oldKeys) * 2)

@@ -8,10 +8,10 @@ import (
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
-// grouping is one routed batch in flat shard-major layout, the single
-// mechanism behind both batch directions: UpdateBatch scatters an edge
-// batch's (key, weight) groups into the shards, EstimateBatch gathers a
-// query batch's estimates out of them.
+// grouping is one routed batch, the single mechanism behind both batch
+// directions: UpdateBatch scatters an edge batch's (key, weight) groups into
+// the shards in flat shard-major layout, EstimateBatch answers a query batch
+// in input order.
 //
 // A position is one query of a query batch and one run of an edge batch: a
 // maximal streak of adjacent arrivals of the same (Src, Dst), folded into
@@ -26,42 +26,43 @@ import (
 //
 // A routing pass records every position's shard and edge key and counts the
 // shard's group, noting each shard the first time it is hit in the touched
-// list; a prefix sum over that list lays the groups out; a placement pass —
-// a stable counting sort, so every group keeps stream order — writes shard,
-// key and weight group-major. Nothing walks the whole shard range: the
-// per-shard counts are all zero between batches and only the touched
-// entries are counted, summed, hit-counted and cleared again, so a batch
-// costs O(batch + touched shards) however finely the sketch is partitioned
-// — a one-edge batch on 16 k partitions touches one counter, not 16 k. All
-// buffers are reused across batches: steady-state batches allocate nothing
-// beyond EstimateBatch's caller-visible []Result, and not that either when
-// the caller hands Concurrent.AppendEstimates a buffer of its own.
+// list. It runs in blocks of routeBlock positions, touching a block's router
+// slots before probing them (routeBlock says why). An edge batch then lays
+// its groups out by a prefix sum over the touched list and a placement pass
+// — a stable counting sort, so every group keeps stream order — writes
+// shard, key and weight group-major. A query batch needs no placement: the
+// kernel reads any order, so it is answered where it stands. Nothing walks
+// the whole shard range: the per-shard counts are all zero between batches
+// and only the touched entries are counted, summed, hit-counted and cleared
+// again, so a batch costs O(batch + touched shards) however finely the
+// sketch is partitioned — a one-edge batch on 16 k partitions touches one
+// counter, not 16 k. All buffers are reused across batches: steady-state
+// batches allocate nothing beyond EstimateBatch's caller-visible []Result,
+// and not that either when the caller hands Concurrent.AppendEstimates a
+// buffer of its own.
 //
-// The shard-major arrays are what the sketch bank's routed kernels take: a
-// span of groups — the whole batch for a bare GSketch, one lock stripe's
-// groups for Concurrent — is one contiguous slice of positions and one
-// kernel call, so a batch makes as many calls as it takes locks, not one
-// per touched shard (sketch.Bank has the per-position cost model).
-//
-// Only the immutable router is read while grouping, so it runs lock-free
-// beside shard-local counter writes; Concurrent asks for the touched list
-// ordered by lock stripe so that applying the groups takes each stripe lock
-// at most once per batch.
+// The sketch bank's routed kernels take any run of positions beside their
+// shards, one call per run: a bare GSketch hands over a whole edge batch or
+// query chunk, Concurrent one stripe's groups of an edge batch per write
+// lock and a whole query chunk under the read locks of the stripes it
+// touches (sketch.Bank has the per-position cost model). Only the immutable
+// router is read while grouping, so it runs lock-free beside shard-local
+// counter writes.
 type grouping struct {
-	// stripes is the lock-stripe count the touched list is ordered by;
-	// 1 or less keeps first-touch order (no locks to amortize).
+	// stripes is the lock-stripe count an edge batch's touched list is
+	// ordered by; 1 or less keeps first-touch order (no locks to amortize).
 	stripes int
 
 	// Per batch position, in input order.
 	shardOf []int32  // shard the position routes to
-	keys    []uint64 // the position's edge key
+	keys    []uint64 // the position's source Mix64 in pass 1, its edge key after
 	weights []int64  // its run's weight sum (edge batches only)
-	slot    []int32  // its offset into gkeys/gvals (query batches only)
 
-	// Shard-major: group j of touched occupies [off[j], off[j+1]).
+	// Shard-major (edge batches): group j of touched occupies
+	// [off[j], off[j+1]).
 	gshard []int32 // the shard again, per position: the bank kernels' input
 	gkeys  []uint64
-	gvals  []int64 // weights of an edge batch, estimates of a query batch
+	gvals  []int64 // an edge batch's weights; a query batch's estimates, in input order
 	off    []int32
 
 	// touched lists the shards with a non-empty group; spare is its
@@ -80,6 +81,11 @@ type grouping struct {
 	count  []int32
 	folded []int32
 	bound  []float64
+
+	// home keeps the sum of the last routing pass's home-slot loads, so the
+	// compiler cannot drop them as dead. A field, not a package variable:
+	// concurrent batches would race on one.
+	home uint64
 }
 
 func newGrouping(shards, stripes int) *grouping {
@@ -98,7 +104,6 @@ func (gr *grouping) begin(n int) {
 		gr.shardOf = make([]int32, n)
 		gr.keys = make([]uint64, n)
 		gr.weights = make([]int64, n)
-		gr.slot = make([]int32, n)
 		gr.gshard = make([]int32, n)
 		gr.gkeys = make([]uint64, n)
 		gr.gvals = make([]int64, n)
@@ -108,7 +113,6 @@ func (gr *grouping) begin(n int) {
 	}
 	gr.shardOf = gr.shardOf[:n]
 	gr.keys = gr.keys[:n]
-	gr.slot = gr.slot[:n]
 	gr.gshard = gr.gshard[:n]
 	gr.gkeys = gr.gkeys[:n]
 	gr.gvals = gr.gvals[:n]
@@ -131,12 +135,12 @@ func (gr *grouping) mark(i, nt, shard int, key uint64) int {
 	return nt
 }
 
-// layout closes the routing pass: it orders the nt touched shards by lock
-// stripe, turns their counts into group offsets (count becomes the
-// placement cursor) and folds the arrivals each group stands for — its
-// count, plus folded when the batch had runs (folded is nil otherwise) —
-// into the direction's routing stats (the drift signal of adaptive
-// repartitioning), one atomic add per touched shard.
+// layout closes an edge batch's routing pass: it orders the nt touched
+// shards by lock stripe, turns their counts into group offsets (count
+// becomes the placement cursor) and folds the arrivals each group stands
+// for — its count, plus folded when the batch had runs (folded is nil
+// otherwise) — into the routed-write counts hits (the drift signal of
+// adaptive repartitioning), one atomic add per touched shard.
 func (gr *grouping) layout(nt int, hits []atomic.Int64, folded []int32) {
 	gr.touched = gr.touched[:nt]
 	if gr.stripes > 1 && nt > 1 {
@@ -185,36 +189,60 @@ func (gr *grouping) release() {
 	}
 }
 
+// routeBlock is the number of positions a routing pass touches before it
+// probes. A probe branches on the slot it has just loaded, so probing
+// position by position lets one router miss stall the next; touching a
+// block's home slots first, in a loop with no branch on the loaded data,
+// overlaps the block's misses instead, and the probes that follow hit the
+// cache.
+const routeBlock = 64
+
 // routeEdges groups an edge batch by destination shard — gkeys and gvals
 // hold each touched shard's run keys and run weights, in stream order — and
 // returns the batch's total stream volume. A negative weight never joins a
 // run, so it reaches the kernel as it arrived and is refused there.
+//
+// Per block of routeBlock runs, pass 1 finds the runs, sums their weights and
+// touches each source's home slot, keeping its Mix64 (which the probe and
+// the edge key share) in keys; pass 2 probes and marks them.
 func (gr *grouping) routeEdges(g *GSketch, edges []stream.Edge) int64 {
 	gr.begin(len(edges))
 	var total int64
-	var folded []int32 // gr.folded once a run of two or more is seen
+	var folded []int32         // gr.folded once a run of two or more is seen
+	var at [routeBlock + 1]int // the block's run starts, then its end
+	var home uint64
 	nt, np := 0, 0
-	for i := 0; i < len(edges); np++ {
-		e := edges[i]
-		w, j := e.Increment(), i+1
-		// w|weight ≥ 0: both the run so far and the next arrival are
-		// non-negative.
-		for ; j < len(edges) && edges[j].Src == e.Src && edges[j].Dst == e.Dst && w|edges[j].Weight >= 0; j++ {
-			w = sketch.AddVolume(w, edges[j].Increment())
+	for i := 0; i < len(edges); {
+		k := 0
+		for ; k < routeBlock && i < len(edges); k++ {
+			e := edges[i]
+			w, j := e.Increment(), i+1
+			// w|weight ≥ 0: both the run so far and the next arrival are
+			// non-negative.
+			for ; j < len(edges) && edges[j].Src == e.Src && edges[j].Dst == e.Dst && w|edges[j].Weight >= 0; j++ {
+				w = sketch.AddVolume(w, edges[j].Increment())
+			}
+			mixed := hashutil.Mix64(e.Src)
+			home += g.router.home(mixed)
+			at[k] = i
+			gr.keys[np+k] = mixed
+			gr.weights[np+k] = w
+			total = sketch.AddVolume(total, w)
+			i = j
 		}
-		// One Mix64 of the source serves both the routing probe and the
-		// edge-key derivation.
-		mixed := hashutil.Mix64(e.Src)
-		shard := g.routeMixed(mixed, e.Src)
-		nt = gr.mark(np, nt, shard, hashutil.EdgeKeyMixed(mixed, e.Dst))
-		if j > i+1 {
-			folded = gr.folded
-			folded[shard] += int32(j - i - 1)
+		at[k] = i
+		for r := range k {
+			e, mixed := edges[at[r]], gr.keys[np]
+			shard := g.routeMixed(mixed, e.Src)
+			nt = gr.mark(np, nt, shard, hashutil.EdgeKeyMixed(mixed, e.Dst))
+			if n := at[r+1] - at[r]; n > 1 {
+				folded = gr.folded
+				folded[shard] += int32(n - 1)
+			}
+			np++
 		}
-		gr.weights[np] = w
-		total = sketch.AddVolume(total, w)
-		i = j
 	}
+	gr.home = home
 	gr.shardOf, gr.gshard, gr.gkeys, gr.gvals = gr.shardOf[:np], gr.gshard[:np], gr.gkeys[:np], gr.gvals[:np]
 	gr.layout(nt, g.writeHits, folded)
 	for p, shard := range gr.shardOf {
@@ -228,25 +256,31 @@ func (gr *grouping) routeEdges(g *GSketch, edges []stream.Edge) int64 {
 	return total
 }
 
-// routeQueries groups a query batch by answering shard: gkeys holds each
-// touched shard's keys and slot where every position's estimate will land
-// in gvals.
+// routeQueries routes a query batch in input order, in the same two passes
+// per block as routeEdges: shardOf and keys hold each query's shard and
+// edge key, and the touched list the shards the batch reads.
 func (gr *grouping) routeQueries(g *GSketch, qs []EdgeQuery) {
 	gr.begin(len(qs))
+	var home uint64
 	nt := 0
-	for i, q := range qs {
-		mixed := hashutil.Mix64(q.Src)
-		nt = gr.mark(i, nt, g.routeMixed(mixed, q.Src), hashutil.EdgeKeyMixed(mixed, q.Dst))
+	for lo := 0; lo < len(qs); lo += routeBlock {
+		block := qs[lo:min(lo+routeBlock, len(qs))]
+		for i, q := range block {
+			mixed := hashutil.Mix64(q.Src)
+			home += g.router.home(mixed)
+			gr.keys[lo+i] = mixed
+		}
+		for i, q := range block {
+			mixed := gr.keys[lo+i]
+			nt = gr.mark(lo+i, nt, g.routeMixed(mixed, q.Src), hashutil.EdgeKeyMixed(mixed, q.Dst))
+		}
 	}
-	gr.layout(nt, g.readHits, nil)
-	for i, shard := range gr.shardOf {
-		k := gr.count[shard]
-		gr.count[shard] = k + 1
-		gr.gshard[k] = shard
-		gr.gkeys[k] = gr.keys[i]
-		gr.slot[i] = k
+	gr.home = home
+	gr.touched = gr.touched[:nt]
+	for _, shard := range gr.touched {
+		g.readHits[shard].Add(int64(gr.count[shard]))
+		gr.count[shard] = 0
 	}
-	gr.release()
 }
 
 // update folds the span of groups [j0, j1) into their shards in one bank
@@ -257,23 +291,21 @@ func (gr *grouping) update(g *GSketch, j0, j1 int) {
 	g.bank.UpdateRouted(gr.gshard[lo:hi], gr.gkeys[lo:hi], gr.gvals[lo:hi])
 }
 
-// estimate answers the span of groups [j0, j1) and records each touched
-// shard's ε·N_i bound, read in the same critical section as the counters so
-// the pair is one consistent snapshot. The caller owns synchronization;
-// assemble runs lock-free afterwards.
-func (gr *grouping) estimate(g *GSketch, j0, j1 int) {
-	lo, hi := gr.off[j0], gr.off[j1]
-	g.bank.EstimateRouted(gr.gshard[lo:hi], gr.gkeys[lo:hi], gr.gvals[lo:hi])
-	for _, shard := range gr.touched[j0:j1] {
+// estimate answers a routed query batch in one bank kernel call, in input
+// order into gvals, and records each touched shard's ε·N_i bound, read in
+// the same critical section as the counters so the pair is one consistent
+// snapshot. The caller owns synchronization; assemble runs lock-free
+// afterwards.
+func (gr *grouping) estimate(g *GSketch) {
+	g.bank.EstimateRouted(gr.shardOf, gr.keys, gr.gvals)
+	for _, shard := range gr.touched {
 		gr.bound[shard] = errorBound(g.bank.Count(int(shard)), g.bank.Width(int(shard)))
 	}
 }
 
-// assemble fans the gathered estimates back out to input order. out is
-// written by one sequential sweep — streaming 48-byte stores beat the
-// read-for-ownership misses of a scatter through saved positions — that
-// reads position i's estimate from its slot and its provenance and bound
-// from its shard.
+// assemble writes the answered batch into out, one sequential sweep that
+// reads position i's estimate from gvals and its provenance and bound from
+// its shard.
 func (gr *grouping) assemble(g *GSketch, out []Result, conf float64, streamTotal int64) {
 	outlier := int32(-1)
 	if g.outlierWidth > 0 {
@@ -281,7 +313,7 @@ func (gr *grouping) assemble(g *GSketch, out []Result, conf float64, streamTotal
 	}
 	for i, shard := range gr.shardOf {
 		r := Result{
-			Estimate:    gr.gvals[gr.slot[i]],
+			Estimate:    gr.gvals[i],
 			Partition:   int(shard),
 			ErrorBound:  gr.bound[shard],
 			Confidence:  conf,

@@ -33,10 +33,19 @@ import (
 // alternating pairs per workload, 2 vCPUs) gained on wire_bulk_small —
 // ingest_edges_per_s +20.5 %, server_cpu_s −17.7 % — but lost on
 // wire_bulk_large: query_per_s −17.9 %, with the server's profile falling
-// from 1.16 to 0.89 busy cores. The likely cause is the scheduler: the
-// channel hand-off wakes an idle P, which then polls the network and picks
-// up the other connection's frame, so two connections keep two cores busy
-// where one goroutine each leaves the second core idle between polls.
+// from 1.16 to 0.89 busy cores. The cause is the scheduler, measured on
+// wire_bulk_large (3 alternating pairs each, 2 vCPUs):
+//
+//   - With one goroutine per connection, query_per_s fell 12.5 % (4.58 M →
+//     4.00 M) and query_mid_ms rose 30 %.
+//   - Starting a goroutine before each query apply wakes an idle P, which
+//     then sits in netpoll. That brought queries back to −2 % (5.39 M →
+//     5.29 M), but ingest_edges_per_s still fell 13.5 % (23.5 M → 20.3 M):
+//     an 8192-edge fold starves the poller the same way.
+//
+// While the only awake P folds or answers, no M is parked in netpoll, so
+// the other connection's frame waits until that work ends. The channel
+// hand-off's wakep is what keeps a poller alive beside the work.
 //
 // The apply goroutine is also the worker for its own ingest frames. A
 // decoded frame is admitted (the backend's closed and quota checks, and a

@@ -54,7 +54,8 @@ type Overrides struct {
 	// MaxEdgesPerSec caps the tenant's ingest rate via a token bucket
 	// (negative = unlimited, overriding a registry-wide default).
 	MaxEdgesPerSec float64 `json:"max_edges_per_sec,omitempty"`
-	// Burst is the token bucket capacity (default: one second of rate).
+	// Burst is the token bucket capacity (default: one second of rate, at
+	// least one edge).
 	Burst int `json:"burst,omitempty"`
 	// QueueDepth overrides the ingest pipeline queue bound, up to the
 	// registry's own queue depth (Config.Ingest after defaulting).
@@ -71,7 +72,8 @@ type Overrides struct {
 type Quotas struct {
 	// MaxEdgesPerSec caps each tenant's ingest rate (0 = unlimited).
 	MaxEdgesPerSec float64
-	// Burst is the token bucket capacity (default: one second of rate).
+	// Burst is the token bucket capacity (default: one second of rate, at
+	// least one edge).
 	Burst int
 }
 
@@ -211,9 +213,10 @@ func (r *Registry) burst(ov Overrides) float64 {
 	if r.cfg.Quotas.Burst > 0 {
 		return float64(r.cfg.Quotas.Burst)
 	}
-	// Default: one second of the effective rate.
+	// Default: one second of the effective rate, and never less than one
+	// edge — a bucket that holds no whole token grants nothing at any rate.
 	if rate := r.rate(ov); rate > 0 {
-		return math.Floor(rate)
+		return max(1, math.Floor(rate))
 	}
 	return 0
 }

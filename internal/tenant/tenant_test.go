@@ -181,6 +181,26 @@ func TestQuotaAcceptedPrefix(t *testing.T) {
 	}
 }
 
+// TestSubUnitRateIngests: a rate below one edge a second with no burst set
+// defaults the bucket to one edge, not to the rate's floor of zero, which
+// clamped the bucket empty and refused every edge. Ten seconds between
+// calls refill the one token each time.
+func TestSubUnitRateIngests(t *testing.T) {
+	now := time.Unix(1000, 0)
+	cfg := testConfig(t)
+	cfg.Now = func() time.Time { return now }
+	r := newTestRegistry(t, cfg)
+	h := mustCreate(t, r, "slow", Overrides{MaxEdgesPerSec: 0.5})
+
+	edges := testStream(10, 9)
+	for i := range edges {
+		now = now.Add(10 * time.Second)
+		if n, err := h.TryIngest(edges[i : i+1]); n != 1 || err != nil {
+			t.Fatalf("call %d: TryIngest = (%d, %v), want (1, nil)", i, n, err)
+		}
+	}
+}
+
 // TestHugeRateOverrides pins the token bucket at the top of its range: a
 // rate or burst at or past 2^63 has no int conversion, and converting one
 // made the grant negative and both ingest paths panic on edges[:grant].
