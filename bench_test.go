@@ -351,17 +351,15 @@ func ingestBenchSketch(b *testing.B, edges []stream.Edge) *core.GSketch {
 
 // seedSketch replicates the seed's per-edge ingest structure: a
 // map[uint64]int32 vertex router in front of separately allocated
-// per-partition CountMin sketches, one map probe per edge. Wrapped in
-// NewConcurrent it takes the generic single-RWMutex path (it is not a
-// *GSketch), so the pair reproduces the pre-refactor Concurrent.Update hot
-// path that the acceptance speedup is measured against.
+// per-partition CountMin sketches, one map probe per edge. Behind one
+// mutex it reproduces the pre-refactor Concurrent.Update hot path that the
+// acceptance speedup is measured against.
 type seedSketch struct {
 	router       map[uint64]int32
 	parts        []*sketch.CountMin
 	widths       []int
 	outlier      *sketch.CountMin
 	outlierWidth int
-	total        int64
 }
 
 // newSeedSketch rebuilds the seed structure from a built gSketch: same
@@ -396,18 +394,11 @@ func (s *seedSketch) Update(e stream.Edge) {
 	if w == 0 {
 		w = 1
 	}
-	s.total += w
 	syn := s.outlier
 	if i, ok := s.router[e.Src]; ok {
 		syn = s.parts[i]
 	}
 	syn.Update(stream.EdgeKey(e.Src, e.Dst), w)
-}
-
-func (s *seedSketch) UpdateBatch(edges []stream.Edge) {
-	for _, e := range edges {
-		s.Update(e)
-	}
 }
 
 func (s *seedSketch) EstimateEdge(src, dst uint64) int64 {
@@ -416,20 +407,6 @@ func (s *seedSketch) EstimateEdge(src, dst uint64) int64 {
 		syn = s.parts[i]
 	}
 	return syn.Estimate(stream.EdgeKey(src, dst))
-}
-
-// EstimateBatch answers per edge with no provenance, mirroring the seed's
-// read path (one lookup per query, bare numbers).
-func (s *seedSketch) EstimateBatch(qs []core.EdgeQuery) []core.Result {
-	out := make([]core.Result, len(qs))
-	for i, q := range qs {
-		out[i] = core.Result{
-			Estimate:    s.EstimateEdge(q.Src, q.Dst),
-			Partition:   core.NoPartition,
-			StreamTotal: s.total,
-		}
-	}
-	return out
 }
 
 // ErrorBound replicates the seed-era per-query bound fetch (mirroring
@@ -447,9 +424,6 @@ func (s *seedSketch) ErrorBound(src uint64) float64 {
 	}
 	return math.E * float64(syn.Count()) / float64(width)
 }
-
-func (s *seedSketch) Count() int64     { return s.total }
-func (s *seedSketch) MemoryBytes() int { return 0 }
 
 // ingestBenchBatch is the batch size of the batched ingest benches.
 const ingestBenchBatch = 8192
@@ -492,10 +466,13 @@ func runIngestWorkers(b *testing.B, edges []stream.Edge, apply func(chunk []stre
 // global lock.
 func BenchmarkConcurrentUpdatePerEdge(b *testing.B) {
 	edges := ingestBenchEdges()
-	c := core.NewConcurrent(newSeedSketch(b, ingestBenchSketch(b, edges), 16384))
+	s := newSeedSketch(b, ingestBenchSketch(b, edges), 16384)
+	var mu sync.Mutex
 	runIngestWorkers(b, edges, func(chunk []stream.Edge) {
 		for _, e := range chunk {
-			c.Update(e)
+			mu.Lock()
+			s.Update(e)
+			mu.Unlock()
 		}
 	})
 }
@@ -609,7 +586,7 @@ func runQueryWorkers(b *testing.B, qs []core.EdgeQuery, apply func(chunk []core.
 
 // BenchmarkEstimateEdgePerQuery is the pre-redesign read path, mirroring
 // how BenchmarkConcurrentUpdatePerEdge frames the write side: the seed-era
-// structure (map vertex router, generic single-RWMutex Concurrent), one
+// structure (map vertex router behind a single RWMutex), one
 // EstimateEdge call plus one ErrorBound fetch per query — producing per
 // query the answer-plus-guarantee that one batched Result carries — under
 // concurrent readers.
@@ -625,7 +602,7 @@ func BenchmarkEstimateEdgePerQuery(b *testing.B) {
 	for _, e := range edges {
 		seed.Update(e)
 	}
-	c := core.NewConcurrent(seed)
+	var mu sync.RWMutex
 	qs := make([]core.EdgeQuery, 1<<16)
 	for i := range qs {
 		e := edges[(i*37)&(1<<20-1)]
@@ -635,7 +612,9 @@ func BenchmarkEstimateEdgePerQuery(b *testing.B) {
 		var sink int64
 		var bounds float64
 		for _, q := range chunk {
-			sink += c.EstimateEdge(q.Src, q.Dst)
+			mu.RLock()
+			sink += seed.EstimateEdge(q.Src, q.Dst)
+			mu.RUnlock()
 			bounds += seed.ErrorBound(q.Src)
 		}
 		_, _ = sink, bounds
@@ -648,7 +627,7 @@ func BenchmarkEstimateEdgePerQuery(b *testing.B) {
 // routed probes per query).
 func BenchmarkEstimateEdgeSharded(b *testing.B) {
 	c, qs := queryBenchSetup(b)
-	g := c.Unwrap().(*core.GSketch)
+	g := c.Unwrap()
 	runQueryWorkers(b, qs, func(chunk []core.EdgeQuery) {
 		var sink int64
 		var bounds float64

@@ -59,8 +59,6 @@ func main() {
 		usage("need -stream or -load")
 	case *load != "" && (*streamPath != "" || *global || *save != ""):
 		usage("-load restores a saved gSketch; it takes none of -stream, -global or -save")
-	case *global && *save != "":
-		usage("-save writes a gSketch; the -global baseline has no saved form")
 	}
 
 	// Everything constructs through the one-handle engine: the bootstrap
@@ -135,18 +133,19 @@ func main() {
 		return
 	}
 	results := eng.QueryBatch(queries)
+	leafless := eng.Sketch().NumPartitions() == 0 // the Global Sketch, built or loaded
 	for i, q := range queries {
 		r := results[i]
 		if !*bounds {
 			fmt.Printf("%d %d %d\n", q.Src, q.Dst, r.Estimate)
 			continue
 		}
-		part := "global"
+		part := fmt.Sprintf("p%d", r.Partition)
 		switch {
+		case leafless:
+			part = "global"
 		case r.Outlier:
 			part = "outlier"
-		case r.Partition != gsketch.NoPartition:
-			part = fmt.Sprintf("p%d", r.Partition)
 		}
 		fmt.Printf("%d %d %d ±%.1f %.4f %s\n", q.Src, q.Dst, r.Estimate, r.ErrorBound, r.Confidence, part)
 	}

@@ -58,16 +58,19 @@ func absent(t *testing.T, dir, name string) {
 	}
 }
 
-// TestSaveWithGlobalRefused: the Global Sketch has no saved form, so -save
-// beside -global is a usage error, not a run that exits 0 and writes
-// nothing.
-func TestSaveWithGlobalRefused(t *testing.T) {
+// TestSaveWithGlobal: -save beside -global writes the Global Sketch's
+// snapshot, and -load answers from it as the built sketch did, bounds and
+// "global" label included.
+func TestSaveWithGlobal(t *testing.T) {
 	dir := streamDir(t)
-	code, stdout, stderr := runMain(t, dir, "-stream", "r.txt", "-global", "-save", "g.gsk", "-edge", "1 2")
-	if code != 2 || !strings.Contains(stderr, "-global") || stdout != "" {
-		t.Fatalf("exit %d, stdout %q, stderr %q; want 2, nothing answered, and -global named", code, stdout, stderr)
+	code, built, stderr := runMain(t, dir, "-stream", "r.txt", "-global", "-save", "g.gsk", "-bounds", "-edge", "1 2")
+	if code != 0 || !strings.HasPrefix(built, "1 2 200 ") || !strings.HasSuffix(built, " global\n") {
+		t.Fatalf("build and save: exit %d, answer %q, stderr %q", code, built, stderr)
 	}
-	absent(t, dir, "g.gsk")
+	code, loaded, stderr := runMain(t, dir, "-load", "g.gsk", "-bounds", "-edge", "1 2")
+	if code != 0 || loaded != built {
+		t.Fatalf("load: exit %d, answer %q, stderr %q; want 0 and %q", code, loaded, stderr, built)
+	}
 }
 
 // TestSaveWithLoadRefused: -save beside -load used to be ignored; it is a

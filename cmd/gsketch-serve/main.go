@@ -114,7 +114,7 @@ func main() {
 		restorePath  = flag.String("restore", "", "bootstrap from this snapshot file")
 		samplePath   = flag.String("sample", "", "bootstrap a partitioned gSketch from this edge file (text or binary)")
 		workloadPath = flag.String("workload", "", "optional query-workload sample steering partitioning (§4.2)")
-		global       = flag.Bool("global", false, "bootstrap the unpartitioned GlobalSketch baseline")
+		global       = flag.Bool("global", false, "bootstrap the unpartitioned Global Sketch baseline")
 		sampleCap    = flag.Int("sample-cap", 1<<16, "max edges of -sample read and used for partitioning (0 = all)")
 
 		totalBytes = flag.Int("bytes", 4<<20, "counter memory budget in bytes")
@@ -281,18 +281,13 @@ func main() {
 		}
 		fatal(logger, "engine open failed", "error", err)
 	}
-	st := eng.Stats()
-	if g := eng.Sketch(); g != nil {
-		logger.Info("engine up",
-			"generations", eng.Generations(),
-			"partitions", g.NumPartitions(),
-			"order", fmt.Sprint(g.Order()),
-			"stream_total", st.StreamTotal,
-			"memory_bytes", st.MemoryBytes)
-	} else {
-		logger.Info("engine up (global baseline)",
-			"stream_total", st.StreamTotal, "memory_bytes", st.MemoryBytes)
-	}
+	st, g := eng.Stats(), eng.Sketch()
+	logger.Info("engine up",
+		"generations", eng.Generations(),
+		"partitions", g.NumPartitions(),
+		"order", fmt.Sprint(g.Order()),
+		"stream_total", st.StreamTotal,
+		"memory_bytes", st.MemoryBytes)
 
 	srv, err := server.New(server.Config{
 		Engine:             eng,
@@ -381,7 +376,7 @@ func runTenants(logger, root *slog.Logger, f tenantFlags) {
 	case f.restore:
 		fatal(logger, "-tenants restores each tenant from its own snapshot directory; -restore is engine-only")
 	case f.global:
-		fatal(logger, "-tenants engines must snapshot for eviction; -global is engine-only")
+		fatal(logger, "-global is engine-only")
 	case f.adapt:
 		fatal(logger, "-adapt is engine-only")
 	case f.windowSpan != 0:

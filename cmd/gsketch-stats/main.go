@@ -106,8 +106,12 @@ func snapshotStats(path string) {
 	}
 }
 
-// widthRange formats the smallest, median and largest leaf width.
+// widthRange formats the smallest, median and largest leaf width, or "-"
+// for a leafless generation (the Global Sketch).
 func widthRange(leaves []core.Leaf) string {
+	if len(leaves) == 0 {
+		return "-"
+	}
 	w := make([]int, len(leaves))
 	for i, l := range leaves {
 		w[i] = l.Width

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	gsketch "github.com/graphstream/gsketch"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/graphgen"
 )
@@ -103,5 +105,37 @@ func TestSnapshotLeafWidths(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "widths min/med/max") || !strings.Contains(" "+line+" ", want) {
 		t.Fatalf("stdout:\n%s\nwant a generation line with %q", stdout, want)
+	}
+}
+
+// TestSnapshotGlobal: -snapshot reads a WithGlobal engine's snapshot — a
+// leafless generation — and prints "-" for its leaf widths and the whole
+// width as its outlier width.
+func TestSnapshotGlobal(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := gsketch.Open(gsketch.Config{TotalWidth: 1000, Seed: 3}, gsketch.WithGlobal(),
+		gsketch.WithSnapshotFile(filepath.Join(dir, "g.gsk")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.Ingest(context.Background(), gsketch.Edge{Src: 1, Dst: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.SaveSnapshot(""); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runMain(t, dir, "-snapshot", "g.gsk")
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	var line string
+	for _, l := range strings.Split(stdout, "\n") {
+		if strings.HasPrefix(l, "0 ") {
+			line = strings.Join(strings.Fields(l), " ")
+		}
+	}
+	if want := "0 1 20000 0 - 1000 1 - (head)"; line != want {
+		t.Fatalf("stdout:\n%s\nwant the generation line %q", stdout, want)
 	}
 }

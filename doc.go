@@ -50,7 +50,10 @@
 //
 // Exactly one bootstrap option picks the estimator: WithSample or
 // WithSampleFile (the paper's partitioned gSketch, from a sample in memory
-// or in an edge file it never holds), WithGlobal (the §3.2 baseline),
+// or in an edge file it never holds), WithGlobal (the §3.2 baseline: a
+// gSketch with no partitions, whose every answer is an outlier answer —
+// Result.Outlier set, Partition NoPartition — and which snapshots and
+// restores like any other),
 // WithRestore/WithRestoreFile (resume a snapshot) or WithEstimator (adopt
 // one built elsewhere). Everything else composes: WithAdaptive +
 // WithAutoRepartition mount the generation chain and its drift manager,

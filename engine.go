@@ -185,8 +185,6 @@ func Open(cfg Config, opts ...Option) (*Engine, error) {
 			return nil, fmt.Errorf("gsketch: window store: %w", err)
 		}
 		e.win = win
-	} else if o.windowStore != nil {
-		e.win = o.windowStore
 	}
 
 	// The pipeline spawns worker goroutines, so it is built after every
@@ -357,20 +355,18 @@ func (e *Engine) Generations() int {
 	return 1
 }
 
-// Sketch returns the serving partitioned sketch — the chain's live head,
-// or the wrapped *GSketch — for callers reading layout and routing
-// metadata (partition count, ordering objective). It is nil when the
-// engine serves a non-gSketch estimator (WithGlobal, a custom
-// WithEstimator). The sketch is shared — treat it as read-only.
+// Sketch returns the serving sketch — the chain's live head, or the
+// wrapped *GSketch, which has no partitions under WithGlobal — for callers
+// reading layout and routing metadata (partition count, ordering
+// objective). It is nil only while the engine serves a foreign estimator
+// adopted by WithEstimator. The sketch is shared — treat it as read-only.
 func (e *Engine) Sketch() *GSketch {
 	st := e.state()
-	if st.chain != nil {
-		return st.chain.Head()
-	}
-	if c, ok := st.est.(*core.Concurrent); ok {
-		if g, ok := c.Unwrap().(*core.GSketch); ok {
-			return g
-		}
+	switch est := st.est.(type) {
+	case *adapt.Chain:
+		return est.Head()
+	case *core.Concurrent:
+		return est.Unwrap()
 	}
 	return nil
 }

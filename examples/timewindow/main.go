@@ -38,7 +38,7 @@ func main() {
 	fmt.Printf("stored %d windows:\n", len(store.Windows()))
 	for _, w := range store.Windows() {
 		kind := "global (bootstrap)"
-		if w.Partitioned {
+		if w.Estimator.NumPartitions() > 0 {
 			kind = "partitioned gSketch"
 		}
 		fmt.Printf("  day %d: %7d arrivals, %s\n", w.Index, w.Arrivals, kind)

@@ -34,19 +34,17 @@ const (
 	DefaultCollisionC = core.DefaultCollisionC
 )
 
-// Estimator is the common query surface of GSketch and GlobalSketch.
+// Estimator is the common query surface of GSketch, Concurrent and Chain.
 type Estimator = core.Estimator
 
-// GSketch is the partitioned estimator — the paper's contribution.
+// GSketch is the partitioned estimator — the paper's contribution. The
+// Global Sketch baseline of §3.2 (WithGlobal) is a GSketch with no
+// partitions, whose every answer comes from its outlier sketch.
 type GSketch = core.GSketch
 
-// GlobalSketch is the single-sketch baseline of §3.2.
-type GlobalSketch = core.GlobalSketch
-
-// Concurrent is a thread-safe estimator wrapper. Wrapping a *GSketch
-// selects partition-sharded locking (the router is immutable, so each
-// partition is an independent update domain); any other estimator gets a
-// single read-write mutex.
+// Concurrent is the thread-safe GSketch wrapper: partition-sharded locking
+// (the router is immutable, so each partition is an independent update
+// domain).
 type Concurrent = core.Concurrent
 
 // Leaf describes one localized sketch of a partitioning.
@@ -143,7 +141,8 @@ type Query = query.Query
 type Result = core.Result
 
 // NoPartition is the Result.Partition value of answers that did not come
-// from a localized partition (outlier traffic, or a GlobalSketch).
+// from a localized partition: outlier traffic, which is every answer of the
+// Global Sketch.
 const NoPartition = core.NoPartition
 
 // Response is a resolved Query: the aggregate value, the per-edge Results

@@ -98,7 +98,7 @@ func TestGSketchUpdateBatchConservative(t *testing.T) {
 
 func TestGlobalSketchUpdateBatchEquivalence(t *testing.T) {
 	edges := batchTestStream(50_000, 11)
-	build := func() *GlobalSketch {
+	build := func() *GSketch {
 		g, err := BuildGlobalSketch(Config{TotalWidth: 4096, Seed: 11})
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 	"math/bits"
 	"sync"
@@ -9,17 +8,16 @@ import (
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
-// Concurrent wraps an Estimator for shared use by multiple writers and
+// Concurrent wraps a GSketch for shared use by multiple writers and
 // readers.
 //
-// When the wrapped estimator is a *GSketch, synchronization is sharded:
-// the vertex→partition router is immutable after construction, so each
-// partition (plus the outlier sketch) is an independent update domain. The
-// domains are guarded by up to maxLockStripes RWMutexes, with partition p
-// mapped to stripe p mod stripes — a partitioning can produce thousands of
-// tiny leaves, and striping keeps the per-batch lock traffic bounded. A
-// batch in either direction is routed lock-free, in blocks, by a pooled
-// grouping.
+// Synchronization is sharded: the vertex→partition router is immutable
+// after construction, so each partition (plus the outlier sketch) is an
+// independent update domain. The domains are guarded by up to
+// maxLockStripes RWMutexes, with partition p mapped to stripe p mod
+// stripes — a partitioning can produce thousands of tiny leaves, and
+// striping keeps the per-batch lock traffic bounded. A batch in either
+// direction is routed lock-free, in blocks, by a pooled grouping.
 //
 // An edge batch's touched-shard list comes ordered by stripe, so the
 // positions a stripe guards are one contiguous run of the shard-major
@@ -35,53 +33,30 @@ import (
 // min(batch, stripes) lock acquisitions per chunk, independent of the
 // partition count, and batches on different stripes proceed in parallel.
 // The stream-volume total is atomic inside GSketch.
-//
-// Any other estimator falls back to a single RWMutex around the whole
-// structure, the seed behaviour.
 type Concurrent struct {
-	est Estimator
-
-	// Sharded fast path (nil g means generic path).
 	g       *GSketch
 	stripes []sync.RWMutex
 	pool    sync.Pool // *grouping, one per in-flight batch of either direction
-
-	// Generic fallback path.
-	mu sync.RWMutex
 }
 
-// maxLockStripes bounds the lock array of the sharded path. Far above any
-// realistic worker count, far below pathological partition counts.
+// maxLockStripes bounds the lock array. Far above any realistic worker
+// count, far below pathological partition counts.
 const maxLockStripes = 64
 
-// NewConcurrent wraps est. The wrapper owns synchronization; callers must
-// not use est directly afterwards.
-func NewConcurrent(est Estimator) *Concurrent {
-	c := &Concurrent{est: est}
-	if g, ok := est.(*GSketch); ok {
-		c.g = g
-		n := g.NumShards()
-		if n > maxLockStripes {
-			n = maxLockStripes
-		}
-		c.stripes = make([]sync.RWMutex, n)
-		c.pool.New = func() any { return newGrouping(g.NumShards(), n) }
-	}
+// NewConcurrent wraps g. The wrapper owns synchronization; callers must not
+// use g directly afterwards.
+func NewConcurrent(g *GSketch) *Concurrent {
+	n := min(g.NumShards(), maxLockStripes)
+	c := &Concurrent{g: g, stripes: make([]sync.RWMutex, n)}
+	c.pool.New = func() any { return newGrouping(g.NumShards(), n) }
 	return c
 }
 
 // stripeOf maps a shard to its lock stripe.
 func (c *Concurrent) stripeOf(shard int) int { return shard % len(c.stripes) }
 
-// Update folds one edge arrival, locking only the destination shard on the
-// sharded path.
+// Update folds one edge arrival, locking only the destination shard.
 func (c *Concurrent) Update(e stream.Edge) {
-	if c.g == nil {
-		c.mu.Lock()
-		c.est.Update(e)
-		c.mu.Unlock()
-		return
-	}
 	w := e.Increment()
 	shard := c.g.Route(e.Src)
 	c.g.writeHits[shard].Add(1)
@@ -115,23 +90,16 @@ func (c *Concurrent) runlock(set uint64) {
 	}
 }
 
-// UpdateBatch folds a batch of edge arrivals. On the sharded path the batch
-// is routed and grouped by destination shard without any lock (the router
-// is immutable), each run of adjacent equal edges folded into one position
-// carrying the run's weight sum, then each touched stripe's groups are
-// applied under its lock in one kernel call — so concurrent batches
-// serialize only where they actually collide, and a batch's cost follows
-// its runs and the shards it touches, not its arrivals or the partition
-// count. Counters, the stream total and the routed-write counts end up as
+// UpdateBatch folds a batch of edge arrivals. The batch is routed and
+// grouped by destination shard without any lock (the router is immutable),
+// each run of adjacent equal edges folded into one position carrying the
+// run's weight sum, then each touched stripe's groups are applied under its
+// lock in one kernel call — so concurrent batches serialize only where they
+// actually collide, and a batch's cost follows its runs and the shards it
+// touches, not its arrivals or the partition count. Counters, the stream total and the routed-write counts end up as
 // per-edge Update in stream order leaves them.
 func (c *Concurrent) UpdateBatch(edges []stream.Edge) {
 	if len(edges) == 0 {
-		return
-	}
-	if c.g == nil {
-		c.mu.Lock()
-		c.est.UpdateBatch(edges)
-		c.mu.Unlock()
 		return
 	}
 	gr := c.pool.Get().(*grouping)
@@ -156,11 +124,6 @@ func (c *Concurrent) UpdateBatch(edges []stream.Edge) {
 // EstimateEdge answers an edge query, read-locking only the shard the
 // source vertex routes to.
 func (c *Concurrent) EstimateEdge(src, dst uint64) int64 {
-	if c.g == nil {
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-		return c.est.EstimateEdge(src, dst)
-	}
 	shard := c.g.Route(src)
 	c.g.readHits[shard].Add(1)
 	key := stream.EdgeKey(src, dst)
@@ -172,57 +135,26 @@ func (c *Concurrent) EstimateEdge(src, dst uint64) int64 {
 }
 
 // Count returns the stream volume folded in so far.
-func (c *Concurrent) Count() int64 {
-	if c.g == nil {
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-		return c.est.Count()
-	}
-	return c.g.Count()
-}
+func (c *Concurrent) Count() int64 { return c.g.Count() }
 
-// MemoryBytes reports the wrapped estimator's footprint.
-func (c *Concurrent) MemoryBytes() int {
-	if c.g == nil {
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-		return c.est.MemoryBytes()
-	}
-	return c.g.MemoryBytes() // the arena's size is fixed: nothing to lock
-}
+// MemoryBytes reports the wrapped sketch's footprint. The arena's size is
+// fixed: nothing to lock.
+func (c *Concurrent) MemoryBytes() int { return c.g.MemoryBytes() }
 
-// NumShards reports the number of independent writer domains (1 on the
-// generic single-lock path).
-func (c *Concurrent) NumShards() int {
-	if c.g == nil {
-		return 1
-	}
-	return c.g.NumShards()
-}
+// NumShards reports the number of independent writer domains.
+func (c *Concurrent) NumShards() int { return c.g.NumShards() }
 
-// WriteTo serializes the wrapped estimator while holding a consistent read
-// lock: on the sharded path every stripe's read lock is acquired for the
-// whole serialization, so no partition counter can move mid-snapshot and a
-// restored sketch answers byte-identically to the live one at snapshot
-// time. Readers proceed concurrently; writers block for the duration.
+// WriteTo serializes the wrapped sketch while holding a consistent read
+// lock: every stripe's read lock is acquired for the whole serialization,
+// so no partition counter can move mid-snapshot and a restored sketch
+// answers byte-identically to the live one at snapshot time. Readers proceed concurrently; writers block for the duration.
 //
 // The stream total is folded in by writers after their counters land
 // (outside the stripe locks), so a snapshot racing active writers can carry
 // a total that lags the counters by the in-flight batches. Quiesce writers
 // first (e.g. Ingestor.Flush) when the exact counters↔total correspondence
 // matters; either way the snapshot itself is internally valid.
-//
-// Only gSketch-backed wrappers serialize, matching GSketch.WriteTo.
 func (c *Concurrent) WriteTo(w io.Writer) (int64, error) {
-	if c.g == nil {
-		wt, ok := c.est.(io.WriterTo)
-		if !ok {
-			return 0, fmt.Errorf("core: wrapped %T does not serialize", c.est)
-		}
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-		return wt.WriteTo(w)
-	}
 	for i := range c.stripes {
 		c.stripes[i].RLock()
 	}
@@ -234,8 +166,8 @@ func (c *Concurrent) WriteTo(w io.Writer) (int64, error) {
 	return c.g.WriteTo(w)
 }
 
-// Unwrap returns the wrapped estimator. Callers must hold no concurrent
+// Unwrap returns the wrapped sketch. Callers must hold no concurrent
 // operations while using it directly.
-func (c *Concurrent) Unwrap() Estimator { return c.est }
+func (c *Concurrent) Unwrap() *GSketch { return c.g }
 
 var _ Estimator = (*Concurrent)(nil)

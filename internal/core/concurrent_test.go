@@ -78,16 +78,16 @@ func TestConcurrentManyWritersCrossCheck(t *testing.T) {
 	assertCountedLike(t, g, ref, all)
 }
 
-// TestConcurrentGenericFallback checks the single-lock path still guards
-// non-GSketch estimators.
-func TestConcurrentGenericFallback(t *testing.T) {
+// TestConcurrentGlobalSketch checks the wrapper guards the leafless Global
+// Sketch — one shard, one stripe — under concurrent writers and readers.
+func TestConcurrentGlobalSketch(t *testing.T) {
 	g, err := BuildGlobalSketch(Config{TotalWidth: 4096, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewConcurrent(g)
 	if c.NumShards() != 1 {
-		t.Fatalf("generic path NumShards = %d, want 1", c.NumShards())
+		t.Fatalf("global NumShards = %d, want 1", c.NumShards())
 	}
 	edges := batchTestStream(10_000, 43)
 	var wg sync.WaitGroup
@@ -244,15 +244,32 @@ func TestConcurrentWriteToUnderWriters(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConcurrentWriteToGenericRejects checks the generic path rejects
-// estimators without a serial form instead of writing garbage.
-func TestConcurrentWriteToGenericRejects(t *testing.T) {
+// TestConcurrentWriteToGlobalRoundTrips: a wrapped Global Sketch
+// serializes, and the loaded copy answers as the live one does.
+func TestConcurrentWriteToGlobalRoundTrips(t *testing.T) {
 	gs, err := BuildGlobalSketch(Config{TotalWidth: 512, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewConcurrent(gs)
-	if _, err := c.WriteTo(&bytes.Buffer{}); err == nil {
-		t.Fatal("GlobalSketch-backed Concurrent serialized unexpectedly")
+	edges := batchTestStream(5_000, 3)
+	c.UpdateBatch(edges)
+	var buf bytes.Buffer
+	if _, err := c.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadGSketch(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.NumPartitions() != 0 || back.Count() != c.Count() {
+		t.Fatalf("loaded %d partitions, count %d; want 0, %d", back.NumPartitions(), back.Count(), c.Count())
+	}
+	qs := batchQueries(edges, 1_000)
+	want := c.EstimateBatch(qs)
+	for i, r := range NewConcurrent(back).EstimateBatch(qs) {
+		if r != want[i] {
+			t.Fatalf("query %d: loaded %+v, live %+v", i, r, want[i])
+		}
 	}
 }

@@ -4,8 +4,8 @@
 // source vertex, minimizing the expected relative-error objective of Eq. 9
 // (data sample only) or Eq. 11 (data + workload samples); a router maps
 // vertices to their localized sketch; vertices unseen in the sample fall
-// through to an outlier sketch. The GlobalSketch baseline of §3.2 is also
-// provided for comparison.
+// through to an outlier sketch. The Global Sketch baseline of §3.2 is the
+// gSketch of an empty partitioning (BuildGlobalSketch).
 package core
 
 import (
@@ -40,8 +40,8 @@ var ErrConfig = errors.New("core: invalid configuration")
 // any usable data sample.
 var ErrEmptySample = errors.New("core: data sample is empty")
 
-// Config parameterizes construction of both GSketch and GlobalSketch. Both
-// count in CountMin sketches — plain, or conservative-update with
+// Config parameterizes construction of a GSketch, partitioned or global. It
+// counts in CountMin sketches — plain, or conservative-update with
 // Conservative — so every answer carries CountMin's one-sided guarantee:
 // never below the true frequency, and above it by at most e·N_i/w_i with
 // probability 1-e^-d (§3.2, Theorem 1).
@@ -93,16 +93,6 @@ func (c Config) withDefaults() Config {
 		c.CollisionC = DefaultCollisionC
 	}
 	return c
-}
-
-// newSynopsis builds a GlobalSketch's CountMin.
-func (c Config) newSynopsis(width int) (*sketch.CountMin, error) {
-	cm, err := sketch.NewCountMin(width, c.Depth, c.Seed)
-	if err != nil {
-		return nil, err
-	}
-	cm.SetConservative(c.Conservative)
-	return cm, nil
 }
 
 // totalWidth resolves the column budget from the configuration.

@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-
-	"github.com/graphstream/gsketch/internal/stream"
 )
 
 // EdgeQuery identifies one directed edge whose accumulated frequency is
@@ -15,8 +13,8 @@ type EdgeQuery struct {
 }
 
 // NoPartition is the Result.Partition value of answers that did not come
-// from a localized partition: outlier-sketch answers and estimators without
-// a partitioning (GlobalSketch).
+// from a localized partition: outlier-sketch answers, which is every answer
+// of the Global Sketch (BuildGlobalSketch).
 const NoPartition = -1
 
 // Result is one batched query answer: the point estimate plus the
@@ -28,8 +26,7 @@ type Result struct {
 	// Estimate is the point estimate f̃ of the queried edge's frequency.
 	Estimate int64
 	// Partition is the index of the localized sketch that answered, or
-	// NoPartition when the outlier sketch (or an unpartitioned estimator)
-	// answered.
+	// NoPartition when the outlier sketch answered.
 	Partition int
 	// Outlier reports that the outlier sketch answered (the source vertex
 	// was absent from the partitioning sample).
@@ -77,56 +74,17 @@ func (g *GSketch) EstimateBatch(qs []EdgeQuery) []Result {
 	return out
 }
 
-// EstimateBatch answers a batch of edge queries against the single global
-// sketch: edge keys are materialized once and the CountMin is probed
-// in one pass. Every Result carries the global e·N/w bound of Equation (1)
-// and NoPartition provenance. Unlike the write path, the key and value
-// buffers are per call, not reused fields: Concurrent's generic fallback
-// serves EstimateBatch under a read lock, so the read path must not
-// mutate shared state.
-func (g *GlobalSketch) EstimateBatch(qs []EdgeQuery) []Result {
-	out := make([]Result, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
-	keys := make([]uint64, len(qs))
-	vals := make([]int64, len(qs))
-	for i, q := range qs {
-		keys[i] = stream.EdgeKey(q.Src, q.Dst)
-	}
-	g.syn.EstimateBatch(keys, vals)
-
-	bound := errorBound(g.total, g.width)
-	conf := confidence(g.depth)
-	for i := range out {
-		out[i] = Result{
-			Estimate:    vals[i],
-			Partition:   NoPartition,
-			ErrorBound:  bound,
-			Confidence:  conf,
-			StreamTotal: g.total,
-		}
-	}
-	return out
-}
-
 // EstimateBatch answers a batch of edge queries under the wrapper's
 // synchronization, in a result slice of its own: AppendEstimates for a
-// caller without a buffer to reuse. (The generic path hands over the
-// wrapped estimator's slice as it is rather than copy it into another.)
+// caller without a buffer to reuse.
 func (c *Concurrent) EstimateBatch(qs []EdgeQuery) []Result {
-	if c.g == nil {
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-		return c.est.EstimateBatch(qs)
-	}
 	return c.AppendEstimates(make([]Result, 0, len(qs)), qs)
 }
 
 // AppendEstimates answers a batch of edge queries under the wrapper's
 // synchronization, appending one Result per query to dst in input order; a
 // caller that hands the same buffer back batch after batch makes the read
-// path allocation-free. On the sharded path each chunk is routed lock-free
+// path allocation-free. Each chunk is routed lock-free
 // in input order, then every stripe it touches is read-locked once, in
 // ascending stripe order, around one kernel call over the whole chunk and
 // the read of the touched partitions' local volumes N_i — one consistent
@@ -135,11 +93,6 @@ func (c *Concurrent) EstimateBatch(qs []EdgeQuery) []Result {
 // the sweep into dst runs lock-free. Readers proceed beside writers on
 // other stripes.
 func (c *Concurrent) AppendEstimates(dst []Result, qs []EdgeQuery) []Result {
-	if c.g == nil {
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-		return append(dst, c.est.EstimateBatch(qs)...)
-	}
 	base := len(dst)
 	dst = slices.Grow(dst, len(qs))[:base+len(qs)]
 	out := dst[base:]

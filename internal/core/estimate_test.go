@@ -64,14 +64,14 @@ func TestConcurrentEstimateBatchMatchesEstimateEdge(t *testing.T) {
 	Populate(c, edges)
 	assertBatchMatchesSequential(t, "concurrent-sharded", c, batchQueries(edges, 10_000))
 
-	// Generic single-mutex path (non-GSketch estimator).
+	// The leafless Global Sketch: one stripe over one outlier shard.
 	gl, err := BuildGlobalSketch(Config{TotalWidth: 4096, Seed: 79})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cg := NewConcurrent(gl)
 	Populate(cg, edges)
-	assertBatchMatchesSequential(t, "concurrent-generic", cg, batchQueries(edges, 5_000))
+	assertBatchMatchesSequential(t, "concurrent-global", cg, batchQueries(edges, 5_000))
 }
 
 func TestEstimateBatchEmptyAndSingleton(t *testing.T) {
@@ -134,12 +134,13 @@ func TestGlobalSketchEstimateBatchMetadata(t *testing.T) {
 	}
 	Populate(g, edges)
 	res := g.EstimateBatch(batchQueries(edges, 100))
+	want := errorBound(g.Count(), g.TotalWidth())
 	for i, r := range res {
-		if r.Partition != NoPartition || r.Outlier {
+		if r.Partition != NoPartition || !r.Outlier {
 			t.Fatalf("result %d: global sketch reported partition %d outlier %v", i, r.Partition, r.Outlier)
 		}
-		if r.ErrorBound != g.ErrorBound() {
-			t.Fatalf("result %d: bound %v, want %v", i, r.ErrorBound, g.ErrorBound())
+		if r.ErrorBound != want {
+			t.Fatalf("result %d: bound %v, want %v", i, r.ErrorBound, want)
 		}
 		if r.StreamTotal != g.Count() {
 			t.Fatalf("result %d: total %d, want %d", i, r.StreamTotal, g.Count())
@@ -148,10 +149,9 @@ func TestGlobalSketchEstimateBatchMetadata(t *testing.T) {
 }
 
 // TestConcurrentEstimateBatchParallelReaders runs several batch readers at
-// once on both Concurrent paths — sharded (*GSketch, stripe read locks)
-// and generic (GlobalSketch behind the single RWMutex) — pinning that the
-// batched read path mutates no shared state under read locks (the -race
-// proof for reader-vs-reader).
+// once, over a partitioned sketch (many stripes) and the Global Sketch (one
+// stripe) — pinning that the batched read path mutates no shared state
+// under read locks (the -race proof for reader-vs-reader).
 func TestConcurrentEstimateBatchParallelReaders(t *testing.T) {
 	edges := batchTestStream(30_000, 107)
 	qs := batchQueries(edges, 3_000)
@@ -162,10 +162,10 @@ func TestConcurrentEstimateBatchParallelReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	generic := NewConcurrent(gl)
-	Populate(generic, edges)
+	global := NewConcurrent(gl)
+	Populate(global, edges)
 
-	for _, c := range []*Concurrent{sharded, generic} {
+	for _, c := range []*Concurrent{sharded, global} {
 		want := c.EstimateBatch(qs)
 		var wg sync.WaitGroup
 		for r := 0; r < 4; r++ {
@@ -232,9 +232,9 @@ func TestConcurrentEstimateBatchUnderWriters(t *testing.T) {
 
 // TestConcurrentAppendEstimatesIntoCallerBuffer: the append path answers
 // what EstimateBatch answers, after whatever the caller already has in the
-// buffer, over whatever a previous batch left behind it — on the sharded
-// path across chunk boundaries and on the generic single-mutex path — and,
-// once the buffer has grown to the batch, without allocating.
+// buffer, over whatever a previous batch left behind it — across chunk
+// boundaries, over a partitioned sketch and the Global Sketch — and, once
+// the buffer has grown to the batch, without allocating.
 func TestConcurrentAppendEstimatesIntoCallerBuffer(t *testing.T) {
 	edges := batchTestStream(50_000, 211)
 	sharded := NewConcurrent(buildBatchTestSketch(t, 211))
@@ -242,7 +242,7 @@ func TestConcurrentAppendEstimatesIntoCallerBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, c := range map[string]*Concurrent{"sharded": sharded, "generic": NewConcurrent(gl)} {
+	for name, c := range map[string]*Concurrent{"sharded": sharded, "global": NewConcurrent(gl)} {
 		Populate(c, edges)
 		marker := Result{Estimate: -1, Partition: 77}
 		buf := []Result{marker}

@@ -11,9 +11,9 @@ import (
 	"github.com/graphstream/gsketch/internal/vstats"
 )
 
-// Estimator is the query surface shared by GSketch and GlobalSketch: a
-// frequency summary of a graph stream answering edge-frequency point
-// queries.
+// Estimator is the query surface of a graph-stream frequency summary
+// answering edge-frequency point queries: GSketch, its Concurrent wrapper
+// and the adaptive chain implement it.
 type Estimator interface {
 	// Update folds one edge arrival into the summary. A zero Weight counts
 	// as 1 (the paper's default frequency).
@@ -173,10 +173,36 @@ func buildFromStats(cfg Config, stats *vstats.Stats, order vstats.SortOrder) (*G
 	return g, nil
 }
 
+// BuildGlobalSketch constructs the Global Sketch baseline of §3.2: one
+// CountMin over edge keys l(x)⊕l(y), blind to structure, whose relative
+// error on a frequency-f edge is proportional to N/(w·f). It is the gSketch
+// of an empty partitioning — no leaves, an empty router, and an outlier
+// shard of the whole width that every vertex falls through to — so each
+// answer is an outlier answer (Result.Outlier, NoPartition) carrying the
+// global e·N/w bound. The shard draws its row hashes from cfg.Seed, as
+// sketch.NewCountMin(width, depth, cfg.Seed) does; OutlierFraction is
+// ignored.
+func BuildGlobalSketch(cfg Config) (*GSketch, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults()
+	width, err := cfg.totalWidth()
+	if err != nil {
+		return nil, err
+	}
+	g := &GSketch{cfg: cfg, router: NewRouter(0), outlierWidth: width, totalWidth: width}
+	if err := g.allocShards(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
 // allocShards allocates the counters and routing stats for the layout in
 // g.leaves and g.outlierWidth. Each shard gets an independent hash family
 // derived from the master seed so cross-partition collisions are
-// uncorrelated.
+// uncorrelated; the outlier shard of a leafless sketch (the Global Sketch)
+// hashes with the master seed itself.
 func (g *GSketch) allocShards() error {
 	n := g.NumShards()
 	widths, seeds := make([]int, n), make([]uint64, n)
@@ -184,7 +210,11 @@ func (g *GSketch) allocShards() error {
 		widths[i], seeds[i] = leaf.Width, hashutil.Mix64(g.cfg.Seed+uint64(i)+1)
 	}
 	if g.outlierWidth > 0 {
-		widths[n-1], seeds[n-1] = g.outlierWidth, hashutil.Mix64(g.cfg.Seed^0xa11ce5)
+		seed := hashutil.Mix64(g.cfg.Seed ^ 0xa11ce5)
+		if len(g.leaves) == 0 {
+			seed = g.cfg.Seed
+		}
+		widths[n-1], seeds[n-1] = g.outlierWidth, seed
 	}
 	g.initRouteStats()
 	var err error

@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
 	"github.com/graphstream/gsketch/internal/hashutil"
+	"github.com/graphstream/gsketch/internal/sketch"
 	"github.com/graphstream/gsketch/internal/stream"
 	"github.com/graphstream/gsketch/internal/vstats"
 )
@@ -218,10 +220,14 @@ func TestGlobalSketchBaseline(t *testing.T) {
 		}
 		return true
 	})
-	if g.Width() <= 0 || g.Depth() != DefaultDepth {
-		t.Errorf("dims = %dx%d", g.Depth(), g.Width())
+	if g.TotalWidth() <= 0 || g.Depth() != DefaultDepth {
+		t.Errorf("dims = %dx%d", g.Depth(), g.TotalWidth())
 	}
-	if g.ErrorBound() <= 0 {
+	if g.NumPartitions() != 0 || g.NumShards() != 1 || g.OutlierWidth() != g.TotalWidth() {
+		t.Errorf("layout: %d partitions, %d shards, outlier width %d of %d",
+			g.NumPartitions(), g.NumShards(), g.OutlierWidth(), g.TotalWidth())
+	}
+	if g.ErrorBound(0) <= 0 {
 		t.Error("error bound not positive after populate")
 	}
 	if g.MemoryBytes() > 64<<10 {
@@ -234,8 +240,60 @@ func TestGlobalSketchExplicitWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Width() != 1000 || g.Depth() != 4 {
-		t.Errorf("dims = %dx%d, want 4x1000", g.Depth(), g.Width())
+	if g.TotalWidth() != 1000 || g.Depth() != 4 {
+		t.Errorf("dims = %dx%d, want 4x1000", g.Depth(), g.TotalWidth())
+	}
+}
+
+// TestGlobalSketchIsCountMin: the leafless gSketch BuildGlobalSketch returns
+// counts exactly as the §3.2 CountMin over edge keys with the same width,
+// depth and seed — with conservative update on and off, through the single
+// and the batched (run-folding) write paths — and every source's bound is
+// the global e·N/w.
+func TestGlobalSketchIsCountMin(t *testing.T) {
+	var edges []stream.Edge
+	for i, e := range batchTestStream(20_000, 29) {
+		e.Src %= 300
+		for r := 0; r <= i%3; r++ { // runs of adjacent equal arrivals
+			edges = append(edges, e)
+		}
+	}
+	for _, conservative := range []bool{false, true} {
+		cfg := Config{TotalWidth: 1500, Depth: 4, Seed: 29, Conservative: conservative}
+		g, err := BuildGlobalSketch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm, err := sketch.NewCountMin(cfg.TotalWidth, cfg.Depth, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm.SetConservative(conservative)
+		half := len(edges) / 2
+		for _, e := range edges[:half] {
+			g.Update(e)
+		}
+		Populate(g, edges[half:])
+		var n int64
+		for _, e := range edges {
+			cm.Update(stream.EdgeKey(e.Src, e.Dst), e.Increment())
+			n += e.Increment()
+		}
+		if g.Count() != n || g.MemoryBytes() != cm.MemoryBytes() {
+			t.Fatalf("conservative=%v: count %d, %d bytes; want %d, %d bytes",
+				conservative, g.Count(), g.MemoryBytes(), n, cm.MemoryBytes())
+		}
+		wantBound := math.E * float64(n) / float64(cfg.TotalWidth)
+		for src := uint64(0); src < 310; src++ {
+			for dst := uint64(0); dst < 60; dst++ {
+				if got, want := g.EstimateEdge(src, dst), cm.Estimate(stream.EdgeKey(src, dst)); got != want {
+					t.Fatalf("conservative=%v: (%d,%d) estimates %d, CountMin %d", conservative, src, dst, got, want)
+				}
+			}
+			if got := g.ErrorBound(src); got != wantBound {
+				t.Fatalf("conservative=%v: ErrorBound(%d) = %v, want e·N/w = %v", conservative, src, got, wantBound)
+			}
+		}
 	}
 }
 

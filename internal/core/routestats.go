@@ -66,22 +66,11 @@ func (g *GSketch) WriteRouteCounts() RouteCounts { return g.snapshotHits(g.write
 func (g *GSketch) ReadRouteCounts() RouteCounts { return g.snapshotHits(g.readHits) }
 
 // WriteRouteCounts forwards to the wrapped gSketch's counters (which are
-// atomic, so no stripe lock is needed). The generic path has no routing and
-// returns a zero snapshot.
-func (c *Concurrent) WriteRouteCounts() RouteCounts {
-	if c.g == nil {
-		return RouteCounts{}
-	}
-	return c.g.WriteRouteCounts()
-}
+// atomic, so no stripe lock is needed).
+func (c *Concurrent) WriteRouteCounts() RouteCounts { return c.g.WriteRouteCounts() }
 
 // ReadRouteCounts is the read-side counterpart of WriteRouteCounts.
-func (c *Concurrent) ReadRouteCounts() RouteCounts {
-	if c.g == nil {
-		return RouteCounts{}
-	}
-	return c.g.ReadRouteCounts()
-}
+func (c *Concurrent) ReadRouteCounts() RouteCounts { return c.g.ReadRouteCounts() }
 
 // RouteStatsSource is implemented by estimators that expose routed-traffic
 // counters (GSketch, Concurrent, and the adapt chain's head); callers that

@@ -327,12 +327,18 @@ func readGSketch(br *bufio.Reader) (*GSketch, error) {
 	// widths must fit the declared budget, and ReadBank allocates cells as
 	// it reads them.
 	const maxLeaves, leafPresize = 1 << 24, 1 << 12
-	if numLeaves == 0 || numLeaves > maxLeaves {
+	if numLeaves > maxLeaves {
 		return nil, fmt.Errorf("%w: implausible leaf count %d", sketch.ErrCorrupt, numLeaves)
 	}
 	if depth == 0 || totalWidth == 0 || totalWidth > math.MaxInt/sketch.CellSize/depth || outlierW > totalWidth {
 		return nil, fmt.Errorf("%w: implausible dimensions: depth %d, width %d, outlier width %d",
 			sketch.ErrCorrupt, depth, totalWidth, outlierW)
+	}
+	// A leafless sketch is the Global Sketch: its outlier shard spans the
+	// whole width.
+	if numLeaves == 0 && outlierW != totalWidth {
+		return nil, fmt.Errorf("%w: no leaves, and outlier width %d is not the total width %d",
+			sketch.ErrCorrupt, outlierW, totalWidth)
 	}
 	g := &GSketch{
 		order:        vstats.SortOrder(order),

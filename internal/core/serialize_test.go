@@ -218,6 +218,10 @@ func forgedHeaders() map[string][]byte {
 		"no depth":                  forgedSnapshot(0, 100, 0, 1, []uint64{100}, 0),
 		"depth overflows the cells": forgedSnapshot(1<<62, 100, 0, 1, []uint64{100}, 0),
 		"no width":                  forgedSnapshot(5, 0, 0, 1, nil, 0),
+		// A leafless sketch must be the Global Sketch: an outlier shard of
+		// the whole width, and no route, since no partition exists.
+		"leafless, narrow outlier": forgedSnapshot(5, 100, 90, 0, nil, 0),
+		"leafless, routed":         binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(forgedSnapshot(5, 100, 100, 0, nil, 1), 7), 0),
 	}
 }
 
@@ -331,6 +335,16 @@ func FuzzReadGSketch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(snap.Bytes())
+	global, err := BuildGlobalSketch(Config{TotalBytes: 2 << 10, Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	global.UpdateBatch(testStream(500, 6))
+	var leafless bytes.Buffer
+	if _, err := global.WriteTo(&leafless); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(leafless.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadGSketch(bytes.NewReader(data))
 		if err != nil {

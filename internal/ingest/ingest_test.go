@@ -59,7 +59,7 @@ func target(t *testing.T) *core.Concurrent {
 //     commute, so no batching or writer interleaving can change a cell.
 func assertCounted(t *testing.T, c *core.Concurrent, edges []stream.Edge) {
 	t.Helper()
-	g := c.Unwrap().(*core.GSketch)
+	g := c.Unwrap()
 	truth := stream.NewExactCounter()
 	truth.ObserveAll(edges)
 	if c.Count() != truth.Total() {

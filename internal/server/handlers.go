@@ -534,18 +534,14 @@ func (s *Server) handleSnapshotRestore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.stats.snapshotsRestored.Add(1)
-	st := s.eng.Stats()
 	// The reply reports localized-sketch partitions (like the pre-Engine
-	// server), not shard count — the two differ by the outlier shard.
-	partitions := st.Partitions
-	if g := s.eng.Sketch(); g != nil {
-		partitions = g.NumPartitions()
-	}
+	// server), not shard count — the two differ by the outlier shard. A
+	// restored engine always serves a gSketch.
 	writeJSON(w, http.StatusOK, map[string]any{
 		"restored":     from,
 		"generations":  s.eng.Generations(),
-		"partitions":   partitions,
-		"stream_total": st.StreamTotal,
+		"partitions":   s.eng.Sketch().NumPartitions(),
+		"stream_total": s.eng.Stats().StreamTotal,
 	})
 }
 

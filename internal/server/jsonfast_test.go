@@ -77,15 +77,11 @@ func TestAppendQueryReplyMatchesEncodingJSON(t *testing.T) {
 // TestBodyTooLargeIs413 checks that every route that reads a bounded body
 // answers a body past the bound the same way.
 func TestBodyTooLargeIs413(t *testing.T) {
-	store, err := window.NewStore(window.StoreConfig{
-		Span: 1000, SampleSize: 64, Sketch: core.Config{TotalBytes: 16 << 10, Seed: 11}, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	_, ts := newTestServer(t, Config{
 		Engine: testEngine(t, buildTestGSketch(t, testStream(1000, 17)),
-			gsketch.WithWindowStore(store)),
+			gsketch.WithWindows(window.StoreConfig{
+				Span: 1000, SampleSize: 64, Sketch: core.Config{TotalBytes: 16 << 10, Seed: 11}, Seed: 11,
+			})),
 		MaxBodyBytes: 256,
 	})
 	one := `{"src":1,"dst":2}`

@@ -209,10 +209,6 @@ func TestWindowQueryEndpoint(t *testing.T) {
 		Sketch:     core.Config{TotalBytes: 16 << 10, Seed: 11},
 		Seed:       11,
 	}
-	served, err := window.NewStore(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reference, err := window.NewStore(wcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +220,7 @@ func TestWindowQueryEndpoint(t *testing.T) {
 	}
 
 	_, ts := newTestServer(t, Config{
-		Engine: testEngine(t, buildTestGSketch(t, edges[:1000]), gsketch.WithWindowStore(served)),
+		Engine: testEngine(t, buildTestGSketch(t, edges[:1000]), gsketch.WithWindows(wcfg)),
 	})
 	for lo := 0; lo < len(edges); lo += 1000 {
 		if code, _ := postIngest(t, ts.URL, edges[lo:lo+1000], true); code != http.StatusOK {
@@ -280,19 +276,15 @@ func TestWindowQueryEndpoint(t *testing.T) {
 // opens one more window, not a million of them.
 func TestWindowFarFutureEdge(t *testing.T) {
 	const span, gap = 60, 1_000_000
-	store, err := window.NewStore(window.StoreConfig{
+	edges := testStream(200, 41)
+	eng := testEngine(t, buildTestGSketch(t, edges), gsketch.WithWindows(window.StoreConfig{
 		Span:       span,
 		SampleSize: 1024,
 		Sketch:     core.Config{TotalBytes: 4 << 20, Seed: 5},
 		Seed:       5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	edges := testStream(200, 41)
-	_, ts := newTestServer(t, Config{
-		Engine: testEngine(t, buildTestGSketch(t, edges), gsketch.WithWindowStore(store)),
-	})
+	}))
+	store := eng.Window()
+	_, ts := newTestServer(t, Config{Engine: eng})
 	far := edges[0]
 	far.Time = span * gap
 	for _, e := range []stream.Edge{edges[0], far} {
@@ -372,18 +364,16 @@ func TestBadRequests(t *testing.T) {
 
 	// GET /snapshot on an estimator without a serial form must be a clean
 	// 500, never a 200 with an empty body the client would save.
-	gl, err := core.BuildGlobalSketch(core.Config{TotalWidth: 256, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts2 := newTestServer(t, Config{Engine: testEngine(t, gl)})
+	foreign := newGated()
+	foreign.open()
+	_, ts2 := newTestServer(t, Config{Engine: testEngine(t, foreign)})
 	snapResp, err := http.Get(ts2.URL + "/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer snapResp.Body.Close()
 	if snapResp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("GET /snapshot on GlobalSketch: %d, want 500", snapResp.StatusCode)
+		t.Fatalf("GET /snapshot on a foreign estimator: %d, want 500", snapResp.StatusCode)
 	}
 }
 

@@ -184,7 +184,8 @@ func TestQuotaAcceptedPrefix(t *testing.T) {
 // TestSubUnitRateIngests: a rate below one edge a second with no burst set
 // defaults the bucket to one edge, not to the rate's floor of zero, which
 // clamped the bucket empty and refused every edge. Ten seconds between
-// calls refill the one token each time.
+// calls refill the one token each time. Each call drains before the next,
+// so the ingest queue's capacity never enters the result.
 func TestSubUnitRateIngests(t *testing.T) {
 	now := time.Unix(1000, 0)
 	cfg := testConfig(t)
@@ -197,6 +198,9 @@ func TestSubUnitRateIngests(t *testing.T) {
 		now = now.Add(10 * time.Second)
 		if n, err := h.TryIngest(edges[i : i+1]); n != 1 || err != nil {
 			t.Fatalf("call %d: TryIngest = (%d, %v), want (1, nil)", i, n, err)
+		}
+		if err := h.Drain(context.Background()); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

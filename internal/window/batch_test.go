@@ -68,10 +68,10 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 		t.Fatalf("window count %d vs %d", len(sw), len(bw))
 	}
 	for i := range sw {
-		if sw[i].Index != bw[i].Index || sw[i].Arrivals != bw[i].Arrivals || sw[i].Partitioned != bw[i].Partitioned {
+		if sw[i].Index != bw[i].Index || sw[i].Arrivals != bw[i].Arrivals || sw[i].Estimator.NumPartitions() != bw[i].Estimator.NumPartitions() {
 			t.Fatalf("window %d: {%d %d %v} vs {%d %d %v}", i,
-				sw[i].Index, sw[i].Arrivals, sw[i].Partitioned,
-				bw[i].Index, bw[i].Arrivals, bw[i].Partitioned)
+				sw[i].Index, sw[i].Arrivals, sw[i].Estimator.NumPartitions(),
+				bw[i].Index, bw[i].Arrivals, bw[i].Estimator.NumPartitions())
 		}
 	}
 	for _, e := range edges[:2000] {

@@ -12,6 +12,7 @@ package window
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/hashutil"
@@ -55,11 +56,10 @@ type Window struct {
 	// [k·Span, (k+1)·Span).
 	Index int64
 	// Estimator summarizes the window's edges. Window 0 (no prior sample)
-	// falls back to a GlobalSketch; later windows carry partitioned
-	// gSketches built from the previous window's reservoir.
-	Estimator core.Estimator
-	// Partitioned records whether Estimator is a gSketch.
-	Partitioned bool
+	// is the Global Sketch, a gSketch with no partitions; later windows
+	// carry partitioned gSketches built from the previous window's
+	// reservoir.
+	Estimator *core.GSketch
 	// Arrivals counts the edges folded into this window.
 	Arrivals int64
 }
@@ -139,7 +139,7 @@ func (s *Store) ObserveBatch(edges []stream.Edge) error {
 // window the edge falls in: the skipped windows would have held nothing,
 // and a full sketch for each of them let one far-future timestamp exhaust
 // memory. Only an adjacent window is partitioned from the previous
-// window's reservoir; after a gap the window starts as a GlobalSketch,
+// window's reservoir; after a gap the window starts as a Global Sketch,
 // exactly as it would have after an empty window.
 func (s *Store) advance(idx int64) error {
 	switch {
@@ -164,23 +164,17 @@ func (s *Store) open(idx int64, fromSample bool) error {
 	cfg := s.cfg.Sketch
 	cfg.Seed = s.rng.Uint64()
 
-	var est core.Estimator
-	partitioned := false
+	var est *core.GSketch
+	var err error
 	if fromSample && len(s.sampler.Sample()) > 0 {
-		g, err := core.BuildGSketch(cfg, s.sampler.Sample(), nil)
-		if err != nil {
-			return fmt.Errorf("window %d: %w", idx, err)
-		}
-		est = g
-		partitioned = true
+		est, err = core.BuildGSketch(cfg, s.sampler.Sample(), nil)
 	} else {
-		g, err := core.BuildGlobalSketch(cfg)
-		if err != nil {
-			return fmt.Errorf("window %d: %w", idx, err)
-		}
-		est = g
+		est, err = core.BuildGlobalSketch(cfg)
 	}
-	s.windows = append(s.windows, Window{Index: idx, Estimator: est, Partitioned: partitioned})
+	if err != nil {
+		return fmt.Errorf("window %d: %w", idx, err)
+	}
+	s.windows = append(s.windows, Window{Index: idx, Estimator: est})
 	s.curIndex = idx
 	s.sampler = stream.NewReservoir(s.cfg.SampleSize, s.rng.Uint64())
 	return nil
@@ -193,6 +187,31 @@ func (s *Store) Windows() []Window { return s.windows }
 // Span returns the configured window span.
 func (s *Store) Span() int64 { return s.cfg.Span }
 
+// bounds returns the first and last timestamp of window idx. A window that
+// starts within a span of MaxInt64 ends there: no later timestamp exists.
+func (s *Store) bounds(idx int64) (lo, hi int64) {
+	lo = idx * s.cfg.Span
+	return lo, lo + min(s.cfg.Span-1, math.MaxInt64-lo)
+}
+
+// overlap returns the share of window idx's timestamps that [t1, t2]
+// covers, 0 when they are disjoint.
+func (s *Store) overlap(idx, t1, t2 int64) float64 {
+	lo, hi := s.bounds(idx)
+	oLo, oHi := max(lo, t1), min(hi, t2)
+	if oLo > oHi {
+		return 0
+	}
+	return float64(oHi-oLo+1) / float64(hi-lo+1)
+}
+
+// timeline returns the first and last timestamp of the stored windows.
+func (s *Store) timeline() (first, last int64) {
+	first, _ = s.bounds(s.windows[0].Index)
+	_, last = s.bounds(s.windows[len(s.windows)-1].Index)
+	return first, last
+}
+
 // EstimateEdge estimates the frequency of (src, dst) over the time range
 // [t1, t2] inclusive, extrapolating fractionally from partially overlapped
 // windows ("resolved approximately by extrapolating from the sketch time
@@ -204,14 +223,9 @@ func (s *Store) EstimateEdge(src, dst uint64, t1, t2 int64) float64 {
 	total := 0.0
 	for i := range s.windows {
 		w := &s.windows[i]
-		lo := w.Index * s.cfg.Span
-		hi := lo + s.cfg.Span - 1
-		oLo, oHi := maxI64(lo, t1), minI64(hi, t2)
-		if oLo > oHi {
-			continue
+		if frac := s.overlap(w.Index, t1, t2); frac > 0 {
+			total += frac * float64(w.Estimator.EstimateEdge(src, dst))
 		}
-		frac := float64(oHi-oLo+1) / float64(s.cfg.Span)
-		total += frac * float64(w.Estimator.EstimateEdge(src, dst))
 	}
 	return total
 }
@@ -222,8 +236,7 @@ func (s *Store) EstimateEdgeAll(src, dst uint64) float64 {
 	if len(s.windows) == 0 {
 		return 0
 	}
-	first := s.windows[0].Index * s.cfg.Span
-	last := s.windows[len(s.windows)-1].Index*s.cfg.Span + s.cfg.Span - 1
+	first, last := s.timeline()
 	return s.EstimateEdge(src, dst, first, last)
 }
 
@@ -240,13 +253,10 @@ func (s *Store) EstimateBatch(qs []core.EdgeQuery, t1, t2 int64) []float64 {
 	}
 	for i := range s.windows {
 		w := &s.windows[i]
-		lo := w.Index * s.cfg.Span
-		hi := lo + s.cfg.Span - 1
-		oLo, oHi := maxI64(lo, t1), minI64(hi, t2)
-		if oLo > oHi {
+		frac := s.overlap(w.Index, t1, t2)
+		if frac == 0 {
 			continue
 		}
-		frac := float64(oHi-oLo+1) / float64(s.cfg.Span)
 		res := w.Estimator.EstimateBatch(qs)
 		for j := range res {
 			out[j] += frac * float64(res[j].Estimate)
@@ -261,8 +271,7 @@ func (s *Store) EstimateBatchAll(qs []core.EdgeQuery) []float64 {
 	if len(s.windows) == 0 {
 		return make([]float64, len(qs))
 	}
-	first := s.windows[0].Index * s.cfg.Span
-	last := s.windows[len(s.windows)-1].Index*s.cfg.Span + s.cfg.Span - 1
+	first, last := s.timeline()
 	return s.EstimateBatch(qs, first, last)
 }
 
@@ -273,18 +282,4 @@ func (s *Store) MemoryBytes() int {
 		total += s.windows[i].Estimator.MemoryBytes()
 	}
 	return total
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -36,11 +36,11 @@ func TestStoreWindowRollover(t *testing.T) {
 		t.Fatalf("got %d windows, want 4 (timestamps 0..349, span 100)", len(ws))
 	}
 	// Window 0 has no prior sample → global; later windows partitioned.
-	if ws[0].Partitioned {
+	if ws[0].Estimator.NumPartitions() != 0 {
 		t.Error("window 0 should not be partitioned (no prior sample)")
 	}
 	for i := 1; i < len(ws); i++ {
-		if !ws[i].Partitioned {
+		if ws[i].Estimator.NumPartitions() == 0 {
 			t.Errorf("window %d not partitioned despite prior reservoir", i)
 		}
 	}
@@ -111,8 +111,36 @@ func TestStoreSkippedWindows(t *testing.T) {
 		t.Errorf("window 5 arrivals = %d", ws[1].Arrivals)
 	}
 	// After a gap there is no previous-window sample to partition from.
-	if ws[1].Partitioned {
+	if ws[1].Estimator.NumPartitions() != 0 {
 		t.Error("window 5 follows a gap and should not be partitioned")
+	}
+}
+
+// TestStoreLastWindowBeforeMaxInt64: a window that starts within a span of
+// MaxInt64 ends there. Its end must not wrap negative, or every range
+// query would skip it and undercount its arrivals as 0.
+func TestStoreLastWindowBeforeMaxInt64(t *testing.T) {
+	s, err := NewStore(StoreConfig{Span: 10, SampleSize: 16, Sketch: core.Config{TotalWidth: 256, Seed: 3}, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		mustObserve(t, s, stream.Edge{Src: 1, Dst: 2, Time: math.MaxInt64})
+	}
+	// The window holds [MaxInt64-7, MaxInt64]; its sketch counts the one
+	// key exactly, so the arithmetic is exact.
+	if got := s.EstimateEdgeAll(1, 2); got != 5 {
+		t.Errorf("EstimateEdgeAll = %v, want 5", got)
+	}
+	if got := s.EstimateBatch([]core.EdgeQuery{{Src: 1, Dst: 2}}, 0, math.MaxInt64); got[0] != 5 {
+		t.Errorf("EstimateBatch over [0, MaxInt64] = %v, want 5", got[0])
+	}
+	if got := s.EstimateBatchAll([]core.EdgeQuery{{Src: 1, Dst: 2}}); got[0] != 5 {
+		t.Errorf("EstimateBatchAll = %v, want 5", got[0])
+	}
+	// Six of the window's eight timestamps.
+	if got := s.EstimateEdge(1, 2, math.MaxInt64-5, math.MaxInt64); got != 5*6.0/8 {
+		t.Errorf("EstimateEdge over the last six timestamps = %v, want %v", got, 5*6.0/8)
 	}
 }
 

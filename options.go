@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"github.com/graphstream/gsketch/internal/adapt"
@@ -45,9 +46,8 @@ type engineOptions struct {
 	tierResident  int
 	decayHalfLife time.Duration
 
-	ingestCfg   *ingest.Config
-	windowCfg   *window.StoreConfig
-	windowStore *window.Store
+	ingestCfg *ingest.Config
+	windowCfg *window.StoreConfig
 
 	snapshotPath    string
 	snapshotOnClose bool
@@ -90,8 +90,9 @@ func WithGlobal() Option {
 }
 
 // WithEstimator adopts an estimator built elsewhere as the engine's core.
-// A *Concurrent or *Chain is served as-is; anything else is wrapped in a
-// Concurrent so the engine's paths go through the striped locks.
+// A *Concurrent or *Chain is served as-is and a *GSketch is wrapped in a
+// Concurrent, so the engine's paths go through the striped locks; any other
+// Estimator is served behind one read-write mutex, and does not snapshot.
 func WithEstimator(est Estimator) Option {
 	return func(o *engineOptions) { o.estimator = est }
 }
@@ -188,11 +189,6 @@ func WithWindows(cfg WindowConfig) Option {
 	return func(o *engineOptions) { c := cfg; o.windowCfg = &c }
 }
 
-// WithWindowStore adopts an existing window store instead of building one.
-func WithWindowStore(s *WindowStore) Option {
-	return func(o *engineOptions) { o.windowStore = s }
-}
-
 // WithSnapshotDir gives snapshot persistence a home directory:
 // SaveSnapshot/RestoreSnapshot default to <dir>/gsketch.snap.
 func WithSnapshotDir(dir string) Option {
@@ -264,9 +260,6 @@ func (o *engineOptions) validate() error {
 	if o.autoInterval < 0 {
 		return errors.New("gsketch: negative auto-repartition interval")
 	}
-	if o.windowCfg != nil && o.windowStore != nil {
-		return errors.New("gsketch: WithWindows and WithWindowStore are mutually exclusive")
-	}
 	if o.decayHalfLife < 0 {
 		return errors.New("gsketch: negative decay half-life")
 	}
@@ -324,7 +317,7 @@ func (o *engineOptions) buildEstimator(cfg Config) (servingEstimator, *adapt.Cha
 			if o.adaptive {
 				return nil, nil, fmt.Errorf("gsketch: WithAdaptive cannot chain a %T; pass a *GSketch or a *Chain", v)
 			}
-			return core.NewConcurrent(v), nil, nil
+			return &lockedEstimator{est: v}, nil, nil
 		}
 
 	case o.restore != nil || o.restorePath != "":
@@ -384,6 +377,56 @@ func (o *engineOptions) buildEstimator(cfg Config) (servingEstimator, *adapt.Cha
 		return wrap(g)
 	}
 }
+
+// lockedEstimator serves a foreign Estimator adopted by WithEstimator
+// behind one read-write mutex: writers exclude everyone, readers share.
+type lockedEstimator struct {
+	mu  sync.RWMutex
+	est Estimator
+}
+
+func (l *lockedEstimator) Update(e Edge) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.est.Update(e)
+}
+
+func (l *lockedEstimator) UpdateBatch(edges []Edge) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.est.UpdateBatch(edges)
+}
+
+func (l *lockedEstimator) EstimateEdge(src, dst uint64) int64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.est.EstimateEdge(src, dst)
+}
+
+func (l *lockedEstimator) EstimateBatch(qs []EdgeQuery) []Result {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.est.EstimateBatch(qs)
+}
+
+func (l *lockedEstimator) AppendEstimates(dst []Result, qs []EdgeQuery) []Result {
+	return append(dst, l.EstimateBatch(qs)...)
+}
+
+func (l *lockedEstimator) Count() int64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.est.Count()
+}
+
+func (l *lockedEstimator) MemoryBytes() int {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.est.MemoryBytes()
+}
+
+// NumShards reports the one writer domain the mutex makes.
+func (l *lockedEstimator) NumShards() int { return 1 }
 
 // sampleError names the option a data sample came through in an error from
 // reading it, and reports a negative weight in it as ErrNegativeWeight, as

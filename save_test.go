@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"path/filepath"
 	"testing"
 
 	gsketch "github.com/graphstream/gsketch"
@@ -144,22 +145,61 @@ func TestChainRoundTripThroughFacade(t *testing.T) {
 }
 
 // TestSaveRejectsUnserializableEstimator checks the typed failure instead
-// of a garbage write.
+// of a garbage write, for a foreign estimator with no serialized form.
 func TestSaveRejectsUnserializableEstimator(t *testing.T) {
-	gl, err := core.BuildGlobalSketch(gsketch.Config{TotalWidth: 256, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	foreign := &gatedEstimator{gate: make(chan struct{})}
+	close(foreign.gate)
+	if _, err := core.Save(foreign, io.Discard); err == nil {
+		t.Fatal("a foreign estimator saved unexpectedly")
 	}
-	if _, err := core.Save(gl, io.Discard); err == nil {
-		t.Fatal("GlobalSketch saved unexpectedly")
-	}
-	eng, err := gsketch.Open(gsketch.Config{TotalWidth: 256, Seed: 1}, gsketch.WithGlobal())
+	eng, err := gsketch.Open(gsketch.Config{TotalWidth: 256, Seed: 1}, gsketch.WithEstimator(foreign))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	if _, err := eng.Save(io.Discard); err == nil {
-		t.Fatal("engine over a GlobalSketch saved unexpectedly")
+		t.Fatal("engine over a foreign estimator saved unexpectedly")
+	}
+}
+
+// TestGlobalEngineSnapshotRoundTrip: a WithGlobal engine saves its leafless
+// sketch to its snapshot file, and an engine restored from that file
+// answers every query exactly as the saved one did.
+func TestGlobalEngineSnapshotRoundTrip(t *testing.T) {
+	cfg := gsketch.Config{TotalWidth: 4096, Seed: 5}
+	path := filepath.Join(t.TempDir(), "global.snap")
+	edges := synthetic(20_000)
+	eng, err := gsketch.Open(cfg, gsketch.WithGlobal(), gsketch.WithSnapshotFile(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.Ingest(context.Background(), edges...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.SaveSnapshot(""); err != nil {
+		t.Fatal(err)
+	}
+	back, err := gsketch.Open(cfg, gsketch.WithRestoreFile(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if back.Sketch().NumPartitions() != 0 {
+		t.Fatalf("restored %d partitions, want the leafless global sketch", back.Sketch().NumPartitions())
+	}
+	qs := make([]gsketch.EdgeQuery, 0, 1000)
+	for _, e := range edges[:1000] {
+		qs = append(qs, gsketch.EdgeQuery{Src: e.Src, Dst: e.Dst})
+	}
+	want, got := eng.QueryBatch(qs), back.QueryBatch(qs)
+	for i := range qs {
+		if got[i] != want[i] {
+			t.Fatalf("query %d: restored %+v, saved %+v", i, got[i], want[i])
+		}
+		if !want[i].Outlier || want[i].Partition != gsketch.NoPartition {
+			t.Fatalf("query %d: global answer %+v is not an outlier answer", i, want[i])
+		}
 	}
 }
 

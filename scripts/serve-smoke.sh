@@ -134,6 +134,38 @@ fi
 PID=""
 
 # ---------------------------------------------------------------------------
+# Global Sketch baseline: a leafless gSketch snapshots and restores like a
+# partitioned one, on demand and on exit.
+
+"$BIN" -addr "$ADDR" -global -snapshot "$TMP/global.gsk" -snapshot-on-exit \
+  -workers 2 -batch 64 &
+PID=$!
+wait_healthy "global server"
+
+ingest=$(curl -sf -X POST --data-binary @"$TMP/stream.ndjson" "$BASE/ingest?sync=1")
+grep -q '"accepted":8' <<<"$ingest" || fail "global ingest reply: $ingest"
+answer=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$query" "$BASE/query")
+est1=$(grep -o '"estimate":[0-9]*' <<<"$answer" | head -1 | cut -d: -f2)
+[[ -n "$est1" && "$est1" -ge 5 ]] || fail "global estimate for (1,101) = '$est1', want >= 5 ($answer)"
+grep -q '"outlier":true' <<<"$answer" || fail "global answers are not outlier answers: $answer"
+
+save=$(curl -sf -X POST "$BASE/snapshot/save") || fail "global snapshot save failed"
+[[ -s "$TMP/global.gsk" ]] || fail "global snapshot file missing after save: $save"
+restore=$(curl -sf -X POST "$BASE/snapshot/restore") || fail "global snapshot restore failed"
+grep -q '"partitions":0' <<<"$restore" || fail "global restore reply: $restore"
+grep -q '"stream_total":8' <<<"$restore" || fail "global restore reply: $restore"
+answer2=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$query" "$BASE/query")
+[[ "$answer2" == "$answer" ]] || fail "global answers differ after restore: $answer vs $answer2"
+
+rm -f "$TMP/global.gsk"
+kill -TERM "$PID"
+if ! wait "$PID"; then
+  fail "global server exited non-zero on SIGTERM"
+fi
+PID=""
+[[ -s "$TMP/global.gsk" ]] || fail "no global snapshot written on exit"
+
+# ---------------------------------------------------------------------------
 # Adaptive chain flow: ingest -> workload shift -> POST /repartition ->
 # query -> snapshot -> restore of a multi-generation chain.
 
