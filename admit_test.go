@@ -258,10 +258,10 @@ func TestAdmitWithoutPipelineFoldsBeforeReturn(t *testing.T) {
 	}
 }
 
-// TestAdmitFeedsWindowStore: the window store sees an admitted batch by the
-// time a Drain returns, as it sees TryIngest's.
-func TestAdmitFeedsWindowStore(t *testing.T) {
-	wcfg := gsketch.WindowConfig{Span: 100, SampleSize: 256, Sketch: engineTestCfg, Seed: 5}
+// TestAdmitFeedsWindows: the windows hold an admitted batch by the time a
+// Drain returns, as they hold Ingest's.
+func TestAdmitFeedsWindows(t *testing.T) {
+	wcfg := gsketch.WindowConfig{Span: 100, SampleSize: 256}
 	edges := engineTestStream(2_000, 19)
 	for i := range edges {
 		edges[i].Time = int64(i)

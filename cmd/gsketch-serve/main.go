@@ -50,6 +50,14 @@
 // queries keep answering over the whole stream with combined bounds, and
 // snapshots carry the full chain.
 //
+// With -window-span the generations are instead the §5 time windows of
+// that span: an edge from a later window starts it, partitioned from a
+// reservoir sample of the window before, and POST /query/window answers
+// time ranges by weighting each window by its overlap. -window-span
+// excludes -adapt and the lifecycle flags. /query/window sees what /query
+// sees, the edges the pipeline has applied, so ingest with ?sync=1 before
+// reading your writes. Windowed engines snapshot and restore like chains.
+//
 // The chain's generation lifecycle is managed with the compaction, tiering
 // and decay flags (all require -adapt). -compact-max-gens / -compact-age /
 // -compact-mem set the background fold triggers (checked every
@@ -130,8 +138,8 @@ func main() {
 		snapshotOnExit = flag.Bool("snapshot-on-exit", false, "save a final snapshot during graceful shutdown")
 
 		workloadCap  = flag.Int("workload-cap", 4096, "query-workload reservoir capacity (negative disables capture)")
-		windowSpan   = flag.Int64("window-span", 0, "enable the windowed store with this span (0 = disabled)")
-		windowSample = flag.Int("window-sample", 1024, "per-window reservoir size for the windowed store")
+		windowSpan   = flag.Int64("window-span", 0, "make the generations time windows of this span (0 = disabled; excludes -adapt)")
+		windowSample = flag.Int("window-sample", 1024, "reservoir size feeding each window's partitioning (with -window-span)")
 
 		adaptOn       = flag.Bool("adapt", false, "serve a generation chain with adaptive repartitioning (POST /repartition; incompatible with -global)")
 		adaptSample   = flag.Int("adapt-sample", 8192, "data-reservoir capacity feeding rebuilds (with -adapt)")
@@ -247,8 +255,6 @@ func main() {
 		opts = append(opts, gsketch.WithWindows(gsketch.WindowConfig{
 			Span:       *windowSpan,
 			SampleSize: *windowSample,
-			Sketch:     cfg,
-			Seed:       *seed,
 		}))
 	}
 	if *adaptInterval > 0 {

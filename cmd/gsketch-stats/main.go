@@ -12,9 +12,10 @@
 // generation-chain container (version 2, 3 or 4). For a chain it prints one
 // line per generation — stream volume, counter bytes, partition count, the
 // localized sketches' width range (min/median/max columns) and the outlier
-// sketch's width, the build timestamp and how many source generations
-// compaction folded into it (version-4 snapshots carry these lifecycle
-// records; older versions print blanks).
+// sketch's width, how many source generations compaction folded into it,
+// the window index of a windowed engine's generation, and the build
+// timestamp (version-4 snapshots carry these lifecycle records; older
+// versions print blanks).
 package main
 
 import (
@@ -89,20 +90,24 @@ func snapshotStats(path string) {
 	fmt.Printf("stream volume:   %d\n", total)
 	fmt.Printf("counter bytes:   %d\n", bytes)
 	fmt.Println()
-	fmt.Printf("%-4s %14s %14s %11s %20s %8s %8s %s\n",
-		"gen", "stream", "bytes", "partitions", "widths min/med/max", "outlier", "folded", "built")
+	fmt.Printf("%-4s %14s %14s %11s %20s %8s %8s %8s %s\n",
+		"gen", "stream", "bytes", "partitions", "widths min/med/max", "outlier", "folded", "window", "built")
 	for i, g := range gens {
 		built := "-"
 		if metas[i].BuiltAt != 0 {
 			built = time.Unix(metas[i].BuiltAt, 0).UTC().Format(time.RFC3339)
 		}
+		window := "-"
+		if k, ok := metas[i].WindowIndex(); ok {
+			window = fmt.Sprint(k)
+		}
 		role := ""
 		if i == len(gens)-1 {
 			role = "  (head)"
 		}
-		fmt.Printf("%-4d %14d %14d %11d %20s %8d %8d %s%s\n",
+		fmt.Printf("%-4d %14d %14d %11d %20s %8d %8d %8s %s%s\n",
 			i, g.Count(), g.MemoryBytes(), g.NumPartitions(), widthRange(g.Leaves()),
-			g.OutlierWidth(), metas[i].CompactedFrom, built, role)
+			g.OutlierWidth(), metas[i].CompactedFrom, window, built, role)
 	}
 }
 

@@ -135,7 +135,39 @@ func TestSnapshotGlobal(t *testing.T) {
 			line = strings.Join(strings.Fields(l), " ")
 		}
 	}
-	if want := "0 1 20000 0 - 1000 1 - (head)"; line != want {
+	if want := "0 1 20000 0 - 1000 1 - - (head)"; line != want {
 		t.Fatalf("stdout:\n%s\nwant the generation line %q", stdout, want)
+	}
+}
+
+// TestSnapshotWindows: -snapshot prints the window index of each
+// generation of a windowed engine's snapshot.
+func TestSnapshotWindows(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := gsketch.Open(gsketch.Config{TotalWidth: 1000, Seed: 3}, gsketch.WithGlobal(),
+		gsketch.WithWindows(gsketch.WindowConfig{Span: 10, SampleSize: 8}),
+		gsketch.WithSnapshotFile(filepath.Join(dir, "w.gsk")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.Ingest(context.Background(), gsketch.Edge{Src: 1, Dst: 2, Time: 5}, gsketch.Edge{Src: 1, Dst: 2, Time: 75}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.SaveSnapshot(""); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runMain(t, dir, "-snapshot", "w.gsk")
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	var windows []string
+	for _, l := range strings.Split(stdout, "\n") {
+		if f := strings.Fields(l); len(f) >= 9 && (f[0] == "0" || f[0] == "1") {
+			windows = append(windows, f[7])
+		}
+	}
+	if !slices.Equal(windows, []string{"0", "7"}) {
+		t.Fatalf("stdout:\n%s\nwant windows 0 and 7, got %v", stdout, windows)
 	}
 }

@@ -57,11 +57,14 @@
 // WithRestore/WithRestoreFile (resume a snapshot) or WithEstimator (adopt
 // one built elsewhere). Everything else composes: WithAdaptive +
 // WithAutoRepartition mount the generation chain and its drift manager,
-// WithWindows the §5 time-window store, WithWorkloadRecorder the live
-// query-workload reservoir. With WithIngest, Ingest blocks with
-// backpressure (and honors ctx cancellation while blocked); TryIngest
-// never blocks and returns the typed ErrIngestQueueFull shed signal. Admit
-// is the arm for a producer that owns a goroutine and a whole batch (the
+// WithWindows makes the generations the §5 time windows (QueryWindow
+// answers time ranges; it excludes WithAdaptive and the lifecycle options,
+// sees what QueryBatch sees, and snapshots with every window),
+// WithWorkloadRecorder the live query-workload reservoir. With
+// WithIngest, Ingest blocks with backpressure and honors ctx cancellation
+// while blocked, returning an *IngestCanceledError that names the prefix it
+// queued; TryIngest never blocks and returns the typed ErrIngestQueueFull
+// shed signal. Admit is the arm for a producer that owns a goroutine and a whole batch (the
 // wire server's connections): it registers the batch as in flight without
 // copying it into the queue and hands back an Admission whose Apply folds
 // it on the caller's goroutine, so the caller can acknowledge in between.
@@ -104,8 +107,8 @@
 // Under Concurrent, a batched read acquires each striped lock at most once
 // per internal chunk instead of once per query, and observes each
 // partition's counters and local volume in one consistent snapshot.
-// Windowed range queries batch the same way via EstimateWindowBatch (one
-// pass per overlapping window for the whole batch).
+// QueryWindow batches the same way (one pass per window for the whole
+// batch).
 //
 // EstimateEdge(src, dst) remains on every estimator: one call, one bare
 // point estimate, one lock round-trip under Concurrent. Any loop over more
@@ -290,8 +293,8 @@
 // between is not folded: it would move a conservative update past the other
 // key's. Every stream-volume sum saturates at MaxInt64, as the 2³²−1 cells
 // do, which keeps the fold exact at the top of the range and the ε·N bounds
-// non-negative for any weights. Stream totals, routed-write counts, the
-// window store and the reservoirs still count every arrival. On the
+// non-negative for any weights. Stream totals, routed-write counts and the
+// reservoirs still count every arrival. On the
 // repository benchmark's streams 87.8 % (wire_bulk_small), 88.2 %
 // (wire_bulk_large), about 88 % (http_tenants) and 0 % (wire_mixed_paced, a
 // Zipf carousel) of arrivals repeat the edge before them in their frame;

@@ -17,25 +17,19 @@ import (
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/query"
-	"github.com/graphstream/gsketch/internal/window"
 )
 
 // Engine errors. All are matched with errors.Is.
 var (
 	// ErrEngineClosed reports an operation against a closed Engine.
 	ErrEngineClosed = errors.New("gsketch: engine is closed")
-	// ErrNotAdaptive reports an adaptive operation (Repartition, restoring
-	// a multi-generation snapshot) against an engine opened without
-	// WithAdaptive.
+	// ErrNotAdaptive reports Repartition or Compact on an engine opened
+	// without WithAdaptive, or a multi-generation snapshot restored into
+	// one opened without WithAdaptive or WithWindows.
 	ErrNotAdaptive = errors.New("gsketch: engine is not adaptive (open with WithAdaptive)")
-	// ErrWindowMounted reports a snapshot restore refused because a window
-	// store is mounted: snapshots carry no window state, so swapping the
-	// primary estimator would leave window queries answering from a
-	// different history.
-	ErrWindowMounted = errors.New("gsketch: restore refused while a window store is mounted (snapshots do not carry window state)")
 	// ErrNoWindow reports a window query against an engine opened without
 	// WithWindows.
-	ErrNoWindow = errors.New("gsketch: engine has no window store (open with WithWindows)")
+	ErrNoWindow = errors.New("gsketch: engine has no windows (open with WithWindows)")
 	// ErrNoSnapshotPath reports a Save/Restore call with no explicit path
 	// on an engine opened without WithSnapshotDir.
 	ErrNoSnapshotPath = errors.New("gsketch: no snapshot path (open with WithSnapshotDir or pass a path)")
@@ -69,7 +63,8 @@ type engineState struct {
 	// ing is the batch-ingest pipeline, nil when the engine was opened
 	// without WithIngest (ingest then applies synchronously).
 	ing *ingest.Ingestor
-	// chain is non-nil when est is an adaptive generation chain.
+	// chain is non-nil when est is a generation chain (adaptive or
+	// windowed).
 	chain *adapt.Chain
 }
 
@@ -96,9 +91,6 @@ type Engine struct {
 
 	mgr *adapt.Manager  // nil unless adaptive
 	rec *adapt.Recorder // nil unless recording
-	win *window.Store   // nil unless windowed
-
-	winMu sync.Mutex // serializes window-store access (single-writer store)
 
 	autoStop chan struct{} // stops the auto-repartition loop; nil when off
 	autoDone chan struct{} // closed when the loop goroutine has exited
@@ -137,7 +129,7 @@ type Engine struct {
 // behind Ingest/TryIngest, WithAdaptive turns the estimator into a
 // generation chain with a drift-watching repartition manager,
 // WithWorkloadRecorder samples query traffic into the §4.2 workload
-// format, WithWindows mounts a time-windowed store, and WithSnapshotDir
+// format, WithWindows makes the generations time windows, and WithSnapshotDir
 // gives Save/Restore a home. The zero-option Open(cfg, WithSample(s)) is
 // byte-identical to core.BuildGSketch wrapped in core.NewConcurrent.
 func Open(cfg Config, opts ...Option) (*Engine, error) {
@@ -149,6 +141,12 @@ func Open(cfg Config, opts ...Option) (*Engine, error) {
 		return nil, err
 	}
 
+	if o.windowCfg != nil && o.ingestCfg != nil && o.ingestCfg.Workers >= 0 {
+		// Windows follow apply order: queued batches apply in queue order.
+		ic := *o.ingestCfg
+		ic.Workers = 1
+		o.ingestCfg = &ic
+	}
 	e := &Engine{cfg: cfg, opts: o, snapPath: o.snapshotPath}
 	if o.recorderCap > 0 {
 		e.rec = adapt.NewRecorder(o.recorderCap, o.recorderSeed, func() int64 { return e.opts.now().Unix() })
@@ -157,6 +155,9 @@ func Open(cfg Config, opts ...Option) (*Engine, error) {
 	est, chain, err := o.buildEstimator(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if chain != nil && chain.Config().MaxGenerations > core.MaxChainGenerations {
+		return nil, fmt.Errorf("gsketch: a chain cap of %d generations exceeds the %d a snapshot can hold", chain.Config().MaxGenerations, core.MaxChainGenerations)
 	}
 	// The data sample steered the build and is not read again: drop it from
 	// both copies of the options (the engine's, and the one the loop
@@ -174,18 +175,6 @@ func Open(cfg Config, opts ...Option) (*Engine, error) {
 		e.applyLifecycle(chain)
 	}
 	st := &engineState{est: est, chain: chain}
-
-	if o.windowCfg != nil {
-		wc := *o.windowCfg
-		if wc.Sketch.TotalBytes == 0 && wc.Sketch.TotalWidth == 0 {
-			wc.Sketch = cfg
-		}
-		win, err := window.NewStore(wc)
-		if err != nil {
-			return nil, fmt.Errorf("gsketch: window store: %w", err)
-		}
-		e.win = win
-	}
 
 	// The pipeline spawns worker goroutines, so it is built after every
 	// other fallible step — an Open that fails must not leak workers.
@@ -254,6 +243,9 @@ func (e *Engine) applyLifecycle(c *adapt.Chain) {
 	if e.opts.tierDir != "" {
 		c.SetTiering(e.opts.tierDir, e.opts.tierResident)
 	}
+	if w := e.opts.windowCfg; w != nil {
+		c.SetWindows(w.Span, e.cfg)
+	}
 	c.SetClock(e.opts.now)
 }
 
@@ -292,7 +284,8 @@ func (t engineCompactTarget) EnforceResidency() (int, error) {
 // observer see them all.
 func (e *Engine) compactChain(k int) (compact.Result, error) {
 	st := e.state()
-	if st.chain == nil {
+	if st.chain == nil || e.opts.windowCfg != nil {
+		// A fold of windows would answer for no one window's times.
 		return compact.Result{}, ErrNotAdaptive
 	}
 	res, err := st.chain.Compact(k, e.rebuildCfg, e.recordedWorkload())
@@ -371,8 +364,9 @@ func (e *Engine) Sketch() *GSketch {
 	return nil
 }
 
-// HasWindow reports whether a window store is mounted (WithWindows).
-func (e *Engine) HasWindow() bool { return e.win != nil }
+// HasWindow reports whether the engine's generations are time windows
+// (WithWindows).
+func (e *Engine) HasWindow() bool { return e.opts.windowCfg != nil }
 
 // RecordsWorkload reports whether query traffic is being sampled into a
 // workload reservoir (WithWorkloadRecorder).
@@ -387,7 +381,9 @@ func (e *Engine) SnapshotPath() string { return e.snapPath }
 // batches of at most the pipeline's BatchSize, each queued as it is cut,
 // and a producer blocked on a full queue unblocks when ctx is cancelled.
 // The batches queued before the cancellation drain; the one it was blocked
-// on and the rest of edges are dropped, and the error is the context's.
+// on and the rest of edges are dropped, and the error is an
+// *IngestCanceledError naming how many edges were queued and wrapping the
+// context's error.
 // Without a pipeline the edges are applied synchronously. After Close it
 // returns ErrEngineClosed; a negative weight anywhere in edges refuses the
 // whole call with ErrNegativeWeight.
@@ -416,32 +412,44 @@ func (e *Engine) Ingest(ctx context.Context, edges ...Edge) error {
 		// the read lock is safe and keeps Restore strictly ordered.
 		defer e.mu.RUnlock()
 		if err := ctx.Err(); err != nil {
-			return err
+			return &IngestCanceledError{Err: err}
 		}
 		st.est.UpdateBatch(edges)
-		e.observeWindow(edges)
 		return nil
 	}
 	e.mu.RUnlock()
 	accepted, err := st.ing.PushBatchCtx(ctx, edges)
-	// The accepted prefix will drain into the primary estimator even when
-	// the push was cut short, so the window store must see it too — the
-	// two read paths answer from one history.
-	e.observeWindow(edges[:accepted])
-	if err != nil {
-		if errors.Is(err, ingest.ErrClosed) {
-			if e.closed.Load() {
-				return ErrEngineClosed
-			}
-			// The pipeline was displaced by a concurrent Restore, not
-			// closed by Close: retry the remainder against the restored
-			// state instead of failing a live engine.
-			return e.Ingest(ctx, edges[accepted:]...)
-		}
-		return err
+	switch {
+	case err == nil:
+		return nil
+	case !errors.Is(err, ingest.ErrClosed):
+		return &IngestCanceledError{Accepted: accepted, Err: err}
+	case e.closed.Load():
+		return ErrEngineClosed
 	}
-	return nil
+	// The pipeline was displaced by a concurrent Restore, not closed by
+	// Close: retry the remainder against the restored state instead of
+	// failing a live engine.
+	err = e.Ingest(ctx, edges[accepted:]...)
+	if ce, ok := err.(*IngestCanceledError); ok {
+		ce.Accepted += accepted
+	}
+	return err
 }
+
+// IngestCanceledError is Ingest's error when its context ends before every
+// edge is queued: the first Accepted edges were queued and apply, the rest
+// were dropped. It wraps the context's error.
+type IngestCanceledError struct {
+	Accepted int
+	Err      error
+}
+
+func (e *IngestCanceledError) Error() string {
+	return fmt.Sprintf("gsketch: ingest cut short after %d edges: %v", e.Accepted, e.Err)
+}
+
+func (e *IngestCanceledError) Unwrap() error { return e.Err }
 
 // TryIngest offers edges without ever blocking on a full queue. It returns
 // the number of edges accepted (always a prefix, applied in order) and
@@ -467,11 +475,9 @@ func (e *Engine) TryIngest(edges []Edge) (int, error) {
 	st := e.st
 	if st.ing == nil {
 		st.est.UpdateBatch(edges)
-		e.observeWindow(edges)
 		return len(edges), nil
 	}
 	accepted, err := st.ing.TryPushBatch(edges)
-	e.observeWindow(edges[:accepted])
 	if errors.Is(err, ingest.ErrClosed) {
 		return accepted, ErrEngineClosed
 	}
@@ -495,7 +501,6 @@ func checkWeights(edges []Edge) error {
 // Restore and Close waits for it, but not copied into the queue. Apply
 // folds it. The zero value owes nothing and its Apply is a no-op.
 type Admission struct {
-	e     *Engine
 	ing   *ingest.Ingestor
 	edges []Edge
 }
@@ -531,38 +536,22 @@ func (e *Engine) Admit(edges []Edge) (Admission, error) {
 	st := e.st
 	if st.ing == nil {
 		st.est.UpdateBatch(edges)
-		e.observeWindow(edges)
 		return Admission{}, nil
 	}
 	if err := st.ing.Admit(); err != nil {
 		return Admission{}, ErrEngineClosed
 	}
-	return Admission{e: e, ing: st.ing, edges: edges}, nil
+	return Admission{ing: st.ing, edges: edges}, nil
 }
 
-// Apply feeds the window store and folds the admitted batch into the
-// estimator it was admitted to, on the caller's goroutine and in one routed
-// pass; the in-flight registration is retired last, so a Drain that returns
-// finds both read paths caught up. Call it exactly once.
+// Apply folds the admitted batch into the estimator it was admitted to, on
+// the caller's goroutine and in one routed pass; the in-flight registration
+// is retired last, so a Drain that returns finds it applied. Call it exactly
+// once.
 func (a Admission) Apply() {
-	if a.ing == nil {
-		return
+	if a.ing != nil {
+		a.ing.Apply(a.edges)
 	}
-	a.e.observeWindow(a.edges)
-	a.ing.Apply(a.edges)
-}
-
-// observeWindow feeds accepted edges to the optional window store. The
-// store is single-writer, so access is serialized; ordering violations are
-// the producer's (the store requires nondecreasing window indices) and are
-// swallowed — the primary estimator already absorbed the edges.
-func (e *Engine) observeWindow(edges []Edge) {
-	if e.win == nil || len(edges) == 0 {
-		return
-	}
-	e.winMu.Lock()
-	_ = e.win.ObserveBatch(edges)
-	e.winMu.Unlock()
 }
 
 // Query answers one edge query with the bound-carrying read path.
@@ -625,21 +614,21 @@ func (r recordingEstimator) EstimateBatch(qs []EdgeQuery) []Result {
 }
 
 // QueryWindow answers a batch of edge queries over the time range [t1, t2]
-// inclusive against the mounted window store. Each overlapping window
-// answers the whole batch in one routed pass and contributes its
-// fractional overlap.
+// inclusive: each window answers the batch in one routed pass, weighted by
+// the share of its times the range covers, so a range over every window
+// reads what QueryBatch reads. Like QueryBatch, it sees applied edges only:
+// Drain first to read an Ingest's.
 func (e *Engine) QueryWindow(qs []EdgeQuery, t1, t2 int64) ([]float64, error) {
-	if e.win == nil {
+	if !e.HasWindow() {
 		return nil, ErrNoWindow
 	}
-	e.winMu.Lock()
-	defer e.winMu.Unlock()
-	return e.win.EstimateBatch(qs, t1, t2), nil
+	res := e.state().chain.EstimateWindow(qs, t1, t2)
+	out := make([]float64, len(res))
+	for i := range res {
+		out[i] = float64(res[i].Estimate)
+	}
+	return out, nil
 }
-
-// Window exposes the mounted window store, or nil. Access is shared with
-// the engine; serialize writes with the engine's own ingest path.
-func (e *Engine) Window() *WindowStore { return e.win }
 
 // Workload returns a copy of the recorded live query-workload sample, or
 // nil when recording is disabled. The sample feeds BuildGSketch's §4.2
@@ -659,7 +648,8 @@ func (e *Engine) WriteWorkloadTo(w io.Writer) (int64, error) {
 }
 
 // Save streams a consistent snapshot of the serving estimator: a chain
-// container for an adaptive engine (every generation, oldest first), the
+// container for an adaptive or windowed engine (every generation, oldest
+// first, each with its window), the
 // single-sketch format otherwise. The snapshot is taken under the striped
 // read locks, so a save racing live writers is still internally
 // consistent. Restore (or Open with WithRestore) reads it back.
@@ -723,15 +713,11 @@ func (e *Engine) SaveSnapshot(path string) (int64, error) {
 // The snapshot may carry one or more sketch generations. An adaptive
 // engine restores any snapshot as a chain and rebinds its repartition
 // manager (current recorded workload becomes the new drift baseline); a
-// non-adaptive engine refuses multi-generation snapshots with
-// ErrNotAdaptive. An engine with a window store refuses all restores with
-// ErrWindowMounted — snapshots carry no window state.
+// windowed engine restores any snapshot as its windows; any other engine
+// refuses multi-generation snapshots with ErrNotAdaptive.
 func (e *Engine) Restore(r io.Reader) error {
 	if e.closed.Load() {
 		return ErrEngineClosed
-	}
-	if e.win != nil {
-		return ErrWindowMounted
 	}
 	gens, metas, err := core.ReadChainMeta(r)
 	if err != nil {

@@ -363,56 +363,6 @@ func TestEngineLiveRestoreSwap(t *testing.T) {
 	}
 }
 
-// TestEngineWindowMatchesShim: the engine's mounted window store answers
-// exactly like a hand-fed WindowStore + EstimateWindowBatch.
-func TestEngineWindowMatchesShim(t *testing.T) {
-	wcfg := gsketch.WindowConfig{
-		Span:       100,
-		SampleSize: 256,
-		Sketch:     engineTestCfg,
-		Seed:       5,
-	}
-	edges := engineTestStream(5_000, 19)
-	for i := range edges {
-		edges[i].Time = int64(i) // nondecreasing timestamps
-	}
-	qs := engineTestQueries(edges, 100)
-
-	refStore, err := gsketch.NewWindowStore(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := refStore.ObserveBatch(edges); err != nil {
-		t.Fatal(err)
-	}
-	want := gsketch.EstimateWindowBatch(refStore, qs, 1000, 4000)
-
-	eng, err := gsketch.Open(engineTestCfg,
-		gsketch.WithSample(edges[:500]),
-		gsketch.WithWindows(wcfg),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if err := eng.Ingest(context.Background(), edges...); err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.QueryWindow(qs, 1000, 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("window query %d: store %v, engine %v", i, want[i], got[i])
-		}
-	}
-	// Restore is refused while the window store is mounted.
-	if err := eng.Restore(bytes.NewReader(nil)); !errors.Is(err, gsketch.ErrWindowMounted) {
-		t.Fatalf("Restore with window = %v, want ErrWindowMounted", err)
-	}
-}
-
 // TestEngineAnswerRecordsWorkload: Answer/AnswerBatch constituents land in
 // the workload reservoir like QueryBatch's.
 func TestEngineAnswerRecordsWorkload(t *testing.T) {

@@ -1,9 +1,10 @@
-// Time-window example (§5 of the paper): summarize a stream in fixed time
-// windows, each with its own partitioned sketch built from the previous
-// window's reservoir sample, and answer interval queries by extrapolation.
+// Time-window example (§5 of the paper): an Engine whose generations are
+// fixed time windows, each partitioned from a reservoir sample of the
+// window before it, answering interval queries by extrapolation.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,29 +21,22 @@ func main() {
 		log.Fatal(err)
 	}
 
-	store, err := gsketch.NewWindowStore(gsketch.WindowConfig{
-		Span:       1, // one window per generated "day"
-		SampleSize: 5000,
-		Sketch:     gsketch.Config{TotalBytes: 64 << 10, Seed: 11},
-		Seed:       12,
-	})
+	// Day 0 has no earlier window to sample, so it is the Global Sketch;
+	// every later day is partitioned from the day before it.
+	eng, err := gsketch.Open(gsketch.Config{TotalBytes: 64 << 10, Seed: 11},
+		gsketch.WithGlobal(),
+		gsketch.WithWindows(gsketch.WindowConfig{
+			Span:       1, // one window per generated "day"
+			SampleSize: 5000,
+		}))
 	if err != nil {
 		log.Fatal(err)
 	}
-	// ObserveBatch hands each contiguous same-window run to the window
-	// estimator in one batched update (per-edge Observe remains available).
-	if err := store.ObserveBatch(edges); err != nil {
+	defer eng.Close()
+	if err := eng.Ingest(context.Background(), edges...); err != nil {
 		log.Fatal(err)
 	}
-
-	fmt.Printf("stored %d windows:\n", len(store.Windows()))
-	for _, w := range store.Windows() {
-		kind := "global (bootstrap)"
-		if w.Estimator.NumPartitions() > 0 {
-			kind = "partitioned gSketch"
-		}
-		fmt.Printf("  day %d: %7d arrivals, %s\n", w.Index, w.Arrivals, kind)
-	}
+	fmt.Printf("stored %d windows, %d arrivals\n", eng.Generations(), eng.Stats().StreamTotal)
 
 	// Pick the heaviest pair of day 0 and track it across windows.
 	counts := map[[2]uint64]int64{}
@@ -62,10 +56,17 @@ func main() {
 	// One batched pass per range: each overlapping window's sketch is
 	// touched once for the whole query set.
 	q := []gsketch.EdgeQuery{{Src: src, Dst: dst}}
-	for day := int64(0); day < 5; day++ {
-		fmt.Printf("  day %d estimate: %8.0f\n", day, gsketch.EstimateWindowBatch(store, q, day, day)[0])
+	window := func(t1, t2 int64) float64 {
+		v, err := eng.QueryWindow(q, t1, t2)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return v[0]
 	}
-	fmt.Printf("  days 1-3:       %8.0f\n", gsketch.EstimateWindowBatch(store, q, 1, 3)[0])
-	fmt.Printf("  lifetime:       %8.0f\n", store.EstimateEdgeAll(src, dst))
-	fmt.Printf("total sketch memory across windows: %d bytes\n", store.MemoryBytes())
+	for day := int64(0); day < 5; day++ {
+		fmt.Printf("  day %d estimate: %8.0f\n", day, window(day, day))
+	}
+	fmt.Printf("  days 1-3:       %8.0f\n", window(1, 3))
+	fmt.Printf("  lifetime:       %8d\n", eng.Query(src, dst).Estimate)
+	fmt.Printf("total sketch memory across windows: %d bytes\n", eng.Stats().MemoryBytes)
 }

@@ -7,7 +7,6 @@ import (
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/query"
 	"github.com/graphstream/gsketch/internal/stream"
-	"github.com/graphstream/gsketch/internal/window"
 )
 
 // Edge is one graph-stream element (x, y; t) with an optional frequency
@@ -200,24 +199,10 @@ type Interner = stream.Interner
 // NewInterner returns an empty interner.
 func NewInterner() *Interner { return stream.NewInterner() }
 
-// WindowStore summarizes a stream in fixed time windows, each with its own
-// partitioned sketch built from the previous window's reservoir sample
-// (§5 of the paper).
-type WindowStore = window.Store
-
-// WindowConfig parameterizes a WindowStore.
-type WindowConfig = window.StoreConfig
-
-// NewWindowStore builds an empty windowed store.
-func NewWindowStore(cfg WindowConfig) (*WindowStore, error) {
-	return window.NewStore(cfg)
-}
-
-// EstimateWindowBatch answers a batch of edge queries over the time range
-// [t1, t2] inclusive against a WindowStore: each overlapping window answers
-// the whole batch in one routed pass and contributes its fractional
-// overlap, so the per-window counters are touched once per batch instead of
-// once per query. Values are identical to per-query WindowStore.EstimateEdge.
-func EstimateWindowBatch(s *WindowStore, qs []EdgeQuery, t1, t2 int64) []float64 {
-	return s.EstimateBatch(qs, t1, t2)
+// WindowConfig parameterizes WithWindows: window k covers stream times
+// [k·Span, (k+1)·Span), and is partitioned from a reservoir of SampleSize
+// edges sampled over the window before it. Both must be positive.
+type WindowConfig struct {
+	Span       int64
+	SampleSize int
 }

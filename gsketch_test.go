@@ -119,26 +119,6 @@ func TestPublicConcurrent(t *testing.T) {
 	}
 }
 
-func TestPublicWindowStore(t *testing.T) {
-	s, err := gsketch.NewWindowStore(gsketch.WindowConfig{
-		Span:       1000,
-		SampleSize: 100,
-		Sketch:     gsketch.Config{TotalBytes: 16 << 10},
-		Seed:       1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3000; i++ {
-		if err := s.Observe(gsketch.Edge{Src: 1, Dst: 2, Weight: 1, Time: int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.EstimateEdgeAll(1, 2); got < 3000 {
-		t.Errorf("windowed estimate = %v, want ≥ 3000", got)
-	}
-}
-
 func TestPublicBatchedQueryAPI(t *testing.T) {
 	edges := synthetic(20000)
 	g := openPopulated(t, gsketch.Config{TotalBytes: 64 << 10, Seed: 5}, edges[:2000], edges).Estimator()
@@ -193,31 +173,6 @@ func TestPublicBatchedQueryAPI(t *testing.T) {
 	})
 	if len(batch) != 2 || batch[0].Value != edge.Value {
 		t.Fatalf("AnswerBatch = %+v", batch)
-	}
-}
-
-func TestPublicWindowBatch(t *testing.T) {
-	s, err := gsketch.NewWindowStore(gsketch.WindowConfig{
-		Span:       1000,
-		SampleSize: 100,
-		Sketch:     gsketch.Config{TotalBytes: 16 << 10},
-		Seed:       1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3000; i++ {
-		if err := s.Observe(gsketch.Edge{Src: 1, Dst: 2, Weight: 1, Time: int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	qs := []gsketch.EdgeQuery{{Src: 1, Dst: 2}, {Src: 9, Dst: 9}}
-	got := gsketch.EstimateWindowBatch(s, qs, 0, 2999)
-	if got[0] != s.EstimateEdge(1, 2, 0, 2999) {
-		t.Fatalf("windowed batch %v vs sequential %v", got[0], s.EstimateEdge(1, 2, 0, 2999))
-	}
-	if got[1] != s.EstimateEdge(9, 9, 0, 2999) {
-		t.Fatalf("windowed batch absent-edge %v", got[1])
 	}
 }
 

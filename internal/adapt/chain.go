@@ -29,6 +29,9 @@
 // memory), tiering spills cold frozen generations to disk with lazy
 // reload, and optional age decay down-weights ancient generations at
 // gather time.
+//
+// A windowed chain (SetWindows) is the §5 time-window store: each
+// generation is one window of stream time.
 package adapt
 
 import (
@@ -72,7 +75,8 @@ type ChainConfig struct {
 	// Seed makes the reservoir deterministic.
 	Seed uint64
 	// MaxGenerations caps the chain length (default 8). Rotate fails with
-	// ErrMaxGenerations once reached.
+	// ErrMaxGenerations once reached; a windowed chain drops its oldest
+	// window. Above core.MaxChainGenerations, snapshots do not read back.
 	MaxGenerations int
 }
 
@@ -148,6 +152,10 @@ type Chain struct {
 	tierDir       string
 	tierResident  int
 	now           func() time.Time
+
+	// Windowing (SetWindows); a zero span means none.
+	span  int64
+	build core.Config
 }
 
 // NewChain starts a chain with g as its only (live) generation.
@@ -208,9 +216,6 @@ func (c *Chain) Config() ChainConfig { return c.cfg }
 // Zero disables decay. Set before the chain is shared.
 func (c *Chain) SetDecay(halfLife time.Duration) { c.decayHalfLife = halfLife }
 
-// DecayHalfLife returns the configured decay half-life (0 = disabled).
-func (c *Chain) DecayHalfLife() time.Duration { return c.decayHalfLife }
-
 // SetTiering configures disk tiering: frozen generations beyond the
 // maxResident most recently queried are spilled to files under dir and
 // reloaded lazily on query. maxResident counts frozen generations only —
@@ -221,8 +226,18 @@ func (c *Chain) SetTiering(dir string, maxResident int) {
 	c.tierResident = maxResident
 }
 
-// TierDir returns the configured spill directory ("" = tiering disabled).
-func (c *Chain) TierDir() string { return c.tierDir }
+// SetWindows makes the chain's generations time windows (§5): window k
+// covers stream times [k·span, (k+1)·span). An edge from a later window
+// than the head's rotates the chain in the update path, to a head built
+// under build: partitioned from the reservoir — the window before's
+// sample — when the windows are adjacent, the Global Sketch after a gap.
+// An edge from an earlier window, or with a negative time, is counted in
+// the head. At the generation cap a rotation drops the oldest window. A
+// head with no window takes the first edge's. build must be valid and span
+// positive; set before the chain is shared.
+func (c *Chain) SetWindows(span int64, build core.Config) {
+	c.span, c.build = span, build
+}
 
 // SetClock overrides the chain's clock, for tests.
 func (c *Chain) SetClock(now func() time.Time) {
@@ -245,6 +260,10 @@ func (c *Chain) head() *compact.Segment {
 // invariant that makes frozen generations immutable — and freezes the head
 // with a reservoir that has seen them.
 func (c *Chain) Update(e stream.Edge) {
+	if c.span > 0 {
+		c.UpdateBatch([]stream.Edge{e})
+		return
+	}
 	c.mu.RLock()
 	c.gens[len(c.gens)-1].Update(e)
 	c.resMu.Lock()
@@ -255,17 +274,98 @@ func (c *Chain) Update(e stream.Edge) {
 
 // UpdateBatch folds a batch into the head (sharded route-then-scatter under
 // the head's striped locks) and offers every edge to the data reservoir,
-// under the shared lock as Update does.
+// under the shared lock as Update does. On a windowed chain that holds for
+// each run of edges the head takes — its own window, an earlier one, a
+// negative time — and the first edge of a later window rotates the chain to
+// that window first.
 func (c *Chain) UpdateBatch(edges []stream.Edge) {
-	if len(edges) == 0 {
+	for len(edges) > 0 {
+		c.mu.RLock()
+		head := c.gens[len(c.gens)-1]
+		n := len(edges)
+		if c.span > 0 {
+			for n = 0; n < len(edges) && c.windowSlot(edges[n]) <= head.Meta().Window; n++ {
+			}
+		}
+		if n > 0 {
+			head.UpdateBatch(edges[:n])
+			c.resMu.Lock()
+			c.res.ObserveAll(edges[:n])
+			c.resMu.Unlock()
+		}
+		c.mu.RUnlock()
+		if n < len(edges) {
+			c.rotateWindow(c.windowSlot(edges[n]))
+		}
+		edges = edges[n:]
+	}
+}
+
+// windowSlot is the meta Window value of the window e falls in: its index
+// plus one, or 0 for a negative time, which every head takes.
+func (c *Chain) windowSlot(e stream.Edge) uint64 {
+	if e.Time < 0 {
+		return 0
+	}
+	return uint64(e.Time/c.span) + 1
+}
+
+// rotateWindow makes slot's window the head unless a racing rotation has
+// moved the head there or past it. The head is built off the lock and is
+// installed only if the head it was built after still serves, so racing
+// rotations keep one build.
+func (c *Chain) rotateWindow(slot uint64) {
+	for {
+		head := c.head()
+		m := head.Meta()
+		if m.Window >= slot {
+			return
+		}
+		var g *core.GSketch
+		if m.Window != 0 {
+			g = c.buildWindow(slot == m.Window+1)
+		}
+		nowUnix := c.now().Unix()
+		c.mu.Lock()
+		if c.gens[len(c.gens)-1] != head {
+			c.mu.Unlock()
+			continue
+		}
+		var dropped *compact.Segment
+		if g == nil {
+			// The head has no window yet: it takes this one.
+			m.Window = slot
+			c.gens[len(c.gens)-1] = head.WithMeta(m)
+		} else {
+			c.push(compact.NewSegment(g, core.GenerationMeta{BuiltAt: nowUnix, CompactedFrom: 1, Window: slot}), nowUnix)
+			if len(c.gens) > c.cfg.MaxGenerations {
+				dropped, c.gens = c.gens[0], c.gens[1:]
+			}
+		}
+		c.mu.Unlock()
+		if dropped != nil {
+			dropped.Discard()
+		}
 		return
 	}
-	c.mu.RLock()
-	c.gens[len(c.gens)-1].UpdateBatch(edges)
-	c.resMu.Lock()
-	c.res.ObserveAll(edges)
-	c.resMu.Unlock()
-	c.mu.RUnlock()
+}
+
+// buildWindow builds a new window's head: partitioned from the reservoir
+// when the window follows the head's and the reservoir holds edges, else
+// the Global Sketch.
+func (c *Chain) buildWindow(adjacent bool) *core.GSketch {
+	if adjacent {
+		if sample := c.Sample(); len(sample) > 0 {
+			if g, err := core.BuildGSketch(c.build, sample, nil); err == nil {
+				return g
+			}
+		}
+	}
+	g, err := core.BuildGlobalSketch(c.build)
+	if err != nil {
+		panic(fmt.Sprintf("adapt: window sketch: %v", err)) // SetWindows takes a valid build
+	}
+	return g
 }
 
 // decayWeight returns the gather weight of a frozen segment: 1 without
@@ -342,6 +442,48 @@ func (c *Chain) AppendEstimates(dst []core.Result, qs []core.EdgeQuery) []core.R
 	}
 	c.scratch.Put(scratch)
 	return dst
+}
+
+// EstimateWindow answers a batch of edge queries over stream times [t1, t2]
+// inclusive: every window answers the whole batch, weighted by the share of
+// its times the range covers, folded as AppendEstimates folds decayed
+// generations (§5: "extrapolating from the sketch time windows which
+// overlap most closely"). A generation with no window adds nothing.
+func (c *Chain) EstimateWindow(qs []core.EdgeQuery, t1, t2 int64) []core.Result {
+	out := make([]core.Result, len(qs))
+	for i := range out {
+		out[i] = core.Result{Partition: core.NoPartition, Confidence: 1}
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	scratch := c.scratch.Get().(*[]core.Result)
+	for i := len(c.gens) - 1; i >= 0; i-- {
+		w := c.overlap(c.gens[i].Meta(), t1, t2)
+		if w == 0 {
+			continue
+		}
+		*scratch = c.gens[i].AppendEstimates((*scratch)[:0], qs)
+		query.AccumulateResultsWeighted(out, *scratch, w)
+	}
+	c.scratch.Put(scratch)
+	return out
+}
+
+// overlap returns the share of a generation's window times that [t1, t2]
+// covers: 0 when the range misses the window or the generation has none.
+// A window that starts within a span of MaxInt64 ends there.
+func (c *Chain) overlap(m core.GenerationMeta, t1, t2 int64) float64 {
+	k, ok := m.WindowIndex()
+	if !ok || c.span <= 0 || k > math.MaxInt64/c.span {
+		return 0
+	}
+	lo := k * c.span
+	hi := lo + min(c.span-1, math.MaxInt64-lo)
+	oLo, oHi := max(lo, t1), min(hi, t2)
+	if oLo > oHi {
+		return 0
+	}
+	return float64(oHi-oLo+1) / float64(hi-lo+1)
 }
 
 // Count returns the chain-wide stream volume: the sum over generations
@@ -433,6 +575,20 @@ func (c *Chain) Rotate(g *core.GSketch) error {
 		c.mu.Unlock()
 		return fmt.Errorf("%w (%d generations)", ErrMaxGenerations, n)
 	}
+	c.push(seg, nowUnix)
+	c.mu.Unlock()
+	if _, err := c.EnforceResidency(); err != nil {
+		// Tiering is best-effort on the rotation path: a spill failure
+		// leaves the generation resident, costing memory, not correctness.
+		_ = err
+	}
+	return nil
+}
+
+// push installs seg as the head, freezing the displaced head with the
+// reservoir it was built over and resetting the reservoir. The caller holds
+// mu exclusively.
+func (c *Chain) push(seg *compact.Segment, nowUnix int64) {
 	old := c.gens[len(c.gens)-1]
 	c.gens = append(c.gens, seg)
 	c.resMu.Lock()
@@ -443,13 +599,6 @@ func (c *Chain) Rotate(g *core.GSketch) error {
 	// Freeze inside the hold: a fold or a spill takes any generation but
 	// the last as frozen, so none may see the old head without its sample.
 	old.Freeze(nowUnix, sample, seen)
-	c.mu.Unlock()
-	if _, err := c.EnforceResidency(); err != nil {
-		// Tiering is best-effort on the rotation path: a spill failure
-		// leaves the generation resident, costing memory, not correctness.
-		_ = err
-	}
-	return nil
 }
 
 // Compact folds the oldest k frozen generations into one (see

@@ -27,10 +27,7 @@
 // this package owns the segments, the merge math, and the policy loop.
 package compact
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Policy parameterizes background compaction. A trigger set to zero is
 // disabled; a Policy with no trigger set disables background compaction
@@ -131,8 +128,6 @@ type Manager struct {
 	target Target
 	now    func() time.Time
 	onErr  func(error)
-
-	compactions atomic.Int64
 }
 
 // NewManager builds a policy manager. now defaults to time.Now; onErr may
@@ -143,12 +138,6 @@ func NewManager(target Target, policy Policy, now func() time.Time, onErr func(e
 	}
 	return &Manager{policy: policy.WithDefaults(), target: target, now: now, onErr: onErr}
 }
-
-// Policy returns the resolved policy.
-func (m *Manager) Policy() Policy { return m.policy }
-
-// Compactions returns how many compactions this manager triggered.
-func (m *Manager) Compactions() int64 { return m.compactions.Load() }
 
 // CheckOnce evaluates the policy and compacts at most once if triggered.
 // It returns the compaction result, or nil when the policy did not fire
@@ -169,9 +158,6 @@ func (m *Manager) CheckOnce() (*Result, error) {
 	res, err := m.target.Compact(m.policy.Fold)
 	if err != nil {
 		return nil, err
-	}
-	if res.Folded > 0 {
-		m.compactions.Add(1)
 	}
 	return &res, nil
 }

@@ -317,14 +317,11 @@ func TestManagerCheckOnce(t *testing.T) {
 		t.Fatalf("untriggered: compacts=%d enforces=%d", ft.compacts, ft.enforces)
 	}
 
-	// Over the trigger: exactly one fold, counted.
+	// Over the trigger: exactly one fold, reported in the result.
 	ft.state.Generations = 6
 	res, err := m.CheckOnce()
-	if err != nil || res == nil || res.Folded != 2 {
-		t.Fatalf("triggered CheckOnce = (%+v, %v)", res, err)
-	}
-	if m.Compactions() != 1 {
-		t.Fatalf("compactions = %d, want 1", m.Compactions())
+	if err != nil || res == nil || res.Folded != 2 || res.Generations != 5 {
+		t.Fatalf("triggered CheckOnce = (%+v, %v), want one fold of 2 leaving 5 generations", res, err)
 	}
 
 	// A disabled policy never touches the target.
@@ -333,13 +330,10 @@ func TestManagerCheckOnce(t *testing.T) {
 		t.Fatalf("disabled CheckOnce = (%v, %v)", res, err)
 	}
 
-	// Errors surface without counting a compaction.
+	// Errors surface with no result, so no caller counts a fold.
 	ft.err = errors.New("boom")
 	ft.state.Generations = 9
-	if _, err := m.CheckOnce(); err == nil {
-		t.Fatal("target error swallowed")
-	}
-	if m.Compactions() != 1 {
-		t.Fatalf("failed fold counted: %d", m.Compactions())
+	if res, err := m.CheckOnce(); err == nil || res != nil {
+		t.Fatalf("failed CheckOnce = (%+v, %v), want no result and the error", res, err)
 	}
 }

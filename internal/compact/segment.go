@@ -78,6 +78,14 @@ func NewSegment(g *core.GSketch, meta core.GenerationMeta) *Segment {
 	return s
 }
 
+// WithMeta returns a live segment carrying meta over s's sketch and stripe
+// locks, so a caller still holding s reads the same counters safely.
+func (s *Segment) WithMeta(meta core.GenerationMeta) *Segment {
+	n := &Segment{meta: meta}
+	n.live.Store(s.live.Load())
+	return n
+}
+
 // Freeze marks the segment immutable, records when, and retains the
 // freeze-time reservoir sample for later re-ingest compaction. The chain
 // calls it after the displacing rotation's exclusive lock has drained all

@@ -139,7 +139,7 @@ func TestWriteChainMetaRoundTrip(t *testing.T) {
 	var writers []io.WriterTo
 	metas := []GenerationMeta{
 		{BuiltAt: 1_700_000_000, CompactedFrom: 3},
-		{BuiltAt: 1_700_000_600, CompactedFrom: 1},
+		{BuiltAt: 1_700_000_600, CompactedFrom: 1, Window: 1 << 63}, // window MaxInt64
 	}
 	for i := 0; i < 2; i++ {
 		g, err := BuildGSketch(Config{TotalBytes: 32 << 10, Seed: uint64(i + 1)}, edges[i*1000:(i+1)*1000], nil)
@@ -188,6 +188,13 @@ func TestWriteChainMetaRoundTrip(t *testing.T) {
 	raw := buf.Bytes()
 	if _, _, err := ReadChainMeta(bytes.NewReader(raw[:20])); err == nil {
 		t.Fatal("truncated v4 record loaded")
+	}
+	// Nor may a window past MaxInt64: the first record's window field
+	// follows the 16-byte header, builtAt and compactedFrom.
+	bad := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint64(bad[32:], 1<<63+1)
+	if _, _, err := ReadChainMeta(bytes.NewReader(bad)); !errors.Is(err, sketch.ErrCorrupt) {
+		t.Fatalf("out-of-range window field: %v, want ErrCorrupt", err)
 	}
 }
 

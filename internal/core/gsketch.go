@@ -121,8 +121,7 @@ func BuildGSketchFromSampleStats(cfg Config, stats *vstats.Stats, workloadSample
 }
 
 // BuildGSketchFromStats constructs a gSketch from precomputed vertex
-// statistics, for callers that maintain their own sampling pipeline (the
-// window store does).
+// statistics, for callers that maintain their own sampling pipeline.
 func BuildGSketchFromStats(cfg Config, stats *vstats.Stats, order vstats.SortOrder) (*GSketch, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -45,12 +45,19 @@ const (
 	gskChainVersion = 3
 	// gskChainMetaVersion 4: the chain container with a per-generation
 	// lifecycle record — {builtAt i64 unix-seconds, compactedFrom u64,
-	// reserved u64} — preceding each version-2 stream. compactedFrom counts
+	// window u64} — preceding each version-2 stream. compactedFrom counts
 	// the source generations folded into this one by compaction (1 = never
 	// compacted), so a restored chain keeps honest generation accounting.
+	// window is a windowed chain's window index plus one (0 = no window;
+	// streams written before windows rode the chain carry 0 there).
 	// Readers accept versions 2, 3 and 4; writers emit 4.
 	gskChainMetaVersion = 4
 )
+
+// MaxChainGenerations is the most generations a chain stream may carry:
+// ReadChainMeta refuses a longer chain as corrupt, so no chain may grow
+// past it and still snapshot.
+const MaxChainGenerations = 1 << 10
 
 // GenerationMeta is the per-generation lifecycle record of a version-4
 // chain container.
@@ -62,7 +69,14 @@ type GenerationMeta struct {
 	// compaction. 1 means the generation was built by a plain rotation and
 	// never compacted; k > 1 means k former generations were folded into it.
 	CompactedFrom int
+	// Window is the window index k plus one of a windowed chain's
+	// generation, which covers stream times [k·span, (k+1)·span); 0 means
+	// the generation is not a window.
+	Window uint64
 }
+
+// WindowIndex returns the generation's window index and whether it has one.
+func (m GenerationMeta) WindowIndex() (int64, bool) { return int64(m.Window - 1), m.Window != 0 }
 
 // withDefaults normalizes a zero meta to the never-compacted shape.
 func (m GenerationMeta) withDefaults() GenerationMeta {
@@ -198,7 +212,7 @@ func WriteChainMeta(w io.Writer, gens []io.WriterTo, metas []GenerationMeta) (in
 		var rec [24]byte
 		binary.LittleEndian.PutUint64(rec[0:], uint64(m.BuiltAt))
 		binary.LittleEndian.PutUint64(rec[8:], uint64(m.CompactedFrom))
-		// rec[16:24] is reserved (written zero, ignored on read).
+		binary.LittleEndian.PutUint64(rec[16:], m.Window)
 		k, err := w.Write(rec[:])
 		n += int64(k)
 		if err != nil {
@@ -253,8 +267,7 @@ func ReadChainMeta(r io.Reader) ([]*GSketch, []GenerationMeta, error) {
 		if err := binary.Read(br, binary.LittleEndian, &numGens); err != nil {
 			return nil, nil, fmt.Errorf("%w: chain header: %v", sketch.ErrCorrupt, err)
 		}
-		const maxGens = 1 << 10
-		if numGens == 0 || numGens > maxGens {
+		if numGens == 0 || numGens > MaxChainGenerations {
 			return nil, nil, fmt.Errorf("%w: implausible generation count %d", sketch.ErrCorrupt, numGens)
 		}
 		gens := make([]*GSketch, numGens)
@@ -268,10 +281,16 @@ func ReadChainMeta(r io.Reader) ([]*GSketch, []GenerationMeta, error) {
 				metas[i] = GenerationMeta{
 					BuiltAt:       int64(binary.LittleEndian.Uint64(rec[0:])),
 					CompactedFrom: int(binary.LittleEndian.Uint64(rec[8:])),
+					Window:        binary.LittleEndian.Uint64(rec[16:]),
 				}
 				const maxCompactedFrom = 1 << 20
 				if metas[i].CompactedFrom < 1 || metas[i].CompactedFrom > maxCompactedFrom {
 					return nil, nil, fmt.Errorf("%w: chain generation %d: implausible compaction count %d", sketch.ErrCorrupt, i, metas[i].CompactedFrom)
+				}
+				// Window times are non-negative int64s, so the largest index
+				// is MaxInt64 (a span of 1), stored as MaxInt64+1.
+				if metas[i].Window > 1<<63 {
+					return nil, nil, fmt.Errorf("%w: chain generation %d: window field %d is out of range", sketch.ErrCorrupt, i, metas[i].Window)
 				}
 			} else {
 				metas[i] = GenerationMeta{CompactedFrom: 1}

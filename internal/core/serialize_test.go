@@ -381,8 +381,9 @@ func FuzzReadGSketch(f *testing.F) {
 
 // FuzzReadChainMeta feeds the chain reader — the one behind every restore
 // path — arbitrary bytes, seeded with the forged headers bare and wrapped
-// as one-generation version-4 chains, and a real three-generation chain in
-// both container versions. No input may panic, and a chain that loads has
+// as one-generation version-4 chains, a real three-generation chain in
+// both container versions, the same chain as windows, and the windowed
+// chain with an out-of-range window field. No input may panic, and a chain that loads has
 // one lifecycle record per generation. Re-serialized through
 // WriteChainMeta it must load back with equal records and, generation by
 // generation, the same snapshot up to route order.
@@ -406,15 +407,34 @@ func FuzzReadChainMeta(f *testing.F) {
 		g.UpdateBatch(testStream(300, 8+i))
 		gens = append(gens, g)
 	}
-	var v4, v3 bytes.Buffer
+	var v4, windowed, v3 bytes.Buffer
 	if _, err := WriteChainMeta(&v4, gens, []GenerationMeta{{BuiltAt: 100, CompactedFrom: 1}, {BuiltAt: 200, CompactedFrom: 3}, {BuiltAt: 300, CompactedFrom: 1}}); err != nil {
+		f.Fatal(err)
+	}
+	// A windowed chain: windows 0, 7 and MaxInt64, stored as index+1.
+	if _, err := WriteChainMeta(&windowed, gens, []GenerationMeta{{BuiltAt: 100, CompactedFrom: 1, Window: 1}, {BuiltAt: 200, CompactedFrom: 1, Window: 8}, {BuiltAt: 300, CompactedFrom: 1, Window: 1 << 63}}); err != nil {
 		f.Fatal(err)
 	}
 	if _, err := WriteChain(&v3, gens); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(v4.Bytes())
+	f.Add(windowed.Bytes())
 	f.Add(v3.Bytes())
+	// The same chain with its last window field forged past MaxInt64+1: it
+	// follows the header, two records with their generations, and the last
+	// record's builtAt and compactedFrom.
+	forged := slices.Clone(windowed.Bytes())
+	at := 16 + 2*24 + 16
+	for _, g := range gens[:2] {
+		n, _ := g.WriteTo(io.Discard)
+		at += int(n)
+	}
+	binary.LittleEndian.PutUint64(forged[at:], 1<<63+1)
+	if _, _, err := ReadChainMeta(bytes.NewReader(forged)); err == nil {
+		f.Fatal("a window field past MaxInt64+1 loaded")
+	}
+	f.Add(forged)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		gens, metas, err := ReadChainMeta(bytes.NewReader(data))
 		if err != nil {

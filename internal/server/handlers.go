@@ -409,7 +409,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(reply)
 }
 
-// handleWindowQuery answers a time-range batch against the window store.
+// handleWindowQuery answers a time-range batch over the engine's windows.
 func (s *Server) handleWindowQuery(w http.ResponseWriter, r *http.Request) {
 	s.stats.windowQueries.Add(1)
 	var req windowQueryRequest
@@ -487,9 +487,9 @@ func (s *Server) handleSnapshotSave(w http.ResponseWriter, r *http.Request) {
 // handleSnapshotRestore swaps the serving state for a snapshot, read from
 // the raw request body (Content-Type: application/octet-stream) or from a
 // path on disk. The engine owns the swap semantics: an adaptive engine
-// restores any snapshot as a chain and rebinds its manager; a non-adaptive
-// engine refuses multi-generation snapshots; a windowed engine refuses all
-// restores (snapshots carry no window state).
+// restores any snapshot as a chain and rebinds its manager; a windowed
+// engine restores any snapshot as its windows; any other engine refuses
+// multi-generation snapshots.
 func (s *Server) handleSnapshotRestore(w http.ResponseWriter, r *http.Request) {
 	if s.tenants != nil {
 		s.handleTenantRestore(w, r)
@@ -524,7 +524,7 @@ func (s *Server) handleSnapshotRestore(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, gsketch.ErrBadSnapshot):
 			code = http.StatusBadRequest
-		case errors.Is(err, gsketch.ErrNotAdaptive), errors.Is(err, gsketch.ErrWindowMounted):
+		case errors.Is(err, gsketch.ErrNotAdaptive):
 			// The snapshot may be fine; this server just cannot serve it.
 			code = http.StatusConflict
 		case errors.Is(err, gsketch.ErrEngineClosed):

@@ -14,7 +14,6 @@ import (
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/hashutil"
 	"github.com/graphstream/gsketch/internal/tenant"
-	"github.com/graphstream/gsketch/internal/window"
 )
 
 // TestAppendQueryReplyMatchesEncodingJSON is the reply-bytes property: for
@@ -79,9 +78,7 @@ func TestAppendQueryReplyMatchesEncodingJSON(t *testing.T) {
 func TestBodyTooLargeIs413(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Engine: testEngine(t, buildTestGSketch(t, testStream(1000, 17)),
-			gsketch.WithWindows(window.StoreConfig{
-				Span: 1000, SampleSize: 64, Sketch: core.Config{TotalBytes: 16 << 10, Seed: 11}, Seed: 11,
-			})),
+			gsketch.WithWindows(gsketch.WindowConfig{Span: 1000, SampleSize: 64})),
 		MaxBodyBytes: 256,
 	})
 	one := `{"src":1,"dst":2}`

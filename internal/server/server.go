@@ -11,14 +11,12 @@
 //	                       pipeline sheds load (queue full)
 //	POST /query            batched edge queries; estimates + error bounds +
 //	                       confidence from the bound-carrying read path
-//	POST /query/window     batched time-range queries (when a window store
-//	                       is configured)
+//	POST /query/window     batched time-range queries (when the engine's
+//	                       generations are windows)
 //	GET  /snapshot         stream the current sketch state (consistent
 //	                       striped-read-lock snapshot)
 //	POST /snapshot/save    persist a snapshot to disk (atomic rename)
 //	POST /snapshot/restore swap in a snapshot from disk or request body
-//	                       (409 while a window store is mounted — snapshots
-//	                       carry no window state)
 //	GET  /workload         the recorded query-workload sample, in the text
 //	                       edge format BuildGSketch accepts
 //	POST /repartition      rebuild the partitioning from live samples and

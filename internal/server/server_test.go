@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,7 +19,6 @@ import (
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/stream"
 	"github.com/graphstream/gsketch/internal/tenant"
-	"github.com/graphstream/gsketch/internal/window"
 	"github.com/graphstream/gsketch/internal/wire"
 )
 
@@ -199,33 +199,22 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestWindowQueryEndpoint checks the optional windowed read path: served
-// answers must match an identically configured in-process store fed the
-// same stream.
+// TestWindowQueryEndpoint checks the windowed read path: served answers
+// match the engine's own QueryWindow, and a snapshot streamed from
+// GET /snapshot restores through POST /snapshot/restore with every window,
+// answering the same afterwards.
 func TestWindowQueryEndpoint(t *testing.T) {
-	wcfg := window.StoreConfig{
-		Span:       1000,
-		SampleSize: 512,
-		Sketch:     core.Config{TotalBytes: 16 << 10, Seed: 11},
-		Seed:       11,
-	}
-	reference, err := window.NewStore(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	edges := testStream(8000, 13) // Time = index → 8 windows of span 1000
-	if err := reference.ObserveBatch(edges); err != nil {
-		t.Fatal(err)
-	}
-
-	_, ts := newTestServer(t, Config{
-		Engine: testEngine(t, buildTestGSketch(t, edges[:1000]), gsketch.WithWindows(wcfg)),
-	})
+	eng := testEngine(t, buildTestGSketch(t, edges[:1000]),
+		gsketch.WithWindows(gsketch.WindowConfig{Span: 1000, SampleSize: 512}))
+	_, ts := newTestServer(t, Config{Engine: eng})
 	for lo := 0; lo < len(edges); lo += 1000 {
 		if code, _ := postIngest(t, ts.URL, edges[lo:lo+1000], true); code != http.StatusOK {
 			t.Fatalf("ingest window chunk: %d", code)
 		}
+	}
+	if got := eng.Generations(); got != 8 {
+		t.Fatalf("%d windows, want 8", got)
 	}
 
 	qs := make([]queryJSON, 200)
@@ -234,40 +223,54 @@ func TestWindowQueryEndpoint(t *testing.T) {
 		qs[i] = queryJSON{Src: edges[i].Src, Dst: edges[i].Dst}
 		cqs[i] = core.EdgeQuery{Src: edges[i].Src, Dst: edges[i].Dst}
 	}
-	body, _ := json.Marshal(windowQueryRequest{Queries: qs, T1: 500, T2: 6500})
-	resp, err := http.Post(ts.URL+"/query/window", "application/json", bytes.NewReader(body))
+	served := func() []float64 {
+		t.Helper()
+		body, _ := json.Marshal(windowQueryRequest{Queries: qs, T1: 500, T2: 6500})
+		resp, err := http.Post(ts.URL+"/query/window", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			raw, _ := io.ReadAll(resp.Body)
+			t.Fatalf("window query: %d: %s", resp.StatusCode, raw)
+		}
+		var wr windowQueryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
+			t.Fatal(err)
+		}
+		return wr.Values
+	}
+	want, err := eng.QueryWindow(cqs, 500, 6500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		t.Fatalf("window query: %d: %s", resp.StatusCode, raw)
-	}
-	var wr windowQueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
-		t.Fatal(err)
-	}
-	want := reference.EstimateBatch(cqs, 500, 6500)
-	if len(wr.Values) != len(want) {
-		t.Fatalf("value count %d != %d", len(wr.Values), len(want))
-	}
-	for i := range want {
-		if wr.Values[i] != want[i] {
-			t.Fatalf("window value %d: served %v != direct %v", i, wr.Values[i], want[i])
-		}
+	if got := served(); !slices.Equal(got, want) {
+		t.Fatalf("served window values %v, direct %v", got, want)
 	}
 
-	// Snapshots carry no window state, so restore must refuse while a
-	// window store is mounted instead of desynchronizing the two read
-	// paths.
-	rr, err := http.Post(ts.URL+"/snapshot/restore", "application/octet-stream", bytes.NewReader([]byte("x")))
+	snap, err := http.Get(ts.URL + "/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(snap.Body)
+	snap.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := http.Post(ts.URL+"/snapshot/restore", "application/octet-stream", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rr.Body.Close()
-	if rr.StatusCode != http.StatusConflict {
-		t.Fatalf("restore with window store mounted: %d, want 409", rr.StatusCode)
+	if rr.StatusCode != http.StatusOK {
+		t.Fatalf("restore of a windowed snapshot: %d, want 200", rr.StatusCode)
+	}
+	if got := eng.Generations(); got != 8 {
+		t.Fatalf("%d windows after restore, want 8", got)
+	}
+	if got := served(); !slices.Equal(got, want) {
+		t.Fatalf("window values after restore %v, before %v", got, want)
 	}
 }
 
@@ -277,13 +280,10 @@ func TestWindowQueryEndpoint(t *testing.T) {
 func TestWindowFarFutureEdge(t *testing.T) {
 	const span, gap = 60, 1_000_000
 	edges := testStream(200, 41)
-	eng := testEngine(t, buildTestGSketch(t, edges), gsketch.WithWindows(window.StoreConfig{
+	eng := testEngine(t, buildTestGSketch(t, edges), gsketch.WithWindows(gsketch.WindowConfig{
 		Span:       span,
 		SampleSize: 1024,
-		Sketch:     core.Config{TotalBytes: 4 << 20, Seed: 5},
-		Seed:       5,
 	}))
-	store := eng.Window()
 	_, ts := newTestServer(t, Config{Engine: eng})
 	far := edges[0]
 	far.Time = span * gap
@@ -292,8 +292,8 @@ func TestWindowFarFutureEdge(t *testing.T) {
 			t.Fatalf("ingest at t=%d: %d %+v", e.Time, code, ir)
 		}
 	}
-	if ws := store.Windows(); len(ws) != 2 || ws[1].Index != gap {
-		t.Fatalf("store holds %d windows, want 2 (indices 0 and %d)", len(ws), gap)
+	if got := eng.Generations(); got != 2 {
+		t.Fatalf("engine holds %d windows, want 2", got)
 	}
 	body, _ := json.Marshal(windowQueryRequest{
 		Queries: []queryJSON{{Src: far.Src, Dst: far.Dst}},
@@ -348,7 +348,7 @@ func TestBadRequests(t *testing.T) {
 	if code := post("/snapshot/restore", "application/octet-stream", "garbage"); code != http.StatusBadRequest {
 		t.Fatalf("restore garbage: %d", code)
 	}
-	// No window store configured → no route.
+	// No windows configured → no route.
 	if code := post("/query/window", "application/json", `{"queries":[{"src":1,"dst":2}]}`); code != http.StatusNotFound {
 		t.Fatalf("window query without store: %d", code)
 	}

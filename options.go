@@ -14,7 +14,6 @@ import (
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/vstats"
-	"github.com/graphstream/gsketch/internal/window"
 )
 
 // Option configures an Engine at Open time.
@@ -47,7 +46,7 @@ type engineOptions struct {
 	decayHalfLife time.Duration
 
 	ingestCfg *ingest.Config
-	windowCfg *window.StoreConfig
+	windowCfg *WindowConfig
 
 	snapshotPath    string
 	snapshotOnClose bool
@@ -182,9 +181,16 @@ func WithIngest(cfg IngestConfig) Option {
 	return func(o *engineOptions) { c := cfg; o.ingestCfg = &c }
 }
 
-// WithWindows mounts a time-windowed store (§5): ingested edges are also
-// observed by per-window partitioned sketches, and QueryWindow answers
-// time-range queries. A zero cfg.Sketch inherits the Open configuration.
+// WithWindows makes the engine's generations the §5 time windows that
+// QueryWindow answers time ranges over; Query covers them all. The
+// bootstrap estimator is the first edge's window. A later window starts
+// partitioned under the Open configuration from a sample of the window
+// before it, or as a Global Sketch after a gap. An edge from an earlier
+// window, or with a negative time, counts in the current one: windows follow
+// apply order, so a windowed pipeline runs one worker. Snapshots carry the
+// windows; past 1 024 (core.MaxChainGenerations) the oldest is dropped. It
+// excludes WithAdaptive and the lifecycle options, and adopts only a
+// *GSketch.
 func WithWindows(cfg WindowConfig) Option {
 	return func(o *engineOptions) { c := cfg; o.windowCfg = &c }
 }
@@ -251,6 +257,14 @@ func (o *engineOptions) validate() error {
 	if err := checkWeights(o.workload); err != nil {
 		return fmt.Errorf("gsketch: WithWorkloadSample: %w", err)
 	}
+	if w := o.windowCfg; w != nil {
+		if o.adaptive || o.lifecycleConfigured() {
+			return errors.New("gsketch: WithWindows excludes WithAdaptive, WithCompaction, WithTiering and WithDecay")
+		}
+		if w.Span <= 0 || w.SampleSize <= 0 {
+			return fmt.Errorf("gsketch: WithWindows needs a positive span and sample size (got %d and %d)", w.Span, w.SampleSize)
+		}
+	}
 	if o.global && o.adaptive {
 		return errors.New("gsketch: WithAdaptive needs a partitioned gSketch; it is incompatible with WithGlobal")
 	}
@@ -288,11 +302,20 @@ func (o *engineOptions) lifecycleConfigured() bool {
 }
 
 // buildEstimator resolves the bootstrap source into the serving estimator
-// (and the chain when adaptive).
+// (and the chain when adaptive or windowed).
 func (o *engineOptions) buildEstimator(cfg Config) (servingEstimator, *adapt.Chain, error) {
+	chained := o.adaptive || o.windowCfg != nil
+	cc := o.chainCfg
+	if w := o.windowCfg; w != nil {
+		// Every window is built under cfg, whatever the bootstrap source.
+		if err := cfg.Validate(); err != nil {
+			return nil, nil, err
+		}
+		cc = adapt.ChainConfig{SampleSize: w.SampleSize, Seed: cfg.Seed, MaxGenerations: core.MaxChainGenerations}
+	}
 	wrap := func(g *GSketch) (servingEstimator, *adapt.Chain, error) {
-		if o.adaptive {
-			c := adapt.NewChain(g, o.chainCfg)
+		if chained {
+			c := adapt.NewChain(g, cc)
 			return c, c, nil
 		}
 		return core.NewConcurrent(g), nil, nil
@@ -305,17 +328,20 @@ func (o *engineOptions) buildEstimator(cfg Config) (servingEstimator, *adapt.Cha
 			// The chain owns its own synchronization (a Concurrent per
 			// generation); wrapping it again would serialize every reader
 			// and writer behind one mutex.
+			if o.windowCfg != nil {
+				return nil, nil, errors.New("gsketch: WithWindows cannot adopt a *Chain; pass a *GSketch")
+			}
 			return v, v, nil
 		case *core.GSketch:
 			return wrap(v)
 		case *core.Concurrent:
-			if o.adaptive {
-				return nil, nil, errors.New("gsketch: WithAdaptive cannot chain a *Concurrent; pass the underlying *GSketch or a *Chain")
+			if chained {
+				return nil, nil, errors.New("gsketch: WithAdaptive or WithWindows cannot chain a *Concurrent; pass the underlying *GSketch")
 			}
 			return v, nil, nil
 		default:
-			if o.adaptive {
-				return nil, nil, fmt.Errorf("gsketch: WithAdaptive cannot chain a %T; pass a *GSketch or a *Chain", v)
+			if chained {
+				return nil, nil, fmt.Errorf("gsketch: WithAdaptive or WithWindows cannot chain a %T; pass a *GSketch", v)
 			}
 			return &lockedEstimator{est: v}, nil, nil
 		}
@@ -334,8 +360,8 @@ func (o *engineOptions) buildEstimator(cfg Config) (servingEstimator, *adapt.Cha
 		if err != nil {
 			return nil, nil, fmt.Errorf("gsketch: restore: %w", err)
 		}
-		if o.adaptive {
-			c := adapt.NewChainFromMeta(gens, metas, o.chainCfg)
+		if chained {
+			c := adapt.NewChainFromMeta(gens, metas, cc)
 			return c, c, nil
 		}
 		if len(gens) != 1 {
@@ -348,7 +374,7 @@ func (o *engineOptions) buildEstimator(cfg Config) (servingEstimator, *adapt.Cha
 		if err != nil {
 			return nil, nil, err
 		}
-		return core.NewConcurrent(g), nil, nil
+		return wrap(g)
 
 	case o.samplePath != "":
 		// The configuration is checked before the file is read, as

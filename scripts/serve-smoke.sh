@@ -286,4 +286,38 @@ if ! wait "$PID"; then
 fi
 PID=""
 
+# ---------------------------------------------------------------------------
+# Time windows: with -window-span the generations are windows of stream
+# time. Ingest timestamped edges over windows 0, 1 and 3, answer
+# /query/window, then save and restore the windows and answer identically.
+
+"$BIN" -addr "$ADDR" -window-span 100 -window-sample 64 -sample "$TMP/sample.txt" \
+  -snapshot "$TMP/windows.gsk" -workers 2 -batch 64 &
+PID=$!
+wait_healthy "windowed server"
+
+# (1,101) three times in window 0, twice in window 1 and once in window 3.
+for t in 5 10 20 150 160 350; do echo "{\"src\":1,\"dst\":101,\"time\":$t}"; done > "$TMP/timed.ndjson"
+ingest=$(curl -sf -X POST --data-binary @"$TMP/timed.ndjson" "$BASE/ingest?sync=1")
+grep -q '"accepted":6' <<<"$ingest" || fail "windowed ingest reply: $ingest"
+
+wq='{"queries":[{"src":1,"dst":101}],"t1":0,"t2":199}'
+wans=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$wq" "$BASE/query/window")
+wv=$(grep -o '"values":\[[0-9]*' <<<"$wans" | cut -d[ -f2)
+[[ -n "$wv" && "$wv" -ge 5 ]] || fail "window estimate over [0, 199] = '$wv', want >= 5 ($wans)"
+
+curl -sf -X POST "$BASE/snapshot/save" >/dev/null
+[[ -s "$TMP/windows.gsk" ]] || fail "windowed snapshot missing after save"
+restore=$(curl -sf -X POST "$BASE/snapshot/restore") || fail "windowed snapshot restore failed"
+grep -q '"generations":3' <<<"$restore" || fail "windowed restore reply: $restore"
+grep -q '"stream_total":6' <<<"$restore" || fail "windowed restore total: $restore"
+wans2=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$wq" "$BASE/query/window")
+[[ "$wans2" == "$wans" ]] || fail "window answers differ after restore: $wans vs $wans2"
+
+kill -TERM "$PID"
+if ! wait "$PID"; then
+  fail "windowed server exited non-zero on SIGTERM"
+fi
+PID=""
+
 echo "serve-smoke: OK"
