@@ -263,3 +263,133 @@ func TestWindowChainRotationDuringIngestConservesCount(t *testing.T) {
 		t.Fatalf("%d windows, want %d", len(idx), perWriter/500)
 	}
 }
+
+// An empty batch opens no window, and an empty query batch answers
+// nothing: the bootstrap head keeps waiting for the first edge's window.
+func TestWindowChainEmptyBatch(t *testing.T) {
+	c := windowChain(t, 100, ChainConfig{SampleSize: 64, Seed: 1})
+	c.UpdateBatch(nil)
+	if idx, _ := windows(c); !slices.Equal(idx, []int64{-1}) {
+		t.Fatalf("window indices %v after an empty batch, want the windowless bootstrap head", idx)
+	}
+	if got := c.EstimateWindow(nil, 0, 100); len(got) != 0 {
+		t.Fatalf("an empty query batch returns %d answers", len(got))
+	}
+	c.UpdateBatch(timed(testStream(10, 6), 250))
+	if idx, _ := windows(c); !slices.Equal(idx, []int64{2}) {
+		t.Fatalf("window indices %v, want the first edge's window 2", idx)
+	}
+}
+
+// One edge a million spans past the head opens one window, edge by edge or
+// in a batch: the gap answers 0 and the far window never undercounts.
+func TestWindowChainFarFutureGap(t *testing.T) {
+	const span, gap = 60, 1_000_000
+	far := int64(gap)*span + 7
+	late := []stream.Edge{
+		{Src: 3, Dst: 4, Weight: 2, Time: far},
+		{Src: 3, Dst: 4, Weight: 1, Time: far + 1},
+		{Src: 5, Dst: 6, Weight: 1, Time: far + 2},
+	}
+	for name, update := range map[string]func(*Chain, []stream.Edge){
+		"Update": func(c *Chain, edges []stream.Edge) {
+			for _, e := range edges {
+				c.Update(e)
+			}
+		},
+		"UpdateBatch": func(c *Chain, edges []stream.Edge) { c.UpdateBatch(edges) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := windowChain(t, span, ChainConfig{SampleSize: 200, Seed: 1})
+			update(c, timed(testStream(span, 7), 0))
+			update(c, late)
+			if idx, _ := windows(c); !slices.Equal(idx, []int64{0, gap}) {
+				t.Fatalf("window indices %v, want [0 %d]", idx, gap)
+			}
+			q := []core.EdgeQuery{{Src: 3, Dst: 4}}
+			if got := c.EstimateWindow(q, span, int64(gap)*span-1)[0].Estimate; got != 0 {
+				t.Fatalf("the gap answers %d, want 0", got)
+			}
+			if got := c.EstimateWindow(q, int64(gap)*span, int64(gap+1)*span-1)[0].Estimate; got < 3 {
+				t.Fatalf("the far window answers %d, below truth 3", got)
+			}
+			if got := c.Count(); got != span+4 {
+				t.Fatalf("count %d, want %d", got, span+4)
+			}
+		})
+	}
+}
+
+// On partitioned windows holding many keys, EstimateWindow answers a batch
+// with exactly the values it gives each query alone, for whole, partial,
+// oversized, one-tick and empty ranges.
+func TestWindowChainEstimateWindowMatchesPerQuery(t *testing.T) {
+	c := windowChain(t, 100, ChainConfig{SampleSize: 500, Seed: 1})
+	edges := testStream(10_000, 61)
+	for i := range edges {
+		edges[i].Time = int64(i) / 20 // five windows of span 100
+	}
+	c.UpdateBatch(edges)
+	if _, parts := windows(c); len(parts) != 5 || parts[1] == 0 {
+		t.Fatalf("partitions per window %v, want five windows, the later ones partitioned", parts)
+	}
+	qs := make([]core.EdgeQuery, 0, 3000)
+	for _, e := range edges[:1500] {
+		qs = append(qs, core.EdgeQuery{Src: e.Src, Dst: e.Dst})
+		qs = append(qs, core.EdgeQuery{Src: e.Src + 10_000, Dst: e.Dst}) // absent
+	}
+	for _, r := range [][2]int64{{0, 499}, {120, 380}, {-50, 10_000}, {250, 250}, {400, 100}} {
+		got := c.EstimateWindow(qs, r[0], r[1])
+		for i, q := range qs {
+			if want := c.EstimateWindow([]core.EdgeQuery{q}, r[0], r[1])[0]; got[i] != want {
+				t.Fatalf("[%d, %d] query %d (%d,%d): batch %+v, alone %+v", r[0], r[1], i, q.Src, q.Dst, got[i], want)
+			}
+		}
+	}
+}
+
+// End to end: over five windows, each window-aligned range answers at or
+// above the exact count of its edges, the all-time estimate never falls
+// below truth, and the mean overestimate stays small for the budget.
+func TestWindowChainAccuracyAgainstExact(t *testing.T) {
+	const span = 1000
+	c := windowChain(t, span, ChainConfig{SampleSize: 500, Seed: 3})
+	edges := timed(testStream(5*span, 4), 0)
+	for i := range edges {
+		edges[i].Src %= 100
+		edges[i].Dst %= 100
+	}
+	c.UpdateBatch(edges)
+	for w := 0; w < 5; w++ {
+		exact := stream.NewExactCounter()
+		exact.ObserveAll(edges[w*span : (w+1)*span])
+		var qs []core.EdgeQuery
+		var truth []int64
+		exact.RangeEdges(func(src, dst uint64, f int64) bool {
+			qs = append(qs, core.EdgeQuery{Src: src, Dst: dst})
+			truth = append(truth, f)
+			return true
+		})
+		got := c.EstimateWindow(qs, int64(w*span), int64((w+1)*span-1))
+		for i, q := range qs {
+			if got[i].Estimate < truth[i] {
+				t.Fatalf("window %d (%d,%d): %d below the exact %d", w, q.Src, q.Dst, got[i].Estimate, truth[i])
+			}
+		}
+	}
+	exact := stream.NewExactCounter()
+	exact.ObserveAll(edges)
+	var over, n float64
+	exact.RangeEdges(func(src, dst uint64, f int64) bool {
+		est := c.EstimateEdge(src, dst)
+		if est < f {
+			t.Fatalf("all-time estimate %d below truth %d for (%d,%d)", est, f, src, dst)
+		}
+		over += float64(est - f)
+		n++
+		return true
+	})
+	if mean := over / n; mean > 5 {
+		t.Errorf("mean overestimate %v too large for this budget", mean)
+	}
+}
