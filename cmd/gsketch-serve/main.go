@@ -36,12 +36,12 @@
 // With -wire-addr the same operations are additionally served as the
 // binary wire protocol (see internal/wire) on a raw TCP listener —
 // batched fixed-width frames with none of the JSON cost, driven by
-// cmd/gsketch-wire or any client speaking the frame format. POST /ingest
-// and /query also accept wire-framed bodies with Content-Type
-// application/x-gsketch-wire. A wire connection folds its own ingest frames
-// behind their acks, on one core per connection: open more connections for
-// more throughput. -workers, -batch and -queue shape the queue that HTTP
-// ingest goes through and do not apply to wire connections.
+// cmd/gsketch-wire or any client speaking the frame format. Wire frames
+// travel over TCP only; the HTTP endpoints take NDJSON and JSON. A wire
+// connection folds its own ingest frames behind their acks, on one core
+// per connection: open more connections for more throughput. -workers,
+// -batch and -queue shape the queue that HTTP ingest goes through and do
+// not apply to wire connections.
 //
 // With -adapt the engine serves a generation chain: POST /repartition (or
 // the -adapt-interval auto-trigger, when drift crosses -adapt-drift /

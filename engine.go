@@ -647,18 +647,22 @@ func (e *Engine) WriteWorkloadTo(w io.Writer) (int64, error) {
 	return e.rec.WriteTo(w)
 }
 
-// Save streams a consistent snapshot of the serving estimator: a chain
-// container for an adaptive or windowed engine (every generation, oldest
-// first, each with its window), the
-// single-sketch format otherwise. The snapshot is taken under the striped
-// read locks, so a save racing live writers is still internally
-// consistent. Restore (or Open with WithRestore) reads it back.
+// Save streams a consistent snapshot of the serving estimator as a
+// version-4 chain container: every generation of an adaptive or windowed
+// engine, oldest first, each with its window; one generation otherwise.
+// The snapshot is taken under the striped read locks, so a save racing
+// live writers is still internally consistent. Restore (or Open with
+// WithRestore) reads it back.
 func (e *Engine) Save(w io.Writer) (int64, error) {
 	st := e.state()
 	if st.chain != nil {
 		return st.chain.WriteTo(w)
 	}
-	return core.Save(st.est, w)
+	wt, ok := st.est.(io.WriterTo)
+	if !ok {
+		return 0, fmt.Errorf("gsketch: estimator %T does not serialize", st.est)
+	}
+	return core.WriteChainMeta(w, []io.WriterTo{wt}, nil)
 }
 
 // SaveSnapshot persists a snapshot to path (or the configured default when
@@ -898,7 +902,7 @@ type WorkloadStats struct {
 	Sample, Capacity int
 }
 
-// AdaptStats is the adaptive slice of EngineStats.
+// AdaptStats is the generation-chain slice of EngineStats.
 type AdaptStats struct {
 	// Generations is the chain length; Repartitions counts completed
 	// swaps.
@@ -935,7 +939,9 @@ type EngineStats struct {
 	Ingest *IngestStats
 	// Workload is nil without a recorder (WithWorkloadRecorder).
 	Workload *WorkloadStats
-	// Adapt is nil on non-adaptive engines (WithAdaptive).
+	// Adapt is nil on a single-sketch engine. An engine serving a chain
+	// (WithAdaptive or WithWindows) fills it; without WithAdaptive,
+	// Repartitions and Drift stay zero.
 	Adapt *AdaptStats
 	// ReadRoutes/WriteRoutes are the routed-traffic counters when the
 	// estimator exposes them — the raw drift signal.
@@ -991,18 +997,20 @@ func (e *Engine) Stats() EngineStats {
 		rr, wr := rs.ReadRouteCounts(), rs.WriteRouteCounts()
 		s.ReadRoutes, s.WriteRoutes = &rr, &wr
 	}
-	if e.mgr != nil && st.chain != nil {
+	if st.chain != nil {
 		ls := st.chain.LifecycleStats()
 		s.Adapt = &AdaptStats{
 			Generations:         ls.Generations,
-			Repartitions:        e.mgr.Repartitions(),
 			Compactions:         e.compactions.Load(),
 			ResidentGenerations: ls.Resident,
 			TieredGenerations:   ls.Tiered,
 			TieredBytes:         ls.TieredBytes,
 			CompactedFrom:       ls.CompactedFrom,
 			OldestFrozenAge:     ls.OldestFrozenAge,
-			Drift:               e.mgr.Drift(),
+		}
+		if e.mgr != nil {
+			s.Adapt.Repartitions = e.mgr.Repartitions()
+			s.Adapt.Drift = e.mgr.Drift()
 		}
 	}
 	return s

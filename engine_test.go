@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -46,8 +47,8 @@ var engineTestCfg = gsketch.Config{TotalBytes: 64 << 10, Seed: 21}
 
 // TestOpenMatchesShimsByteIdentical is the equivalence guard for the
 // partitioned path: the core wiring Open assembles — core.BuildGSketch +
-// core.NewConcurrent + Populate + core.Save — and the one-handle Open +
-// Ingest + Save path must produce byte-identical snapshots and
+// core.NewConcurrent + Populate + core.WriteChainMeta — and the one-handle
+// Open + Ingest + Save path must produce byte-identical snapshots and
 // byte-identical batched answers.
 func TestOpenMatchesShimsByteIdentical(t *testing.T) {
 	edges := engineTestStream(20_000, 5)
@@ -62,7 +63,7 @@ func TestOpenMatchesShimsByteIdentical(t *testing.T) {
 	ref := core.NewConcurrent(g)
 	gsketch.Populate(ref, edges)
 	var refSnap bytes.Buffer
-	if _, err := core.Save(ref, &refSnap); err != nil {
+	if _, err := core.WriteChainMeta(&refSnap, []io.WriterTo{ref}, nil); err != nil {
 		t.Fatal(err)
 	}
 	refRes := gsketch.EstimateBatch(ref, qs)
@@ -90,12 +91,19 @@ func TestOpenMatchesShimsByteIdentical(t *testing.T) {
 		}
 	}
 
-	// The core reader loads the engine's snapshot.
-	loaded, err := core.ReadGSketch(bytes.NewReader(engSnap.Bytes()))
+	// The core reader loads the engine's snapshot: one generation, the
+	// same answers and the same Count.
+	gens, _, err := core.ReadChainMeta(bytes.NewReader(engSnap.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range gsketch.EstimateBatch(loaded, qs) {
+	if len(gens) != 1 {
+		t.Fatalf("engine snapshot carries %d generations, want 1", len(gens))
+	}
+	if got, want := gens[0].Count(), ref.Count(); got != want {
+		t.Fatalf("loaded Count %d, want %d", got, want)
+	}
+	for i, r := range gsketch.EstimateBatch(gens[0], qs) {
 		if r != refRes[i] {
 			t.Fatalf("loaded query %d: %+v want %+v", i, r, refRes[i])
 		}

@@ -11,6 +11,29 @@ import (
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
+// writeChainV3 writes a version-3 chain container, the format before
+// per-generation lifecycle records: the {magic, version, numGens} header,
+// then every generation's full version-2 stream, oldest first. No writer
+// in the program emits it any more; the back-compat tests build their
+// version-3 bytes with it.
+func writeChainV3(w io.Writer, gens []io.WriterTo) (int64, error) {
+	var hdr [16]byte
+	binary.LittleEndian.PutUint32(hdr[0:], gskMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], gskChainVersion)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(gens)))
+	k, err := w.Write(hdr[:])
+	n := int64(k)
+	for _, gen := range gens {
+		if err != nil {
+			return n, err
+		}
+		var m int64
+		m, err = gen.WriteTo(w)
+		n += m
+	}
+	return n, err
+}
+
 // A pre-chain (PR 3-era) snapshot is exactly what GSketch.WriteTo still
 // produces: a version-2 stream. ReadChain must load it as a one-generation
 // chain answering byte-identically, and the on-disk version number must not
@@ -63,7 +86,7 @@ func TestWriteChainReadChainRoundTrip(t *testing.T) {
 		writers = append(writers, g)
 	}
 	var buf bytes.Buffer
-	if _, err := WriteChain(&buf, writers); err != nil {
+	if _, err := WriteChainMeta(&buf, writers, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadChain(bytes.NewReader(buf.Bytes()))
@@ -91,7 +114,7 @@ func TestReadChainRejectsCorruptContainers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := WriteChain(&buf, []io.WriterTo{g}); err != nil {
+	if _, err := WriteChainMeta(&buf, []io.WriterTo{g}, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -122,8 +145,8 @@ func TestReadChainRejectsCorruptContainers(t *testing.T) {
 	if _, err := ReadGSketch(bytes.NewReader(raw)); err == nil {
 		t.Fatal("ReadGSketch accepted a chain container")
 	}
-	if _, err := WriteChain(io.Discard, nil); err == nil {
-		t.Fatal("WriteChain accepted an empty chain")
+	if _, err := WriteChainMeta(io.Discard, nil, nil); err == nil {
+		t.Fatal("WriteChainMeta accepted an empty chain")
 	}
 	// Corruption errors carry the sketch.ErrCorrupt sentinel for errors.Is.
 	if _, err := ReadChain(bytes.NewReader(raw[:4])); !errors.Is(err, sketch.ErrCorrupt) {
@@ -215,7 +238,7 @@ func TestReadChainMetaLoadsVersion3Stream(t *testing.T) {
 		writers = append(writers, g)
 	}
 	var buf bytes.Buffer
-	if _, err := WriteChain(&buf, writers); err != nil {
+	if _, err := writeChainV3(&buf, writers); err != nil {
 		t.Fatal(err)
 	}
 	if v := binary.LittleEndian.Uint32(buf.Bytes()[4:8]); v != gskChainVersion {

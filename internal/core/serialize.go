@@ -138,51 +138,6 @@ func (g *GSketch) WriteTo(w io.Writer) (int64, error) {
 	return n + k, err
 }
 
-// Save serializes an estimator to w. Estimators with a serialized form —
-// a bare *GSketch, or a *Concurrent wrapper (snapshotted under its striped
-// read locks so concurrent readers proceed and writers wait) — implement
-// io.WriterTo; anything else is rejected with an error. The output is
-// exactly GSketch.WriteTo's format, so ReadGSketch loads it regardless of
-// which wrapper saved it.
-func Save(est Estimator, w io.Writer) (int64, error) {
-	wt, ok := est.(io.WriterTo)
-	if !ok {
-		return 0, fmt.Errorf("core: estimator %T does not serialize", est)
-	}
-	return wt.WriteTo(w)
-}
-
-// WriteChain serializes a generation chain: a version-3 container header
-// followed by every generation's full version-2 stream, oldest first. Each
-// gen is an io.WriterTo producing GSketch.WriteTo's format (a bare *GSketch
-// or a *Concurrent wrapper, which snapshots under its stripe read locks).
-//
-// Deprecated: WriteChainMeta writes the version-4 container carrying
-// per-generation lifecycle records. WriteChain stays as the version-3
-// writer so back-compat tests can produce genuine version-3 streams.
-func WriteChain(w io.Writer, gens []io.WriterTo) (int64, error) {
-	if len(gens) == 0 {
-		return 0, fmt.Errorf("core: empty generation chain")
-	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], gskMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], gskChainVersion)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(gens)))
-	k, err := w.Write(hdr[:])
-	n := int64(k)
-	if err != nil {
-		return n, err
-	}
-	for i, gen := range gens {
-		k, err := gen.WriteTo(w)
-		n += k
-		if err != nil {
-			return n, fmt.Errorf("core: chain generation %d: %w", i, err)
-		}
-	}
-	return n, nil
-}
-
 // WriteChainMeta serializes a generation chain as a version-4 container: the
 // {magic, version, numGens} header, then for each generation (oldest first)
 // its 24-byte lifecycle record followed by its full version-2 stream. metas
@@ -227,11 +182,11 @@ func WriteChainMeta(w io.Writer, gens []io.WriterTo, metas []GenerationMeta) (in
 	return n, nil
 }
 
-// ReadChain deserializes a generation chain written by WriteChain or
-// WriteChainMeta — or a plain pre-chain gSketch stream written by WriteTo,
-// which loads as a single-generation chain. The returned slice is
-// oldest-first; the last element is the generation that was live when the
-// snapshot was taken. Callers that also want the lifecycle records use
+// ReadChain deserializes a generation chain written by WriteChainMeta, or
+// by an earlier version-3 writer — or a plain pre-chain gSketch stream
+// written by WriteTo, which loads as a single-generation chain. The
+// returned slice is oldest-first; the last element is the generation that
+// was live when the snapshot was taken. Callers that also want the lifecycle records use
 // ReadChainMeta.
 func ReadChain(r io.Reader) ([]*GSketch, error) {
 	gens, _, err := ReadChainMeta(r)

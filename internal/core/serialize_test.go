@@ -415,7 +415,7 @@ func FuzzReadChainMeta(f *testing.F) {
 	if _, err := WriteChainMeta(&windowed, gens, []GenerationMeta{{BuiltAt: 100, CompactedFrom: 1, Window: 1}, {BuiltAt: 200, CompactedFrom: 1, Window: 8}, {BuiltAt: 300, CompactedFrom: 1, Window: 1 << 63}}); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := WriteChain(&v3, gens); err != nil {
+	if _, err := writeChainV3(&v3, gens); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(v4.Bytes())

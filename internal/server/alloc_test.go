@@ -10,14 +10,14 @@ import (
 	gsketch "github.com/graphstream/gsketch"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/ingest"
-	"github.com/graphstream/gsketch/internal/wire"
 )
 
 // TestIngestAllocsPerEdge is the regression guard for the pooled hot
 // path: a warm server must not allocate parse or batch buffers per
 // request, so the per-edge allocation count stays flat. Canonical NDJSON
 // lines are recognized without encoding/json and cost no allocation
-// either; on both transports only the request-constant overhead is left.
+// either; only the request-constant overhead is left. The wire
+// transport's guard is TestWireIngestAllocsPerEdge.
 func TestIngestAllocsPerEdge(t *testing.T) {
 	const n = 2048
 	edges := testStream(n, 31)
@@ -29,11 +29,9 @@ func TestIngestAllocsPerEdge(t *testing.T) {
 	h := srv.Handler()
 
 	ndjson := ndjsonBody(edges).Bytes()
-	wireBody := wire.AppendIngest(nil, edges)
-
-	post := func(contentType string, body []byte) {
-		req := httptest.NewRequest(http.MethodPost, "/ingest?sync=1", bytes.NewReader(body))
-		req.Header.Set("Content-Type", contentType)
+	post := func() {
+		req := httptest.NewRequest(http.MethodPost, "/ingest?sync=1", bytes.NewReader(ndjson))
+		req.Header.Set("Content-Type", "application/x-ndjson")
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
@@ -41,25 +39,15 @@ func TestIngestAllocsPerEdge(t *testing.T) {
 		}
 	}
 
-	// Warm the buffer pools before measuring.
-	post("application/x-ndjson", ndjson)
-	post(wire.ContentType, wireBody)
+	post() // warm the buffer pools
+	perEdge := testing.AllocsPerRun(10, post) / n
+	t.Logf("allocs/edge: ndjson=%.3f", perEdge)
 
-	ndjsonPerEdge := testing.AllocsPerRun(10, func() { post("application/x-ndjson", ndjson) }) / n
-	wirePerEdge := testing.AllocsPerRun(10, func() { post(wire.ContentType, wireBody) }) / n
-	t.Logf("allocs/edge: ndjson=%.3f wire=%.4f", ndjsonPerEdge, wirePerEdge)
-
-	// NDJSON: json.Unmarshal would cost ~5 allocs per line; tens of allocs
-	// per request over 2048 lines means every line took the recognizer and
-	// the scan and batch buffers are pooled.
-	if ndjsonPerEdge > 0.05 {
-		t.Errorf("NDJSON ingest allocates %.3f allocs/edge, want <= 0.05 — lines are falling through to encoding/json, or a hot-path buffer is no longer pooled", ndjsonPerEdge)
-	}
-	// Wire over HTTP: fixed-width decoding into pooled buffers; what is left
-	// is the request-constant overhead (~40 allocs, most of them httptest's)
-	// amortized over 2048 edges.
-	if wirePerEdge > 0.05 {
-		t.Errorf("wire ingest allocates %.4f allocs/edge, want <= 0.05 — the frame path is allocating per record", wirePerEdge)
+	// json.Unmarshal would cost ~5 allocs per line; tens of allocs per
+	// request over 2048 lines means every line took the recognizer and the
+	// scan and batch buffers are pooled.
+	if perEdge > 0.05 {
+		t.Errorf("NDJSON ingest allocates %.3f allocs/edge, want <= 0.05 — lines are falling through to encoding/json, or a hot-path buffer is no longer pooled", perEdge)
 	}
 }
 

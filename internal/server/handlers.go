@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -202,8 +201,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// handleIngest accepts an edge batch — NDJSON, or wire-framed when the
-// body's Content-Type is the wire protocol's — and hands it to the engine
+// handleIngest accepts an NDJSON edge batch and hands it to the engine
 // without ever blocking the handler on a full queue: backpressure becomes
 // HTTP 429 with the accepted prefix length, so clients retry only what was
 // shed. ?sync=1 additionally drains before replying (read-your-writes).
@@ -211,10 +209,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.stats.ingestRequests.Add(1)
 	be, ok := s.backend(w, r)
 	if !ok {
-		return
-	}
-	if isWireRequest(r) {
-		s.handleWireIngestHTTP(w, r, be)
 		return
 	}
 	drain, err := syncParam(r)
@@ -353,10 +347,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.stats.queryRequests.Add(1)
 	be, ok := s.backend(w, r)
 	if !ok {
-		return
-	}
-	if isWireRequest(r) {
-		s.handleWireQueryHTTP(w, r, be)
 		return
 	}
 	buf := getFrameBuf()
@@ -634,7 +624,7 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	_, _ = s.eng.WriteWorkloadTo(w)
 }
 
-// handleStats reports the expvar counters plus the backend's live gauges:
+// handleStats reports the request counters plus the backend's live gauges:
 // registry gauges for a tenant registry, pipeline/workload/routing gauges
 // for an engine.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -648,9 +638,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"tenant_evictions": ts.Evictions,
 			"tenant_reopens":   ts.Reopens,
 		}
-		s.stats.vars.Do(func(kv expvar.KeyValue) {
-			stats[kv.Key] = json.RawMessage(kv.Value.String())
-		})
+		s.stats.addTo(stats)
 		writeJSON(w, http.StatusOK, stats)
 		return
 	}
@@ -702,8 +690,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	} else {
 		stats["snapshot_age_seconds"] = -1.0
 	}
-	s.stats.vars.Do(func(kv expvar.KeyValue) {
-		stats[kv.Key] = json.RawMessage(kv.Value.String())
-	})
+	s.stats.addTo(stats)
 	writeJSON(w, http.StatusOK, stats)
 }

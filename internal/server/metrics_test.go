@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -9,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	gsketch "github.com/graphstream/gsketch"
 	"github.com/graphstream/gsketch/internal/obs"
+	"github.com/graphstream/gsketch/internal/stream"
 	"github.com/graphstream/gsketch/internal/tenant"
 	"github.com/graphstream/gsketch/internal/wire"
 )
@@ -56,26 +59,24 @@ func familyValue(t *testing.T, fams []obs.Family, name string) float64 {
 // the traffic.
 func TestMetricsExposition(t *testing.T) {
 	edges := testStream(3000, 21)
-	_, ts := newTestServer(t, Config{Engine: testEngine(t, buildTestGSketch(t, edges[:1000]))})
+	_, baseURL, wireAddr := newWireServer(t, Config{Engine: testEngine(t, buildTestGSketch(t, edges[:1000]))})
 
-	if code, _ := postIngest(t, ts.URL, edges, true); code != http.StatusOK {
+	if code, _ := postIngest(t, baseURL, edges, true); code != http.StatusOK {
 		t.Fatalf("ingest: %d", code)
 	}
 	qbody := `{"queries":[{"src":1,"dst":101},{"src":2,"dst":102}]}`
-	qresp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(qbody))
+	qresp, err := http.Post(baseURL+"/query", "application/json", strings.NewReader(qbody))
 	if err != nil {
 		t.Fatal(err)
 	}
 	qresp.Body.Close()
-	// One wire-framed HTTP ingest so the wire decode histogram has data.
-	frame := wire.AppendIngest(nil, edges[:64])
-	wresp, err := http.Post(ts.URL+"/ingest?sync=1", wire.ContentType, bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
+	// One wire ingest frame so the wire decode histogram has data; the
+	// ack comes after the frame is decoded and counted.
+	if acc, rej := dialWire(t, wireAddr).ingestFrame(t, edges[:64]); acc != 64 || rej != 0 {
+		t.Fatalf("wire ack (%d, %d), want (64, 0)", acc, rej)
 	}
-	wresp.Body.Close()
 
-	fams := scrapeMetrics(t, ts.URL)
+	fams := scrapeMetrics(t, baseURL)
 
 	if got := familyValue(t, fams, "gsketch_ingest_requests_total"); got != 2 {
 		t.Errorf("ingest_requests_total = %v, want 2", got)
@@ -93,16 +94,16 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("gsketch_ready = %v, want 1", got)
 	}
 
-	// Per-route HTTP latency: the ingest route saw both requests.
+	// Per-route HTTP latency: the ingest route saw the HTTP request.
 	h, err := obs.FindHistogram(fams, "gsketch_http_request_duration_seconds",
 		map[string]string{"route": "POST /ingest"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Count != 2 {
-		t.Errorf("ingest route histogram count = %d, want 2", h.Count)
+	if h.Count != 1 {
+		t.Errorf("ingest route histogram count = %d, want 1", h.Count)
 	}
-	// Wire decode latency saw the framed body.
+	// Wire decode latency saw the frame.
 	wd, err := obs.FindHistogram(fams, "gsketch_wire_frame_decode_duration_seconds", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +114,7 @@ func TestMetricsExposition(t *testing.T) {
 
 	// /stats derives from the same registry: its counter keys must agree
 	// with the exposition (and keep their PR-era names).
-	sresp, err := http.Get(ts.URL + "/stats")
+	sresp, err := http.Get(baseURL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,5 +259,32 @@ func TestWireHistogramObserveIsAllocFree(t *testing.T) {
 		srv.stats.wireBytesIn.Add(64)
 	}); n != 0 {
 		t.Fatalf("wire instrumentation allocates %v per frame, want 0", n)
+	}
+}
+
+// TestWindowedEngineReportsGenerations: an engine whose generations are
+// windows reports how many it holds in Stats, /stats and /metrics, as an
+// adaptive engine does; with no manager, repartitions and drift read zero.
+func TestWindowedEngineReportsGenerations(t *testing.T) {
+	eng, err := gsketch.Open(testSketchConfig(), gsketch.WithGlobal(),
+		gsketch.WithWindows(gsketch.WindowConfig{Span: 10, SampleSize: 64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Engine: eng})
+	if err := eng.Ingest(context.Background(), stream.Edge{Src: 1, Dst: 2, Weight: 1, Time: 1},
+		stream.Edge{Src: 1, Dst: 2, Weight: 1, Time: 25}); err != nil {
+		t.Fatal(err)
+	}
+
+	a := eng.Stats().Adapt
+	if a == nil || a.Generations != 2 || a.Repartitions != 0 || a.Drift != (gsketch.Drift{}) {
+		t.Fatalf("Stats().Adapt = %+v, want 2 generations, no repartition and zero drift", a)
+	}
+	if got := getStats(t, ts.URL)["generations"]; got != float64(2) {
+		t.Fatalf("/stats generations = %v, want 2", got)
+	}
+	if got := familyValue(t, scrapeMetrics(t, ts.URL), "gsketch_engine_generations"); got != 2 {
+		t.Fatalf("gsketch_engine_generations = %v, want 2", got)
 	}
 }

@@ -2,7 +2,7 @@
 // gsketch.Engine — the one-handle facade owning the estimator, the batch
 // ingest pipeline, snapshot persistence, live workload capture and
 // adaptive repartitioning. The server contributes the wire protocol,
-// request hygiene, HTTP error mapping and expvar counters; every stateful
+// request hygiene, HTTP error mapping and request counters; every stateful
 // concern lives in the engine.
 //
 // Endpoints:
@@ -39,7 +39,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net"
@@ -187,10 +186,6 @@ func (s *Server) Engine() *gsketch.Engine { return s.eng }
 // Handler returns the server's HTTP handler, for embedding in an existing
 // http.Server or test harness.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Vars returns the expvar counter map, for callers that want to publish it
-// on the process-global /debug/vars.
-func (s *Server) Vars() *expvar.Map { return s.stats.vars }
 
 // Metrics returns the server's metrics registry — the source of
 // GET /metrics — for embedders that want to add their own instruments

@@ -19,7 +19,6 @@ import (
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/stream"
 	"github.com/graphstream/gsketch/internal/tenant"
-	"github.com/graphstream/gsketch/internal/wire"
 )
 
 // gateEstimator blocks UpdateBatch on a gate so queue-full states are
@@ -173,12 +172,15 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	g, err := core.ReadGSketch(f)
+	gens, _, err := core.ReadChainMeta(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Count() != want {
-		t.Fatalf("snapshot Count = %d, want %d", g.Count(), want)
+	if len(gens) != 1 {
+		t.Fatalf("snapshot carries %d generations, want 1", len(gens))
+	}
+	if gens[0].Count() != want {
+		t.Fatalf("snapshot Count = %d, want %d", gens[0].Count(), want)
 	}
 
 	// Post-shutdown: health is 503, ingest reports the closed pipeline.
@@ -377,7 +379,7 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestStatsShape checks the /stats payload carries both the expvar
+// TestStatsShape checks the /stats payload carries both the request
 // counters and the live gauges.
 func TestStatsShape(t *testing.T) {
 	edges := testStream(5000, 19)
@@ -453,8 +455,8 @@ func TestNewNeedsExactlyOneBackend(t *testing.T) {
 	}
 }
 
-// TestSyncParamDrainsOnlyWhenTrue is the ?sync= table over the three
-// routes that read it: a value strconv.ParseBool reads as true drains the
+// TestSyncParamDrainsOnlyWhenTrue is the ?sync= table of POST /ingest, the
+// route that reads it: a value strconv.ParseBool reads as true drains the
 // pipeline before the reply, an absent or false one does not, and any
 // other is a 400 naming the parameter that ingests nothing. The estimator
 // blocks every fold until the test opens its gate, so a reply that comes
@@ -463,20 +465,6 @@ func TestNewNeedsExactlyOneBackend(t *testing.T) {
 func TestSyncParamDrainsOnlyWhenTrue(t *testing.T) {
 	edges := testStream(8, 5)
 	ndjson := ndjsonBody(edges).Bytes()
-	wireIngest := wire.AppendIngest(nil, edges)
-	routes := []struct {
-		name, path, ctype string
-		body              []byte
-		// preload is admitted before the request and applied only when
-		// the gate opens, for a route that does not ingest itself: it
-		// holds the drain open without holding the estimator's lock, which
-		// a query takes.
-		preload bool
-	}{
-		{"ndjson ingest", "/ingest", "application/x-ndjson", ndjson, false},
-		{"wire ingest", "/ingest", wire.ContentType, wireIngest, false},
-		{"wire query", "/query", wire.ContentType, wire.AppendQuery(nil, []core.EdgeQuery{{Src: 1, Dst: 2}}), true},
-	}
 	values := []struct {
 		query string
 		drain bool
@@ -494,80 +482,66 @@ func TestSyncParamDrainsOnlyWhenTrue(t *testing.T) {
 		{"?sync=2", false, true},
 		{"?sync=on", false, true},
 	}
-	post := func(h http.Handler, target, ctype string, body []byte) *httptest.ResponseRecorder {
+	post := func(h http.Handler, target string, body []byte) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodPost, target, bytes.NewReader(body))
-		req.Header.Set("Content-Type", ctype)
+		req.Header.Set("Content-Type", "application/x-ndjson")
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		return rec
 	}
-	for _, rt := range routes {
-		for _, v := range values {
-			t.Run(rt.name+"/"+v.query, func(t *testing.T) {
-				dest := &gateEstimator{gate: make(chan struct{})}
-				srv, err := New(Config{Engine: testEngine(t, dest,
-					gsketch.WithIngest(ingest.Config{Workers: 1, BatchSize: 1024}))})
-				if err != nil {
-					t.Fatal(err)
+	for _, v := range values {
+		t.Run("ndjson ingest/"+v.query, func(t *testing.T) {
+			dest := &gateEstimator{gate: make(chan struct{})}
+			srv, err := New(Config{Engine: testEngine(t, dest,
+				gsketch.WithIngest(ingest.Config{Workers: 1, BatchSize: 1024}))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var once sync.Once
+			open := func() { once.Do(func() { close(dest.gate) }) }
+			t.Cleanup(func() { open(); srv.Close() })
+			h := srv.Handler()
+			replied := make(chan *httptest.ResponseRecorder, 1)
+			go func() { replied <- post(h, "/ingest"+v.query, ndjson) }()
+			var rec *httptest.ResponseRecorder
+			if v.drain {
+				select {
+				case rec = <-replied:
+					t.Fatalf("replied %d before the fold: a draining request must wait for it", rec.Code)
+				case <-time.After(50 * time.Millisecond):
 				}
-				var held gsketch.Admission
-				if rt.preload {
-					if held, err = srv.Engine().Admit(edges); err != nil {
-						t.Fatal(err)
-					}
+				open()
+				rec = <-replied
+				if got := dest.Count(); got != int64(len(edges)) {
+					t.Fatalf("%d edges applied when the draining reply came, want %d", got, len(edges))
 				}
-				var once sync.Once
-				open := func() { once.Do(func() { close(dest.gate); held.Apply() }) }
-				t.Cleanup(func() { open(); srv.Close() })
-				h := srv.Handler()
-				replied := make(chan *httptest.ResponseRecorder, 1)
-				go func() { replied <- post(h, rt.path+v.query, rt.ctype, rt.body) }()
-				var rec *httptest.ResponseRecorder
-				if v.drain {
-					select {
-					case rec = <-replied:
-						t.Fatalf("replied %d before the fold: a draining request must wait for it", rec.Code)
-					case <-time.After(50 * time.Millisecond):
-					}
-					open()
-					rec = <-replied
-					if got := dest.Count(); got != int64(len(edges)) {
-						t.Fatalf("%d edges applied when the draining reply came, want %d", got, len(edges))
-					}
-				} else {
-					select {
-					case rec = <-replied:
-					case <-time.After(5 * time.Second):
-						t.Fatal("no reply with the fold blocked: only a true ?sync= may wait for it")
-					}
-					open()
+			} else {
+				select {
+				case rec = <-replied:
+				case <-time.After(5 * time.Second):
+					t.Fatal("no reply with the fold blocked: only a true ?sync= may wait for it")
 				}
-				if v.bad {
-					if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "sync") {
-						t.Fatalf("%d %q, want 400 naming sync", rec.Code, rec.Body)
-					}
-					if rt.ctype == wire.ContentType {
-						f, err := wire.NewDecoder(rec.Body).Next()
-						if err != nil || f.Type != wire.TypeError {
-							t.Fatalf("reply frame type 0x%02x err %v, want an error frame", f.Type, err)
-						}
-					}
-				} else if rec.Code != http.StatusOK {
-					t.Fatalf("%d %q, want 200", rec.Code, rec.Body)
+				open()
+			}
+			if v.bad {
+				if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "sync") {
+					t.Fatalf("%d %q, want 400 naming sync", rec.Code, rec.Body)
 				}
-				// Whatever the request accepted is applied by the next drain;
-				// a refused request took no edge.
-				if rec := post(h, "/ingest?sync=1", "application/x-ndjson", nil); rec.Code != http.StatusOK {
-					t.Fatalf("flush: %d %s", rec.Code, rec.Body)
-				}
-				want := int64(len(edges))
-				if v.bad && !rt.preload {
-					want = 0
-				}
-				if got := dest.Count(); got != want {
-					t.Fatalf("%d edges applied after a flush, want %d", got, want)
-				}
-			})
-		}
+			} else if rec.Code != http.StatusOK {
+				t.Fatalf("%d %q, want 200", rec.Code, rec.Body)
+			}
+			// Whatever the request accepted is applied by the next drain;
+			// a refused request took no edge.
+			if rec := post(h, "/ingest?sync=1", nil); rec.Code != http.StatusOK {
+				t.Fatalf("flush: %d %s", rec.Code, rec.Body)
+			}
+			want := int64(len(edges))
+			if v.bad {
+				want = 0
+			}
+			if got := dest.Count(); got != want {
+				t.Fatalf("%d edges applied after a flush, want %d", got, want)
+			}
+		})
 	}
 }

@@ -1,21 +1,13 @@
 package server
 
-import (
-	"expvar"
-
-	"github.com/graphstream/gsketch/internal/obs"
-)
+import "github.com/graphstream/gsketch/internal/obs"
 
 // counters are the server's monotonic request counters. They live in
-// the server's obs registry (as gsketch_*_total Prometheus counters)
-// and are mirrored into a per-server expvar.Map of expvar.Func views —
-// one source of truth, two renderings — so /stats keeps its PR-era
-// keys byte-for-byte and Vars() still hands embedders something they
-// can expvar.Publish. The map is not published to the process-global
-// expvar registry: expvar.Publish panics on duplicate names, and tests
-// (or an embedding process) may run several servers side by side.
+// the server's obs registry (as gsketch_*_total Prometheus counters);
+// byKey lists each under its /stats key, so /stats renders the same
+// values from the same counters.
 type counters struct {
-	vars *expvar.Map
+	byKey []keyedCounter
 
 	ingestRequests      *obs.Counter // POST /ingest requests handled
 	edgesAccepted       *obs.Counter // edges accepted: queued (HTTP) or admitted for the connection's fold (wire)
@@ -28,19 +20,24 @@ type counters struct {
 	repartitionRequests *obs.Counter // POST /repartition requests handled
 	compactRequests     *obs.Counter // POST /compact requests handled
 
-	// Wire-protocol counters, covering the TCP listener and wire-framed
-	// HTTP bodies alike.
+	// Wire-protocol counters, for the TCP listener.
 	wireFrames       *obs.Counter // request frames decoded
 	wireDecodeErrors *obs.Counter // frames rejected as malformed
 	wireBytesIn      *obs.Counter // bytes read off wire transports
 	wireBytesOut     *obs.Counter // bytes written to wire transports
 }
 
+// keyedCounter is a counter with its /stats key.
+type keyedCounter struct {
+	key string
+	c   *obs.Counter
+}
+
 func newCounters(reg *obs.Registry) *counters {
-	c := &counters{vars: new(expvar.Map).Init()}
+	c := &counters{}
 	mk := func(statsKey, promName, help string) *obs.Counter {
 		ctr := reg.Counter(promName, help)
-		c.vars.Set(statsKey, expvar.Func(func() any { return ctr.Value() }))
+		c.byKey = append(c.byKey, keyedCounter{statsKey, ctr})
 		return ctr
 	}
 	c.ingestRequests = mk("ingest_requests",
@@ -72,4 +69,11 @@ func newCounters(reg *obs.Registry) *counters {
 	c.wireBytesOut = mk("wire_bytes_out",
 		"gsketch_wire_bytes_out_total", "Bytes written to wire transports.")
 	return c
+}
+
+// addTo sets every counter's value under its /stats key.
+func (c *counters) addTo(stats map[string]any) {
+	for _, kc := range c.byKey {
+		stats[kc.key] = kc.c.Value()
+	}
 }

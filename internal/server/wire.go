@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strings"
 	"time"
 
 	gsketch "github.com/graphstream/gsketch"
@@ -437,173 +436,4 @@ func (s *Server) applyWirePing(out []byte, be Backend) []byte {
 		QueueDepth:  uint32(depth),
 		Generations: uint32(gens),
 	})
-}
-
-// isWireRequest reports whether an HTTP request carries a wire-framed
-// body.
-func isWireRequest(r *http.Request) bool {
-	return strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType)
-}
-
-// wireSyncParam is syncParam for a wire-framed request, answering a value
-// it cannot read with a 400 error frame; ok is false when it has.
-func (s *Server) wireSyncParam(w http.ResponseWriter, r *http.Request) (drain, ok bool) {
-	drain, err := syncParam(r)
-	if err != nil {
-		out := getFrameBuf()
-		s.writeWireFrame(w, http.StatusBadRequest, wire.AppendError((*out)[:0], wire.CodeBadFrame, err.Error()))
-		putFrameBuf(out)
-		return false, false
-	}
-	return drain, true
-}
-
-// writeWireFrame writes one reply frame as an HTTP response body.
-func (s *Server) writeWireFrame(w http.ResponseWriter, code int, frame []byte) {
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(code)
-	if n, _ := w.Write(frame); n > 0 {
-		s.stats.wireBytesOut.Add(int64(n))
-	}
-}
-
-// handleWireIngestHTTP serves POST /ingest bodies framed in the wire
-// format: every TypeIngest frame in the body is decoded into one pooled
-// batch, offered to the engine in one TryIngest, and acked with a wire
-// frame (HTTP 429 plus the ack when the pipeline shed a suffix, mirroring
-// the NDJSON path). Unlike a wire connection, the handler queues: it
-// cannot reply and then fold.
-func (s *Server) handleWireIngestHTTP(w http.ResponseWriter, r *http.Request, be Backend) {
-	drain, ok := s.wireSyncParam(w, r)
-	if !ok {
-		return
-	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	buf := getEdgeBuf()
-	defer putEdgeBuf(buf)
-	if !s.decodeWireBody(w, body, wire.TypeIngest, func(payload []byte) (err error) {
-		*buf, err = wire.DecodeEdges(*buf, payload)
-		return err
-	}) {
-		return
-	}
-	out := getFrameBuf()
-	defer putFrameBuf(out)
-	accepted, err := be.TryIngest(*buf)
-	s.stats.edgesAccepted.Add(int64(accepted))
-	rejected := len(*buf) - accepted
-	switch {
-	case errors.Is(err, tenant.ErrNotFound):
-		s.writeWireFrame(w, http.StatusNotFound, wire.AppendError((*out)[:0], wire.CodeNotFound, err.Error()))
-		return
-	case errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, tenant.ErrClosed):
-		s.writeWireFrame(w, http.StatusServiceUnavailable, wire.AppendError((*out)[:0], wire.CodeClosed, "ingest pipeline closed"))
-		return
-	case errors.Is(err, gsketch.ErrIngestQueueFull), errors.Is(err, tenant.ErrRateLimited):
-		s.stats.edgesRejected.Add(int64(rejected))
-		w.Header().Set("Retry-After", "1")
-		s.writeWireFrame(w, http.StatusTooManyRequests, wire.AppendAck((*out)[:0], accepted, rejected))
-		return
-	case err != nil:
-		s.writeWireFrame(w, http.StatusInternalServerError, wire.AppendError((*out)[:0], wire.CodeInternal, err.Error()))
-		return
-	}
-	if drain {
-		if err := s.drainBounded(r, be); err != nil {
-			s.writeWireFrame(w, http.StatusServiceUnavailable, wire.AppendError((*out)[:0], wire.CodeInternal, err.Error()))
-			return
-		}
-	}
-	s.writeWireFrame(w, http.StatusOK, wire.AppendAck((*out)[:0], accepted, 0))
-}
-
-// handleWireQueryHTTP serves POST /query bodies framed in the wire
-// format: the queries of every TypeQuery frame are answered in one
-// batched pass and returned as a single TypeResults frame. ?sync=1 drains
-// the pipeline first, like the JSON body's "sync" field.
-func (s *Server) handleWireQueryHTTP(w http.ResponseWriter, r *http.Request, be Backend) {
-	drain, ok := s.wireSyncParam(w, r)
-	if !ok {
-		return
-	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	buf := getQueryBuf()
-	defer putQueryBuf(buf)
-	if !s.decodeWireBody(w, body, wire.TypeQuery, func(payload []byte) (err error) {
-		*buf, err = wire.DecodeQueries(*buf, payload)
-		return err
-	}) {
-		return
-	}
-	out := getFrameBuf()
-	defer putFrameBuf(out)
-	if len(*buf) == 0 {
-		s.writeWireFrame(w, http.StatusBadRequest, wire.AppendError((*out)[:0], wire.CodeBadFrame, "query: empty batch"))
-		return
-	}
-	if drain {
-		if err := s.drainBounded(r, be); err != nil {
-			s.writeWireFrame(w, http.StatusServiceUnavailable, wire.AppendError((*out)[:0], wire.CodeInternal, err.Error()))
-			return
-		}
-	}
-	rbuf := getResultBuf()
-	defer putResultBuf(rbuf)
-	results, err := be.AppendQueryBatch(*rbuf, *buf)
-	*rbuf = results
-	if err != nil {
-		status := http.StatusInternalServerError
-		code := uint16(wire.CodeInternal)
-		switch {
-		case errors.Is(err, tenant.ErrNotFound):
-			status, code = http.StatusNotFound, wire.CodeNotFound
-		case errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, tenant.ErrClosed):
-			status, code = http.StatusServiceUnavailable, wire.CodeClosed
-		}
-		s.writeWireFrame(w, status, wire.AppendError((*out)[:0], code, err.Error()))
-		return
-	}
-	s.stats.queriesAnswered.Add(int64(len(results)))
-	s.writeWireFrame(w, http.StatusOK, wire.AppendResults((*out)[:0], results))
-}
-
-// decodeWireBody reads every frame of an HTTP wire body, requiring type
-// want and feeding each payload to sink. It writes the HTTP error reply
-// itself and returns false when the body is unusable.
-func (s *Server) decodeWireBody(w http.ResponseWriter, body io.Reader, want byte, sink func([]byte) error) bool {
-	dec := wire.NewDecoderSize(varReader{r: body, n: s.stats.wireBytesIn}, int(s.cfg.MaxBodyBytes))
-	frames := 0
-	for {
-		f, err := dec.Next()
-		if err == io.EOF {
-			break
-		}
-		if err == nil && f.Type != want {
-			err = fmt.Errorf("%w: frame type 0x%02x in a 0x%02x body", wire.ErrUnknownType, f.Type, want)
-		}
-		if err == nil {
-			start := time.Now()
-			err = sink(f.Payload)
-			if err == nil {
-				s.metrics.wireDecode.ObserveSince(start)
-			}
-		}
-		if err != nil {
-			s.stats.wireDecodeErrors.Add(1)
-			out := getFrameBuf()
-			s.writeWireFrame(w, http.StatusBadRequest, wire.AppendError((*out)[:0], wire.CodeBadFrame, err.Error()))
-			putFrameBuf(out)
-			return false
-		}
-		s.stats.wireFrames.Add(1)
-		frames++
-	}
-	if frames == 0 {
-		s.stats.wireDecodeErrors.Add(1)
-		out := getFrameBuf()
-		s.writeWireFrame(w, http.StatusBadRequest, wire.AppendError((*out)[:0], wire.CodeBadFrame, "empty wire body"))
-		putFrameBuf(out)
-		return false
-	}
-	return true
 }

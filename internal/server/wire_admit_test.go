@@ -252,8 +252,9 @@ func TestWireFramesSnapshotIdenticalToTryIngest(t *testing.T) {
 // TestWireAdmittedFrameAgainstShutdown holds a frame between its ack and its
 // fold (the estimator blocks on a gate). The ack arrives regardless — it is
 // written first; the frame is in flight but in no queue; HTTP ingest beside
-// it still goes through the queue, its handler folding nothing; and
-// Shutdown neither returns before the fold nor loses it.
+// it still goes through the queue, its handler folding nothing; a second
+// connection's frame is acked beside it; and Shutdown neither returns before
+// either fold nor loses one.
 func TestWireAdmittedFrameAgainstShutdown(t *testing.T) {
 	dest := newGated()
 	srv, httpURL, wireAddr := newWireServer(t, Config{
@@ -271,18 +272,14 @@ func TestWireAdmittedFrameAgainstShutdown(t *testing.T) {
 		t.Fatalf("acked, unfolded frame: %+v, want one batch in flight and nothing queued or applied", *st)
 	}
 
-	// Both HTTP bodies are answered while no fold can finish: the handlers
-	// queued their edges for the (blocked) worker.
+	// The NDJSON body is answered while no fold can finish: the handler
+	// queued its edges for the (blocked) worker. A second connection's
+	// frame is acked too, and its fold blocks beside the first.
 	if code, ir := postIngest(t, httpURL, edges[32:36], false); code != http.StatusOK || ir.Accepted != 4 {
 		t.Fatalf("NDJSON ingest beside a blocked fold: %d %+v", code, ir)
 	}
-	resp, err := http.Post(httpURL+"/ingest", wire.ContentType, bytes.NewReader(wire.AppendIngest(nil, edges[36:40])))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("wire-over-HTTP ingest beside a blocked fold: %d", resp.StatusCode)
+	if acc, rej := dialWire(t, wireAddr).ingestFrame(t, edges[36:40]); acc != 4 || rej != 0 {
+		t.Fatalf("second connection's ack (%d, %d) beside a blocked fold, want (4, 0)", acc, rej)
 	}
 	if got := dest.edges.Load(); got != 0 {
 		t.Fatalf("%d edges folded behind a closed gate", got)
@@ -531,25 +528,10 @@ func TestWireNegativeWeightRefusedEverywhere(t *testing.T) {
 
 		bad := wire.AppendIngest(nil, []stream.Edge{{Src: 1, Dst: 2, Weight: 1}, {Src: 1, Dst: 2, Weight: w}})
 
-		// Wire over HTTP.
-		resp, err := http.Post(httpURL+"/ingest?sync=1", wire.ContentType, bytes.NewReader(bad))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		f, err := wire.NewDecoder(bytes.NewReader(body)).Next()
-		if err != nil || resp.StatusCode != http.StatusBadRequest || f.Type != wire.TypeError {
-			t.Fatalf("wire over HTTP, weight %d: status %d, frame 0x%02x, err %v; want 400 and an error frame", w, resp.StatusCode, f.Type, err)
-		}
-		if code, _, _ := wire.DecodeError(f.Payload); code != wire.CodeBadFrame {
-			t.Fatalf("wire over HTTP, weight %d: code %d, want CodeBadFrame", w, code)
-		}
-
 		// Wire over TCP: the typed error, then the connection ends.
 		wc := dialWire(t, wireAddr)
 		wc.send(t, bad)
-		f = wc.next(t)
+		f := wc.next(t)
 		if f.Type != wire.TypeError {
 			t.Fatalf("wire, weight %d: type 0x%02x, want error", w, f.Type)
 		}

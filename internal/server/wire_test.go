@@ -3,8 +3,8 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
-	"io"
 	"math"
 	"net"
 	"net/http"
@@ -113,8 +113,8 @@ func newWireServer(t *testing.T, cfg Config) (*Server, string, string) {
 }
 
 // TestWireEquivalence ingests the same stream over the TCP wire protocol
-// and checks that wire queries, HTTP wire-body queries and HTTP JSON
-// queries all answer byte-identically to the engine's own read path.
+// and checks that wire queries answer byte-identically to the engine's own
+// read path, and HTTP JSON queries on every field they carry.
 func TestWireEquivalence(t *testing.T) {
 	edges := testStream(6000, 11)
 	g := buildTestGSketch(t, edges[:2000])
@@ -151,31 +151,13 @@ func TestWireEquivalence(t *testing.T) {
 		}
 	}
 
-	// HTTP with a wire-framed body answers the same bytes.
-	resp, err := http.Post(httpURL+"/query", wire.ContentType, bytes.NewReader(wire.AppendQuery(nil, qs)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("http wire query status %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := wire.NewDecoder(bytes.NewReader(body)).Next()
-	if err != nil || f.Type != wire.TypeResults {
-		t.Fatalf("http wire reply: type 0x%02x err %v", f.Type, err)
-	}
-	httpGot, err := wire.DecodeResults(nil, f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if httpGot[i] != want[i] {
-			t.Fatalf("http wire result %d = %+v, want %+v", i, httpGot[i], want[i])
-		}
+	// A second connection's results frame is, byte for byte, the frame
+	// the engine's answers encode to.
+	wc2 := dialWire(t, wireAddr)
+	wc2.send(t, wire.AppendQuery(nil, qs))
+	f := wc2.next(t)
+	if wantFrame := wire.AppendResults(nil, want); f.Type != wire.TypeResults || !bytes.Equal(f.Payload, wantFrame[wire.HeaderSize:]) {
+		t.Fatalf("second connection's reply (type 0x%02x, %d payload bytes) differs from the engine's answers encoded", f.Type, len(f.Payload))
 	}
 
 	// The JSON path agrees on every field it carries.
@@ -215,60 +197,6 @@ func TestWireIngestVolumeSaturates(t *testing.T) {
 			t.Fatalf("query %d = %+v, want StreamTotal MaxInt64 and non-negative bounds", i, r)
 		}
 	}
-}
-
-// TestWireHTTPIngest round-trips an ingest through the HTTP endpoint with
-// a wire-framed body.
-func TestWireHTTPIngest(t *testing.T) {
-	edges := testStream(3000, 17)
-	g := buildTestGSketch(t, edges[:1000])
-	_, hts := newTestServer(t, Config{
-		Engine: testEngine(t, core.NewConcurrent(g),
-			gsketch.WithIngest(ingest.Config{Workers: 2, BatchSize: 512})),
-	})
-	ts := hts.URL
-
-	var total int64
-	for lo := 0; lo < len(edges); {
-		hi := lo + 1000
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		resp, err := http.Post(ts+"/ingest?sync=1", wire.ContentType, bytes.NewReader(wire.AppendIngest(nil, edges[lo:hi])))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := wire.NewDecoder(bytes.NewReader(body)).Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch {
-		case resp.StatusCode == http.StatusOK && f.Type == wire.TypeAck:
-			accepted, rejected, err := wire.DecodeAck(f.Payload)
-			if err != nil || rejected != 0 || accepted != hi-lo {
-				t.Fatalf("ack = (%d, %d, %v), want (%d, 0)", accepted, rejected, err, hi-lo)
-			}
-			lo = hi
-		case resp.StatusCode == http.StatusTooManyRequests && f.Type == wire.TypeAck:
-			accepted, _, err := wire.DecodeAck(f.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lo += accepted
-		default:
-			t.Fatalf("status %d, frame type 0x%02x", resp.StatusCode, f.Type)
-		}
-	}
-	for _, e := range edges {
-		total += e.Weight
-	}
-	// ?sync=1 drained on the last chunk; retries may still be in flight.
-	waitFor(t, "wire HTTP ingest", func() bool { return g.Count() == total })
 }
 
 // TestWireCorruptFrame sends garbage mid-stream: the server must answer a
@@ -315,44 +243,51 @@ func TestWireOversizedFrame(t *testing.T) {
 	}
 }
 
-// TestWireBadBodyHTTP checks the HTTP wire paths reject malformed and
-// mismatched bodies with a wire error frame and HTTP 400.
-func TestWireBadBodyHTTP(t *testing.T) {
-	g := buildTestGSketch(t, testStream(100, 3))
-	_, hts := newTestServer(t, Config{Engine: testEngine(t, core.NewConcurrent(g))})
-	ts := hts.URL
+// TestWireFramesOnHTTPRefused: wire frames travel over TCP only. A valid
+// ingest or query frame posted to the HTTP endpoints, typed as the wire
+// content type the server once decoded, reaches the NDJSON/JSON decoder and
+// is refused as malformed with the JSON error envelope, and nothing is
+// ingested.
+func TestWireFramesOnHTTPRefused(t *testing.T) {
+	edges := testStream(100, 3)
+	_, ts := newTestServer(t, Config{Engine: testEngine(t, buildTestGSketch(t, edges))})
+	if code, ir := postIngest(t, ts.URL, edges, true); code != http.StatusOK || ir.Accepted != len(edges) {
+		t.Fatalf("seed ingest: %d %+v", code, ir)
+	}
+	before := getStats(t, ts.URL)
 
 	cases := []struct {
-		name string
-		path string
-		body []byte
+		name, path string
+		body       []byte
 	}{
-		{"truncated", "/ingest", wire.AppendIngest(nil, testStream(4, 1))[:10]},
-		{"empty", "/ingest", nil},
-		{"query frame on ingest", "/ingest", wire.AppendQuery(nil, []core.EdgeQuery{{Src: 1, Dst: 2}})},
-		{"ingest frame on query", "/query", wire.AppendIngest(nil, testStream(4, 1))},
-		{"empty query batch", "/query", wire.AppendQuery(nil, nil)},
+		{"ingest frame", "/ingest?sync=1", wire.AppendIngest(nil, edges[:4])},
+		{"query frame", "/query", wire.AppendQuery(nil, []core.EdgeQuery{{Src: edges[0].Src, Dst: edges[0].Dst}})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts+tc.path, wire.ContentType, bytes.NewReader(tc.body))
+			resp, err := http.Post(ts.URL+tc.path, "application/x-gsketch-wire", bytes.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status %d, want 400", resp.StatusCode)
+			var env errorJSON
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+				t.Fatalf("reply is not the JSON error envelope: %v", err)
 			}
-			body, _ := io.ReadAll(resp.Body)
-			f, err := wire.NewDecoder(bytes.NewReader(body)).Next()
-			if err != nil || f.Type != wire.TypeError {
-				t.Fatalf("reply frame type 0x%02x err %v, want error frame", f.Type, err)
+			if resp.StatusCode != http.StatusBadRequest || env.Code != "bad_request" || env.Error == "" {
+				t.Fatalf("%d %+v, want 400 with a bad_request envelope", resp.StatusCode, env)
 			}
 		})
 	}
+	after := getStats(t, ts.URL)
+	for _, key := range []string{"stream_total", "edges_accepted"} {
+		if after[key] != before[key] {
+			t.Errorf("%s went %v -> %v on refused wire bodies, want unchanged", key, before[key], after[key])
+		}
+	}
 }
 
-// TestWireStatsCounters checks the wire expvar counters surface in /stats.
+// TestWireStatsCounters checks the wire counters surface in /stats.
 func TestWireStatsCounters(t *testing.T) {
 	edges := testStream(500, 23)
 	g := buildTestGSketch(t, edges)

@@ -4,8 +4,7 @@
 // bound-carrying results on the read path. It is the high-throughput
 // sibling of the HTTP/JSON API — the same operations, none of the JSON
 // encode/decode cost — served over a raw TCP listener (gsketch-serve
-// -wire-addr) and as Content-Type: application/x-gsketch-wire bodies on
-// the existing HTTP endpoints.
+// -wire-addr) only; the HTTP endpoints take NDJSON and JSON.
 //
 // # Frame layout
 //

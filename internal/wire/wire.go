@@ -15,9 +15,6 @@ import (
 // Version is the protocol version this package speaks.
 const Version = 1
 
-// ContentType is the MIME type of wire-framed HTTP bodies.
-const ContentType = "application/x-gsketch-wire"
-
 // Frame types.
 const (
 	TypeIngest   = 0x01 // edge batch → TypeAck

@@ -97,8 +97,8 @@ func WithEstimator(est Estimator) Option {
 }
 
 // WithRestore bootstraps the engine from a snapshot stream previously
-// written by Save (single-sketch or chain container). The reader is
-// consumed during Open.
+// written by Save (a version-4 chain container), or one of the older
+// version-2 or version-3 streams. The reader is consumed during Open.
 func WithRestore(r io.Reader) Option {
 	return func(o *engineOptions) { o.restore = r }
 }

@@ -3,12 +3,13 @@ package gsketch_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"path/filepath"
 	"testing"
 
 	gsketch "github.com/graphstream/gsketch"
-	"github.com/graphstream/gsketch/internal/core"
 )
 
 // buildPopulated returns an engine over a populated gSketch plus the stream
@@ -127,8 +128,7 @@ func TestChainRoundTripThroughFacade(t *testing.T) {
 		}
 	}
 
-	// A pre-chain snapshot (a single-sketch engine's Save) restores as a
-	// one-generation chain.
+	// A single-sketch engine's snapshot restores as a one-generation chain.
 	plain, _ := buildPopulated(t)
 	var single bytes.Buffer
 	if _, err := plain.Save(&single); err != nil {
@@ -140,7 +140,96 @@ func TestChainRoundTripThroughFacade(t *testing.T) {
 	}
 	defer chained.Close()
 	if chained.Generations() != 1 {
-		t.Fatalf("pre-chain snapshot loaded as %d generations", chained.Generations())
+		t.Fatalf("single-sketch snapshot loaded as %d generations", chained.Generations())
+	}
+}
+
+// snapshotVersion is the format version in a snapshot's header.
+func snapshotVersion(b []byte) uint32 { return binary.LittleEndian.Uint32(b[4:8]) }
+
+// TestSaveWritesVersion4: every engine, one sketch or a chain, saves the
+// version-4 container.
+func TestSaveWritesVersion4(t *testing.T) {
+	cfg := gsketch.Config{TotalBytes: 64 << 10, Seed: 7}
+	edges := synthetic(2_000)
+	for name, opts := range map[string][]gsketch.Option{
+		"partitioned": {gsketch.WithSample(edges)},
+		"global":      {gsketch.WithGlobal()},
+		"windowed":    {gsketch.WithGlobal(), gsketch.WithWindows(gsketch.WindowConfig{Span: 10, SampleSize: 64})},
+		"adaptive": {gsketch.WithSample(edges), gsketch.WithAdaptive(gsketch.ChainConfig{SampleSize: 64, Seed: 3},
+			gsketch.AdaptConfig{Sketch: cfg})},
+	} {
+		t.Run(name, func(t *testing.T) {
+			eng, err := gsketch.Open(cfg, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			if err := eng.Ingest(context.Background(), edges...); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := eng.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if v := snapshotVersion(buf.Bytes()); v != 4 {
+				t.Fatalf("Save wrote version %d, want 4", v)
+			}
+		})
+	}
+}
+
+// TestOlderSnapshotVersionsRestore: a version-2 stream (one bare sketch)
+// and a version-3 container (a generation count, then version-2 streams)
+// still restore through Open(WithRestore) and Restore, answering as the
+// engine they were taken from.
+func TestOlderSnapshotVersionsRestore(t *testing.T) {
+	eng, edges := buildPopulated(t)
+	var v2 bytes.Buffer
+	if _, err := eng.Sketch().WriteTo(&v2); err != nil {
+		t.Fatal(err)
+	}
+	// The version-3 header: magic, version 3, one generation.
+	v3 := binary.LittleEndian.AppendUint32(nil, binary.LittleEndian.Uint32(v2.Bytes()))
+	v3 = binary.LittleEndian.AppendUint32(v3, 3)
+	v3 = binary.LittleEndian.AppendUint64(v3, 1)
+	v3 = append(v3, v2.Bytes()...)
+
+	qs := make([]gsketch.EdgeQuery, 500)
+	for i := range qs {
+		qs[i] = gsketch.EdgeQuery{Src: edges[i].Src, Dst: edges[i].Dst}
+	}
+	want := eng.QueryBatch(qs)
+	same := func(t *testing.T, e *gsketch.Engine) {
+		t.Helper()
+		for i, r := range e.QueryBatch(qs) {
+			if r != want[i] {
+				t.Fatalf("query %d: restored %+v, want %+v", i, r, want[i])
+			}
+		}
+	}
+	for version, snap := range map[uint32][]byte{2: v2.Bytes(), 3: v3} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			if v := snapshotVersion(snap); v != version {
+				t.Fatalf("test stream is version %d, want %d", v, version)
+			}
+			opened, err := gsketch.Open(gsketch.Config{}, gsketch.WithRestore(bytes.NewReader(snap)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer opened.Close()
+			same(t, opened)
+
+			live, err := gsketch.Open(gsketch.Config{TotalBytes: 64 << 10, Seed: 7}, gsketch.WithGlobal())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer live.Close()
+			if err := live.Restore(bytes.NewReader(snap)); err != nil {
+				t.Fatal(err)
+			}
+			same(t, live)
+		})
 	}
 }
 
@@ -149,9 +238,6 @@ func TestChainRoundTripThroughFacade(t *testing.T) {
 func TestSaveRejectsUnserializableEstimator(t *testing.T) {
 	foreign := &gatedEstimator{gate: make(chan struct{})}
 	close(foreign.gate)
-	if _, err := core.Save(foreign, io.Discard); err == nil {
-		t.Fatal("a foreign estimator saved unexpectedly")
-	}
 	eng, err := gsketch.Open(gsketch.Config{TotalWidth: 256, Seed: 1}, gsketch.WithEstimator(foreign))
 	if err != nil {
 		t.Fatal(err)
