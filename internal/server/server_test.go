@@ -19,6 +19,7 @@ import (
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/stream"
 	"github.com/graphstream/gsketch/internal/tenant"
+	"github.com/graphstream/gsketch/internal/wire"
 )
 
 // gateEstimator blocks UpdateBatch on a gate so queue-full states are
@@ -461,10 +462,25 @@ func TestNewNeedsExactlyOneBackend(t *testing.T) {
 // other is a 400 naming the parameter that ingests nothing. The estimator
 // blocks every fold until the test opens its gate, so a reply that comes
 // back with the gate closed did not drain, and a draining reply comes back
-// only once the gate opens, with every edge applied.
+// only once the gate opens, with every edge applied. A wire frame posted
+// there is refused with a 400 whatever ?sync= says: it takes no edge, and
+// it does not wait for the fold of edges admitted before it. POST /query
+// reads no ?sync= (a JSON query body carries its own sync field), so a wire
+// query frame posted there is refused for its body whatever the URL says.
 func TestSyncParamDrainsOnlyWhenTrue(t *testing.T) {
 	edges := testStream(8, 5)
-	ndjson := ndjsonBody(edges).Bytes()
+	routes := []struct {
+		name, path, ctype string
+		body              []byte
+		// refused: the body is refused whatever ?sync= says. Such a row
+		// admits the edges before the request and applies them only when
+		// the gate opens, so a drain would have a fold to wait for.
+		refused bool
+	}{
+		{"ndjson ingest", "/ingest", "application/x-ndjson", ndjsonBody(edges).Bytes(), false},
+		{"wire ingest", "/ingest", wireContentType, wire.AppendIngest(nil, edges), true},
+		{"wire query", "/query", wireContentType, wire.AppendQuery(nil, []core.EdgeQuery{{Src: 1, Dst: 2}}), true},
+	}
 	values := []struct {
 		query string
 		drain bool
@@ -482,66 +498,81 @@ func TestSyncParamDrainsOnlyWhenTrue(t *testing.T) {
 		{"?sync=2", false, true},
 		{"?sync=on", false, true},
 	}
-	post := func(h http.Handler, target string, body []byte) *httptest.ResponseRecorder {
+	post := func(h http.Handler, target, ctype string, body []byte) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodPost, target, bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/x-ndjson")
+		req.Header.Set("Content-Type", ctype)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		return rec
 	}
-	for _, v := range values {
-		t.Run("ndjson ingest/"+v.query, func(t *testing.T) {
-			dest := &gateEstimator{gate: make(chan struct{})}
-			srv, err := New(Config{Engine: testEngine(t, dest,
-				gsketch.WithIngest(ingest.Config{Workers: 1, BatchSize: 1024}))})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var once sync.Once
-			open := func() { once.Do(func() { close(dest.gate) }) }
-			t.Cleanup(func() { open(); srv.Close() })
-			h := srv.Handler()
-			replied := make(chan *httptest.ResponseRecorder, 1)
-			go func() { replied <- post(h, "/ingest"+v.query, ndjson) }()
-			var rec *httptest.ResponseRecorder
-			if v.drain {
-				select {
-				case rec = <-replied:
-					t.Fatalf("replied %d before the fold: a draining request must wait for it", rec.Code)
-				case <-time.After(50 * time.Millisecond):
+	for _, rt := range routes {
+		for _, v := range values {
+			drain := v.drain && !rt.refused
+			badSync := v.bad && rt.path == "/ingest"
+			t.Run(rt.name+"/"+v.query, func(t *testing.T) {
+				dest := &gateEstimator{gate: make(chan struct{})}
+				srv, err := New(Config{Engine: testEngine(t, dest,
+					gsketch.WithIngest(ingest.Config{Workers: 1, BatchSize: 1024}))})
+				if err != nil {
+					t.Fatal(err)
 				}
-				open()
-				rec = <-replied
-				if got := dest.Count(); got != int64(len(edges)) {
-					t.Fatalf("%d edges applied when the draining reply came, want %d", got, len(edges))
+				var held gsketch.Admission
+				if rt.refused {
+					if held, err = srv.Engine().Admit(edges); err != nil {
+						t.Fatal(err)
+					}
 				}
-			} else {
-				select {
-				case rec = <-replied:
-				case <-time.After(5 * time.Second):
-					t.Fatal("no reply with the fold blocked: only a true ?sync= may wait for it")
+				var once sync.Once
+				open := func() { once.Do(func() { close(dest.gate); held.Apply() }) }
+				t.Cleanup(func() { open(); srv.Close() })
+				h := srv.Handler()
+				replied := make(chan *httptest.ResponseRecorder, 1)
+				go func() { replied <- post(h, rt.path+v.query, rt.ctype, rt.body) }()
+				var rec *httptest.ResponseRecorder
+				if drain {
+					select {
+					case rec = <-replied:
+						t.Fatalf("replied %d before the fold: a draining request must wait for it", rec.Code)
+					case <-time.After(50 * time.Millisecond):
+					}
+					open()
+					rec = <-replied
+					if got := dest.Count(); got != int64(len(edges)) {
+						t.Fatalf("%d edges applied when the draining reply came, want %d", got, len(edges))
+					}
+				} else {
+					select {
+					case rec = <-replied:
+					case <-time.After(5 * time.Second):
+						t.Fatal("no reply with the fold blocked: only a true ?sync= may wait for it")
+					}
+					open()
 				}
-				open()
-			}
-			if v.bad {
-				if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "sync") {
-					t.Fatalf("%d %q, want 400 naming sync", rec.Code, rec.Body)
+				switch {
+				case badSync:
+					if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "sync") {
+						t.Fatalf("%d %q, want 400 naming sync", rec.Code, rec.Body)
+					}
+				case rt.refused:
+					if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad_request") {
+						t.Fatalf("%d %q, want 400 with a bad_request envelope", rec.Code, rec.Body)
+					}
+				case rec.Code != http.StatusOK:
+					t.Fatalf("%d %q, want 200", rec.Code, rec.Body)
 				}
-			} else if rec.Code != http.StatusOK {
-				t.Fatalf("%d %q, want 200", rec.Code, rec.Body)
-			}
-			// Whatever the request accepted is applied by the next drain;
-			// a refused request took no edge.
-			if rec := post(h, "/ingest?sync=1", nil); rec.Code != http.StatusOK {
-				t.Fatalf("flush: %d %s", rec.Code, rec.Body)
-			}
-			want := int64(len(edges))
-			if v.bad {
-				want = 0
-			}
-			if got := dest.Count(); got != want {
-				t.Fatalf("%d edges applied after a flush, want %d", got, want)
-			}
-		})
+				// Whatever the request or the preload admitted is applied by
+				// the next drain; a refused request took no edge.
+				if rec := post(h, "/ingest?sync=1", "application/x-ndjson", nil); rec.Code != http.StatusOK {
+					t.Fatalf("flush: %d %s", rec.Code, rec.Body)
+				}
+				want := int64(len(edges))
+				if badSync && !rt.refused {
+					want = 0
+				}
+				if got := dest.Count(); got != want {
+					t.Fatalf("%d edges applied after a flush, want %d", got, want)
+				}
+			})
+		}
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -18,6 +19,10 @@ import (
 	"github.com/graphstream/gsketch/internal/stream"
 	"github.com/graphstream/gsketch/internal/wire"
 )
+
+// wireContentType is the media type of the wire-framed HTTP bodies the
+// server no longer decodes: wire frames travel over TCP only.
+const wireContentType = "application/x-gsketch-wire"
 
 // wireClient is a minimal test client for the TCP wire protocol.
 type wireClient struct {
@@ -243,6 +248,85 @@ func TestWireOversizedFrame(t *testing.T) {
 	}
 }
 
+// TestWireBadFrames sends malformed and unexpected frames over TCP, each on
+// a fresh connection. A frame the server cannot read (cut short, of a reply
+// type, or with a ragged payload) gets one CodeBadFrame error frame, counts
+// one decode error and closes the connection; a connection closed before
+// any frame gets no reply and counts none; an empty query batch is answered
+// with an empty results frame and the connection stays open. None of them
+// ingests an edge.
+func TestWireBadFrames(t *testing.T) {
+	_, httpURL, wireAddr := newWireServer(t, Config{Engine: testEngine(t, buildTestGSketch(t, testStream(100, 3)))})
+
+	ragged := wire.AppendQuery(nil, []core.EdgeQuery{{Src: 1, Dst: 2}})
+	ragged = append(ragged, 0)
+	binary.LittleEndian.PutUint32(ragged[4:], wire.QuerySize+1)
+	cases := []struct {
+		name      string
+		send      []byte
+		closeSend bool // half-close after sending, so a short frame ends
+		refused   bool // an error frame comes back and the connection closes
+	}{
+		{"truncated", wire.AppendIngest(nil, testStream(4, 1))[:10], true, true},
+		{"empty", nil, true, false},
+		{"reply type from client", wire.AppendAck(nil, 1, 0), false, true},
+		{"ragged query payload", ragged, false, true},
+		{"empty query batch", wire.AppendQuery(nil, nil), false, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := getStats(t, httpURL)
+			wc := dialWire(t, wireAddr)
+			if len(tc.send) > 0 {
+				wc.send(t, tc.send)
+			}
+			if tc.closeSend {
+				if err := wc.conn.(*net.TCPConn).CloseWrite(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var errs float64
+			switch {
+			case tc.refused:
+				f := wc.next(t)
+				if f.Type != wire.TypeError {
+					t.Fatalf("reply type 0x%02x, want error", f.Type)
+				}
+				code, msg, err := wire.DecodeError(f.Payload)
+				if err != nil || code != wire.CodeBadFrame || msg == "" {
+					t.Fatalf("error frame = (%d, %q, %v), want code %d", code, msg, err, wire.CodeBadFrame)
+				}
+				errs = 1
+			case tc.closeSend:
+				// Nothing sent: the server closes without a frame.
+			default:
+				f := wc.next(t)
+				rs, err := wire.DecodeResults(nil, f.Payload)
+				if f.Type != wire.TypeResults || err != nil || len(rs) != 0 {
+					t.Fatalf("reply type 0x%02x with %d results (%v), want an empty results frame", f.Type, len(rs), err)
+				}
+				wc.ping(t) // the connection still serves
+			}
+			if tc.closeSend || tc.refused {
+				// The server closed its side once its loop ended, so every
+				// counter it touches is settled.
+				if f, err := wc.dec.Next(); err == nil {
+					t.Fatalf("frame 0x%02x after the connection should have closed", f.Type)
+				}
+			}
+			after := getStats(t, httpURL)
+			if got := after["wire_decode_errors"].(float64) - before["wire_decode_errors"].(float64); got != errs {
+				t.Errorf("wire_decode_errors moved by %v, want %v", got, errs)
+			}
+			for _, key := range []string{"stream_total", "edges_accepted"} {
+				if after[key] != before[key] {
+					t.Errorf("%s went %v -> %v, want unchanged", key, before[key], after[key])
+				}
+			}
+		})
+	}
+}
+
 // TestWireFramesOnHTTPRefused: wire frames travel over TCP only. A valid
 // ingest or query frame posted to the HTTP endpoints, typed as the wire
 // content type the server once decoded, reaches the NDJSON/JSON decoder and
@@ -265,7 +349,7 @@ func TestWireFramesOnHTTPRefused(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+tc.path, "application/x-gsketch-wire", bytes.NewReader(tc.body))
+			resp, err := http.Post(ts.URL+tc.path, wireContentType, bytes.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
