@@ -29,6 +29,7 @@ type wireClient struct {
 	conn net.Conn
 	dec  *wire.Decoder
 	buf  []byte
+	read int // bytes of the reply frames read so far
 }
 
 func dialWire(t *testing.T, addr string) *wireClient {
@@ -54,6 +55,7 @@ func (c *wireClient) next(t *testing.T) wire.Frame {
 	if err != nil {
 		t.Fatalf("reading reply frame: %v", err)
 	}
+	c.read += wire.HeaderSize + len(f.Payload)
 	return f
 }
 
@@ -327,6 +329,49 @@ func TestWireBadFrames(t *testing.T) {
 	}
 }
 
+// TestWireVersionOneRefused: version 2 keeps no version-1 path. A
+// version-1 ingest or query frame — well formed in the old protocol — gets
+// one CodeBadFrame error frame, counts one decode error, closes the
+// connection, and ingests or answers nothing.
+func TestWireVersionOneRefused(t *testing.T) {
+	edges := testStream(100, 3)
+	_, httpURL, wireAddr := newWireServer(t, Config{Engine: testEngine(t, buildTestGSketch(t, edges))})
+	v1 := func(frame []byte) []byte {
+		frame[0] = 1
+		return frame
+	}
+	cases := map[string][]byte{
+		"ingest": v1(wire.AppendIngest(nil, edges[:4])),
+		"query":  v1(wire.AppendQuery(nil, []core.EdgeQuery{{Src: edges[0].Src, Dst: edges[0].Dst}})),
+	}
+	for name, frame := range cases {
+		t.Run(name, func(t *testing.T) {
+			before := getStats(t, httpURL)
+			wc := dialWire(t, wireAddr)
+			wc.send(t, frame)
+			f := wc.next(t)
+			if f.Type != wire.TypeError {
+				t.Fatalf("reply type 0x%02x, want error", f.Type)
+			}
+			if code, msg, err := wire.DecodeError(f.Payload); err != nil || code != wire.CodeBadFrame || msg == "" {
+				t.Fatalf("error frame = (%d, %q, %v), want code %d", code, msg, err, wire.CodeBadFrame)
+			}
+			if f, err := wc.dec.Next(); err == nil {
+				t.Fatalf("frame 0x%02x after the error, want the connection closed", f.Type)
+			}
+			after := getStats(t, httpURL)
+			if got := after["wire_decode_errors"].(float64) - before["wire_decode_errors"].(float64); got != 1 {
+				t.Errorf("wire_decode_errors moved by %v, want 1", got)
+			}
+			for _, key := range []string{"stream_total", "edges_accepted", "queries_answered"} {
+				if after[key] != before[key] {
+					t.Errorf("%s went %v -> %v, want unchanged", key, before[key], after[key])
+				}
+			}
+		})
+	}
+}
+
 // TestWireFramesOnHTTPRefused: wire frames travel over TCP only. A valid
 // ingest or query frame posted to the HTTP endpoints, typed as the wire
 // content type the server once decoded, reaches the NDJSON/JSON decoder and
@@ -395,6 +440,18 @@ func TestWireStatsCounters(t *testing.T) {
 	if got := stats["wire_decode_errors"].(float64); got != 0 {
 		t.Fatalf("wire_decode_errors = %v, want 0", got)
 	}
+
+	// The server counts every reply byte the client read; a three-query
+	// reply is 8 + 16 + 3·24 = 96 of them (version 1 wrote 128). The count
+	// follows the write, so it is awaited rather than read at once.
+	bytesOut := func() float64 { return getStats(t, httpURL)["wire_bytes_out"].(float64) }
+	waitFor(t, "wire_bytes_out to reach the bytes read", func() bool { return bytesOut() == float64(wc.read) })
+	before := wc.read
+	wc.queryWire(t, []core.EdgeQuery{{Src: 1, Dst: 101}, {Src: 2, Dst: 102}, {Src: 1, Dst: 102}})
+	if got := wc.read - before; got != 96 {
+		t.Fatalf("three-query reply is %d bytes, want 96", got)
+	}
+	waitFor(t, "wire_bytes_out to count the reply", func() bool { return bytesOut() == float64(wc.read) })
 
 	// A corrupt frame on a fresh connection bumps the error counter.
 	wc2 := dialWire(t, wireAddr)

@@ -11,19 +11,21 @@
 // Every frame is an 8-byte header followed by a payload:
 //
 //	offset  size  field
-//	0       1     version (currently 1)
+//	0       1     version (currently 2)
 //	1       1     frame type
 //	2       2     reserved, must be zero
 //	4       4     payload length, little-endian uint32
 //
-// Payloads are dense arrays of fixed-width little-endian records:
+// Payloads are dense arrays of fixed-width little-endian records, the
+// results behind a header:
 //
 //	TypeIngest         N × 32 bytes: src u64, dst u64, weight i64 (>= 0; zero
 //	                   counts as 1), time i64
 //	TypeQuery          N × 16 bytes: src u64, dst u64
-//	TypeResults        N × 40 bytes: estimate i64, stream_total i64,
-//	                   error_bound f64, confidence f64, partition i32,
-//	                   flags u8 (bit 0 = outlier), 3 pad bytes
+//	TypeResults        16-byte batch header: stream_total i64, confidence
+//	                   f64 (zeros for an empty batch); then N × 24 bytes:
+//	                   estimate i64, error_bound f64, partition i32,
+//	                   flags u8 (bit 0 = outlier), 3 zero pad bytes
 //	TypeAck            8 bytes: accepted u32, rejected u32 (accepted edges
 //	                   are applied by the time any later flush returns;
 //	                   rejected > 0: retry that suffix — see below)
@@ -59,6 +61,14 @@
 // connection uses one core on the server (about 16 M edges/s); a producer
 // with more to send opens more connections, which fold in parallel.
 //
+// Version 2 moved the stream total and the confidence out of each result
+// record (version 1's 40 bytes) into the results header: both belong to
+// the sketch that answers the batch, not to one query. There is no
+// negotiation and no version-1 layout. A version-1 frame is refused like
+// any unknown version — one TypeError CodeBadFrame frame, then the server
+// closes the connection — and a version-1 client refuses the server's
+// version-2 replies the same way.
+//
 // Ping is a health probe that reads the server's gauges without changing
 // them. A server that cannot parse or serve a frame
 // answers TypeError and closes the connection: framing errors are not
@@ -75,7 +85,9 @@
 //
 // Decoding is defensive: unknown versions, unknown types, nonzero reserved
 // bytes, payloads above the decoder bound, lengths that are not a multiple
-// of the record width and edges with a negative weight (the sketches count
-// in the cash-register model) are all rejected with typed errors, never a
-// panic, and a claimed length never allocates more than the decoder bound.
+// of the record width, edges with a negative weight (the sketches count in
+// the cash-register model) and result records with unknown flag bits or
+// non-zero pad bytes are all rejected with typed errors, never a panic, and
+// a claimed length never allocates more than the decoder bound. Every
+// record-bearing payload that decodes re-encodes to the same bytes.
 package wire

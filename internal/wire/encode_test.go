@@ -12,7 +12,8 @@ import (
 )
 
 // The encoders as they were before records were written in place: each
-// record built in a stack array, then appended. Kept as the reference the
+// record built in a stack array, then appended (results in the version-2
+// layout). Kept as the reference the
 // in-place encoders are held to byte for byte.
 
 func refHeader(dst []byte, typ byte, n int) []byte {
@@ -48,20 +49,24 @@ func refQuery(dst []byte, qs []core.EdgeQuery) []byte {
 }
 
 func refResults(dst []byte, rs []core.Result) []byte {
-	dst = refHeader(dst, TypeResults, len(rs)*ResultSize)
+	dst = refHeader(dst, TypeResults, 16+len(rs)*ResultSize)
+	var hdr [16]byte
+	if len(rs) > 0 {
+		binary.LittleEndian.PutUint64(hdr[0:], uint64(rs[0].StreamTotal))
+		binary.LittleEndian.PutUint64(hdr[8:], math.Float64bits(rs[0].Confidence))
+	}
+	dst = append(dst, hdr[:]...)
 	var rec [ResultSize]byte
 	for _, r := range rs {
 		binary.LittleEndian.PutUint64(rec[0:], uint64(r.Estimate))
-		binary.LittleEndian.PutUint64(rec[8:], uint64(r.StreamTotal))
-		binary.LittleEndian.PutUint64(rec[16:], math.Float64bits(r.ErrorBound))
-		binary.LittleEndian.PutUint64(rec[24:], math.Float64bits(r.Confidence))
-		binary.LittleEndian.PutUint32(rec[32:], uint32(int32(r.Partition)))
+		binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(r.ErrorBound))
+		binary.LittleEndian.PutUint32(rec[16:], uint32(int32(r.Partition)))
 		var flags byte
 		if r.Outlier {
 			flags |= 1
 		}
-		rec[36] = flags
-		rec[37], rec[38], rec[39] = 0, 0, 0
+		rec[20] = flags
+		rec[21], rec[22], rec[23] = 0, 0, 0
 		dst = append(dst, rec[:]...)
 	}
 	return dst
@@ -107,7 +112,8 @@ func TestEncodersMatchReference(t *testing.T) {
 			rs[i].Outlier = i%2 == 1 // both flag values at every size above 1
 		}
 		if n == 1 {
-			rs = append(rs, core.Result{Outlier: true, Partition: core.NoPartition, ErrorBound: math.NaN()})
+			rs = append(rs, core.Result{Outlier: true, Partition: core.NoPartition, ErrorBound: math.NaN(),
+				StreamTotal: rs[0].StreamTotal, Confidence: rs[0].Confidence})
 		}
 		for name, buf := range dirtyBuffers() {
 			for _, c := range []struct {

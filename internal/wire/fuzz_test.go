@@ -23,7 +23,18 @@ func FuzzDecoder(f *testing.F) {
 	f.Add(AppendIngest(nil, []stream.Edge{{Src: 1, Dst: 2, Weight: -1}}))
 	f.Add(AppendIngest(nil, []stream.Edge{{Src: 1, Dst: 2, Weight: 3}, {Src: 1, Dst: 2, Weight: math.MinInt64}}))
 	f.Add(AppendQuery(nil, []core.EdgeQuery{{Src: 5, Dst: 6}}))
-	f.Add(AppendResults(nil, []core.Result{{Estimate: 7, Partition: core.NoPartition, Outlier: true, ErrorBound: 0.5, Confidence: 0.9, StreamTotal: 11}}))
+	results := AppendResults(nil, []core.Result{{Estimate: 7, Partition: core.NoPartition, Outlier: true, ErrorBound: 0.5, Confidence: 0.9, StreamTotal: 11}})
+	f.Add(results)
+	f.Add(AppendResults(nil, nil)) // header only
+	v1 := bytes.Clone(results)
+	v1[0] = 1
+	f.Add(v1)
+	pad := bytes.Clone(results)
+	pad[HeaderSize+16+21] = 1
+	f.Add(pad)
+	flag := bytes.Clone(results)
+	flag[HeaderSize+16+20] |= 2
+	f.Add(flag)
 	f.Add(AppendAck(nil, 3, 1))
 	f.Add(AppendError(nil, CodeBadFrame, "bad"))
 	f.Add(header(99, TypeIngest, 8))
@@ -65,10 +76,17 @@ func FuzzDecoder(f *testing.F) {
 					}
 				}
 			case TypeResults:
-				// Results carry float bits and padding; decode must not
-				// panic, and a clean decode re-encodes identically except
-				// the pad bytes, which re-encode as zero.
-				_, _ = DecodeResults(nil, fr.Payload)
+				// The decoder refuses what AppendResults would not write
+				// (unknown flags, non-zero pad, a non-zero header before no
+				// records), so a clean decode re-encodes byte for byte,
+				// float bits included.
+				rs, err := DecodeResults(nil, fr.Payload)
+				if err == nil {
+					reenc := AppendResults(nil, rs)
+					if !bytes.Equal(reenc[HeaderSize:], fr.Payload) {
+						t.Fatalf("results payload did not round-trip")
+					}
+				}
 			case TypeAck:
 				_, _, _ = DecodeAck(fr.Payload)
 			case TypeError:

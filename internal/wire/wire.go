@@ -12,8 +12,10 @@ import (
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
-// Version is the protocol version this package speaks.
-const Version = 1
+// Version is the protocol version this package speaks. Version 2 sends a
+// query batch's stream total and confidence once, in the results header; a
+// version-1 frame is refused like any other unknown version.
+const Version = 2
 
 // Frame types.
 const (
@@ -47,10 +49,14 @@ const (
 	HeaderSize = 8
 	EdgeSize   = 32
 	QuerySize  = 16
-	ResultSize = 40
+	ResultSize = 24
 	AckSize    = 8
 	PongSize   = 16
 )
+
+// resultsHeaderSize is the TypeResults batch header ahead of the records:
+// stream_total i64, confidence f64.
+const resultsHeaderSize = 16
 
 // MaxFrameBytes is the default payload bound: frames claiming more are
 // rejected before any allocation. 16 MiB holds half a million edges.
@@ -180,20 +186,33 @@ func AppendQuery(dst []byte, qs []core.EdgeQuery) []byte {
 	return dst
 }
 
-// AppendResults appends a TypeResults frame carrying rs.
+// AppendResults appends a TypeResults frame carrying rs. The frame carries
+// the stream total N and the confidence 1−e^(−d) once, in a batch header
+// taken from rs[0] (zeros for an empty batch), so every result of rs must
+// carry the same two values. Every estimator an Engine serves answers a
+// batch that way: N is read once per batch, and partitioning divides width
+// only, leaving d — and with it the confidence — the same for every
+// partition (§3.2, §4.1); a chain sums and union-bounds those per-batch
+// values generation by generation.
 func AppendResults(dst []byte, rs []core.Result) []byte {
-	dst, p := appendFrame(dst, TypeResults, len(rs)*ResultSize)
+	dst, p := appendFrame(dst, TypeResults, resultsHeaderSize+len(rs)*ResultSize)
+	var total int64
+	var conf float64
+	if len(rs) > 0 {
+		total, conf = rs[0].StreamTotal, rs[0].Confidence
+	}
+	binary.LittleEndian.PutUint64(p[0:], uint64(total))
+	binary.LittleEndian.PutUint64(p[8:], math.Float64bits(conf))
+	p = p[resultsHeaderSize:]
 	for _, r := range rs {
 		binary.LittleEndian.PutUint64(p[0:], uint64(r.Estimate))
-		binary.LittleEndian.PutUint64(p[8:], uint64(r.StreamTotal))
-		binary.LittleEndian.PutUint64(p[16:], math.Float64bits(r.ErrorBound))
-		binary.LittleEndian.PutUint64(p[24:], math.Float64bits(r.Confidence))
-		binary.LittleEndian.PutUint32(p[32:], uint32(int32(r.Partition)))
+		binary.LittleEndian.PutUint64(p[8:], math.Float64bits(r.ErrorBound))
+		binary.LittleEndian.PutUint32(p[16:], uint32(int32(r.Partition)))
 		var flags uint32
 		if r.Outlier {
 			flags = 1
 		}
-		binary.LittleEndian.PutUint32(p[36:], flags) // flags byte, three reserved zeros
+		binary.LittleEndian.PutUint32(p[20:], flags) // flags byte, three pad zeros
 		p = p[ResultSize:]
 	}
 	return dst
@@ -260,20 +279,39 @@ func DecodeQueries(dst []core.EdgeQuery, payload []byte) ([]core.EdgeQuery, erro
 	return dst, nil
 }
 
-// DecodeResults appends the results of a TypeResults payload to dst.
+// DecodeResults appends the results of a TypeResults payload to dst, each
+// carrying the batch header's stream total and confidence. It accepts only
+// what AppendResults writes: a payload shorter than the header or ragged
+// after it, a flag bit other than outlier, a non-zero pad byte, or a
+// non-zero header before no records is refused with ErrBadPayload, and dst
+// then holds the results before the bad record and is to be discarded.
 func DecodeResults(dst []core.Result, payload []byte) ([]core.Result, error) {
-	if len(payload)%ResultSize != 0 {
-		return dst, fmt.Errorf("%w: results payload %d bytes is not a multiple of %d", ErrBadPayload, len(payload), ResultSize)
+	if len(payload) < resultsHeaderSize || (len(payload)-resultsHeaderSize)%ResultSize != 0 {
+		return dst, fmt.Errorf("%w: results payload %d bytes is not a %d-byte header and %d-byte records", ErrBadPayload, len(payload), resultsHeaderSize, ResultSize)
 	}
-	for off := 0; off < len(payload); off += ResultSize {
-		rec := payload[off : off+ResultSize]
+	total := int64(binary.LittleEndian.Uint64(payload[0:]))
+	confBits := binary.LittleEndian.Uint64(payload[8:])
+	recs := payload[resultsHeaderSize:]
+	if len(recs) == 0 && (total != 0 || confBits != 0) {
+		return dst, fmt.Errorf("%w: empty results batch with a non-zero header", ErrBadPayload)
+	}
+	conf := math.Float64frombits(confBits)
+	dst = slices.Grow(dst, len(recs)/ResultSize)
+	for off := 0; off < len(recs); off += ResultSize {
+		rec := recs[off : off+ResultSize]
+		if tail := binary.LittleEndian.Uint32(rec[20:]); tail&^1 != 0 {
+			if rec[20]&^1 != 0 {
+				return dst, fmt.Errorf("%w: result %d: unknown flag bits 0x%02x", ErrBadPayload, off/ResultSize, rec[20]&^1)
+			}
+			return dst, fmt.Errorf("%w: result %d: non-zero pad bytes", ErrBadPayload, off/ResultSize)
+		}
 		dst = append(dst, core.Result{
 			Estimate:    int64(binary.LittleEndian.Uint64(rec[0:])),
-			StreamTotal: int64(binary.LittleEndian.Uint64(rec[8:])),
-			ErrorBound:  math.Float64frombits(binary.LittleEndian.Uint64(rec[16:])),
-			Confidence:  math.Float64frombits(binary.LittleEndian.Uint64(rec[24:])),
-			Partition:   int(int32(binary.LittleEndian.Uint32(rec[32:]))),
-			Outlier:     rec[36]&1 != 0,
+			StreamTotal: total,
+			ErrorBound:  math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])),
+			Confidence:  conf,
+			Partition:   int(int32(binary.LittleEndian.Uint32(rec[16:]))),
+			Outlier:     rec[20] == 1,
 		})
 	}
 	return dst, nil

@@ -34,16 +34,19 @@ func randQueries(rng *rand.Rand, n int) []core.EdgeQuery {
 	return qs
 }
 
+// randResults is a random answer batch as an estimator gives one: every
+// result carries the batch's one stream total and one confidence.
 func randResults(rng *rand.Rand, n int) []core.Result {
 	rs := make([]core.Result, n)
+	total, conf := rng.Int63(), rng.Float64()
 	for i := range rs {
 		rs[i] = core.Result{
 			Estimate:    rng.Int63() - rng.Int63(),
 			Partition:   rng.Intn(4096) - 1, // includes NoPartition
 			Outlier:     rng.Intn(2) == 1,
 			ErrorBound:  rng.NormFloat64() * 1e6,
-			Confidence:  rng.Float64(),
-			StreamTotal: rng.Int63(),
+			Confidence:  conf,
+			StreamTotal: total,
 		}
 	}
 	return rs
@@ -147,26 +150,95 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestResultSpecialFloats checks that NaN and ±Inf bounds survive the f64
-// bit round trip (NaN compares unequal, so it needs its own check).
+// TestResultSpecialFloats checks that NaN and ±Inf bounds and confidences
+// survive the f64 bit round trip (NaN compares unequal, so it needs its own
+// check).
 func TestResultSpecialFloats(t *testing.T) {
-	rs := []core.Result{
-		{ErrorBound: math.Inf(1), Confidence: math.Inf(-1)},
-		{ErrorBound: math.NaN(), Confidence: math.NaN()},
+	for _, conf := range []float64{math.Inf(-1), math.NaN()} {
+		rs := []core.Result{
+			{ErrorBound: math.Inf(1), Confidence: conf},
+			{ErrorBound: math.NaN(), Confidence: conf},
+		}
+		f, err := NewDecoder(bytes.NewReader(AppendResults(nil, rs))).Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeResults(nil, f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !math.IsInf(got[0].ErrorBound, 1) || !math.IsNaN(got[1].ErrorBound) {
+			t.Fatalf("special bounds mangled: %+v", got)
+		}
+		for i, r := range got {
+			if math.Float64bits(r.Confidence) != math.Float64bits(conf) {
+				t.Fatalf("result %d: confidence %v, want %v", i, r.Confidence, conf)
+			}
+		}
 	}
-	f, err := NewDecoder(bytes.NewReader(AppendResults(nil, rs))).Next()
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestResultsLayout pins the version-2 results payload: a 16-byte header
+// holding the batch's stream total and confidence, then 24 bytes per query
+// — 49 176 bytes for a 2 048-query frame, header included, where version 1
+// wrote 81 928 — and the empty batch as a zero header alone.
+func TestResultsLayout(t *testing.T) {
+	if Version != 2 {
+		t.Fatalf("Version = %d, want 2", Version)
 	}
-	got, err := DecodeResults(nil, f.Payload)
-	if err != nil {
-		t.Fatal(err)
+	rs := randResults(rand.New(rand.NewSource(3)), 2048)
+	frame := AppendResults(nil, rs)
+	if len(frame) != 49176 {
+		t.Fatalf("2 048-result frame is %d bytes, want 49 176", len(frame))
 	}
-	if !math.IsInf(got[0].ErrorBound, 1) || !math.IsInf(got[0].Confidence, -1) {
-		t.Fatalf("inf bounds mangled: %+v", got[0])
+	p := frame[HeaderSize:]
+	if got := int64(binary.LittleEndian.Uint64(p[0:])); got != rs[0].StreamTotal {
+		t.Fatalf("header stream total %d, want %d", got, rs[0].StreamTotal)
 	}
-	if !math.IsNaN(got[1].ErrorBound) || !math.IsNaN(got[1].Confidence) {
-		t.Fatalf("nan bounds mangled: %+v", got[1])
+	if got := math.Float64frombits(binary.LittleEndian.Uint64(p[8:])); got != rs[0].Confidence {
+		t.Fatalf("header confidence %v, want %v", got, rs[0].Confidence)
+	}
+	if got := int64(binary.LittleEndian.Uint64(p[16+ResultSize:])); got != rs[1].Estimate {
+		t.Fatalf("second record's estimate %d, want %d", got, rs[1].Estimate)
+	}
+	if empty := AppendResults(nil, nil); !bytes.Equal(empty, append(header(Version, TypeResults, 16), make([]byte, 16)...)) {
+		t.Fatalf("empty results frame % x, want a zero 16-byte header", empty)
+	}
+}
+
+// TestDecodeResultsStrict: the results decoder accepts exactly what
+// AppendResults writes. Each corruption of a valid two-record payload is
+// ErrBadPayload.
+func TestDecodeResultsStrict(t *testing.T) {
+	valid := AppendResults(nil, []core.Result{
+		{Estimate: 5, StreamTotal: 9, ErrorBound: 0.5, Confidence: 0.9, Partition: 3},
+		{Estimate: 7, StreamTotal: 9, ErrorBound: 1.5, Confidence: 0.9, Partition: core.NoPartition, Outlier: true},
+	})[HeaderSize:]
+	if _, err := DecodeResults(nil, valid); err != nil {
+		t.Fatalf("valid payload refused: %v", err)
+	}
+	corrupt := func(off int, b byte) []byte {
+		p := bytes.Clone(valid)
+		p[off] = b
+		return p
+	}
+	cases := map[string][]byte{
+		"empty":              {},
+		"short header":       valid[:8],
+		"header and a half":  valid[:16+ResultSize/2],
+		"ragged":             valid[:len(valid)-1],
+		"flag bit 1":         corrupt(16+20, 2),
+		"flag bits 0 and 7":  corrupt(16+ResultSize+20, 0x81),
+		"first pad byte":     corrupt(16+21, 1),
+		"last pad byte":      corrupt(16+ResultSize+23, 0xff),
+		"empty batch, total": corrupt(0, 1)[:16],
+		"empty batch, conf":  corrupt(15, 0x3f)[:16],
+		"two v1 records":     make([]byte, 80),
+	}
+	for name, p := range cases {
+		if _, err := DecodeResults(nil, p); !errors.Is(err, ErrBadPayload) {
+			t.Errorf("%s: err = %v, want ErrBadPayload", name, err)
+		}
 	}
 }
 
@@ -228,7 +300,7 @@ func TestPayloadWidthValidation(t *testing.T) {
 	if _, err := DecodeQueries(nil, make([]byte, QuerySize-1)); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("queries: err = %v, want ErrBadPayload", err)
 	}
-	if _, err := DecodeResults(nil, make([]byte, ResultSize*2-3)); !errors.Is(err, ErrBadPayload) {
+	if _, err := DecodeResults(nil, make([]byte, 16+ResultSize*2-3)); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("results: err = %v, want ErrBadPayload", err)
 	}
 	if _, _, err := DecodeAck(make([]byte, AckSize+4)); !errors.Is(err, ErrBadPayload) {

@@ -111,6 +111,17 @@ west=$(awk '{print $3}' <<<"$wq")
 [[ -n "$west" && "$west" -ge 7 ]] || fail "wire estimate for (1,101) = '$west', want >= 7 ($wq)"
 awk '{exit !($4 > 0 && $5 > 0)}' <<<"$wq" || fail "wire answer missing bounds: $wq"
 
+# A results frame sends the batch's stream total and confidence once: a
+# three-query reply is an 8-byte frame header, a 16-byte batch header and
+# three 24-byte records, 96 bytes (the version-1 layout wrote 128). One
+# query cannot tell the layouts apart: both write 48 bytes.
+wire_bytes_out() { curl -sf "$BASE/stats" | grep -o '"wire_bytes_out":[0-9]*' | cut -d: -f2; }
+out0=$(wire_bytes_out)
+wq3=$("$WIRECLI" -addr "$WADDR" query 1 101 2 102 1 102)
+out1=$(wire_bytes_out)
+[[ $(wc -l <<<"$wq3") -eq 3 ]] || fail "three-query wire answer: $wq3"
+[[ $((out1 - out0)) -eq 96 ]] || fail "three-query wire reply moved wire_bytes_out by $((out1 - out0)), want 96"
+
 # Snapshot the mixed JSON+wire state and restore it; the wire answer must
 # not change.
 curl -sf -X POST "$BASE/snapshot/save" >/dev/null
