@@ -240,6 +240,11 @@ func TestDecodeResultsStrict(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrBadPayload", name, err)
 		}
 	}
+	// A bad second record leaves dst holding what it held and the first.
+	got, err := DecodeResults(make([]core.Result, 3), corrupt(16+ResultSize+22, 1))
+	if !errors.Is(err, ErrBadPayload) || len(got) != 4 || got[3].Estimate != 5 {
+		t.Fatalf("bad second record: %d results (%v), want the 3 given and the first", len(got), err)
+	}
 }
 
 func header(version, typ byte, n uint32) []byte {
@@ -333,6 +338,20 @@ func TestDecoderPayloadReuse(t *testing.T) {
 	if acc != 2 {
 		t.Fatalf("payload not reused (acc=%d); decoder grew a fresh buffer per frame", acc)
 	}
+}
+
+// BenchmarkDecodeResults times the client's side of a 2 048-query reply
+// per record.
+func BenchmarkDecodeResults(b *testing.B) {
+	frame := AppendResults(nil, randResults(rand.New(rand.NewSource(1)), 2048))
+	var rs []core.Result
+	for i := 0; i < b.N; i++ {
+		var err error
+		if rs, err = DecodeResults(rs[:0], frame[HeaderSize:]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rs)), "ns/record")
 }
 
 func BenchmarkDecodeIngestFrame(b *testing.B) {
