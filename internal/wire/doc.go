@@ -16,8 +16,8 @@
 //	2       2     reserved, must be zero
 //	4       4     payload length, little-endian uint32
 //
-// Payloads are dense arrays of fixed-width little-endian records, the
-// results behind a header:
+// Payloads are dense arrays of fixed-width little-endian records (results
+// behind a batch header):
 //
 //	TypeIngest         N × 32 bytes: src u64, dst u64, weight i64 (>= 0; zero
 //	                   counts as 1), time i64
@@ -61,13 +61,10 @@
 // connection uses one core on the server (about 16 M edges/s); a producer
 // with more to send opens more connections, which fold in parallel.
 //
-// Version 2 moved the stream total and the confidence out of each result
-// record (version 1's 40 bytes) into the results header: both belong to
-// the sketch that answers the batch, not to one query. There is no
-// negotiation and no version-1 layout. A version-1 frame is refused like
-// any unknown version — one TypeError CodeBadFrame frame, then the server
-// closes the connection — and a version-1 client refuses the server's
-// version-2 replies the same way.
+// Version 2 sends a batch's stream total and confidence once, in the
+// results header, not in each record (version 1's were 40 bytes). There is
+// no negotiation: a version-1 frame is refused like any unknown version,
+// with one TypeError CodeBadFrame frame, and the server closes the connection.
 //
 // Ping is a health probe that reads the server's gauges without changing
 // them. A server that cannot parse or serve a frame

@@ -13,8 +13,8 @@ import (
 
 // The encoders as they were before records were written in place: each
 // record built in a stack array, then appended (results in the version-2
-// layout). Kept as the reference the
-// in-place encoders are held to byte for byte.
+// layout). Kept as the reference the in-place encoders are held to byte
+// for byte.
 
 func refHeader(dst []byte, typ byte, n int) []byte {
 	var hdr [HeaderSize]byte

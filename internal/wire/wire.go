@@ -12,9 +12,7 @@ import (
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
-// Version is the protocol version this package speaks. Version 2 sends a
-// query batch's stream total and confidence once, in the results header; a
-// version-1 frame is refused like any other unknown version.
+// Version is the protocol version this package speaks.
 const Version = 2
 
 // Frame types.

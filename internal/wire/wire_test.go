@@ -217,23 +217,27 @@ func TestDecodeResultsStrict(t *testing.T) {
 	if _, err := DecodeResults(nil, valid); err != nil {
 		t.Fatalf("valid payload refused: %v", err)
 	}
-	corrupt := func(off int, b byte) []byte {
-		p := bytes.Clone(valid)
+	corrupt := func(p []byte, off int, b byte) []byte {
+		p = bytes.Clone(p)
 		p[off] = b
 		return p
 	}
+	zeroHeader := make([]byte, 16)
 	cases := map[string][]byte{
 		"empty":              {},
 		"short header":       valid[:8],
 		"header and a half":  valid[:16+ResultSize/2],
 		"ragged":             valid[:len(valid)-1],
-		"flag bit 1":         corrupt(16+20, 2),
-		"flag bits 0 and 7":  corrupt(16+ResultSize+20, 0x81),
-		"first pad byte":     corrupt(16+21, 1),
-		"last pad byte":      corrupt(16+ResultSize+23, 0xff),
-		"empty batch, total": corrupt(0, 1)[:16],
-		"empty batch, conf":  corrupt(15, 0x3f)[:16],
+		"flag bit 1":         corrupt(valid, 16+20, 2),
+		"flag bits 0 and 7":  corrupt(valid, 16+ResultSize+20, 0x81),
+		"first pad byte":     corrupt(valid, 16+21, 1),
+		"last pad byte":      corrupt(valid, 16+ResultSize+23, 0xff),
+		"empty batch, total": corrupt(zeroHeader, 0, 1),
+		"empty batch, conf":  corrupt(zeroHeader, 15, 0x3f),
 		"two v1 records":     make([]byte, 80),
+	}
+	if rs, err := DecodeResults(nil, zeroHeader); err != nil || len(rs) != 0 {
+		t.Fatalf("zero header alone: %d results, %v; want an empty batch", len(rs), err)
 	}
 	for name, p := range cases {
 		if _, err := DecodeResults(nil, p); !errors.Is(err, ErrBadPayload) {
@@ -241,7 +245,7 @@ func TestDecodeResultsStrict(t *testing.T) {
 		}
 	}
 	// A bad second record leaves dst holding what it held and the first.
-	got, err := DecodeResults(make([]core.Result, 3), corrupt(16+ResultSize+22, 1))
+	got, err := DecodeResults(make([]core.Result, 3), corrupt(valid, 16+ResultSize+22, 1))
 	if !errors.Is(err, ErrBadPayload) || len(got) != 4 || got[3].Estimate != 5 {
 		t.Fatalf("bad second record: %d results (%v), want the 3 given and the first", len(got), err)
 	}
