@@ -79,7 +79,8 @@
 // and transparently reopened on access. On the wire listener, clients
 // bind a connection to a tenant with a tenant-select frame (gsketch-wire
 // -tenant). Engine-only flags (-restore, -global, -adapt, -window-span)
-// are refused; -sample optionally seeds every tenant's partitioning.
+// are refused; -sample optionally seeds every tenant's partitioning, and
+// without it a tenant serves the Global Sketch.
 //
 // SIGINT/SIGTERM shut down gracefully: the listener stops, the ingest
 // queue drains, and (with -snapshot-on-exit) a final snapshot lands at

@@ -308,7 +308,7 @@
 // internal/server threads through every layer — per-route HTTP latency,
 // wire frame decode/apply latency, ingest queue depth and shed counts,
 // engine and per-tenant gauges — on GET /metrics, with GET /stats
-// deriving its JSON counters from the same registry. GET /healthz
+// rendering the same counters and gauges as JSON. GET /healthz
 // (liveness) is split from GET /readyz (readiness): a server mid-restore
 // or mid-swap reports 503 on /readyz while staying alive on /healthz. Logging is structured
 // log/slog throughout (gsketch-serve -log-level, -log-format json), and

@@ -311,17 +311,16 @@ func (gr *grouping) assemble(g *GSketch, out []Result, conf float64, streamTotal
 	if g.outlierWidth > 0 {
 		outlier = int32(len(g.leaves))
 	}
+	// Every field is written, because out is the caller's reused buffer.
 	for i, shard := range gr.shardOf {
-		r := Result{
-			Estimate:    gr.gvals[i],
-			Partition:   int(shard),
-			ErrorBound:  gr.bound[shard],
-			Confidence:  conf,
-			StreamTotal: streamTotal,
-		}
+		r := &out[i]
+		r.Estimate = gr.gvals[i]
+		r.Partition, r.Outlier = int(shard), false
 		if shard == outlier {
 			r.Partition, r.Outlier = NoPartition, true
 		}
-		out[i] = r
+		r.ErrorBound = gr.bound[shard]
+		r.Confidence = conf
+		r.StreamTotal = streamTotal
 	}
 }

@@ -459,88 +459,24 @@ func (s *Server) handleSnapshotSave(w http.ResponseWriter, r *http.Request) {
 	}
 	n, err := be.SaveSnapshot(path)
 	if err != nil {
-		code := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, tenant.ErrNotFound):
-			writeErrorCode(w, http.StatusNotFound, "tenant_not_found", "snapshot save: %v", err)
-			return
-		case errors.Is(err, tenant.ErrClosed):
-			code = http.StatusServiceUnavailable
-		}
-		writeError(w, code, "snapshot save: %v", err)
+		writeSnapshotError(w, "snapshot save", err)
 		return
 	}
 	s.stats.snapshotsSaved.Add(1)
 	writeJSON(w, http.StatusOK, map[string]any{"path": path, "bytes": n})
 }
 
-// handleSnapshotRestore swaps the serving state for a snapshot, read from
-// the raw request body (Content-Type: application/octet-stream) or from a
-// path on disk. The engine owns the swap semantics: an adaptive engine
-// restores any snapshot as a chain and rebinds its manager; a windowed
-// engine restores any snapshot as its windows; any other engine refuses
-// multi-generation snapshots.
+// handleSnapshotRestore swaps a backend's state for a snapshot, read from
+// a path on disk or, for an engine only, from the raw request body
+// (Content-Type: application/octet-stream). Tenant snapshots live under
+// the registry tree, and snapshotPath confines a request's path to the
+// tenant's own directory. The backend owns the swap semantics: an
+// adaptive engine restores any snapshot as a chain and rebinds its
+// manager, a windowed engine restores any snapshot as its windows, and any
+// other engine refuses multi-generation snapshots.
 func (s *Server) handleSnapshotRestore(w http.ResponseWriter, r *http.Request) {
-	if s.tenants != nil {
-		s.handleTenantRestore(w, r)
-		return
-	}
-	var src io.Reader
-	var from string
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream") {
-		src = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		from = "request body"
-	} else {
-		path, ok := s.snapshotPath(w, r, s.be)
-		if !ok {
-			return
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			writeError(w, http.StatusNotFound, "snapshot restore: %v", err)
-			return
-		}
-		defer f.Close()
-		src, from = f, path
-	}
-	done := s.beginSwap()
-	err := s.eng.Restore(src)
-	done()
-	if err != nil {
-		// Default to a server fault: non-sentinel failures (a displaced
-		// pipeline that would not drain, say) can arrive after the swap
-		// took effect, and a 4xx would wrongly invite a blind retry.
-		code := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, gsketch.ErrBadSnapshot):
-			code = http.StatusBadRequest
-		case errors.Is(err, gsketch.ErrNotAdaptive):
-			// The snapshot may be fine; this server just cannot serve it.
-			code = http.StatusConflict
-		case errors.Is(err, gsketch.ErrEngineClosed):
-			code = http.StatusServiceUnavailable
-		}
-		writeError(w, code, "snapshot restore from %s: %v", from, err)
-		return
-	}
-	s.stats.snapshotsRestored.Add(1)
-	// The reply reports localized-sketch partitions (like the pre-Engine
-	// server), not shard count — the two differ by the outlier shard. A
-	// restored engine always serves a gSketch.
-	writeJSON(w, http.StatusOK, map[string]any{
-		"restored":     from,
-		"generations":  s.eng.Generations(),
-		"partitions":   s.eng.Sketch().NumPartitions(),
-		"stream_total": s.eng.Stats().StreamTotal,
-	})
-}
-
-// handleTenantRestore swaps one tenant's state in from a snapshot path.
-// Raw octet-stream bodies are refused — tenant
-// snapshots live under the registry tree, and the path restriction in
-// snapshotPath confines requests to the tenant's own directory.
-func (s *Server) handleTenantRestore(w http.ResponseWriter, r *http.Request) {
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream") {
+	raw := strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream")
+	if raw && s.eng == nil {
 		writeError(w, http.StatusNotImplemented, "snapshot restore: raw snapshot bodies are unsupported in tenant mode (pass {\"path\": ...})")
 		return
 	}
@@ -548,35 +484,62 @@ func (s *Server) handleTenantRestore(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	path, ok := s.snapshotPath(w, r, be)
-	if !ok {
-		return
-	}
-	if _, err := os.Stat(path); err != nil {
-		writeError(w, http.StatusNotFound, "snapshot restore: %v", err)
-		return
-	}
-	if err := be.RestoreSnapshot(path); err != nil {
-		code := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, gsketch.ErrBadSnapshot):
-			code = http.StatusBadRequest
-		case errors.Is(err, tenant.ErrNotFound):
-			writeErrorCode(w, http.StatusNotFound, "tenant_not_found", "snapshot restore: %v", err)
+	from := "request body"
+	restore := func() error { return s.eng.Restore(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)) }
+	if !raw {
+		path, ok := s.snapshotPath(w, r, be)
+		if !ok {
 			return
-		case errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, tenant.ErrClosed):
-			code = http.StatusServiceUnavailable
 		}
-		writeError(w, code, "snapshot restore from %s: %v", path, err)
+		if _, err := os.Stat(path); err != nil {
+			writeError(w, http.StatusNotFound, "snapshot restore: %v", err)
+			return
+		}
+		from = path
+		restore = func() error { return be.RestoreSnapshot(path) }
+	}
+	// Only an engine's restore takes the server out of /readyz: a tenant's
+	// leaves every other tenant serving.
+	done := func() {}
+	if s.eng != nil {
+		done = s.beginSwap()
+	}
+	err := restore()
+	done()
+	if err != nil {
+		writeSnapshotError(w, "snapshot restore from "+from, err)
 		return
 	}
 	s.stats.snapshotsRestored.Add(1)
 	total, _, gens := be.Health()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"restored":     path,
-		"generations":  gens,
-		"stream_total": total,
-	})
+	reply := map[string]any{"restored": from, "generations": gens, "stream_total": total}
+	if s.eng != nil {
+		// Localized-sketch partitions, not the shard count: the two differ
+		// by the outlier shard.
+		reply["partitions"] = s.eng.Sketch().NumPartitions()
+	}
+	writeJSON(w, http.StatusOK, reply)
+}
+
+// writeSnapshotError maps a failed snapshot save or restore onto its
+// status. An error with no sentinel is a server fault: a restore can fail
+// after its swap took effect (a displaced pipeline that would not drain,
+// say), and a 4xx would invite a blind retry.
+func writeSnapshotError(w http.ResponseWriter, op string, err error) {
+	status := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, gsketch.ErrBadSnapshot):
+		status = http.StatusBadRequest
+	case errors.Is(err, gsketch.ErrNotAdaptive):
+		// The snapshot may be fine; this server just cannot serve it.
+		status = http.StatusConflict
+	case errors.Is(err, tenant.ErrNotFound):
+		writeErrorCode(w, http.StatusNotFound, "tenant_not_found", "%s: %v", op, err)
+		return
+	case errors.Is(err, gsketch.ErrEngineClosed), errors.Is(err, tenant.ErrClosed):
+		status = http.StatusServiceUnavailable
+	}
+	writeError(w, status, "%s: %v", op, err)
 }
 
 // snapshotPath resolves the snapshot path from the request body or the
@@ -624,71 +587,13 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	_, _ = s.eng.WriteWorkloadTo(w)
 }
 
-// handleStats reports the request counters plus the backend's live gauges:
-// registry gauges for a tenant registry, pipeline/workload/routing gauges
-// for an engine.
+// handleStats renders the gauge table and the request counters from one
+// view: the values /metrics serves, plus the /stats-only list rows.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	now := s.cfg.Now()
-	if s.tenants != nil {
-		ts := s.tenants.RegistryStats()
-		stats := map[string]any{
-			"uptime_seconds":   now.Sub(s.start).Seconds(),
-			"tenants":          ts.Tenants,
-			"tenants_resident": ts.Resident,
-			"tenant_evictions": ts.Evictions,
-			"tenant_reopens":   ts.Reopens,
-		}
-		s.stats.addTo(stats)
-		writeJSON(w, http.StatusOK, stats)
-		return
-	}
-	es := s.eng.Stats()
-	stats := map[string]any{
-		"uptime_seconds": now.Sub(s.start).Seconds(),
-		"stream_total":   es.StreamTotal,
-		"partitions":     es.Partitions,
-		"memory_bytes":   es.MemoryBytes,
-	}
-	if es.Ingest != nil {
-		stats["edges_applied"] = es.Ingest.EdgesApplied
-		stats["batches_applied"] = es.Ingest.BatchesApplied
-		stats["queue_depth"] = es.Ingest.QueueDepth
-		stats["queue_cap"] = es.Ingest.QueueCap
-		stats["inflight"] = es.Ingest.Inflight
-		stats["sheds"] = es.Ingest.Sheds
-	}
-	if es.Workload != nil {
-		stats["workload_seen"] = es.Workload.Seen
-		stats["workload_sample"] = es.Workload.Sample
-		stats["workload_capacity"] = es.Workload.Capacity
-	}
-	// Routing observability: per-partition hit counts and the outlier
-	// share, split by direction — the raw signal adaptive repartitioning
-	// watches.
-	if es.ReadRoutes != nil && es.WriteRoutes != nil {
-		stats["route_read_hits"] = es.ReadRoutes.Partitions
-		stats["route_read_outlier"] = es.ReadRoutes.Outlier
-		stats["route_read_outlier_share"] = es.ReadRoutes.OutlierShare()
-		stats["route_write_hits"] = es.WriteRoutes.Partitions
-		stats["route_write_outlier"] = es.WriteRoutes.Outlier
-		stats["route_write_outlier_share"] = es.WriteRoutes.OutlierShare()
-	}
-	if es.Adapt != nil {
-		stats["generations"] = es.Adapt.Generations
-		stats["repartitions"] = es.Adapt.Repartitions
-		stats["compactions"] = es.Adapt.Compactions
-		stats["resident_generations"] = es.Adapt.ResidentGenerations
-		stats["tiered_generations"] = es.Adapt.TieredGenerations
-		stats["tiered_bytes"] = es.Adapt.TieredBytes
-		stats["compacted_from"] = es.Adapt.CompactedFrom
-		stats["drift_workload_divergence"] = es.Adapt.Drift.WorkloadDivergence
-		stats["drift_outlier_share"] = es.Adapt.Drift.OutlierShare
-		stats["adapt_data_sample"] = es.Adapt.Drift.DataSample
-	}
-	if !es.LastSnapshot.IsZero() {
-		stats["snapshot_age_seconds"] = now.Sub(es.LastSnapshot).Seconds()
-	} else {
-		stats["snapshot_age_seconds"] = -1.0
+	v := s.view()
+	stats := make(map[string]any, len(s.gauges)+len(s.stats.byKey))
+	for i := range s.gauges {
+		stats[s.gauges[i].key] = s.gauges[i].value(&v)
 	}
 	s.stats.addTo(stats)
 	writeJSON(w, http.StatusOK, stats)

@@ -3,14 +3,18 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	gsketch "github.com/graphstream/gsketch"
+	"github.com/graphstream/gsketch/internal/core"
+	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/obs"
 	"github.com/graphstream/gsketch/internal/stream"
 	"github.com/graphstream/gsketch/internal/tenant"
@@ -286,5 +290,211 @@ func TestWindowedEngineReportsGenerations(t *testing.T) {
 	}
 	if got := familyValue(t, scrapeMetrics(t, ts.URL), "gsketch_engine_generations"); got != 2 {
 		t.Fatalf("gsketch_engine_generations = %v, want 2", got)
+	}
+}
+
+// gaugeShape is one quiescent server the gauge table is read on.
+type gaugeShape struct {
+	name string
+	srv  *Server
+	url  string
+}
+
+// gaugeShapes builds the four server shapes whose gauges differ: a plain
+// engine; an adaptive engine with tiering, repartitioned twice so that its
+// oldest frozen generation is spilled, with a saved snapshot; a windowed
+// engine; and a tenant registry. Nothing is in flight when they return,
+// and each server's clock stands still, so uptime_seconds and
+// snapshot_age_seconds read the same on /stats and on a later scrape.
+func gaugeShapes(t *testing.T) []gaugeShape {
+	t.Helper()
+	now := time.Now().Add(time.Minute)
+	edges := testStream(6000, 41)
+	qs := make([]core.EdgeQuery, 32)
+	for i := range qs {
+		qs[i] = core.EdgeQuery{Src: edges[i].Src, Dst: edges[i].Dst}
+	}
+	var shapes []gaugeShape
+	serve := func(name string, cfg Config) string {
+		cfg.Now = func() time.Time { return now }
+		srv, ts := newTestServer(t, cfg)
+		shapes = append(shapes, gaugeShape{name, srv, ts.URL})
+		return ts.URL
+	}
+	post := func(url string) {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %d %s", url, resp.StatusCode, body)
+		}
+	}
+
+	url := serve("engine", Config{Engine: testEngine(t, buildTestGSketch(t, edges[:1000]))})
+	ingestAll(t, url, edges[:3000])
+	queryBatch(t, url, qs)
+
+	dir := t.TempDir()
+	url = serve("adaptive", Config{Engine: testEngine(t, newTestChain(t, edges[:1000]),
+		gsketch.WithTiering(filepath.Join(dir, "tier"), 1),
+		gsketch.WithSnapshotFile(filepath.Join(dir, "chain.gsk")))})
+	// A query reloads a spilled generation, so the last one comes before
+	// the repartition that spills.
+	ingestAll(t, url, edges[:2000])
+	post(url + "/repartition")
+	ingestAll(t, url, edges[2000:4000])
+	queryBatch(t, url, qs)
+	post(url + "/repartition")
+	ingestAll(t, url, edges[4000:])
+	post(url + "/snapshot/save")
+	if a := shapes[1].srv.Engine().Stats().Adapt; a.Generations != 3 || a.TieredGenerations != 1 || a.ResidentGenerations != 2 {
+		t.Fatalf("adaptive shape: %+v, want 3 generations, 1 of them spilled", a)
+	}
+
+	win, err := gsketch.Open(testSketchConfig(), gsketch.WithGlobal(), gsketch.WithIngest(ingest.Config{}),
+		gsketch.WithWindows(gsketch.WindowConfig{Span: 1000, SampleSize: 64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	url = serve("windowed", Config{Engine: win})
+	ingestAll(t, url, edges[:2500])
+	queryBatch(t, url, qs)
+
+	reg, err := tenant.New(tenant.Config{Dir: t.TempDir(), Sketch: gsketch.Config{TotalBytes: 32 << 10, Seed: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url = serve("tenants", Config{Tenants: reg})
+	createTenant(t, url, "acme", "")
+	ingestAll(t, url+"/t/acme", edges[:2000])
+	queryBatch(t, url+"/t/acme", qs)
+	return shapes
+}
+
+// Every /stats key and /metrics family the server served before the gauge
+// table, per shape; none of them may go missing.
+const (
+	engineStatsKeys = `batches_applied compact_requests edges_accepted edges_applied edges_rejected
+		inflight ingest_requests memory_bytes partitions queries_answered query_requests queue_cap
+		queue_depth repartition_requests route_read_hits route_read_outlier route_read_outlier_share
+		route_write_hits route_write_outlier route_write_outlier_share sheds snapshot_age_seconds
+		snapshots_restored snapshots_saved stream_total uptime_seconds window_query_requests
+		wire_bytes_in wire_bytes_out wire_decode_errors wire_frames`
+	workloadStatsKeys = `workload_capacity workload_sample workload_seen`
+	chainStatsKeys    = `adapt_data_sample compacted_from compactions drift_outlier_share
+		drift_workload_divergence generations repartitions resident_generations tiered_bytes
+		tiered_generations`
+	engineFamilies = `gsketch_adapt_drift_outlier_share gsketch_adapt_drift_workload_divergence
+		gsketch_adapt_repartitions_total gsketch_adapt_swap_duration_seconds
+		gsketch_compact_duration_seconds gsketch_compact_requests_total gsketch_compactions_total
+		gsketch_edges_accepted_total gsketch_edges_rejected_total gsketch_engine_generations
+		gsketch_engine_generations_resident gsketch_engine_generations_tiered
+		gsketch_engine_memory_bytes gsketch_engine_partitions gsketch_engine_stream_total
+		gsketch_engine_tiered_bytes gsketch_http_request_duration_seconds gsketch_ingest_queue_cap
+		gsketch_ingest_queue_depth gsketch_ingest_requests_total gsketch_ingest_sheds_total
+		gsketch_queries_answered_total gsketch_query_requests_total gsketch_ready
+		gsketch_repartition_requests_total gsketch_snapshots_restored_total
+		gsketch_snapshots_saved_total gsketch_uptime_seconds gsketch_window_query_requests_total
+		gsketch_wire_bytes_in_total gsketch_wire_bytes_out_total gsketch_wire_decode_errors_total
+		gsketch_wire_frame_apply_duration_seconds gsketch_wire_frame_decode_duration_seconds
+		gsketch_wire_frames_total`
+	tenantStatsKeys = `compact_requests edges_accepted edges_rejected ingest_requests
+		queries_answered query_requests repartition_requests snapshots_restored snapshots_saved
+		tenant_evictions tenant_reopens tenants tenants_resident uptime_seconds
+		window_query_requests wire_bytes_in wire_bytes_out wire_decode_errors wire_frames`
+	tenantFamilies = `gsketch_adapt_swap_duration_seconds gsketch_compact_duration_seconds
+		gsketch_compact_requests_total gsketch_edges_accepted_total gsketch_edges_rejected_total
+		gsketch_http_request_duration_seconds gsketch_ingest_requests_total
+		gsketch_queries_answered_total gsketch_query_requests_total gsketch_ready
+		gsketch_repartition_requests_total gsketch_snapshots_restored_total
+		gsketch_snapshots_saved_total gsketch_tenant_edges_accepted_total
+		gsketch_tenant_evict_duration_seconds gsketch_tenant_evictions_total
+		gsketch_tenant_queries_total gsketch_tenant_rate_limited_total
+		gsketch_tenant_reopen_duration_seconds gsketch_tenant_reopens_total
+		gsketch_tenant_resident gsketch_tenant_stream_total gsketch_tenants
+		gsketch_tenants_resident gsketch_uptime_seconds gsketch_window_query_requests_total
+		gsketch_wire_bytes_in_total gsketch_wire_bytes_out_total gsketch_wire_decode_errors_total
+		gsketch_wire_frame_apply_duration_seconds gsketch_wire_frame_decode_duration_seconds
+		gsketch_wire_frames_total`
+)
+
+// servedBefore lists, per shape, what the server served before the gauge
+// table: /stats keys and /metrics families.
+var servedBefore = map[string][2]string{
+	"engine":   {engineStatsKeys + " " + workloadStatsKeys, engineFamilies},
+	"adaptive": {engineStatsKeys + " " + workloadStatsKeys + " " + chainStatsKeys, engineFamilies},
+	"windowed": {engineStatsKeys + " " + chainStatsKeys, engineFamilies},
+	"tenants":  {tenantStatsKeys, tenantFamilies},
+}
+
+// TestGaugeTableAgreesAcrossEndpoints reads every gauge row of four
+// quiescent server shapes on both endpoints: /stats must render each row
+// with the value its /metrics sample carries, integral rows as JSON
+// integers, and both endpoints must still serve everything they served
+// before the table.
+func TestGaugeTableAgreesAcrossEndpoints(t *testing.T) {
+	for _, sh := range gaugeShapes(t) {
+		resp, err := http.Get(sh.url + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats map[string]any
+		dec := json.NewDecoder(resp.Body)
+		dec.UseNumber()
+		err = dec.Decode(&stats)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fams := scrapeMetrics(t, sh.url)
+		served := make(map[string]string, len(fams)) // family → TYPE
+		for _, f := range fams {
+			served[f.Name] = f.Type
+		}
+
+		for _, g := range sh.srv.gauges {
+			if g.name == "" {
+				if _, ok := stats[g.key].([]any); !ok {
+					t.Errorf("%s: /stats %q = %v, want a list", sh.name, g.key, stats[g.key])
+				}
+				continue
+			}
+			n, ok := stats[g.key].(json.Number)
+			if !ok {
+				t.Errorf("%s: /stats %q = %v, want a number", sh.name, g.key, stats[g.key])
+				continue
+			}
+			if g.i != nil {
+				if _, err := n.Int64(); err != nil {
+					t.Errorf("%s: /stats %q = %s, want a JSON integer", sh.name, g.key, n)
+				}
+			}
+			got, err := n.Float64()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := familyValue(t, fams, g.name); got != want {
+				t.Errorf("%s: /stats %q = %v, /metrics %s = %v", sh.name, g.key, got, g.name, want)
+			}
+			if typ := served[g.name]; (typ == "counter") != g.counter || g.counter && !strings.HasSuffix(g.name, "_total") {
+				t.Errorf("%s: %s is a %s, and its row's counter flag is %v", sh.name, g.name, typ, g.counter)
+			}
+		}
+
+		before := servedBefore[sh.name]
+		for _, key := range strings.Fields(before[0]) {
+			if _, ok := stats[key]; !ok {
+				t.Errorf("%s: /stats no longer serves %q", sh.name, key)
+			}
+		}
+		for _, name := range strings.Fields(before[1]) {
+			if served[name] == "" {
+				t.Errorf("%s: /metrics no longer serves %s", sh.name, name)
+			}
+		}
 	}
 }

@@ -29,7 +29,7 @@
 //	                       per-route and wire-frame latency histograms,
 //	                       engine/tenant gauges
 //	GET  /stats            JSON counters + live engine gauges (the same
-//	                       registry /metrics renders)
+//	                       counters and gauge rows /metrics renders)
 //
 // The server is embeddable: New + Handler slot into any http.Server or
 // test harness; Serve/ServeWire + Shutdown run it standalone.
@@ -43,6 +43,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,6 +114,7 @@ type Server struct {
 	tenants *tenant.Registry
 	mux     *http.ServeMux
 	stats   *counters
+	gauges  []gauge // the gauge table rows this server's backend serves
 	metrics *serverMetrics
 	log     *slog.Logger
 
@@ -156,19 +158,25 @@ func New(cfg Config) (*Server, error) {
 		wireLns:   make(map[net.Listener]struct{}),
 		wireConns: make(map[net.Conn]struct{}),
 	}
-	s.metrics = s.newServerMetrics()
+	s.metrics = newServerMetrics()
 	s.stats = newCounters(s.metrics.reg)
 	switch {
 	case cfg.Tenants != nil:
 		// No process-wide backend: every request resolves its tenant's
 		// handle (s.backend), and wire connections bind one per session.
 		s.tenants = cfg.Tenants
+		s.gauges = slices.Concat(serverGauges, tenantGauges)
 		s.registerTenantMetrics(cfg.Tenants)
 	default:
 		s.eng = cfg.Engine
 		s.be = engineBackend{eng: cfg.Engine}
-		s.registerEngineMetrics(cfg.Engine)
+		s.gauges = slices.Concat(serverGauges, engineGauges)
+		// The engine's observer hooks feed the swap- and compact-duration
+		// histograms, for manual requests and background loops alike.
+		s.eng.SetSwapObserver(s.metrics.swap.ObserveDuration)
+		s.eng.SetCompactObserver(s.metrics.compact.ObserveDuration)
 	}
+	s.registerGauges()
 	s.mux = s.routes()
 	s.httpSrv = &http.Server{
 		Handler: s.mux,

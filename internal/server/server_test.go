@@ -119,19 +119,16 @@ func TestIngestBackpressure429(t *testing.T) {
 		t.Fatalf("accepted/rejected = %d/%d, want 0/8", ir.Accepted, ir.Rejected)
 	}
 
-	// Open the gate: retrying the shed suffix (honoring each reply's
-	// accepted prefix) drains, and every accepted edge lands.
+	// Open the gate and retry the shed suffix one 4-edge batch at a time,
+	// each after a drain, so every retry meets an empty queue: a two-batch
+	// post could have its second batch shed again while the worker
+	// drains, counting its edges as rejected twice.
 	close(dest.gate)
-	for rest := edges[8:16]; len(rest) > 0; {
-		code, ir := postIngest(t, ts.URL, rest, true)
-		rest = rest[ir.Accepted:]
-		if code == http.StatusOK {
-			continue
+	for rest := edges[8:16]; len(rest) > 0; rest = rest[4:] {
+		drainEngine(t, srv.Engine())
+		if code, ir := postIngest(t, ts.URL, rest[:4], true); code != http.StatusOK || ir.Accepted != 4 {
+			t.Fatalf("retry: code %d, %+v", code, ir)
 		}
-		if code != http.StatusTooManyRequests {
-			t.Fatalf("retry code %d", code)
-		}
-		time.Sleep(time.Millisecond)
 	}
 	if got := dest.Count(); got != 16 {
 		t.Fatalf("edges applied = %d, want 16", got)

@@ -89,7 +89,7 @@ func TestTenantEquivalenceHTTP(t *testing.T) {
 		}
 		got := queryBatch(t, baseURL+"/t/"+name, qs)
 
-		eng, err := gsketch.Open(sketchCfg, gsketch.WithSample(tenant.DefaultSample()))
+		eng, err := gsketch.Open(sketchCfg, gsketch.WithGlobal())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,5 +455,80 @@ func drainEngine(t *testing.T, eng *gsketch.Engine) {
 	defer cancel()
 	if err := eng.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
+	}
+}
+
+// TestSnapshotRestoreModes drives the one restore handler in both modes:
+// a path restores an engine or a tenant, a raw body restores an engine
+// only (tenant mode answers 501), only an engine's reply carries
+// partitions, and a missing file is a 404 in both.
+func TestSnapshotRestoreModes(t *testing.T) {
+	edges := testStream(3000, 17)
+	restore := func(url, contentType, body string) (int, map[string]any) {
+		t.Helper()
+		resp, err := http.Post(url, contentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var reply map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, reply
+	}
+	saved := func(url string) string {
+		t.Helper()
+		resp, data := doReq(t, http.MethodPost, url, "")
+		var reply struct{ Path string }
+		if err := json.Unmarshal(data, &reply); resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("save: %d %s", resp.StatusCode, data)
+		}
+		return reply.Path
+	}
+
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, Config{Engine: testEngine(t, buildTestGSketch(t, edges[:1000]),
+		gsketch.WithSnapshotFile(filepath.Join(dir, "engine.gsk")))})
+	ingestAll(t, ts.URL, edges)
+	drainEngine(t, srv.Engine())
+	saved(ts.URL + "/snapshot/save")
+	var raw strings.Builder
+	if _, err := srv.Engine().Save(&raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []struct{ contentType, body string }{
+		{"application/json", ""},
+		{"application/octet-stream", raw.String()},
+	} {
+		code, reply := restore(ts.URL+"/snapshot/restore", body.contentType, body.body)
+		if code != http.StatusOK || reply["partitions"] == nil || reply["generations"] != float64(1) {
+			t.Fatalf("engine restore (%s): %d %v", body.contentType, code, reply)
+		}
+	}
+	if code, reply := restore(ts.URL+"/snapshot/restore", "application/json",
+		`{"path":"`+filepath.Join(dir, "missing.gsk")+`"}`); code != http.StatusNotFound {
+		t.Fatalf("engine restore of a missing file: %d %v", code, reply)
+	}
+
+	_, baseURL, _ := newTenantServer(t, tenant.Config{})
+	createTenant(t, baseURL, "acme", "")
+	ingestAll(t, baseURL+"/t/acme", edges)
+	path := saved(baseURL + "/t/acme/snapshot/save")
+	code, reply := restore(baseURL+"/t/acme/snapshot/restore", "application/json", "")
+	if _, ok := reply["partitions"]; code != http.StatusOK || ok || reply["restored"] != path ||
+		reply["stream_total"] == float64(0) {
+		t.Fatalf("tenant restore: %d %v", code, reply)
+	}
+	if code, reply := restore(baseURL+"/t/acme/snapshot/restore", "application/octet-stream", raw.String()); code != http.StatusNotImplemented {
+		t.Fatalf("tenant restore of a raw body: %d %v", code, reply)
+	}
+	if code, reply := restore(baseURL+"/t/acme/snapshot/restore", "application/json",
+		`{"path":"`+filepath.Join(filepath.Dir(path), "missing.snap")+`"}`); code != http.StatusNotFound {
+		t.Fatalf("tenant restore of a missing file: %d %v", code, reply)
+	}
+	if code, reply := restore(baseURL+"/t/ghost/snapshot/restore", "application/json", ""); code != http.StatusNotFound ||
+		reply["code"] != "tenant_not_found" {
+		t.Fatalf("restore of an unknown tenant: %d %v", code, reply)
 	}
 }

@@ -77,16 +77,6 @@ type Quotas struct {
 	Burst int
 }
 
-// DefaultSample is the bootstrap sample for tenants created without a
-// registry-wide Config.Sample. Every tenant engine must snapshot (the
-// evict→reopen lifecycle depends on it) and only partitioned sketches
-// serialize, so a minimal one-edge sample stands in for the global
-// baseline: it yields a single-partition sketch with the same CountMin
-// guarantees, just no workload-aware routing.
-func DefaultSample() []stream.Edge {
-	return []stream.Edge{{Src: 0, Dst: 0, Weight: 1}}
-}
-
 // Config parameterizes a Registry.
 type Config struct {
 	// Dir is the registry root: the manifest plus one snapshot directory
@@ -100,7 +90,7 @@ type Config struct {
 	// from (Overrides.SketchBytes/Seed refine it per tenant).
 	Sketch gsketch.Config
 	// Sample bootstraps each fresh tenant's partitioned sketch; with no
-	// sample, tenants fall back to DefaultSample (single partition).
+	// sample, tenants serve the Global Sketch (gsketch.WithGlobal).
 	Sample []stream.Edge
 	// Ingest parameterizes each tenant's batch pipeline (zero value =
 	// ingest package defaults; Overrides.QueueDepth refines it).
@@ -547,7 +537,7 @@ func (r *Registry) openEngine(t *tenant) (*gsketch.Engine, error) {
 	case len(r.cfg.Sample) > 0:
 		opts = append(opts, gsketch.WithSample(r.cfg.Sample))
 	default:
-		opts = append(opts, gsketch.WithSample(DefaultSample()))
+		opts = append(opts, gsketch.WithGlobal())
 	}
 	eng, err := gsketch.Open(cfg, opts...)
 	if err != nil {

@@ -110,7 +110,7 @@ func TestTenantEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		eng, err := gsketch.Open(cfg.Sketch, gsketch.WithSample(DefaultSample()))
+		eng, err := gsketch.Open(cfg.Sketch, gsketch.WithGlobal())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,6 +59,7 @@ answer2=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$query" "$BAS
 stats=$(curl -sf "$BASE/stats")
 grep -q '"edges_accepted":8' <<<"$stats" || fail "stats: $stats"
 grep -q '"snapshots_saved":1' <<<"$stats" || fail "stats: $stats"
+agree queue_cap gsketch_ingest_queue_cap inflight gsketch_ingest_inflight
 
 # ---------------------------------------------------------------------------
 # Observability surface: /metrics is Prometheus text exposition derived

@@ -26,3 +26,18 @@ wait_healthy() {
   done
   fail "$what never became healthy"
 }
+
+# agree fetches /stats and /metrics and fails unless each pair of
+# arguments, a /stats key and its /metrics family, reads the same value on
+# both: every gauge is one row that both endpoints render.
+agree() {
+  local stats metrics s m
+  stats=$(curl -sf "$BASE/stats") || fail "GET /stats"
+  metrics=$(curl -sf "$BASE/metrics") || fail "GET /metrics"
+  while (($# >= 2)); do
+    s=$(grep -o "\"$1\":[^,}]*" <<<"$stats" | cut -d: -f2)
+    m=$(grep "^$2 " <<<"$metrics" | cut -d' ' -f2)
+    [[ -n "$s" && "$s" == "$m" ]] || fail "/stats $1 = '$s', /metrics $2 = '$m'"
+    shift 2
+  done
+}

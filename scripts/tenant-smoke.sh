@@ -103,6 +103,7 @@ grep -q 'gsketch_tenant_rate_limited_total{tenant="limited"} ' <<<"$metrics" \
   || fail "limited rate-limit counter missing"
 stats=$(curl -sf "$BASE/stats")
 grep -q '"tenants":3' <<<"$stats" || fail "stats: $stats"
+agree tenants gsketch_tenants
 
 kill -TERM "$PID"
 wait "$PID" || fail "server exited non-zero on SIGTERM"
