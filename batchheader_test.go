@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -94,19 +93,6 @@ func TestQueryBatchSharesTotalAndConfidence(t *testing.T) {
 		},
 		"chain": func(t *testing.T) served {
 			eng := open(t, chainOpts()...)
-			pivot(t, eng)
-			return fromEngine(t, eng)
-		},
-		"chain with decay": func(t *testing.T) served {
-			var mu sync.Mutex
-			now := time.Unix(1_700_000_000, 0)
-			clock := func() time.Time {
-				mu.Lock()
-				defer mu.Unlock()
-				now = now.Add(20 * time.Minute) // every reading ages the chain
-				return now
-			}
-			eng := open(t, chainOpts(gsketch.WithDecay(time.Hour), gsketch.WithClock(clock))...)
 			pivot(t, eng)
 			return fromEngine(t, eng)
 		},

@@ -58,16 +58,16 @@
 // sees, the edges the pipeline has applied, so ingest with ?sync=1 before
 // reading your writes. Windowed engines snapshot and restore like chains.
 //
-// The chain's generation lifecycle is managed with the compaction, tiering
-// and decay flags (all require -adapt). -compact-max-gens / -compact-age /
-// -compact-mem set the background fold triggers (checked every
-// -compact-interval; -compact-fold generations fold per pass, and the
-// repartition manager also folds on demand before a rotation that would
-// hit -adapt-max-gens, so the cap stops refusing). -tier-dir spills cold
-// frozen generations to disk past -tier-resident resident ones, reloading
-// them lazily on query. -decay-half-life down-weights frozen generations'
-// contributions by 2^(-age/halfLife) at query time. POST /compact folds on
-// demand.
+// Every engine serves a generation chain: without -adapt it is static, one
+// generation or the ones a restored snapshot carries. The adaptive chain's
+// lifecycle is managed with the compaction and tiering flags (both require
+// -adapt). -compact-max-gens / -compact-age / -compact-mem set the
+// background fold triggers (checked every -compact-interval; -compact-fold
+// generations fold per pass, and the repartition manager also folds on
+// demand before a rotation that would hit -adapt-max-gens, so the cap stops
+// refusing). -tier-dir spills cold frozen generations to disk past
+// -tier-resident resident ones, reloading them lazily on query. POST
+// /compact folds on demand.
 //
 // With -tenants the process serves many isolated sketches from one
 // registry (see internal/tenant): the data path moves under
@@ -156,7 +156,6 @@ func main() {
 		compactInterval = flag.Duration("compact-interval", 0, "background compaction check interval (0 = default 30s)")
 		tierDir         = flag.String("tier-dir", "", "spill cold frozen generations to files under this directory (with -adapt)")
 		tierResident    = flag.Int("tier-resident", 0, "max frozen generations kept resident in RAM with -tier-dir")
-		decayHalfLife   = flag.Duration("decay-half-life", 0, "age-decay half-life for frozen generations at query time (0 = disabled)")
 
 		tenantsOn     = flag.Bool("tenants", false, "serve a multi-tenant registry: data path under /t/{tenant}/..., admin API at /t")
 		tenantDir     = flag.String("tenant-dir", "tenants", "tenant registry root: manifest plus one snapshot dir per tenant (with -tenants)")
@@ -277,15 +276,9 @@ func main() {
 	if *tierDir != "" {
 		opts = append(opts, gsketch.WithTiering(*tierDir, *tierResident))
 	}
-	if *decayHalfLife > 0 {
-		opts = append(opts, gsketch.WithDecay(*decayHalfLife))
-	}
 
 	eng, err := gsketch.Open(cfg, opts...)
 	if err != nil {
-		if errors.Is(err, gsketch.ErrNotAdaptive) {
-			fatal(logger, "snapshot carries a generation chain; run with -adapt to serve it", "error", err)
-		}
 		fatal(logger, "engine open failed", "error", err)
 	}
 	st, g := eng.Stats(), eng.Sketch()

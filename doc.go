@@ -205,26 +205,28 @@
 // traffic — see RouteCounts) and on threshold (WithAutoRepartition) or on
 // demand (Engine.Repartition) rebuilds from fresh samples and rotates the
 // result in as the new head. Chain snapshots serialize every generation
-// in one container (Engine.Save on an adaptive engine); pre-chain
+// in one container (Engine.Save); any engine serves them, and pre-chain
 // snapshots load unchanged as single-generation chains.
 //
 // # Generation lifecycle
 //
-// Left unmanaged, a long-lived chain accumulates a generation per
-// rotation until memory and the union-bound confidence degrade, then
-// hits ErrMaxGenerations. The lifecycle options (backed by
-// internal/compact) keep chains bounded: WithCompaction mounts a fold
-// policy — the oldest frozen generations merge cell-wise when they share
-// a hash layout (lossless; bounds combine to ε·ΣN_g) or re-partition
-// from their retained reservoirs otherwise, and the repartition manager
-// compacts before refusing a rotation at the cap — WithTiering spills
-// cold frozen generations to file-backed segments with lazy reload on
-// query, and WithDecay down-weights a frozen generation's estimates and
-// bounds together by 2^(-age/halfLife) at gather time. Engine.Compact
-// folds on demand (POST /compact when serving); chain snapshots carry
-// the per-generation lifecycle records and older snapshot versions still
-// load. See the README's Generation lifecycle section and the
-// internal/compact package documentation.
+// Every engine serves a generation chain. Without a rotation policy it is
+// static: one generation (or the ones a restored snapshot carries), no
+// data reservoir, nothing that rotates. Left unmanaged, an adaptive chain
+// accumulates a generation per rotation until memory and the union-bound
+// confidence degrade, then hits ErrMaxGenerations. The lifecycle options
+// (backed by internal/compact) keep it bounded: WithCompaction mounts a
+// fold policy — the oldest frozen generations merge cell-wise when they
+// share a hash layout (lossless; bounds combine to ε·ΣN_g) or
+// re-partition from their retained reservoirs otherwise, and the
+// repartition manager compacts before refusing a rotation at the cap —
+// and WithTiering spills cold frozen generations to file-backed segments
+// with lazy reload on query. One goroutine per engine runs the drift
+// check and the compaction policy. Engine.Compact folds on demand (POST
+// /compact when serving); chain snapshots carry the per-generation
+// lifecycle records and older snapshot versions still load. See the
+// README's Generation lifecycle section and the internal/compact package
+// documentation.
 //
 // # One process
 //

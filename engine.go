@@ -23,9 +23,9 @@ import (
 var (
 	// ErrEngineClosed reports an operation against a closed Engine.
 	ErrEngineClosed = errors.New("gsketch: engine is closed")
-	// ErrNotAdaptive reports Repartition or Compact on an engine opened
-	// without WithAdaptive, or a multi-generation snapshot restored into
-	// one opened without WithAdaptive or WithWindows.
+	// ErrNotAdaptive reports Repartition, Drift or Compact on an engine
+	// whose chain has no rotation policy: one opened without WithAdaptive
+	// (Compact also works on an adopted *Chain).
 	ErrNotAdaptive = errors.New("gsketch: engine is not adaptive (open with WithAdaptive)")
 	// ErrNoWindow reports a window query against an engine opened without
 	// WithWindows.
@@ -46,9 +46,8 @@ var (
 
 // servingEstimator is the estimator surface the engine serves through: the
 // batched read/write paths, the append-style read path behind
-// AppendQueryBatch, and the shard gauge. Both *Concurrent and *Chain
-// satisfy it, so one engine serves a bare wrapped sketch and a generation
-// chain identically.
+// AppendQueryBatch, and the shard gauge. A *Chain satisfies it, and so
+// does the mutex a foreign estimator is served behind.
 type servingEstimator interface {
 	Estimator
 	AppendEstimates(dst []Result, qs []EdgeQuery) []Result
@@ -63,9 +62,24 @@ type engineState struct {
 	// ing is the batch-ingest pipeline, nil when the engine was opened
 	// without WithIngest (ingest then applies synchronously).
 	ing *ingest.Ingestor
-	// chain is non-nil when est is a generation chain (adaptive or
-	// windowed).
+	// chain is est as a generation chain, nil only while the engine serves
+	// a foreign estimator adopted by WithEstimator.
 	chain *adapt.Chain
+}
+
+// newState builds the serving state around est and, when the engine has
+// one, a fresh pipeline feeding it.
+func (e *Engine) newState(est servingEstimator) (*engineState, error) {
+	st := &engineState{est: est}
+	st.chain, _ = est.(*adapt.Chain)
+	if e.opts.ingestCfg != nil {
+		ing, err := ingest.New(est, *e.opts.ingestCfg)
+		if err != nil {
+			return nil, err
+		}
+		st.ing = ing
+	}
+	return st, nil
 }
 
 // Engine is the one-handle production surface of the library: a single
@@ -92,13 +106,9 @@ type Engine struct {
 	mgr *adapt.Manager  // nil unless adaptive
 	rec *adapt.Recorder // nil unless recording
 
-	autoStop chan struct{} // stops the auto-repartition loop; nil when off
-	autoDone chan struct{} // closed when the loop goroutine has exited
-
-	cmgr        *compact.Manager // nil unless a compaction policy is mounted
-	compactStop chan struct{}    // stops the compaction loop; nil when off
-	compactDone chan struct{}    // closed when the loop goroutine has exited
-	compactions atomic.Int64     // completed folds, every trigger path
+	stop        chan struct{} // stops the lifecycle goroutine; nil when none runs
+	done        chan struct{} // closed when the lifecycle goroutine has exited
+	compactions atomic.Int64  // completed folds, every trigger path
 
 	// rebuildCfg is the sketch configuration compaction re-ingest rebuilds
 	// use — the adaptive manager's rebuild config when one is mounted, the
@@ -108,10 +118,9 @@ type Engine struct {
 	compactObsMu sync.Mutex
 	compactObs   func(time.Duration)
 
-	snapPath  string
-	snapNanos atomic.Int64 // unix nanos of the last snapshot save/restore
-	saved     atomic.Int64 // completed snapshot saves
-	restored  atomic.Int64 // completed snapshot restores
+	snapPath string
+	saved    atomic.Int64 // completed snapshot saves
+	restored atomic.Int64 // completed snapshot restores
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -125,13 +134,16 @@ type Engine struct {
 // baseline), WithRestore / WithRestoreFile (resume from a snapshot), or
 // WithEstimator (adopt an estimator built elsewhere).
 //
-// Everything else is composition: WithIngest mounts the batched pipeline
-// behind Ingest/TryIngest, WithAdaptive turns the estimator into a
-// generation chain with a drift-watching repartition manager,
-// WithWorkloadRecorder samples query traffic into the §4.2 workload
-// format, WithWindows makes the generations time windows, and WithSnapshotDir
-// gives Save/Restore a home. The zero-option Open(cfg, WithSample(s)) is
-// byte-identical to core.BuildGSketch wrapped in core.NewConcurrent.
+// Every engine serves a generation chain (a foreign estimator adopted by
+// WithEstimator aside); without a rotation policy it is static, one
+// generation or a restored snapshot's. Everything else is composition:
+// WithIngest mounts the batched pipeline behind Ingest/TryIngest,
+// WithAdaptive gives the chain a data reservoir and a drift-watching
+// repartition manager, WithWorkloadRecorder samples query traffic into the
+// §4.2 workload format, WithWindows makes the generations time windows, and
+// WithSnapshotDir gives Save/Restore a home. The zero-option Open(cfg,
+// WithSample(s)) is byte-identical to core.BuildGSketch wrapped in
+// core.NewConcurrent.
 func Open(cfg Config, opts ...Option) (*Engine, error) {
 	o := engineOptions{now: time.Now}
 	for _, opt := range opts {
@@ -152,20 +164,17 @@ func Open(cfg Config, opts ...Option) (*Engine, error) {
 		e.rec = adapt.NewRecorder(o.recorderCap, o.recorderSeed, func() int64 { return e.opts.now().Unix() })
 	}
 
-	est, chain, err := o.buildEstimator(cfg)
+	est, err := o.buildEstimator(cfg)
 	if err != nil {
 		return nil, err
 	}
+	// The data sample steered the build and is not read again: drop it, or
+	// it stays reachable as long as the engine. The workload sample stays —
+	// it is the adaptive manager's baseline.
+	e.opts.dataSample = nil
+	chain, _ := est.(*adapt.Chain)
 	if chain != nil && chain.Config().MaxGenerations > core.MaxChainGenerations {
 		return nil, fmt.Errorf("gsketch: a chain cap of %d generations exceeds the %d a snapshot can hold", chain.Config().MaxGenerations, core.MaxChainGenerations)
-	}
-	// The data sample steered the build and is not read again: drop it from
-	// both copies of the options (the engine's, and the one the loop
-	// closures below capture), or it stays reachable as long as the engine.
-	// The workload sample stays — it is the adaptive manager's baseline.
-	o.dataSample, e.opts.dataSample = nil, nil
-	if o.lifecycleConfigured() && chain == nil {
-		return nil, errors.New("gsketch: WithCompaction/WithTiering/WithDecay need a generation chain (WithAdaptive or an adopted *Chain)")
 	}
 	e.rebuildCfg = cfg
 	if o.adaptive && (o.managerCfg.Sketch.TotalBytes != 0 || o.managerCfg.Sketch.TotalWidth != 0) {
@@ -174,20 +183,13 @@ func Open(cfg Config, opts ...Option) (*Engine, error) {
 	if chain != nil {
 		e.applyLifecycle(chain)
 	}
-	st := &engineState{est: est, chain: chain}
-
 	// The pipeline spawns worker goroutines, so it is built after every
 	// other fallible step — an Open that fails must not leak workers.
-	if o.ingestCfg != nil {
-		ing, err := ingest.New(est, *o.ingestCfg)
-		if err != nil {
-			return nil, err
-		}
-		st.ing = ing
+	if e.st, err = e.newState(est); err != nil {
+		return nil, err
 	}
-	e.st = st
 
-	if chain != nil && o.adaptive {
+	if o.adaptive {
 		mc := o.managerCfg
 		if mc.Sketch.TotalBytes == 0 && mc.Sketch.TotalWidth == 0 {
 			mc.Sketch = cfg
@@ -212,34 +214,80 @@ func Open(cfg Config, opts ...Option) (*Engine, error) {
 				return err
 			})
 		}
-		if o.autoInterval > 0 {
-			e.autoStop = make(chan struct{})
-			e.autoDone = make(chan struct{})
-			go func() {
-				defer close(e.autoDone)
-				e.mgr.Run(o.autoInterval, e.autoStop, o.autoErr)
-			}()
-		}
 	}
-	if chain != nil && o.compactPolicy != nil && o.compactPolicy.Enabled() {
-		e.cmgr = compact.NewManager(engineCompactTarget{e}, *o.compactPolicy, o.now, o.compactErr)
-		e.compactStop = make(chan struct{})
-		e.compactDone = make(chan struct{})
-		go func() {
-			defer close(e.compactDone)
-			e.cmgr.Run(e.compactStop)
-		}()
+	var fold time.Duration // the compaction policy's period; 0 without a trigger
+	if p := o.compactPolicy; p != nil && p.Enabled() {
+		fold = p.WithDefaults().Interval
+	}
+	if o.autoInterval > 0 || fold > 0 {
+		e.stop, e.done = make(chan struct{}), make(chan struct{})
+		go e.lifecycle(o.autoInterval, fold)
 	}
 	return e, nil
+}
+
+// lifecycle is the engine's one background goroutine: it runs the drift
+// check (every drift, WithAutoRepartition) and the compaction policy (every
+// fold, WithCompaction), each on its own ticker — a policy that is off, at
+// 0, has none and never fires — until Close stops it.
+func (e *Engine) lifecycle(drift, fold time.Duration) {
+	defer close(e.done)
+	var driftC, foldC <-chan time.Time
+	if drift > 0 {
+		t := time.NewTicker(drift)
+		defer t.Stop()
+		driftC = t.C
+	}
+	if fold > 0 {
+		t := time.NewTicker(fold)
+		defer t.Stop()
+		foldC = t.C
+	}
+	for {
+		select {
+		case <-e.stop:
+			return
+		case <-driftC:
+			if _, err := e.mgr.Check(); err != nil && e.opts.autoErr != nil {
+				e.opts.autoErr(err)
+			}
+		case <-foldC:
+			// Fold until the policy stops firing, so a burst of rotations
+			// converges in one tick, but at most 8 times.
+			for i := 0; i < 8 && e.compactStep(); i++ {
+			}
+		}
+	}
+}
+
+// compactStep evaluates the compaction policy once on the chain serving at
+// that moment, so it follows a Restore to the replacement chain: it folds
+// once when the policy fires, and otherwise enforces the residency cap, so
+// cold generations keep spilling as they age out of the access window. It
+// reports whether it folded; an error goes to the WithCompaction handler.
+func (e *Engine) compactStep() bool {
+	p := e.opts.compactPolicy.WithDefaults()
+	chain := e.state().chain
+	var res compact.Result
+	var err error
+	if p.Triggered(chain.LifecycleState(e.opts.now())) {
+		res, err = e.compactChain(p.Fold)
+		if errors.Is(err, adapt.ErrNothingToCompact) {
+			err = nil
+		}
+	} else {
+		_, err = chain.EnforceResidency()
+	}
+	if err != nil && e.opts.compactErr != nil {
+		e.opts.compactErr(err)
+	}
+	return err == nil && res.Folded > 0
 }
 
 // applyLifecycle copies the Open-time lifecycle options onto a chain. It
 // runs before the chain is published (Open, Restore), so the chain's
 // plain-field setters are safe.
 func (e *Engine) applyLifecycle(c *adapt.Chain) {
-	if e.opts.decayHalfLife > 0 {
-		c.SetDecay(e.opts.decayHalfLife)
-	}
 	if e.opts.tierDir != "" {
 		c.SetTiering(e.opts.tierDir, e.opts.tierResident)
 	}
@@ -249,46 +297,15 @@ func (e *Engine) applyLifecycle(c *adapt.Chain) {
 	c.SetClock(e.opts.now)
 }
 
-// engineCompactTarget adapts the engine to the compaction policy loop. It
-// resolves the serving chain on every call, so the loop follows a snapshot
-// restore to the replacement chain automatically.
-type engineCompactTarget struct{ e *Engine }
-
-func (t engineCompactTarget) LifecycleState(now time.Time) compact.State {
-	st := t.e.state()
-	if st.chain == nil {
-		return compact.State{}
-	}
-	return st.chain.LifecycleState(now)
-}
-
-func (t engineCompactTarget) Compact(k int) (compact.Result, error) {
-	res, err := t.e.compactChain(k)
-	if errors.Is(err, adapt.ErrNothingToCompact) {
-		return res, nil
-	}
-	return res, err
-}
-
-func (t engineCompactTarget) EnforceResidency() (int, error) {
-	st := t.e.state()
-	if st.chain == nil {
-		return 0, nil
-	}
-	return st.chain.EnforceResidency()
-}
-
 // compactChain folds the oldest k frozen generations of the serving chain —
 // the single funnel of every compaction path (manual Compact, the policy
 // loop, rotation cap pressure), so the compaction counter and the duration
 // observer see them all.
 func (e *Engine) compactChain(k int) (compact.Result, error) {
-	st := e.state()
-	if st.chain == nil || e.opts.windowCfg != nil {
-		// A fold of windows would answer for no one window's times.
+	if !e.opts.managedChain() {
 		return compact.Result{}, ErrNotAdaptive
 	}
-	res, err := st.chain.Compact(k, e.rebuildCfg, e.recordedWorkload())
+	res, err := e.state().chain.Compact(k, e.rebuildCfg, e.recordedWorkload())
 	if err != nil {
 		return res, err
 	}
@@ -329,18 +346,19 @@ func (e *Engine) state() *engineState {
 	return st
 }
 
-// Estimator exposes the serving estimator — the concurrency wrapper (or
-// generation chain) every engine method reads and writes through. It is
-// the escape hatch for code that needs the raw batched surface without the
-// engine's recording and lifecycle; treat it as shared with the engine.
+// Estimator exposes the serving estimator — the generation chain (or the
+// mutex around a foreign estimator) every engine method reads and writes
+// through. It is the escape hatch for code that needs the raw batched
+// surface without the engine's recording and lifecycle; treat it as shared
+// with the engine.
 func (e *Engine) Estimator() Estimator { return e.state().est }
 
 // Adaptive reports whether the engine serves a generation chain with a
 // repartition manager (opened with WithAdaptive).
 func (e *Engine) Adaptive() bool { return e.mgr != nil }
 
-// Generations returns the serving chain's length, or 1 for a single-sketch
-// engine.
+// Generations returns the serving chain's length, or 1 while the engine
+// serves a foreign estimator.
 func (e *Engine) Generations() int {
 	if st := e.state(); st.chain != nil {
 		return st.chain.Generations()
@@ -348,18 +366,14 @@ func (e *Engine) Generations() int {
 	return 1
 }
 
-// Sketch returns the serving sketch — the chain's live head, or the
-// wrapped *GSketch, which has no partitions under WithGlobal — for callers
-// reading layout and routing metadata (partition count, ordering
-// objective). It is nil only while the engine serves a foreign estimator
-// adopted by WithEstimator. The sketch is shared — treat it as read-only.
+// Sketch returns the serving sketch — the chain's live head, which has no
+// partitions under WithGlobal — for callers reading layout and routing
+// metadata (partition count, ordering objective). It is nil only while the
+// engine serves a foreign estimator adopted by WithEstimator. The sketch is
+// shared — treat it as read-only.
 func (e *Engine) Sketch() *GSketch {
-	st := e.state()
-	switch est := st.est.(type) {
-	case *adapt.Chain:
-		return est.Head()
-	case *core.Concurrent:
-		return est.Unwrap()
+	if st := e.state(); st.chain != nil {
+		return st.chain.Head()
 	}
 	return nil
 }
@@ -647,22 +661,17 @@ func (e *Engine) WriteWorkloadTo(w io.Writer) (int64, error) {
 	return e.rec.WriteTo(w)
 }
 
-// Save streams a consistent snapshot of the serving estimator as a
-// version-4 chain container: every generation of an adaptive or windowed
-// engine, oldest first, each with its window; one generation otherwise.
+// Save streams a consistent snapshot of the serving chain as a version-4
+// chain container: every generation, oldest first, each with its window.
 // The snapshot is taken under the striped read locks, so a save racing
 // live writers is still internally consistent. Restore (or Open with
-// WithRestore) reads it back.
+// WithRestore) reads it back. A foreign estimator does not serialize.
 func (e *Engine) Save(w io.Writer) (int64, error) {
 	st := e.state()
-	if st.chain != nil {
-		return st.chain.WriteTo(w)
-	}
-	wt, ok := st.est.(io.WriterTo)
-	if !ok {
+	if st.chain == nil {
 		return 0, fmt.Errorf("gsketch: estimator %T does not serialize", st.est)
 	}
-	return core.WriteChainMeta(w, []io.WriterTo{wt}, nil)
+	return st.chain.WriteTo(w)
 }
 
 // SaveSnapshot persists a snapshot to path (or the configured default when
@@ -702,7 +711,6 @@ func (e *Engine) SaveSnapshot(path string) (int64, error) {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return n, err
 	}
-	e.snapNanos.Store(e.opts.now().UnixNano())
 	e.saved.Add(1)
 	return n, nil
 }
@@ -714,11 +722,10 @@ func (e *Engine) SaveSnapshot(path string) (int64, error) {
 // deliberately replaces live state: edges accepted after the snapshot
 // being restored was taken are discarded with it.
 //
-// The snapshot may carry one or more sketch generations. An adaptive
-// engine restores any snapshot as a chain and rebinds its repartition
-// manager (current recorded workload becomes the new drift baseline); a
-// windowed engine restores any snapshot as its windows; any other engine
-// refuses multi-generation snapshots with ErrNotAdaptive.
+// The snapshot may carry one or more sketch generations, and every engine
+// serves them all as its chain. An adaptive engine rebinds its repartition
+// manager (current recorded workload becomes the new drift baseline), and
+// a windowed engine takes them as its windows.
 func (e *Engine) Restore(r io.Reader) error {
 	if e.closed.Load() {
 		return ErrEngineClosed
@@ -727,47 +734,14 @@ func (e *Engine) Restore(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
-	return e.restoreGenerations(gens, metas)
-}
-
-// RestoreSnapshot is Restore from a file (or the configured default path
-// when path is empty).
-func (e *Engine) RestoreSnapshot(path string) error {
-	if path == "" {
-		path = e.snapPath
+	chain := adapt.NewStaticChain(gens, metas)
+	if cur := e.state().chain; cur != nil {
+		chain = cur.Like(gens, metas)
 	}
-	if path == "" {
-		return ErrNoSnapshotPath
-	}
-	f, err := os.Open(path)
+	e.applyLifecycle(chain)
+	neu, err := e.newState(chain)
 	if err != nil {
 		return err
-	}
-	defer f.Close()
-	return e.Restore(f)
-}
-
-func (e *Engine) restoreGenerations(gens []*GSketch, metas []core.GenerationMeta) error {
-	cur := e.state()
-	var est servingEstimator
-	var chain *adapt.Chain
-	if cur.chain != nil {
-		chain = adapt.NewChainFromMeta(gens, metas, cur.chain.Config())
-		e.applyLifecycle(chain)
-		est = chain
-	} else {
-		if len(gens) != 1 {
-			return fmt.Errorf("%w: snapshot carries %d generations", ErrNotAdaptive, len(gens))
-		}
-		est = core.NewConcurrent(gens[0])
-	}
-	neu := &engineState{est: est, chain: chain}
-	if e.opts.ingestCfg != nil {
-		ing, err := ingest.New(est, *e.opts.ingestCfg)
-		if err != nil {
-			return err
-		}
-		neu.ing = ing
 	}
 	var old *engineState
 	var closed bool
@@ -784,7 +758,7 @@ func (e *Engine) restoreGenerations(gens []*GSketch, metas []core.GenerationMeta
 		e.st = neu
 		e.mu.Unlock()
 	}
-	if e.mgr != nil && chain != nil {
+	if e.mgr != nil {
 		// The state flip runs inside the manager's rebuild lock: an
 		// in-flight drift check or repartition finishes against the old
 		// chain while it is still serving, and none can start against a
@@ -804,9 +778,25 @@ func (e *Engine) restoreGenerations(gens []*GSketch, metas []core.GenerationMeta
 			return fmt.Errorf("gsketch: draining displaced pipeline: %w", err)
 		}
 	}
-	e.snapNanos.Store(e.opts.now().UnixNano())
 	e.restored.Add(1)
 	return nil
+}
+
+// RestoreSnapshot is Restore from a file (or the configured default path
+// when path is empty).
+func (e *Engine) RestoreSnapshot(path string) error {
+	if path == "" {
+		path = e.snapPath
+	}
+	if path == "" {
+		return ErrNoSnapshotPath
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return e.Restore(f)
 }
 
 // Repartition rebuilds the partitioning from the chain's live data
@@ -828,8 +818,8 @@ func (e *Engine) Repartition() (*RepartitionResult, error) {
 // one, on demand — the manual end of the generation-lifecycle loop (the
 // policy end is WithCompaction). The fold width is the mounted policy's
 // (default 2). A chain with fewer than two frozen generations returns a
-// zero-Folded result, not an error. It returns ErrNotAdaptive on an engine
-// without a generation chain.
+// zero-Folded result, not an error. It returns ErrNotAdaptive unless the
+// engine is adaptive or serves an adopted *Chain.
 func (e *Engine) Compact() (*CompactionResult, error) {
 	if e.closed.Load() {
 		return nil, ErrEngineClosed
@@ -939,17 +929,15 @@ type EngineStats struct {
 	Ingest *IngestStats
 	// Workload is nil without a recorder (WithWorkloadRecorder).
 	Workload *WorkloadStats
-	// Adapt is nil on a single-sketch engine. An engine serving a chain
-	// (WithAdaptive or WithWindows) fills it; without WithAdaptive,
-	// Repartitions and Drift stay zero.
+	// Adapt describes the serving chain, and a foreign estimator as one
+	// resident generation. Without WithAdaptive, Repartitions and Drift
+	// stay zero.
 	Adapt *AdaptStats
 	// ReadRoutes/WriteRoutes are the routed-traffic counters when the
 	// estimator exposes them — the raw drift signal.
 	ReadRoutes, WriteRoutes *RouteCounts
-	// LastSnapshot is the time of the last snapshot save or restore (zero
-	// when none happened yet). SnapshotsSaved/SnapshotsRestored count
-	// completed operations.
-	LastSnapshot      time.Time
+	// SnapshotsSaved/SnapshotsRestored count completed snapshot
+	// operations.
 	SnapshotsSaved    int64
 	SnapshotsRestored int64
 }
@@ -982,9 +970,6 @@ func (e *Engine) Stats() EngineStats {
 		SnapshotsSaved:    e.saved.Load(),
 		SnapshotsRestored: e.restored.Load(),
 	}
-	if ns := e.snapNanos.Load(); ns > 0 {
-		s.LastSnapshot = time.Unix(0, ns)
-	}
 	s.Ingest = e.IngestStats()
 	if e.rec != nil {
 		s.Workload = &WorkloadStats{
@@ -997,21 +982,23 @@ func (e *Engine) Stats() EngineStats {
 		rr, wr := rs.ReadRouteCounts(), rs.WriteRouteCounts()
 		s.ReadRoutes, s.WriteRoutes = &rr, &wr
 	}
+	// A foreign estimator reads as one resident generation.
+	ls := adapt.ChainLifecycleStats{Generations: 1, Resident: 1, CompactedFrom: 1}
 	if st.chain != nil {
-		ls := st.chain.LifecycleStats()
-		s.Adapt = &AdaptStats{
-			Generations:         ls.Generations,
-			Compactions:         e.compactions.Load(),
-			ResidentGenerations: ls.Resident,
-			TieredGenerations:   ls.Tiered,
-			TieredBytes:         ls.TieredBytes,
-			CompactedFrom:       ls.CompactedFrom,
-			OldestFrozenAge:     ls.OldestFrozenAge,
-		}
-		if e.mgr != nil {
-			s.Adapt.Repartitions = e.mgr.Repartitions()
-			s.Adapt.Drift = e.mgr.Drift()
-		}
+		ls = st.chain.LifecycleStats()
+	}
+	s.Adapt = &AdaptStats{
+		Generations:         ls.Generations,
+		Compactions:         e.compactions.Load(),
+		ResidentGenerations: ls.Resident,
+		TieredGenerations:   ls.Tiered,
+		TieredBytes:         ls.TieredBytes,
+		CompactedFrom:       ls.CompactedFrom,
+		OldestFrozenAge:     ls.OldestFrozenAge,
+	}
+	if e.mgr != nil {
+		s.Adapt.Repartitions = e.mgr.Repartitions()
+		s.Adapt.Drift = e.mgr.Drift()
 	}
 	return s
 }
@@ -1033,23 +1020,18 @@ func (e *Engine) Drain(ctx context.Context) error {
 	return err
 }
 
-// Close shuts the engine down in dependency order: the background
-// compaction and adaptive auto-repartition loops are stopped first and
-// awaited — so no fold or rebuild can race what follows — then the ingest
-// pipeline is drained and closed (every
-// accepted edge is applied), and finally, when WithSnapshotOnClose is set,
-// a snapshot is persisted to the configured path. Close is idempotent;
-// later calls return the first result. The read path stays usable on a
-// closed engine.
+// Close shuts the engine down in dependency order: the lifecycle goroutine
+// (drift check and compaction policy) is stopped first and awaited — so no
+// fold or rebuild can race what follows — then the ingest pipeline is
+// drained and closed (every accepted edge is applied), and finally, when
+// WithSnapshotOnClose is set, a snapshot is persisted to the configured
+// path. Close is idempotent; later calls return the first result. The read
+// path stays usable on a closed engine.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
-		if e.compactStop != nil {
-			close(e.compactStop)
-			<-e.compactDone
-		}
-		if e.autoStop != nil {
-			close(e.autoStop)
-			<-e.autoDone
+		if e.stop != nil {
+			close(e.stop)
+			<-e.done
 		}
 		e.closed.Store(true)
 		if st := e.state(); st.ing != nil {

@@ -1,0 +1,345 @@
+package gsketch
+
+import (
+	"bytes"
+	"context"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/graphstream/gsketch/internal/adapt"
+	"github.com/graphstream/gsketch/internal/core"
+	"github.com/graphstream/gsketch/internal/stream"
+)
+
+var internalTestCfg = Config{TotalBytes: 64 << 10, Seed: 21}
+
+func internalTestStream(n int, seed int64) []Edge {
+	rng := rand.New(rand.NewSource(seed))
+	edges := make([]Edge, n)
+	for i := range edges {
+		edges[i] = Edge{Src: uint64(rng.Intn(64)), Dst: uint64(rng.Intn(512)), Weight: int64(rng.Intn(3)) + 1, Time: int64(i)}
+	}
+	return edges
+}
+
+func internalTestQueries(edges []Edge, n int) []EdgeQuery {
+	qs := make([]EdgeQuery, n)
+	for i := range qs {
+		e := edges[(i*31)%len(edges)]
+		qs[i] = EdgeQuery{Src: e.Src, Dst: e.Dst}
+	}
+	return qs
+}
+
+func buildInternal(t *testing.T, sample []Edge) *GSketch {
+	t.Helper()
+	g, err := core.BuildGSketch(internalTestCfg, sample, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// referenceChain builds a sampled chain of gens generations over edges, one
+// repartition per later generation, and returns it with its snapshot.
+func referenceChain(t *testing.T, edges []Edge, gens int) (*adapt.Chain, []byte) {
+	t.Helper()
+	chain := adapt.NewChain(buildInternal(t, edges[:2000]), adapt.ChainConfig{SampleSize: 4096, Seed: 3})
+	seg := len(edges) / gens
+	for g := 0; g < gens; g++ {
+		if g > 0 {
+			if _, err := adapt.Repartition(chain, internalTestCfg, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		chain.UpdateBatch(edges[g*seg : (g+1)*seg])
+	}
+	var snap bytes.Buffer
+	if _, err := chain.WriteTo(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return chain, snap.Bytes()
+}
+
+// TestBootstrapEveryEngineServesAChain opens one engine from each bootstrap
+// source: every one serves a generation chain and reports it, a restore
+// answers what the chain that wrote the snapshot answers (before and after
+// more ingest), and no static engine's chain samples its stream.
+func TestBootstrapEveryEngineServesAChain(t *testing.T) {
+	edges := internalTestStream(24_000, 5)
+	sample := edges[:2000]
+	qs := internalTestQueries(edges, 400)
+	var file bytes.Buffer
+	if err := stream.WriteTextEdges(&file, sample); err != nil {
+		t.Fatal(err)
+	}
+	samplePath := filepath.Join(t.TempDir(), "sample.txt")
+	if err := os.WriteFile(samplePath, file.Bytes(), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	one, oneSnap := referenceChain(t, edges[:12_000], 1)
+	three, threeSnap := referenceChain(t, edges[:12_000], 3)
+	more := edges[12_000:]
+
+	for _, tc := range []struct {
+		name string
+		opt  Option
+		ref  *adapt.Chain // the chain a restore must answer as
+		gens int
+	}{
+		{"sample", WithSample(sample), nil, 1},
+		{"sample file", WithSampleFile(samplePath, 0), nil, 1},
+		{"global", WithGlobal(), nil, 1},
+		{"restore of 1 generation", WithRestore(bytes.NewReader(oneSnap)), one, 1},
+		{"restore of 3 generations", WithRestore(bytes.NewReader(threeSnap)), three, 3},
+		{"adopted *GSketch", WithEstimator(buildInternal(t, sample)), nil, 1},
+		{"adopted *Concurrent", WithEstimator(core.NewConcurrent(buildInternal(t, sample))), nil, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := Open(internalTestCfg, tc.opt, WithIngest(IngestConfig{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			chain := eng.state().chain
+			if chain == nil {
+				t.Fatalf("engine serves %T, want a chain", eng.state().est)
+			}
+			if got := eng.Generations(); got != tc.gens {
+				t.Fatalf("Generations() = %d, want %d", got, tc.gens)
+			}
+			if a := eng.Stats().Adapt; a == nil || a.Generations != tc.gens {
+				t.Fatalf("Stats().Adapt = %+v, want %d generations", a, tc.gens)
+			}
+			sameAnswers := func(when string) {
+				t.Helper()
+				if tc.ref == nil {
+					return
+				}
+				want := tc.ref.EstimateBatch(qs)
+				for i, got := range eng.QueryBatch(qs) {
+					if got != want[i] {
+						t.Fatalf("%s, query %d: engine %+v, reference chain %+v", when, i, got, want[i])
+					}
+				}
+			}
+			sameAnswers("restored")
+
+			if err := eng.Ingest(context.Background(), more...); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if tc.ref != nil {
+				tc.ref.UpdateBatch(more)
+			}
+			sameAnswers("after ingest")
+			if n := eng.state().chain.SampleSize(); n != 0 {
+				t.Fatalf("a static engine's chain holds %d sampled edges, want none", n)
+			}
+		})
+	}
+}
+
+// TestBootstrapAdoptedConcurrentSharesStripeLocks: an adopted *Concurrent
+// is the chain's head with its own stripe locks, so writes through it race
+// neither the engine's writes nor its reads (run under -race).
+func TestBootstrapAdoptedConcurrentSharesStripeLocks(t *testing.T) {
+	edges := internalTestStream(20_000, 7)
+	conc := core.NewConcurrent(buildInternal(t, edges[:2000]))
+	eng, err := Open(internalTestCfg, WithEstimator(conc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if eng.Sketch() != conc.Unwrap() {
+		t.Fatal("the engine serves a sketch other than the adopted one")
+	}
+	qs := internalTestQueries(edges, 256)
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for lo := 0; lo < len(edges); lo += 500 {
+			conc.UpdateBatch(edges[lo : lo+500])
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for lo := 0; lo < len(edges); lo += 500 {
+			if err := eng.Ingest(context.Background(), edges[lo:lo+500]...); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 40; i++ {
+			eng.QueryBatch(qs)
+		}
+	}()
+	wg.Wait()
+	var want int64
+	for _, e := range edges {
+		want += 2 * e.Weight
+	}
+	if got := eng.Stats().StreamTotal; got != want || conc.Count() != want {
+		t.Fatalf("stream total %d through the engine, %d through the Concurrent, want %d", got, conc.Count(), want)
+	}
+}
+
+// pivots ingests edges in n slices with a repartition after each but the
+// last, leaving n generations.
+func pivots(t *testing.T, eng *Engine, edges []Edge, n int) {
+	t.Helper()
+	seg := len(edges) / n
+	for p := 0; p < n; p++ {
+		if p > 0 {
+			if _, err := eng.Repartition(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Ingest(context.Background(), edges[p*seg:(p+1)*seg]...); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLifecycleCompactStep drives one step of the lifecycle goroutine's
+// compaction tick: under the trigger it folds nothing and enforces the
+// residency cap, over it it folds exactly once, a policy with no trigger
+// starts no goroutine, and a failed fold goes to the error handler and
+// counts no compaction.
+func TestLifecycleCompactStep(t *testing.T) {
+	edges := internalTestStream(24_000, 11)
+	adaptive := WithAdaptive(adapt.ChainConfig{SampleSize: 16_384, Seed: 7}, AdaptConfig{Sketch: internalTestCfg})
+	var errs []error
+	onErr := func(err error) { errs = append(errs, err) }
+	eng, err := Open(internalTestCfg, WithSample(edges[:2000]), adaptive,
+		WithTiering(t.TempDir(), 1),
+		WithCompaction(CompactionPolicy{MaxGenerations: 3, Interval: time.Hour}, onErr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	pivots(t, eng, edges[:18_000], 3)
+	eng.QueryBatch(internalTestQueries(edges, 64)) // reloads every spilled generation
+	if a := eng.Stats().Adapt; a.Generations != 3 || a.ResidentGenerations != 3 {
+		t.Fatalf("fixture: %+v, want 3 generations, all resident", a)
+	}
+
+	// Under the trigger: nothing folds, and the cold generation spills.
+	if eng.compactStep() {
+		t.Fatal("a step under the trigger folded")
+	}
+	if a := eng.Stats().Adapt; a.Generations != 3 || a.Compactions != 0 || a.ResidentGenerations != 2 {
+		t.Fatalf("under the trigger: %+v, want 3 generations, no compaction, 2 resident", a)
+	}
+
+	// Over the trigger: exactly one fold.
+	if _, err := eng.Repartition(); err != nil {
+		t.Fatal(err)
+	}
+	if !eng.compactStep() {
+		t.Fatal("a step over the trigger did not fold")
+	}
+	if a := eng.Stats().Adapt; a.Generations != 3 || a.Compactions != 1 {
+		t.Fatalf("over the trigger: %+v, want one fold leaving 3 generations", a)
+	}
+	if len(errs) != 0 {
+		t.Fatalf("errors reported: %v", errs)
+	}
+
+	// A policy with no trigger starts no goroutine.
+	idle, err := Open(internalTestCfg, WithSample(edges[:2000]), adaptive,
+		WithCompaction(CompactionPolicy{Fold: 2}, onErr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	if idle.stop != nil || idle.done != nil {
+		t.Fatal("a policy with no trigger started the lifecycle goroutine")
+	}
+
+	// A fold that fails: frozen generations restored from a snapshot keep
+	// no sample, and layouts that differ leave nothing to merge them by.
+	var snap bytes.Buffer
+	if _, err := eng.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Open(internalTestCfg, WithRestore(&snap), adaptive,
+		WithCompaction(CompactionPolicy{MaxGenerations: 1, Interval: time.Hour}, onErr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	if restored.compactStep() {
+		t.Fatal("a failing step reported a fold")
+	}
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "no retained sample") {
+		t.Fatalf("errors reported: %v, want the one failed fold", errs)
+	}
+	if a := restored.Stats().Adapt; a.Compactions != 0 || a.Generations != 3 {
+		t.Fatalf("after a failed fold: %+v, want no compaction and 3 generations", a)
+	}
+}
+
+// engineGoroutines counts the goroutines an engine starts: those created
+// by Open (the lifecycle goroutine, its one go statement) and by the ingest
+// pipeline (its workers).
+func engineGoroutines() (lifecycle, workers int) {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		switch {
+		case strings.Contains(g, "created by github.com/graphstream/gsketch.Open"):
+			lifecycle++
+		case strings.Contains(g, "created by github.com/graphstream/gsketch/internal/ingest.New"):
+			workers++
+		}
+	}
+	return lifecycle, workers
+}
+
+// TestLifecycleOneGoroutine: an engine with both background policies runs
+// them on one goroutine beside its ingest workers, and Close leaves none.
+func TestLifecycleOneGoroutine(t *testing.T) {
+	edges := internalTestStream(4000, 13)
+	lifecycle0, workers0 := engineGoroutines()
+	const workers = 2
+	eng, err := Open(internalTestCfg, WithSample(edges[:2000]),
+		WithIngest(IngestConfig{Workers: workers}),
+		WithAdaptive(adapt.ChainConfig{}, AdaptConfig{Sketch: internalTestCfg}),
+		WithAutoRepartition(time.Hour, nil),
+		WithCompaction(CompactionPolicy{MaxGenerations: 4, Interval: time.Hour}, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l, w := engineGoroutines(); l-lifecycle0 != 1 || w-workers0 != workers {
+		t.Fatalf("Open started %d goroutines of its own and %d ingest workers, want 1 and %d", l-lifecycle0, w-workers0, workers)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Close has awaited the lifecycle goroutine's last deferred call and
+	// the workers' exit; each may still be on its way out.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		l, w := engineGoroutines()
+		if l == lifecycle0 && w == workers0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines of Open's and %d ingest workers left after Close", l-lifecycle0, w-workers0)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -26,9 +26,12 @@
 //
 // Long-lived chains are lifecycle-managed by internal/compact: Compact
 // folds the oldest frozen generations into one (bounding chain length and
-// memory), tiering spills cold frozen generations to disk with lazy
-// reload, and optional age decay down-weights ancient generations at
-// gather time.
+// memory), and tiering spills cold frozen generations to disk with lazy
+// reload.
+//
+// A static chain (NewStaticChain, ServeConcurrent) is the chain of an
+// engine with no rotation policy: it keeps no data reservoir and refuses
+// to rotate.
 //
 // A windowed chain (SetWindows) is the §5 time-window store: each
 // generation is one window of stream time.
@@ -133,6 +136,7 @@ type Chain struct {
 	// resMu guards res. Writers take it inside their shared hold of mu, and
 	// Rotate inside its exclusive one (lock order mu → resMu), so the
 	// reservoir a rotation freezes holds every edge the displaced head does.
+	// A static chain has none, and its writers skip both.
 	resMu sync.Mutex
 	res   *stream.Reservoir
 
@@ -145,13 +149,12 @@ type Chain struct {
 	// time.
 	compactMu sync.Mutex
 
-	// Lifecycle configuration. Set via SetDecay/SetTiering/SetClock before
-	// the chain is shared across goroutines (the engine configures a chain
-	// fully before publishing it).
-	decayHalfLife time.Duration
-	tierDir       string
-	tierResident  int
-	now           func() time.Time
+	// Lifecycle configuration. Set via SetTiering/SetClock before the chain
+	// is shared across goroutines (the engine configures a chain fully
+	// before publishing it).
+	tierDir      string
+	tierResident int
+	now          func() time.Time
 
 	// Windowing (SetWindows); a zero span means none.
 	span  int64
@@ -160,40 +163,69 @@ type Chain struct {
 
 // NewChain starts a chain with g as its only (live) generation.
 func NewChain(g *core.GSketch, cfg ChainConfig) *Chain {
-	return NewChainFrom([]*core.GSketch{g}, cfg)
+	return NewChainFromMeta([]*core.GSketch{g}, nil, cfg)
 }
 
-// NewChainFrom rebuilds a chain from deserialized generations, oldest
-// first — the shape core.ReadChain returns. The last element becomes the
-// live head. It panics on an empty slice.
-func NewChainFrom(gens []*core.GSketch, cfg ChainConfig) *Chain {
-	return NewChainFromMeta(gens, nil, cfg)
-}
-
-// NewChainFromMeta is NewChainFrom carrying the per-generation lifecycle
-// records of a version-4 chain stream (core.ReadChainMeta). metas may be
-// nil (all records default) or must match gens element-wise. A frozen
-// generation's freeze time is inferred as its successor's build time.
+// NewChainFromMeta rebuilds a chain from deserialized generations, oldest
+// first, and their lifecycle records — the shape core.ReadChainMeta
+// returns. The last generation becomes the live head; it panics on an
+// empty slice. metas may be nil (all records default) or must match gens
+// element-wise. A frozen generation's freeze time is inferred as its
+// successor's build time.
 func NewChainFromMeta(gens []*core.GSketch, metas []core.GenerationMeta, cfg ChainConfig) *Chain {
+	cfg = cfg.withDefaults()
+	c := newChain(cfg, segments(gens, metas))
+	c.res = stream.NewReservoir(cfg.SampleSize, cfg.Seed)
+	return c
+}
+
+// NewStaticChain is NewChainFromMeta for a chain with no rotation policy:
+// it keeps no data reservoir, so its writers do no sampling work, and its
+// zero configuration caps it at the generations it was built with, so
+// Rotate refuses.
+func NewStaticChain(gens []*core.GSketch, metas []core.GenerationMeta) *Chain {
+	return newChain(ChainConfig{}, segments(gens, metas))
+}
+
+// ServeConcurrent is a static chain of one generation served through conc:
+// its writers and readers take conc's own stripe locks, so a caller still
+// writing through conc and the chain's readers exclude each other.
+func ServeConcurrent(conc *core.Concurrent) *Chain {
+	return newChain(ChainConfig{}, []*compact.Segment{compact.SegmentOf(conc, core.GenerationMeta{})})
+}
+
+// Like returns a chain over gens of c's kind: c's configuration, and a data
+// reservoir of its own only when c keeps one — the chain a snapshot restore
+// swaps in for c.
+func (c *Chain) Like(gens []*core.GSketch, metas []core.GenerationMeta) *Chain {
+	if c.res == nil {
+		return NewStaticChain(gens, metas)
+	}
+	return NewChainFromMeta(gens, metas, c.cfg)
+}
+
+func newChain(cfg ChainConfig, gens []*compact.Segment) *Chain {
+	c := &Chain{cfg: cfg, gens: gens, now: time.Now}
+	c.scratch.New = func() any { return new([]core.Result) }
+	return c
+}
+
+// segments wraps deserialized generations, oldest first, as segments: the
+// last live, the rest frozen. It panics on an empty slice.
+func segments(gens []*core.GSketch, metas []core.GenerationMeta) []*compact.Segment {
 	if len(gens) == 0 {
 		panic("adapt: chain needs at least one generation")
 	}
 	if metas != nil && len(metas) != len(gens) {
 		panic(fmt.Sprintf("adapt: %d generations but %d metadata records", len(gens), len(metas)))
 	}
-	cfg = cfg.withDefaults()
-	c := &Chain{
-		cfg: cfg,
-		res: stream.NewReservoir(cfg.SampleSize, cfg.Seed),
-		now: time.Now,
-	}
-	c.scratch.New = func() any { return new([]core.Result) }
+	segs := make([]*compact.Segment, len(gens))
 	for i, g := range gens {
 		var m core.GenerationMeta
 		if metas != nil {
 			m = metas[i]
 		}
-		seg := compact.NewSegment(g, m)
+		segs[i] = compact.NewSegment(g, m)
 		if i < len(gens)-1 {
 			// Restored frozen generations carry no reservoir (samples are
 			// not serialized), so they compact via the exact path only.
@@ -201,20 +233,14 @@ func NewChainFromMeta(gens []*core.GSketch, metas []core.GenerationMeta, cfg Cha
 			if metas != nil {
 				frozenAt = metas[i+1].BuiltAt
 			}
-			seg.Freeze(frozenAt, nil, 0)
+			segs[i].Freeze(frozenAt, nil, 0)
 		}
-		c.gens = append(c.gens, seg)
 	}
-	return c
+	return segs
 }
 
 // Config returns the chain's resolved configuration.
 func (c *Chain) Config() ChainConfig { return c.cfg }
-
-// SetDecay enables exponential age weighting at gather time: a frozen
-// generation frozen `age` ago contributes with weight 2^(-age/halfLife).
-// Zero disables decay. Set before the chain is shared.
-func (c *Chain) SetDecay(halfLife time.Duration) { c.decayHalfLife = halfLife }
 
 // SetTiering configures disk tiering: frozen generations beyond the
 // maxResident most recently queried are spilled to files under dir and
@@ -266,9 +292,11 @@ func (c *Chain) Update(e stream.Edge) {
 	}
 	c.mu.RLock()
 	c.gens[len(c.gens)-1].Update(e)
-	c.resMu.Lock()
-	c.res.Observe(e)
-	c.resMu.Unlock()
+	if c.res != nil {
+		c.resMu.Lock()
+		c.res.Observe(e)
+		c.resMu.Unlock()
+	}
 	c.mu.RUnlock()
 }
 
@@ -289,9 +317,11 @@ func (c *Chain) UpdateBatch(edges []stream.Edge) {
 		}
 		if n > 0 {
 			head.UpdateBatch(edges[:n])
-			c.resMu.Lock()
-			c.res.ObserveAll(edges[:n])
-			c.resMu.Unlock()
+			if c.res != nil {
+				c.resMu.Lock()
+				c.res.ObserveAll(edges[:n])
+				c.resMu.Unlock()
+			}
 		}
 		c.mu.RUnlock()
 		if n < len(edges) {
@@ -368,39 +398,15 @@ func (c *Chain) buildWindow(adjacent bool) *core.GSketch {
 	return g
 }
 
-// decayWeight returns the gather weight of a frozen segment: 1 without
-// decay, else 2^(-age/halfLife) anchored at the freeze time (falling back
-// to build time; unknown ages decay by nothing — the conservative choice).
-func (c *Chain) decayWeight(seg *compact.Segment, nowUnix int64) float64 {
-	if c.decayHalfLife <= 0 {
-		return 1
-	}
-	anchor := seg.FrozenAt()
-	if anchor == 0 {
-		anchor = seg.Meta().BuiltAt
-	}
-	if anchor == 0 || nowUnix <= anchor {
-		return 1
-	}
-	age := float64(nowUnix - anchor)
-	return math.Exp2(-age / c.decayHalfLife.Seconds())
-}
-
 // EstimateEdge answers an edge query as the sum of every generation's
 // estimate — each generation never underestimates its own stream segment,
-// so the sum never underestimates the whole stream. Decay, when enabled,
-// scales frozen generations' contributions.
+// so the sum never underestimates the whole stream.
 func (c *Chain) EstimateEdge(src, dst uint64) int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	nowUnix := c.now().Unix()
-	sum := c.gens[len(c.gens)-1].EstimateEdge(src, dst)
-	for i := len(c.gens) - 2; i >= 0; i-- {
-		est := c.gens[i].EstimateEdge(src, dst)
-		if w := c.decayWeight(c.gens[i], nowUnix); w < 1 {
-			est = int64(math.Round(w * float64(est)))
-		}
-		sum += est
+	var sum int64
+	for i := len(c.gens) - 1; i >= 0; i-- {
+		sum += c.gens[i].EstimateEdge(src, dst)
 	}
 	return sum
 }
@@ -419,8 +425,6 @@ func (c *Chain) EstimateBatch(qs []core.EdgeQuery) []core.Result {
 // pooled scratch slice, not one slice per generation — fold in via
 // query.AccumulateResults: estimates sum, ε·N_i bounds add, confidence
 // combines by union bound, stream totals sum to the chain-wide volume.
-// With decay enabled, a frozen generation's estimates and bounds scale by
-// its age weight before folding (query.AccumulateResultsWeighted).
 func (c *Chain) AppendEstimates(dst []core.Result, qs []core.EdgeQuery) []core.Result {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -430,15 +434,10 @@ func (c *Chain) AppendEstimates(dst []core.Result, qs []core.EdgeQuery) []core.R
 		return dst
 	}
 	out := dst[base:]
-	nowUnix := c.now().Unix()
 	scratch := c.scratch.Get().(*[]core.Result)
 	for i := len(c.gens) - 2; i >= 0; i-- {
 		*scratch = c.gens[i].AppendEstimates((*scratch)[:0], qs)
-		if w := c.decayWeight(c.gens[i], nowUnix); w < 1 {
-			query.AccumulateResultsWeighted(out, *scratch, w)
-		} else {
-			query.AccumulateResults(out, *scratch)
-		}
+		query.AccumulateResults(out, *scratch)
 	}
 	c.scratch.Put(scratch)
 	return dst
@@ -446,9 +445,9 @@ func (c *Chain) AppendEstimates(dst []core.Result, qs []core.EdgeQuery) []core.R
 
 // EstimateWindow answers a batch of edge queries over stream times [t1, t2]
 // inclusive: every window answers the whole batch, weighted by the share of
-// its times the range covers, folded as AppendEstimates folds decayed
-// generations (§5: "extrapolating from the sketch time windows which
-// overlap most closely"). A generation with no window adds nothing.
+// its times the range covers (query.AccumulateResultsWeighted; §5:
+// "extrapolating from the sketch time windows which overlap most
+// closely"). A generation with no window adds nothing.
 func (c *Chain) EstimateWindow(qs []core.EdgeQuery, t1, t2 int64) []core.Result {
 	out := make([]core.Result, len(qs))
 	for i := range out {
@@ -541,8 +540,11 @@ func (c *Chain) WriteRouteCounts() core.RouteCounts { return c.head().Sketch().W
 func (c *Chain) ReadRouteCounts() core.RouteCounts { return c.head().Sketch().ReadRouteCounts() }
 
 // Sample returns a copy of the data reservoir — the fresh data sample a
-// rebuild partitions from.
+// rebuild partitions from; nil on a static chain.
 func (c *Chain) Sample() []stream.Edge {
+	if c.res == nil {
+		return nil
+	}
 	c.resMu.Lock()
 	defer c.resMu.Unlock()
 	s := c.res.Sample()
@@ -551,8 +553,12 @@ func (c *Chain) Sample() []stream.Edge {
 	return out
 }
 
-// SampleSize returns the current data-reservoir fill without copying.
+// SampleSize returns the current data-reservoir fill without copying; 0 on
+// a static chain.
 func (c *Chain) SampleSize() int {
+	if c.res == nil {
+		return 0
+	}
 	c.resMu.Lock()
 	defer c.resMu.Unlock()
 	return len(c.res.Sample())

@@ -177,7 +177,7 @@ func TestChainSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := NewChainFrom(gens, chain.Config())
+	restored := NewChainFromMeta(gens, nil, chain.Config())
 	if restored.Generations() != chain.Generations() {
 		t.Fatalf("generations = %d, want %d", restored.Generations(), chain.Generations())
 	}
@@ -200,14 +200,13 @@ func TestChainSerializationRoundTrip(t *testing.T) {
 
 // The append path of a chain answers what EstimateBatch answers — behind
 // the caller's prefix, over a buffer a larger batch left dirty, with the
-// per-generation scratch reused from call to call — across frozen, decayed
-// and spilled generations.
+// per-generation scratch reused from call to call — across frozen and
+// spilled generations.
 func TestChainAppendEstimatesMatchesEstimateBatch(t *testing.T) {
 	edges := testStream(12_000, 41)
 	chain := NewChain(buildSketch(t, edges[:1000], 5), ChainConfig{})
 	now := time.Unix(1_000_000, 0)
 	chain.SetClock(func() time.Time { return now })
-	chain.SetDecay(time.Hour)
 	chain.SetTiering(t.TempDir(), 1)
 	for g := 0; g < 3; g++ {
 		chain.UpdateBatch(edges[g*3000 : (g+1)*3000])

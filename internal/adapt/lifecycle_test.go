@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/stream"
@@ -315,65 +314,6 @@ func TestChainTieringSpillReloadAndSnapshot(t *testing.T) {
 	for i := range qs {
 		if got[i].Estimate != res[i].Estimate {
 			t.Fatalf("query %d: restored %d != live %d", i, got[i].Estimate, res[i].Estimate)
-		}
-	}
-}
-
-// Decay: a frozen generation one half-life old contributes half its
-// estimate; two half-lives, a quarter. Bounds scale alongside, and the
-// chain-wide stream total stays unweighted.
-func TestChainDecayWeighting(t *testing.T) {
-	edges := testStream(10000, 59)
-	base := time.Unix(1_700_000_000, 0)
-	now := base
-	chain := NewChain(buildSketch(t, edges[:1000], 3), ChainConfig{SampleSize: 1024, Seed: 3})
-	chain.SetClock(func() time.Time { return now })
-	chain.UpdateBatch(edges[:5000])
-
-	qs := chainQueries(edges[:5000], 400)
-	frozenOnly := chain.EstimateBatch(qs)
-
-	// Freeze the first generation at `base`, rotate in an empty head.
-	if _, err := Repartition(chain, core.Config{TotalBytes: 32 << 10, Seed: 4}, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	chain.SetDecay(time.Hour)
-	for _, ages := range []struct {
-		age    time.Duration
-		weight float64
-	}{{0, 1}, {time.Hour, 0.5}, {2 * time.Hour, 0.25}} {
-		now = base.Add(ages.age)
-		res := chain.EstimateBatch(qs)
-		for i, q := range qs {
-			wantEst := int64(ages.weight*float64(frozenOnly[i].Estimate) + 0.5)
-			if res[i].Estimate != wantEst {
-				t.Fatalf("age %v edge (%d,%d): estimate %d, want %d (weight %.2f of %d)",
-					ages.age, q.Src, q.Dst, res[i].Estimate, wantEst, ages.weight, frozenOnly[i].Estimate)
-			}
-			if want := ages.weight * frozenOnly[i].ErrorBound; res[i].ErrorBound != want {
-				t.Fatalf("age %v edge (%d,%d): bound %v, want scaled %v",
-					ages.age, q.Src, q.Dst, res[i].ErrorBound, want)
-			}
-			// Decay reweights estimates, never the accounting of how much
-			// stream the chain summarizes.
-			if res[i].StreamTotal != chain.Count() {
-				t.Fatalf("age %v: stream total %d, want unweighted %d", ages.age, res[i].StreamTotal, chain.Count())
-			}
-		}
-		// The single-edge gather path applies the same weight.
-		if got := chain.EstimateEdge(qs[0].Src, qs[0].Dst); got != res[0].Estimate {
-			t.Fatalf("age %v: EstimateEdge %d != batched %d", ages.age, got, res[0].Estimate)
-		}
-	}
-
-	// Disabled decay restores full weight.
-	chain.SetDecay(0)
-	now = base.Add(10 * time.Hour)
-	res := chain.EstimateBatch(qs)
-	for i := range qs {
-		if res[i].Estimate != frozenOnly[i].Estimate {
-			t.Fatalf("decay disabled: estimate %d != undecayed %d", res[i].Estimate, frozenOnly[i].Estimate)
 		}
 	}
 }

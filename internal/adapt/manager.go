@@ -10,7 +10,7 @@ import (
 
 // ManagerConfig parameterizes a Manager. The zero value selects the
 // defaults: drift evaluated against a 0.5 divergence / 0.25 outlier-share
-// threshold, rebuilds gated on minimum sample sizes, no auto-check loop.
+// threshold, rebuilds gated on minimum sample sizes.
 type ManagerConfig struct {
 	// Sketch is the build configuration of rebuilt generations (required:
 	// it must validate under core.Config rules).
@@ -95,11 +95,11 @@ type Workload interface {
 
 // Manager watches drift between the workload the current partitioning was
 // built from and the live recorded workload, and rebuilds + hot-swaps a new
-// generation on threshold (via Check, typically driven by a ticker) or on
-// demand (Repartition). All methods are safe for concurrent use; rebuilds
-// are serialized, and the drift gauges (Drift, Repartitions) never wait
-// behind an in-flight rebuild — a monitoring endpoint stays responsive
-// during the swap it is watching.
+// generation on threshold (via Check, which the engine's lifecycle
+// goroutine drives on a ticker) or on demand (Repartition). All methods are
+// safe for concurrent use; rebuilds are serialized, and the drift gauges
+// (Drift, Repartitions) never wait behind an in-flight rebuild — a
+// monitoring endpoint stays responsive during the swap it is watching.
 type Manager struct {
 	cfg ManagerConfig
 	// workload is the live recorded query workload. Nil or empty disables
@@ -346,24 +346,6 @@ func (m *Manager) repartition(before Drift, live []stream.Edge) (*RepartitionRes
 		swapObs(res.BuildDuration)
 	}
 	return res, nil
-}
-
-// Run drives Check on a ticker until stop is closed — the embeddable
-// auto-trigger loop. Check errors are delivered to onErr when non-nil and
-// otherwise dropped (a failed rebuild leaves the serving chain untouched).
-func (m *Manager) Run(interval time.Duration, stop <-chan struct{}, onErr func(error)) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			if _, err := m.Check(); err != nil && onErr != nil {
-				onErr(err)
-			}
-		}
-	}
 }
 
 // sourceDistribution normalizes a workload sample into a per-source-vertex

@@ -1,5 +1,5 @@
 // Package compact is the generation-lifecycle subsystem for adaptive
-// chains: background compaction, disk tiering, and age-decay weighting.
+// chains: compaction and disk tiering.
 //
 // An adaptive chain freezes one generation per repartition. Without
 // lifecycle management the chain grows monotonically: every query gathers
@@ -17,14 +17,11 @@
 //     segments, reloading lazily on query, so the hot head plus a bounded
 //     resident set stays in RAM.
 //
-//   - Decay is applied by the chain at gather time (see
-//     query.AccumulateResultsWeighted): a frozen generation's contribution
-//     scales by 2^(-age/halfLife) so ancient traffic stops dominating.
-//
-// The Manager runs the policy: a periodic check that compacts when the
-// generation count, resident memory, or oldest-generation age crosses its
-// trigger. The chain mechanism lives in internal/adapt (it owns the locks);
-// this package owns the segments, the merge math, and the policy loop.
+// Policy is the data of the compaction trigger: the engine's lifecycle
+// goroutine evaluates it on the serving chain's State every Interval and
+// folds while it fires. The chain mechanism lives in internal/adapt (it
+// owns the locks); this package owns the segments, the merge math and the
+// policy's data.
 package compact
 
 import "time"
@@ -106,85 +103,4 @@ type Result struct {
 	FreedBytes int64 `json:"freed_bytes"`
 	// Duration is the wall time of the fold (read + merge + install).
 	Duration time.Duration `json:"-"`
-}
-
-// Target is the chain surface the Manager drives — implemented by
-// adapt.Chain via the engine's lifecycle adapter.
-type Target interface {
-	// LifecycleState snapshots the policy inputs.
-	LifecycleState(now time.Time) State
-	// Compact folds the oldest k frozen generations into one.
-	Compact(k int) (Result, error)
-	// EnforceResidency spills cold frozen generations past the resident
-	// cap, returning how many were spilled.
-	EnforceResidency() (int, error)
-}
-
-// Manager runs the compaction policy against a target on a fixed interval.
-// It is deliberately thin: the chain owns all locking, the manager only
-// decides when.
-type Manager struct {
-	policy Policy
-	target Target
-	now    func() time.Time
-	onErr  func(error)
-}
-
-// NewManager builds a policy manager. now defaults to time.Now; onErr may
-// be nil (errors are dropped — the next tick retries).
-func NewManager(target Target, policy Policy, now func() time.Time, onErr func(error)) *Manager {
-	if now == nil {
-		now = time.Now
-	}
-	return &Manager{policy: policy.WithDefaults(), target: target, now: now, onErr: onErr}
-}
-
-// CheckOnce evaluates the policy and compacts at most once if triggered.
-// It returns the compaction result, or nil when the policy did not fire
-// (or fired with nothing to fold).
-func (m *Manager) CheckOnce() (*Result, error) {
-	if !m.policy.Enabled() {
-		return nil, nil
-	}
-	st := m.target.LifecycleState(m.now())
-	if !m.policy.Triggered(st) {
-		// Residency is enforced even when no compaction fires: cold
-		// generations keep spilling as they age out of the access window.
-		if _, err := m.target.EnforceResidency(); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	res, err := m.target.Compact(m.policy.Fold)
-	if err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
-
-// Run evaluates the policy every Interval until stop closes. Each tick
-// compacts repeatedly until the policy stops triggering, so a burst of
-// rotations converges in one tick.
-func (m *Manager) Run(stop <-chan struct{}) {
-	t := time.NewTicker(m.policy.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			for i := 0; i < 8; i++ { // bounded convergence per tick
-				res, err := m.CheckOnce()
-				if err != nil {
-					if m.onErr != nil {
-						m.onErr(err)
-					}
-					break
-				}
-				if res == nil || res.Folded == 0 {
-					break
-				}
-			}
-		}
-	}
 }

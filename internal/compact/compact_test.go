@@ -1,7 +1,6 @@
 package compact
 
 import (
-	"errors"
 	"math"
 	"os"
 	"testing"
@@ -283,57 +282,5 @@ func TestSegmentSpillReloadRoundTrip(t *testing.T) {
 	live.Discard()
 	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
 		t.Fatalf("tier dir holds %d files after discard, want 0", len(ents))
-	}
-}
-
-// fakeTarget scripts the Target surface for Manager tests.
-type fakeTarget struct {
-	state    State
-	compacts int
-	enforces int
-	err      error
-}
-
-func (f *fakeTarget) LifecycleState(time.Time) State { return f.state }
-func (f *fakeTarget) Compact(k int) (Result, error) {
-	f.compacts++
-	if f.err != nil {
-		return Result{}, f.err
-	}
-	f.state.Generations--
-	return Result{Folded: k, Generations: f.state.Generations}, nil
-}
-func (f *fakeTarget) EnforceResidency() (int, error) { f.enforces++; return 0, nil }
-
-func TestManagerCheckOnce(t *testing.T) {
-	ft := &fakeTarget{state: State{Generations: 3}}
-	m := NewManager(ft, Policy{MaxGenerations: 4}, nil, nil)
-
-	// Under the trigger: no compaction, residency still enforced.
-	if res, err := m.CheckOnce(); err != nil || res != nil {
-		t.Fatalf("untriggered CheckOnce = (%v, %v)", res, err)
-	}
-	if ft.compacts != 0 || ft.enforces != 1 {
-		t.Fatalf("untriggered: compacts=%d enforces=%d", ft.compacts, ft.enforces)
-	}
-
-	// Over the trigger: exactly one fold, reported in the result.
-	ft.state.Generations = 6
-	res, err := m.CheckOnce()
-	if err != nil || res == nil || res.Folded != 2 || res.Generations != 5 {
-		t.Fatalf("triggered CheckOnce = (%+v, %v), want one fold of 2 leaving 5 generations", res, err)
-	}
-
-	// A disabled policy never touches the target.
-	idle := NewManager(ft, Policy{}, nil, nil)
-	if res, err := idle.CheckOnce(); err != nil || res != nil {
-		t.Fatalf("disabled CheckOnce = (%v, %v)", res, err)
-	}
-
-	// Errors surface with no result, so no caller counts a fold.
-	ft.err = errors.New("boom")
-	ft.state.Generations = 9
-	if res, err := m.CheckOnce(); err == nil || res != nil {
-		t.Fatalf("failed CheckOnce = (%+v, %v), want no result and the error", res, err)
 	}
 }

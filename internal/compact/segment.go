@@ -68,13 +68,20 @@ var accessClock atomic.Int64
 
 // NewSegment wraps a sketch as a live (head) segment.
 func NewSegment(g *core.GSketch, meta core.GenerationMeta) *Segment {
+	return SegmentOf(core.NewConcurrent(g), meta)
+}
+
+// SegmentOf is NewSegment over a concurrency wrapper built elsewhere: the
+// segment reads and writes the sketch under conc's own stripe locks, so
+// writers holding conc and readers of the segment exclude each other.
+func SegmentOf(conc *core.Concurrent, meta core.GenerationMeta) *Segment {
 	if meta.CompactedFrom < 1 {
 		meta.CompactedFrom = 1
 	}
 	s := &Segment{meta: meta}
-	s.live.Store(&residentState{g: g, conc: core.NewConcurrent(g)})
-	s.count.Store(g.Count())
-	s.memBytes.Store(int64(g.MemoryBytes()))
+	s.live.Store(&residentState{g: conc.Unwrap(), conc: conc})
+	s.count.Store(conc.Count())
+	s.memBytes.Store(int64(conc.MemoryBytes()))
 	return s
 }
 

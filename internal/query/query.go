@@ -196,16 +196,15 @@ func AccumulateResults(acc, gen []core.Result) {
 	}
 }
 
-// AccumulateResultsWeighted is AccumulateResults with an age-decay weight w
-// in (0, 1] applied to the incoming generation's contribution: estimates
-// and error bounds scale by w before folding, so ancient stream segments
-// stop dominating combined answers while the soundness shape is preserved
+// AccumulateResultsWeighted is AccumulateResults with a weight w in (0, 1]
+// applied to the incoming generation's contribution — a time window's share
+// of a queried range: estimates and error bounds scale by w before folding
 // (a w-scaled overestimate with a w-scaled additive bound still brackets
 // the w-scaled true segment frequency). Confidence still combines by the
-// union bound — decay does not improve a generation's failure probability —
-// and StreamTotal stays the unweighted sum, reporting real stream volume
-// rather than decayed volume. w outside (0, 1] is clamped; w == 1 is
-// exactly AccumulateResults.
+// union bound — weighting does not improve a generation's failure
+// probability — and StreamTotal stays the unweighted sum, reporting real
+// stream volume. w outside (0, 1] is clamped; w == 1 is exactly
+// AccumulateResults.
 func AccumulateResultsWeighted(acc, gen []core.Result, w float64) {
 	if w >= 1 {
 		AccumulateResults(acc, gen)

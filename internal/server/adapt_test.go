@@ -152,9 +152,11 @@ func TestAutoRepartitionOnDrift(t *testing.T) {
 	})
 }
 
-// A non-adaptive server must refuse a multi-generation snapshot: it has no
-// chain to answer it soundly from.
-func TestNonAdaptiveServerRefusesChainSnapshot(t *testing.T) {
+// A non-adaptive server serves a multi-generation snapshot: its engine
+// serves a chain like any other, so the restore answers 200 and the
+// generations answer what the chain that wrote them answers. Without
+// WithAdaptive it still has nothing to repartition.
+func TestNonAdaptiveServerServesChainSnapshot(t *testing.T) {
 	edges := testStream(8000, 57)
 	chain := newTestChain(t, edges[:1000])
 	core.Populate(chain, edges[:4000])
@@ -181,11 +183,22 @@ func TestNonAdaptiveServerRefusesChainSnapshot(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("status %d (%s), want 409 refusal", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s), want 200", resp.StatusCode, body)
 	}
-	if !bytes.Contains(body, []byte("not adaptive")) {
-		t.Fatalf("unexpected refusal body: %s", body)
+	if !bytes.Contains(body, []byte(`"generations":2`)) {
+		t.Fatalf("restore reply %s, want 2 generations", body)
+	}
+	qs := make([]core.EdgeQuery, 300)
+	for i := range qs {
+		qs[i] = core.EdgeQuery{Src: edges[i*25].Src, Dst: edges[i*25].Dst}
+	}
+	want := chain.EstimateBatch(qs)
+	for i, got := range queryBatch(t, ts.URL, qs) {
+		if got.Estimate != want[i].Estimate || got.ErrorBound != want[i].ErrorBound || got.StreamTotal != want[i].StreamTotal {
+			t.Fatalf("query %d: served (%d, %v, %d), chain (%d, %v, %d)", i,
+				got.Estimate, got.ErrorBound, got.StreamTotal, want[i].Estimate, want[i].ErrorBound, want[i].StreamTotal)
+		}
 	}
 
 	// POST /repartition is not mounted without a chain.

@@ -463,17 +463,25 @@ func (s *Server) handleSnapshotSave(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.stats.snapshotsSaved.Add(1)
+	s.stampSnapshot()
 	writeJSON(w, http.StatusOK, map[string]any{"path": path, "bytes": n})
+}
+
+// stampSnapshot records a completed save or restore of the engine for
+// snapshot_age_seconds; a tenant's has no gauge to feed.
+func (s *Server) stampSnapshot() {
+	if s.eng != nil {
+		s.lastSnap.Store(s.cfg.Now().UnixNano())
+	}
 }
 
 // handleSnapshotRestore swaps a backend's state for a snapshot, read from
 // a path on disk or, for an engine only, from the raw request body
 // (Content-Type: application/octet-stream). Tenant snapshots live under
 // the registry tree, and snapshotPath confines a request's path to the
-// tenant's own directory. The backend owns the swap semantics: an
-// adaptive engine restores any snapshot as a chain and rebinds its
-// manager, a windowed engine restores any snapshot as its windows, and any
-// other engine refuses multi-generation snapshots.
+// tenant's own directory. The backend owns the swap semantics: every
+// engine serves any snapshot as its chain, an adaptive one rebinding its
+// manager and a windowed one taking the generations as its windows.
 func (s *Server) handleSnapshotRestore(w http.ResponseWriter, r *http.Request) {
 	raw := strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream")
 	if raw && s.eng == nil {
@@ -511,6 +519,7 @@ func (s *Server) handleSnapshotRestore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.stats.snapshotsRestored.Add(1)
+	s.stampSnapshot()
 	total, _, gens := be.Health()
 	reply := map[string]any{"restored": from, "generations": gens, "stream_total": total}
 	if s.eng != nil {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,6 +56,41 @@ func familyValue(t *testing.T, fams []obs.Family, name string) float64 {
 	}
 	t.Fatalf("metric %s not found", name)
 	return 0
+}
+
+// TestSnapshotAgeOneClock: with a test clock on the server and the engine
+// on the wall clock, snapshot_age_seconds subtracts two readings of the
+// server's clock — -1 before the first snapshot, 0 at a save, the clock's
+// advance after it — and /stats and /metrics agree on it.
+func TestSnapshotAgeOneClock(t *testing.T) {
+	var clock atomic.Int64
+	clock.Store(1_000_000) // unix seconds: decades before the engine's clock
+	edges := testStream(3000, 23)
+	eng := testEngine(t, buildTestGSketch(t, edges[:1000]),
+		gsketch.WithSnapshotFile(filepath.Join(t.TempDir(), "snap.gsk")))
+	_, ts := newTestServer(t, Config{Engine: eng, Now: func() time.Time { return time.Unix(clock.Load(), 0) }})
+	ingestAll(t, ts.URL, edges)
+
+	age := func(want float64) {
+		t.Helper()
+		st, _ := getStats(t, ts.URL)["snapshot_age_seconds"].(float64)
+		met := familyValue(t, scrapeMetrics(t, ts.URL), "gsketch_snapshot_age_seconds")
+		if st != want || met != want {
+			t.Fatalf("snapshot age: /stats %v, /metrics %v, want %v", st, met, want)
+		}
+	}
+	age(-1)
+	resp, err := http.Post(ts.URL+"/snapshot/save", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot save: %d", resp.StatusCode)
+	}
+	age(0)
+	clock.Add(90)
+	age(90)
 }
 
 // TestMetricsExposition drives the engine backend through HTTP and wire
@@ -343,8 +379,11 @@ func gaugeShapes(t *testing.T) []gaugeShape {
 		gsketch.WithTiering(filepath.Join(dir, "tier"), 1),
 		gsketch.WithSnapshotFile(filepath.Join(dir, "chain.gsk")))})
 	// A query reloads a spilled generation, so the last one comes before
-	// the repartition that spills.
-	ingestAll(t, url, edges[:2000])
+	// the repartition that spills. The first ingest is synchronous: the
+	// repartition right behind it must find its edges in the reservoir.
+	if code, _ := postIngest(t, url, edges[:2000], true); code != http.StatusOK {
+		t.Fatalf("sync ingest: %d", code)
+	}
 	post(url + "/repartition")
 	ingestAll(t, url, edges[2000:4000])
 	queryBatch(t, url, qs)

@@ -123,6 +123,12 @@ type Server struct {
 	// balancer routes around the latency cliff of a swap in progress.
 	notReady atomic.Int32
 
+	// lastSnap is the time, on the server's clock (Config.Now), of the
+	// engine's last snapshot save or restore through the server, in unix
+	// nanos; 0 before the first. Stamped here rather than read from the
+	// engine, so snapshot_age_seconds subtracts two times of one clock.
+	lastSnap atomic.Int64
+
 	// httpSrv is created in New (not lazily in Serve) so a Shutdown racing
 	// startup still stops the listener: http.Server.Shutdown before Serve
 	// makes the later Serve return ErrServerClosed immediately.

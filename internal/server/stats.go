@@ -86,16 +86,17 @@ func (c *counters) addTo(stats map[string]any) {
 }
 
 // view is the snapshot every gauge reads: one Engine.Stats() or one
-// RegistryStats() per /stats request or /metrics scrape, with the clock
-// and readiness read beside it. Whatever an engine lacks (a pipeline, a
-// recorder, routing counters, a chain) is filled in with its idle value,
-// so a row reads the view without nil checks.
+// RegistryStats() per /stats request or /metrics scrape, with the clock,
+// readiness and the time of the last snapshot read beside it. Whatever an engine lacks (a pipeline, a
+// recorder, routing counters) is filled in with its idle value, so a row
+// reads the view without nil checks.
 type view struct {
-	now    time.Time
-	uptime time.Duration
-	ready  bool
-	eng    gsketch.EngineStats
-	reg    tenant.Stats
+	now      time.Time
+	uptime   time.Duration
+	ready    bool
+	lastSnap time.Time // zero before the first
+	eng      gsketch.EngineStats
+	reg      tenant.Stats
 }
 
 func (s *Server) view() view {
@@ -104,6 +105,9 @@ func (s *Server) view() view {
 	if s.tenants != nil {
 		v.reg = s.tenants.RegistryStats()
 		return v
+	}
+	if ns := s.lastSnap.Load(); ns != 0 {
+		v.lastSnap = time.Unix(0, ns)
 	}
 	v.eng = s.eng.Stats()
 	e := &v.eng
@@ -116,11 +120,6 @@ func (s *Server) view() view {
 	if e.ReadRoutes == nil || e.WriteRoutes == nil {
 		e.ReadRoutes = &gsketch.RouteCounts{Partitions: []int64{}}
 		e.WriteRoutes = e.ReadRoutes
-	}
-	if e.Adapt == nil {
-		// An engine without a chain serves one resident generation that
-		// represents itself.
-		e.Adapt = &gsketch.AdaptStats{Generations: 1, ResidentGenerations: 1, CompactedFrom: 1}
 	}
 	return v
 }
@@ -212,8 +211,8 @@ var engineGauges = []gauge{
 	{key: "route_write_outlier_share", name: "gsketch_route_write_outlier_share", help: "Outlier share of the serving head's routed writes.",
 		f: func(v *view) float64 { return v.eng.WriteRoutes.OutlierShare() }},
 
-	// The generation chain. An engine without one reads as one resident
-	// generation with no drift.
+	// The generation chain. An engine without a repartition manager reads
+	// no drift.
 	{key: "generations", name: "gsketch_engine_generations", help: "Sketch generations serving reads.",
 		i: func(v *view) int64 { return int64(v.eng.Adapt.Generations) }},
 	{key: "repartitions", name: "gsketch_adapt_repartitions_total", counter: true, help: "Completed repartition swaps.",
@@ -240,10 +239,10 @@ var engineGauges = []gauge{
 	{key: "snapshot_age_seconds", name: "gsketch_snapshot_age_seconds",
 		help: "Seconds since the last snapshot save or restore; -1 before the first.",
 		f: func(v *view) float64 {
-			if v.eng.LastSnapshot.IsZero() {
+			if v.lastSnap.IsZero() {
 				return -1
 			}
-			return v.now.Sub(v.eng.LastSnapshot).Seconds()
+			return v.now.Sub(v.lastSnap).Seconds()
 		}},
 }
 

@@ -84,11 +84,11 @@ func TestEngineAutoCompactionPastCap(t *testing.T) {
 	}
 }
 
-// WithTiering + WithDecay through the facade: cold generations spill under
+// WithTiering through the facade: cold generations spill under
 // the residency cap (visible in stats), answers survive spill + lazy
 // reload, a snapshot round-trips with lifecycle state reapplied, and
 // manual Engine.Compact works alongside.
-func TestEngineTieringDecaySnapshot(t *testing.T) {
+func TestEngineTieringSnapshot(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	edges := engineTestStream(30000, 79)
@@ -101,7 +101,6 @@ func TestEngineTieringDecaySnapshot(t *testing.T) {
 			gsketch.AdaptConfig{Sketch: engineTestCfg},
 		),
 		gsketch.WithTiering(filepath.Join(dir, "tiers"), 1),
-		gsketch.WithDecay(24*time.Hour), // long half-life: weight ≈ 1 within test runtime
 		gsketch.WithSnapshotFile(filepath.Join(dir, "chain.gsk")),
 	)
 	if err != nil {
@@ -135,7 +134,7 @@ func TestEngineTieringDecaySnapshot(t *testing.T) {
 		t.Fatalf("resident = %d of %d, want fewer under the cap", st.Adapt.ResidentGenerations, st.Adapt.Generations)
 	}
 
-	// Gathered answers (lazy reloads included, decay ≈1) cover the stream.
+	// Gathered answers (lazy reloads included) cover the stream.
 	live := eng.QueryBatch(qs)
 	exact := map[[2]uint64]int64{}
 	for _, e := range edges {
@@ -161,8 +160,8 @@ func TestEngineTieringDecaySnapshot(t *testing.T) {
 	}
 
 	// Snapshot (spilled or resident alike) → restore: generations,
-	// lifecycle lineage and answers survive; decay/tiering re-applied to
-	// the restored chain keeps serving.
+	// lifecycle lineage and answers survive; tiering re-applied to the
+	// restored chain keeps serving.
 	if _, err := eng.SaveSnapshot(""); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +188,6 @@ func TestLifecycleOptionsNeedChain(t *testing.T) {
 	bad := [][]gsketch.Option{
 		{gsketch.WithSample(edges[:500]), gsketch.WithCompaction(gsketch.CompactionPolicy{MaxGenerations: 2}, nil)},
 		{gsketch.WithSample(edges[:500]), gsketch.WithTiering(t.TempDir(), 1)},
-		{gsketch.WithSample(edges[:500]), gsketch.WithDecay(time.Hour)},
 	}
 	for i, opts := range bad {
 		if eng, err := gsketch.Open(engineTestCfg, opts...); err == nil {

@@ -43,7 +43,6 @@ type engineOptions struct {
 	compactErr    func(error)
 	tierDir       string
 	tierResident  int
-	decayHalfLife time.Duration
 
 	ingestCfg *ingest.Config
 	windowCfg *WindowConfig
@@ -89,9 +88,11 @@ func WithGlobal() Option {
 }
 
 // WithEstimator adopts an estimator built elsewhere as the engine's core.
-// A *Concurrent or *Chain is served as-is and a *GSketch is wrapped in a
-// Concurrent, so the engine's paths go through the striped locks; any other
-// Estimator is served behind one read-write mutex, and does not snapshot.
+// A *Chain is served as-is. A *GSketch becomes a chain of one generation,
+// and a *Concurrent one whose generation is served through the
+// Concurrent's own stripe locks, so writes through it and the engine's
+// reads still exclude each other. Any other Estimator is served behind one
+// read-write mutex, and does not snapshot.
 func WithEstimator(est Estimator) Option {
 	return func(o *engineOptions) { o.estimator = est }
 }
@@ -108,10 +109,10 @@ func WithRestoreFile(path string) Option {
 	return func(o *engineOptions) { o.restorePath = path }
 }
 
-// WithAdaptive turns the estimator into a generation chain managed for
-// adaptive repartitioning: the chain's reservoir samples the live stream,
-// the manager watches drift (live workload vs the partitioning's baseline,
-// plus the head's outlier read share), and Repartition — on demand or via
+// WithAdaptive makes the engine's generation chain adaptive: the chain
+// keeps a data reservoir that samples the live stream, a manager watches
+// drift (live workload vs the partitioning's baseline, plus the head's
+// outlier read share), and Repartition — on demand or via
 // WithAutoRepartition — rebuilds the partitioning from live samples and
 // hot-swaps it in as a new generation without forgetting the stream
 // already summarized.
@@ -127,12 +128,12 @@ func WithAdaptive(cc ChainConfig, mc AdaptConfig) Option {
 	}
 }
 
-// WithAutoRepartition starts the drift-watching auto-trigger loop: every
-// interval the manager evaluates drift and rebuilds + hot-swaps when a
-// threshold is crossed. onErr receives rebuild failures (nil drops them; a
-// failed rebuild leaves the serving chain untouched). Requires
-// WithAdaptive. Close stops and awaits the loop before anything else shuts
-// down.
+// WithAutoRepartition runs the drift check on the engine's lifecycle
+// goroutine: every interval the manager evaluates drift and rebuilds +
+// hot-swaps when a threshold is crossed. onErr receives rebuild failures
+// (nil drops them; a failed rebuild leaves the serving chain untouched).
+// Requires WithAdaptive. Close stops and awaits the goroutine before
+// anything else shuts down.
 func WithAutoRepartition(interval time.Duration, onErr func(error)) Option {
 	return func(o *engineOptions) {
 		o.autoInterval = interval
@@ -141,12 +142,12 @@ func WithAutoRepartition(interval time.Duration, onErr func(error)) Option {
 }
 
 // WithCompaction mounts the generation-lifecycle compaction policy on an
-// adaptive engine: a background loop (period p.Interval) folds the oldest
-// p.Fold frozen generations into one whenever the chain length, resident
-// memory, or oldest-generation age crosses a configured trigger, and the
-// repartition manager compacts on demand before a rotation that would hit
-// the chain's generation cap — so ErrMaxGenerations becomes unreachable
-// under policy. Folding is lossless (cell-wise counter merge) when the
+// adaptive engine: every p.Interval the engine's lifecycle goroutine folds
+// the oldest p.Fold frozen generations into one while the chain length,
+// resident memory, or oldest-generation age crosses a configured trigger,
+// and the repartition manager compacts on demand before a rotation that
+// would hit the chain's generation cap — so ErrMaxGenerations becomes
+// unreachable under policy. Folding is lossless (cell-wise counter merge) when the
 // generations share a hash layout, else a re-partition from their retained
 // reservoirs. onErr receives background compaction failures (nil drops
 // them; a failed fold leaves the serving chain untouched). Requires
@@ -161,15 +162,6 @@ func WithCompaction(p CompactionPolicy, onErr func(error)) Option {
 // Requires WithAdaptive (or an adopted *Chain estimator).
 func WithTiering(dir string, maxResident int) Option {
 	return func(o *engineOptions) { o.tierDir = dir; o.tierResident = maxResident }
-}
-
-// WithDecay enables exponential age weighting at gather time: a frozen
-// generation frozen `age` ago contributes to chain answers with weight
-// 2^(-age/halfLife) — estimates and error bounds scale together, so bounds
-// stay sound for the decayed quantity. Requires WithAdaptive (or an adopted
-// *Chain estimator).
-func WithDecay(halfLife time.Duration) Option {
-	return func(o *engineOptions) { o.decayHalfLife = halfLife }
 }
 
 // WithIngest mounts the parallel batch-ingest pipeline between
@@ -225,8 +217,9 @@ func WithWorkloadRecorder(capacity int, seed uint64) Option {
 	}
 }
 
-// WithClock overrides the engine's clock (snapshot ages, recorded query
-// timestamps) — for tests.
+// WithClock overrides the engine's clock (generation build and freeze
+// times, the compaction policy's ages, recorded query timestamps) — for
+// tests.
 func WithClock(now func() time.Time) Option {
 	return func(o *engineOptions) { o.now = now }
 }
@@ -259,7 +252,7 @@ func (o *engineOptions) validate() error {
 	}
 	if w := o.windowCfg; w != nil {
 		if o.adaptive || o.lifecycleConfigured() {
-			return errors.New("gsketch: WithWindows excludes WithAdaptive, WithCompaction, WithTiering and WithDecay")
+			return errors.New("gsketch: WithWindows excludes WithAdaptive, WithCompaction and WithTiering")
 		}
 		if w.Span <= 0 || w.SampleSize <= 0 {
 			return fmt.Errorf("gsketch: WithWindows needs a positive span and sample size (got %d and %d)", w.Span, w.SampleSize)
@@ -274,9 +267,6 @@ func (o *engineOptions) validate() error {
 	if o.autoInterval < 0 {
 		return errors.New("gsketch: negative auto-repartition interval")
 	}
-	if o.decayHalfLife < 0 {
-		return errors.New("gsketch: negative decay half-life")
-	}
 	if o.tierResident < 0 {
 		return errors.New("gsketch: negative tiering residency cap")
 	}
@@ -286,8 +276,8 @@ func (o *engineOptions) validate() error {
 	if o.compactPolicy != nil && o.compactPolicy.Interval < 0 {
 		return errors.New("gsketch: negative compaction interval")
 	}
-	if o.lifecycleConfigured() && !o.adaptive && o.estimator == nil {
-		return errors.New("gsketch: WithCompaction/WithTiering/WithDecay need a generation chain (WithAdaptive or an adopted *Chain)")
+	if o.lifecycleConfigured() && !o.managedChain() {
+		return errors.New("gsketch: WithCompaction/WithTiering need a managed generation chain (WithAdaptive or an adopted *Chain)")
 	}
 	if o.snapshotOnClose && o.snapshotPath == "" {
 		return errors.New("gsketch: WithSnapshotOnClose needs a snapshot path (WithSnapshotDir or WithSnapshotFile)")
@@ -296,54 +286,63 @@ func (o *engineOptions) validate() error {
 }
 
 // lifecycleConfigured reports whether any generation-lifecycle option
-// (compaction, tiering, decay) was set.
+// (compaction, tiering) was set.
 func (o *engineOptions) lifecycleConfigured() bool {
-	return o.compactPolicy != nil || o.tierDir != "" || o.decayHalfLife > 0
+	return o.compactPolicy != nil || o.tierDir != ""
 }
 
-// buildEstimator resolves the bootstrap source into the serving estimator
-// (and the chain when adaptive or windowed).
-func (o *engineOptions) buildEstimator(cfg Config) (servingEstimator, *adapt.Chain, error) {
-	chained := o.adaptive || o.windowCfg != nil
+// managedChain reports whether the serving chain takes the lifecycle
+// options and Compact: an adaptive engine's, or a *Chain adopted from
+// elsewhere.
+func (o *engineOptions) managedChain() bool {
+	_, adopted := o.estimator.(*adapt.Chain)
+	return o.adaptive || adopted
+}
+
+// buildEstimator resolves the bootstrap source into the serving estimator:
+// a generation chain, or a foreign estimator behind a mutex. An adaptive
+// or windowed engine's chain samples its stream into a data reservoir, as
+// its ChainConfig says; any other engine's chain is static, with no
+// reservoir and no rotation.
+func (o *engineOptions) buildEstimator(cfg Config) (servingEstimator, error) {
+	sampled := o.adaptive || o.windowCfg != nil
 	cc := o.chainCfg
 	if w := o.windowCfg; w != nil {
 		// Every window is built under cfg, whatever the bootstrap source.
 		if err := cfg.Validate(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cc = adapt.ChainConfig{SampleSize: w.SampleSize, Seed: cfg.Seed, MaxGenerations: core.MaxChainGenerations}
 	}
-	wrap := func(g *GSketch) (servingEstimator, *adapt.Chain, error) {
-		if chained {
-			c := adapt.NewChain(g, cc)
-			return c, c, nil
+	chain := func(gens []*GSketch, metas []core.GenerationMeta) *adapt.Chain {
+		if sampled {
+			return adapt.NewChainFromMeta(gens, metas, cc)
 		}
-		return core.NewConcurrent(g), nil, nil
+		return adapt.NewStaticChain(gens, metas)
 	}
 
+	var g *GSketch
+	var err error
 	switch {
 	case o.estimator != nil:
 		switch v := o.estimator.(type) {
 		case *adapt.Chain:
-			// The chain owns its own synchronization (a Concurrent per
-			// generation); wrapping it again would serialize every reader
-			// and writer behind one mutex.
 			if o.windowCfg != nil {
-				return nil, nil, errors.New("gsketch: WithWindows cannot adopt a *Chain; pass a *GSketch")
+				return nil, errors.New("gsketch: WithWindows cannot adopt a *Chain; pass a *GSketch")
 			}
-			return v, v, nil
+			return v, nil
 		case *core.GSketch:
-			return wrap(v)
+			g = v
 		case *core.Concurrent:
-			if chained {
-				return nil, nil, errors.New("gsketch: WithAdaptive or WithWindows cannot chain a *Concurrent; pass the underlying *GSketch")
+			if sampled {
+				return nil, errors.New("gsketch: WithAdaptive or WithWindows cannot chain a *Concurrent; pass the underlying *GSketch")
 			}
-			return v, nil, nil
+			return adapt.ServeConcurrent(v), nil
 		default:
-			if chained {
-				return nil, nil, fmt.Errorf("gsketch: WithAdaptive or WithWindows cannot chain a %T; pass a *GSketch", v)
+			if sampled {
+				return nil, fmt.Errorf("gsketch: WithAdaptive or WithWindows cannot chain a %T; pass a *GSketch", v)
 			}
-			return &lockedEstimator{est: v}, nil, nil
+			return &lockedEstimator{est: v}, nil
 		}
 
 	case o.restore != nil || o.restorePath != "":
@@ -351,57 +350,42 @@ func (o *engineOptions) buildEstimator(cfg Config) (servingEstimator, *adapt.Cha
 		if src == nil {
 			f, err := os.Open(o.restorePath)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			defer f.Close()
 			src = f
 		}
 		gens, metas, err := core.ReadChainMeta(src)
 		if err != nil {
-			return nil, nil, fmt.Errorf("gsketch: restore: %w", err)
+			return nil, fmt.Errorf("gsketch: restore: %w", err)
 		}
-		if chained {
-			c := adapt.NewChainFromMeta(gens, metas, cc)
-			return c, c, nil
-		}
-		if len(gens) != 1 {
-			return nil, nil, fmt.Errorf("%w: snapshot carries %d generations", ErrNotAdaptive, len(gens))
-		}
-		return core.NewConcurrent(gens[0]), nil, nil
+		return chain(gens, metas), nil
 
 	case o.global:
-		g, err := core.BuildGlobalSketch(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return wrap(g)
+		g, err = core.BuildGlobalSketch(cfg)
 
 	case o.samplePath != "":
 		// The configuration is checked before the file is read, as
 		// BuildGSketch checks it before it reads the sample.
 		if err := cfg.Validate(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		stats, err := vstats.FromFile(o.samplePath, o.sampleLimit)
-		if err != nil {
-			return nil, nil, sampleError("WithSampleFile "+o.samplePath, err)
+		stats, ferr := vstats.FromFile(o.samplePath, o.sampleLimit)
+		if ferr != nil {
+			return nil, sampleError("WithSampleFile "+o.samplePath, ferr)
 		}
-		g, err := core.BuildGSketchFromSampleStats(cfg, stats, o.workload)
-		if err != nil {
-			return nil, nil, err
-		}
-		return wrap(g)
+		g, err = core.BuildGSketchFromSampleStats(cfg, stats, o.workload)
 
 	default:
-		g, err := core.BuildGSketch(cfg, o.dataSample, o.workload)
+		g, err = core.BuildGSketch(cfg, o.dataSample, o.workload)
 		if errors.Is(err, vstats.ErrNegativeWeight) {
-			return nil, nil, sampleError("WithSample", err)
+			return nil, sampleError("WithSample", err)
 		}
-		if err != nil {
-			return nil, nil, err
-		}
-		return wrap(g)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return chain([]*GSketch{g}, nil), nil
 }
 
 // lockedEstimator serves a foreign Estimator adopted by WithEstimator

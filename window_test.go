@@ -222,7 +222,6 @@ func TestWindowsOpenValidation(t *testing.T) {
 	for name, opts := range map[string][]gsketch.Option{
 		"adaptive":    {wopt, gsketch.WithAdaptive(gsketch.ChainConfig{}, gsketch.AdaptConfig{})},
 		"compaction":  {wopt, gsketch.WithCompaction(gsketch.CompactionPolicy{MaxGenerations: 4}, nil)},
-		"decay":       {wopt, gsketch.WithDecay(time.Hour)},
 		"tiering":     {wopt, gsketch.WithTiering(t.TempDir(), 1)},
 		"zero span":   {gsketch.WithWindows(gsketch.WindowConfig{SampleSize: 16})},
 		"zero sample": {gsketch.WithWindows(gsketch.WindowConfig{Span: 10})},
