@@ -193,10 +193,12 @@
 //   - estimates sum: each generation's CountMin upper-bounds its own
 //     segment, so Σ f̃_g upper-bounds the whole stream;
 //   - error bounds add: generation g's answer overshoots by at most
-//     ε·N_g with probability 1-δ_g, so the summed estimate overshoots by
-//     at most Σ ε·N_g when every generation's guarantee holds;
-//   - confidence is a union bound: all k guarantees hold together with
-//     probability at least 1 - Σ δ_g (floored at 0).
+//     ε·N_g with probability 1-δ, so the summed estimate overshoots by at
+//     most Σ ε·N_g when every generation's guarantee holds;
+//   - one δ is split across the k generations: each bound widens by
+//     k^(1/d), which makes every generation fail with probability at most
+//     δ/k, so the answer keeps confidence 1-δ = 1-e^{-d} however long the
+//     chain grows.
 //
 // The loop closes as record → rebuild → swap, entirely inside an adaptive
 // engine: Engine.QueryBatch records live queries, the manager measures

@@ -13,8 +13,8 @@
 // The generation chain resolves this. A Chain is a core.Estimator holding
 // one live head sketch plus frozen prior generations. Updates go only to
 // the head; queries gather across every generation and combine soundly
-// (estimates sum, per-generation ε·N_i bounds add, confidence via a union
-// bound — see query.AccumulateResults). Repartitioning then becomes a hot
+// (estimates sum, per-generation ε·N_i bounds add, and one δ is split
+// across the generations — see query.AccumulateResults and SplitDelta). Repartitioning then becomes a hot
 // swap: build a new gSketch from fresh samples, push it as the new head,
 // and let the displaced head answer — frozen — for the stream it absorbed.
 //
@@ -423,8 +423,9 @@ func (c *Chain) EstimateBatch(qs []core.EdgeQuery) []core.Result {
 // into dst (its Results carry the provenance of the partitioning currently
 // serving), then every frozen generation's answers — gathered into one
 // pooled scratch slice, not one slice per generation — fold in via
-// query.AccumulateResults: estimates sum, ε·N_i bounds add, confidence
-// combines by union bound, stream totals sum to the chain-wide volume.
+// query.AccumulateResults: estimates sum, ε·N_i bounds add, stream totals
+// sum to the chain-wide volume, and query.SplitDelta keeps the answer at
+// one generation's δ.
 func (c *Chain) AppendEstimates(dst []core.Result, qs []core.EdgeQuery) []core.Result {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -440,6 +441,7 @@ func (c *Chain) AppendEstimates(dst []core.Result, qs []core.EdgeQuery) []core.R
 		query.AccumulateResults(out, *scratch)
 	}
 	c.scratch.Put(scratch)
+	query.SplitDelta(out, len(c.gens))
 	return dst
 }
 
@@ -447,7 +449,8 @@ func (c *Chain) AppendEstimates(dst []core.Result, qs []core.EdgeQuery) []core.R
 // inclusive: every window answers the whole batch, weighted by the share of
 // its times the range covers (query.AccumulateResultsWeighted; §5:
 // "extrapolating from the sketch time windows which overlap most
-// closely"). A generation with no window adds nothing.
+// closely"), and query.SplitDelta spreads δ over the windows weighted. A
+// generation with no window adds nothing.
 func (c *Chain) EstimateWindow(qs []core.EdgeQuery, t1, t2 int64) []core.Result {
 	out := make([]core.Result, len(qs))
 	for i := range out {
@@ -456,6 +459,7 @@ func (c *Chain) EstimateWindow(qs []core.EdgeQuery, t1, t2 int64) []core.Result 
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	scratch := c.scratch.Get().(*[]core.Result)
+	weighted := 0
 	for i := len(c.gens) - 1; i >= 0; i-- {
 		w := c.overlap(c.gens[i].Meta(), t1, t2)
 		if w == 0 {
@@ -463,8 +467,10 @@ func (c *Chain) EstimateWindow(qs []core.EdgeQuery, t1, t2 int64) []core.Result 
 		}
 		*scratch = c.gens[i].AppendEstimates((*scratch)[:0], qs)
 		query.AccumulateResultsWeighted(out, *scratch, w)
+		weighted++
 	}
 	c.scratch.Put(scratch)
+	query.SplitDelta(out, weighted)
 	return out
 }
 

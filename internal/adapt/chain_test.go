@@ -3,6 +3,7 @@ package adapt
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -124,8 +125,13 @@ func TestChainIsSumOfGenerations(t *testing.T) {
 		if want := r1[i].Estimate + r2[i].Estimate; res[i].Estimate != want {
 			t.Fatalf("query %d: chain %d != g1+g2 %d", i, res[i].Estimate, want)
 		}
-		if want := r1[i].ErrorBound + r2[i].ErrorBound; res[i].ErrorBound != want {
-			t.Fatalf("query %d: chain bound %v != summed %v", i, res[i].ErrorBound, want)
+		// The summed bound widens by 2^(1/d), so that it holds at one δ.
+		d := -math.Log1p(-r1[i].Confidence)
+		if want := (r1[i].ErrorBound + r2[i].ErrorBound) * math.Pow(2, 1/d); math.Abs(res[i].ErrorBound-want) > 1e-9*want {
+			t.Fatalf("query %d: chain bound %v != summed·2^(1/d) %v", i, res[i].ErrorBound, want)
+		}
+		if res[i].Confidence != r1[i].Confidence {
+			t.Fatalf("query %d: chain confidence %v, want one generation's %v", i, res[i].Confidence, r1[i].Confidence)
 		}
 		// Provenance comes from the head generation.
 		if res[i].Partition != r2[i].Partition || res[i].Outlier != r2[i].Outlier {

@@ -393,3 +393,56 @@ func TestWindowChainAccuracyAgainstExact(t *testing.T) {
 		t.Errorf("mean overestimate %v too large for this budget", mean)
 	}
 }
+
+// Over 257 windows, an answer still holds at one generation's δ: the
+// gather splits δ across the windows, so the confidence stays 1 - e^-d and
+// the bound finite, and no more than e^-d of the answers exceed it.
+func TestWindowChainBoundAtOneDelta(t *testing.T) {
+	const windows, span = 257, 100
+	build := core.Config{TotalBytes: 4 << 10, Seed: 5}
+	g, err := core.BuildGlobalSketch(build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewChain(g, ChainConfig{SampleSize: 64, Seed: 5, MaxGenerations: core.MaxChainGenerations})
+	c.SetWindows(span, build)
+	edges := testStream(windows*span, 8)
+	for i := range edges {
+		edges[i].Src += uint64(i%97) << 8 // ~25 000 distinct edges
+		edges[i].Time = int64(i)
+	}
+	c.UpdateBatch(edges)
+	if got := c.Generations(); got != windows {
+		t.Fatalf("%d generations, want %d", got, windows)
+	}
+	exact := stream.NewExactCounter()
+	exact.ObserveAll(edges)
+	var qs []core.EdgeQuery
+	var truth []int64
+	exact.RangeEdges(func(src, dst uint64, f int64) bool {
+		qs = append(qs, core.EdgeQuery{Src: src, Dst: dst})
+		truth = append(truth, f)
+		return true
+	})
+	if len(qs) < 20_000 {
+		t.Fatalf("%d distinct edges, want at least 20 000 queries", len(qs))
+	}
+	for name, res := range map[string][]core.Result{
+		"all":    c.EstimateBatch(qs),
+		"window": c.EstimateWindow(qs, 0, windows*span-1),
+	} {
+		delta := math.Exp(-float64(g.Depth()))
+		over := 0
+		for i, r := range res {
+			if r.Confidence != 1-delta || math.IsInf(r.ErrorBound, 0) || math.IsNaN(r.ErrorBound) {
+				t.Fatalf("%s: query %d confidence %v bound %v, want %v and a finite bound", name, i, r.Confidence, r.ErrorBound, 1-delta)
+			}
+			if float64(r.Estimate-truth[i]) > r.ErrorBound {
+				over++
+			}
+		}
+		if share := float64(over) / float64(len(qs)); share > delta {
+			t.Errorf("%s: %d of %d answers (%.4f) exceed their bound, allowed %.4f", name, over, len(qs), share, delta)
+		}
+	}
+}

@@ -146,8 +146,8 @@ func (c *Coordinator) TryIngest(edges []stream.Edge) (int, error) {
 
 // QueryBatch scatters qs to every shard and folds the answers in shard
 // order with query.AccumulateResults — estimates and ε·N_i bounds add,
-// confidence union-bounds, stream totals sum — exactly how the adapt
-// chain combines generations. Shards that fail are marked degraded and
+// stream totals sum. No δ needs splitting: only the shard that owns a
+// query's partition answers it from a non-empty sketch. Shards that fail are marked degraded and
 // reported in a *PartialError; when at least one shard answered, the
 // partial result is returned alongside it.
 func (c *Coordinator) QueryBatch(qs []core.EdgeQuery) ([]core.Result, error) {

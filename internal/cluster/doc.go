@@ -17,8 +17,7 @@
 // own a vertex's partition never sees its edges — its partition sketch
 // stays empty and answers estimate 0 with ε·N_i bound 0 — which is what
 // makes the scatter-gather sum byte-identical to a single node fed the
-// same stream (only the union-bound confidence is weaker, 1−N·δ instead
-// of 1−δ).
+// same stream, bound and confidence included.
 //
 // # Write path
 //
@@ -38,8 +37,8 @@
 //
 // QueryBatch scatters the whole batch to every shard over pooled wire
 // connections and folds the answers in shard order with
-// query.AccumulateResults: estimates and ε·N_i bounds add, confidence
-// union-bounds, stream totals sum. Shards that fail mid-gather are marked
+// query.AccumulateResults: estimates and ε·N_i bounds add, stream totals
+// sum. Shards that fail mid-gather are marked
 // degraded and reported in a typed *PartialError alongside the partial
 // result.
 //

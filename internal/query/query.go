@@ -164,20 +164,21 @@ func unionConfidence(res []core.Result) float64 {
 
 // AccumulateResults folds one more generation's batch answers into acc,
 // position-wise. It is the sound cross-generation combination the adaptive
-// chain relies on: a stream split across k sketch generations has per-edge
+// chain relies on: a stream split across g sketch generations has per-edge
 // frequency equal to the sum of per-generation frequencies, so
 //
 //   - point estimates sum (each generation's CountMin never underestimates
 //     its own segment, so the sum never underestimates the whole stream);
-//   - the additive ε·N_i bounds add — the combined estimate is off by at
-//     most the sum of the per-generation overcounts;
-//   - confidence combines by a union bound over the per-generation failure
-//     probabilities: 1 - Σ δ_g, floored at 0;
+//   - the e·N_i/w_i bounds add;
+//   - confidence keeps the weakest generation's, 1 - e^-d at the smallest
+//     depth d;
 //   - stream-total snapshots sum, saturating, to the chain-wide volume.
 //
-// Provenance (Partition, Outlier) stays acc's — by convention the live
-// head generation answers first, so combined results carry the routing of
-// the partitioning currently serving.
+// The summed bound holds at the generations' own δ each, not jointly:
+// SplitDelta finishes the gather by spreading one δ across the g
+// generations. Provenance (Partition, Outlier) stays acc's — by convention
+// the live head generation answers first, so combined results carry the
+// routing of the partitioning currently serving.
 func AccumulateResults(acc, gen []core.Result) {
 	if len(gen) != len(acc) {
 		panic(fmt.Sprintf("query: generation answered %d results, want %d", len(gen), len(acc)))
@@ -186,12 +187,7 @@ func AccumulateResults(acc, gen []core.Result) {
 		g := gen[i]
 		acc[i].Estimate += g.Estimate
 		acc[i].ErrorBound += g.ErrorBound
-		deltas := (1 - acc[i].Confidence) + (1 - g.Confidence)
-		if deltas >= 1 {
-			acc[i].Confidence = 0
-		} else {
-			acc[i].Confidence = 1 - deltas
-		}
+		acc[i].Confidence = min(acc[i].Confidence, g.Confidence)
 		acc[i].StreamTotal = sketch.AddVolume(acc[i].StreamTotal, g.StreamTotal)
 	}
 }
@@ -200,9 +196,9 @@ func AccumulateResults(acc, gen []core.Result) {
 // applied to the incoming generation's contribution — a time window's share
 // of a queried range: estimates and error bounds scale by w before folding
 // (a w-scaled overestimate with a w-scaled additive bound still brackets
-// the w-scaled true segment frequency). Confidence still combines by the
-// union bound — weighting does not improve a generation's failure
-// probability — and StreamTotal stays the unweighted sum, reporting real
+// the w-scaled true segment frequency). Weighting does not improve a
+// generation's failure probability, so a weighted generation counts as one
+// in SplitDelta, and StreamTotal stays the unweighted sum, reporting real
 // stream volume. w outside (0, 1] is clamped; w == 1 is exactly
 // AccumulateResults.
 func AccumulateResultsWeighted(acc, gen []core.Result, w float64) {
@@ -220,13 +216,33 @@ func AccumulateResultsWeighted(acc, gen []core.Result, w float64) {
 		g := gen[i]
 		acc[i].Estimate += int64(math.Round(w * float64(g.Estimate)))
 		acc[i].ErrorBound += w * g.ErrorBound
-		deltas := (1 - acc[i].Confidence) + (1 - g.Confidence)
-		if deltas >= 1 {
-			acc[i].Confidence = 0
-		} else {
-			acc[i].Confidence = 1 - deltas
-		}
+		acc[i].Confidence = min(acc[i].Confidence, g.Confidence)
 		acc[i].StreamTotal = sketch.AddVolume(acc[i].StreamTotal, g.StreamTotal)
+	}
+}
+
+// SplitDelta finishes a gather over g generations so that every answer
+// holds at one δ = e^-d, not at g of them. Per row, Markov's inequality
+// gives P(X ≥ c·N/w) ≤ 1/c, and d independent rows give c^-d for their
+// minimum; c = e·g^(1/d) makes that δ/g per generation, and the union over
+// g generations δ. So each generation's e·N_i/w_i bound, and with it their
+// sum, grows by g^(1/d), and the confidence stays 1 - e^-d, whatever g.
+// The union needs no independence across generations. g ≤ 1 changes
+// nothing.
+func SplitDelta(acc []core.Result, g int) {
+	if g <= 1 {
+		return
+	}
+	conf, factor := math.NaN(), 1.0
+	for i := range acc {
+		c := acc[i].Confidence
+		if c <= 0 || c >= 1 {
+			continue // no depth to split over
+		}
+		if c != conf {
+			conf, factor = c, math.Pow(float64(g), -1/math.Log1p(-c))
+		}
+		acc[i].ErrorBound *= factor
 	}
 }
 
