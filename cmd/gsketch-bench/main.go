@@ -1,6 +1,7 @@
 // Command gsketch-bench regenerates the paper's evaluation artifacts
 // (Figures 4–14, Table 1 and the §6.1 variance ratios) on the synthetic
-// stand-in datasets and prints them as aligned tables.
+// stand-in datasets, and the adapt figure, which compares rotation
+// policies on a drifting stream, and prints them as aligned tables.
 //
 // Usage:
 //

@@ -33,6 +33,15 @@ type Profile struct {
 	RMATGrid  []int
 	RMATFixed int
 
+	// Rotation-policy stream (the adapt figure): a Zipf carousel of
+	// CarouselSources sources over CarouselDests destinations, six phases
+	// of CarouselPhase edges each, and the budgets it is read at; the first
+	// is reported but not decided on.
+	CarouselSources int
+	CarouselDests   int
+	CarouselPhase   int
+	CarouselGrid    []int
+
 	// SampleFraction is the reservoir data-sample size as a fraction of
 	// the stream (DBLP and RMAT; the IP dataset samples its first day,
 	// like the paper). DBLPSampleFraction overrides it for DBLP when
@@ -84,6 +93,11 @@ var Repro = Profile{
 	RMATGrid:  []int{512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20},
 	RMATFixed: 2 << 20,
 
+	CarouselSources: 4096,
+	CarouselDests:   256,
+	CarouselPhase:   200_000,
+	CarouselGrid:    []int{384 << 10, 1536 << 10, 6 << 20, 24 << 20},
+
 	SampleFraction:     0.10,
 	DBLPSampleFraction: 0.20,
 	WorkloadFraction:   0.20,
@@ -112,6 +126,11 @@ var Small = Profile{
 	RMATEdges: 150_000,
 	RMATGrid:  []int{8 << 10, 16 << 10, 32 << 10},
 	RMATFixed: 16 << 10,
+
+	CarouselSources: 1024,
+	CarouselDests:   64,
+	CarouselPhase:   25_000,
+	CarouselGrid:    []int{48 << 10, 192 << 10, 768 << 10, 3 << 20},
 
 	SampleFraction:   0.20,
 	WorkloadFraction: 0.20,
@@ -216,6 +235,27 @@ func (r *Registry) RMAT() (*Dataset, error) {
 		}
 		return r.finish("GTGraph", edges, reservoirSample(edges, p.SampleFraction, p.Seed+5),
 			p.RMATGrid, p.RMATFixed)
+	})
+}
+
+// Carousel returns the rotation-policy stream: graphgen.ZipfCarouselStream
+// at α 1.1, whose popular sources move at each of its five phase
+// boundaries. Its data sample is phase 0's first tenth.
+func (r *Registry) Carousel() (*Dataset, error) {
+	return r.get("carousel", func() (*Dataset, error) {
+		p := r.Profile
+		edges, err := graphgen.ZipfCarouselStream(graphgen.CarouselConfig{
+			Vertices:      p.CarouselSources,
+			Destinations:  p.CarouselDests,
+			Phases:        carouselPhases,
+			EdgesPerPhase: p.CarouselPhase,
+			Alpha:         1.1,
+			Seed:          p.Seed + 6,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: carousel: %w", err)
+		}
+		return r.finish("Carousel", edges, edges[:p.CarouselPhase/10], p.CarouselGrid, 0)
 	})
 }
 

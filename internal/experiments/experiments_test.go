@@ -92,8 +92,8 @@ func TestAllDatasetsBuild(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	all := AllExperiments()
-	if len(all) != 13 {
-		t.Fatalf("got %d experiments, want 13 (varratio, fig4..fig14, table1)", len(all))
+	if len(all) != 14 {
+		t.Fatalf("got %d experiments, want 14 (varratio, fig4..fig14, table1, adapt)", len(all))
 	}
 	ids := map[string]bool{}
 	for _, e := range all {

@@ -426,6 +426,7 @@ func AllExperiments() []Experiment {
 		{"fig13", "Figure 13: sketch construction time Tc vs memory", (*Harness).Fig13},
 		{"fig14", "Figure 14: query processing time Tp vs memory", (*Harness).Fig14},
 		{"table1", "Table 1: outlier sketch vs overall gSketch (GTGraph)", (*Harness).Table1},
+		{"adapt", "Rotation policies on a drifting carousel at equal memory", (*Harness).Rotation},
 	}
 }
 

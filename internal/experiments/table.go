@@ -1,7 +1,9 @@
 // Package experiments is the reproduction harness: it regenerates every
-// table and figure of the paper's evaluation (§6) as printable tables.
-// Each experiment id (fig4 … fig14, table1, varratio) maps to a runner;
-// FindExperiment is the index. Dataset scale is controlled by a Profile so
+// table and figure of the paper's evaluation (§6) as printable tables,
+// and one experiment of the repository's own: adapt, which compares
+// rotation policies on a drifting stream. Each experiment id (fig4 …
+// fig14, table1, varratio, adapt) maps to a runner; FindExperiment is the
+// index. Dataset scale is controlled by a Profile so
 // the same harness drives quick CI runs and full reproductions.
 package experiments
 

@@ -28,6 +28,10 @@ type Accuracy struct {
 	Skipped int
 	// MaxRelErr is the worst relative error observed.
 	MaxRelErr float64
+	// Below counts edge answers under the true frequency, and OverBound
+	// those above it by more than their reported ErrorBound (edge queries
+	// only).
+	Below, OverBound int
 }
 
 // observe folds one query's relative error into the accumulator, guarding
@@ -75,6 +79,12 @@ func EvaluateEdgeQueries(est core.Estimator, exact *stream.ExactCounter, queries
 			continue
 		}
 		acc.observe(&sum, RelativeError(float64(res[i].Estimate), float64(truth)), g0)
+		switch over := res[i].Estimate - truth; {
+		case over < 0:
+			acc.Below++
+		case float64(over) > res[i].ErrorBound:
+			acc.OverBound++
+		}
 	}
 	acc.finish(sum)
 	return acc
