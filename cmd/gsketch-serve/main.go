@@ -136,7 +136,7 @@ func main() {
 		queue     = flag.Int("queue", 0, "HTTP ingest queue depth in batches (0 = 4x workers)")
 
 		snapshotPath   = flag.String("snapshot", "gsketch.snap", "default snapshot path for /snapshot/save and -snapshot-on-exit")
-		snapshotOnExit = flag.Bool("snapshot-on-exit", false, "save a final snapshot during graceful shutdown")
+		snapshotOnExit = flag.Bool("snapshot-on-exit", false, "save a final snapshot to -snapshot, which must be set, during graceful shutdown")
 
 		workloadCap  = flag.Int("workload-cap", 4096, "query-workload reservoir capacity (negative disables capture)")
 		windowSpan   = flag.Int64("window-span", 0, "make the generations time windows of this span (0 = disabled; excludes -adapt)")
@@ -244,6 +244,9 @@ func main() {
 		gsketch.WithIngest(gsketch.IngestConfig{Workers: *workers, BatchSize: *batchSize, QueueDepth: *queue}),
 		gsketch.WithSnapshotFile(*snapshotPath),
 	)
+	if *snapshotOnExit {
+		opts = append(opts, gsketch.WithSnapshotOnClose())
+	}
 	if *workloadCap >= 0 {
 		rcap := *workloadCap
 		if rcap == 0 { // pre-Engine behavior: 0 falls through to the default
@@ -289,11 +292,7 @@ func main() {
 		"stream_total", st.StreamTotal,
 		"memory_bytes", st.MemoryBytes)
 
-	srv, err := server.New(server.Config{
-		Engine:             eng,
-		SnapshotOnShutdown: *snapshotOnExit,
-		Logger:             root,
-	})
+	srv, err := server.New(server.Config{Engine: eng, Logger: root})
 	if err != nil {
 		fatal(logger, "server init failed", "error", err)
 	}

@@ -215,8 +215,8 @@
 // Every engine serves a generation chain. Without a rotation policy it is
 // static: one generation (or the ones a restored snapshot carries), no
 // data reservoir, nothing that rotates. Left unmanaged, an adaptive chain
-// accumulates a generation per rotation until memory and the union-bound
-// confidence degrade, then hits ErrMaxGenerations. The lifecycle options
+// accumulates a generation per rotation, its memory growing and its bounds
+// widening, until it hits ErrMaxGenerations. The lifecycle options
 // (backed by internal/compact) keep it bounded: WithCompaction mounts a
 // fold policy — the oldest frozen generations merge cell-wise when they
 // share a hash layout (lossless; bounds combine to ε·ΣN_g) or

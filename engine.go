@@ -110,6 +110,15 @@ type Engine struct {
 	done        chan struct{} // closed when the lifecycle goroutine has exited
 	compactions atomic.Int64  // completed folds, every trigger path
 
+	// unfoldable is the chain, with its generation count, whose fold the
+	// compaction tick last saw refused with compact.ErrUnfoldable: the tick
+	// reports that once and does not try again until the generations
+	// change. Only the lifecycle goroutine touches it.
+	unfoldable struct {
+		chain *adapt.Chain
+		gens  int
+	}
+
 	// rebuildCfg is the sketch configuration compaction re-ingest rebuilds
 	// use — the adaptive manager's rebuild config when one is mounted, the
 	// Open configuration otherwise.
@@ -208,8 +217,12 @@ func Open(cfg Config, opts ...Option) (*Engine, error) {
 			fold := o.compactPolicy.WithDefaults().Fold
 			e.mgr.SetCompactor(func() error {
 				_, err := e.compactChain(fold)
-				if errors.Is(err, adapt.ErrNothingToCompact) {
+				switch {
+				case errors.Is(err, adapt.ErrNothingToCompact):
 					return nil
+				case errors.Is(err, compact.ErrUnfoldable):
+					// The chain stays at its cap: refuse as the cap does.
+					return fmt.Errorf("%w: %w", adapt.ErrMaxGenerations, err)
 				}
 				return err
 			})
@@ -264,16 +277,21 @@ func (e *Engine) lifecycle(drift, fold time.Duration) {
 // that moment, so it follows a Restore to the replacement chain: it folds
 // once when the policy fires, and otherwise enforces the residency cap, so
 // cold generations keep spilling as they age out of the access window. It
-// reports whether it folded; an error goes to the WithCompaction handler.
+// reports whether it folded; an error goes to the WithCompaction handler,
+// and a refused fold goes there once, until the chain's generations change.
 func (e *Engine) compactStep() bool {
 	p := e.opts.compactPolicy.WithDefaults()
 	chain := e.state().chain
 	var res compact.Result
 	var err error
-	if p.Triggered(chain.LifecycleState(e.opts.now())) {
+	refused := e.unfoldable.chain == chain && e.unfoldable.gens == chain.Generations()
+	if !refused && p.Triggered(chain.LifecycleState(e.opts.now())) {
 		res, err = e.compactChain(p.Fold)
-		if errors.Is(err, adapt.ErrNothingToCompact) {
+		switch {
+		case errors.Is(err, adapt.ErrNothingToCompact):
 			err = nil
+		case errors.Is(err, compact.ErrUnfoldable):
+			e.unfoldable.chain, e.unfoldable.gens = chain, chain.Generations()
 		}
 	} else {
 		_, err = chain.EnforceResidency()

@@ -3,6 +3,7 @@ package gsketch
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"github.com/graphstream/gsketch/internal/adapt"
+	"github.com/graphstream/gsketch/internal/compact"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/stream"
 )
@@ -271,24 +273,37 @@ func TestLifecycleCompactStep(t *testing.T) {
 
 	// A fold that fails: frozen generations restored from a snapshot keep
 	// no sample, and layouts that differ leave nothing to merge them by.
+	// Two ticks report the refusal once.
 	var snap bytes.Buffer
 	if _, err := eng.Save(&snap); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Open(internalTestCfg, WithRestore(&snap), adaptive,
-		WithCompaction(CompactionPolicy{MaxGenerations: 1, Interval: time.Hour}, onErr))
+	policy := WithCompaction(CompactionPolicy{MaxGenerations: 1, Interval: time.Hour}, onErr)
+	restored, err := Open(internalTestCfg, WithRestore(bytes.NewReader(snap.Bytes())), adaptive, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer restored.Close()
-	if restored.compactStep() {
+	if restored.compactStep() || restored.compactStep() {
 		t.Fatal("a failing step reported a fold")
 	}
-	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "no retained sample") {
-		t.Fatalf("errors reported: %v, want the one failed fold", errs)
+	if len(errs) != 1 || !errors.Is(errs[0], compact.ErrUnfoldable) {
+		t.Fatalf("errors reported: %v, want the one refused fold", errs)
 	}
 	if a := restored.Stats().Adapt; a.Compactions != 0 || a.Generations != 3 {
 		t.Fatalf("after a failed fold: %+v, want no compaction and 3 generations", a)
+	}
+
+	// Restored at its cap, the engine refuses a repartition as the cap
+	// does, not as a server fault.
+	capped, err := Open(internalTestCfg, WithRestore(bytes.NewReader(snap.Bytes())), policy,
+		WithAdaptive(adapt.ChainConfig{MaxGenerations: 3}, AdaptConfig{Sketch: internalTestCfg}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer capped.Close()
+	if _, err := capped.Repartition(); !errors.Is(err, ErrMaxGenerations) || !errors.Is(err, compact.ErrUnfoldable) {
+		t.Fatalf("repartition at the cap: %v, want ErrMaxGenerations wrapping compact.ErrUnfoldable", err)
 	}
 }
 

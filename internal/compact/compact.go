@@ -3,15 +3,15 @@
 //
 // An adaptive chain freezes one generation per repartition. Without
 // lifecycle management the chain grows monotonically: every query gathers
-// across all generations with a union-bound confidence, memory never
-// shrinks, and rotation hard-refuses at the generation cap. This package
+// across all generations, its bound widening with their count, memory
+// never shrinks, and rotation hard-refuses at the generation cap. This package
 // bounds all three:
 //
 //   - Compaction (Fold) merges the oldest K frozen generations into one —
 //     cell-wise when their hash layouts match (lossless: CountMin counters
 //     add, bounds stay ε·ΣN_i), else by re-partitioning from the segments'
 //     retained reservoirs and replaying them at recorded volume. Fewer
-//     generations also tightens the union bound.
+//     generations also narrow the bound, which widens by g^(1/d) over g.
 //
 //   - Tiering (Segment.Spill) moves cold frozen generations to file-backed
 //     segments, reloading lazily on query, so the hot head plus a bounded

@@ -1,6 +1,7 @@
 package compact
 
 import (
+	"errors"
 	"math"
 	"os"
 	"testing"
@@ -212,8 +213,8 @@ func TestFoldReingestConservesVolume(t *testing.T) {
 	core.Populate(g, edges[:2000])
 	bare := NewSegment(g, core.GenerationMeta{})
 	bare.Freeze(2000, nil, 0)
-	if _, _, err := Fold([]*Segment{bare, b}, core.Config{TotalBytes: 64 << 10, Seed: 3}, nil, 1024); err == nil {
-		t.Fatal("re-ingest without retained samples must fail")
+	if _, _, err := Fold([]*Segment{bare, b}, core.Config{TotalBytes: 64 << 10, Seed: 3}, nil, 1024); !errors.Is(err, ErrUnfoldable) {
+		t.Fatalf("re-ingest without retained samples: %v, want ErrUnfoldable", err)
 	}
 
 	if _, _, err := Fold([]*Segment{a}, core.Config{TotalBytes: 64 << 10, Seed: 3}, nil, 1024); err == nil {

@@ -1,6 +1,7 @@
 package compact
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -8,6 +9,12 @@ import (
 	"github.com/graphstream/gsketch/internal/sketch"
 	"github.com/graphstream/gsketch/internal/stream"
 )
+
+// ErrUnfoldable reports a fold refused because the segments' counters
+// cannot be merged cell-wise and there is nothing to rebuild them from: a
+// segment restored from a snapshot keeps no sample. Retrying cannot help
+// until the segments change.
+var ErrUnfoldable = errors.New("compact: generations cannot be folded")
 
 // Fold merges k frozen segments (oldest first) into one new frozen segment
 // covering their union stream. Two paths:
@@ -31,8 +38,7 @@ import (
 //
 // Either way the merged segment's stream total equals the sum of the
 // sources', so chain-wide Count is conserved, and the post-compaction chain
-// has fewer generations — the union bound over per-generation confidences
-// tightens.
+// has fewer generations to split its δ across.
 func Fold(segs []*Segment, cfg core.Config, workload []stream.Edge, sampleCap int) (*Segment, bool, error) {
 	if len(segs) < 2 {
 		return nil, false, fmt.Errorf("compact: fold needs at least 2 segments, got %d", len(segs))
@@ -77,7 +83,7 @@ func foldSketch(segs []*Segment, cfg core.Config, workload []stream.Edge) (*core
 	for i, s := range segs {
 		sample, _ := s.Sample()
 		if len(sample) == 0 && s.Count() > 0 {
-			return nil, false, fmt.Errorf("compact: segment %d has stream volume %d but no retained sample (layouts are not counter-mergeable and there is nothing to re-ingest; restored chains compact only via the exact path)", i, s.Count())
+			return nil, false, fmt.Errorf("%w: segment %d has stream volume %d but no retained sample (layouts are not counter-mergeable and there is nothing to re-ingest; restored chains compact only via the exact path)", ErrUnfoldable, i, s.Count())
 		}
 		combined = append(combined, sample...)
 	}

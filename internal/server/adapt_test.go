@@ -246,6 +246,37 @@ func TestCompactEndpointEndToEnd(t *testing.T) {
 	postOK("/repartition")
 	ingestAll(t, ts.URL, edges[16000:])
 
+	// Restored at its cap, three generations of three layouts cannot fold:
+	// /repartition refuses as the cap does.
+	resp, err := http.Get(ts.URL + "/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped, err := gsketch.Open(testSketchConfig(), gsketch.WithRestore(bytes.NewReader(snap)),
+		gsketch.WithAdaptive(adapt.ChainConfig{MaxGenerations: 3}, adapt.ManagerConfig{}),
+		gsketch.WithCompaction(gsketch.CompactionPolicy{MaxGenerations: 1, Interval: time.Hour}, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cappedTS := newTestServer(t, Config{Engine: capped})
+	resp, err = http.Post(cappedTS.URL+"/repartition", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refusal struct {
+		Code string `json:"code"`
+	}
+	_ = json.NewDecoder(resp.Body).Decode(&refusal)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict || refusal.Code != "max_generations" {
+		t.Fatalf("repartition on a restored chain at its cap: %d %q, want 409 max_generations", resp.StatusCode, refusal.Code)
+	}
+
 	var qs []core.EdgeQuery
 	for _, e := range edges[:300] {
 		qs = append(qs, core.EdgeQuery{Src: e.Src, Dst: e.Dst})
@@ -312,7 +343,7 @@ func TestCompactEndpointEndToEnd(t *testing.T) {
 
 	// A non-adaptive server does not mount the route at all.
 	_, plainTS := newTestServer(t, Config{Engine: testEngine(t, buildTestGSketch(t, edges[:500]))})
-	resp, err := http.Post(plainTS.URL+"/compact", "application/json", nil)
+	resp, err = http.Post(plainTS.URL+"/compact", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,8 +372,8 @@ func TestShutdownDuringAutoRepartition(t *testing.T) {
 				MinWorkload:    8,
 				MinData:        8,
 			}),
-			gsketch.WithAutoRepartition(time.Millisecond, nil)),
-		SnapshotOnShutdown: true,
+			gsketch.WithAutoRepartition(time.Millisecond, nil),
+			gsketch.WithSnapshotOnClose()),
 	})
 
 	ingestAll(t, ts.URL, edges[:5000])

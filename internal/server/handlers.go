@@ -539,9 +539,6 @@ func writeSnapshotError(w http.ResponseWriter, op string, err error) {
 	switch {
 	case errors.Is(err, gsketch.ErrBadSnapshot):
 		status = http.StatusBadRequest
-	case errors.Is(err, gsketch.ErrNotAdaptive):
-		// The snapshot may be fine; this server just cannot serve it.
-		status = http.StatusConflict
 	case errors.Is(err, tenant.ErrNotFound):
 		writeErrorCode(w, http.StatusNotFound, "tenant_not_found", "%s: %v", op, err)
 		return

@@ -66,11 +66,6 @@ type Config struct {
 	// Shutdown snapshots every resident tenant and closes it.
 	Tenants *tenant.Registry
 
-	// SnapshotOnShutdown saves a final snapshot to the backend's snapshot
-	// path during Shutdown, after the adaptive loop stops and the ingest
-	// queue drains.
-	SnapshotOnShutdown bool
-
 	// Logger receives the server's structured lifecycle events (slog).
 	// Nil discards them; gsketch-serve passes its -log-level/-log-format
 	// configured logger.
@@ -234,11 +229,11 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Shutdown drains and stops the server gracefully: mark unhealthy, stop
-// the listener (waiting for in-flight handlers), close the engine — which
-// stops the adaptive auto-trigger loop first and then drains the ingest
-// queue, so no rebuild can race what follows — and finally persist a
-// snapshot when configured. Safe to call multiple times; later calls
-// return the first result.
+// the listener (waiting for in-flight handlers), and close the engine —
+// which stops its lifecycle goroutine first, so no rebuild can race what
+// follows, then drains the ingest queue and, when it was opened
+// WithSnapshotOnClose, persists a final snapshot. Safe to call multiple
+// times; later calls return the first result.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closeOnce.Do(func() {
 		s.closing.Store(true)
@@ -254,25 +249,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.closeWire()
 		if s.tenants != nil {
 			// Registry close snapshots every resident tenant to its own
-			// directory; SnapshotOnShutdown adds nothing on top.
+			// directory.
 			if err := s.tenants.Close(); err != nil && s.closeErr == nil {
 				s.closeErr = err
 			}
 		} else {
+			// Close drains the pipeline, then saves the final snapshot of
+			// an engine opened WithSnapshotOnClose.
 			if err := s.eng.Close(); err != nil && s.closeErr == nil {
 				s.closeErr = err
-			}
-			// The snapshot comes after Close: the closed engine's read
-			// path still serializes, and the close drain guarantees the
-			// snapshot covers every accepted edge.
-			if s.cfg.SnapshotOnShutdown && s.eng.SnapshotPath() != "" {
-				if _, err := s.eng.SaveSnapshot(""); err != nil {
-					if s.closeErr == nil {
-						s.closeErr = err
-					}
-				} else {
-					s.stats.snapshotsSaved.Add(1)
-				}
 			}
 		}
 		if s.closeErr != nil {

@@ -148,8 +148,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		Engine: testEngine(t, buildTestGSketch(t, edges[:2000]),
 			gsketch.WithIngest(ingest.Config{Workers: 2, BatchSize: 256, QueueDepth: 4}),
-			gsketch.WithSnapshotFile(snap)),
-		SnapshotOnShutdown: true,
+			gsketch.WithSnapshotFile(snap), gsketch.WithSnapshotOnClose()),
 	})
 	ingestAll(t, ts.URL, edges)
 	if err := srv.Close(); err != nil {
