@@ -14,9 +14,10 @@
 // one live head sketch plus frozen prior generations. Updates go only to
 // the head; queries gather across every generation and combine soundly
 // (estimates sum, per-generation ε·N_i bounds add, and one δ is split
-// across the generations — see query.AccumulateResults and SplitDelta). Repartitioning then becomes a hot
-// swap: build a new gSketch from fresh samples, push it as the new head,
-// and let the displaced head answer — frozen — for the stream it absorbed.
+// across the generations — see query.AccumulateResults and SplitDelta).
+// Repartitioning then becomes a hot swap: build a new gSketch from fresh
+// samples, push it as the new head, and let the displaced head answer —
+// frozen — for the stream it absorbed.
 //
 // The Manager closes the loop: it measures drift between the workload the
 // current partitioning was built from and the live recorded workload
