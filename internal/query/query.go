@@ -236,8 +236,8 @@ func SplitDelta(acc []core.Result, g int) {
 	conf, factor := math.NaN(), 1.0
 	for i := range acc {
 		c := acc[i].Confidence
-		if c <= 0 || c >= 1 {
-			continue // no depth to split over
+		if c <= 0 {
+			continue // a bound that claims nothing stays as it is
 		}
 		if c != conf {
 			conf, factor = c, math.Pow(float64(g), -1/math.Log1p(-c))
