@@ -64,8 +64,9 @@
 // -adapt). -compact-max-gens / -compact-age / -compact-mem set the
 // background fold triggers (checked every -compact-interval; -compact-fold
 // generations fold per pass, and the repartition manager also folds on
-// demand before a rotation that would hit -adapt-max-gens, so the cap stops
-// refusing). -tier-dir spills cold frozen generations to disk past
+// demand before a rotation that would hit -adapt-max-gens, so the cap
+// refuses only generations that cannot fold, restored ones of differing
+// layouts). -tier-dir spills cold frozen generations to disk past
 // -tier-resident resident ones, reloading them lazily on query. POST
 // /compact folds on demand.
 //

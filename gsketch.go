@@ -105,8 +105,9 @@ type CompactionResult = compact.Result
 
 // ErrMaxGenerations reports a repartition refused because the chain is at
 // its configured generation cap. Mount a CompactionPolicy (WithCompaction)
-// and the cap stops being reachable: the manager folds old generations
-// before refusing a rotation.
+// and the manager folds old generations before refusing a rotation; it
+// still refuses when the fold is refused (compact.ErrUnfoldable, which the
+// error then wraps).
 var ErrMaxGenerations = adapt.ErrMaxGenerations
 
 // ErrEmptyReservoir reports a rebuild refused because no stream has been

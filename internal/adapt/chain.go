@@ -57,7 +57,7 @@ import (
 // ErrMaxGenerations reports a rotation refused because the chain is at its
 // configured generation cap. The cap bounds per-query gather cost; a chain
 // under a compaction policy folds old generations before the cap is hit,
-// making this error unreachable in managed operation.
+// so in managed operation only a refused fold reaches it.
 var ErrMaxGenerations = errors.New("adapt: generation cap reached")
 
 // ErrEmptyReservoir reports a rebuild refused because no stream has been

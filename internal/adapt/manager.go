@@ -122,8 +122,8 @@ type Manager struct {
 	// compactor, when set, is invoked to fold old generations before a
 	// rotation that would otherwise refuse at the generation cap — the
 	// engine wires it to the chain's compaction when a lifecycle policy is
-	// configured. With it in place ErrMaxGenerations is unreachable from
-	// the manager's rebuild paths.
+	// configured. With it in place the manager's rebuild paths reach
+	// ErrMaxGenerations only when the fold is refused.
 	compactor func() error
 
 	// liveMu guards live, the distribution Drift reads the live sample into:

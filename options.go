@@ -146,10 +146,10 @@ func WithAutoRepartition(interval time.Duration, onErr func(error)) Option {
 // the oldest p.Fold frozen generations into one while the chain length,
 // resident memory, or oldest-generation age crosses a configured trigger,
 // and the repartition manager compacts on demand before a rotation that
-// would hit the chain's generation cap — so ErrMaxGenerations becomes
-// unreachable under policy. Folding is lossless (cell-wise counter merge) when the
-// generations share a hash layout, else a re-partition from their retained
-// reservoirs. onErr receives background compaction failures (nil drops
+// would hit the chain's generation cap — so ErrMaxGenerations comes only
+// from a refused fold (compact.ErrUnfoldable). Folding is lossless
+// (cell-wise counter merge) when the generations share a hash layout, else
+// a re-partition from their retained reservoirs. onErr receives background compaction failures (nil drops
 // them; a failed fold leaves the serving chain untouched). Requires
 // WithAdaptive (or an adopted *Chain estimator).
 func WithCompaction(p CompactionPolicy, onErr func(error)) Option {
