@@ -110,11 +110,13 @@ type Engine struct {
 	done        chan struct{} // closed when the lifecycle goroutine has exited
 	compactions atomic.Int64  // completed folds, every trigger path
 
-	// unfoldable is the chain, with its generation count, whose fold the
-	// compaction tick last saw refused with compact.ErrUnfoldable: the tick
-	// reports that once and does not try again until the generations
-	// change. Only the lifecycle goroutine touches it.
-	unfoldable struct {
+	// unfoldable is the chain, with its generation count, whose fold was
+	// last refused with compact.ErrUnfoldable, by the compaction tick or by
+	// the cap-pressure hook: neither tries that fold again, nor reports it,
+	// until the generations change. unfoldableMu guards it, as an explicit
+	// Repartition runs the hook off the lifecycle goroutine.
+	unfoldableMu sync.Mutex
+	unfoldable   struct {
 		chain *adapt.Chain
 		gens  int
 	}
@@ -216,12 +218,19 @@ func Open(cfg Config, opts ...Option) (*Engine, error) {
 			// rotation at the generation cap.
 			fold := o.compactPolicy.WithDefaults().Fold
 			e.mgr.SetCompactor(func() error {
+				chain := e.state().chain
+				if e.foldRefused(chain) {
+					// Refused and reported before: a drift tick stays quiet,
+					// and a Repartition meets the cap itself.
+					return nil
+				}
 				_, err := e.compactChain(fold)
 				switch {
 				case errors.Is(err, adapt.ErrNothingToCompact):
 					return nil
 				case errors.Is(err, compact.ErrUnfoldable):
 					// The chain stays at its cap: refuse as the cap does.
+					e.refuseFold(chain)
 					return fmt.Errorf("%w: %w", adapt.ErrMaxGenerations, err)
 				}
 				return err
@@ -284,14 +293,13 @@ func (e *Engine) compactStep() bool {
 	chain := e.state().chain
 	var res compact.Result
 	var err error
-	refused := e.unfoldable.chain == chain && e.unfoldable.gens == chain.Generations()
-	if !refused && p.Triggered(chain.LifecycleState(e.opts.now())) {
+	if !e.foldRefused(chain) && p.Triggered(chain.LifecycleState(e.opts.now())) {
 		res, err = e.compactChain(p.Fold)
 		switch {
 		case errors.Is(err, adapt.ErrNothingToCompact):
 			err = nil
 		case errors.Is(err, compact.ErrUnfoldable):
-			e.unfoldable.chain, e.unfoldable.gens = chain, chain.Generations()
+			e.refuseFold(chain)
 		}
 	} else {
 		_, err = chain.EnforceResidency()
@@ -300,6 +308,20 @@ func (e *Engine) compactStep() bool {
 		e.opts.compactErr(err)
 	}
 	return err == nil && res.Folded > 0
+}
+
+// foldRefused reports whether chain's fold was refused at its present
+// generation count; refuseFold records that it was.
+func (e *Engine) foldRefused(chain *adapt.Chain) bool {
+	e.unfoldableMu.Lock()
+	defer e.unfoldableMu.Unlock()
+	return e.unfoldable.chain == chain && e.unfoldable.gens == chain.Generations()
+}
+
+func (e *Engine) refuseFold(chain *adapt.Chain) {
+	e.unfoldableMu.Lock()
+	defer e.unfoldableMu.Unlock()
+	e.unfoldable.chain, e.unfoldable.gens = chain, chain.Generations()
 }
 
 // applyLifecycle copies the Open-time lifecycle options onto a chain. It

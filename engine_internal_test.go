@@ -307,6 +307,55 @@ func TestLifecycleCompactStep(t *testing.T) {
 	}
 }
 
+// TestAutoRepartitionReportsRefusedFoldOnce: an adaptive engine restored at
+// its cap from generations that cannot fold refuses the cap-pressure fold
+// at its first drift tick, reports it once and stays quiet until the
+// generations change, while an explicit Repartition still meets the cap
+// every time.
+func TestAutoRepartitionReportsRefusedFoldOnce(t *testing.T) {
+	edges := internalTestStream(18_000, 17)
+	adaptive := WithAdaptive(adapt.ChainConfig{SampleSize: 16_384, Seed: 7}, AdaptConfig{Sketch: internalTestCfg})
+	src, err := Open(internalTestCfg, WithSample(edges[:2000]), adaptive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	pivots(t, src, edges, 3)
+	var snap bytes.Buffer
+	if _, err := src.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var errs []error
+	capped, err := Open(internalTestCfg, WithRestore(bytes.NewReader(snap.Bytes())),
+		WithAdaptive(adapt.ChainConfig{MaxGenerations: 3}, AdaptConfig{Sketch: internalTestCfg}),
+		WithCompaction(CompactionPolicy{MaxGenerations: 3, Interval: time.Hour}, nil),
+		WithAutoRepartition(5*time.Millisecond, func(err error) {
+			mu.Lock()
+			errs = append(errs, err)
+			mu.Unlock()
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer capped.Close()
+	if g := capped.Generations(); g != 3 {
+		t.Fatalf("fixture: %d generations restored, want 3", g)
+	}
+	time.Sleep(200 * time.Millisecond)
+	for i := 0; i < 2; i++ {
+		if _, err := capped.Repartition(); !errors.Is(err, ErrMaxGenerations) {
+			t.Fatalf("repartition %d at the cap: %v, want ErrMaxGenerations", i, err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(errs) != 1 || !errors.Is(errs[0], ErrMaxGenerations) || !errors.Is(errs[0], compact.ErrUnfoldable) {
+		t.Fatalf("drift ticks reported %d errors, want the one refused fold; the first: %v", len(errs), errors.Join(errs[:min(1, len(errs))]...))
+	}
+}
+
 // engineGoroutines counts the goroutines an engine starts: those created
 // by Open (the lifecycle goroutine, its one go statement) and by the ingest
 // pipeline (its workers).

@@ -3,11 +3,13 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	gsketch "github.com/graphstream/gsketch"
@@ -20,82 +22,69 @@ import (
 
 // The binary wire protocol endpoint: the same ingest/query/flush
 // operations as the HTTP/JSON API, framed as fixed-width records (see
-// internal/wire) and served over a raw TCP listener. Each connection runs
-// two goroutines — a decode goroutine that parses frames and an apply
-// goroutine that works them — joined by a short channel.
+// internal/wire) and served over a raw TCP listener. Each connection is one
+// goroutine running one loop: read a frame, decode it into the connection's
+// own buffers, admit it, reply, work it, frame by frame, in order.
 //
-// Overlap is not why: a request/reply client sends no next frame until it
-// has the reply, so there is rarely a frame k+1 to parse beside frame k.
-// The split is kept because it measured faster where it counts, and it is
-// not to be merged into one goroutine without measuring again. A prototype
-// with one goroutine per connection (the repository benchmark, 4
-// alternating pairs per workload, 2 vCPUs) gained on wire_bulk_small —
-// ingest_edges_per_s +20.5 %, server_cpu_s −17.7 % — but lost on
-// wire_bulk_large: query_per_s −17.9 %, with the server's profile falling
-// from 1.16 to 0.89 busy cores. The cause is the scheduler, measured on
-// wire_bulk_large (3 alternating pairs each, 2 vCPUs):
-//
-//   - With one goroutine per connection, query_per_s fell 12.5 % (4.58 M →
-//     4.00 M) and query_mid_ms rose 30 %.
-//   - Starting a goroutine before each query apply wakes an idle P, which
-//     then sits in netpoll. That brought queries back to −2 % (5.39 M →
-//     5.29 M), but ingest_edges_per_s still fell 13.5 % (23.5 M → 20.3 M):
-//     an 8192-edge fold starves the poller the same way.
-//
-// While the only awake P folds or answers, no M is parked in netpoll, so
-// the other connection's frame waits until that work ends. The channel
-// hand-off's wakep is what keeps a poller alive beside the work.
-//
-// The apply goroutine is also the worker for its own ingest frames. A
-// decoded frame is admitted (the backend's closed and quota checks, and a
-// registration in the ingest pipeline's in-flight count: Backend.Admit),
-// the ack is written — flushed when no decoded frame is waiting — and only
-// then are the edges folded into the estimator, whole and on this
-// goroutine, out of the very buffer they were decoded into. gSketch's
+// The connection is the worker for its own ingest frames. gSketch's
 // partitions are independent update domains behind an immutable router, so
 // a connection folding under core.Concurrent's stripe locks needs no
-// hand-off: the frame is not copied into the ingest queue, not re-cut into
-// pipeline batches and wakes no worker, and the fold overlaps the client's
-// turn-around instead of delaying its ack.
+// hand-off. A decoded frame is admitted (the backend's closed and quota
+// checks, and a registration in the ingest pipeline's in-flight count:
+// Backend.Admit), the ack is written, and only then are the edges folded,
+// whole, out of the buffer they were decoded into: no copy into the ingest
+// queue, no re-batching, and the fold overlaps the client's turn-around.
 //
-// What an ack means is unchanged: accepted edges are applied by the time
-// any later flush frame, ?sync=1 request, snapshot, restore, tenant evict
-// or Close returns, on this connection or any other — the registration
-// precedes the ack, and all of those wait on the in-flight count.
-// rejected > 0 is left for what really is refused: a tenant over its edge
-// rate. An engine backend
-// never sheds a wire frame; its backpressure is wirePipelineDepth decoded
-// frames per connection, then the TCP window — never an unbounded buffer,
-// never a retry loop.
+// Two rules keep one connection's work from starving the others:
 //
-// The trade-off: one connection folds on one core (about 16 M edges/s at
-// 60 ns/edge, 0.5 GB/s of frames). A producer scales past that by opening
-// connections, which the stripe locks serve in parallel; the ingest
-// pipeline's -workers do not apply to wire frames. HTTP keeps the queue:
-// an HTTP/1.1 handler cannot reply and keep working, so there the queue is
-// what overlaps the fold with the client's turn-around.
+//   - An ingest frame of at least longFrame edges folds on a goroutine of
+//     its own, which takes over the frame's edge buffer, while the loop reads
+//     and decodes the next frame. The loop waits for that fold before it
+//     admits or answers the next frame, so at most one frame per connection
+//     is in flight.
+//   - A query batch is answered after a go statement that starts nothing,
+//     which wakes an idle P. While the only awake P answers or folds, no M
+//     is parked in netpoll, and another connection's frame waits until that
+//     work ends; the woken P ends up in netpoll beside the work.
+//
+// Each rule is needed. Against the two-goroutine connection this loop
+// replaced (a decode goroutine and an apply goroutine joined by a channel,
+// whose hand-off woke a P at every frame), the repository benchmark measured
+// these variants (bash benchmark/bench.sh, 2 vCPUs, alternating pairs):
+//
+//   - No wake, every frame folded inline: wire_bulk_small
+//     ingest_edges_per_s +20.5 % and server_cpu_s −17.7 %, but
+//     wire_bulk_large query_per_s −21 % and ingest_edges_per_s −9 %.
+//   - A wake before every frame, every frame folded inline: wire_bulk_large
+//     queries level, its ingest_edges_per_s −8 %: an 8192-edge fold starves
+//     the poller as an answer does.
+//   - Long frames folded beside the loop, a wake only before batches of
+//     ≥ 1024 queries: wire_bulk_small within_limit_pct 99.96–99.98, against
+//     100.
+//   - Both rules, this loop: wire_bulk_small ingest_edges_per_s +21 % and
+//     server_cpu_s −10 % (12 pairs, ahead in all); wire_bulk_large
+//     query_per_s +7 % (ahead in 15 of 18) and ingest_edges_per_s −3 %
+//     (behind in 12 of 18); wire_mixed_paced and http_tenants in bounds.
+//
+// An ack means: applied by the time any later flush frame, ?sync=1 request,
+// snapshot, restore, tenant evict or Close returns, on any connection — the
+// registration precedes the ack, and all of those wait on the in-flight
+// count. rejected > 0 is left for a tenant over its edge rate: an engine
+// backend never sheds a wire frame, its backpressure is one decoded frame
+// beside one fold per connection, then the TCP window.
+//
+// The trade-off: one connection folds on one core (about 16 M edges/s). A
+// producer scales past that by opening connections; the ingest pipeline's
+// -workers do not apply to wire frames. HTTP keeps the queue: an HTTP/1.1
+// handler cannot reply and keep working, so there the queue is what
+// overlaps the fold with the client's turn-around.
 
-// wirePipelineDepth is the decoded-frame channel bound per connection:
-// deep enough to keep the apply stage fed, shallow enough that a slow
-// consumer backpressures the decoder (and through it, the TCP window). At
-// 8192-edge frames it holds at most 1 MiB of decoded edges.
-const wirePipelineDepth = 4
+// longFrame is the ingest frame size, in edges, from which a connection
+// folds the frame beside its loop instead of on it.
+const longFrame = 1024
 
 // wireIOBuf is the per-connection bufio size on both directions.
 const wireIOBuf = 64 << 10
-
-// wireJob is one decoded frame travelling between the two pipeline
-// stages. Exactly one of edges/qs is set for work frames; tenant carries
-// a TypeTenantSelect name (copied out of the decoder's buffer before
-// crossing the channel — the payload aliases it); a terminal job carries
-// err (io.EOF for a clean end of stream) and ends the connection.
-type wireJob struct {
-	typ    byte
-	edges  *[]stream.Edge
-	qs     *[]core.EdgeQuery
-	tenant string
-	err    error
-}
 
 // ServeWire accepts wire-protocol connections on ln until Shutdown, which
 // closes the listener and every open connection. Like Serve, it returns
@@ -156,42 +145,27 @@ func (s *Server) closeWire() {
 	s.wireWg.Wait()
 }
 
-// varReader counts bytes read into a registry counter.
-type varReader struct {
-	r io.Reader
-	n *obs.Counter
+// countedConn counts a connection's bytes into the registry counters.
+type countedConn struct {
+	net.Conn
+	in, out *obs.Counter
 }
 
-func (v varReader) Read(p []byte) (int, error) {
-	n, err := v.r.Read(p)
-	if n > 0 {
-		v.n.Add(int64(n))
-	}
+func (c countedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.in.Add(int64(n))
 	return n, err
 }
 
-// varWriter counts bytes written into a registry counter.
-type varWriter struct {
-	w io.Writer
-	n *obs.Counter
-}
-
-func (v varWriter) Write(p []byte) (int, error) {
-	n, err := v.w.Write(p)
-	if n > 0 {
-		v.n.Add(int64(n))
-	}
+func (c countedConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.out.Add(int64(n))
 	return n, err
 }
 
-// handleWireConn runs one connection's two-stage pipeline. The decode
-// goroutine owns the read half: it parses frames into pooled record
-// buffers and hands them over a bounded channel (why the connection is
-// split in two is measured at the top of this file). The apply loop (this
-// goroutine) owns the write half: it admits, acks and then folds ingest
-// batches, answers queries out of one result buffer it keeps for the
-// connection's lifetime, and streams replies through a buffered writer
-// flushed whenever the pipeline momentarily empties.
+// handleWireConn runs one connection's loop. It keeps its edge, query,
+// reply and result buffers for the connection's lifetime, except the edge
+// buffer a long frame's fold takes over; the loop then draws a fresh one.
 //
 // In tenant mode the connection starts unbound: a TypeTenantSelect frame
 // binds the session backend (re-selecting switches it), and work frames
@@ -199,31 +173,33 @@ func (v varWriter) Write(p []byte) (int, error) {
 // stays open, like every other error frame.
 func (s *Server) handleWireConn(conn net.Conn) {
 	defer conn.Close()
-	br := bufio.NewReaderSize(varReader{r: conn, n: s.stats.wireBytesIn}, wireIOBuf)
-	bw := bufio.NewWriterSize(varWriter{w: conn, n: s.stats.wireBytesOut}, wireIOBuf)
-
-	jobs := make(chan wireJob, wirePipelineDepth)
-	go s.wireDecodeLoop(br, jobs)
+	cc := countedConn{conn, s.stats.wireBytesIn, s.stats.wireBytesOut}
+	br, bw := bufio.NewReaderSize(cc, wireIOBuf), bufio.NewWriterSize(cc, wireIOBuf)
+	dec := wire.NewDecoderSize(br, int(s.cfg.MaxBodyBytes))
 
 	be := s.be // nil in tenant mode until a TypeTenantSelect binds one
-	out := getFrameBuf()
-	defer putFrameBuf(out)
-	var results []core.Result // the answers of every query frame, in turn
-	var werr error            // first write failure; later jobs only recycle buffers
-	for job := range jobs {
-		if job.err != nil {
-			if job.err != io.EOF && werr == nil {
+	out, edges, qs := getFrameBuf(), getEdgeBuf(), getQueryBuf()
+	var results []core.Result  // the answers of every query frame, in turn
+	var folding sync.WaitGroup // the long frame folding beside the loop, if any
+	defer func() {
+		folding.Wait()
+		// Read at exit: a buffer a fold took over is the fold's to return.
+		putEdgeBuf(edges)
+		putQueryBuf(qs)
+		putFrameBuf(out)
+	}()
+	for {
+		typ, name, err := s.readWireFrame(dec, edges, qs)
+		folding.Wait() // nothing is admitted or answered beside a fold
+		if err != nil {
+			if err != io.EOF {
 				s.stats.wireDecodeErrors.Add(1)
-				*out = wire.AppendError((*out)[:0], wire.CodeBadFrame, job.err.Error())
+				*out = wire.AppendError((*out)[:0], wire.CodeBadFrame, err.Error())
 				if _, err := bw.Write(*out); err == nil {
 					bw.Flush()
 				}
 			}
-			break // terminal: the decode loop closes jobs after it
-		}
-		if werr != nil {
-			s.recycleWireJob(job)
-			continue
+			return
 		}
 		*out = (*out)[:0]
 		start := time.Now()
@@ -231,113 +207,100 @@ func (s *Server) handleWireConn(conn net.Conn) {
 		// write delivers; it stays zero for every other frame.
 		var adm gsketch.Admission
 		switch {
-		case job.typ == wire.TypeTenantSelect:
-			be, *out = s.applyWireTenantSelect(*out, job.tenant, be)
+		case typ == wire.TypeTenantSelect:
+			be, *out = s.applyWireTenantSelect(*out, name, be)
 		case be == nil:
 			*out = wire.AppendError(*out, wire.CodeUnsupported,
 				"no tenant selected (send a tenant-select frame first)")
 		default:
-			switch job.typ {
+			switch typ {
 			case wire.TypeIngest:
-				*out, adm = s.admitWireIngest(*out, be, *job.edges)
+				*out, adm = s.admitWireIngest(*out, be, *edges)
 			case wire.TypeQuery:
-				*out, results = s.applyWireQuery(*out, be, *job.qs, results)
+				go func() {}() // wakes an idle P into netpoll beside the answer
+				*out, results = s.applyWireQuery(*out, be, *qs, results)
 			case wire.TypeFlush:
 				*out = s.applyWireFlush(*out, be)
 			case wire.TypePing:
 				*out = s.applyWirePing(*out, be)
 			}
 		}
-		// The apply histogram child was resolved at registration; the
-		// observation is two clock reads and three atomic adds, keeping
-		// the hot loop allocation-free. A frame's work is done once its
-		// reply is built — except an ingest frame's, whose time runs on
-		// through the ack and the fold.
-		apply := s.metrics.wireApply[job.typ]
-		if apply != nil && job.typ != wire.TypeIngest {
+		// The histogram child was resolved at registration, so observing is
+		// allocation-free. A frame's work is done once its reply is built —
+		// except an ingest frame's, whose time runs on through the fold.
+		apply := s.metrics.wireApply[typ]
+		if apply != nil && typ != wire.TypeIngest {
 			apply.ObserveSince(start)
 		}
-		// Flush only when no decoded frame is waiting: consecutive
+		// Flush unless the next frame is already here: consecutive
 		// requests coalesce into one TCP write, a lone request replies
-		// immediately.
-		if _, werr = bw.Write(*out); werr == nil && len(jobs) == 0 {
+		// before its fold.
+		_, werr := bw.Write(*out)
+		if werr == nil && !frameBuffered(br) {
 			werr = bw.Flush()
 		}
-		if job.typ == wire.TypeIngest {
-			// Whatever became of the ack, what was admitted is owed: every
-			// drain waits for it.
+		// Whatever became of the ack, what was admitted is owed: every
+		// drain waits for it.
+		switch {
+		case typ == wire.TypeIngest && len(*edges) >= longFrame:
+			folding.Add(1)
+			go func(buf *[]stream.Edge) {
+				adm.Apply()
+				apply.ObserveSince(start)
+				putEdgeBuf(buf)
+				folding.Done()
+			}(edges)
+			edges = getEdgeBuf()
+		case typ == wire.TypeIngest:
 			adm.Apply()
 			apply.ObserveSince(start)
 		}
-		s.recycleWireJob(job)
-	}
-	bw.Flush()
-}
-
-// wireDecodeLoop is the first pipeline stage: it parses frames off the
-// connection into pooled buffers and forwards them. On any terminal
-// condition it sends one err-carrying job and closes the channel.
-func (s *Server) wireDecodeLoop(r io.Reader, jobs chan<- wireJob) {
-	defer close(jobs)
-	dec := wire.NewDecoderSize(r, int(s.cfg.MaxBodyBytes))
-	for {
-		f, err := dec.Next()
-		if err != nil {
-			jobs <- wireJob{err: err}
-			return
-		}
-		s.stats.wireFrames.Add(1)
-		// The decode histogram covers payload → records parsing, not the
-		// network wait inside dec.Next — an idle connection must not
-		// register as slow decoding.
-		switch f.Type {
-		case wire.TypeIngest:
-			buf := getEdgeBuf()
-			start := time.Now()
-			*buf, err = wire.DecodeEdges((*buf)[:0], f.Payload)
-			if err != nil {
-				putEdgeBuf(buf)
-				jobs <- wireJob{err: err}
-				return
-			}
-			s.metrics.wireDecode.ObserveSince(start)
-			jobs <- wireJob{typ: f.Type, edges: buf}
-		case wire.TypeQuery:
-			buf := getQueryBuf()
-			start := time.Now()
-			*buf, err = wire.DecodeQueries((*buf)[:0], f.Payload)
-			if err != nil {
-				putQueryBuf(buf)
-				jobs <- wireJob{err: err}
-				return
-			}
-			s.metrics.wireDecode.ObserveSince(start)
-			jobs <- wireJob{typ: f.Type, qs: buf}
-		case wire.TypeTenantSelect:
-			// DecodeTenantSelect copies the name out of the decoder's
-			// buffer — the payload is invalid once the next frame is read.
-			name, err := wire.DecodeTenantSelect(f.Payload)
-			if err != nil {
-				jobs <- wireJob{err: err}
-				return
-			}
-			jobs <- wireJob{typ: f.Type, tenant: name}
-		case wire.TypeFlush, wire.TypePing:
-			jobs <- wireJob{typ: f.Type}
-		default:
-			jobs <- wireJob{err: fmt.Errorf("%w: client sent reply type 0x%02x", wire.ErrUnknownType, f.Type)}
+		if werr != nil {
 			return
 		}
 	}
 }
 
-func (s *Server) recycleWireJob(job wireJob) {
-	if job.edges != nil {
-		putEdgeBuf(job.edges)
+// readWireFrame reads the next frame off the connection and decodes its
+// records into the connection's buffers; it returns the frame's type and,
+// for a tenant select, the name (copied out of the decoder's buffer). The
+// decode histogram covers payload → records parsing, not the network wait
+// inside dec.Next — an idle connection must not register as slow decoding.
+func (s *Server) readWireFrame(dec *wire.Decoder, edges *[]stream.Edge, qs *[]core.EdgeQuery) (typ byte, name string, err error) {
+	f, err := dec.Next()
+	if err != nil {
+		return 0, "", err
 	}
-	if job.qs != nil {
-		putQueryBuf(job.qs)
+	s.stats.wireFrames.Add(1)
+	start := time.Now()
+	switch f.Type {
+	case wire.TypeIngest:
+		*edges, err = wire.DecodeEdges((*edges)[:0], f.Payload)
+	case wire.TypeQuery:
+		*qs, err = wire.DecodeQueries((*qs)[:0], f.Payload)
+	case wire.TypeTenantSelect:
+		name, err = wire.DecodeTenantSelect(f.Payload)
+		return f.Type, name, err
+	case wire.TypeFlush, wire.TypePing:
+		return f.Type, "", nil
+	default:
+		return 0, "", fmt.Errorf("%w: client sent reply type 0x%02x", wire.ErrUnknownType, f.Type)
 	}
+	if err == nil {
+		s.metrics.wireDecode.ObserveSince(start)
+	}
+	return f.Type, "", err
+}
+
+// frameBuffered reports whether br already holds the whole next frame, so
+// that reading it cannot wait on the client.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < wire.HeaderSize {
+		return false
+	}
+	hdr, _ := br.Peek(wire.HeaderSize)
+	return n-wire.HeaderSize >= int(binary.LittleEndian.Uint32(hdr[4:]))
 }
 
 // applyWireTenantSelect resolves a tenant-select frame against the

@@ -559,8 +559,8 @@ func TestWireNegativeWeightRefusedEverywhere(t *testing.T) {
 }
 
 // TestWireQueryAllocsPerQuery is the read-side guard over a real loopback
-// connection: the apply goroutine answers every query frame out of the one
-// result buffer it owns, the decode goroutine parses into pooled buffers,
+// connection: the connection answers every query frame out of the one
+// result buffer it owns, parses into buffers it keeps,
 // and the client here reuses its own — so a warm 512-query round trip
 // allocates (nearly) nothing on either side.
 func TestWireQueryAllocsPerQuery(t *testing.T) {

@@ -49,13 +49,14 @@
 //
 // An ack is a promise, not a receipt for finished work. The server
 // registers the frame's accepted edges as in flight, writes the ack, and
-// only then folds them into the sketch, on the connection's own goroutine
-// and while the client is already preparing its next frame. Accepted means:
-// applied by the time any later TypeFlush (or HTTP ?sync=1, snapshot,
-// restore, shutdown) returns, on this connection or any other. A server
-// backed by an engine accepts every well-formed ingest frame whole — its
-// backpressure is the connection itself: a few decoded frames, then the TCP
-// window. rejected > 0, the wire equivalent of HTTP 429 (retry the rejected
+// only then folds them into the sketch, while the client is already
+// preparing its next frame: on the connection's goroutine, or for a frame
+// of 1024 edges or more on one beside it, while the connection reads the
+// next frame. Accepted means: applied by the time any later TypeFlush (or
+// HTTP ?sync=1, snapshot, restore, shutdown) returns, on this connection or
+// any other. A server backed by an engine accepts every well-formed ingest
+// frame whole — its backpressure is the connection itself: one decoded
+// frame beside one fold, then the TCP window. rejected > 0, the wire equivalent of HTTP 429 (retry the rejected
 // suffix after a pause), is left for what really is refused: a tenant over
 // its edge-rate quota. Because a connection folds its own frames, one
 // connection uses one core on the server (about 16 M edges/s); a producer
