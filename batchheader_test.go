@@ -29,7 +29,7 @@ func TestQueryBatchSharesTotalAndConfidence(t *testing.T) {
 	chainOpts := func(extra ...gsketch.Option) []gsketch.Option {
 		return append([]gsketch.Option{gsketch.WithSample(sample), gsketch.WithAdaptive(
 			gsketch.ChainConfig{SampleSize: 4096, Seed: 7, MaxGenerations: 8},
-			gsketch.AdaptConfig{Sketch: engineTestCfg},
+			gsketch.AdaptConfig{},
 		)}, extra...)
 	}
 

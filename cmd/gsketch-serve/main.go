@@ -63,10 +63,9 @@
 // lifecycle is managed with the compaction and tiering flags (both require
 // -adapt). -compact-max-gens / -compact-age / -compact-mem set the
 // background fold triggers (checked every -compact-interval; -compact-fold
-// generations fold per pass, and the repartition manager also folds on
-// demand before a rotation that would hit -adapt-max-gens, so the cap
-// refuses only generations that cannot fold, restored ones of differing
-// layouts). -tier-dir spills cold frozen generations to disk past
+// generations fold per pass, and the chain also folds them before a
+// rotation at -adapt-max-gens, so the cap refuses only generations that
+// cannot fold, restored ones of differing layouts). -tier-dir spills cold frozen generations to disk past
 // -tier-resident resident ones, reloading them lazily on query. POST
 // /compact folds on demand.
 //
@@ -224,7 +223,7 @@ func main() {
 		})
 		return
 	}
-	opts, err := engineOptions(cfg, bootstrapFlags{
+	opts, err := engineOptions(bootstrapFlags{
 		restorePath:  *restorePath,
 		samplePath:   *samplePath,
 		workloadPath: *workloadPath,
@@ -425,7 +424,7 @@ type bootstrapFlags struct {
 
 // engineOptions resolves exactly one bootstrap source (plus the adaptive
 // wiring) into gsketch.Open options.
-func engineOptions(cfg gsketch.Config, f bootstrapFlags) ([]gsketch.Option, error) {
+func engineOptions(f bootstrapFlags) ([]gsketch.Option, error) {
 	set := 0
 	for _, on := range []bool{f.restorePath != "", f.samplePath != "", f.global} {
 		if on {
@@ -437,8 +436,6 @@ func engineOptions(cfg gsketch.Config, f bootstrapFlags) ([]gsketch.Option, erro
 	}
 
 	var opts []gsketch.Option
-	var workload []stream.Edge
-
 	switch {
 	case f.restorePath != "":
 		opts = append(opts, gsketch.WithRestoreFile(f.restorePath))
@@ -452,13 +449,10 @@ func engineOptions(cfg gsketch.Config, f bootstrapFlags) ([]gsketch.Option, erro
 		// it: what peaks at start-up is the statistics, not the sample.
 		opts = append(opts, gsketch.WithSampleFile(f.samplePath, f.sampleCap))
 		if f.workloadPath != "" {
-			var err error
-			workload, err = stream.ReadEdgeFile(f.workloadPath, 0)
+			workload, err := stream.ReadEdgeFile(f.workloadPath, 0)
 			if err != nil {
 				return nil, fmt.Errorf("workload %s: %w", f.workloadPath, err)
 			}
-		}
-		if workload != nil {
 			opts = append(opts, gsketch.WithWorkloadSample(workload))
 		}
 	}
@@ -471,10 +465,8 @@ func engineOptions(cfg gsketch.Config, f bootstrapFlags) ([]gsketch.Option, erro
 				MaxGenerations: f.adaptMaxGens,
 			},
 			gsketch.AdaptConfig{
-				Sketch:           cfg,
 				DriftThreshold:   f.adaptDrift,
 				OutlierThreshold: f.adaptOutlier,
-				Baseline:         workload,
 			},
 		))
 	}

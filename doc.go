@@ -222,9 +222,9 @@
 // (backed by internal/compact) keep it bounded: WithCompaction mounts a
 // fold policy — the oldest frozen generations merge cell-wise when they
 // share a hash layout (lossless; bounds combine to ε·ΣN_g) or
-// re-partition from their retained reservoirs otherwise, and the
-// repartition manager compacts before refusing a rotation at the cap —
-// and WithTiering spills cold frozen generations to file-backed segments
+// re-partition from their retained reservoirs otherwise, and the chain
+// folds before a rotation at its cap rather than refuse it — and
+// WithTiering spills cold frozen generations to file-backed segments
 // with lazy reload on query. One goroutine per engine runs the drift
 // check and the compaction policy. Engine.Compact folds on demand (POST
 // /compact when serving); chain snapshots carry the per-generation

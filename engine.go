@@ -110,22 +110,6 @@ type Engine struct {
 	done        chan struct{} // closed when the lifecycle goroutine has exited
 	compactions atomic.Int64  // completed folds, every trigger path
 
-	// unfoldable is the chain, with its generation count, whose fold was
-	// last refused with compact.ErrUnfoldable, by the compaction tick or by
-	// the cap-pressure hook: neither tries that fold again, nor reports it,
-	// until the generations change. unfoldableMu guards it, as an explicit
-	// Repartition runs the hook off the lifecycle goroutine.
-	unfoldableMu sync.Mutex
-	unfoldable   struct {
-		chain *adapt.Chain
-		gens  int
-	}
-
-	// rebuildCfg is the sketch configuration compaction re-ingest rebuilds
-	// use — the adaptive manager's rebuild config when one is mounted, the
-	// Open configuration otherwise.
-	rebuildCfg Config
-
 	compactObsMu sync.Mutex
 	compactObs   func(time.Duration)
 
@@ -187,10 +171,6 @@ func Open(cfg Config, opts ...Option) (*Engine, error) {
 	if chain != nil && chain.Config().MaxGenerations > core.MaxChainGenerations {
 		return nil, fmt.Errorf("gsketch: a chain cap of %d generations exceeds the %d a snapshot can hold", chain.Config().MaxGenerations, core.MaxChainGenerations)
 	}
-	e.rebuildCfg = cfg
-	if o.adaptive && (o.managerCfg.Sketch.TotalBytes != 0 || o.managerCfg.Sketch.TotalWidth != 0) {
-		e.rebuildCfg = o.managerCfg.Sketch
-	}
 	if chain != nil {
 		e.applyLifecycle(chain)
 	}
@@ -201,41 +181,11 @@ func Open(cfg Config, opts ...Option) (*Engine, error) {
 	}
 
 	if o.adaptive {
-		mc := o.managerCfg
-		if mc.Sketch.TotalBytes == 0 && mc.Sketch.TotalWidth == 0 {
-			mc.Sketch = cfg
-		}
-		if mc.Baseline == nil {
-			mc.Baseline = o.workload
-		}
 		var live adapt.Workload // none without a recorder
 		if e.rec != nil {
 			live = e.rec
 		}
-		e.mgr = adapt.NewManager(chain, live, mc)
-		if o.compactPolicy != nil {
-			// Cap-pressure hook: the manager compacts instead of refusing a
-			// rotation at the generation cap.
-			fold := o.compactPolicy.WithDefaults().Fold
-			e.mgr.SetCompactor(func() error {
-				chain := e.state().chain
-				if e.foldRefused(chain) {
-					// Refused and reported before: a drift tick stays quiet,
-					// and a Repartition meets the cap itself.
-					return nil
-				}
-				_, err := e.compactChain(fold)
-				switch {
-				case errors.Is(err, adapt.ErrNothingToCompact):
-					return nil
-				case errors.Is(err, compact.ErrUnfoldable):
-					// The chain stays at its cap: refuse as the cap does.
-					e.refuseFold(chain)
-					return fmt.Errorf("%w: %w", adapt.ErrMaxGenerations, err)
-				}
-				return err
-			})
-		}
+		e.mgr = adapt.NewManager(chain, cfg, o.workload, live, o.managerCfg)
 	}
 	var fold time.Duration // the compaction policy's period; 0 without a trigger
 	if p := o.compactPolicy; p != nil && p.Enabled() {
@@ -293,35 +243,16 @@ func (e *Engine) compactStep() bool {
 	chain := e.state().chain
 	var res compact.Result
 	var err error
-	if !e.foldRefused(chain) && p.Triggered(chain.LifecycleState(e.opts.now())) {
-		res, err = e.compactChain(p.Fold)
-		switch {
-		case errors.Is(err, adapt.ErrNothingToCompact):
-			err = nil
-		case errors.Is(err, compact.ErrUnfoldable):
-			e.refuseFold(chain)
-		}
-	} else {
+	if p.Triggered(chain.LifecycleState()) {
+		res, err = chain.CompactOnce(p.Fold, e.cfg, e.recordedWorkload())
+	}
+	if err == nil && res.Folded == 0 {
 		_, err = chain.EnforceResidency()
 	}
 	if err != nil && e.opts.compactErr != nil {
 		e.opts.compactErr(err)
 	}
-	return err == nil && res.Folded > 0
-}
-
-// foldRefused reports whether chain's fold was refused at its present
-// generation count; refuseFold records that it was.
-func (e *Engine) foldRefused(chain *adapt.Chain) bool {
-	e.unfoldableMu.Lock()
-	defer e.unfoldableMu.Unlock()
-	return e.unfoldable.chain == chain && e.unfoldable.gens == chain.Generations()
-}
-
-func (e *Engine) refuseFold(chain *adapt.Chain) {
-	e.unfoldableMu.Lock()
-	defer e.unfoldableMu.Unlock()
-	e.unfoldable.chain, e.unfoldable.gens = chain, chain.Generations()
+	return res.Folded > 0
 }
 
 // applyLifecycle copies the Open-time lifecycle options onto a chain. It
@@ -334,39 +265,33 @@ func (e *Engine) applyLifecycle(c *adapt.Chain) {
 	if w := e.opts.windowCfg; w != nil {
 		c.SetWindows(w.Span, e.cfg)
 	}
+	fold := 0 // without a policy, a rotation at the cap refuses
+	if p := e.opts.compactPolicy; p != nil {
+		fold = p.WithDefaults().Fold
+	}
+	c.SetCompaction(fold, e.folded)
 	c.SetClock(e.opts.now)
 }
 
-// compactChain folds the oldest k frozen generations of the serving chain —
-// the single funnel of every compaction path (manual Compact, the policy
-// loop, rotation cap pressure), so the compaction counter and the duration
-// observer see them all.
-func (e *Engine) compactChain(k int) (compact.Result, error) {
-	if !e.opts.managedChain() {
-		return compact.Result{}, ErrNotAdaptive
+// folded observes every completed fold of the serving chain — manual
+// Compact, the policy tick, a rotation at the cap — so the compaction
+// counter and the duration observer see them all.
+func (e *Engine) folded(res compact.Result) {
+	// Collect the source generations the fold dropped now. The serving
+	// paths allocate next to nothing, so nothing else would prompt the
+	// collector for a long while, and its goal follows the live
+	// generations, reloads and rebuilds as well as the fold: on the paced
+	// benchmark workload, with folds that copy nothing, peak RSS read a
+	// median 111.9 MB without this line against 80.2 MB with it (four
+	// alternating pairs, 2 vCPUs).
+	runtime.GC()
+	e.compactions.Add(1)
+	e.compactObsMu.Lock()
+	fn := e.compactObs
+	e.compactObsMu.Unlock()
+	if fn != nil {
+		fn(res.Duration)
 	}
-	res, err := e.state().chain.Compact(k, e.rebuildCfg, e.recordedWorkload())
-	if err != nil {
-		return res, err
-	}
-	if res.Folded > 0 {
-		// Collect the source generations the fold dropped now. The serving
-		// paths allocate next to nothing, so nothing else would prompt the
-		// collector for a long while, and its goal follows the live
-		// generations, reloads and rebuilds as well as the fold: on the
-		// paced benchmark workload, with folds that copy nothing, peak RSS
-		// read a median 111.9 MB without this line against 80.2 MB with it
-		// (four alternating pairs, 2 vCPUs).
-		runtime.GC()
-		e.compactions.Add(1)
-		e.compactObsMu.Lock()
-		fn := e.compactObs
-		e.compactObsMu.Unlock()
-		if fn != nil {
-			fn(res.Duration)
-		}
-	}
-	return res, nil
 }
 
 // recordedWorkload is a copy of the recorder's current reservoir sample, or
@@ -864,15 +789,15 @@ func (e *Engine) Compact() (*CompactionResult, error) {
 	if e.closed.Load() {
 		return nil, ErrEngineClosed
 	}
+	if !e.opts.managedChain() {
+		return nil, ErrNotAdaptive
+	}
 	k := 2
 	if p := e.opts.compactPolicy; p != nil {
 		k = p.WithDefaults().Fold
 	}
-	res, err := e.compactChain(k)
-	if errors.Is(err, adapt.ErrNothingToCompact) {
-		return &res, nil
-	}
-	if err != nil {
+	res, err := e.state().chain.Compact(k, e.cfg, e.recordedWorkload())
+	if err != nil && !errors.Is(err, adapt.ErrNothingToCompact) {
 		return nil, err
 	}
 	return &res, nil
@@ -939,7 +864,7 @@ type AdaptStats struct {
 	Generations  int
 	Repartitions int64
 	// Compactions counts completed generation folds across every trigger
-	// path (manual, policy loop, rotation cap pressure).
+	// path (manual, policy tick, a rotation at the cap).
 	Compactions int64
 	// ResidentGenerations counts generations whose counters are in RAM;
 	// TieredGenerations counts frozen generations with a disk copy;

@@ -222,7 +222,7 @@ func pivots(t *testing.T, eng *Engine, edges []Edge, n int) {
 // counts no compaction.
 func TestLifecycleCompactStep(t *testing.T) {
 	edges := internalTestStream(24_000, 11)
-	adaptive := WithAdaptive(adapt.ChainConfig{SampleSize: 16_384, Seed: 7}, AdaptConfig{Sketch: internalTestCfg})
+	adaptive := WithAdaptive(adapt.ChainConfig{SampleSize: 16_384, Seed: 7}, AdaptConfig{})
 	var errs []error
 	onErr := func(err error) { errs = append(errs, err) }
 	eng, err := Open(internalTestCfg, WithSample(edges[:2000]), adaptive,
@@ -297,7 +297,7 @@ func TestLifecycleCompactStep(t *testing.T) {
 	// Restored at its cap, the engine refuses a repartition as the cap
 	// does, not as a server fault.
 	capped, err := Open(internalTestCfg, WithRestore(bytes.NewReader(snap.Bytes())), policy,
-		WithAdaptive(adapt.ChainConfig{MaxGenerations: 3}, AdaptConfig{Sketch: internalTestCfg}))
+		WithAdaptive(adapt.ChainConfig{MaxGenerations: 3}, AdaptConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,13 +308,13 @@ func TestLifecycleCompactStep(t *testing.T) {
 }
 
 // TestAutoRepartitionReportsRefusedFoldOnce: an adaptive engine restored at
-// its cap from generations that cannot fold refuses the cap-pressure fold
-// at its first drift tick, reports it once and stays quiet until the
+// its cap from generations that cannot fold meets a refused fold at its
+// first drift tick, reports it once and stays quiet until the
 // generations change, while an explicit Repartition still meets the cap
 // every time.
 func TestAutoRepartitionReportsRefusedFoldOnce(t *testing.T) {
 	edges := internalTestStream(18_000, 17)
-	adaptive := WithAdaptive(adapt.ChainConfig{SampleSize: 16_384, Seed: 7}, AdaptConfig{Sketch: internalTestCfg})
+	adaptive := WithAdaptive(adapt.ChainConfig{SampleSize: 16_384, Seed: 7}, AdaptConfig{})
 	src, err := Open(internalTestCfg, WithSample(edges[:2000]), adaptive)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func TestAutoRepartitionReportsRefusedFoldOnce(t *testing.T) {
 	var mu sync.Mutex
 	var errs []error
 	capped, err := Open(internalTestCfg, WithRestore(bytes.NewReader(snap.Bytes())),
-		WithAdaptive(adapt.ChainConfig{MaxGenerations: 3}, AdaptConfig{Sketch: internalTestCfg}),
+		WithAdaptive(adapt.ChainConfig{MaxGenerations: 3}, AdaptConfig{}),
 		WithCompaction(CompactionPolicy{MaxGenerations: 3, Interval: time.Hour}, nil),
 		WithAutoRepartition(5*time.Millisecond, func(err error) {
 			mu.Lock()
@@ -353,6 +353,59 @@ func TestAutoRepartitionReportsRefusedFoldOnce(t *testing.T) {
 	defer mu.Unlock()
 	if len(errs) != 1 || !errors.Is(errs[0], ErrMaxGenerations) || !errors.Is(errs[0], compact.ErrUnfoldable) {
 		t.Fatalf("drift ticks reported %d errors, want the one refused fold; the first: %v", len(errs), errors.Join(errs[:min(1, len(errs))]...))
+	}
+}
+
+// TestRestoreForgetsRefusedFold: a refused fold is remembered by the chain
+// it was refused on. An engine whose tick fold was refused, restored from a
+// snapshot of as many generations that can fold, folds at its next step.
+func TestRestoreForgetsRefusedFold(t *testing.T) {
+	edges := internalTestStream(18_000, 19)
+	adaptive := WithAdaptive(adapt.ChainConfig{SampleSize: 16_384, Seed: 7}, AdaptConfig{})
+	src, err := Open(internalTestCfg, WithSample(edges[:2000]), adaptive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	pivots(t, src, edges, 3)
+	var unfoldable bytes.Buffer
+	if _, err := src.Save(&unfoldable); err != nil {
+		t.Fatal(err)
+	}
+	// Three generations of one layout merge cell-wise, sample or none.
+	gens := make([]*GSketch, 3)
+	for i := range gens {
+		if gens[i], err = core.BuildGSketch(internalTestCfg, edges[:2000], nil); err != nil {
+			t.Fatal(err)
+		}
+		core.Populate(gens[i], edges[i*6000:(i+1)*6000])
+	}
+	var foldable bytes.Buffer
+	if _, err := adapt.NewStaticChain(gens, nil).WriteTo(&foldable); err != nil {
+		t.Fatal(err)
+	}
+
+	var errs []error
+	eng, err := Open(internalTestCfg, WithRestore(&unfoldable), adaptive,
+		WithCompaction(CompactionPolicy{MaxGenerations: 2, Interval: time.Hour}, func(err error) { errs = append(errs, err) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if eng.compactStep() || len(errs) != 1 || !errors.Is(errs[0], compact.ErrUnfoldable) {
+		t.Fatalf("step on generations that cannot fold: errors %v, want the one refused fold", errs)
+	}
+	if err := eng.Restore(&foldable); err != nil {
+		t.Fatal(err)
+	}
+	if g := eng.Generations(); g != 3 {
+		t.Fatalf("fixture: %d generations restored, want 3", g)
+	}
+	if !eng.compactStep() {
+		t.Fatalf("step after restoring generations that fold did not fold; errors %v", errs)
+	}
+	if a := eng.Stats().Adapt; a.Compactions != 1 || a.Generations != 2 || len(errs) != 1 {
+		t.Fatalf("after the fold: %+v, errors %v, want one compaction, 2 generations, no new error", a, errs)
 	}
 }
 
@@ -381,7 +434,7 @@ func TestLifecycleOneGoroutine(t *testing.T) {
 	const workers = 2
 	eng, err := Open(internalTestCfg, WithSample(edges[:2000]),
 		WithIngest(IngestConfig{Workers: workers}),
-		WithAdaptive(adapt.ChainConfig{}, AdaptConfig{Sketch: internalTestCfg}),
+		WithAdaptive(adapt.ChainConfig{}, AdaptConfig{}),
 		WithAutoRepartition(time.Hour, nil),
 		WithCompaction(CompactionPolicy{MaxGenerations: 4, Interval: time.Hour}, nil))
 	if err != nil {

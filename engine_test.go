@@ -224,7 +224,7 @@ func TestEngineChainMatchesShimChain(t *testing.T) {
 	// Engine path: the served queries ARE the workload, via the recorder.
 	eng, err := gsketch.Open(engineTestCfg,
 		gsketch.WithSample(sample),
-		gsketch.WithAdaptive(ccfg, gsketch.AdaptConfig{Sketch: engineTestCfg}),
+		gsketch.WithAdaptive(ccfg, gsketch.AdaptConfig{}),
 		gsketch.WithWorkloadRecorder(len(qs), 0),
 		gsketch.WithClock(clock),
 	)
@@ -445,10 +445,7 @@ func TestEngineCloseDuringRepartition(t *testing.T) {
 		gsketch.WithIngest(gsketch.IngestConfig{Workers: 2, BatchSize: 128}),
 		gsketch.WithAdaptive(
 			gsketch.ChainConfig{SampleSize: 512, Seed: 7, MaxGenerations: 64},
-			gsketch.AdaptConfig{
-				Sketch:         engineTestCfg,
-				DriftThreshold: 0.01, MinWorkload: 1, MinData: 1,
-			},
+			gsketch.AdaptConfig{DriftThreshold: 0.01, MinWorkload: 1, MinData: 1},
 		),
 		gsketch.WithAutoRepartition(time.Millisecond, nil),
 		gsketch.WithWorkloadRecorder(1024, 1),

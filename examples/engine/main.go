@@ -38,7 +38,7 @@ func main() {
 	eng, err := gsketch.Open(cfg,
 		gsketch.WithSample(edges[:len(edges)/10]),
 		gsketch.WithIngest(gsketch.IngestConfig{}),
-		gsketch.WithAdaptive(gsketch.ChainConfig{SampleSize: 4096}, gsketch.AdaptConfig{Sketch: cfg}),
+		gsketch.WithAdaptive(gsketch.ChainConfig{SampleSize: 4096}, gsketch.AdaptConfig{}),
 		gsketch.WithWorkloadRecorder(2048, 7),
 		gsketch.WithSnapshotDir(dir),
 		gsketch.WithSnapshotOnClose(),
@@ -96,7 +96,7 @@ func main() {
 
 	back, err := gsketch.Open(cfg,
 		gsketch.WithRestoreFile(filepath.Join(dir, "gsketch.snap")),
-		gsketch.WithAdaptive(gsketch.ChainConfig{SampleSize: 4096}, gsketch.AdaptConfig{Sketch: cfg}),
+		gsketch.WithAdaptive(gsketch.ChainConfig{SampleSize: 4096}, gsketch.AdaptConfig{}),
 	)
 	if err != nil {
 		log.Fatal(err)

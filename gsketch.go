@@ -82,8 +82,9 @@ type ChainConfig = adapt.ChainConfig
 type RouteCounts = core.RouteCounts
 
 // AdaptConfig parameterizes the adaptive repartitioning manager mounted by
-// Open(..., WithAdaptive(...)): rebuild sketch configuration, drift and
-// outlier-share thresholds, minimum sample sizes and the drift baseline.
+// Open(..., WithAdaptive(...)): drift and outlier-share thresholds and
+// minimum sample sizes. Rebuilds use the Open configuration, and the drift
+// baseline is WithWorkloadSample's sample.
 type AdaptConfig = adapt.ManagerConfig
 
 // Drift is one evaluation of how far live traffic has moved from the
@@ -105,9 +106,10 @@ type CompactionResult = compact.Result
 
 // ErrMaxGenerations reports a repartition refused because the chain is at
 // its configured generation cap. Mount a CompactionPolicy (WithCompaction)
-// and the manager folds old generations before refusing a rotation; it
+// and the chain folds old generations before a rotation at the cap; it
 // still refuses when the fold is refused (compact.ErrUnfoldable, which the
-// error then wraps).
+// error wraps the first time the fold is refused at that generation
+// count).
 var ErrMaxGenerations = adapt.ErrMaxGenerations
 
 // ErrEmptyReservoir reports a rebuild refused because no stream has been

@@ -28,7 +28,9 @@
 // Long-lived chains are lifecycle-managed by internal/compact: Compact
 // folds the oldest frozen generations into one (bounding chain length and
 // memory), and tiering spills cold frozen generations to disk with lazy
-// reload.
+// reload. A chain given a fold width (SetCompaction) folds before a
+// rotation at its generation cap, and remembers a refused fold until its
+// generation count changes.
 //
 // A static chain (NewStaticChain, ServeConcurrent) is the chain of an
 // engine with no rotation policy: it keeps no data reservoir and refuses
@@ -56,8 +58,8 @@ import (
 
 // ErrMaxGenerations reports a rotation refused because the chain is at its
 // configured generation cap. The cap bounds per-query gather cost; a chain
-// under a compaction policy folds old generations before the cap is hit,
-// so in managed operation only a refused fold reaches it.
+// given a fold width (SetCompaction) folds old generations before a
+// rotation at the cap, so then only a refused fold reaches it.
 var ErrMaxGenerations = errors.New("adapt: generation cap reached")
 
 // ErrEmptyReservoir reports a rebuild refused because no stream has been
@@ -145,16 +147,21 @@ type Chain struct {
 	// answers in (*[]core.Result), one per in-flight AppendEstimates.
 	scratch sync.Pool
 
-	// compactMu serializes compactions (manual, policy-driven, and
-	// rotation-pressure) so only one fold mutates the frozen prefix at a
-	// time.
+	// compactMu serializes compactions (manual, policy-driven, and at the
+	// cap) so only one fold mutates the frozen prefix at a time, and guards
+	// refusedAt: the generation count at which a fold was last refused with
+	// compact.ErrUnfoldable (0 when none was). CompactOnce and a rotation at
+	// the cap try that fold again only once the count has changed.
 	compactMu sync.Mutex
+	refusedAt int
 
-	// Lifecycle configuration. Set via SetTiering/SetClock before the chain
-	// is shared across goroutines (the engine configures a chain fully
-	// before publishing it).
+	// Lifecycle configuration. Set via SetTiering/SetCompaction/SetClock
+	// before the chain is shared across goroutines (the engine configures a
+	// chain fully before publishing it).
 	tierDir      string
 	tierResident int
+	foldWidth    int
+	onFold       func(compact.Result)
 	now          func() time.Time
 
 	// Windowing (SetWindows); a zero span means none.
@@ -251,6 +258,14 @@ func (c *Chain) Config() ChainConfig { return c.cfg }
 func (c *Chain) SetTiering(dir string, maxResident int) {
 	c.tierDir = dir
 	c.tierResident = maxResident
+}
+
+// SetCompaction gives a rotation at the generation cap a fold of the
+// oldest fold generations to make first (0 refuses with ErrMaxGenerations),
+// and installs onFold, when not nil, to observe every completed fold, from
+// whichever path. Set before the chain is shared.
+func (c *Chain) SetCompaction(fold int, onFold func(compact.Result)) {
+	c.foldWidth, c.onFold = fold, onFold
 }
 
 // SetWindows makes the chain's generations time windows (§5): window k
@@ -527,10 +542,9 @@ func (c *Chain) Generations() int {
 	return len(c.gens)
 }
 
-// AtCap reports whether the chain is at its generation cap, i.e. the next
-// Rotate would fail with ErrMaxGenerations. Callers check it before paying
-// for a rebuild.
-func (c *Chain) AtCap() bool {
+// atCap reports whether the chain is at its generation cap, i.e. the next
+// Rotate would fail with ErrMaxGenerations.
+func (c *Chain) atCap() bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.gens) >= c.cfg.MaxGenerations
@@ -622,17 +636,45 @@ func (c *Chain) push(seg *compact.Segment, nowUnix int64) {
 // the frozen generations in place; only the final install takes the
 // exclusive lock.
 func (c *Chain) Compact(k int, cfg core.Config, workload []stream.Edge) (compact.Result, error) {
+	return c.observed(c.fold(k, cfg, workload, true))
+}
+
+// CompactOnce is Compact for a caller that tries again on a schedule: a
+// chain with too few frozen generations is no error, and a fold refused
+// with compact.ErrUnfoldable is returned once for each generation count —
+// until a rotation or another fold changes the count, it returns a zero
+// Result and no error.
+func (c *Chain) CompactOnce(k int, cfg core.Config, workload []stream.Edge) (compact.Result, error) {
+	res, err := c.observed(c.fold(k, cfg, workload, false))
+	if errors.Is(err, ErrNothingToCompact) {
+		err = nil
+	}
+	return res, err
+}
+
+// observed passes a completed fold to onFold, off compactMu.
+func (c *Chain) observed(res compact.Result, err error) (compact.Result, error) {
+	if res.Folded > 0 && c.onFold != nil {
+		c.onFold(res)
+	}
+	return res, err
+}
+
+// fold is Compact's fold under compactMu. Unless retry, a fold refused at
+// the present generation count is not tried again.
+func (c *Chain) fold(k int, cfg core.Config, workload []stream.Edge, retry bool) (compact.Result, error) {
 	start := time.Now()
 	c.compactMu.Lock()
 	defer c.compactMu.Unlock()
 
 	c.mu.RLock()
-	frozen := len(c.gens) - 1
-	if k > frozen {
-		k = frozen
+	n := len(c.gens)
+	if !retry && c.refusedAt == n {
+		c.mu.RUnlock()
+		return compact.Result{}, nil
 	}
+	k = min(k, n-1)
 	if k < 2 {
-		n := len(c.gens)
 		c.mu.RUnlock()
 		return compact.Result{Generations: n}, ErrNothingToCompact
 	}
@@ -645,6 +687,9 @@ func (c *Chain) Compact(k int, cfg core.Config, workload []stream.Edge) (compact
 		srcBytes += int64(s.SketchBytes())
 	}
 	merged, exact, err := compact.Fold(srcs, cfg, workload, c.cfg.SampleSize)
+	if errors.Is(err, compact.ErrUnfoldable) {
+		c.refusedAt = n
+	}
 	if err != nil {
 		return compact.Result{}, err
 	}
@@ -752,7 +797,7 @@ func (c *Chain) LifecycleStats() ChainLifecycleStats {
 }
 
 // LifecycleState adapts the chain to the compaction policy's view.
-func (c *Chain) LifecycleState(now time.Time) compact.State {
+func (c *Chain) LifecycleState() compact.State {
 	st := c.LifecycleStats()
 	return compact.State{
 		Generations: st.Generations,
@@ -781,14 +826,19 @@ func (c *Chain) WriteTo(w io.Writer) (int64, error) {
 
 // Repartition builds a new generation from the chain's own data reservoir
 // and the supplied query-workload sample (nil selects the data-only §4.1
-// objective), then rotates it in as the live head. It returns the new
-// head. Callers wanting drift-triggered rebuilds use a Manager instead.
+// objective), then rotates it in as the live head. At the generation cap
+// it folds first (see headroom) or refuses with ErrMaxGenerations. It
+// returns the new head. Callers wanting drift-triggered rebuilds use a
+// Manager instead.
 func Repartition(c *Chain, cfg core.Config, workload []stream.Edge) (*core.GSketch, error) {
-	// Check the cap up front: a build is expensive and Rotate would refuse
-	// it anyway. Rotate re-checks under the lock, so a racing rotation
-	// still cannot push the chain past the cap.
-	if c.AtCap() {
-		return nil, fmt.Errorf("%w (%d generations)", ErrMaxGenerations, c.Generations())
+	// Make room up front: a build is expensive and Rotate would refuse it
+	// at the cap anyway. Rotate re-checks under the lock, so a racing
+	// rotation still cannot push the chain past the cap.
+	if ok, err := c.headroom(cfg, workload); !ok {
+		if err == nil {
+			err = fmt.Errorf("%w (%d generations)", ErrMaxGenerations, c.Generations())
+		}
+		return nil, err
 	}
 	sample := c.Sample()
 	if len(sample) == 0 {
@@ -802,6 +852,26 @@ func Repartition(c *Chain, cfg core.Config, workload []stream.Edge) (*core.GSket
 		return nil, err
 	}
 	return g, nil
+}
+
+// headroom makes room for one rotation: at the cap, a chain given a fold
+// width folds its oldest generations under cfg and workload first, as
+// CompactOnce does. It reports whether a rotation fits; a fold refused now
+// comes back as ErrMaxGenerations wrapping compact.ErrUnfoldable, one
+// refused before as no error.
+func (c *Chain) headroom(cfg core.Config, workload []stream.Edge) (bool, error) {
+	if !c.atCap() {
+		return true, nil
+	}
+	if c.foldWidth == 0 {
+		return false, nil
+	}
+	if _, err := c.CompactOnce(c.foldWidth, cfg, workload); errors.Is(err, compact.ErrUnfoldable) {
+		return false, fmt.Errorf("%w: %w", ErrMaxGenerations, err)
+	} else if err != nil {
+		return false, err
+	}
+	return !c.atCap(), nil
 }
 
 var (

@@ -6,7 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"github.com/graphstream/gsketch/internal/compact"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/stream"
 )
@@ -88,6 +90,72 @@ func TestChainCompactDuringIngestConservesCount(t *testing.T) {
 	if got := chain.Count(); got != pushed.Load() {
 		t.Fatalf("chain lost volume across compactions: Count=%d pushed=%d (generations=%d)",
 			got, pushed.Load(), chain.Generations())
+	}
+}
+
+// Rotations at the cap fold first, taking the chain's compactMu and then
+// mu, while a writer ingests, a policy loop folds and a reader gathers. Run
+// under -race it checks that lock order; at the end the chain has never
+// passed its cap and has lost no volume.
+func TestChainFoldAtCapAmidIngest(t *testing.T) {
+	const cap = 3
+	edges := testStream(20480, 79)
+	cfg := core.Config{TotalBytes: 32 << 10, Seed: 6}
+	chain := NewChain(buildSketch(t, edges[:2000], 6), ChainConfig{SampleSize: 1024, MaxGenerations: cap})
+	var folds atomic.Int64
+	chain.SetCompaction(2, func(compact.Result) { folds.Add(1) })
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	loop := func(step func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := step(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ { // two rotators, so one may find the other's fold
+		loop(func() error {
+			_, err := Repartition(chain, cfg, nil)
+			if err != nil && !errors.Is(err, ErrMaxGenerations) && !errors.Is(err, ErrEmptyReservoir) {
+				return fmt.Errorf("rotation: %w", err)
+			}
+			if g := chain.Generations(); g > cap {
+				return fmt.Errorf("%d generations, cap %d", g, cap)
+			}
+			return nil
+		})
+	}
+	loop(func() error { _, err := chain.CompactOnce(2, cfg, nil); return err })
+	qs := chainQueries(edges, 64)
+	loop(func() error { chain.EstimateBatch(qs); return nil })
+
+	var pushed int64
+	deadline := time.Now().Add(20 * time.Second)
+	for i := 0; folds.Load() < 8 && !t.Failed(); i = (i + 256) % len(edges) {
+		if time.Now().After(deadline) {
+			t.Error("no 8 folds within 20 s")
+			break
+		}
+		chain.UpdateBatch(edges[i : i+256])
+		for _, e := range edges[i : i+256] {
+			pushed += e.Weight
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := chain.Count(); got != pushed {
+		t.Fatalf("chain lost volume across folds at the cap: Count=%d pushed=%d", got, pushed)
 	}
 }
 

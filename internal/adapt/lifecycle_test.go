@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/graphstream/gsketch/internal/compact"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/stream"
 )
@@ -204,25 +205,22 @@ func TestChainCompactSaturatedVolume(t *testing.T) {
 	}
 }
 
-// Driving a capped chain through many pivots with compact-on-pressure must
-// never refuse a rotation: the generation count stays bounded, memory
-// plateaus, and volume is never lost. This is the former-ErrMaxGenerations
-// acceptance scenario at the chain level.
+// Driving a capped chain with a fold width through many pivots must never
+// refuse a rotation: each rotation at the cap folds first, the generation
+// count stays bounded, memory plateaus, and volume is never lost. This is
+// the former-ErrMaxGenerations acceptance scenario at the chain level.
 func TestChainPastCapWithCompaction(t *testing.T) {
 	const cap = 3
 	edges := testStream(52000, 47)
 	cfg := core.Config{TotalBytes: 32 << 10, Seed: 9}
 	chain := NewChain(buildSketch(t, edges[:1000], 9), ChainConfig{SampleSize: 2048, Seed: 3, MaxGenerations: cap})
+	folds := 0
+	chain.SetCompaction(2, func(compact.Result) { folds++ })
 
 	seg := len(edges) / 13
 	var peak int
 	for i := 0; i < 12; i++ {
 		chain.UpdateBatch(edges[i*seg : (i+1)*seg])
-		if chain.AtCap() {
-			if _, err := chain.Compact(2, cfg, nil); err != nil {
-				t.Fatalf("pivot %d: compact under cap pressure: %v", i, err)
-			}
-		}
 		if _, err := Repartition(chain, cfg, nil); err != nil {
 			t.Fatalf("pivot %d: rotation refused despite compaction: %v", i, err)
 		}
@@ -248,6 +246,70 @@ func TestChainPastCapWithCompaction(t *testing.T) {
 	}
 	if st := chain.LifecycleStats(); st.CompactedFrom != 13 {
 		t.Fatalf("compacted-from = %d, want all 13 source builds", st.CompactedFrom)
+	}
+	// The first two pivots rotate under the cap; the other ten fold first.
+	if folds != 10 {
+		t.Fatalf("observer saw %d folds, want 10", folds)
+	}
+}
+
+// A refused fold is returned once for each generation count: CompactOnce
+// stays quiet at the count a fold was refused at, and a rotation below the
+// cap, which changes the count, makes it try and return the refusal again.
+// At the cap, a rotation's fold is refused once as ErrMaxGenerations
+// wrapping compact.ErrUnfoldable, then as the cap refuses. Compact tries
+// every time.
+func TestRefusedFoldReportedOncePerCount(t *testing.T) {
+	edges := testStream(8000, 71)
+	cfg := core.Config{TotalBytes: 32 << 10, Seed: 9}
+	// Restored generations of three layouts keep no sample: no fold of
+	// theirs can merge or re-ingest.
+	gens := make([]*core.GSketch, 3)
+	for i := range gens {
+		seg := edges[i*1000 : (i+1)*1000]
+		gens[i] = buildSketch(t, seg, uint64(i+1))
+		core.Populate(gens[i], seg)
+	}
+	chain := NewChainFromMeta(gens, nil, ChainConfig{SampleSize: 1024, Seed: 3, MaxGenerations: 5})
+	folds := 0
+	chain.SetCompaction(2, func(compact.Result) { folds++ })
+	refusedOnce := func(g int) {
+		t.Helper()
+		if n := chain.Generations(); n != g {
+			t.Fatalf("%d generations, want %d", n, g)
+		}
+		if _, err := chain.CompactOnce(2, cfg, nil); !errors.Is(err, compact.ErrUnfoldable) {
+			t.Fatalf("first fold at %d generations: %v, want compact.ErrUnfoldable", g, err)
+		}
+		if res, err := chain.CompactOnce(2, cfg, nil); err != nil || res.Folded != 0 {
+			t.Fatalf("second fold at %d generations: %+v, %v, want no fold and no error", g, res, err)
+		}
+	}
+	refusedOnce(3)
+	for i := 0; i < 2; i++ {
+		if _, err := chain.Compact(2, cfg, nil); !errors.Is(err, compact.ErrUnfoldable) {
+			t.Fatalf("manual fold %d: %v, want compact.ErrUnfoldable", i, err)
+		}
+	}
+
+	chain.UpdateBatch(edges[3000:5000])
+	if _, err := Repartition(chain, cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	refusedOnce(4)
+
+	chain.UpdateBatch(edges[5000:])
+	if _, err := Repartition(chain, cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Repartition(chain, cfg, nil); !errors.Is(err, ErrMaxGenerations) || !errors.Is(err, compact.ErrUnfoldable) {
+		t.Fatalf("first rotation at the cap: %v, want ErrMaxGenerations wrapping compact.ErrUnfoldable", err)
+	}
+	if _, err := Repartition(chain, cfg, nil); !errors.Is(err, ErrMaxGenerations) || errors.Is(err, compact.ErrUnfoldable) {
+		t.Fatalf("second rotation at the cap: %v, want ErrMaxGenerations alone", err)
+	}
+	if g := chain.Generations(); g != 5 || folds != 0 {
+		t.Fatalf("%d generations and %d folds, want 5 and none", g, folds)
 	}
 }
 

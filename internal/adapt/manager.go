@@ -12,9 +12,6 @@ import (
 // defaults: drift evaluated against a 0.5 divergence / 0.25 outlier-share
 // threshold, rebuilds gated on minimum sample sizes.
 type ManagerConfig struct {
-	// Sketch is the build configuration of rebuilt generations (required:
-	// it must validate under core.Config rules).
-	Sketch core.Config
 	// DriftThreshold triggers a rebuild when the total-variation divergence
 	// between the baseline and live workload distributions reaches it
 	// (default 0.5; range [0,1]).
@@ -29,11 +26,6 @@ type ManagerConfig struct {
 	// MinData is the smallest data reservoir a rebuild proceeds from
 	// (default 256).
 	MinData int
-	// Baseline is the query-workload sample the chain's current head was
-	// built from, if any — the distribution live traffic is compared
-	// against. Empty means the head encodes no workload knowledge, and any
-	// sufficient live workload reads as maximal divergence.
-	Baseline []stream.Edge
 }
 
 func (c ManagerConfig) withDefaults() ManagerConfig {
@@ -102,6 +94,9 @@ type Workload interface {
 // monitoring endpoint stays responsive during the swap it is watching.
 type Manager struct {
 	cfg ManagerConfig
+	// build is the configuration rebuilt generations, and the folds that
+	// make room for them at the cap, are built under.
+	build core.Config
 	// workload is the live recorded query workload. Nil or empty disables
 	// the divergence signal; the outlier-share signal still works.
 	workload Workload
@@ -119,12 +114,6 @@ type Manager struct {
 	// swapObs, when set, observes every completed swap's build+rotate
 	// duration — the hook a metrics histogram hangs off.
 	swapObs func(time.Duration)
-	// compactor, when set, is invoked to fold old generations before a
-	// rotation that would otherwise refuse at the generation cap — the
-	// engine wires it to the chain's compaction when a lifecycle policy is
-	// configured. With it in place the manager's rebuild paths reach
-	// ErrMaxGenerations only when the fold is refused.
-	compactor func() error
 
 	// liveMu guards live, the distribution Drift reads the live sample into:
 	// kept from call to call, so that a gauge polled every few milliseconds
@@ -133,16 +122,21 @@ type Manager struct {
 	live   map[uint64]float64
 }
 
-// NewManager builds a manager over chain. workload supplies the live
-// recorded query sample and may be nil.
-func NewManager(chain *Chain, workload Workload, cfg ManagerConfig) *Manager {
+// NewManager builds a manager over chain that rebuilds under build (it must
+// validate under core.Config rules). baseline is the query-workload sample
+// the chain's head was built from, if any — the distribution live traffic
+// is compared against; empty means the head encodes no workload knowledge,
+// and any sufficient live workload reads as maximal divergence. workload
+// supplies the live recorded query sample and may be nil.
+func NewManager(chain *Chain, build core.Config, baseline []stream.Edge, workload Workload, cfg ManagerConfig) *Manager {
 	m := &Manager{
 		cfg:      cfg.withDefaults(),
+		build:    build,
 		chain:    chain,
 		workload: workload,
 		live:     make(map[uint64]float64),
 	}
-	m.baseline = sourceDistribution(m.cfg.Baseline)
+	m.baseline = sourceDistribution(baseline)
 	m.readsBase = chain.ReadRouteCounts()
 	return m
 }
@@ -172,36 +166,6 @@ func (m *Manager) Rebind(chain *Chain, baseline []stream.Edge, swap func()) {
 	m.chain = chain
 	m.baseline = sourceDistribution(baseline)
 	m.readsBase = chain.ReadRouteCounts()
-}
-
-// SetCompactor installs fn as the cap-pressure compaction hook (nil
-// uninstalls): Check and Repartition call it before a rebuild that finds
-// the chain at its generation cap, so a chain under a compaction policy
-// keeps rotating instead of refusing with ErrMaxGenerations.
-func (m *Manager) SetCompactor(fn func() error) {
-	m.mu.Lock()
-	m.compactor = fn
-	m.mu.Unlock()
-}
-
-// ensureHeadroom folds old generations when the chain is at its cap and a
-// compactor is installed. The caller holds rebuildMu. It reports whether
-// the chain has rotation headroom afterwards.
-func (m *Manager) ensureHeadroom() (bool, error) {
-	chain := m.Chain()
-	if !chain.AtCap() {
-		return true, nil
-	}
-	m.mu.Lock()
-	fn := m.compactor
-	m.mu.Unlock()
-	if fn == nil {
-		return false, nil
-	}
-	if err := fn(); err != nil {
-		return false, err
-	}
-	return !chain.AtCap(), nil
 }
 
 // SetSwapObserver installs fn to be called with the BuildDuration of
@@ -282,20 +246,17 @@ func (m *Manager) ShouldRepartition(d Drift) bool {
 
 // Check evaluates drift and repartitions if the thresholds are crossed. It
 // returns the swap result when one happened, nil otherwise — the auto-
-// trigger entry point. At the chain's generation cap Check first compacts
-// (when a compactor is installed) so drift can still be acted on; without
-// one it is a cheap no-op: no rebuild is attempted (and none is wasted).
+// trigger entry point. At the chain's generation cap the chain first folds
+// (when it has a fold width), so drift can still be acted on; otherwise,
+// and once that fold has been refused and returned, Check attempts no
+// rebuild and returns nil.
 func (m *Manager) Check() (*RepartitionResult, error) {
 	m.rebuildMu.Lock()
 	defer m.rebuildMu.Unlock()
-	ok, err := m.ensureHeadroom()
-	if err != nil {
+	d, live := m.drift()
+	if ok, err := m.Chain().headroom(m.build, live); !ok {
 		return nil, err
 	}
-	if !ok {
-		return nil, nil
-	}
-	d, live := m.drift()
 	if !m.ShouldRepartition(d) {
 		return nil, nil
 	}
@@ -305,14 +266,11 @@ func (m *Manager) Check() (*RepartitionResult, error) {
 // Repartition rebuilds and hot-swaps unconditionally (on demand), gated
 // only on a non-empty data reservoir. The live workload sample — whatever
 // its size — steers the new partitioning when present. At the generation
-// cap it compacts first when a compactor is installed; otherwise the
-// rebuild fails with ErrMaxGenerations as before.
+// cap the rotation folds first or refuses, as the package-level
+// Repartition does.
 func (m *Manager) Repartition() (*RepartitionResult, error) {
 	m.rebuildMu.Lock()
 	defer m.rebuildMu.Unlock()
-	if _, err := m.ensureHeadroom(); err != nil {
-		return nil, err
-	}
 	d, live := m.drift()
 	return m.repartition(d, live)
 }
@@ -323,7 +281,7 @@ func (m *Manager) Repartition() (*RepartitionResult, error) {
 func (m *Manager) repartition(before Drift, live []stream.Edge) (*RepartitionResult, error) {
 	chain := m.Chain()
 	start := time.Now()
-	g, err := Repartition(chain, m.cfg.Sketch, live)
+	g, err := Repartition(chain, m.build, live)
 	if err != nil {
 		return nil, err
 	}

@@ -59,9 +59,7 @@ func TestManagerDriftAndThresholds(t *testing.T) {
 
 	baseline := workloadOf(1, 2, 3, 4)
 	live := &sliceWorkload{baseline}
-	m := NewManager(chain, live, ManagerConfig{
-		Sketch:      core.Config{TotalBytes: 32 << 10, Seed: 5},
-		Baseline:    baseline,
+	m := NewManager(chain, core.Config{TotalBytes: 32 << 10, Seed: 5}, baseline, live, ManagerConfig{
 		MinWorkload: 10,
 		MinData:     10,
 	})
@@ -122,10 +120,7 @@ func TestManagerOutlierShareSignal(t *testing.T) {
 	chain := NewChain(buildSketch(t, sample, 7), ChainConfig{})
 	chain.UpdateBatch(sample)
 
-	m := NewManager(chain, nil, ManagerConfig{
-		Sketch:  core.Config{TotalBytes: 32 << 10, Seed: 5},
-		MinData: 10,
-	})
+	m := NewManager(chain, core.Config{TotalBytes: 32 << 10, Seed: 5}, nil, nil, ManagerConfig{MinData: 10})
 	if d := m.Drift(); d.OutlierShare != 0 {
 		t.Fatalf("outlier share before any query: %v", d.OutlierShare)
 	}
@@ -159,7 +154,7 @@ func TestManagerOutlierShareSignal(t *testing.T) {
 func TestManagerRepartitionNeedsData(t *testing.T) {
 	edges := testStream(500, 43)
 	chain := NewChain(buildSketch(t, edges[:200], 3), ChainConfig{})
-	m := NewManager(chain, nil, ManagerConfig{Sketch: core.Config{TotalBytes: 16 << 10, Seed: 2}})
+	m := NewManager(chain, core.Config{TotalBytes: 16 << 10, Seed: 2}, nil, nil, ManagerConfig{})
 	if _, err := m.Repartition(); !errors.Is(err, ErrEmptyReservoir) {
 		t.Fatalf("repartition with an empty reservoir: err = %v, want ErrEmptyReservoir", err)
 	}

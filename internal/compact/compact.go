@@ -32,8 +32,7 @@ import "time"
 type Policy struct {
 	// MaxGenerations compacts when the chain length exceeds it. Set it
 	// below the chain's hard MaxGenerations cap and rotation never refuses:
-	// the adapt manager also compacts on demand before a rotation that
-	// would hit the cap.
+	// a chain under a policy also folds before a rotation at the cap.
 	MaxGenerations int
 	// MaxAge compacts when the oldest frozen generation has been frozen
 	// longer than this.

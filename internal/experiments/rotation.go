@@ -117,7 +117,7 @@ func (r *rotationRun) driftFires(cfg core.Config) (*adapt.Chain, []int, error) {
 		return nil, nil, err
 	}
 	rec := adapt.NewRecorder(rotationReservoir, r.ds.Seed, nil)
-	mgr := adapt.NewManager(c, rec, adapt.ManagerConfig{Sketch: cfg})
+	mgr := adapt.NewManager(c, cfg, nil, rec, adapt.ManagerConfig{})
 	var fires []int
 	err = r.feed(c, rec, func(n int) error {
 		c.EstimateBatch(r.queries[n/r.step-1])

@@ -130,7 +130,6 @@ func TestAutoRepartitionOnDrift(t *testing.T) {
 	chain := newTestChain(t, edges[:1500])
 	_, ts := newTestServer(t, Config{Engine: testEngine(t, chain,
 		gsketch.WithAdaptive(chain.Config(), adapt.ManagerConfig{
-			Sketch:      testSketchConfig(),
 			MinWorkload: 32,
 			MinData:     64,
 		}),
@@ -367,7 +366,6 @@ func TestShutdownDuringAutoRepartition(t *testing.T) {
 		Engine: testEngine(t, chain,
 			gsketch.WithSnapshotFile(snap),
 			gsketch.WithAdaptive(chain.Config(), adapt.ManagerConfig{
-				Sketch:         testSketchConfig(),
 				DriftThreshold: 0.01,
 				MinWorkload:    8,
 				MinData:        8,

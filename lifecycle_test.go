@@ -24,7 +24,7 @@ func TestEngineAutoCompactionPastCap(t *testing.T) {
 		gsketch.WithSample(sample),
 		gsketch.WithAdaptive(
 			gsketch.ChainConfig{SampleSize: 2048, Seed: 7, MaxGenerations: cap},
-			gsketch.AdaptConfig{Sketch: engineTestCfg},
+			gsketch.AdaptConfig{},
 		),
 		gsketch.WithCompaction(gsketch.CompactionPolicy{
 			MaxGenerations: cap,
@@ -98,7 +98,7 @@ func TestEngineTieringSnapshot(t *testing.T) {
 		gsketch.WithSample(edges[:2000]),
 		gsketch.WithAdaptive(
 			gsketch.ChainConfig{SampleSize: 32768, Seed: 7, MaxGenerations: 8},
-			gsketch.AdaptConfig{Sketch: engineTestCfg},
+			gsketch.AdaptConfig{},
 		),
 		gsketch.WithTiering(filepath.Join(dir, "tiers"), 1),
 		gsketch.WithSnapshotFile(filepath.Join(dir, "chain.gsk")),
@@ -198,7 +198,7 @@ func TestLifecycleOptionsNeedChain(t *testing.T) {
 	// Half-configured tiering is a validation error, not a silent default.
 	if eng, err := gsketch.Open(engineTestCfg,
 		gsketch.WithSample(edges[:500]),
-		gsketch.WithAdaptive(gsketch.ChainConfig{}, gsketch.AdaptConfig{Sketch: engineTestCfg}),
+		gsketch.WithAdaptive(gsketch.ChainConfig{}, gsketch.AdaptConfig{}),
 		gsketch.WithTiering("", 3),
 	); err == nil {
 		eng.Close()

@@ -118,8 +118,9 @@ func WithRestoreFile(path string) Option {
 // already summarized.
 //
 // cc parameterizes the chain (reservoir size, generation cap); mc the
-// manager thresholds. A zero mc.Sketch inherits the Open configuration; a
-// nil mc.Baseline inherits WithWorkloadSample's sample.
+// manager thresholds. Rebuilt generations are built under the Open
+// configuration, and drift is measured against WithWorkloadSample's
+// sample.
 func WithAdaptive(cc ChainConfig, mc AdaptConfig) Option {
 	return func(o *engineOptions) {
 		o.adaptive = true
@@ -145,13 +146,14 @@ func WithAutoRepartition(interval time.Duration, onErr func(error)) Option {
 // adaptive engine: every p.Interval the engine's lifecycle goroutine folds
 // the oldest p.Fold frozen generations into one while the chain length,
 // resident memory, or oldest-generation age crosses a configured trigger,
-// and the repartition manager compacts on demand before a rotation that
-// would hit the chain's generation cap — so ErrMaxGenerations comes only
-// from a refused fold (compact.ErrUnfoldable). Folding is lossless
-// (cell-wise counter merge) when the generations share a hash layout, else
-// a re-partition from their retained reservoirs. onErr receives background compaction failures (nil drops
-// them; a failed fold leaves the serving chain untouched). Requires
-// WithAdaptive (or an adopted *Chain estimator).
+// and the chain folds them before a rotation at its generation cap — so
+// ErrMaxGenerations comes only from a refused fold (compact.ErrUnfoldable),
+// which the chain does not try again until its generation count changes.
+// Folding is lossless (cell-wise counter merge) when the generations share
+// a hash layout, else a re-partition from their retained reservoirs under
+// the Open configuration. onErr receives background compaction failures
+// (nil drops them; a failed fold leaves the serving chain untouched).
+// Requires WithAdaptive (or an adopted *Chain estimator).
 func WithCompaction(p CompactionPolicy, onErr func(error)) Option {
 	return func(o *engineOptions) { pp := p; o.compactPolicy = &pp; o.compactErr = onErr }
 }

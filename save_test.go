@@ -84,7 +84,7 @@ func TestChainRoundTripThroughFacade(t *testing.T) {
 	ctx := context.Background()
 	edges := synthetic(20_000)
 	cc := gsketch.ChainConfig{SampleSize: 1024, Seed: 3}
-	adaptive := gsketch.WithAdaptive(cc, gsketch.AdaptConfig{Sketch: gsketch.Config{TotalBytes: 64 << 10, Seed: 8}})
+	adaptive := gsketch.WithAdaptive(cc, gsketch.AdaptConfig{})
 	eng, err := gsketch.Open(gsketch.Config{TotalBytes: 64 << 10, Seed: 7},
 		gsketch.WithSample(edges[:2000]), adaptive)
 	if err != nil {
@@ -157,7 +157,7 @@ func TestSaveWritesVersion4(t *testing.T) {
 		"global":      {gsketch.WithGlobal()},
 		"windowed":    {gsketch.WithGlobal(), gsketch.WithWindows(gsketch.WindowConfig{Span: 10, SampleSize: 64})},
 		"adaptive": {gsketch.WithSample(edges), gsketch.WithAdaptive(gsketch.ChainConfig{SampleSize: 64, Seed: 3},
-			gsketch.AdaptConfig{Sketch: cfg})},
+			gsketch.AdaptConfig{})},
 	} {
 		t.Run(name, func(t *testing.T) {
 			eng, err := gsketch.Open(cfg, opts...)
