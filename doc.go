@@ -161,19 +161,19 @@
 // The same operations are served over a binary wire protocol
 // (internal/wire, gsketch-serve -wire-addr), where the two transports part
 // ways on ingest. An HTTP/1.1 handler cannot reply and keep working, so
-// HTTP ingest goes through the queue: the workers fold while the client
-// turns around, and a full queue is a 429. A wire connection is one
-// goroutine and its own worker: it admits a decoded frame (Engine.Admit),
-// writes the ack, then folds the frame, whole, out of the buffer it was
-// decoded into — no copy into the queue, no re-batching, no shedding. A
+// HTTP ingest goes through the queue, and a full queue is a 429. A wire
+// connection is one goroutine and its own worker: it admits a decoded frame
+// (Engine.Admit), writes the ack, then folds the frame, whole, out of the
+// buffer it was decoded into — no copy, no re-batching, no shedding. A
 // frame of 1024 edges or more folds on a goroutine of its own while the
-// connection reads the next frame, which waits for that fold. An ack
-// therefore means "applied by the time any later flush, ?sync=1, snapshot,
-// restore or Close returns", on any connection; rejected > 0 is left for a
-// tenant over its quota; and backpressure is one decoded frame beside one
-// fold per connection, then the TCP window. The price is that one
-// connection folds on one core (about 16 M edges/s); a producer scales by
-// opening connections, which the stripe locks serve in parallel, and
+// connection reads the next frame, which waits for that fold; a query frame
+// predicted to take 100 µs or more first wakes an idle P into netpoll. An
+// ack therefore means "applied by the time any later flush, ?sync=1,
+// snapshot, restore or Close returns", on any connection; rejected > 0 is
+// left for a tenant over its quota; and backpressure is one decoded frame
+// beside one fold per connection, then the TCP window. One connection folds
+// on one core (about 16 M edges/s); a producer scales by opening
+// connections, which the stripe locks serve in parallel, and
 // -workers/-batch/-queue shape the HTTP arm only.
 //
 // The engine also closes the paper's sample-collection loop: §4.2 assumes

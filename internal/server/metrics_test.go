@@ -351,11 +351,13 @@ func gaugeShapes(t *testing.T) []gaugeShape {
 		qs[i] = core.EdgeQuery{Src: edges[i].Src, Dst: edges[i].Dst}
 	}
 	var shapes []gaugeShape
+	var wireAddr string // the last shape's wire listener
 	serve := func(name string, cfg Config) string {
 		cfg.Now = func() time.Time { return now }
-		srv, ts := newTestServer(t, cfg)
-		shapes = append(shapes, gaugeShape{name, srv, ts.URL})
-		return ts.URL
+		srv, url, addr := newWireServer(t, cfg)
+		shapes = append(shapes, gaugeShape{name, srv, url})
+		wireAddr = addr
+		return url
 	}
 	post := func(url string) {
 		t.Helper()
@@ -373,6 +375,14 @@ func gaugeShapes(t *testing.T) []gaugeShape {
 	url := serve("engine", Config{Engine: testEngine(t, buildTestGSketch(t, edges[:1000]))})
 	ingestAll(t, url, edges[:3000])
 	queryBatch(t, url, qs)
+	// One wire query frame, so that the wire counters, wire_poller_wakes
+	// among them, read above zero; its reply's bytes are counted once the
+	// write returns.
+	wc := dialWire(t, wireAddr)
+	wc.queryWire(t, qs)
+	waitFor(t, "the wire reply's bytes to be counted", func() bool {
+		return shapes[0].srv.stats.wireBytesOut.Value() == int64(wc.read)
+	})
 
 	dir := t.TempDir()
 	url = serve("adaptive", Config{Engine: testEngine(t, newTestChain(t, edges[:1000]),
@@ -470,11 +480,11 @@ var servedBefore = map[string][2]string{
 	"tenants":  {tenantStatsKeys, tenantFamilies},
 }
 
-// TestGaugeTableAgreesAcrossEndpoints reads every gauge row of four
-// quiescent server shapes on both endpoints: /stats must render each row
-// with the value its /metrics sample carries, integral rows as JSON
-// integers, and both endpoints must still serve everything they served
-// before the table.
+// TestGaugeTableAgreesAcrossEndpoints reads every gauge row and every
+// counter of four quiescent server shapes on both endpoints: /stats must
+// render each with the value its /metrics sample carries, integral rows as
+// JSON integers, and both endpoints must still serve everything they
+// served before the table.
 func TestGaugeTableAgreesAcrossEndpoints(t *testing.T) {
 	for _, sh := range gaugeShapes(t) {
 		resp, err := http.Get(sh.url + "/stats")
@@ -522,6 +532,23 @@ func TestGaugeTableAgreesAcrossEndpoints(t *testing.T) {
 			if typ := served[g.name]; (typ == "counter") != g.counter || g.counter && !strings.HasSuffix(g.name, "_total") {
 				t.Errorf("%s: %s is a %s, and its row's counter flag is %v", sh.name, g.name, typ, g.counter)
 			}
+		}
+
+		// Each counter of the one counter table is its /stats key on one
+		// endpoint and gsketch_<key>_total on the other.
+		for _, kc := range sh.srv.stats.byKey {
+			name := "gsketch_" + kc.key + "_total"
+			n, ok := stats[kc.key].(json.Number)
+			if !ok || served[name] != "counter" {
+				t.Errorf("%s: /stats %q = %v and /metrics %s is a %q, want a number and a counter", sh.name, kc.key, stats[kc.key], name, served[name])
+				continue
+			}
+			if got, err := n.Int64(); err != nil || float64(got) != familyValue(t, fams, name) {
+				t.Errorf("%s: /stats %q = %s, /metrics %s = %v", sh.name, kc.key, n, name, familyValue(t, fams, name))
+			}
+		}
+		if sh.name == "engine" && stats["wire_poller_wakes"] != json.Number("1") {
+			t.Errorf("engine: /stats wire_poller_wakes = %v after one query frame on a fresh connection, want 1", stats["wire_poller_wakes"])
 		}
 
 		before := servedBefore[sh.name]

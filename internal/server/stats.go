@@ -32,6 +32,7 @@ type counters struct {
 	wireDecodeErrors *obs.Counter // frames rejected as malformed
 	wireBytesIn      *obs.Counter // bytes read off wire transports
 	wireBytesOut     *obs.Counter // bytes written to wire transports
+	wirePollerWakes  *obs.Counter // query frames answered after waking an idle P
 }
 
 // keyedCounter is a counter with its /stats key.
@@ -75,6 +76,8 @@ func newCounters(reg *obs.Registry) *counters {
 		"gsketch_wire_bytes_in_total", "Bytes read off wire transports.")
 	c.wireBytesOut = mk("wire_bytes_out",
 		"gsketch_wire_bytes_out_total", "Bytes written to wire transports.")
+	c.wirePollerWakes = mk("wire_poller_wakes",
+		"gsketch_wire_poller_wakes_total", "Wire query frames answered after waking an idle P into netpoll.")
 	return c
 }
 

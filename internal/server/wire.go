@@ -29,42 +29,30 @@ import (
 // The connection is the worker for its own ingest frames. gSketch's
 // partitions are independent update domains behind an immutable router, so
 // a connection folding under core.Concurrent's stripe locks needs no
-// hand-off. A decoded frame is admitted (the backend's closed and quota
-// checks, and a registration in the ingest pipeline's in-flight count:
-// Backend.Admit), the ack is written, and only then are the edges folded,
-// whole, out of the buffer they were decoded into: no copy into the ingest
-// queue, no re-batching, and the fold overlaps the client's turn-around.
+// hand-off. A decoded frame is admitted (Backend.Admit: the closed and quota
+// checks, and a registration in the in-flight count), the ack is written,
+// and only then is the frame folded, whole, out of its decode buffer: no
+// copy, no re-batching, and the fold overlaps the client's turn-around.
 //
 // Two rules keep one connection's work from starving the others:
 //
-//   - An ingest frame of at least longFrame edges folds on a goroutine of
-//     its own, which takes over the frame's edge buffer, while the loop reads
-//     and decodes the next frame. The loop waits for that fold before it
-//     admits or answers the next frame, so at most one frame per connection
-//     is in flight.
-//   - A query batch is answered after a go statement that starts nothing,
-//     which wakes an idle P. While the only awake P answers or folds, no M
-//     is parked in netpoll, and another connection's frame waits until that
-//     work ends; the woken P ends up in netpoll beside the work.
+//   - An ingest frame of longFrame edges or more folds on a goroutine of its
+//     own, which takes over its edge buffer, while the loop reads and decodes
+//     the next frame; the loop admits or answers nothing before that fold
+//     ends, so at most one frame per connection is in flight.
+//   - A query frame predicted to take wakeWorth or more is answered after a
+//     go statement that starts nothing, which wakes an idle P: while the only
+//     awake P works, no M is parked in netpoll and other connections' frames
+//     wait; the woken P ends up in netpoll beside the work. The prediction is
+//     the connection's last query frame's answer time per query times the
+//     frame's query count; a connection's first query frame, and the first
+//     after a tenant select, wake unpredicted.
 //
-// Each rule is needed. Against the two-goroutine connection this loop
-// replaced (a decode goroutine and an apply goroutine joined by a channel,
-// whose hand-off woke a P at every frame), the repository benchmark measured
-// these variants (bash benchmark/bench.sh, 2 vCPUs, alternating pairs):
-//
-//   - No wake, every frame folded inline: wire_bulk_small
-//     ingest_edges_per_s +20.5 % and server_cpu_s −17.7 %, but
-//     wire_bulk_large query_per_s −21 % and ingest_edges_per_s −9 %.
-//   - A wake before every frame, every frame folded inline: wire_bulk_large
-//     queries level, its ingest_edges_per_s −8 %: an 8192-edge fold starves
-//     the poller as an answer does.
-//   - Long frames folded beside the loop, a wake only before batches of
-//     ≥ 1024 queries: wire_bulk_small within_limit_pct 99.96–99.98, against
-//     100.
-//   - Both rules, this loop: wire_bulk_small ingest_edges_per_s +21 % and
-//     server_cpu_s −10 % (12 pairs, ahead in all); wire_bulk_large
-//     query_per_s +7 % (ahead in 15 of 18) and ingest_edges_per_s −3 %
-//     (behind in 12 of 18); wire_mixed_paced and http_tenants in bounds.
+// Without the wake, wire_bulk_large lost 21 % of its queries; with long
+// frames folded inline, 8 % of its ingest. A wake costs about 14 µs of CPU:
+// one before every query frame cost wire_bulk_small (51 µs frames) 12 % of
+// its server_cpu_s; wire_mixed_paced (310 µs) and wire_bulk_large (465 µs)
+// frames still wake (2 vCPUs; CHANGES.md has the variants).
 //
 // An ack means: applied by the time any later flush frame, ?sync=1 request,
 // snapshot, restore, tenant evict or Close returns, on any connection — the
@@ -73,18 +61,21 @@ import (
 // backend never sheds a wire frame, its backpressure is one decoded frame
 // beside one fold per connection, then the TCP window.
 //
-// The trade-off: one connection folds on one core (about 16 M edges/s). A
-// producer scales past that by opening connections; the ingest pipeline's
-// -workers do not apply to wire frames. HTTP keeps the queue: an HTTP/1.1
-// handler cannot reply and keep working, so there the queue is what
-// overlaps the fold with the client's turn-around.
+// The trade-off: one connection folds on one core (about 16 M edges/s); a
+// producer scales by opening connections, and -workers do not apply. HTTP
+// keeps the queue, as an HTTP/1.1 handler cannot reply and keep working.
 
-// longFrame is the ingest frame size, in edges, from which a connection
-// folds the frame beside its loop instead of on it.
-const longFrame = 1024
+const (
+	longFrame = 1024                   // ingest frame size, in edges, from which a connection folds beside its loop
+	wakeWorth = 100 * time.Microsecond // predicted answer time from which a query frame wakes an idle P
+	wireIOBuf = 64 << 10               // per-connection bufio size on both directions
+)
 
-// wireIOBuf is the per-connection bufio size on both directions.
-const wireIOBuf = 64 << 10
+// wakes reports whether a frame of n queries is worth a wake, given the
+// connection's last answer time per query (0: none yet).
+func wakes(perQuery time.Duration, n int) bool {
+	return n > 0 && (perQuery == 0 || perQuery*time.Duration(n) >= wakeWorth)
+}
 
 // ServeWire accepts wire-protocol connections on ln until Shutdown, which
 // closes the listener and every open connection. Like Serve, it returns
@@ -166,11 +157,10 @@ func (c countedConn) Write(p []byte) (int, error) {
 // handleWireConn runs one connection's loop. It keeps its edge, query,
 // reply and result buffers for the connection's lifetime, except the edge
 // buffer a long frame's fold takes over; the loop then draws a fresh one.
-//
 // In tenant mode the connection starts unbound: a TypeTenantSelect frame
 // binds the session backend (re-selecting switches it), and work frames
-// before any select are refused with CodeUnsupported — the connection
-// stays open, like every other error frame.
+// before any select are refused with CodeUnsupported; the connection stays
+// open, like every other error frame.
 func (s *Server) handleWireConn(conn net.Conn) {
 	defer conn.Close()
 	cc := countedConn{conn, s.stats.wireBytesIn, s.stats.wireBytesOut}
@@ -181,6 +171,7 @@ func (s *Server) handleWireConn(conn net.Conn) {
 	out, edges, qs := getFrameBuf(), getEdgeBuf(), getQueryBuf()
 	var results []core.Result  // the answers of every query frame, in turn
 	var folding sync.WaitGroup // the long frame folding beside the loop, if any
+	var perQuery time.Duration // the last query frame's answer time per query; 0: none yet
 	defer func() {
 		folding.Wait()
 		// Read at exit: a buffer a fold took over is the fold's to return.
@@ -209,6 +200,7 @@ func (s *Server) handleWireConn(conn net.Conn) {
 		switch {
 		case typ == wire.TypeTenantSelect:
 			be, *out = s.applyWireTenantSelect(*out, name, be)
+			perQuery = 0 // the new backend may answer faster or slower
 		case be == nil:
 			*out = wire.AppendError(*out, wire.CodeUnsupported,
 				"no tenant selected (send a tenant-select frame first)")
@@ -217,17 +209,22 @@ func (s *Server) handleWireConn(conn net.Conn) {
 			case wire.TypeIngest:
 				*out, adm = s.admitWireIngest(*out, be, *edges)
 			case wire.TypeQuery:
-				go func() {}() // wakes an idle P into netpoll beside the answer
+				if wakes(perQuery, len(*qs)) {
+					s.stats.wirePollerWakes.Add(1)
+					go func() {}() // wakes an idle P into netpoll beside the answer
+				}
 				*out, results = s.applyWireQuery(*out, be, *qs, results)
+				if n := len(*qs); n > 0 {
+					perQuery = time.Since(start) / time.Duration(n)
+				}
 			case wire.TypeFlush:
 				*out = s.applyWireFlush(*out, be)
 			case wire.TypePing:
 				*out = s.applyWirePing(*out, be)
 			}
 		}
-		// The histogram child was resolved at registration, so observing is
-		// allocation-free. A frame's work is done once its reply is built —
-		// except an ingest frame's, whose time runs on through the fold.
+		// A frame's work ends with its reply, an ingest frame's with its fold;
+		// observing allocates nothing (the child is resolved at registration).
 		apply := s.metrics.wireApply[typ]
 		if apply != nil && typ != wire.TypeIngest {
 			apply.ObserveSince(start)

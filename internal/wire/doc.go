@@ -49,18 +49,18 @@
 //
 // An ack is a promise, not a receipt for finished work. The server
 // registers the frame's accepted edges as in flight, writes the ack, and
-// only then folds them into the sketch, while the client is already
-// preparing its next frame: on the connection's goroutine, or for a frame
-// of 1024 edges or more on one beside it, while the connection reads the
-// next frame. Accepted means: applied by the time any later TypeFlush (or
-// HTTP ?sync=1, snapshot, restore, shutdown) returns, on this connection or
-// any other. A server backed by an engine accepts every well-formed ingest
-// frame whole — its backpressure is the connection itself: one decoded
-// frame beside one fold, then the TCP window. rejected > 0, the wire equivalent of HTTP 429 (retry the rejected
-// suffix after a pause), is left for what really is refused: a tenant over
-// its edge-rate quota. Because a connection folds its own frames, one
-// connection uses one core on the server (about 16 M edges/s); a producer
-// with more to send opens more connections, which fold in parallel.
+// only then folds them into the sketch, while the client prepares its next
+// frame: on the connection's goroutine, or for a frame of 1024 edges or
+// more on one beside it while the connection reads the next frame.
+// Accepted means: applied by the time any later TypeFlush (or HTTP
+// ?sync=1, snapshot, restore, shutdown) returns, on any connection. A
+// server backed by an engine accepts every well-formed ingest frame whole;
+// its backpressure is one decoded frame beside one fold, then the TCP
+// window. rejected > 0, the wire equivalent of HTTP 429 (retry the
+// rejected suffix after a pause), is left for a tenant over its edge-rate
+// quota. One connection folds on one core (about 16 M edges/s); a producer
+// opens more connections to fold in parallel. A query frame the server
+// predicts to take 100 µs or more is answered after a wake of an idle P.
 //
 // Version 2 sends a batch's stream total and confidence once, in the
 // results header, not in each record (version 1's were 40 bytes). There is

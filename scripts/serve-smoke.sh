@@ -138,6 +138,14 @@ grep -Eq '"wire_frames":[1-9]' <<<"$stats" || fail "wire stats: $stats"
 grep -Eq '"wire_bytes_in":[1-9]' <<<"$stats" || fail "wire stats: $stats"
 grep -Eq '"wire_bytes_out":[1-9]' <<<"$stats" || fail "wire stats: $stats"
 
+# Each of the three gsketch-wire query invocations above (wq, wq3, wq2)
+# opened a fresh connection, and a connection's first query frame has no
+# cost estimate yet, so it wakes a poller: three wakes, on both endpoints.
+grep -q '"wire_poller_wakes":3[,}]' <<<"$stats" || fail "wire_poller_wakes after 3 wire query invocations: $stats"
+grep -q '^# TYPE gsketch_wire_poller_wakes_total counter' <<<"$(curl -sf "$BASE/metrics")" \
+  || fail "metrics missing gsketch_wire_poller_wakes_total"
+agree wire_poller_wakes gsketch_wire_poller_wakes_total
+
 # Graceful shutdown: SIGTERM must drain and exit 0.
 kill -TERM "$PID"
 if ! wait "$PID"; then
