@@ -19,9 +19,7 @@ type gatedEstimator struct {
 	edges atomic.Int64
 }
 
-func (g *gatedEstimator) Update(e gsketch.Edge)              { g.UpdateBatch([]gsketch.Edge{e}) }
-func (g *gatedEstimator) UpdateBatch(es []gsketch.Edge)      { <-g.gate; g.edges.Add(int64(len(es))) }
-func (g *gatedEstimator) EstimateEdge(src, dst uint64) int64 { return 0 }
+func (g *gatedEstimator) UpdateBatch(es []gsketch.Edge) { <-g.gate; g.edges.Add(int64(len(es))) }
 func (g *gatedEstimator) EstimateBatch(qs []gsketch.EdgeQuery) []gsketch.Result {
 	return make([]gsketch.Result, len(qs))
 }

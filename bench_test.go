@@ -621,24 +621,6 @@ func BenchmarkEstimateEdgePerQuery(b *testing.B) {
 	})
 }
 
-// BenchmarkEstimateEdgeSharded is the intermediate point: the modern
-// sharded Concurrent answering bound-carrying queries one edge at a time
-// (flat router, striped read locks, but still one lock round-trip and two
-// routed probes per query).
-func BenchmarkEstimateEdgeSharded(b *testing.B) {
-	c, qs := queryBenchSetup(b)
-	g := c.Unwrap()
-	runQueryWorkers(b, qs, func(chunk []core.EdgeQuery) {
-		var sink int64
-		var bounds float64
-		for _, q := range chunk {
-			sink += c.EstimateEdge(q.Src, q.Dst)
-			bounds += g.ErrorBound(q.Src)
-		}
-		_, _ = sink, bounds
-	})
-}
-
 // BenchmarkEstimateBatch is the redesigned read path under the same
 // concurrency: route-then-gather batches of bound-carrying Results with
 // one stripe-lock acquisition per touched stripe per chunk. The acceptance

@@ -83,7 +83,8 @@
 // the flat router, each touched partition's counters are probed once per
 // group, and every Result returns in input order carrying:
 //
-//   - the point estimate (identical to EstimateEdge on the same state);
+//   - the point estimate (identical to GSketch.EstimateEdge on the same
+//     state);
 //   - the answering partition index, or the outlier flag;
 //   - that sketch's additive error bound e·N_i/w_i, where N_i is the
 //     LOCAL stream volume of the answering partition — the per-localized-
@@ -110,11 +111,15 @@
 // QueryWindow batches the same way (one pass per window for the whole
 // batch).
 //
-// EstimateEdge(src, dst) remains on every estimator: one call, one bare
-// point estimate, one lock round-trip under Concurrent. Any loop over more
-// than a handful of queries should call EstimateBatch or Answer instead:
-// same estimates, byte for byte, at better than 1.5× the throughput on a
-// 16-partition sketch, plus the per-answer guarantees.
+// GSketch keeps the paper's per-edge primitives, Update and EstimateEdge,
+// as the reference the batched kernels are tested against. The Estimator
+// interface is batch-only, so on Concurrent, the engine's chain or an
+// adopted estimator one edge is a one-element batch:
+// est.UpdateBatch([]Edge{e}) and
+// est.EstimateBatch([]EdgeQuery{{Src: s, Dst: d}})[0].Estimate. A loop over
+// more than a handful of queries should batch them: same estimates, byte
+// for byte, at better than 1.5× the throughput on a 16-partition sketch,
+// plus the per-answer guarantees.
 //
 // # Batched and parallel ingestion
 //
@@ -123,7 +128,7 @@
 // router groups the batch by destination partition, then the bank holding
 // every partition's CountMin absorbs the grouped batch in one kernel call.
 // Within a partition the stream order is preserved, so batched counters are
-// byte-identical to per-edge Update. Engine.Ingest and Populate use this
+// byte-identical to GSketch.Update. Engine.Ingest and Populate use this
 // path.
 //
 // Every engine serves its estimator through a Concurrent wrapper: because

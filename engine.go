@@ -582,11 +582,9 @@ type recordingEstimator struct {
 	rec *adapt.Recorder
 }
 
-func (r recordingEstimator) Update(e Edge)                  { r.est.Update(e) }
-func (r recordingEstimator) UpdateBatch(edges []Edge)       { r.est.UpdateBatch(edges) }
-func (r recordingEstimator) EstimateEdge(s, d uint64) int64 { return r.est.EstimateEdge(s, d) }
-func (r recordingEstimator) Count() int64                   { return r.est.Count() }
-func (r recordingEstimator) MemoryBytes() int               { return r.est.MemoryBytes() }
+func (r recordingEstimator) UpdateBatch(edges []Edge) { r.est.UpdateBatch(edges) }
+func (r recordingEstimator) Count() int64             { return r.est.Count() }
+func (r recordingEstimator) MemoryBytes() int         { return r.est.MemoryBytes() }
 func (r recordingEstimator) EstimateBatch(qs []EdgeQuery) []Result {
 	r.rec.Record(qs)
 	return r.est.EstimateBatch(qs)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -70,9 +71,13 @@ func referenceChain(t *testing.T, edges []Edge, gens int) (*adapt.Chain, []byte)
 }
 
 // TestBootstrapEveryEngineServesAChain opens one engine from each bootstrap
-// source: every one serves a generation chain and reports it, a restore
-// answers what the chain that wrote the snapshot answers (before and after
-// more ingest), and no static engine's chain samples its stream.
+// source: every one but a foreign estimator (behind the mutex, and
+// unsaveable) serves a generation chain and reports it, a restore answers
+// what the chain that wrote the snapshot answers (before and after more
+// ingest), and no static engine's chain samples its stream. Ingest is
+// one-edge batches through Ingest, TryIngest and Admit+Apply in turn, and
+// an engine started from a fresh sketch ends as that sketch fed per edge
+// by GSketch.Update: same snapshot bytes, GSketch.EstimateEdge's answers.
 func TestBootstrapEveryEngineServesAChain(t *testing.T) {
 	edges := internalTestStream(24_000, 5)
 	sample := edges[:2000]
@@ -88,20 +93,27 @@ func TestBootstrapEveryEngineServesAChain(t *testing.T) {
 	one, oneSnap := referenceChain(t, edges[:12_000], 1)
 	three, threeSnap := referenceChain(t, edges[:12_000], 3)
 	more := edges[12_000:]
+	global, err := core.BuildGlobalSketch(internalTestCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name string
 		opt  Option
 		ref  *adapt.Chain // the chain a restore must answer as
-		gens int
+		gens int          // 0: a foreign estimator, served behind the mutex
+		base *GSketch     // the sketch the engine starts from, fed per edge
 	}{
-		{"sample", WithSample(sample), nil, 1},
-		{"sample file", WithSampleFile(samplePath, 0), nil, 1},
-		{"global", WithGlobal(), nil, 1},
-		{"restore of 1 generation", WithRestore(bytes.NewReader(oneSnap)), one, 1},
-		{"restore of 3 generations", WithRestore(bytes.NewReader(threeSnap)), three, 3},
-		{"adopted *GSketch", WithEstimator(buildInternal(t, sample)), nil, 1},
-		{"adopted *Concurrent", WithEstimator(core.NewConcurrent(buildInternal(t, sample))), nil, 1},
+		{"sample", WithSample(sample), nil, 1, buildInternal(t, sample)},
+		{"sample file", WithSampleFile(samplePath, 0), nil, 1, buildInternal(t, sample)},
+		{"global", WithGlobal(), nil, 1, global},
+		{"restore of 1 generation", WithRestore(bytes.NewReader(oneSnap)), one, 1, nil},
+		{"restore of 3 generations", WithRestore(bytes.NewReader(threeSnap)), three, 3, nil},
+		{"adopted *GSketch", WithEstimator(buildInternal(t, sample)), nil, 1, buildInternal(t, sample)},
+		{"adopted *Concurrent", WithEstimator(core.NewConcurrent(buildInternal(t, sample))), nil, 1, buildInternal(t, sample)},
+		// Queried from one goroutine, as its embedded sketch requires.
+		{"foreign", WithEstimator(struct{ *GSketch }{buildInternal(t, sample)}), nil, 0, buildInternal(t, sample)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, err := Open(internalTestCfg, tc.opt, WithIngest(IngestConfig{}))
@@ -110,13 +122,13 @@ func TestBootstrapEveryEngineServesAChain(t *testing.T) {
 			}
 			defer eng.Close()
 			chain := eng.state().chain
-			if chain == nil {
-				t.Fatalf("engine serves %T, want a chain", eng.state().est)
+			if _, locked := eng.state().est.(*lockedEstimator); locked != (tc.gens == 0) || locked != (chain == nil) {
+				t.Fatalf("engine serves %T, want a chain unless the estimator is foreign", eng.state().est)
 			}
-			if got := eng.Generations(); got != tc.gens {
-				t.Fatalf("Generations() = %d, want %d", got, tc.gens)
+			if got := eng.Generations(); got != max(tc.gens, 1) {
+				t.Fatalf("Generations() = %d, want %d", got, max(tc.gens, 1))
 			}
-			if a := eng.Stats().Adapt; a == nil || a.Generations != tc.gens {
+			if a := eng.Stats().Adapt; chain != nil && (a == nil || a.Generations != tc.gens) {
 				t.Fatalf("Stats().Adapt = %+v, want %d generations", a, tc.gens)
 			}
 			sameAnswers := func(when string) {
@@ -133,8 +145,28 @@ func TestBootstrapEveryEngineServesAChain(t *testing.T) {
 			}
 			sameAnswers("restored")
 
-			if err := eng.Ingest(context.Background(), more...); err != nil {
-				t.Fatal(err)
+			for i, e := range more {
+				switch i % 3 {
+				case 0:
+					err = eng.Ingest(context.Background(), e)
+				case 1:
+					_, err = eng.TryIngest(more[i : i+1])
+					for errors.Is(err, ErrIngestQueueFull) {
+						runtime.Gosched()
+						_, err = eng.TryIngest(more[i : i+1])
+					}
+				case 2:
+					var a Admission
+					if a, err = eng.Admit(more[i : i+1]); err == nil {
+						a.Apply()
+					}
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.base != nil {
+					tc.base.Update(e)
+				}
 			}
 			if err := eng.Drain(context.Background()); err != nil {
 				t.Fatal(err)
@@ -143,8 +175,37 @@ func TestBootstrapEveryEngineServesAChain(t *testing.T) {
 				tc.ref.UpdateBatch(more)
 			}
 			sameAnswers("after ingest")
-			if n := eng.state().chain.SampleSize(); n != 0 {
-				t.Fatalf("a static engine's chain holds %d sampled edges, want none", n)
+			if chain != nil && chain.SampleSize() != 0 {
+				t.Fatalf("a static engine's chain holds %d sampled edges, want none", chain.SampleSize())
+			}
+			if tc.base == nil {
+				return
+			}
+			want := tc.base.EstimateBatch(qs)
+			for i, got := range eng.QueryBatch(qs) {
+				if got != want[i] || got.Estimate != tc.base.EstimateEdge(qs[i].Src, qs[i].Dst) {
+					t.Fatalf("query %d: engine %+v, per-edge reference %+v", i, got, want[i])
+				}
+			}
+			var saved, snap bytes.Buffer
+			if _, err = eng.Save(&saved); chain == nil {
+				if err == nil {
+					t.Fatal("an engine over a foreign estimator saved")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, metas, err := core.ReadChainMeta(bytes.NewReader(saved.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := core.WriteChainMeta(&snap, []io.WriterTo{tc.base}, metas); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(saved.Bytes(), snap.Bytes()) {
+				t.Fatal("the engine's snapshot differs from the per-edge reference's")
 			}
 		})
 	}

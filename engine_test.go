@@ -497,7 +497,7 @@ func TestEngineCloseDuringRepartition(t *testing.T) {
 		t.Fatalf("final snapshot missing: %v", err)
 	}
 	defer f.Close()
-	if _, err := core.ReadChain(f); err != nil {
+	if _, _, err := core.ReadChainMeta(f); err != nil {
 		t.Fatalf("final snapshot unreadable: %v", err)
 	}
 	// Post-close ingest fails typed; reads stay usable.

@@ -33,7 +33,8 @@ const (
 	DefaultCollisionC = core.DefaultCollisionC
 )
 
-// Estimator is the common query surface of GSketch, Concurrent and Chain.
+// Estimator is the batch surface GSketch, Concurrent and Chain share; the
+// per-edge Update and EstimateEdge are GSketch's alone.
 type Estimator = core.Estimator
 
 // GSketch is the partitioned estimator — the paper's contribution. The
@@ -165,7 +166,7 @@ const (
 
 // EstimateBatch answers a batch of edge queries in one routed pass over
 // the estimator, returning one bound-carrying Result per query in input
-// order. Point estimates are identical to per-edge EstimateEdge; routing,
+// order. Point estimates are identical to GSketch.EstimateEdge; routing,
 // locking (under Concurrent) and per-partition counter passes are
 // amortized across the batch.
 func EstimateBatch(est Estimator, qs []EdgeQuery) []Result {

@@ -122,16 +122,17 @@ func TestPublicConcurrent(t *testing.T) {
 func TestPublicBatchedQueryAPI(t *testing.T) {
 	edges := synthetic(20000)
 	g := openPopulated(t, gsketch.Config{TotalBytes: 64 << 10, Seed: 5}, edges[:2000], edges).Estimator()
+	one := func(s, d uint64) int64 { return g.EstimateBatch([]gsketch.EdgeQuery{{Src: s, Dst: d}})[0].Estimate }
 
-	// EstimateBatch matches per-edge EstimateEdge and carries guarantees.
+	// EstimateBatch matches one-query batches and carries guarantees.
 	qs := []gsketch.EdgeQuery{{Src: 1, Dst: 101}, {Src: 2, Dst: 102}, {Src: 987654, Dst: 1}}
 	res := gsketch.EstimateBatch(g, qs)
 	if len(res) != len(qs) {
 		t.Fatalf("EstimateBatch returned %d results", len(res))
 	}
 	for i, q := range qs {
-		if res[i].Estimate != g.EstimateEdge(q.Src, q.Dst) {
-			t.Fatalf("query %d: batch %d vs sequential %d", i, res[i].Estimate, g.EstimateEdge(q.Src, q.Dst))
+		if res[i].Estimate != one(q.Src, q.Dst) {
+			t.Fatalf("query %d: batch %d vs one-query %d", i, res[i].Estimate, one(q.Src, q.Dst))
 		}
 		if res[i].Confidence <= 0 || res[i].Confidence >= 1 {
 			t.Fatalf("query %d: confidence %v", i, res[i].Confidence)
@@ -143,14 +144,14 @@ func TestPublicBatchedQueryAPI(t *testing.T) {
 
 	// Answer resolves each query kind through one batched pass.
 	edge := gsketch.Answer(g, gsketch.EdgeQuery{Src: 1, Dst: 101})
-	if edge.Value != float64(g.EstimateEdge(1, 101)) {
+	if edge.Value != float64(one(1, 101)) {
 		t.Fatalf("Answer(edge) = %v", edge.Value)
 	}
 	sub := gsketch.Answer(g, gsketch.SubgraphQuery{
 		Edges: []gsketch.EdgeQuery{{Src: 1, Dst: 101}, {Src: 2, Dst: 102}},
 		Agg:   gsketch.Sum,
 	})
-	wantSum := float64(g.EstimateEdge(1, 101) + g.EstimateEdge(2, 102))
+	wantSum := float64(one(1, 101) + one(2, 102))
 	if sub.Value != wantSum {
 		t.Fatalf("Answer(subgraph SUM) = %v, want %v", sub.Value, wantSum)
 	}
@@ -158,8 +159,8 @@ func TestPublicBatchedQueryAPI(t *testing.T) {
 		t.Fatalf("subgraph bound %v", sub.ErrorBound)
 	}
 	node := gsketch.Answer(g, gsketch.NodeQuery{Node: 1, Out: []uint64{101, 102}, Agg: gsketch.Max})
-	wantMax := float64(g.EstimateEdge(1, 101))
-	if m := float64(g.EstimateEdge(1, 102)); m > wantMax {
+	wantMax := float64(one(1, 101))
+	if m := float64(one(1, 102)); m > wantMax {
 		wantMax = m
 	}
 	if node.Value != wantMax {

@@ -296,32 +296,14 @@ func (c *Chain) head() *compact.Segment {
 	return h
 }
 
-// Update folds one edge arrival into the head and offers it to the data
-// reservoir. The shared lock is held across both so a rotation or
-// compaction install (exclusive lock) observes fully landed writes — the
-// invariant that makes frozen generations immutable — and freezes the head
-// with a reservoir that has seen them.
-func (c *Chain) Update(e stream.Edge) {
-	if c.span > 0 {
-		c.UpdateBatch([]stream.Edge{e})
-		return
-	}
-	c.mu.RLock()
-	c.gens[len(c.gens)-1].Update(e)
-	if c.res != nil {
-		c.resMu.Lock()
-		c.res.Observe(e)
-		c.resMu.Unlock()
-	}
-	c.mu.RUnlock()
-}
-
 // UpdateBatch folds a batch into the head (sharded route-then-scatter under
-// the head's striped locks) and offers every edge to the data reservoir,
-// under the shared lock as Update does. On a windowed chain that holds for
-// each run of edges the head takes — its own window, an earlier one, a
-// negative time — and the first edge of a later window rotates the chain to
-// that window first.
+// the head's striped locks) and offers every edge to the data reservoir.
+// The shared lock is held across both so a rotation or compaction install
+// (exclusive lock) observes fully landed writes — the invariant that makes
+// frozen generations immutable — and freezes the head with a reservoir
+// that has seen them. On a windowed chain that holds for each run of edges
+// the head takes — its own window, an earlier one, a negative time — and
+// the first edge of a later window rotates the chain to that window first.
 func (c *Chain) UpdateBatch(edges []stream.Edge) {
 	for len(edges) > 0 {
 		c.mu.RLock()
@@ -412,19 +394,6 @@ func (c *Chain) buildWindow(adjacent bool) *core.GSketch {
 		panic(fmt.Sprintf("adapt: window sketch: %v", err)) // SetWindows takes a valid build
 	}
 	return g
-}
-
-// EstimateEdge answers an edge query as the sum of every generation's
-// estimate — each generation never underestimates its own stream segment,
-// so the sum never underestimates the whole stream.
-func (c *Chain) EstimateEdge(src, dst uint64) int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var sum int64
-	for i := len(c.gens) - 1; i >= 0; i-- {
-		sum += c.gens[i].EstimateEdge(src, dst)
-	}
-	return sum
 }
 
 // EstimateBatch answers a batch of edge queries across all generations in a

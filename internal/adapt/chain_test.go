@@ -95,9 +95,9 @@ func TestChainEquivalenceAcrossSplitStream(t *testing.T) {
 			t.Fatalf("edge (%d,%d): stream total %d, want chain-wide %d",
 				q.Src, q.Dst, res[i].StreamTotal, exact.Total())
 		}
-		// The batched chain answer must equal the per-edge gather.
-		if got := chain.EstimateEdge(q.Src, q.Dst); got != res[i].Estimate {
-			t.Fatalf("edge (%d,%d): EstimateEdge %d != batched %d", q.Src, q.Dst, got, res[i].Estimate)
+		// The batched chain answer must equal the one-query gather.
+		if got := chain.EstimateBatch([]core.EdgeQuery{q})[0].Estimate; got != res[i].Estimate {
+			t.Fatalf("edge (%d,%d): one-query batch %d != batched %d", q.Src, q.Dst, got, res[i].Estimate)
 		}
 	}
 }
@@ -179,7 +179,7 @@ func TestChainSerializationRoundTrip(t *testing.T) {
 	if _, err := chain.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	gens, err := core.ReadChain(bytes.NewReader(buf.Bytes()))
+	gens, _, err := core.ReadChainMeta(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,7 +199,7 @@ func TestChainCompactSaturatedVolume(t *testing.T) {
 	}
 	// Counter cells saturate at 2³²−1, so that is what a heavy edge reads.
 	for _, e := range heavy {
-		if got := chain.EstimateEdge(e.Src, e.Dst); got < math.MaxUint32 {
+		if got := chain.EstimateBatch([]core.EdgeQuery{{Src: e.Src, Dst: e.Dst}})[0].Estimate; got < math.MaxUint32 {
 			t.Fatalf("edge (%d,%d): estimate %d below a saturated cell", e.Src, e.Dst, got)
 		}
 	}

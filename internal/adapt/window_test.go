@@ -54,8 +54,8 @@ func windows(c *Chain) (idx []int64, parts []int) {
 
 // An in-order stream over windows 0..3 makes four generations: the
 // bootstrap head takes window 0, and each later window is partitioned from
-// the reservoir of the window before it. Edge by edge or in batches, the
-// windows are the same, byte for byte.
+// the reservoir of the window before it. In one-edge batches or longer
+// ones, the windows are the same, byte for byte.
 func TestWindowChainRollsOver(t *testing.T) {
 	c := windowChain(t, 100, ChainConfig{SampleSize: 200, Seed: 1})
 	one := windowChain(t, 100, ChainConfig{SampleSize: 200, Seed: 1})
@@ -66,7 +66,7 @@ func TestWindowChainRollsOver(t *testing.T) {
 	c.UpdateBatch(edges[:10])
 	c.UpdateBatch(edges[10:])
 	for _, e := range edges {
-		one.Update(e)
+		one.UpdateBatch([]stream.Edge{e})
 	}
 	var a, b bytes.Buffer
 	if _, err := c.WriteTo(&a); err != nil {
@@ -103,7 +103,7 @@ func TestWindowChainGapOpensOneGlobalWindow(t *testing.T) {
 	c.UpdateBatch(timed(testStream(100, 3), 0))
 	const far = 1_000_000
 	c.UpdateBatch(timed(testStream(100, 4), 300))
-	c.Update(stream.Edge{Src: 1, Dst: 2, Weight: 5, Time: far * 100})
+	c.UpdateBatch([]stream.Edge{{Src: 1, Dst: 2, Weight: 5, Time: far * 100}})
 	idx, parts := windows(c)
 	if want := []int64{0, 3, far}; !slices.Equal(idx, want) {
 		t.Fatalf("window indices %v, want %v", idx, want)
@@ -141,7 +141,7 @@ func TestWindowChainLateAndNegativeTimes(t *testing.T) {
 	if got := c.EstimateWindow([]core.EdgeQuery{{Src: 7, Dst: 8}}, 200, 299)[0].Estimate; got < 2 {
 		t.Fatalf("window 2 answers %d for the late edge, want ≥ 2", got)
 	}
-	if got := c.EstimateEdge(7, 8); got < 9 {
+	if got := c.EstimateBatch([]core.EdgeQuery{{Src: 7, Dst: 8}})[0].Estimate; got < 9 {
 		t.Fatalf("all-time estimate %d, want ≥ 9", got)
 	}
 }
@@ -151,7 +151,7 @@ func TestWindowChainLateAndNegativeTimes(t *testing.T) {
 func TestWindowChainClampAtMaxInt64(t *testing.T) {
 	const span = 1000
 	c := windowChain(t, span, ChainConfig{SampleSize: 16, Seed: 1})
-	c.Update(stream.Edge{Src: 1, Dst: 2, Weight: 7, Time: math.MaxInt64})
+	c.UpdateBatch([]stream.Edge{{Src: 1, Dst: 2, Weight: 7, Time: math.MaxInt64}})
 	last := int64(math.MaxInt64 / span * span)
 	q := []core.EdgeQuery{{Src: 1, Dst: 2}}
 	if got := c.EstimateWindow(q, last, math.MaxInt64)[0].Estimate; got != 7 {
@@ -170,7 +170,7 @@ func TestWindowChainOverlapWeights(t *testing.T) {
 		t.Fatalf("a chain with no window answers %d, want 0", got)
 	}
 	for w := int64(0); w < 3; w++ {
-		c.Update(stream.Edge{Src: 1, Dst: 2, Weight: 100, Time: w * 100})
+		c.UpdateBatch([]stream.Edge{{Src: 1, Dst: 2, Weight: 100, Time: w * 100}})
 	}
 	q := []core.EdgeQuery{{Src: 1, Dst: 2}}
 	for _, tc := range []struct {
@@ -200,7 +200,7 @@ func TestWindowChainOverlapWeights(t *testing.T) {
 func TestWindowChainDropsOldestAtCap(t *testing.T) {
 	c := windowChain(t, 10, ChainConfig{SampleSize: 16, Seed: 1, MaxGenerations: 3})
 	for w := int64(0); w < 5; w++ {
-		c.Update(stream.Edge{Src: 1, Dst: 2, Time: w * 20}) // every other window
+		c.UpdateBatch([]stream.Edge{{Src: 1, Dst: 2, Time: w * 20}}) // every other window
 	}
 	idx, _ := windows(c)
 	if want := []int64{4, 6, 8}; !slices.Equal(idx, want) {
@@ -292,9 +292,9 @@ func TestWindowChainFarFutureGap(t *testing.T) {
 		{Src: 5, Dst: 6, Weight: 1, Time: far + 2},
 	}
 	for name, update := range map[string]func(*Chain, []stream.Edge){
-		"Update": func(c *Chain, edges []stream.Edge) {
+		"one-edge": func(c *Chain, edges []stream.Edge) {
 			for _, e := range edges {
-				c.Update(e)
+				c.UpdateBatch([]stream.Edge{e})
 			}
 		},
 		"UpdateBatch": func(c *Chain, edges []stream.Edge) { c.UpdateBatch(edges) },
@@ -381,7 +381,7 @@ func TestWindowChainAccuracyAgainstExact(t *testing.T) {
 	exact.ObserveAll(edges)
 	var over, n float64
 	exact.RangeEdges(func(src, dst uint64, f int64) bool {
-		est := c.EstimateEdge(src, dst)
+		est := c.EstimateBatch([]core.EdgeQuery{{Src: src, Dst: dst}})[0].Estimate
 		if est < f {
 			t.Fatalf("all-time estimate %d below truth %d for (%d,%d)", est, f, src, dst)
 		}

@@ -46,6 +46,11 @@ func frozenSegment(t *testing.T, build []stream.Edge, seed uint64, slice []strea
 	return s
 }
 
+// estimate answers e's edge from s as a one-query batch.
+func estimate(s *Segment, e stream.Edge) int64 {
+	return s.AppendEstimates(nil, []core.EdgeQuery{{Src: e.Src, Dst: e.Dst}})[0].Estimate
+}
+
 func TestPolicyDefaultsEnabledTriggered(t *testing.T) {
 	p := Policy{}.WithDefaults()
 	if p.Fold != 2 || p.Interval != 30*time.Second {
@@ -181,8 +186,8 @@ func TestFoldExactMerge(t *testing.T) {
 		t.Fatalf("merged lineage %d, want 2", got)
 	}
 	for _, e := range edges[:300] {
-		sum := a.EstimateEdge(e.Src, e.Dst) + b.EstimateEdge(e.Src, e.Dst)
-		if got := merged.EstimateEdge(e.Src, e.Dst); got < sum {
+		sum := estimate(a, e) + estimate(b, e)
+		if got := estimate(merged, e); got < sum {
 			// min-of-sums ≥ sum-of-mins: the merged CountMin can only
 			// answer at or above the gathered sum, never below.
 			t.Fatalf("edge (%d,%d): merged %d < gathered sum %d", e.Src, e.Dst, got, sum)
@@ -237,7 +242,7 @@ func TestSegmentSpillReloadRoundTrip(t *testing.T) {
 
 	want := make([]int64, 200)
 	for i, e := range edges[:200] {
-		want[i] = live.EstimateEdge(e.Src, e.Dst)
+		want[i] = estimate(live, e)
 	}
 	wantCount := live.Count()
 	wantBytes := live.MemoryBytes()
@@ -264,7 +269,7 @@ func TestSegmentSpillReloadRoundTrip(t *testing.T) {
 
 	// First query lazily reloads; answers are byte-identical.
 	for i, e := range edges[:200] {
-		if got := live.EstimateEdge(e.Src, e.Dst); got != want[i] {
+		if got := estimate(live, e); got != want[i] {
 			t.Fatalf("edge (%d,%d): reloaded %d != original %d", e.Src, e.Dst, got, want[i])
 		}
 	}

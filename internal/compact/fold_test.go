@@ -112,7 +112,7 @@ func TestFoldInPlaceMatchesCopiedSources(t *testing.T) {
 				// Query one resident source so its access ordinal is set.
 				for _, s := range segs {
 					if s.Resident() {
-						s.EstimateEdge(edges[0].Src, edges[0].Dst)
+						estimate(s, edges[0])
 						break
 					}
 				}

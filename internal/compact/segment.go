@@ -109,11 +109,8 @@ func (s *Segment) Freeze(frozenAt int64, sample []stream.Edge, seen int64) {
 	}
 }
 
-// Update folds one edge into the segment. Only the chain head is updated;
-// it is never spilled, so live is always set there.
-func (s *Segment) Update(e stream.Edge) { s.live.Load().conc.Update(e) }
-
-// UpdateBatch folds a batch into the segment (head only).
+// UpdateBatch folds a batch into the segment. Only the chain head is
+// updated; it is never spilled, so live is always set there.
 func (s *Segment) UpdateBatch(edges []stream.Edge) { s.live.Load().conc.UpdateBatch(edges) }
 
 // acquire returns the resident state, reloading from the spill file if the
@@ -142,12 +139,6 @@ func (s *Segment) acquire() (*residentState, error) {
 	return ls, nil
 }
 
-// EstimateBatch answers a query batch from the segment in a result slice of
-// its own; AppendEstimates is the same answer into a caller's buffer.
-func (s *Segment) EstimateBatch(qs []core.EdgeQuery) []core.Result {
-	return s.AppendEstimates(make([]core.Result, 0, len(qs)), qs)
-}
-
 // AppendEstimates answers a query batch from the segment, appending to dst
 // and lazily reloading a spilled segment. A reload failure degrades to zero
 // contributions (with a zero confidence so combined answers advertise the
@@ -162,16 +153,6 @@ func (s *Segment) AppendEstimates(dst []core.Result, qs []core.EdgeQuery) []core
 		return dst
 	}
 	return ls.conc.AppendEstimates(dst, qs)
-}
-
-// EstimateEdge answers one edge query, lazily reloading a spilled segment.
-func (s *Segment) EstimateEdge(src, dst uint64) int64 {
-	s.lastAccess.Store(accessClock.Add(1))
-	ls, err := s.acquire()
-	if err != nil {
-		return 0
-	}
-	return ls.conc.EstimateEdge(src, dst)
 }
 
 // Count returns the segment's stream volume: live when resident, the

@@ -144,7 +144,7 @@ func TestConcurrentUpdateBatchByteIdentical(t *testing.T) {
 			c.UpdateBatch(edges[lo:hi])
 		} else {
 			for _, e := range edges[lo:hi] {
-				c.Update(e)
+				c.UpdateBatch([]stream.Edge{e})
 			}
 		}
 	}

@@ -35,7 +35,7 @@ func writeChainV3(w io.Writer, gens []io.WriterTo) (int64, error) {
 }
 
 // A pre-chain (PR 3-era) snapshot is exactly what GSketch.WriteTo still
-// produces: a version-2 stream. ReadChain must load it as a one-generation
+// produces: a version-2 stream. ReadChainMeta must load it as a one-generation
 // chain answering byte-identically, and the on-disk version number must not
 // have moved — that is the backward-compat contract.
 func TestReadChainLoadsPreChainSnapshot(t *testing.T) {
@@ -55,9 +55,9 @@ func TestReadChainLoadsPreChainSnapshot(t *testing.T) {
 		t.Fatalf("single-sketch snapshot version = %d, want %d (pre-chain byte streams must stay loadable)", v, gskVersion)
 	}
 
-	gens, err := ReadChain(bytes.NewReader(raw))
+	gens, _, err := ReadChainMeta(bytes.NewReader(raw))
 	if err != nil {
-		t.Fatalf("ReadChain on pre-chain stream: %v", err)
+		t.Fatalf("ReadChainMeta on pre-chain stream: %v", err)
 	}
 	if len(gens) != 1 {
 		t.Fatalf("generations = %d, want 1", len(gens))
@@ -89,7 +89,7 @@ func TestWriteChainReadChainRoundTrip(t *testing.T) {
 	if _, err := WriteChainMeta(&buf, writers, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadChain(bytes.NewReader(buf.Bytes()))
+	got, _, err := ReadChainMeta(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,25 +120,25 @@ func TestReadChainRejectsCorruptContainers(t *testing.T) {
 	raw := buf.Bytes()
 
 	// Truncated mid-generation.
-	if _, err := ReadChain(bytes.NewReader(raw[:len(raw)/2])); err == nil {
+	if _, _, err := ReadChainMeta(bytes.NewReader(raw[:len(raw)/2])); err == nil {
 		t.Fatal("truncated chain loaded")
 	}
 	// Implausible generation count.
 	bad := append([]byte(nil), raw...)
 	binary.LittleEndian.PutUint64(bad[8:16], 1<<20)
-	if _, err := ReadChain(bytes.NewReader(bad)); err == nil {
+	if _, _, err := ReadChainMeta(bytes.NewReader(bad)); err == nil {
 		t.Fatal("implausible generation count loaded")
 	}
 	// Unknown version.
 	bad = append([]byte(nil), raw...)
 	binary.LittleEndian.PutUint32(bad[4:8], 99)
-	if _, err := ReadChain(bytes.NewReader(bad)); err == nil {
+	if _, _, err := ReadChainMeta(bytes.NewReader(bad)); err == nil {
 		t.Fatal("unknown version loaded")
 	}
 	// Bad magic.
 	bad = append([]byte(nil), raw...)
 	binary.LittleEndian.PutUint32(bad[0:4], 0xdeadbeef)
-	if _, err := ReadChain(bytes.NewReader(bad)); err == nil {
+	if _, _, err := ReadChainMeta(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic loaded")
 	}
 	// ReadGSketch stays strict: it must refuse the chain container.
@@ -149,7 +149,7 @@ func TestReadChainRejectsCorruptContainers(t *testing.T) {
 		t.Fatal("WriteChainMeta accepted an empty chain")
 	}
 	// Corruption errors carry the sketch.ErrCorrupt sentinel for errors.Is.
-	if _, err := ReadChain(bytes.NewReader(raw[:4])); !errors.Is(err, sketch.ErrCorrupt) {
+	if _, _, err := ReadChainMeta(bytes.NewReader(raw[:4])); !errors.Is(err, sketch.ErrCorrupt) {
 		t.Fatalf("truncated header error %v does not wrap ErrCorrupt", err)
 	}
 }
@@ -283,9 +283,9 @@ func TestRouteStats(t *testing.T) {
 	}
 	c := NewConcurrent(g)
 
-	// Writes: 100 routed edges batched, 1 outlier edge single-path.
+	// Writes: 100 routed edges in one batch, 1 outlier edge in another.
 	c.UpdateBatch(sample)
-	c.Update(stream.Edge{Src: 999, Dst: 1, Weight: 1})
+	c.UpdateBatch([]stream.Edge{{Src: 999, Dst: 1, Weight: 1}})
 	w := c.WriteRouteCounts()
 	if w.Total != int64(len(sample))+1 {
 		t.Fatalf("write total = %d, want %d", w.Total, len(sample)+1)
@@ -301,7 +301,7 @@ func TestRouteStats(t *testing.T) {
 		t.Fatalf("write partition hits = %d, want %d", partSum, len(sample))
 	}
 
-	// Reads: batched queries, half known half unknown, plus one single.
+	// Reads: 40 queries, half known half unknown, then a one-query batch.
 	var qs []EdgeQuery
 	for i := 0; i < 40; i++ {
 		src := uint64(i % 10)
@@ -311,7 +311,7 @@ func TestRouteStats(t *testing.T) {
 		qs = append(qs, EdgeQuery{Src: src, Dst: 0})
 	}
 	c.EstimateBatch(qs)
-	c.EstimateEdge(777, 0)
+	c.EstimateBatch([]EdgeQuery{{Src: 777, Dst: 0}})
 	r := c.ReadRouteCounts()
 	if r.Total != 41 {
 		t.Fatalf("read total = %d, want 41", r.Total)

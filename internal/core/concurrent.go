@@ -55,19 +55,6 @@ func NewConcurrent(g *GSketch) *Concurrent {
 // stripeOf maps a shard to its lock stripe.
 func (c *Concurrent) stripeOf(shard int) int { return shard % len(c.stripes) }
 
-// Update folds one edge arrival, locking only the destination shard.
-func (c *Concurrent) Update(e stream.Edge) {
-	w := e.Increment()
-	shard := c.g.Route(e.Src)
-	c.g.writeHits[shard].Add(1)
-	key := stream.EdgeKey(e.Src, e.Dst)
-	st := c.stripeOf(shard)
-	c.stripes[st].Lock()
-	c.g.bank.Sketch(shard).Update(key, w)
-	c.stripes[st].Unlock()
-	c.g.addTotal(w)
-}
-
 // rlock read-locks the stripes guarding the touched shards, each once and
 // in ascending stripe order — the order every reader that holds several
 // takes them in — and returns the set it locked, one bit per stripe
@@ -96,8 +83,9 @@ func (c *Concurrent) runlock(set uint64) {
 // run's weight sum, then each touched stripe's groups are applied under its
 // lock in one kernel call — so concurrent batches serialize only where they
 // actually collide, and a batch's cost follows its runs and the shards it
-// touches, not its arrivals or the partition count. Counters, the stream total and the routed-write counts end up as
-// per-edge Update in stream order leaves them.
+// touches, not its arrivals or the partition count. Counters, the stream
+// total and the routed-write counts end up as GSketch.Update in stream
+// order leaves them.
 func (c *Concurrent) UpdateBatch(edges []stream.Edge) {
 	if len(edges) == 0 {
 		return
@@ -119,19 +107,6 @@ func (c *Concurrent) UpdateBatch(edges []stream.Edge) {
 	}
 	c.pool.Put(gr)
 	c.g.addTotal(total)
-}
-
-// EstimateEdge answers an edge query, read-locking only the shard the
-// source vertex routes to.
-func (c *Concurrent) EstimateEdge(src, dst uint64) int64 {
-	shard := c.g.Route(src)
-	c.g.readHits[shard].Add(1)
-	key := stream.EdgeKey(src, dst)
-	st := c.stripeOf(shard)
-	c.stripes[st].RLock()
-	v := c.g.bank.Sketch(shard).Estimate(key)
-	c.stripes[st].RUnlock()
-	return v
 }
 
 // Count returns the stream volume folded in so far.

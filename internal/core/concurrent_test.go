@@ -9,7 +9,7 @@ import (
 )
 
 // TestConcurrentManyWritersCrossCheck drives many writer goroutines (mixing
-// per-edge and batched pushes) plus concurrent readers through the sharded
+// one-edge and 512-edge batches) plus concurrent readers through the sharded
 // Concurrent, then cross-checks the final state against the truth and a
 // one-goroutine per-edge reference (assertCountedLike). Run under -race
 // this is the primary data-race test for the sharded ingest path.
@@ -47,7 +47,7 @@ func TestConcurrentManyWritersCrossCheck(t *testing.T) {
 				default:
 				}
 				e := probe[i%len(probe)]
-				_ = c.EstimateEdge(e.Src, e.Dst)
+				_ = c.EstimateBatch([]EdgeQuery{{Src: e.Src, Dst: e.Dst}})
 				_ = c.Count()
 			}
 		}(uint64(77 + r))
@@ -67,7 +67,7 @@ func TestConcurrentManyWritersCrossCheck(t *testing.T) {
 				}
 			} else {
 				for _, e := range edges {
-					c.Update(e)
+					c.UpdateBatch([]stream.Edge{e})
 				}
 			}
 		}(streams[w], w%2 == 0)
@@ -97,8 +97,8 @@ func TestConcurrentGlobalSketch(t *testing.T) {
 			defer wg.Done()
 			c.UpdateBatch(part)
 			for _, e := range part[:100] {
-				c.Update(e)
-				_ = c.EstimateEdge(e.Src, e.Dst)
+				c.UpdateBatch([]stream.Edge{e})
+				_ = c.EstimateBatch([]EdgeQuery{{Src: e.Src, Dst: e.Dst}})
 			}
 		}(edges[w*2500 : (w+1)*2500])
 	}

@@ -22,16 +22,17 @@ func batchQueries(edges []stream.Edge, n int) []EdgeQuery {
 	return qs
 }
 
-// assertBatchMatchesSequential requires EstimateBatch to return exactly the
-// per-edge EstimateEdge values, in input order.
-func assertBatchMatchesSequential(t *testing.T, name string, est Estimator, qs []EdgeQuery) {
+// assertBatchMatchesSequential requires est's EstimateBatch to return
+// exactly the per-edge EstimateEdge values of ref, the sketch est serves, in
+// input order.
+func assertBatchMatchesSequential(t *testing.T, name string, est Estimator, ref *GSketch, qs []EdgeQuery) {
 	t.Helper()
 	res := est.EstimateBatch(qs)
 	if len(res) != len(qs) {
 		t.Fatalf("%s: %d results for %d queries", name, len(res), len(qs))
 	}
 	for i, q := range qs {
-		if want := est.EstimateEdge(q.Src, q.Dst); res[i].Estimate != want {
+		if want := ref.EstimateEdge(q.Src, q.Dst); res[i].Estimate != want {
 			t.Fatalf("%s: query %d (%d,%d): batch %d, sequential %d",
 				name, i, q.Src, q.Dst, res[i].Estimate, want)
 		}
@@ -43,9 +44,9 @@ func TestGSketchEstimateBatchMatchesEstimateEdge(t *testing.T) {
 	g := buildBatchTestSketch(t, 71)
 	Populate(g, edges)
 	qs := batchQueries(edges, 10_000)
-	assertBatchMatchesSequential(t, "gsketch", g, qs)
+	assertBatchMatchesSequential(t, "gsketch", g, g, qs)
 	// Second batch reuses the gather scratch.
-	assertBatchMatchesSequential(t, "gsketch-reuse", g, qs[:100])
+	assertBatchMatchesSequential(t, "gsketch-reuse", g, g, qs[:100])
 }
 
 func TestGlobalSketchEstimateBatchMatchesEstimateEdge(t *testing.T) {
@@ -55,14 +56,14 @@ func TestGlobalSketchEstimateBatchMatchesEstimateEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	Populate(g, edges)
-	assertBatchMatchesSequential(t, "global", g, batchQueries(edges, 10_000))
+	assertBatchMatchesSequential(t, "global", g, g, batchQueries(edges, 10_000))
 }
 
 func TestConcurrentEstimateBatchMatchesEstimateEdge(t *testing.T) {
 	edges := batchTestStream(50_000, 79)
 	c := NewConcurrent(buildBatchTestSketch(t, 79))
 	Populate(c, edges)
-	assertBatchMatchesSequential(t, "concurrent-sharded", c, batchQueries(edges, 10_000))
+	assertBatchMatchesSequential(t, "concurrent-sharded", c, c.Unwrap(), batchQueries(edges, 10_000))
 
 	// The leafless Global Sketch: one stripe over one outlier shard.
 	gl, err := BuildGlobalSketch(Config{TotalWidth: 4096, Seed: 79})
@@ -71,7 +72,7 @@ func TestConcurrentEstimateBatchMatchesEstimateEdge(t *testing.T) {
 	}
 	cg := NewConcurrent(gl)
 	Populate(cg, edges)
-	assertBatchMatchesSequential(t, "concurrent-global", cg, batchQueries(edges, 5_000))
+	assertBatchMatchesSequential(t, "concurrent-global", cg, gl, batchQueries(edges, 5_000))
 }
 
 func TestEstimateBatchEmptyAndSingleton(t *testing.T) {
@@ -227,7 +228,7 @@ func TestConcurrentEstimateBatchUnderWriters(t *testing.T) {
 	wg.Wait()
 	<-readerDone
 
-	assertBatchMatchesSequential(t, "concurrent-after-writers", c, qs)
+	assertBatchMatchesSequential(t, "concurrent-after-writers", c, c.Unwrap(), qs)
 }
 
 // TestConcurrentAppendEstimatesIntoCallerBuffer: the append path answers

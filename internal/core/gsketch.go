@@ -13,23 +13,20 @@ import (
 
 // Estimator is the query surface of a graph-stream frequency summary
 // answering edge-frequency point queries: GSketch, its Concurrent wrapper
-// and the adaptive chain implement it.
+// and the adaptive chain implement it. It is batch-only; the paper's
+// per-edge update and point query stay on GSketch (Update, EstimateEdge)
+// as the reference the batched paths are tested against.
 type Estimator interface {
-	// Update folds one edge arrival into the summary. A zero Weight counts
-	// as 1 (the paper's default frequency).
-	Update(e stream.Edge)
 	// UpdateBatch folds a slice of edge arrivals in slice order, producing
-	// the same state as the equivalent sequence of Update calls while
-	// amortizing routing and dispatch across the batch.
+	// the same state as GSketch.Update over the same edges while
+	// amortizing routing and dispatch across the batch. A zero Weight
+	// counts as 1 (the paper's default frequency).
 	UpdateBatch(edges []stream.Edge)
-	// EstimateEdge returns the estimated accumulated frequency of the
-	// directed edge (src, dst) as a bare point estimate.
-	EstimateEdge(src, dst uint64) int64
 	// EstimateBatch answers a batch of edge queries in one routed pass,
 	// returning one Result per query in input order. Each Result carries
-	// the point estimate — identical to EstimateEdge on the same state —
-	// plus the answering partition, that sketch's ε·N_i error bound with
-	// its 1-δ confidence, and a snapshot of the stream total.
+	// the point estimate — identical to GSketch.EstimateEdge on the same
+	// state — plus the answering partition, that sketch's ε·N_i error
+	// bound with its 1-δ confidence, and a snapshot of the stream total.
 	EstimateBatch(qs []EdgeQuery) []Result
 	// Count returns the total stream volume N folded in so far.
 	Count() int64

@@ -11,7 +11,7 @@ import (
 // Global Sketch baseline on average relative error — must hold on all
 // three (scaled-down) dataset stand-ins under memory pressure.
 
-func evalARE(t *testing.T, est Estimator, exact *stream.ExactCounter, seed uint64) float64 {
+func evalARE(t *testing.T, est *GSketch, exact *stream.ExactCounter, seed uint64) float64 {
 	t.Helper()
 	// Distinct-uniform edge queries, as in the experiment harness.
 	edges := exact.Edges()

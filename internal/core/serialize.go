@@ -40,7 +40,7 @@ const (
 	// gskChainVersion 3: a generation-chain container. The header
 	// {magic, version, numGens} is followed by numGens self-delimiting
 	// version-2 gSketch streams, oldest generation first (the last one is
-	// the live head). ReadChain accepts both versions; ReadGSketch stays
+	// the live head). ReadChainMeta accepts both versions; ReadGSketch stays
 	// strict so callers that cannot answer from a chain fail loudly.
 	gskChainVersion = 3
 	// gskChainMetaVersion 4: the chain container with a per-generation
@@ -182,18 +182,11 @@ func WriteChainMeta(w io.Writer, gens []io.WriterTo, metas []GenerationMeta) (in
 	return n, nil
 }
 
-// ReadChain deserializes a generation chain written by WriteChainMeta, or
-// by an earlier version-3 writer — or a plain pre-chain gSketch stream
-// written by WriteTo, which loads as a single-generation chain. The
-// returned slice is oldest-first; the last element is the generation that
-// was live when the snapshot was taken. Callers that also want the lifecycle records use
-// ReadChainMeta.
-func ReadChain(r io.Reader) ([]*GSketch, error) {
-	gens, _, err := ReadChainMeta(r)
-	return gens, err
-}
-
-// ReadChainMeta is ReadChain plus the per-generation lifecycle records.
+// ReadChainMeta deserializes a generation chain written by WriteChainMeta,
+// or by an earlier version-3 writer — or a plain pre-chain gSketch stream
+// written by WriteTo, which loads as a single-generation chain — with its
+// per-generation lifecycle records. The returned slices are oldest-first;
+// the last generation is the one that was live when the snapshot was taken.
 // Version-2 and version-3 streams carry no records, so their metas come
 // back defaulted (BuiltAt 0, CompactedFrom 1); version-4 streams return
 // what WriteChainMeta stored. len(metas) always equals len(gens).

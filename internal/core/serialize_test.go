@@ -160,12 +160,12 @@ func TestConcurrentWrapper(t *testing.T) {
 		defer close(done)
 		c.UpdateBatch(edges[:2500])
 		for _, e := range edges[2500:] {
-			c.Update(e)
+			c.UpdateBatch([]stream.Edge{e})
 		}
 	}()
 	// Concurrent readers while the writer runs.
 	for i := 0; i < 1000; i++ {
-		_ = c.EstimateEdge(uint64(i%128), uint64(i%512))
+		_ = c.EstimateBatch([]EdgeQuery{{Src: uint64(i % 128), Dst: uint64(i % 512)}})
 		_ = c.Count()
 	}
 	<-done

@@ -122,8 +122,8 @@ func measurePoint(ds *Dataset, bytes int, workload []stream.Edge, queries []quer
 	return pt, nil
 }
 
-// timeQueries measures the pure estimation wall time of a query batch.
-func timeQueries(est core.Estimator, queries []query.EdgeQuery) time.Duration {
+// timeQueries measures the wall time of the paper's per-query loop.
+func timeQueries(est *core.GSketch, queries []query.EdgeQuery) time.Duration {
 	t0 := time.Now()
 	var sink int64
 	for _, q := range queries {

@@ -19,13 +19,11 @@ type pickupEstimator struct {
 	edges   atomic.Int64
 }
 
-func (p *pickupEstimator) Update(e stream.Edge) { p.UpdateBatch([]stream.Edge{e}) }
 func (p *pickupEstimator) UpdateBatch(es []stream.Edge) {
 	p.started <- struct{}{}
 	<-p.gate
 	p.edges.Add(int64(len(es)))
 }
-func (p *pickupEstimator) EstimateEdge(src, dst uint64) int64 { return 0 }
 func (p *pickupEstimator) EstimateBatch(qs []core.EdgeQuery) []core.Result {
 	return make([]core.Result, len(qs))
 }

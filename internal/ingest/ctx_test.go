@@ -21,14 +21,12 @@ type gate struct {
 
 func newGate() *gate { return &gate{release: make(chan struct{})} }
 
-func (g *gate) Update(e stream.Edge) { g.UpdateBatch([]stream.Edge{e}) }
 func (g *gate) UpdateBatch(edges []stream.Edge) {
 	<-g.release
 	g.mu.Lock()
 	g.applied += int64(len(edges))
 	g.mu.Unlock()
 }
-func (g *gate) EstimateEdge(src, dst uint64) int64              { return 0 }
 func (g *gate) EstimateBatch(qs []core.EdgeQuery) []core.Result { return make([]core.Result, len(qs)) }
 func (g *gate) Count() int64                                    { return 0 }
 func (g *gate) MemoryBytes() int                                { return 0 }

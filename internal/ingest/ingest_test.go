@@ -82,7 +82,7 @@ func assertCounted(t *testing.T, c *core.Concurrent, edges []stream.Edge) {
 		}
 	}
 	truth.RangeEdges(func(src, dst uint64, f int64) bool {
-		if got := c.EstimateEdge(src, dst); got < f {
+		if got := c.EstimateBatch([]core.EdgeQuery{{Src: src, Dst: dst}})[0].Estimate; got < f {
 			t.Fatalf("estimate (%d,%d) = %d, below the true %d", src, dst, got, f)
 		}
 		return true
@@ -172,7 +172,7 @@ func TestIngestorFlushMakesVisible(t *testing.T) {
 	if err := ing.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.EstimateEdge(1, 2); got != 35 {
+	if got := c.EstimateBatch([]core.EdgeQuery{{Src: 1, Dst: 2}})[0].Estimate; got != 35 {
 		t.Fatalf("after Flush estimate = %d, want 35", got)
 	}
 	if ing.Edges() != 5 {
@@ -297,9 +297,7 @@ type gateEstimator struct {
 	edges atomic.Int64
 }
 
-func (g *gateEstimator) Update(e stream.Edge)               { g.UpdateBatch([]stream.Edge{e}) }
-func (g *gateEstimator) UpdateBatch(es []stream.Edge)       { <-g.gate; g.edges.Add(int64(len(es))) }
-func (g *gateEstimator) EstimateEdge(src, dst uint64) int64 { return 0 }
+func (g *gateEstimator) UpdateBatch(es []stream.Edge) { <-g.gate; g.edges.Add(int64(len(es))) }
 func (g *gateEstimator) EstimateBatch(qs []core.EdgeQuery) []core.Result {
 	return make([]core.Result, len(qs))
 }

@@ -216,11 +216,9 @@ func TestEvaluateGuardsInfiniteRelativeError(t *testing.T) {
 // constantEstimator answers every query with a fixed value.
 type constantEstimator struct{ v int64 }
 
-func (e constantEstimator) Update(stream.Edge)             {}
-func (e constantEstimator) UpdateBatch([]stream.Edge)      {}
-func (e constantEstimator) EstimateEdge(s, d uint64) int64 { return e.v }
-func (e constantEstimator) Count() int64                   { return 0 }
-func (e constantEstimator) MemoryBytes() int               { return 0 }
+func (e constantEstimator) UpdateBatch([]stream.Edge) {}
+func (e constantEstimator) Count() int64              { return 0 }
+func (e constantEstimator) MemoryBytes() int          { return 0 }
 
 func (e constantEstimator) EstimateBatch(qs []core.EdgeQuery) []core.Result {
 	out := make([]core.Result, len(qs))

@@ -49,11 +49,9 @@ func TestRelativeError(t *testing.T) {
 // exactEstimator answers queries from an exact counter (zero error).
 type exactEstimator struct{ c *stream.ExactCounter }
 
-func (e exactEstimator) Update(edge stream.Edge)            { e.c.Observe(edge) }
-func (e exactEstimator) UpdateBatch(edges []stream.Edge)    { e.c.ObserveAll(edges) }
-func (e exactEstimator) EstimateEdge(src, dst uint64) int64 { return e.c.EdgeFrequency(src, dst) }
-func (e exactEstimator) Count() int64                       { return e.c.Total() }
-func (e exactEstimator) MemoryBytes() int                   { return 0 }
+func (e exactEstimator) UpdateBatch(edges []stream.Edge) { e.c.ObserveAll(edges) }
+func (e exactEstimator) Count() int64                    { return e.c.Total() }
+func (e exactEstimator) MemoryBytes() int                { return 0 }
 
 func (e exactEstimator) EstimateBatch(qs []core.EdgeQuery) []core.Result {
 	out := make([]core.Result, len(qs))
@@ -127,16 +125,14 @@ type biasedEstimator struct {
 	factor int64
 }
 
-func (e biasedEstimator) Update(stream.Edge)             {}
-func (e biasedEstimator) UpdateBatch([]stream.Edge)      {}
-func (e biasedEstimator) EstimateEdge(s, d uint64) int64 { return e.c.EdgeFrequency(s, d) * e.factor }
-func (e biasedEstimator) Count() int64                   { return e.c.Total() }
-func (e biasedEstimator) MemoryBytes() int               { return 0 }
+func (e biasedEstimator) UpdateBatch([]stream.Edge) {}
+func (e biasedEstimator) Count() int64              { return e.c.Total() }
+func (e biasedEstimator) MemoryBytes() int          { return 0 }
 
 func (e biasedEstimator) EstimateBatch(qs []core.EdgeQuery) []core.Result {
 	out := make([]core.Result, len(qs))
 	for i, q := range qs {
-		out[i] = core.Result{Estimate: e.EstimateEdge(q.Src, q.Dst), Partition: core.NoPartition}
+		out[i] = core.Result{Estimate: e.c.EdgeFrequency(q.Src, q.Dst) * e.factor, Partition: core.NoPartition}
 	}
 	return out
 }

@@ -411,7 +411,7 @@ func TestShutdownDuringAutoRepartition(t *testing.T) {
 		t.Fatalf("final snapshot missing: %v", err)
 	}
 	defer f.Close()
-	gens, err := core.ReadChain(f)
+	gens, _, err := core.ReadChainMeta(f)
 	if err != nil {
 		t.Fatalf("final snapshot unreadable: %v", err)
 	}

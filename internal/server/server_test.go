@@ -29,9 +29,7 @@ type gateEstimator struct {
 	edges atomic.Int64
 }
 
-func (g *gateEstimator) Update(e stream.Edge)               { g.UpdateBatch([]stream.Edge{e}) }
-func (g *gateEstimator) UpdateBatch(es []stream.Edge)       { <-g.gate; g.edges.Add(int64(len(es))) }
-func (g *gateEstimator) EstimateEdge(src, dst uint64) int64 { return 0 }
+func (g *gateEstimator) UpdateBatch(es []stream.Edge) { <-g.gate; g.edges.Add(int64(len(es))) }
 func (g *gateEstimator) EstimateBatch(qs []core.EdgeQuery) []core.Result {
 	return make([]core.Result, len(qs))
 }

@@ -92,7 +92,11 @@ func WithGlobal() Option {
 // and a *Concurrent one whose generation is served through the
 // Concurrent's own stripe locks, so writes through it and the engine's
 // reads still exclude each other. Any other Estimator is served behind one
-// read-write mutex, and does not snapshot.
+// read-write mutex, and does not snapshot. The engine calls only its four
+// methods: UpdateBatch (edges in slice order, a zero Weight counting 1)
+// alone under the write lock, and EstimateBatch (one Result per query, in
+// input order), Count and MemoryBytes under the shared read lock, so
+// concurrently with each other.
 func WithEstimator(est Estimator) Option {
 	return func(o *engineOptions) { o.estimator = est }
 }
@@ -397,22 +401,10 @@ type lockedEstimator struct {
 	est Estimator
 }
 
-func (l *lockedEstimator) Update(e Edge) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.est.Update(e)
-}
-
 func (l *lockedEstimator) UpdateBatch(edges []Edge) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.est.UpdateBatch(edges)
-}
-
-func (l *lockedEstimator) EstimateEdge(src, dst uint64) int64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.est.EstimateEdge(src, dst)
 }
 
 func (l *lockedEstimator) EstimateBatch(qs []EdgeQuery) []Result {
