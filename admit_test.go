@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -139,35 +140,45 @@ func TestAdmitMatchesTryIngestByteIdentical(t *testing.T) {
 }
 
 // TestAdmitHoldsDrainAndClose: an admitted batch is in flight from Admit to
-// Apply. Drain times out over it, Close waits for it, the fold lands before
-// Close returns, and nothing is admitted after.
+// Apply, on an engine opened with WithIngest or without it. Drain times out
+// over it, Close waits for it, the fold lands before Close returns, and
+// nothing is admitted after.
 func TestAdmitHoldsDrainAndClose(t *testing.T) {
-	dest := &gatedEstimator{gate: make(chan struct{})}
-	eng, err := gsketch.Open(gsketch.Config{},
-		gsketch.WithEstimator(dest), gsketch.WithIngest(gsketch.IngestConfig{Workers: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	edges := engineTestStream(100, 3)
-	adm, err := eng.Admit(edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	if err := eng.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Drain over an admitted batch = %v, want deadline exceeded", err)
-	}
-	cancel()
+	for _, tc := range []struct {
+		name string
+		opts []gsketch.Option
+	}{
+		{"WithIngest", []gsketch.Option{gsketch.WithIngest(gsketch.IngestConfig{Workers: 1})}},
+		{"no WithIngest", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dest := &gatedEstimator{gate: make(chan struct{})}
+			eng, err := gsketch.Open(gsketch.Config{}, append([]gsketch.Option{gsketch.WithEstimator(dest)}, tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edges := engineTestStream(100, 3)
+			adm, err := eng.Admit(edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			if err := eng.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("Drain over an admitted batch = %v, want deadline exceeded", err)
+			}
+			cancel()
 
-	closed := stillRunning(t, "Close", func() { _ = eng.Close() })
-	close(dest.gate)
-	adm.Apply()
-	waitDone(t, "Close", closed)
-	if got := dest.Count(); got != int64(len(edges)) {
-		t.Fatalf("folded %d edges, want %d", got, len(edges))
-	}
-	if _, err := eng.Admit(edges); !errors.Is(err, gsketch.ErrEngineClosed) {
-		t.Fatalf("Admit after Close = %v, want ErrEngineClosed", err)
+			closed := stillRunning(t, "Close", func() { _ = eng.Close() })
+			close(dest.gate)
+			adm.Apply()
+			waitDone(t, "Close", closed)
+			if got := dest.Count(); got != int64(len(edges)) {
+				t.Fatalf("folded %d edges, want %d", got, len(edges))
+			}
+			if _, err := eng.Admit(edges); !errors.Is(err, gsketch.ErrEngineClosed) {
+				t.Fatalf("Admit after Close = %v, want ErrEngineClosed", err)
+			}
+		})
 	}
 }
 
@@ -226,33 +237,6 @@ func TestAdmitRacingRestore(t *testing.T) {
 	}
 	if got := dest.Count(); got != 300 {
 		t.Fatalf("admission after Restore reached the displaced estimator: %d edges", got)
-	}
-}
-
-// TestAdmitWithoutPipelineFoldsBeforeReturn: an engine opened without
-// WithIngest has no in-flight count to register in, so Admit applies the
-// batch itself and owes nothing.
-func TestAdmitWithoutPipelineFoldsBeforeReturn(t *testing.T) {
-	edges := engineTestStream(1_000, 31)
-	eng, err := gsketch.Open(engineTestCfg, gsketch.WithSample(edges[:200]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	var want int64
-	for _, e := range edges {
-		want += e.Weight
-	}
-	adm, err := eng.Admit(edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.Estimator().Count(); got != want {
-		t.Fatalf("Count right after Admit = %d, want %d", got, want)
-	}
-	adm.Apply() // owes nothing
-	if got := eng.Estimator().Count(); got != want {
-		t.Fatalf("Count after a zero Admission's Apply = %d, want %d", got, want)
 	}
 }
 
@@ -392,12 +376,91 @@ func TestNegativeWeightRefused(t *testing.T) {
 		if got := eng.Estimator().Count(); got != 0 {
 			t.Fatalf("pipeline=%v: Count = %d after refused batches, want 0", pipeline, got)
 		}
-		if st := eng.IngestStats(); st != nil && (st.Inflight != 0 || st.QueueDepth != 0 || st.EdgesApplied != 0) {
+		if st := eng.IngestStats(); st.Inflight != 0 || st.QueueDepth != 0 || st.EdgesApplied != 0 {
 			t.Fatalf("refused batches left inflight=%d queued=%d applied=%d", st.Inflight, st.QueueDepth, st.EdgesApplied)
 		}
 		// The engine keeps serving.
 		if err := eng.Ingest(context.Background(), edges...); err != nil {
 			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestIngestReadsOwnWritesWithoutDrain: on a WithIngest engine, Ingest
+// returns with its edges applied — Count holds the stream's total with no
+// Drain — and none of them passed through the queue: every chunk of
+// BatchSize edges counts as one applied batch.
+func TestIngestReadsOwnWritesWithoutDrain(t *testing.T) {
+	edges := engineTestStream(20_000, 43)
+	eng, err := gsketch.Open(engineTestCfg, gsketch.WithSample(edges[:2_000]),
+		gsketch.WithIngest(gsketch.IngestConfig{Workers: 2, BatchSize: 256, QueueDepth: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.Ingest(context.Background(), edges...); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := eng.Estimator().Count(), totalWeight(edges); got != want {
+		t.Fatalf("Count right after Ingest = %d, want the stream's %d", got, want)
+	}
+	st := eng.IngestStats()
+	if wantBatches := int64((len(edges) + 255) / 256); st.EdgesApplied != int64(len(edges)) || st.BatchesApplied != wantBatches || st.Inflight != 0 || st.QueueDepth != 0 {
+		t.Fatalf("after Ingest: applied %d edges in %d batches, inflight %d, queued %d; want %d in %d, 0, 0",
+			st.EdgesApplied, st.BatchesApplied, st.Inflight, st.QueueDepth, len(edges), wantBatches)
+	}
+}
+
+// TestRestoreRacesChunkedIngest: a Restore racing a many-chunk Ingest moves
+// the rest of the call to the restored state. Every chunk lands whole in
+// exactly one of the displaced and the restored state, so the restored
+// Count is the snapshot's total plus whole chunks, and the two states'
+// gains add up to the stream.
+func TestRestoreRacesChunkedIngest(t *testing.T) {
+	const chunk, chunks = 64, 400
+	edges := engineTestStream(chunk*chunks, 47)
+	for i := range edges {
+		edges[i].Weight = 1
+	}
+	donor, err := gsketch.Open(engineTestCfg, gsketch.WithSample(edges[:2_000]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer donor.Close()
+	if err := donor.Ingest(context.Background(), edges[:1_000]...); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if _, err := donor.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	savedTotal := donor.Estimator().Count()
+
+	for round := 0; round < 5; round++ {
+		eng, err := gsketch.Open(engineTestCfg, gsketch.WithSample(edges[:2_000]),
+			gsketch.WithIngest(gsketch.IngestConfig{Workers: 1, BatchSize: chunk}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		displaced := eng.Estimator()
+		ingested := make(chan error, 1)
+		go func() { ingested <- eng.Ingest(context.Background(), edges...) }()
+		for eng.IngestStats().BatchesApplied == 0 {
+			runtime.Gosched()
+		}
+		if err := eng.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-ingested; err != nil {
+			t.Fatal(err)
+		}
+		before, after := displaced.Count(), eng.Estimator().Count()-savedTotal
+		if before%chunk != 0 || after%chunk != 0 || before+after != int64(len(edges)) {
+			t.Fatalf("round %d: %d edges in the displaced state and %d in the restored one, want whole %d-edge chunks adding to %d",
+				round, before, after, chunk, len(edges))
 		}
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)

@@ -38,12 +38,12 @@
 //	eng, err := gsketch.Open(gsketch.Config{TotalBytes: 1 << 20, Seed: 42},
 //		gsketch.WithSample(sample),                  // partitioning sample (§4.1)
 //		gsketch.WithWorkloadSample(workload),        // §4.2 objective (optional)
-//		gsketch.WithIngest(gsketch.IngestConfig{}),  // parallel pipeline (optional)
+//		gsketch.WithIngest(gsketch.IngestConfig{}),  // pipeline tuning (optional)
 //		gsketch.WithSnapshotDir("/var/lib/gsketch")) // persistence home (optional)
 //	if err != nil { ... }
 //	defer eng.Close()
 //
-//	_ = eng.Ingest(ctx, edges...)                // context-aware, batched
+//	_ = eng.Ingest(ctx, edges...)                // batched, applied on return
 //	res := eng.Query(alice, bob)                 // bound-carrying Result
 //	resp := eng.Answer(gsketch.SubgraphQuery{Edges: qs, Agg: gsketch.Sum})
 //	fmt.Printf("%.0f ±%.0f\n", resp.Value, resp.ErrorBound)
@@ -60,14 +60,17 @@
 // WithWindows makes the generations the §5 time windows (QueryWindow
 // answers time ranges; it excludes WithAdaptive and the lifecycle options,
 // sees what QueryBatch sees, and snapshots with every window),
-// WithWorkloadRecorder the live query-workload reservoir. With
-// WithIngest, Ingest blocks with backpressure and honors ctx cancellation
-// while blocked, returning an *IngestCanceledError that names the prefix it
-// queued; TryIngest never blocks and returns the typed ErrIngestQueueFull
-// shed signal. Admit is the arm for a producer that owns a goroutine and a whole batch (the
-// wire server's connections): it registers the batch as in flight without
-// copying it into the queue and hands back an Admission whose Apply folds
-// it on the caller's goroutine, so the caller can acknowledge in between.
+// WithWorkloadRecorder the live query-workload reservoir, and WithIngest
+// tunes the ingest pipeline every engine owns. Ingest folds its edges on
+// the caller, a BatchSize chunk at a time, and returns with them applied;
+// ctx is checked between chunks, and a cancellation returns an
+// *IngestCanceledError that names the prefix applied. TryIngest queues
+// without blocking and returns the typed ErrIngestQueueFull shed signal.
+// Admit is the arm for a producer that owns a goroutine and a whole batch
+// (the wire server's connections, and Ingest itself, chunk by chunk): it
+// registers the batch as in flight without copying it into the queue and
+// hands back an Admission whose Apply folds it on the caller's goroutine,
+// so the caller can acknowledge in between.
 // AppendQueryBatch is QueryBatch into the caller's buffer. A negative edge
 // weight refuses the whole call with ErrNegativeWeight (the sketches count
 // in the cash-register model). Drain waits — bounded by ctx — until
@@ -135,13 +138,15 @@
 // the router is immutable after construction, each partition (plus the
 // outlier sketch) is an independent update domain, and the wrapper shards
 // its locks by partition instead of serializing every writer behind one
-// mutex. WithIngest adds a full pipeline on top — a bounded multi-producer
-// queue drained by N workers:
+// mutex. Every engine owns one ingest pipeline, which WithIngest tunes:
+// Ingest admits its edges a BatchSize chunk at a time and folds each on the
+// caller's goroutine, and TryIngest queues them for N workers without
+// blocking:
 //
 //	eng, err := gsketch.Open(cfg, gsketch.WithSample(sample),
 //		gsketch.WithIngest(gsketch.IngestConfig{}))
 //	if err != nil { ... }
-//	_ = eng.Ingest(ctx, edges...) // from any number of goroutines; blocks when full
+//	_ = eng.Ingest(ctx, edges...) // from any number of goroutines; applied on return
 //	_ = eng.Close()               // drain, stop workers
 //
 // Throughput note: on a single core the batched sharded path sustains

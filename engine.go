@@ -59,26 +59,24 @@ type servingEstimator interface {
 // the engine's write lock.
 type engineState struct {
 	est servingEstimator
-	// ing is the batch-ingest pipeline, nil when the engine was opened
-	// without WithIngest (ingest then applies synchronously).
+	// ing is the batch-ingest pipeline: every accepted edge, queued by
+	// TryIngest or folded by its producer (Ingest, Admit), is registered in
+	// its in-flight count until applied.
 	ing *ingest.Ingestor
 	// chain is est as a generation chain, nil only while the engine serves
 	// a foreign estimator adopted by WithEstimator.
 	chain *adapt.Chain
 }
 
-// newState builds the serving state around est and, when the engine has
-// one, a fresh pipeline feeding it.
+// newState builds the serving state around est and a fresh pipeline
+// feeding it.
 func (e *Engine) newState(est servingEstimator) (*engineState, error) {
-	st := &engineState{est: est}
-	st.chain, _ = est.(*adapt.Chain)
-	if e.opts.ingestCfg != nil {
-		ing, err := ingest.New(est, *e.opts.ingestCfg)
-		if err != nil {
-			return nil, err
-		}
-		st.ing = ing
+	ing, err := ingest.New(est, e.opts.ingestCfg)
+	if err != nil {
+		return nil, err
 	}
+	st := &engineState{est: est, ing: ing}
+	st.chain, _ = est.(*adapt.Chain)
 	return st, nil
 }
 
@@ -131,8 +129,8 @@ type Engine struct {
 //
 // Every engine serves a generation chain (a foreign estimator adopted by
 // WithEstimator aside); without a rotation policy it is static, one
-// generation or a restored snapshot's. Everything else is composition:
-// WithIngest mounts the batched pipeline behind Ingest/TryIngest,
+// generation or a restored snapshot's. Every engine also owns one ingest
+// pipeline, which WithIngest only tunes. Everything else is composition:
 // WithAdaptive gives the chain a data reservoir and a drift-watching
 // repartition manager, WithWorkloadRecorder samples query traffic into the
 // §4.2 workload format, WithWindows makes the generations time windows, and
@@ -148,11 +146,10 @@ func Open(cfg Config, opts ...Option) (*Engine, error) {
 		return nil, err
 	}
 
-	if o.windowCfg != nil && o.ingestCfg != nil && o.ingestCfg.Workers >= 0 {
+	o.ingestCfg = o.ingestCfg.WithDefaults()
+	if o.windowCfg != nil {
 		// Windows follow apply order: queued batches apply in queue order.
-		ic := *o.ingestCfg
-		ic.Workers = 1
-		o.ingestCfg = &ic
+		o.ingestCfg.Workers = 1
 	}
 	e := &Engine{cfg: cfg, opts: o, snapPath: o.snapshotPath}
 	if o.recorderCap > 0 {
@@ -355,24 +352,18 @@ func (e *Engine) RecordsWorkload() bool { return e.rec != nil }
 // WithSnapshotFile), or "" when none is configured.
 func (e *Engine) SnapshotPath() string { return e.snapPath }
 
-// Ingest folds edges into the engine. With a pipeline (WithIngest) it is
-// the blocking, context-aware producer entry point: edges are cut into
-// batches of at most the pipeline's BatchSize, each queued as it is cut,
-// and a producer blocked on a full queue unblocks when ctx is cancelled.
-// The batches queued before the cancellation drain; the one it was blocked
-// on and the rest of edges are dropped, and the error is an
-// *IngestCanceledError naming how many edges were queued and wrapping the
-// context's error.
-// Without a pipeline the edges are applied synchronously. After Close it
-// returns ErrEngineClosed; a negative weight anywhere in edges refuses the
-// whole call with ErrNegativeWeight.
-//
-// The blocking push runs outside the engine's state lock, so a wedged
-// producer never stalls the read path behind a pending Restore. The
-// trade-off mirrors Restore's own contract: edges accepted by a pipeline
-// that a concurrent Restore then displaces are discarded with it (use
-// TryIngest, which holds the state lock across its non-blocking push,
-// when the ack must land in the serving state).
+// Ingest folds edges into the engine and returns with them applied
+// (read-your-writes). It cuts edges into chunks of the pipeline's BatchSize
+// and, for each, checks ctx, admits the chunk and folds it on the caller's
+// goroutine — Admit then Apply — so a producer pays for its own fold
+// instead of waiting on a queue. Each chunk is admitted under the state
+// lock into the pipeline serving at that moment: a Restore between chunks
+// waits for the chunk before it, which lands in the displaced state, and
+// the rest of the call goes to the restored one. When ctx ends between
+// chunks the error is an *IngestCanceledError naming how many edges were
+// applied and wrapping the context's error. After Close it returns
+// ErrEngineClosed; a negative weight anywhere in edges refuses the whole
+// call with ErrNegativeWeight.
 func (e *Engine) Ingest(ctx context.Context, edges ...Edge) error {
 	if len(edges) == 0 {
 		return ctx.Err()
@@ -380,45 +371,23 @@ func (e *Engine) Ingest(ctx context.Context, edges ...Edge) error {
 	if err := checkWeights(edges); err != nil {
 		return err
 	}
-	e.mu.RLock()
-	if e.closed.Load() {
-		e.mu.RUnlock()
-		return ErrEngineClosed
-	}
-	st := e.st
-	if st.ing == nil {
-		// The synchronous path never blocks on a queue, so applying under
-		// the read lock is safe and keeps Restore strictly ordered.
-		defer e.mu.RUnlock()
+	size := e.opts.ingestCfg.BatchSize
+	for lo := 0; lo < len(edges); lo += size {
 		if err := ctx.Err(); err != nil {
-			return &IngestCanceledError{Err: err}
+			return &IngestCanceledError{Accepted: lo, Err: err}
 		}
-		st.est.UpdateBatch(edges)
-		return nil
+		adm, err := e.admit(edges[lo:min(lo+size, len(edges))])
+		if err != nil {
+			return err
+		}
+		adm.Apply()
 	}
-	e.mu.RUnlock()
-	accepted, err := st.ing.PushBatchCtx(ctx, edges)
-	switch {
-	case err == nil:
-		return nil
-	case !errors.Is(err, ingest.ErrClosed):
-		return &IngestCanceledError{Accepted: accepted, Err: err}
-	case e.closed.Load():
-		return ErrEngineClosed
-	}
-	// The pipeline was displaced by a concurrent Restore, not closed by
-	// Close: retry the remainder against the restored state instead of
-	// failing a live engine.
-	err = e.Ingest(ctx, edges[accepted:]...)
-	if ce, ok := err.(*IngestCanceledError); ok {
-		ce.Accepted += accepted
-	}
-	return err
+	return nil
 }
 
 // IngestCanceledError is Ingest's error when its context ends before every
-// edge is queued: the first Accepted edges were queued and apply, the rest
-// were dropped. It wraps the context's error.
+// edge is applied: the first Accepted edges were applied, the rest were
+// dropped. It wraps the context's error.
 type IngestCanceledError struct {
 	Accepted int
 	Err      error
@@ -436,9 +405,8 @@ func (e *IngestCanceledError) Unwrap() error { return e.Err }
 // backpressure signal a serving frontend maps to 429/retry-later. Edges are
 // queued in batches of at most the pipeline's BatchSize, so the accepted
 // prefix is a whole number of batches, or all of edges, and the workers
-// apply all of it with no Drain needed. Without a pipeline it applies
-// synchronously and accepts everything. A negative weight anywhere in edges
-// refuses the whole call with ErrNegativeWeight.
+// apply all of it after the call returns: Drain to read it. A negative
+// weight anywhere in edges refuses the whole call with ErrNegativeWeight.
 func (e *Engine) TryIngest(edges []Edge) (int, error) {
 	if len(edges) == 0 {
 		return 0, nil
@@ -451,12 +419,7 @@ func (e *Engine) TryIngest(edges []Edge) (int, error) {
 	if e.closed.Load() {
 		return 0, ErrEngineClosed
 	}
-	st := e.st
-	if st.ing == nil {
-		st.est.UpdateBatch(edges)
-		return len(edges), nil
-	}
-	accepted, err := st.ing.TryPushBatch(edges)
+	accepted, err := e.st.ing.TryPushBatch(edges)
 	if errors.Is(err, ingest.ErrClosed) {
 		return accepted, ErrEngineClosed
 	}
@@ -495,11 +458,8 @@ type Admission struct {
 // leave edges alone until Apply returns. Admission is all or nothing and
 // never sheds; what bounds it is the caller, who folds one batch before
 // admitting the next. From Admit on, the batch is covered by Drain,
-// SaveSnapshot, Restore and Close like any accepted edge.
-//
-// An engine opened without WithIngest has no in-flight count to register
-// in: Admit then applies the batch before it returns, like TryIngest, and
-// the Admission is the zero value.
+// SaveSnapshot, Restore and Close like any accepted edge. Ingest is this
+// arm run chunk by chunk on its caller.
 func (e *Engine) Admit(edges []Edge) (Admission, error) {
 	if len(edges) == 0 {
 		return Admission{}, nil
@@ -507,20 +467,21 @@ func (e *Engine) Admit(edges []Edge) (Admission, error) {
 	if err := checkWeights(edges); err != nil {
 		return Admission{}, err
 	}
+	return e.admit(edges)
+}
+
+// admit registers a checked, non-empty batch in the serving pipeline under
+// the state lock.
+func (e *Engine) admit(edges []Edge) (Admission, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed.Load() {
 		return Admission{}, ErrEngineClosed
 	}
-	st := e.st
-	if st.ing == nil {
-		st.est.UpdateBatch(edges)
-		return Admission{}, nil
-	}
-	if err := st.ing.Admit(); err != nil {
+	if err := e.st.ing.Admit(); err != nil {
 		return Admission{}, ErrEngineClosed
 	}
-	return Admission{ing: st.ing, edges: edges}, nil
+	return Admission{ing: e.st.ing, edges: edges}, nil
 }
 
 // Apply folds the admitted batch into the estimator it was admitted to, on
@@ -528,7 +489,7 @@ func (e *Engine) Admit(edges []Edge) (Admission, error) {
 // is retired last, so a Drain that returns finds it applied. Call it exactly
 // once.
 func (a Admission) Apply() {
-	if a.ing != nil {
+	if len(a.edges) > 0 {
 		a.ing.Apply(a.edges)
 	}
 }
@@ -594,7 +555,7 @@ func (r recordingEstimator) EstimateBatch(qs []EdgeQuery) []Result {
 // inclusive: each window answers the batch in one routed pass, weighted by
 // the share of its times the range covers, so a range over every window
 // reads what QueryBatch reads. Like QueryBatch, it sees applied edges only:
-// Drain first to read an Ingest's.
+// Drain first to read a TryIngest's.
 func (e *Engine) QueryWindow(qs []EdgeQuery, t1, t2 int64) ([]float64, error) {
 	if !e.HasWindow() {
 		return nil, ErrNoWindow
@@ -648,10 +609,8 @@ func (e *Engine) SaveSnapshot(path string) (int64, error) {
 	if path == "" {
 		return 0, ErrNoSnapshotPath
 	}
-	if st := e.state(); st.ing != nil {
-		if err := st.ing.Flush(); err != nil && !errors.Is(err, ingest.ErrClosed) {
-			return 0, err
-		}
+	if err := e.state().ing.Flush(); err != nil && !errors.Is(err, ingest.ErrClosed) {
+		return 0, err
 	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".gsketch-snap-*")
@@ -681,9 +640,10 @@ func (e *Engine) SaveSnapshot(path string) (int64, error) {
 // Restore swaps the serving state for a snapshot read from r: a fresh
 // pipeline is built around the restored estimator, the swap happens under
 // the state write lock (so no edge is accepted into a displaced pipeline),
-// and the old pipeline is drained and closed afterwards. Restore
-// deliberately replaces live state: edges accepted after the snapshot
-// being restored was taken are discarded with it.
+// and the old pipeline is drained and closed afterwards; then the
+// displaced chain's tier files are removed. Restore deliberately replaces
+// live state: edges accepted after the snapshot being restored was taken
+// are discarded with it.
 //
 // The snapshot may carry one or more sketch generations, and every engine
 // serves them all as its chain. An adaptive engine rebinds its repartition
@@ -731,15 +691,15 @@ func (e *Engine) Restore(r io.Reader) error {
 		swap()
 	}
 	if closed {
-		if neu.ing != nil {
-			_ = neu.ing.Close()
-		}
+		_ = neu.ing.Close()
 		return ErrEngineClosed
 	}
-	if old.ing != nil {
-		if err := old.ing.Close(); err != nil {
-			return fmt.Errorf("gsketch: draining displaced pipeline: %w", err)
-		}
+	if err := old.ing.Close(); err != nil {
+		return fmt.Errorf("gsketch: draining displaced pipeline: %w", err)
+	}
+	if old.chain != nil {
+		// Drained: nothing writes the displaced chain again.
+		old.chain.Discard()
 	}
 	e.restored.Add(1)
 	return nil
@@ -833,7 +793,8 @@ func (e *Engine) SetSwapObserver(fn func(time.Duration)) {
 type IngestStats struct {
 	// EdgesApplied and BatchesApplied count work already folded into the
 	// estimator, by the queue's workers and by producers applying their own
-	// admitted batches (Admit; one batch each, whatever its size).
+	// admitted batches (an Admit, or one chunk of an Ingest, counts as one
+	// batch, whatever its size).
 	EdgesApplied, BatchesApplied int64
 	// QueueDepth/QueueCap are the queue's live backpressure gauges:
 	// TryIngest sheds when the queue is at capacity. Admitted batches never
@@ -888,7 +849,7 @@ type EngineStats struct {
 	StreamTotal int64
 	Partitions  int
 	MemoryBytes int
-	// Ingest is nil without a pipeline (WithIngest).
+	// Ingest is the pipeline's gauges.
 	Ingest *IngestStats
 	// Workload is nil without a recorder (WithWorkloadRecorder).
 	Workload *WorkloadStats
@@ -905,21 +866,18 @@ type EngineStats struct {
 	SnapshotsRestored int64
 }
 
-// IngestStats reports only the pipeline gauges, or nil without a
-// pipeline. Unlike Stats it never reads the estimator, so it stays
-// responsive while writers hold the stripe locks.
+// IngestStats reports only the pipeline gauges. Unlike Stats it never
+// reads the estimator, so it stays responsive while writers hold the stripe
+// locks.
 func (e *Engine) IngestStats() *IngestStats {
-	st := e.state()
-	if st.ing == nil {
-		return nil
-	}
+	ing := e.state().ing
 	return &IngestStats{
-		EdgesApplied:   st.ing.Edges(),
-		BatchesApplied: st.ing.Batches(),
-		QueueDepth:     st.ing.QueueDepth(),
-		QueueCap:       st.ing.QueueCap(),
-		Inflight:       st.ing.Inflight(),
-		Sheds:          st.ing.Sheds(),
+		EdgesApplied:   ing.Edges(),
+		BatchesApplied: ing.Batches(),
+		QueueDepth:     ing.QueueDepth(),
+		QueueCap:       ing.QueueCap(),
+		Inflight:       ing.Inflight(),
+		Sheds:          ing.Sheds(),
 	}
 }
 
@@ -967,16 +925,11 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // Drain waits — bounded by ctx — until every edge accepted or admitted
-// before the call is applied to the estimator (read-your-writes). Without a
-// pipeline it is a no-op. The drain condition is global: under sustained
-// concurrent ingest the pipeline may not quiesce, so pass a ctx with a
-// deadline when a bounded wait matters.
+// before the call is applied to the estimator (read-your-writes). The drain
+// condition is global: under sustained concurrent ingest the pipeline may
+// not quiesce, so pass a ctx with a deadline when a bounded wait matters.
 func (e *Engine) Drain(ctx context.Context) error {
-	st := e.state()
-	if st.ing == nil {
-		return ctx.Err()
-	}
-	err := st.ing.FlushCtx(ctx)
+	err := e.state().ing.FlushCtx(ctx)
 	if errors.Is(err, ingest.ErrClosed) {
 		return ErrEngineClosed
 	}
@@ -997,10 +950,8 @@ func (e *Engine) Close() error {
 			<-e.done
 		}
 		e.closed.Store(true)
-		if st := e.state(); st.ing != nil {
-			if err := st.ing.Close(); err != nil {
-				e.closeErr = err
-			}
+		if err := e.state().ing.Close(); err != nil {
+			e.closeErr = err
 		}
 		if e.opts.snapshotOnClose {
 			if _, err := e.SaveSnapshot(""); err != nil && e.closeErr == nil {

@@ -49,13 +49,10 @@ func main() {
 	st := eng.Stats()
 	fmt.Printf("engine: %d shards, %d bytes of counters\n", st.Partitions, st.MemoryBytes)
 
-	// 2. Ingest with backpressure: producers block when the pipeline is
-	//    full and unblock on ctx cancellation; TryIngest is the
-	//    never-blocking variant (it sheds with ErrIngestQueueFull).
+	// 2. Ingest: each producer folds its own edges, chunk by chunk, and
+	//    the call returns with them applied (read-your-writes); TryIngest
+	//    queues without blocking (it sheds with ErrIngestQueueFull).
 	if err := eng.Ingest(ctx, edges...); err != nil {
-		log.Fatal(err)
-	}
-	if err := eng.Drain(ctx); err != nil { // read-your-writes barrier
 		log.Fatal(err)
 	}
 

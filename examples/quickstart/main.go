@@ -29,9 +29,10 @@ func main() {
 
 	// 2. Open the engine with a deliberately tight 32 KiB budget (a
 	//    generous budget would terminate partitioning at a single
-	//    near-exact sketch via Theorem 1). WithIngest mounts the parallel
-	//    pipeline: the partition-sharded locks let its workers apply batches
-	//    in parallel (single pass, constant memory).
+	//    near-exact sketch via Theorem 1). WithIngest tunes the ingest
+	//    pipeline: its BatchSize is the chunk Ingest folds at a time, under
+	//    partition-sharded locks that let producers fold in parallel
+	//    (single pass, constant memory).
 	eng, err := gsketch.Open(gsketch.Config{TotalBytes: 32 << 10, Seed: 42},
 		gsketch.WithSample(res.Sample()),
 		gsketch.WithIngest(gsketch.IngestConfig{}))
@@ -43,13 +44,10 @@ func main() {
 	fmt.Printf("gsketch: %d localized partitions, %d bytes of counters\n",
 		g.NumPartitions(), g.MemoryBytes())
 
-	// 3. Stream the edges in. Ingest blocks while the pipeline is full;
-	//    Drain waits until every accepted edge is applied.
+	// 3. Stream the edges in. Ingest folds them on this goroutine, one
+	//    BatchSize chunk at a time, and returns with every edge applied.
 	ctx := context.Background()
 	if err := eng.Ingest(ctx, edges...); err != nil {
-		log.Fatal(err)
-	}
-	if err := eng.Drain(ctx); err != nil {
 		log.Fatal(err)
 	}
 	ing := eng.IngestStats()

@@ -53,9 +53,9 @@ type Leaf = core.Leaf
 // Populate streams a slice of edges into an estimator in batches.
 func Populate(est Estimator, edges []Edge) { core.Populate(est, edges) }
 
-// IngestConfig parameterizes the batch-ingest pipeline WithIngest mounts;
-// the zero value selects defaults (GOMAXPROCS workers, 1024-edge batches,
-// 4×Workers queue depth).
+// IngestConfig parameterizes the ingest pipeline every engine owns, which
+// WithIngest tunes; the zero value selects defaults (GOMAXPROCS workers,
+// 1024-edge batches, 4×Workers queue depth).
 type IngestConfig = ingest.Config
 
 // ErrIngestClosed reports a push against a closed ingest pipeline.

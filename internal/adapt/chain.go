@@ -151,9 +151,11 @@ type Chain struct {
 	// cap) so only one fold mutates the frozen prefix at a time, and guards
 	// refusedAt: the generation count at which a fold was last refused with
 	// compact.ErrUnfoldable (0 when none was). CompactOnce and a rotation at
-	// the cap try that fold again only once the count has changed.
+	// the cap try that fold again only once the count has changed. discarded
+	// is set by Discard: no fold runs after it.
 	compactMu sync.Mutex
 	refusedAt int
+	discarded bool
 
 	// Lifecycle configuration. Set via SetTiering/SetCompaction/SetClock
 	// before the chain is shared across goroutines (the engine configures a
@@ -635,6 +637,9 @@ func (c *Chain) fold(k int, cfg core.Config, workload []stream.Edge, retry bool)
 	start := time.Now()
 	c.compactMu.Lock()
 	defer c.compactMu.Unlock()
+	if c.discarded {
+		return compact.Result{}, ErrNothingToCompact
+	}
 
 	c.mu.RLock()
 	n := len(c.gens)
@@ -689,6 +694,22 @@ func (c *Chain) fold(k int, cfg core.Config, workload []stream.Edge, retry bool)
 		FreedBytes:  srcBytes - int64(merged.SketchBytes()),
 		Duration:    time.Since(start),
 	}, nil
+}
+
+// Discard removes every generation's tier file, for a chain no writer
+// reaches again — one a Restore displaced, once its pipeline has drained.
+// It holds compactMu, so no fold is under way or starts after it, and the
+// exclusive lock, so no gather is mid-reload; a spilled generation then
+// answers a later gather with zero contributions.
+func (c *Chain) Discard() {
+	c.compactMu.Lock()
+	defer c.compactMu.Unlock()
+	c.discarded = true
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, s := range c.gens {
+		s.Discard()
+	}
 }
 
 // EnforceResidency spills cold frozen generations past the configured

@@ -35,8 +35,10 @@ type Segment struct {
 	loadMu sync.Mutex
 	// spillPath is the on-disk version-2 stream of this segment, written
 	// once (frozen segments never change, so the file never goes stale).
-	// Guarded by loadMu.
+	// discarded is set by Discard: the segment has no future reader, and
+	// is never spilled again. Both guarded by loadMu.
 	spillPath string
+	discarded bool
 
 	meta     core.GenerationMeta
 	frozenAt atomic.Int64 // unix seconds of the displacing rotation; 0 = live or unknown
@@ -225,7 +227,8 @@ func (s *Segment) NumShards() int { return s.live.Load().conc.NumShards() }
 // Spill writes the frozen segment to a file under dir (creating it) and
 // drops the resident counters. Idempotent: a segment spilled before only
 // drops residency — the file is immutable, so it is never rewritten. Live
-// (unfrozen) spill requests are refused.
+// (unfrozen) spill requests are refused, and a discarded segment is left
+// as it is.
 func (s *Segment) Spill(dir string) error {
 	if s.frozenAt.Load() == 0 {
 		return fmt.Errorf("compact: refusing to spill a live generation")
@@ -233,8 +236,8 @@ func (s *Segment) Spill(dir string) error {
 	s.loadMu.Lock()
 	defer s.loadMu.Unlock()
 	ls := s.live.Load()
-	if ls == nil {
-		return nil // already spilled and evicted
+	if ls == nil || s.discarded {
+		return nil // already spilled and evicted, or no longer read
 	}
 	if s.spillPath == "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -261,11 +264,13 @@ func (s *Segment) Spill(dir string) error {
 	return nil
 }
 
-// Discard removes the segment's spill file, if any — called when compaction
-// replaces the segment and its disk copy has no future reader.
+// Discard removes the segment's spill file, if any, and keeps a later Spill
+// from writing another — called when compaction, a window rotation or a
+// restore replaces the segment and its disk copy has no future reader.
 func (s *Segment) Discard() {
 	s.loadMu.Lock()
 	defer s.loadMu.Unlock()
+	s.discarded = true
 	if s.spillPath != "" {
 		os.Remove(s.spillPath)
 		s.spillPath = ""

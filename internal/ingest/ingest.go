@@ -1,9 +1,8 @@
-// Package ingest provides the parallel batch-ingestion pipeline: a bounded
-// multi-producer queue of edge batches drained by N workers into a shared
-// estimator (normally a core.Concurrent wrapping a gSketch, whose
-// partition-sharded locking lets the workers proceed in parallel).
-//
-// The pipeline decouples stream arrival from counter mutation:
+// Package ingest provides the batch-ingestion pipeline every engine owns: a
+// bounded multi-producer queue of edge batches drained by N workers into a
+// shared estimator (normally a core.Concurrent wrapping a gSketch, whose
+// partition-sharded locking lets the workers proceed in parallel), beside
+// an arm for producers that fold their own batches:
 //
 //	producers ──PushBatch/TryPushBatch──▶ bounded channel ──▶ N workers ──┐
 //	                                                                      ├──▶ Estimator.UpdateBatch
@@ -16,19 +15,19 @@
 // updates commute, so how a stream is cut into batches never changes a
 // count.
 //
-// Backpressure on the queued arm is the channel bound: when the workers
-// fall behind, PushBatch blocks (TryPushBatch sheds) instead of buffering
-// unboundedly. The second arm is for a producer that already owns a
-// goroutine and a whole batch — a wire connection with a decoded frame:
-// gSketch's partitions are independent update domains behind an immutable
-// router, so any goroutine can fold its own batch under the estimator's
-// stripe locks, and copying the batch into the queue for a worker to fold
-// buys nothing. Admit registers the batch in the same in-flight count the
-// queued arm uses, Apply folds it on the caller's goroutine; what bounds
-// that arm is the caller's own (one batch per Admit, one Apply before the
-// next). Flush waits for everything accepted or admitted so far to be
-// applied; Close waits for the same drain, stops the workers and makes
-// further pushes and admissions fail with ErrClosed.
+// Backpressure on the queued arm is the channel bound: when the workers fall
+// behind, PushBatch blocks (TryPushBatch sheds) instead of buffering
+// unboundedly. The second arm is for a producer that already owns a goroutine
+// and a whole batch — a wire connection with a decoded frame, or an engine's
+// Ingest caller with its next chunk: gSketch's partitions are independent
+// update domains behind an immutable router, so any goroutine can fold its own
+// batch under the estimator's stripe locks, and copying the batch into the
+// queue for a worker to fold buys nothing. Admit registers the batch in the
+// same in-flight count the queued arm uses, Apply folds it on the caller's
+// goroutine; what bounds that arm is the caller's own (one batch per Admit, one
+// Apply before the next). Flush waits for everything accepted or admitted so
+// far to be applied; Close waits for the same drain, stops the workers and
+// makes further pushes and admissions fail with ErrClosed.
 package ingest
 
 import (
@@ -182,40 +181,28 @@ func (in *Ingestor) retire() {
 // push is the one send loop behind every push. It takes edges one batch of
 // at most BatchSize at a time: registers the batch, copies it into a pooled
 // buffer outside the lock, and sends it. With wait it blocks until the
-// queue has room or ctx is done; without, a full queue sheds at once. A
-// batch whose send does not happen is retracted, so it is neither counted
-// as accepted nor waited for. push returns the number of edges queued, a
-// prefix of edges.
-func (in *Ingestor) push(ctx context.Context, edges []stream.Edge, wait bool) (int, error) {
+// queue has room; without, a full queue sheds at once, and the batch is
+// retracted, so it is neither counted as accepted nor waited for. push
+// returns the number of edges queued, a prefix of edges.
+func (in *Ingestor) push(edges []stream.Edge, wait bool) (int, error) {
 	accepted := 0
 	for len(edges) > accepted {
-		if err := ctx.Err(); err != nil {
-			return accepted, err
-		}
 		if err := in.register(); err != nil {
 			return accepted, err
 		}
 		n := min(len(edges)-accepted, in.cfg.BatchSize)
 		buf := append(in.bufPool.Get().([]stream.Edge), edges[accepted:accepted+n]...)
-		var err error
 		if wait {
-			select {
-			case in.ch <- buf:
-			case <-ctx.Done():
-				err = ctx.Err()
-			}
+			in.ch <- buf
 		} else {
 			select {
 			case in.ch <- buf:
 			default:
 				in.sheds.Add(1)
-				err = ErrQueueFull
+				in.bufPool.Put(buf[:0])
+				in.retire()
+				return accepted, ErrQueueFull
 			}
-		}
-		if err != nil {
-			in.bufPool.Put(buf[:0])
-			in.retire()
-			return accepted, err
 		}
 		accepted += n
 	}
@@ -226,17 +213,8 @@ func (in *Ingestor) push(ctx context.Context, edges []stream.Edge, wait bool) (i
 // edges), blocking while the queue is full. It returns ErrClosed after
 // Close; batches queued before that still drain.
 func (in *Ingestor) PushBatch(edges []stream.Edge) error {
-	_, err := in.push(context.Background(), edges, true)
+	_, err := in.push(edges, true)
 	return err
-}
-
-// PushBatchCtx is PushBatch with cancellation: a producer blocked on a full
-// queue unblocks when ctx is cancelled. It returns the number of edges
-// queued — on a clean return, all of them — and ctx.Err() on cancellation,
-// ErrClosed after Close. The queued prefix drains; the batch the producer
-// was blocked on, and everything after it, is not accepted.
-func (in *Ingestor) PushBatchCtx(ctx context.Context, edges []stream.Edge) (int, error) {
-	return in.push(ctx, edges, true)
 }
 
 // TryPushBatch copies as many edges as fit into the pipeline without ever
@@ -246,7 +224,7 @@ func (in *Ingestor) PushBatchCtx(ctx context.Context, edges []stream.Edge) (int,
 // owned by the pipeline exactly as with PushBatch; rejected edges remain the
 // caller's to retry.
 func (in *Ingestor) TryPushBatch(edges []stream.Edge) (int, error) {
-	return in.push(context.Background(), edges, false)
+	return in.push(edges, false)
 }
 
 // Admit registers one batch the caller will fold itself with Apply, without

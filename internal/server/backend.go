@@ -23,9 +23,7 @@ type Backend interface {
 	// accepted-prefix errors as TryIngest, but what an engine accepts is
 	// only registered as in flight (every Drain, snapshot, restore and Close
 	// waits for it) and left in edges for the connection to fold with
-	// adm.Apply once the ack is written — see gsketch.Engine.Admit. A
-	// backend that applies the prefix itself (an engine without a
-	// pipeline) returns the zero Admission.
+	// adm.Apply once the ack is written — see gsketch.Engine.Admit.
 	Admit(edges []stream.Edge) (accepted int, adm gsketch.Admission, err error)
 	// AppendQueryBatch answers edge queries with bound-carrying results
 	// appended to dst, the caller's buffer.
@@ -67,9 +65,5 @@ func (b engineBackend) RestoreSnapshot(path string) error       { return b.eng.R
 func (b engineBackend) SnapshotPath() string                    { return b.eng.SnapshotPath() }
 
 func (b engineBackend) Health() (int64, int, int) {
-	depth := 0
-	if is := b.eng.IngestStats(); is != nil {
-		depth = is.QueueDepth
-	}
-	return b.eng.Estimator().Count(), depth, b.eng.Generations()
+	return b.eng.Estimator().Count(), b.eng.IngestStats().QueueDepth, b.eng.Generations()
 }

@@ -114,9 +114,6 @@ func (s *Server) view() view {
 	}
 	v.eng = s.eng.Stats()
 	e := &v.eng
-	if e.Ingest == nil {
-		e.Ingest = &gsketch.IngestStats{}
-	}
 	if e.Workload == nil {
 		e.Workload = &gsketch.WorkloadStats{}
 	}

@@ -33,6 +33,9 @@ import (
 // checks, and a registration in the in-flight count), the ack is written,
 // and only then is the frame folded, whole, out of its decode buffer: no
 // copy, no re-batching, and the fold overlaps the client's turn-around.
+// Every engine owns a pipeline to register in, so every engine backend
+// takes a frame this way; Engine.Ingest is the same Admit → Apply, run
+// chunk by chunk on its caller.
 //
 // Two rules keep one connection's work from starving the others:
 //

@@ -379,38 +379,6 @@ func TestWireAdmittedFrameAgainstCloseAndRestore(t *testing.T) {
 	})
 }
 
-// TestWireEngineWithoutPipelineAcksAfterFold: an engine opened without
-// WithIngest has no drain barrier to register a frame in, so the connection
-// keeps folding before it acks.
-func TestWireEngineWithoutPipelineAcksAfterFold(t *testing.T) {
-	dest := newGated()
-	eng, err := gsketch.Open(gsketch.Config{}, gsketch.WithEstimator(dest))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, wireAddr := newWireServer(t, Config{Engine: eng})
-	t.Cleanup(dest.open)
-	wc := dialWire(t, wireAddr)
-	wc.send(t, wire.AppendIngest(nil, testStream(16, 5)))
-	if err := wc.conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	if f, err := wc.dec.Next(); err == nil {
-		t.Fatalf("reply type 0x%02x arrived with the fold blocked: the ack must follow the fold", f.Type)
-	}
-	if err := wc.conn.SetReadDeadline(time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	dest.open()
-	f := wc.next(t)
-	if acc, rej, err := wire.DecodeAck(f.Payload); f.Type != wire.TypeAck || err != nil || acc != 16 || rej != 0 {
-		t.Fatalf("reply type 0x%02x ack (%d, %d, %v), want ack (16, 0)", f.Type, acc, rej, err)
-	}
-	if got := dest.edges.Load(); got != 16 {
-		t.Fatalf("%d edges folded when the ack arrived, want 16", got)
-	}
-}
-
 // TestWireTenantOverQuotaAcksPrefix: rejected > 0 survives for what really
 // is refused. A tenant over its edge rate gets the accepted-prefix ack, the
 // prefix is folded, nothing of the suffix is.

@@ -398,9 +398,7 @@ func (r *Registry) infoLocked(t *tenant) Info {
 	}
 	if t.eng != nil {
 		in.StreamTotal = t.eng.Estimator().Count()
-		if is := t.eng.IngestStats(); is != nil {
-			in.QueueDepth = is.QueueDepth
-		}
+		in.QueueDepth = t.eng.IngestStats().QueueDepth
 	}
 	return in
 }
@@ -809,9 +807,7 @@ func (h *Handle) Health() (streamTotal int64, queueDepth, generations int) {
 	generations = 1
 	_ = h.withEngine(func(eng *gsketch.Engine) error {
 		streamTotal = eng.Estimator().Count()
-		if is := eng.IngestStats(); is != nil {
-			queueDepth = is.QueueDepth
-		}
+		queueDepth = eng.IngestStats().QueueDepth
 		generations = eng.Generations()
 		return nil
 	})

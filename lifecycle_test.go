@@ -2,6 +2,7 @@ package gsketch_test
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -203,5 +204,55 @@ func TestLifecycleOptionsNeedChain(t *testing.T) {
 	); err == nil {
 		eng.Close()
 		t.Fatal("tiering with no directory accepted")
+	}
+}
+
+// TestRestoreDiscardsDisplacedTierFiles: a Restore removes the tier files of
+// the chain it displaces once that chain's pipeline has drained, so across
+// restore → ingest → repartition cycles the tier directory holds the
+// serving chain's spilled generations and nothing else.
+func TestRestoreDiscardsDisplacedTierFiles(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	tiers := filepath.Join(dir, "tiers")
+	edges := engineTestStream(24_000, 83)
+	eng, err := gsketch.Open(engineTestCfg,
+		gsketch.WithSample(edges[:2_000]),
+		gsketch.WithAdaptive(gsketch.ChainConfig{SampleSize: 4096, Seed: 7, MaxGenerations: 8}, gsketch.AdaptConfig{}),
+		gsketch.WithTiering(tiers, 1),
+		gsketch.WithSnapshotFile(filepath.Join(dir, "chain.gsk")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	seg := len(edges) / 8
+	for p := 0; p < 2; p++ {
+		if err := eng.Ingest(ctx, edges[p*seg:(p+1)*seg]...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Repartition(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.SaveSnapshot(""); err != nil {
+		t.Fatal(err)
+	}
+	for cycle := 0; cycle < 5; cycle++ {
+		if err := eng.RestoreSnapshot(""); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Ingest(ctx, edges[(2+cycle)*seg:(3+cycle)*seg]...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Repartition(); err != nil {
+			t.Fatal(err)
+		}
+		files, err := os.ReadDir(tiers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tiered := eng.Stats().Adapt.TieredGenerations; tiered == 0 || len(files) != tiered {
+			t.Fatalf("cycle %d: %d files in the tier directory, want one for each of the %d tiered generations", cycle, len(files), tiered)
+		}
 	}
 }

@@ -44,7 +44,7 @@ type engineOptions struct {
 	tierDir       string
 	tierResident  int
 
-	ingestCfg *ingest.Config
+	ingestCfg ingest.Config
 	windowCfg *WindowConfig
 
 	snapshotPath    string
@@ -170,13 +170,14 @@ func WithTiering(dir string, maxResident int) Option {
 	return func(o *engineOptions) { o.tierDir = dir; o.tierResident = maxResident }
 }
 
-// WithIngest mounts the parallel batch-ingest pipeline between
-// Ingest/TryIngest and the estimator: a bounded multi-producer queue of
-// edge batches drained by N workers through the striped locks. The zero
-// config selects the pipeline defaults (GOMAXPROCS workers, 1024-edge
-// batches, 4×workers queue depth).
+// WithIngest tunes the ingest pipeline every engine owns. Its BatchSize is
+// the chunk Ingest admits and folds on its caller at a time; TryIngest
+// queues batches of that size into a bounded queue of QueueDepth batches,
+// which Workers goroutines drain through the striped locks. Zero fields,
+// and an engine opened without WithIngest, take the pipeline defaults
+// (GOMAXPROCS workers, 1024-edge batches, 4×workers queue depth).
 func WithIngest(cfg IngestConfig) Option {
-	return func(o *engineOptions) { c := cfg; o.ingestCfg = &c }
+	return func(o *engineOptions) { o.ingestCfg = cfg }
 }
 
 // WithWindows makes the engine's generations the §5 time windows that

@@ -7,8 +7,8 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	gsketch "github.com/graphstream/gsketch"
 	"github.com/graphstream/gsketch/internal/adapt"
@@ -243,32 +243,48 @@ func TestWindowsOpenValidation(t *testing.T) {
 	}
 }
 
-// TestIngestCancelReportsPrefix: an Ingest cancelled against a full queue
-// says how many edges it queued, and exactly those are applied.
+// cancelAfter counts the edges it folds and cancels its context once the
+// count reaches after.
+type cancelAfter struct {
+	edges  atomic.Int64
+	after  int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) UpdateBatch(es []gsketch.Edge) {
+	if c.edges.Add(int64(len(es))) >= c.after {
+		c.cancel()
+	}
+}
+func (c *cancelAfter) EstimateBatch(qs []gsketch.EdgeQuery) []gsketch.Result {
+	return make([]gsketch.Result, len(qs))
+}
+func (c *cancelAfter) Count() int64     { return c.edges.Load() }
+func (c *cancelAfter) MemoryBytes() int { return 0 }
+
+// TestIngestCancelReportsPrefix: an Ingest whose context ends between two
+// chunks stops there, says how many edges it applied, and exactly those are
+// counted, with no Drain.
 func TestIngestCancelReportsPrefix(t *testing.T) {
-	est := &gatedEstimator{gate: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	est := &cancelAfter{after: 35, cancel: cancel} // ends in the fourth chunk
 	eng, err := gsketch.Open(engineTestCfg, gsketch.WithEstimator(est),
-		gsketch.WithIngest(gsketch.IngestConfig{Workers: 1, BatchSize: 10, QueueDepth: 2}))
+		gsketch.WithIngest(gsketch.IngestConfig{Workers: 1, BatchSize: 10}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
 	err = eng.Ingest(ctx, make([]gsketch.Edge, 1_000)...)
 	var ce *gsketch.IngestCanceledError
-	if !errors.As(err, &ce) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Ingest against a full queue = %v, want an IngestCanceledError wrapping the deadline", err)
+	if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Ingest cancelled mid-call = %v, want an IngestCanceledError wrapping context.Canceled", err)
 	}
-	if ce.Accepted <= 0 || ce.Accepted >= 1_000 {
-		t.Fatalf("reported prefix %d, want part of the 1000 edges", ce.Accepted)
-	}
-	close(est.gate)
-	if err := eng.Drain(context.Background()); err != nil {
-		t.Fatal(err)
+	if ce.Accepted != 40 {
+		t.Fatalf("reported prefix %d, want the 4 chunks of 10 folded before the cancellation was seen", ce.Accepted)
 	}
 	if got := est.Count(); got != int64(ce.Accepted) {
-		t.Fatalf("count %d after Drain, want the reported prefix %d", got, ce.Accepted)
+		t.Fatalf("count %d, want the reported prefix %d", got, ce.Accepted)
 	}
 }
 
