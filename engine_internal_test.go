@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -519,5 +520,42 @@ func TestLifecycleOneGoroutine(t *testing.T) {
 			t.Fatalf("%d goroutines of Open's and %d ingest workers left after Close", l-lifecycle0, w-workers0)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRestoreDisplacedStateCollected: the chain and pipeline a Restore
+// displaces are freed, with their generations, by the next collection,
+// though their pools served batches in the same GC cycle.
+func TestRestoreDisplacedStateCollected(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no cycle but the test's
+	edges := internalTestStream(12_000, 23)
+	eng, err := Open(internalTestCfg, WithSample(edges[:2000]),
+		WithAdaptive(adapt.ChainConfig{SampleSize: 4096, Seed: 7}, AdaptConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	pivots(t, eng, edges[:8000], 2)
+	var snap bytes.Buffer
+	if _, err := eng.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(eng.state().chain.Head(), func(*GSketch) { close(freed) })
+	if _, err := eng.TryIngest(edges[8000:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	eng.QueryBatch(internalTestQueries(edges, 256))
+	if err := eng.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(time.Second):
+		t.Fatal("the displaced chain's head outlived one collection")
 	}
 }

@@ -516,12 +516,12 @@ func TestBootstrapReleasesDataSample(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1 Mi-edge sample")
 	}
-	heap := func() uint64 {
+	heap := func() runtime.MemStats {
 		runtime.GC()
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
-		return m.HeapInuse
+		return m
 	}
 	const edges, sampleBytes = 1 << 20, 32 << 20
 	base := heap()
@@ -530,8 +530,10 @@ func TestBootstrapReleasesDataSample(t *testing.T) {
 	for i := range sample {
 		sample[i] = gsketch.Edge{Src: uint64(rng.Intn(1 << 14)), Dst: uint64(rng.Intn(1 << 16)), Weight: 1}
 	}
-	if grown := heap() - base; grown < sampleBytes {
-		t.Fatalf("the sample accounts for %d heap bytes, expected at least %d", grown, sampleBytes)
+	// TotalAlloc only grows: memory another test's goroutine frees
+	// meanwhile cannot move it, as it could a HeapInuse delta.
+	if alloc := heap().TotalAlloc - base.TotalAlloc; alloc < sampleBytes {
+		t.Fatalf("the sample accounts for %d allocated bytes, expected at least %d", alloc, sampleBytes)
 	}
 	eng, err := gsketch.Open(gsketch.Config{TotalBytes: 1 << 20, Seed: 1},
 		gsketch.WithSample(sample),
@@ -546,7 +548,7 @@ func TestBootstrapReleasesDataSample(t *testing.T) {
 	sample = nil
 	// Counters (1 MiB), a router over 16 Ki sources, the chain's reservoir,
 	// the ingest queue: a few MB. The sample would be 32 more.
-	if held := int64(heap()) - int64(base); held > sampleBytes/2 {
+	if held := int64(heap().HeapInuse) - int64(base.HeapInuse); held > sampleBytes/2 {
 		t.Errorf("%d heap bytes in use after Open and a dropped sample: the engine still holds it", held)
 	}
 	if eng.Stats().Partitions < 2 {

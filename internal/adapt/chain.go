@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -144,8 +145,10 @@ type Chain struct {
 	res   *stream.Reservoir
 
 	// scratch pools the buffer a gather collects each frozen generation's
-	// answers in (*[]core.Result), one per in-flight AppendEstimates.
-	scratch sync.Pool
+	// answers in (*[]core.Result), one per in-flight AppendEstimates. By
+	// pointer: sync keeps a used pool reachable through the next collection,
+	// and an embedded one would keep a displaced chain's generations alive.
+	scratch *sync.Pool
 
 	// compactMu serializes compactions (manual, policy-driven, and at the
 	// cap) so only one fold mutates the frozen prefix at a time, and guards
@@ -215,9 +218,8 @@ func (c *Chain) Like(gens []*core.GSketch, metas []core.GenerationMeta) *Chain {
 }
 
 func newChain(cfg ChainConfig, gens []*compact.Segment) *Chain {
-	c := &Chain{cfg: cfg, gens: gens, now: time.Now}
-	c.scratch.New = func() any { return new([]core.Result) }
-	return c
+	return &Chain{cfg: cfg, gens: gens, now: time.Now,
+		scratch: &sync.Pool{New: func() any { return new([]core.Result) }}}
 }
 
 // segments wraps deserialized generations, oldest first, as segments: the
@@ -373,6 +375,9 @@ func (c *Chain) rotateWindow(slot uint64) {
 			}
 		}
 		c.mu.Unlock()
+		// Unlike a fold's sources, the dropped window is not collected: a
+		// windowed chain rotates once per window, which can be often, and on
+		// the writer that crossed into the window, which a collection stalls.
 		if dropped != nil {
 			dropped.Discard()
 		}
@@ -623,10 +628,16 @@ func (c *Chain) CompactOnce(k int, cfg core.Config, workload []stream.Edge) (com
 	return res, err
 }
 
-// observed passes a completed fold to onFold, off compactMu.
+// observed collects once after a completed fold, so its sources and what
+// its residency pass spilled are freed now (the serving paths allocate next
+// to nothing and would not prompt a collection for a long while), then
+// passes the fold to onFold; both off compactMu.
 func (c *Chain) observed(res compact.Result, err error) (compact.Result, error) {
-	if res.Folded > 0 && c.onFold != nil {
-		c.onFold(res)
+	if res.Folded > 0 {
+		runtime.GC()
+		if c.onFold != nil {
+			c.onFold(res)
+		}
 	}
 	return res, err
 }
@@ -684,7 +695,8 @@ func (c *Chain) fold(k int, cfg core.Config, workload []stream.Edge, retry bool)
 	for _, s := range srcs {
 		s.Discard()
 	}
-	if _, err := c.EnforceResidency(); err != nil {
+	// No collection here: observed collects once for the drop and the spill.
+	if _, err := c.spillCold(); err != nil {
 		_ = err // best-effort, as on the rotation path
 	}
 	return compact.Result{
@@ -714,8 +726,18 @@ func (c *Chain) Discard() {
 
 // EnforceResidency spills cold frozen generations past the configured
 // resident cap (least recently queried first), returning how many were
-// spilled. A no-op unless SetTiering configured a directory and cap.
+// spilled. A no-op unless SetTiering configured a directory and cap. A pass
+// that spilled collects once, as a fold does.
 func (c *Chain) EnforceResidency() (int, error) {
+	spilled, err := c.spillCold()
+	if spilled > 0 {
+		runtime.GC()
+	}
+	return spilled, err
+}
+
+// spillCold is EnforceResidency without the collection.
+func (c *Chain) spillCold() (int, error) {
 	if c.tierDir == "" || c.tierResident <= 0 {
 		return 0, nil
 	}

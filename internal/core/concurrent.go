@@ -36,7 +36,10 @@ import (
 type Concurrent struct {
 	g       *GSketch
 	stripes []sync.RWMutex
-	pool    sync.Pool // *grouping, one per in-flight batch of either direction
+	// pool holds *grouping, one per in-flight batch of either direction. sync
+	// keeps a used pool reachable through the next collection: held by
+	// pointer, with a New that sees sizes only, it keeps no sketch alive.
+	pool *sync.Pool
 }
 
 // maxLockStripes bounds the lock array. Far above any realistic worker
@@ -46,10 +49,10 @@ const maxLockStripes = 64
 // NewConcurrent wraps g. The wrapper owns synchronization; callers must not
 // use g directly afterwards.
 func NewConcurrent(g *GSketch) *Concurrent {
-	n := min(g.NumShards(), maxLockStripes)
-	c := &Concurrent{g: g, stripes: make([]sync.RWMutex, n)}
-	c.pool.New = func() any { return newGrouping(g.NumShards(), n) }
-	return c
+	shards := g.NumShards()
+	n := min(shards, maxLockStripes)
+	return &Concurrent{g: g, stripes: make([]sync.RWMutex, n),
+		pool: &sync.Pool{New: func() any { return newGrouping(shards, n) }}}
 }
 
 // stripeOf maps a shard to its lock stripe.

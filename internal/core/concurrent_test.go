@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"math/bits"
 	"sync"
 	"testing"
 
+	"github.com/graphstream/gsketch/internal/hashutil"
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
@@ -271,5 +273,50 @@ func TestConcurrentWriteToGlobalRoundTrips(t *testing.T) {
 		if r != want[i] {
 			t.Fatalf("query %d: loaded %+v, live %+v", i, r, want[i])
 		}
+	}
+}
+
+// TestConcurrentRlockHoldsTwoStripes: a query chunk touching shards on two
+// stripes read-locks both, and runlock releases both.
+func TestConcurrentRlockHoldsTwoStripes(t *testing.T) {
+	c := NewConcurrent(buildBatchTestSketch(t, 41))
+	if len(c.stripes) < 2 {
+		t.Fatalf("one lock stripe (%d shards)", c.NumShards())
+	}
+	// The first two probes that route to different stripes.
+	var qs []EdgeQuery
+	var want uint64
+	for _, e := range batchTestStream(1000, 9) {
+		st := c.stripeOf(c.g.routeMixed(hashutil.Mix64(e.Src), e.Src))
+		if want&(1<<st) == 0 {
+			want |= 1 << st
+			qs = append(qs, EdgeQuery{Src: e.Src, Dst: e.Dst})
+		}
+		if len(qs) == 2 {
+			break
+		}
+	}
+	if len(qs) < 2 {
+		t.Fatal("every probe routes to one stripe")
+	}
+	gr := c.pool.Get().(*grouping)
+	defer c.pool.Put(gr)
+	gr.routeQueries(c.g, qs)
+	set := c.rlock(gr.touched)
+	if set != want {
+		t.Fatalf("rlock locked stripes %b, the chunk touches %b", set, want)
+	}
+	for s := set; s != 0; s &= s - 1 {
+		if st := bits.TrailingZeros64(s); c.stripes[st].TryLock() {
+			t.Fatalf("stripe %d write-locked under the chunk's read lock", st)
+		}
+	}
+	c.runlock(set)
+	for s := set; s != 0; s &= s - 1 {
+		st := bits.TrailingZeros64(s)
+		if !c.stripes[st].TryLock() {
+			t.Fatalf("stripe %d still locked after runlock", st)
+		}
+		c.stripes[st].Unlock()
 	}
 }

@@ -101,7 +101,10 @@ type Ingestor struct {
 
 	ch      chan []stream.Edge
 	workers sync.WaitGroup
-	bufPool sync.Pool // []stream.Edge with cap = BatchSize
+	// bufPool holds []stream.Edge buffers of cap BatchSize. By pointer: sync
+	// keeps a used pool reachable through the next collection, and an
+	// embedded one would keep a displaced pipeline, and dest, alive with it.
+	bufPool *sync.Pool
 
 	// mu guards closed and inflight. inflight counts batches registered
 	// (queued, being sent, or admitted) but not yet applied; drained wakes
@@ -137,7 +140,7 @@ func New(dest core.Estimator, cfg Config) (*Ingestor, error) {
 		ch:   make(chan []stream.Edge, cfg.QueueDepth),
 		done: make(chan struct{}),
 	}
-	in.bufPool.New = func() any { return make([]stream.Edge, 0, cfg.BatchSize) }
+	in.bufPool = &sync.Pool{New: func() any { return make([]stream.Edge, 0, cfg.BatchSize) }}
 	in.drained = sync.NewCond(&in.mu)
 	in.workers.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
