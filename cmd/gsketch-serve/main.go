@@ -115,60 +115,62 @@ func fatal(logger *slog.Logger, msg string, args ...any) {
 	os.Exit(1)
 }
 
+// The flags, read where they are used: main, runTenants and engineOptions.
+var (
+	addr     = flag.String("addr", ":7071", "listen address")
+	wireAddr = flag.String("wire-addr", "", "binary wire-protocol listen address (empty = disabled)")
+
+	restorePath  = flag.String("restore", "", "bootstrap from this snapshot file")
+	samplePath   = flag.String("sample", "", "bootstrap a partitioned gSketch from this edge file (text or binary)")
+	workloadPath = flag.String("workload", "", "optional query-workload sample steering partitioning (§4.2)")
+	global       = flag.Bool("global", false, "bootstrap the unpartitioned Global Sketch baseline")
+	sampleCap    = flag.Int("sample-cap", 1<<16, "max edges of -sample read and used for partitioning (0 = all)")
+
+	totalBytes = flag.Int("bytes", 4<<20, "counter memory budget in bytes")
+	depth      = flag.Int("depth", 0, "sketch depth d (0 = default)")
+	seed       = flag.Uint64("seed", 42, "hash-family seed")
+	partitions = flag.Int("partitions", 0, "partition cap (0 = unbounded)")
+
+	workers   = flag.Int("workers", 0, "HTTP ingest workers (0 = GOMAXPROCS); wire connections fold their own frames")
+	batchSize = flag.Int("batch", 0, "max edges per queued HTTP batch (0 = default 1024)")
+	queue     = flag.Int("queue", 0, "HTTP ingest queue depth in batches (0 = 4x workers)")
+
+	snapshotPath   = flag.String("snapshot", "gsketch.snap", "default snapshot path for /snapshot/save and -snapshot-on-exit")
+	snapshotOnExit = flag.Bool("snapshot-on-exit", false, "save a final snapshot to -snapshot, which must be set, during graceful shutdown")
+
+	workloadCap  = flag.Int("workload-cap", 4096, "query-workload reservoir capacity (negative disables capture)")
+	windowSpan   = flag.Int64("window-span", 0, "make the generations time windows of this span (0 = disabled; excludes -adapt)")
+	windowSample = flag.Int("window-sample", 1024, "reservoir size feeding each window's partitioning (with -window-span)")
+
+	adaptOn       = flag.Bool("adapt", false, "serve a generation chain with adaptive repartitioning (POST /repartition; incompatible with -global)")
+	adaptSample   = flag.Int("adapt-sample", 8192, "data-reservoir capacity feeding rebuilds (with -adapt)")
+	adaptMaxGens  = flag.Int("adapt-max-gens", 8, "generation cap of the chain (with -adapt)")
+	adaptInterval = flag.Duration("adapt-interval", 0, "auto-repartition check interval (0 = on-demand only)")
+	adaptDrift    = flag.Float64("adapt-drift", 0.5, "workload-divergence threshold for auto repartitioning")
+	adaptOutlier  = flag.Float64("adapt-outlier", 0.25, "outlier-share threshold for auto repartitioning")
+
+	compactMaxGens  = flag.Int("compact-max-gens", 0, "fold old generations when the chain exceeds this length (0 = disabled; with -adapt)")
+	compactAge      = flag.Duration("compact-age", 0, "fold when the oldest frozen generation exceeds this age (0 = disabled)")
+	compactMem      = flag.Int64("compact-mem", 0, "fold when the chain's resident counter bytes exceed this (0 = disabled)")
+	compactFold     = flag.Int("compact-fold", 0, "generations folded per compaction (0 = default 2)")
+	compactInterval = flag.Duration("compact-interval", 0, "background compaction check interval (0 = default 30s)")
+	tierDir         = flag.String("tier-dir", "", "spill cold frozen generations to files under this directory (with -adapt)")
+	tierResident    = flag.Int("tier-resident", 0, "max frozen generations kept resident in RAM with -tier-dir")
+
+	tenantsOn     = flag.Bool("tenants", false, "serve a multi-tenant registry: data path under /t/{tenant}/..., admin API at /t")
+	tenantDir     = flag.String("tenant-dir", "tenants", "tenant registry root: manifest plus one snapshot dir per tenant (with -tenants)")
+	tenantMaxRes  = flag.Int("tenant-max-resident", 0, "max tenants with a live engine; LRU-evict to disk past it (0 = unlimited)")
+	tenantMaxRate = flag.Float64("tenant-max-edges-per-sec", 0, "default per-tenant ingest rate cap (0 = unlimited)")
+	tenantBurst   = flag.Int("tenant-burst", 0, "default per-tenant token-bucket burst (0 = one second of rate)")
+
+	shutdownTimeout = flag.Duration("shutdown-timeout", 30*time.Second, "graceful shutdown deadline")
+
+	logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")
+	logFormat = flag.String("log-format", "text", "log format: text or json")
+	pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
+)
+
 func main() {
-	var (
-		addr     = flag.String("addr", ":7071", "listen address")
-		wireAddr = flag.String("wire-addr", "", "binary wire-protocol listen address (empty = disabled)")
-
-		restorePath  = flag.String("restore", "", "bootstrap from this snapshot file")
-		samplePath   = flag.String("sample", "", "bootstrap a partitioned gSketch from this edge file (text or binary)")
-		workloadPath = flag.String("workload", "", "optional query-workload sample steering partitioning (§4.2)")
-		global       = flag.Bool("global", false, "bootstrap the unpartitioned Global Sketch baseline")
-		sampleCap    = flag.Int("sample-cap", 1<<16, "max edges of -sample read and used for partitioning (0 = all)")
-
-		totalBytes = flag.Int("bytes", 4<<20, "counter memory budget in bytes")
-		depth      = flag.Int("depth", 0, "sketch depth d (0 = default)")
-		seed       = flag.Uint64("seed", 42, "hash-family seed")
-		partitions = flag.Int("partitions", 0, "partition cap (0 = unbounded)")
-
-		workers   = flag.Int("workers", 0, "HTTP ingest workers (0 = GOMAXPROCS); wire connections fold their own frames")
-		batchSize = flag.Int("batch", 0, "max edges per queued HTTP batch (0 = default 1024)")
-		queue     = flag.Int("queue", 0, "HTTP ingest queue depth in batches (0 = 4x workers)")
-
-		snapshotPath   = flag.String("snapshot", "gsketch.snap", "default snapshot path for /snapshot/save and -snapshot-on-exit")
-		snapshotOnExit = flag.Bool("snapshot-on-exit", false, "save a final snapshot to -snapshot, which must be set, during graceful shutdown")
-
-		workloadCap  = flag.Int("workload-cap", 4096, "query-workload reservoir capacity (negative disables capture)")
-		windowSpan   = flag.Int64("window-span", 0, "make the generations time windows of this span (0 = disabled; excludes -adapt)")
-		windowSample = flag.Int("window-sample", 1024, "reservoir size feeding each window's partitioning (with -window-span)")
-
-		adaptOn       = flag.Bool("adapt", false, "serve a generation chain with adaptive repartitioning (POST /repartition; incompatible with -global)")
-		adaptSample   = flag.Int("adapt-sample", 8192, "data-reservoir capacity feeding rebuilds (with -adapt)")
-		adaptMaxGens  = flag.Int("adapt-max-gens", 8, "generation cap of the chain (with -adapt)")
-		adaptInterval = flag.Duration("adapt-interval", 0, "auto-repartition check interval (0 = on-demand only)")
-		adaptDrift    = flag.Float64("adapt-drift", 0.5, "workload-divergence threshold for auto repartitioning")
-		adaptOutlier  = flag.Float64("adapt-outlier", 0.25, "outlier-share threshold for auto repartitioning")
-
-		compactMaxGens  = flag.Int("compact-max-gens", 0, "fold old generations when the chain exceeds this length (0 = disabled; with -adapt)")
-		compactAge      = flag.Duration("compact-age", 0, "fold when the oldest frozen generation exceeds this age (0 = disabled)")
-		compactMem      = flag.Int64("compact-mem", 0, "fold when the chain's resident counter bytes exceed this (0 = disabled)")
-		compactFold     = flag.Int("compact-fold", 0, "generations folded per compaction (0 = default 2)")
-		compactInterval = flag.Duration("compact-interval", 0, "background compaction check interval (0 = default 30s)")
-		tierDir         = flag.String("tier-dir", "", "spill cold frozen generations to files under this directory (with -adapt)")
-		tierResident    = flag.Int("tier-resident", 0, "max frozen generations kept resident in RAM with -tier-dir")
-
-		tenantsOn     = flag.Bool("tenants", false, "serve a multi-tenant registry: data path under /t/{tenant}/..., admin API at /t")
-		tenantDir     = flag.String("tenant-dir", "tenants", "tenant registry root: manifest plus one snapshot dir per tenant (with -tenants)")
-		tenantMaxRes  = flag.Int("tenant-max-resident", 0, "max tenants with a live engine; LRU-evict to disk past it (0 = unlimited)")
-		tenantMaxRate = flag.Float64("tenant-max-edges-per-sec", 0, "default per-tenant ingest rate cap (0 = unlimited)")
-		tenantBurst   = flag.Int("tenant-burst", 0, "default per-tenant token-bucket burst (0 = one second of rate)")
-
-		shutdownTimeout = flag.Duration("shutdown-timeout", 30*time.Second, "graceful shutdown deadline")
-
-		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		logFormat = flag.String("log-format", "text", "log format: text or json")
-		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
-	)
 	flag.Parse()
 
 	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
@@ -202,46 +204,19 @@ func main() {
 		MaxPartitions: *partitions,
 	}
 
-	if *tenantsOn {
-		runTenants(logger, root, tenantFlags{
-			addr:        *addr,
-			wireAddr:    *wireAddr,
-			dir:         *tenantDir,
-			maxResident: *tenantMaxRes,
-			maxRate:     *tenantMaxRate,
-			burst:       *tenantBurst,
-			sketch:      cfg,
-			samplePath:  *samplePath,
-			sampleCap:   *sampleCap,
-			ingest:      gsketch.IngestConfig{Workers: *workers, BatchSize: *batchSize, QueueDepth: *queue},
-			shutdown:    *shutdownTimeout,
+	ingestCfg := gsketch.IngestConfig{Workers: *workers, BatchSize: *batchSize, QueueDepth: *queue}
 
-			restore:    *restorePath != "",
-			global:     *global,
-			adapt:      *adaptOn,
-			windowSpan: *windowSpan,
-		})
+	if *tenantsOn {
+		runTenants(logger, root, cfg, ingestCfg)
 		return
 	}
-	opts, err := engineOptions(bootstrapFlags{
-		restorePath:  *restorePath,
-		samplePath:   *samplePath,
-		workloadPath: *workloadPath,
-		global:       *global,
-		sampleCap:    *sampleCap,
-		adapt:        *adaptOn,
-		adaptSample:  *adaptSample,
-		adaptMaxGens: *adaptMaxGens,
-		adaptDrift:   *adaptDrift,
-		adaptOutlier: *adaptOutlier,
-		seed:         *seed,
-	})
+	opts, err := engineOptions()
 	if err != nil {
 		fatal(logger, "bootstrap failed", "error", err)
 	}
 
 	opts = append(opts,
-		gsketch.WithIngest(gsketch.IngestConfig{Workers: *workers, BatchSize: *batchSize, QueueDepth: *queue}),
+		gsketch.WithIngest(ingestCfg),
 		gsketch.WithSnapshotFile(*snapshotPath),
 	)
 	if *snapshotOnExit {
@@ -297,42 +272,42 @@ func main() {
 		fatal(logger, "server init failed", "error", err)
 	}
 
-	serveUntilSignal(logger, srv, *addr, *wireAddr, *shutdownTimeout)
+	serveUntilSignal(logger, srv)
 }
 
 // serveUntilSignal runs the HTTP (and optional wire) listeners until
 // SIGINT/SIGTERM, then drains through srv.Shutdown. Shared by the engine
 // and tenant paths.
-func serveUntilSignal(logger *slog.Logger, srv *server.Server, addr, wireAddr string, shutdownTimeout time.Duration) {
+func serveUntilSignal(logger *slog.Logger, srv *server.Server) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	// Both addresses are bound before either is served, so that a /readyz
 	// answered over HTTP means the wire listener accepts too.
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(logger, "listen failed", "addr", addr, "error", err)
+		fatal(logger, "listen failed", "addr", *addr, "error", err)
 	}
 	var wln net.Listener
-	if wireAddr != "" {
-		if wln, err = net.Listen("tcp", wireAddr); err != nil {
-			fatal(logger, "listen failed", "addr", wireAddr, "error", err)
+	if *wireAddr != "" {
+		if wln, err = net.Listen("tcp", *wireAddr); err != nil {
+			fatal(logger, "listen failed", "addr", *wireAddr, "error", err)
 		}
 	}
 	errc := make(chan error, 2)
 	listeners := 1
 	go func() { errc <- srv.Serve(ln) }()
-	logger.Info("listening", "addr", addr)
+	logger.Info("listening", "addr", *addr)
 	if wln != nil {
 		listeners++
 		go func() { errc <- srv.ServeWire(wln) }()
-		logger.Info("wire protocol listening", "addr", wireAddr)
+		logger.Info("wire protocol listening", "addr", *wireAddr)
 	}
 
 	select {
 	case <-ctx.Done():
 		logger.Info("signal received, draining", "timeout", shutdownTimeout.String())
-		sctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+		sctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
 		defer cancel()
 		if err := srv.Shutdown(sctx); err != nil {
 			fatal(logger, "shutdown failed", "error", err)
@@ -348,85 +323,54 @@ func serveUntilSignal(logger *slog.Logger, srv *server.Server, addr, wireAddr st
 	}
 }
 
-// tenantFlags is the -tenants slice of the flag set, plus the
-// incompatible modes tenant mode must refuse.
-type tenantFlags struct {
-	addr, wireAddr string
-	dir            string
-	maxResident    int
-	maxRate        float64
-	burst          int
-	sketch         gsketch.Config
-	samplePath     string
-	sampleCap      int
-	ingest         gsketch.IngestConfig
-	shutdown       time.Duration
-
-	restore    bool
-	global     bool
-	adapt      bool
-	windowSpan int64
-}
-
 // runTenants opens (or resumes) the tenant registry and serves the
 // tenant-scoped surface until a signal.
-func runTenants(logger, root *slog.Logger, f tenantFlags) {
+func runTenants(logger, root *slog.Logger, sketch gsketch.Config, ingestCfg gsketch.IngestConfig) {
 	switch {
-	case f.restore:
+	case *restorePath != "":
 		fatal(logger, "-tenants restores each tenant from its own snapshot directory; -restore is engine-only")
-	case f.global:
+	case *global:
 		fatal(logger, "-global is engine-only")
-	case f.adapt:
+	case *adaptOn:
 		fatal(logger, "-adapt is engine-only")
-	case f.windowSpan != 0:
+	case *windowSpan != 0:
 		fatal(logger, "-window-span is engine-only")
 	}
 	var sample []stream.Edge
-	if f.samplePath != "" {
+	if *samplePath != "" {
 		var err error
-		if sample, err = stream.ReadEdgeFile(f.samplePath, f.sampleCap); err != nil {
-			fatal(logger, "sample read failed", "path", f.samplePath, "error", err)
+		if sample, err = stream.ReadEdgeFile(*samplePath, *sampleCap); err != nil {
+			fatal(logger, "sample read failed", "path", *samplePath, "error", err)
 		}
 	}
 	reg, err := tenant.New(tenant.Config{
-		Dir:         f.dir,
-		MaxResident: f.maxResident,
-		Sketch:      f.sketch,
+		Dir:         *tenantDir,
+		MaxResident: *tenantMaxRes,
+		Sketch:      sketch,
 		Sample:      sample,
-		Ingest:      f.ingest,
-		Quotas:      tenant.Quotas{MaxEdgesPerSec: f.maxRate, Burst: f.burst},
+		Ingest:      ingestCfg,
+		Quotas:      tenant.Quotas{MaxEdgesPerSec: *tenantMaxRate, Burst: *tenantBurst},
 	})
 	if err != nil {
-		fatal(logger, "tenant registry open failed", "dir", f.dir, "error", err)
+		fatal(logger, "tenant registry open failed", "dir", *tenantDir, "error", err)
 	}
 	logger.Info("tenant registry up",
-		"dir", f.dir,
+		"dir", *tenantDir,
 		"tenants", reg.RegistryStats().Tenants,
-		"max_resident", f.maxResident)
+		"max_resident", *tenantMaxRes)
 
 	srv, err := server.New(server.Config{Tenants: reg, Logger: root})
 	if err != nil {
 		fatal(logger, "server init failed", "error", err)
 	}
-	serveUntilSignal(logger, srv, f.addr, f.wireAddr, f.shutdown)
-}
-
-// bootstrapFlags is the bootstrap slice of the flag set.
-type bootstrapFlags struct {
-	restorePath, samplePath, workloadPath string
-	global                                bool
-	sampleCap                             int
-	adapt                                 bool
-	adaptSample, adaptMaxGens             int
-	adaptDrift, adaptOutlier              float64
-	seed                                  uint64
+	serveUntilSignal(logger, srv)
 }
 
 // engineOptions resolves exactly one bootstrap source (plus the adaptive
 // wiring) into gsketch.Open options.
-func engineOptions(f bootstrapFlags) ([]gsketch.Option, error) {
+func engineOptions() ([]gsketch.Option, error) {
 	set := 0
-	for _, on := range []bool{f.restorePath != "", f.samplePath != "", f.global} {
+	for _, on := range []bool{*restorePath != "", *samplePath != "", *global} {
 		if on {
 			set++
 		}
@@ -437,36 +381,36 @@ func engineOptions(f bootstrapFlags) ([]gsketch.Option, error) {
 
 	var opts []gsketch.Option
 	switch {
-	case f.restorePath != "":
-		opts = append(opts, gsketch.WithRestoreFile(f.restorePath))
-	case f.global:
-		if f.adapt {
+	case *restorePath != "":
+		opts = append(opts, gsketch.WithRestoreFile(*restorePath))
+	case *global:
+		if *adaptOn {
 			return nil, errors.New("-adapt needs a partitioned gSketch; it is incompatible with -global")
 		}
 		opts = append(opts, gsketch.WithGlobal())
 	default:
 		// The engine reads the sample file itself, twice, and never holds
 		// it: what peaks at start-up is the statistics, not the sample.
-		opts = append(opts, gsketch.WithSampleFile(f.samplePath, f.sampleCap))
-		if f.workloadPath != "" {
-			workload, err := stream.ReadEdgeFile(f.workloadPath, 0)
+		opts = append(opts, gsketch.WithSampleFile(*samplePath, *sampleCap))
+		if *workloadPath != "" {
+			workload, err := stream.ReadEdgeFile(*workloadPath, 0)
 			if err != nil {
-				return nil, fmt.Errorf("workload %s: %w", f.workloadPath, err)
+				return nil, fmt.Errorf("workload %s: %w", *workloadPath, err)
 			}
 			opts = append(opts, gsketch.WithWorkloadSample(workload))
 		}
 	}
 
-	if f.adapt {
+	if *adaptOn {
 		opts = append(opts, gsketch.WithAdaptive(
 			gsketch.ChainConfig{
-				SampleSize:     f.adaptSample,
-				Seed:           f.seed,
-				MaxGenerations: f.adaptMaxGens,
+				SampleSize:     *adaptSample,
+				Seed:           *seed,
+				MaxGenerations: *adaptMaxGens,
 			},
 			gsketch.AdaptConfig{
-				DriftThreshold:   f.adaptDrift,
-				OutlierThreshold: f.adaptOutlier,
+				DriftThreshold:   *adaptDrift,
+				OutlierThreshold: *adaptOutlier,
 			},
 		))
 	}

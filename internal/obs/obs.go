@@ -23,9 +23,6 @@ type Counter struct {
 	v atomic.Int64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Add adds n. Negative deltas are ignored: counters only go up.
 func (c *Counter) Add(n int64) {
 	if n > 0 {
@@ -35,17 +32,6 @@ func (c *Counter) Add(n int64) {
 
 // Value reads the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value reads the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // DefBuckets are the default latency bucket upper bounds in seconds,
 // ~100µs to 10s: wide enough for a loopback wire frame and a snapshot
@@ -58,11 +44,12 @@ var DefBuckets = []float64{
 // Histogram is a fixed-bucket latency histogram. Buckets are cumulative
 // at render time but stored as per-bucket atomic counters, so Observe is
 // lock-free and allocation-free on the hot path. The observed sum is
-// kept in integer nanoseconds to stay a single atomic add.
+// kept in integer nanoseconds to stay a single atomic add. There is no
+// separate count: Snapshot derives it from the buckets it read, so a
+// rendered _count always equals its +Inf bucket.
 type Histogram struct {
 	bounds  []float64 // upper bounds, ascending; +Inf implicit
 	buckets []atomic.Int64
-	count   atomic.Int64
 	sumNs   atomic.Int64
 }
 
@@ -82,7 +69,6 @@ func newHistogram(bounds []float64) *Histogram {
 func (h *Histogram) Observe(seconds float64) {
 	i := sort.SearchFloat64s(h.bounds, seconds)
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	h.sumNs.Add(int64(seconds * 1e9))
 }
 
@@ -95,58 +81,23 @@ func (h *Histogram) ObserveSince(start time.Time) {
 func (h *Histogram) ObserveDuration(d time.Duration) {
 	i := sort.SearchFloat64s(h.bounds, d.Seconds())
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	h.sumNs.Add(int64(d))
 }
 
-// Count is the total number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum is the sum of all observed values in seconds.
-func (h *Histogram) Sum() float64 { return float64(h.sumNs.Load()) / 1e9 }
-
-// Quantile derives the q-quantile (0..1) by linear interpolation inside
-// the bucket that crosses rank q·count, the same estimate Prometheus'
-// histogram_quantile computes server-side. Returns 0 with no
-// observations; the top bucket clamps to its lower bound (the
-// conventional +Inf answer).
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
+// Snapshot reads the histogram in one pass over its buckets: Count is
+// the +Inf cumulative of the buckets read, never a separate counter that
+// concurrent observations could have moved in between. Sum is read
+// after the buckets and may include an observation they miss. Bounds is
+// the histogram's own slice, to be read and not changed.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	s := HistogramSnapshot{Bounds: h.bounds, Cum: make([]int64, len(h.bounds))}
+	for i := range h.bounds {
+		s.Count += h.buckets[i].Load()
+		s.Cum[i] = s.Count
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := int64(0)
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if float64(cum+n) >= rank {
-			if i == len(h.bounds) { // +Inf bucket
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
+	s.Count += h.buckets[len(h.bounds)].Load()
+	s.Sum = float64(h.sumNs.Load()) / 1e9
+	return s
 }
 
 // metricKind is the Prometheus TYPE of a family.
@@ -185,7 +136,6 @@ type series struct {
 	// exactly one of these is set, matching the family kind
 	counter     *Counter
 	counterFunc func() int64
-	gauge       *Gauge
 	gaugeFunc   func() float64
 	hist        *Histogram
 	setFunc     func() []SetSample
@@ -268,13 +218,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 // CounterFunc registers a counter collected by calling fn at scrape time.
 func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
 	r.register(name, help, kindCounter, &series{labels: labels, counterFunc: fn})
-}
-
-// Gauge registers a settable gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, kindGauge, &series{labels: labels, gauge: g})
-	return g
 }
 
 // GaugeFunc registers a gauge collected by calling fn at scrape time.
@@ -363,28 +306,18 @@ func renderSeries(b *strings.Builder, f *family, s *series) {
 		}
 		writeSample(b, f.name, s.labels, nil, strconv.FormatInt(v, 10))
 	case kindGauge:
-		v := 0.0
-		if s.gauge != nil {
-			v = s.gauge.Value()
-		} else if s.gaugeFunc != nil {
-			v = s.gaugeFunc()
-		}
-		writeSample(b, f.name, s.labels, nil, formatFloat(v))
+		writeSample(b, f.name, s.labels, nil, formatFloat(s.gaugeFunc()))
 	case kindHistogram:
-		h := s.hist
-		cum := int64(0)
-		for i, bound := range h.bounds {
-			cum += h.buckets[i].Load()
+		snap := s.hist.Snapshot()
+		for i, bound := range snap.Bounds {
 			writeSample(b, f.name+"_bucket", s.labels,
 				&Label{Key: "le", Value: formatFloat(bound)},
-				strconv.FormatInt(cum, 10))
+				strconv.FormatInt(snap.Cum[i], 10))
 		}
-		cum += h.buckets[len(h.bounds)].Load()
-		writeSample(b, f.name+"_bucket", s.labels,
-			&Label{Key: "le", Value: "+Inf"},
-			strconv.FormatInt(cum, 10))
-		writeSample(b, f.name+"_sum", s.labels, nil, formatFloat(h.Sum()))
-		writeSample(b, f.name+"_count", s.labels, nil, strconv.FormatInt(h.Count(), 10))
+		count := strconv.FormatInt(snap.Count, 10)
+		writeSample(b, f.name+"_bucket", s.labels, &Label{Key: "le", Value: "+Inf"}, count)
+		writeSample(b, f.name+"_sum", s.labels, nil, formatFloat(snap.Sum))
+		writeSample(b, f.name+"_count", s.labels, nil, count)
 	}
 }
 

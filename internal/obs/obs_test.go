@@ -13,20 +13,23 @@ import (
 func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_events_total", "events")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	c.Add(-10) // ignored: counters are monotonic
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g := r.Gauge("test_depth", "depth")
-	g.Set(3.5)
-	if got := g.Value(); got != 3.5 {
-		t.Fatalf("gauge = %v, want 3.5", got)
-	}
-	g.Set(-1)
-	if got := g.Value(); got != -1 {
-		t.Fatalf("gauge = %v, want -1", got)
+	depth := 3.5
+	r.GaugeFunc("test_depth", "depth", func() float64 { return depth })
+	for _, want := range []string{"test_depth 3.5\n", "test_depth -1\n"} {
+		var buf bytes.Buffer
+		if _, err := r.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("gauge: exposition lacks %q in:\n%s", want, buf.String())
+		}
+		depth = -1
 	}
 }
 
@@ -41,22 +44,23 @@ func TestHistogramQuantileBracketsInjectedLatencies(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(0.080)
 	}
-	if got := h.Count(); got != 100 {
+	snap := h.Snapshot()
+	if got := snap.Count; got != 100 {
 		t.Fatalf("count = %d, want 100", got)
 	}
 	wantSum := 90*0.002 + 10*0.080
-	if got := h.Sum(); math.Abs(got-wantSum) > 1e-6 {
+	if got := snap.Sum; math.Abs(got-wantSum) > 1e-6 {
 		t.Fatalf("sum = %v, want %v", got, wantSum)
 	}
-	p50 := h.Quantile(0.50)
+	p50 := snap.Quantile(0.50)
 	if p50 < 0.001 || p50 > 0.0025 {
 		t.Fatalf("p50 = %v, want within (0.001, 0.0025]", p50)
 	}
-	p99 := h.Quantile(0.99)
+	p99 := snap.Quantile(0.99)
 	if p99 < 0.05 || p99 > 0.1 {
 		t.Fatalf("p99 = %v, want within (0.05, 0.1]", p99)
 	}
-	if q := h.Quantile(0); q < 0 || q > 0.0025 {
+	if q := snap.Quantile(0); q < 0 || q > 0.0025 {
 		t.Fatalf("q0 = %v out of low bucket", q)
 	}
 }
@@ -65,11 +69,12 @@ func TestHistogramObserveSinceAndOverflow(t *testing.T) {
 	h := newHistogram([]float64{0.001, 0.01})
 	h.ObserveSince(time.Now().Add(-5 * time.Millisecond))
 	h.Observe(100) // lands in +Inf
-	if got := h.Count(); got != 2 {
+	snap := h.Snapshot()
+	if got := snap.Count; got != 2 {
 		t.Fatalf("count = %d, want 2", got)
 	}
 	// +Inf observations clamp to the top finite bound.
-	if q := h.Quantile(1); q != 0.01 {
+	if q := snap.Quantile(1); q != 0.01 {
 		t.Fatalf("q1 = %v, want clamp to 0.01", q)
 	}
 }
@@ -88,8 +93,50 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := h.Count(); got != 8*per {
+	if got := h.Snapshot().Count; got != 8*per {
 		t.Fatalf("count = %d, want %d", got, 8*per)
+	}
+}
+
+// TestScrapeCountMatchesInfBucket scrapes a histogram while two
+// goroutines observe into it: every scrape must parse, with its _count
+// equal to its +Inf bucket (FindHistogram refuses one that disagrees).
+func TestScrapeCountMatchesInfBucket(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("busy_seconds", "observed while scraped", nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(0.003)
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	var buf bytes.Buffer
+	for i := 0; i < 2000; i++ {
+		buf.Reset()
+		if _, err := r.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		fams, err := ParseFamilies(&buf)
+		if err != nil {
+			t.Fatalf("scrape %d: %v", i, err)
+		}
+		if _, err := FindHistogram(fams, "busy_seconds", nil); err != nil {
+			t.Fatalf("scrape %d: %v", i, err)
+		}
 	}
 }
 
@@ -98,8 +145,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 	c := r.Counter("app_requests_total", "requests served", Label{"route", "/ingest"})
 	c.Add(7)
 	r.Counter("app_requests_total", "requests served", Label{"route", "/query"}).Add(3)
-	g := r.Gauge("app_queue_depth", "queued batches")
-	g.Set(12)
+	r.GaugeFunc("app_queue_depth", "queued batches", func() float64 { return 12 })
 	r.GaugeFunc("app_up", "always one", func() float64 { return 1 })
 	r.CounterFunc("app_ticks_total", "ticks", func() int64 { return 42 })
 	h := r.Histogram("app_latency_seconds", "request latency", []float64{0.01, 0.1, 1},
@@ -220,7 +266,7 @@ func TestPrepareHookRunsOncePerScrape(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("esc_total", "odd labels", Label{"path", `a"b\c` + "\n"}).Inc()
+	r.Counter("esc_total", "odd labels", Label{"path", `a"b\c` + "\n"}).Add(1)
 	var buf bytes.Buffer
 	if _, err := r.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -240,7 +286,7 @@ func TestDuplicateAndMismatchedRegistrationPanics(t *testing.T) {
 	r.Counter("dup_total", "x")
 	for name, fn := range map[string]func(){
 		"duplicate series": func() { r.Counter("dup_total", "x") },
-		"kind mismatch":    func() { r.Gauge("dup_total", "x") },
+		"kind mismatch":    func() { r.GaugeFunc("dup_total", "x", func() float64 { return 0 }) },
 	} {
 		func() {
 			defer func() {
@@ -271,13 +317,11 @@ func TestObserveDoesNotAllocate(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("alloc_latency_seconds", "x", nil)
 	c := r.Counter("alloc_total", "x")
-	g := r.Gauge("alloc_gauge", "x")
 	start := time.Now()
 	if n := testing.AllocsPerRun(1000, func() {
 		h.Observe(0.003)
 		h.ObserveSince(start)
 		c.Add(3)
-		g.Set(1)
 	}); n != 0 {
 		t.Fatalf("hot-path instruments allocate %v per op, want 0", n)
 	}

@@ -208,9 +208,9 @@ func parseLabels(s string, out map[string]string) (string, error) {
 	}
 }
 
-// HistogramSnapshot is a scraped histogram child: cumulative buckets by
-// upper bound plus sum and count, with quantile derivation matching the
-// live Histogram's.
+// HistogramSnapshot is one histogram child read at one moment, live
+// (Histogram.Snapshot) or scraped (FindHistogram): cumulative buckets by
+// upper bound plus sum and count.
 type HistogramSnapshot struct {
 	Bounds []float64 // ascending; +Inf excluded
 	Cum    []int64   // cumulative count ≤ each bound
@@ -293,7 +293,11 @@ func FindHistogram(fams []Family, name string, match map[string]string) (*Histog
 	return snap, nil
 }
 
-// Quantile mirrors Histogram.Quantile on scraped data.
+// Quantile derives the q-quantile (0..1) by linear interpolation inside
+// the bucket that crosses rank q·Count, the same estimate Prometheus'
+// histogram_quantile computes server-side. It returns 0 with no
+// observations; the +Inf bucket clamps to the top finite bound (the
+// conventional answer).
 func (s *HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0

@@ -33,45 +33,28 @@ const (
 	frameBufCap = 64 << 10
 )
 
+// bufPool pools *[]T buffers that start at one capacity: get hands a
+// buffer out empty, put empties it and keeps it, grown capacity and all.
+type bufPool[T any] struct{ p sync.Pool }
+
+func newBufPool[T any](capacity int) *bufPool[T] {
+	return &bufPool[T]{sync.Pool{New: func() any { s := make([]T, 0, capacity); return &s }}}
+}
+
+func (p *bufPool[T]) get() *[]T { return p.p.Get().(*[]T) }
+
+func (p *bufPool[T]) put(b *[]T) {
+	*b = (*b)[:0]
+	p.p.Put(b)
+}
+
 var (
-	edgePool  = sync.Pool{New: func() any { s := make([]stream.Edge, 0, edgeBufCap); return &s }}
-	queryPool = sync.Pool{New: func() any { s := make([]core.EdgeQuery, 0, queryBufCap); return &s }}
-	scanPool  = sync.Pool{New: func() any { s := make([]byte, scanBufCap); return &s }}
-	framePool = sync.Pool{New: func() any { s := make([]byte, 0, frameBufCap); return &s }}
-	// resultPool holds the HTTP handlers' query answers; a buffer starts
+	edgeBufs  = newBufPool[stream.Edge](edgeBufCap)
+	queryBufs = newBufPool[core.EdgeQuery](queryBufCap)
+	scanBufs  = newBufPool[byte](scanBufCap)
+	frameBufs = newBufPool[byte](frameBufCap)
+	// resultBufs holds the HTTP handlers' query answers; a buffer starts
 	// empty and AppendQueryBatch grows it to the batches it meets. (A wire
 	// connection owns one such buffer for its lifetime instead.)
-	resultPool = sync.Pool{New: func() any { return new([]core.Result) }}
+	resultBufs = newBufPool[core.Result](0)
 )
-
-func getEdgeBuf() *[]stream.Edge { return edgePool.Get().(*[]stream.Edge) }
-
-func putEdgeBuf(p *[]stream.Edge) {
-	*p = (*p)[:0]
-	edgePool.Put(p)
-}
-
-func getQueryBuf() *[]core.EdgeQuery { return queryPool.Get().(*[]core.EdgeQuery) }
-
-func putQueryBuf(p *[]core.EdgeQuery) {
-	*p = (*p)[:0]
-	queryPool.Put(p)
-}
-
-func getResultBuf() *[]core.Result { return resultPool.Get().(*[]core.Result) }
-
-func putResultBuf(p *[]core.Result) {
-	*p = (*p)[:0]
-	resultPool.Put(p)
-}
-
-func getScanBuf() *[]byte { return scanPool.Get().(*[]byte) }
-
-func putScanBuf(p *[]byte) { scanPool.Put(p) }
-
-func getFrameBuf() *[]byte { return framePool.Get().(*[]byte) }
-
-func putFrameBuf(p *[]byte) {
-	*p = (*p)[:0]
-	framePool.Put(p)
-}

@@ -217,8 +217,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	buf := getEdgeBuf()
-	defer putEdgeBuf(buf)
+	buf := edgeBufs.get()
+	defer edgeBufs.put(buf)
 	edges, err := decodeEdgesNDJSON(body, *buf)
 	*buf = edges[:0]
 	if err != nil {
@@ -349,16 +349,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
+	buf := frameBufs.get()
+	defer frameBufs.put(buf)
 	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), *buf)
 	*buf = body
 	if err != nil {
 		writeError(w, bodyErrorStatus(err), "query: %v", err)
 		return
 	}
-	qbuf := getQueryBuf()
-	defer putQueryBuf(qbuf)
+	qbuf := queryBufs.get()
+	defer queryBufs.put(qbuf)
 	qs, sync, err := decodeQueryBody(body, *qbuf)
 	*qbuf = qs
 	if err != nil {
@@ -375,21 +375,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	rbuf := getResultBuf()
-	defer putResultBuf(rbuf)
+	rbuf := resultBufs.get()
+	defer resultBufs.put(rbuf)
 	results, err := be.AppendQueryBatch(*rbuf, qs)
 	*rbuf = results
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
 	}
-	s.stats.queriesAnswered.Add(int64(len(results)))
 	reply, ok := appendQueryReply(body[:0], qs, results)
 	if !ok {
-		// A float that is not finite: encoding/json's answer, as ever.
-		writeJSON(w, http.StatusOK, newQueryResponse(qs, results))
+		// JSON has no text for it; only an estimator adopted with
+		// WithEstimator can answer one.
+		writeError(w, http.StatusInternalServerError, "query: an answer's error bound or confidence is not finite")
 		return
 	}
+	s.stats.queriesAnswered.Add(int64(len(results)))
 	*buf = reply
 	// With the length known net/http sends the reply whole; without it, a
 	// reply longer than its 2 KiB buffer goes out chunked.
@@ -412,8 +413,8 @@ func (s *Server) handleWindowQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "window query: empty batch")
 		return
 	}
-	qbuf := getQueryBuf()
-	defer putQueryBuf(qbuf)
+	qbuf := queryBufs.get()
+	defer queryBufs.put(qbuf)
 	qs := appendEdgeQueries(*qbuf, req.Queries)
 	*qbuf = qs[:0]
 	values, err := s.eng.QueryWindow(qs, req.T1, req.T2)

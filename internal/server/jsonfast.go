@@ -299,10 +299,14 @@ func (c *floatTexts) append(dst []byte, f float64) []byte {
 }
 
 // appendQueryReply appends the POST /query reply for results, which answer
-// qs in order: byte for byte what json.NewEncoder(w).Encode of the same
-// queryResponse writes, trailing newline included. ok is false, and dst not
-// to be used, when a float is not finite: encoding/json refuses those, and
-// so the caller must ask it.
+// qs in order, trailing newline included:
+//
+//	{"results":[{"src":1,"dst":2,"estimate":7,"partition":0,"error_bound":0.5,"confidence":0.99,"stream_total":40}]}
+//
+// with "outlier":true after "partition" on an outlier answer. It is byte
+// for byte what encoding/json writes for the same answers (the reference
+// in jsonfast_test.go). ok is false, and dst not to be used, when a float
+// is not finite: JSON has no text for one.
 func appendQueryReply(dst []byte, qs []core.EdgeQuery, results []core.Result) (out []byte, ok bool) {
 	var floats floatTexts
 	dst = append(dst, `{"results":[`...)

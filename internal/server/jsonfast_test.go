@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"regexp"
@@ -15,6 +16,44 @@ import (
 	"github.com/graphstream/gsketch/internal/hashutil"
 	"github.com/graphstream/gsketch/internal/tenant"
 )
+
+// resultJSON is one bound-carrying answer: the batched read path's Result
+// plus the echoed query endpoints.
+type resultJSON struct {
+	Src         uint64  `json:"src"`
+	Dst         uint64  `json:"dst"`
+	Estimate    int64   `json:"estimate"`
+	Partition   int     `json:"partition"`
+	Outlier     bool    `json:"outlier,omitempty"`
+	ErrorBound  float64 `json:"error_bound"`
+	Confidence  float64 `json:"confidence"`
+	StreamTotal int64   `json:"stream_total"`
+}
+
+// queryResponse is the POST /query reply as encoding/json writes it: the
+// reference appendQueryReply is held to, and what tests decode replies
+// with.
+type queryResponse struct {
+	Results []resultJSON `json:"results"`
+}
+
+// newQueryResponse pairs results with the queries they answer.
+func newQueryResponse(qs []core.EdgeQuery, results []core.Result) queryResponse {
+	resp := queryResponse{Results: make([]resultJSON, len(results))}
+	for i, res := range results {
+		resp.Results[i] = resultJSON{
+			Src:         qs[i].Src,
+			Dst:         qs[i].Dst,
+			Estimate:    res.Estimate,
+			Partition:   res.Partition,
+			Outlier:     res.Outlier,
+			ErrorBound:  res.ErrorBound,
+			Confidence:  res.Confidence,
+			StreamTotal: res.StreamTotal,
+		}
+	}
+	return resp
+}
 
 // TestAppendQueryReplyMatchesEncodingJSON is the reply-bytes property: for
 // any results, appendQueryReply writes exactly what the encoder wrote
@@ -70,6 +109,57 @@ func TestAppendQueryReplyMatchesEncodingJSON(t *testing.T) {
 	}
 	if refused == 0 || refused == 2000 {
 		t.Fatalf("%d of 2000 replies refused: the generator no longer covers both sides", refused)
+	}
+}
+
+// infBound is a foreign estimator whose every answer carries a +Inf bound.
+type infBound struct{ core.Estimator }
+
+func (e infBound) EstimateBatch(qs []core.EdgeQuery) []core.Result {
+	rs := e.Estimator.EstimateBatch(qs)
+	for i := range rs {
+		rs[i].ErrorBound = math.Inf(1)
+	}
+	return rs
+}
+
+// TestQueryNonFiniteBoundIs500 checks that a /query batch JSON cannot
+// carry gets a 500 error envelope, not a 200 with no body, while the wire
+// answer to the same batch, raw float64 on the frame, is unchanged.
+func TestQueryNonFiniteBoundIs500(t *testing.T) {
+	edges := testStream(1000, 23)
+	g := buildTestGSketch(t, edges)
+	_, httpURL, wireAddr := newWireServer(t, Config{Engine: testEngine(t, infBound{g})})
+	wc := dialWire(t, wireAddr)
+	wc.ingestWire(t, edges)
+	qs := []core.EdgeQuery{{Src: edges[0].Src, Dst: edges[0].Dst}, {Src: 1 << 40, Dst: 7}}
+
+	resp, err := http.Post(httpURL+"/query", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"queries":[{"src":%d,"dst":%d},{"src":%d,"dst":%d}]}`,
+			qs[0].Src, qs[0].Dst, qs[1].Src, qs[1].Dst)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e errorJSON
+	err = json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || err != nil || e.Error == "" || e.Code != "internal" {
+		t.Fatalf("POST /query with a +Inf bound: %d %+v (decode error %v), want 500 with an internal error envelope",
+			resp.StatusCode, e, err)
+	}
+
+	want := infBound{g}.EstimateBatch(qs)
+	got := wc.queryWire(t, qs)
+	if len(got) != len(want) {
+		t.Fatalf("wire answered %d of %d queries", len(got), len(want))
+	}
+	if want[0].Estimate == 0 {
+		t.Fatal("an ingested edge estimates 0")
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("wire answer %d: %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }
 

@@ -37,43 +37,6 @@ type queryRequest struct {
 	Sync bool `json:"sync,omitempty"`
 }
 
-// resultJSON is one bound-carrying answer: the batched read path's Result
-// plus the echoed query endpoints.
-type resultJSON struct {
-	Src         uint64  `json:"src"`
-	Dst         uint64  `json:"dst"`
-	Estimate    int64   `json:"estimate"`
-	Partition   int     `json:"partition"`
-	Outlier     bool    `json:"outlier,omitempty"`
-	ErrorBound  float64 `json:"error_bound"`
-	Confidence  float64 `json:"confidence"`
-	StreamTotal int64   `json:"stream_total"`
-}
-
-// queryResponse is the POST /query reply. appendQueryReply writes it
-// without reflection; the types remain as the definition of the format.
-type queryResponse struct {
-	Results []resultJSON `json:"results"`
-}
-
-// newQueryResponse pairs results with the queries they answer.
-func newQueryResponse(qs []core.EdgeQuery, results []core.Result) queryResponse {
-	resp := queryResponse{Results: make([]resultJSON, len(results))}
-	for i, res := range results {
-		resp.Results[i] = resultJSON{
-			Src:         qs[i].Src,
-			Dst:         qs[i].Dst,
-			Estimate:    res.Estimate,
-			Partition:   res.Partition,
-			Outlier:     res.Outlier,
-			ErrorBound:  res.ErrorBound,
-			Confidence:  res.Confidence,
-			StreamTotal: res.StreamTotal,
-		}
-	}
-	return resp
-}
-
 // windowQueryRequest is the POST /query/window body: a query batch over
 // the inclusive time range [t1, t2].
 type windowQueryRequest struct {
@@ -118,8 +81,8 @@ const maxNDJSONLine = 1 << 16
 // refused.
 func decodeEdgesNDJSON(r io.Reader, dst []stream.Edge) ([]stream.Edge, error) {
 	sc := bufio.NewScanner(r)
-	sb := getScanBuf()
-	defer putScanBuf(sb)
+	sb := scanBufs.get()
+	defer scanBufs.put(sb)
 	sc.Buffer(*sb, maxNDJSONLine)
 	line := 0
 	for sc.Scan() {

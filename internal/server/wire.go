@@ -171,16 +171,16 @@ func (s *Server) handleWireConn(conn net.Conn) {
 	dec := wire.NewDecoderSize(br, int(s.cfg.MaxBodyBytes))
 
 	be := s.be // nil in tenant mode until a TypeTenantSelect binds one
-	out, edges, qs := getFrameBuf(), getEdgeBuf(), getQueryBuf()
+	out, edges, qs := frameBufs.get(), edgeBufs.get(), queryBufs.get()
 	var results []core.Result  // the answers of every query frame, in turn
 	var folding sync.WaitGroup // the long frame folding beside the loop, if any
 	var perQuery time.Duration // the last query frame's answer time per query; 0: none yet
 	defer func() {
 		folding.Wait()
 		// Read at exit: a buffer a fold took over is the fold's to return.
-		putEdgeBuf(edges)
-		putQueryBuf(qs)
-		putFrameBuf(out)
+		edgeBufs.put(edges)
+		queryBufs.put(qs)
+		frameBufs.put(out)
 	}()
 	for {
 		typ, name, err := s.readWireFrame(dec, edges, qs)
@@ -247,10 +247,10 @@ func (s *Server) handleWireConn(conn net.Conn) {
 			go func(buf *[]stream.Edge) {
 				adm.Apply()
 				apply.ObserveSince(start)
-				putEdgeBuf(buf)
+				edgeBufs.put(buf)
 				folding.Done()
 			}(edges)
-			edges = getEdgeBuf()
+			edges = edgeBufs.get()
 		case typ == wire.TypeIngest:
 			adm.Apply()
 			apply.ObserveSince(start)

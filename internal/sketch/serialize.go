@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"github.com/graphstream/gsketch/internal/stream"
 )
 
 // Binary serialization for CountMin sketches. One sketch is one record,
@@ -49,23 +51,11 @@ const ioBufferBytes = 64 << 10
 // (16 MiB), and only once a valid record header is in hand; see readRecord.
 const trustedCells = 1 << 22
 
-// countingWriter counts the bytes its writer accepted.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	k, err := cw.w.Write(p)
-	cw.n += int64(k)
-	return k, err
-}
-
 // writeRecords writes the sketches' records back to back through one buffer
 // (a bank of thousands of small shards costs a handful of writes), encoding
 // cells into its free space; bufio keeps the first write error for Flush.
 func writeRecords(w io.Writer, sketches []CountMin) (int64, error) {
-	cw := &countingWriter{w: w}
+	cw := &stream.CountingWriter{W: w}
 	bw := bufio.NewWriterSize(cw, ioBufferBytes)
 	le := binary.LittleEndian
 	scratch := make([]byte, 0, cmHeaderBytes)
@@ -84,7 +74,7 @@ func writeRecords(w io.Writer, sketches []CountMin) (int64, error) {
 		for cells := cm.cells; len(cells) > 0; {
 			if bw.Available() < CellSize {
 				if err := bw.Flush(); err != nil {
-					return cw.n, err
+					return cw.N, err
 				}
 			}
 			p := bw.AvailableBuffer()
@@ -99,7 +89,7 @@ func writeRecords(w io.Writer, sketches []CountMin) (int64, error) {
 		bw.Write(le.AppendUint32(scratch, crc)) // trailing CRC, not itself CRC'd
 	}
 	err := bw.Flush()
-	return cw.n, err
+	return cw.N, err
 }
 
 // WriteTo serializes the sketch. It implements io.WriterTo.

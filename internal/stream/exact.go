@@ -53,9 +53,6 @@ func (c *ExactCounter) EdgeFrequency(src, dst uint64) int64 {
 // emanating from src (Eq. 2).
 func (c *ExactCounter) VertexFrequency(src uint64) int64 { return c.vertexF[src] }
 
-// OutDegree returns d(src): the number of distinct out-edges of src (Eq. 3).
-func (c *ExactCounter) OutDegree(src uint64) int64 { return c.vertexD[src] }
-
 // Total returns the summed weight of all arrivals (the stream volume N).
 func (c *ExactCounter) Total() int64 { return c.total }
 

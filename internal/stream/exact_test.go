@@ -23,7 +23,7 @@ func TestExactCounter(t *testing.T) {
 	if got := c.VertexFrequency(1); got != 6 {
 		t.Errorf("fv(1) = %d, want 6 (Eq. 2)", got)
 	}
-	if got := c.OutDegree(1); got != 2 {
+	if got := c.vertexD[1]; got != 2 {
 		t.Errorf("d(1) = %d, want 2 (Eq. 3)", got)
 	}
 	if c.Total() != 13 || c.Arrivals() != 4 {

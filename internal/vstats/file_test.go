@@ -36,13 +36,13 @@ func writeEdgeFile(t testing.TB, path string, edges []stream.Edge, text bool) {
 }
 
 // sameStats holds one Stats to another field by field: vertex order and
-// every field of every vertex, TotalF, lookups, and both sort orders.
+// every field of every vertex, totalF, lookups, and both sort orders.
 func sameStats(t *testing.T, got, want *Stats) {
 	t.Helper()
 	equalVertices(t, "vertices", got.vertices, want.vertices)
-	if got.TotalF() != want.TotalF() || got.Len() != want.Len() || got.HasWorkload() != want.HasWorkload() {
-		t.Fatalf("TotalF %v, Len %d, workload %v; want %v, %d, %v",
-			got.TotalF(), got.Len(), got.HasWorkload(), want.TotalF(), want.Len(), want.HasWorkload())
+	if got.totalF != want.totalF || got.Len() != want.Len() || got.hasWork != want.hasWork {
+		t.Fatalf("totalF %v, Len %d, workload %v; want %v, %d, %v",
+			got.totalF, got.Len(), got.hasWork, want.totalF, want.Len(), want.hasWork)
 	}
 	for _, v := range want.vertices {
 		if g, ok := got.Get(v.ID); !ok || g != v {

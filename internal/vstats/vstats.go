@@ -41,10 +41,6 @@ type VertexStat struct {
 	W float64
 }
 
-// AvgEdgeFreq returns f̃v(m)/d̃(m), the estimated average frequency of the
-// edges emanating from the vertex — the scenario-A sort key.
-func (v VertexStat) AvgEdgeFreq() float64 { return v.F / v.D }
-
 // Stats holds per-vertex statistics for every distinct source vertex of a
 // data sample, in order of first appearance.
 type Stats struct {
@@ -408,14 +404,8 @@ func (s *Stats) ApplyWorkload(workload []stream.Edge) {
 	s.hasWork = true
 }
 
-// HasWorkload reports whether ApplyWorkload has been called.
-func (s *Stats) HasWorkload() bool { return s.hasWork }
-
 // Len returns the number of distinct source vertices in the sample.
 func (s *Stats) Len() int { return len(s.vertices) }
-
-// TotalF returns Σ f̃v over all vertices.
-func (s *Stats) TotalF() float64 { return s.totalF }
 
 // Get returns the statistics of one vertex.
 func (s *Stats) Get(id uint64) (VertexStat, bool) {

@@ -40,16 +40,16 @@ func TestFromSample(t *testing.T) {
 	if v3.F != 6 || v3.D != 3 {
 		t.Errorf("vertex 3 = %+v, want F=6 D=3", v3)
 	}
-	if s.TotalF() != 22 {
-		t.Errorf("totalF = %v, want 22", s.TotalF())
+	if s.totalF != 22 {
+		t.Errorf("totalF = %v, want 22", s.totalF)
 	}
 	if _, ok := s.Get(99); ok {
 		t.Error("unknown vertex found")
 	}
-	if v1.AvgEdgeFreq() != 7.5 {
-		t.Errorf("avg edge freq = %v, want 7.5", v1.AvgEdgeFreq())
+	if v1.F/v1.D != 7.5 {
+		t.Errorf("avg edge freq = %v, want 7.5", v1.F/v1.D)
 	}
-	if s.HasWorkload() {
+	if s.hasWork {
 		t.Error("workload flagged before ApplyWorkload")
 	}
 }
@@ -74,7 +74,7 @@ func TestApplyWorkloadLaplace(t *testing.T) {
 		{Src: 1, Dst: 10}, {Src: 1, Dst: 11}, {Src: 3, Dst: 20}, {Src: 7, Dst: 1},
 	}
 	s.ApplyWorkload(workload)
-	if !s.HasWorkload() {
+	if !s.hasWork {
 		t.Error("workload not flagged")
 	}
 	denom := 4.0 + 3.0 // |W| + |V|
@@ -311,14 +311,14 @@ func equalVertices(t *testing.T, what string, got, want []VertexStat) {
 }
 
 // checkAgainstReference holds one Stats to the reference construction of
-// the same sample: vertex order, every field, TotalF, Get, and Sorted in
+// the same sample: vertex order, every field, totalF, Get, and Sorted in
 // both orders before and after a workload is applied.
 func checkAgainstReference(t *testing.T, s *Stats, sample []stream.Edge) {
 	t.Helper()
 	ref := refFromSample(sample)
 	equalVertices(t, "FromSample", s.vertices, ref.vertices)
-	if s.TotalF() != ref.totalF {
-		t.Fatalf("TotalF %v, reference %v", s.TotalF(), ref.totalF)
+	if s.totalF != ref.totalF {
+		t.Fatalf("totalF %v, reference %v", s.totalF, ref.totalF)
 	}
 	if s.Len() != len(ref.vertices) {
 		t.Fatalf("Len %d, reference %d", s.Len(), len(ref.vertices))

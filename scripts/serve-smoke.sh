@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the serving subsystem against a real binary:
-# start gsketch-serve, NDJSON-ingest a small stream, issue a batched query,
-# trigger a snapshot, restore it, and shut down gracefully. CI runs this
-# with a race-instrumented build.
+# refuse two bad flag combinations, start gsketch-serve, NDJSON-ingest a
+# small stream, issue a batched query, trigger a snapshot, restore it, and
+# shut down gracefully. CI runs this with a race-instrumented build.
 set -euo pipefail
 
 BIN=${1:-bin/gsketch-serve}
@@ -19,6 +19,20 @@ source "$(dirname "$0")/smoke-lib.sh"
 for i in $(seq 0 199); do
   echo "$((i % 10)) $((100 + i % 40)) 1 $i"
 done > "$TMP/sample.txt"
+
+# Refused flag combinations: each must exit non-zero before serving and
+# say why. timeout bounds a binary that wrongly starts serving instead.
+refused() {
+  local want=$1 out
+  shift
+  if out=$(timeout 20 "$BIN" "$@" 2>&1); then
+    fail "gsketch-serve $* exited 0, want a refusal"
+  fi
+  grep -qF -- "$want" <<<"$out" || fail "gsketch-serve $*: output '$out' lacks '$want'"
+}
+refused "pick exactly one of -restore, -sample or -global" \
+  -addr "$ADDR" -sample "$TMP/sample.txt" -global
+refused "-adapt is engine-only" -addr "$ADDR" -tenants -tenant-dir "$TMP/tenants" -adapt
 
 "$BIN" -addr "$ADDR" -wire-addr "$WADDR" -sample "$TMP/sample.txt" \
   -snapshot "$TMP/state.gsk" -workers 2 -batch 64 &
